@@ -186,18 +186,7 @@ def _cmd_solve(args):
             lam *= problem.noise_sigma
     else:
         lam = float(args.lam)
-    if reg == "pairwise":
-        res = solver.fista_pairwise(
-            problem, lam, solver.FistaConfig(max_iters=args.max_iters)
-        )
-    elif reg.kind == "matricized_nuclear_sum":
-        res = solver.admm_matricized(
-            problem, lam, solver.AdmmConfig(max_iters=args.max_iters)
-        )
-    else:
-        res = solver.fista_solve(
-            problem, reg, lam, solver.FistaConfig(max_iters=args.max_iters)
-        )
+    res = solver.solve(problem, reg, lam, args.max_iters)
     _write_output(json.dumps(res.to_json(), sort_keys=True, indent=2), args.out)
     return EXIT_OK if res.status == "Converged" else EXIT_NONCONVERGED
 

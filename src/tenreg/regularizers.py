@@ -204,21 +204,6 @@ def reg_dual(spec, a, *, hopm_restarts=20, hopm_iters=200, rng=None):
     which requires `rng`.
     """
     a = _check_order3(a)
-    if spec.kind == "entry_l1":
-        return float(np.abs(a).max())
-    if spec.kind == "fiber_group":
-        return float(np.sqrt((a * a).sum(axis=spec.mode)).max())
-    if spec.kind == "slice_frob":
-        return float(np.sqrt((a * a).sum(axis=spec.axes)).max())
-    if spec.kind == "slice_nuclear":
-        stack = _slices_first(a, spec)
-        sv = np.linalg.svd(stack, compute_uv=False)
-        return float(sv[..., 0].max())
-    if spec.kind == "matricized_nuclear_sum":
-        tops = [
-            np.linalg.svd(matricize(a, [k]), compute_uv=False)[0] for k in range(3)
-        ]
-        return 3.0 * float(max(tops))
     if spec.kind == "tensor_spectral_dual_only":
         from .spectral import hopm_spectral
 
@@ -226,6 +211,38 @@ def reg_dual(spec, a, *, hopm_restarts=20, hopm_iters=200, rng=None):
             raise ValueError("the spectral dual is stochastic; pass rng")
         res = hopm_spectral(a, restarts=hopm_restarts, iters=hopm_iters, rng=rng)
         return res["value"]
+    return float(_dual_batch(spec, a[None])[0])
+
+
+def _dual_batch(spec, g, rng=None, hopm_restarts=None, hopm_iters=None):
+    """Dual norm of each tensor in the batch `g` of shape (B, d1, d2, d3).
+
+    Only the spectral-dual kind uses `rng` and the HOPM counts: it runs the
+    batched alternating maximizer from random starts.
+    """
+    b = g.shape[0]
+    if spec.kind == "entry_l1":
+        return np.abs(g).reshape(b, -1).max(axis=1)
+    if spec.kind == "fiber_group":
+        return np.sqrt((g * g).sum(axis=spec.mode + 1)).reshape(b, -1).max(axis=1)
+    if spec.kind == "slice_frob":
+        axes = tuple(ax + 1 for ax in spec.axes)
+        return np.sqrt((g * g).sum(axis=axes)).reshape(b, -1).max(axis=1)
+    if spec.kind == "slice_nuclear":
+        order = (0, spec.group_axis + 1) + tuple(ax + 1 for ax in spec.axes)
+        stack = np.transpose(g, order)
+        sv = np.linalg.svd(stack, compute_uv=False)
+        return sv[..., 0].max(axis=1)
+    if spec.kind == "matricized_nuclear_sum":
+        tops = []
+        for k in range(3):
+            mat = np.moveaxis(g, k + 1, 1).reshape(b, g.shape[k + 1], -1)
+            tops.append(np.linalg.svd(mat, compute_uv=False)[..., 0])
+        return 3.0 * np.maximum.reduce(tops)
+    if spec.kind == "tensor_spectral_dual_only":
+        from .spectral import _hopm_batch
+
+        return _hopm_batch(g, hopm_restarts, hopm_iters, rng)
     raise UnsupportedKind(spec.kind)
 
 
@@ -544,20 +561,15 @@ def compatibility(spec, sub, *, draws=10000, ascent_steps=100, rng=None):
         rng = np.random.default_rng(0)
     best = 0.0
     best_a = None
-    batch = 256
-    done = 0
-    while done < draws:
-        m = min(batch, draws - done)
-        for _ in range(m):
-            a = subspace_project(sub, rng.standard_normal(sub.shape), "space")
-            nrm = np.linalg.norm(a)
-            if nrm == 0:
-                continue
-            a = a / nrm
-            ratio = _surrogate_ratio(spec, a)
-            if ratio > best:
-                best, best_a = ratio, a
-        done += m
+    for _ in range(draws):
+        a = subspace_project(sub, rng.standard_normal(sub.shape), "space")
+        nrm = np.linalg.norm(a)
+        if nrm == 0:
+            continue
+        a = a / nrm
+        ratio = _surrogate_ratio(spec, a)
+        if ratio > best:
+            best, best_a = ratio, a
     if best_a is not None and spec.kind != "tensor_spectral_dual_only":
         a = best_a
         step = 0.1

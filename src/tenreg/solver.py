@@ -35,7 +35,27 @@ __all__ = [
     "fista_pairwise",
     "save_problem",
     "load_problem",
+    "solve",
 ]
+
+# FISTA: relative objective change that triggers a certificate check, the
+# periodic certificate interval, and power steps for the initial Lipschitz
+# estimate.
+_TOL = 1e-10
+_KKT_EVERY = 25
+_POWER_ITERS = 5
+# ADMM: initial penalty parameter, and the residual ratio and factor of the
+# penalty rebalancing.
+_ADMM_RHO = 1.0
+_BALANCE_MU = 10.0
+_BALANCE_TAU = 2.0
+
+
+def _check_finite(name, arr):
+    # any NaN or +-inf entry makes the sum non-finite; unlike isfinite(arr)
+    # this allocates no full-size temporary
+    if not np.isfinite(arr.sum()):
+        raise ValueError(f"{name} must be finite")
 
 
 @dataclass
@@ -57,6 +77,8 @@ class RegressionProblem:
     def __post_init__(self):
         self.covariates = np.asarray(self.covariates, dtype=np.float64)
         self.responses = np.asarray(self.responses, dtype=np.float64)
+        _check_finite("covariates", self.covariates)
+        _check_finite("responses", self.responses)
         if self.covariates.shape[0] != self.responses.shape[0]:
             raise ShapeMismatch("covariate and response counts differ")
         if self.covariates.shape[0] < 1:
@@ -65,6 +87,7 @@ class RegressionProblem:
             raise ShapeMismatch("split must equal the covariate order")
         if self.truth is not None:
             self.truth = np.asarray(self.truth, dtype=np.float64)
+            _check_finite("truth", self.truth)
             if self.truth.shape != self.truth_shape:
                 raise ShapeMismatch(
                     f"truth shape {self.truth.shape} != {self.truth_shape}"
@@ -100,7 +123,7 @@ class SolveResult:
     kkt_residual: float
     iterations: int
     lam: float
-    status: str  # Converged | MaxIters | Diverged
+    status: str  # Converged | MaxIters, or Diverged from ADMM
     components: tuple | None = None
 
     def to_json(self):
@@ -183,12 +206,12 @@ def kkt_residual(problem, spec, lam, a, *, rng=None):
     return excess + align
 
 
-def _power_lipschitz(x2, n, iters=5):
+def _power_lipschitz(x2, n):
     """Largest eigenvalue of X^T X / n by a few power iterations."""
     dim = x2.shape[1]
     v = np.full(dim, 1.0 / np.sqrt(dim))
     est = 1.0
-    for _ in range(iters):
+    for _ in range(_POWER_ITERS):
         w = x2.T @ (x2 @ v) / n
         est = float(np.linalg.norm(w))
         if est == 0.0:
@@ -200,11 +223,80 @@ def _power_lipschitz(x2, n, iters=5):
 @dataclass
 class FistaConfig:
     max_iters: int = 2000
-    tol: float = 1e-10
     kkt_tol: float = 1e-7
-    kkt_every: int = 25
-    power_iters: int = 5
-    divergence_factor: float = 1e3
+
+
+def _apg(x0, smooth, grad, prox_step, penalty, cert, lam, lip, config):
+    """FISTA (Beck & Teboulle 2009) with backtracking and adaptive restart
+    (O'Donoghue & Candes 2015) on ``smooth(x) + lam * penalty(x)``.
+
+    `prox_step(v, t)` is the prox of ``t * lam * penalty`` at `v`, `cert(x)`
+    the first-order certificate and `lip` the initial step-size inverse.
+    Returns ``(x, trace, certificate, iterations, status)``.
+    """
+
+    def full_obj(x):
+        val = smooth(x)
+        if lam > 0:
+            val += lam * penalty(x)
+        return val
+
+    def backtrack(y, lip):
+        g = grad(y)
+        fy = smooth(y)
+        while True:
+            cand = prox_step(y - g / lip, 1.0 / lip)
+            diff = cand - y
+            quad = fy + float((g * diff).sum()) + 0.5 * lip * float((diff * diff).sum())
+            if smooth(cand) <= quad + 1e-12 * max(1.0, abs(quad)):
+                return cand, lip
+            lip *= 2.0
+
+    lip = max(lip, 1e-12)
+    x = y = x0
+    t_mom = 1.0
+    obj = full_obj(x)
+    trace = [obj]
+    status = "MaxIters"
+    kkt = np.inf
+    iters_done = 0
+    dead_steps = 0
+
+    for it in range(1, config.max_iters + 1):
+        iters_done = it
+        cand, lip = backtrack(y, lip)
+        new_obj = full_obj(cand)
+        if new_obj > obj:
+            # adaptive restart: momentum overshot, redo plain step from x
+            t_mom = 1.0
+            cand, lip = backtrack(x, lip)
+            new_obj = full_obj(cand)
+            if new_obj > obj:
+                cand, new_obj = x, obj
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
+        y = cand + ((t_mom - 1.0) / t_next) * (cand - x)
+        x, t_mom = cand, t_next
+        rel_change = abs(obj - new_obj) / max(abs(obj), 1e-15)
+        obj = new_obj
+        trace.append(obj)
+        # an objective stall triggers the (costlier) certificate check; the
+        # solver only returns early once the certificate passes or progress
+        # is gone at machine precision
+        if (it % _KKT_EVERY == 0) or rel_change < _TOL:
+            kkt = cert(x)
+            if kkt < config.kkt_tol:
+                status = "Converged"
+                break
+        if rel_change < 1e-15:
+            dead_steps += 1
+            if dead_steps >= 5:
+                break
+        else:
+            dead_steps = 0
+
+    if not np.isfinite(kkt):
+        kkt = cert(x)
+    return x, trace, float(kkt), iters_done, status
 
 
 def fista_solve(problem, spec, lam, config=None):
@@ -214,9 +306,9 @@ def fista_solve(problem, spec, lam, config=None):
     lam above the dual norm of the gradient at zero returns the zero
     solution exactly.  The objective trace is nonincreasing: momentum steps
     that would increase the objective trigger a restart from the previous
-    iterate.  A relative objective change below ``tol`` triggers the
-    first-order certificate check, and the solve returns Converged once the
-    certificate drops below ``kkt_tol``.
+    iterate.  A stalled objective (relative change below 1e-10) or every
+    25th iteration triggers the first-order certificate check, and the
+    solve returns Converged once the certificate drops below ``kkt_tol``.
     """
     if config is None:
         config = FistaConfig()
@@ -231,91 +323,27 @@ def fista_solve(problem, spec, lam, config=None):
         r = x2 @ a2 - y2
         return 0.5 * float((r * r).sum()) / n
 
-    def full_obj(a2):
-        val = smooth(a2)
-        if lam > 0:
-            val += lam * reg_eval(spec, a2.reshape(shape))
-        return val
-
     def prox_step(a2, t):
         if lam == 0:
             return a2
         return prox(spec, a2.reshape(shape), t * lam).reshape(dim_cov, dim_resp)
 
-    lip = max(_power_lipschitz(x2, n, config.power_iters), 1e-12)
-    x = np.zeros((dim_cov, dim_resp))
-    y = x.copy()
-    t_mom = 1.0
-    obj = full_obj(x)
-    trace = [obj]
-    status = "MaxIters"
-    kkt = np.inf
-    iters_done = 0
-    dead_steps = 0
-
-    for it in range(1, config.max_iters + 1):
-        iters_done = it
-        g = _smooth_gradient(x2, y2, y, n)
-        fy = smooth(y)
-        while True:
-            cand = prox_step(y - g / lip, 1.0 / lip)
-            diff = cand - y
-            quad = fy + float((g * diff).sum()) + 0.5 * lip * float((diff * diff).sum())
-            if smooth(cand) <= quad + 1e-12 * max(1.0, abs(quad)):
-                break
-            lip *= 2.0
-        new_obj = full_obj(cand)
-        if new_obj > obj:
-            # adaptive restart: momentum overshot, redo plain step from x
-            y = x.copy()
-            t_mom = 1.0
-            g = _smooth_gradient(x2, y2, y, n)
-            fy = smooth(y)
-            while True:
-                cand = prox_step(y - g / lip, 1.0 / lip)
-                diff = cand - y
-                quad = (
-                    fy + float((g * diff).sum()) + 0.5 * lip * float((diff * diff).sum())
-                )
-                if smooth(cand) <= quad + 1e-12 * max(1.0, abs(quad)):
-                    break
-                lip *= 2.0
-            new_obj = full_obj(cand)
-            if new_obj > obj:
-                cand = x
-                new_obj = obj
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
-        y = cand + ((t_mom - 1.0) / t_next) * (cand - x)
-        x, t_mom = cand, t_next
-        rel_change = abs(obj - new_obj) / max(abs(obj), 1e-15)
-        obj = new_obj
-        trace.append(obj)
-        if obj > config.divergence_factor * max(trace[0], 1e-12):
-            status = "Diverged"
-            break
-        # an objective stall triggers the (costlier) certificate check; the
-        # solver only returns early once the certificate passes or progress
-        # is gone at machine precision
-        if (it % config.kkt_every == 0) or rel_change < config.tol:
-            kkt = kkt_residual(problem, spec, lam, x.reshape(shape))
-            if kkt < config.kkt_tol:
-                status = "Converged"
-                break
-        if rel_change < 1e-15:
-            dead_steps += 1
-            if dead_steps >= 5:
-                break
-        else:
-            dead_steps = 0
-
-    est = x.reshape(shape)
-    if not np.isfinite(kkt) or status == "Diverged":
-        kkt = kkt_residual(problem, spec, lam, est)
+    x, trace, kkt, iters, status = _apg(
+        np.zeros((dim_cov, dim_resp)),
+        smooth,
+        lambda a2: _smooth_gradient(x2, y2, a2, n),
+        prox_step,
+        lambda a2: reg_eval(spec, a2.reshape(shape)),
+        lambda a2: kkt_residual(problem, spec, lam, a2.reshape(shape)),
+        lam,
+        _power_lipschitz(x2, n),
+        config,
+    )
     return SolveResult(
-        estimate=est,
+        estimate=x.reshape(shape),
         objective_trace=trace,
-        kkt_residual=float(kkt),
-        iterations=iters_done,
+        kkt_residual=kkt,
+        iterations=iters,
         lam=float(lam),
         status=status,
     )
@@ -325,9 +353,6 @@ def fista_solve(problem, spec, lam, config=None):
 class AdmmConfig:
     max_iters: int = 2000
     tol: float = 1e-6
-    rho: float = 1.0
-    balance_mu: float = 10.0
-    balance_tau: float = 2.0
 
 
 def admm_matricized(problem, lam, config=None):
@@ -351,7 +376,7 @@ def admm_matricized(problem, lam, config=None):
 
     gram = x2.T @ x2 / n
     rhs0 = x2.T @ y2 / n
-    rho = config.rho
+    rho = _ADMM_RHO
 
     def factorize(r):
         return np.linalg.cholesky(gram + 3.0 * r * np.eye(dim_cov))
@@ -393,13 +418,13 @@ def admm_matricized(problem, lam, config=None):
         if r_norm < config.tol and s_norm < config.tol:
             status = "Converged"
             break
-        if r_norm > config.balance_mu * s_norm:
-            rho *= config.balance_tau
-            us = [u / config.balance_tau for u in us]
+        if r_norm > _BALANCE_MU * s_norm:
+            rho *= _BALANCE_TAU
+            us = [u / _BALANCE_TAU for u in us]
             low = factorize(rho)
-        elif s_norm > config.balance_mu * r_norm:
-            rho /= config.balance_tau
-            us = [u * config.balance_tau for u in us]
+        elif s_norm > _BALANCE_MU * r_norm:
+            rho /= _BALANCE_TAU
+            us = [u * _BALANCE_TAU for u in us]
             low = factorize(rho)
 
     kkt = kkt_residual(problem, spec, lam, a)
@@ -494,65 +519,38 @@ def fista_pairwise(problem, lam, config=None):
             1.0 + r_val
         )
 
-    lip = max(_power_lipschitz(phi, n, config.power_iters), 1e-12)
-    x = np.zeros(phi.shape[1])
-    yv = x.copy()
-    t_mom = 1.0
-    obj = smooth(x) + lam * pen(x)
-    trace = [obj]
-    status = "MaxIters"
-    iters_done = 0
-    dead_steps = 0
-    kkt = np.inf
-    for it in range(1, config.max_iters + 1):
-        iters_done = it
-        g = grad(yv)
-        fy = smooth(yv)
-        while True:
-            cand = prox_vec(yv - g / lip, 1.0 / lip)
-            diff = cand - yv
-            quad = fy + float(g @ diff) + 0.5 * lip * float(diff @ diff)
-            if smooth(cand) <= quad + 1e-12 * max(1.0, abs(quad)):
-                break
-            lip *= 2.0
-        new_obj = smooth(cand) + lam * pen(cand)
-        if new_obj > obj:
-            yv = x.copy()
-            t_mom = 1.0
-            cand = prox_vec(yv - grad(yv) / lip, 1.0 / lip)
-            new_obj = smooth(cand) + lam * pen(cand)
-            if new_obj > obj:
-                cand, new_obj = x, obj
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
-        yv = cand + ((t_mom - 1.0) / t_next) * (cand - x)
-        x, t_mom = cand, t_next
-        rel_change = abs(obj - new_obj) / max(abs(obj), 1e-15)
-        obj = new_obj
-        trace.append(obj)
-        if (it % config.kkt_every == 0) or rel_change < config.tol:
-            kkt = cert(x)
-            if kkt < config.kkt_tol:
-                status = "Converged"
-                break
-        if rel_change < 1e-15:
-            dead_steps += 1
-            if dead_steps >= 5:
-                break
-        else:
-            dead_steps = 0
-
+    x, trace, kkt, iters, status = _apg(
+        np.zeros(phi.shape[1]),
+        smooth,
+        grad,
+        prox_vec,
+        pen,
+        cert,
+        lam,
+        _power_lipschitz(phi, n),
+        config,
+    )
     comps = split(x)
-    if not np.isfinite(kkt):
-        kkt = cert(x)
     return SolveResult(
         estimate=expand_pairwise(comps, shape),
         objective_trace=trace,
-        kkt_residual=float(kkt),
-        iterations=iters_done,
+        kkt_residual=kkt,
+        iterations=iters,
         lam=float(lam),
         status=status,
         components=tuple(comps),
     )
+
+
+def solve(problem, reg, lam, max_iters=2000):
+    """Fit `problem` with the solver for `reg`: the block FISTA for
+    ``"pairwise"``, consensus ADMM for the averaged matricized nuclear norm,
+    FISTA for every other penalty."""
+    if reg == "pairwise":
+        return fista_pairwise(problem, lam, FistaConfig(max_iters=max_iters))
+    if reg.kind == "matricized_nuclear_sum":
+        return admm_matricized(problem, lam, AdmmConfig(max_iters=max_iters))
+    return fista_solve(problem, reg, lam, FistaConfig(max_iters=max_iters))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SvdFailure, ZeroTensor
-from .regularizers import RegularizerSpec
+from .regularizers import RegularizerSpec, _dual_batch
 
 __all__ = [
     "matrix_svt",
@@ -127,32 +127,6 @@ def _hopm_batch(g, restarts, iters, rng, tol=1e-12):
             val = new
         best = np.maximum(best, val)
     return best
-
-
-def _dual_batch(spec, g, rng, hopm_restarts, hopm_iters):
-    """Dual norm of each tensor in the batch `g` of shape (B, d1, d2, d3)."""
-    b = g.shape[0]
-    if spec.kind == "entry_l1":
-        return np.abs(g).reshape(b, -1).max(axis=1)
-    if spec.kind == "fiber_group":
-        return np.sqrt((g * g).sum(axis=spec.mode + 1)).reshape(b, -1).max(axis=1)
-    if spec.kind == "slice_frob":
-        axes = tuple(ax + 1 for ax in spec.axes)
-        return np.sqrt((g * g).sum(axis=axes)).reshape(b, -1).max(axis=1)
-    if spec.kind == "slice_nuclear":
-        order = (0, spec.group_axis + 1) + tuple(ax + 1 for ax in spec.axes)
-        stack = np.transpose(g, order)
-        sv = np.linalg.svd(stack, compute_uv=False)
-        return sv[..., 0].max(axis=1)
-    if spec.kind == "matricized_nuclear_sum":
-        tops = []
-        for k in range(3):
-            mat = np.moveaxis(g, k + 1, 1).reshape(b, g.shape[k + 1], -1)
-            tops.append(np.linalg.svd(mat, compute_uv=False)[..., 0])
-        return 3.0 * np.maximum.reduce(tops)
-    if spec.kind == "tensor_spectral_dual_only":
-        return _hopm_batch(g, hopm_restarts, hopm_iters, rng)
-    raise ValueError(spec.kind)
 
 
 @dataclass(frozen=True)

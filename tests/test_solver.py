@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tenreg.datagen import ModelClassSpec, gen_problem, gen_truth
+from tenreg.errors import NoClosedFormProx
 from tenreg.regularizers import (
     entry_l1,
     fiber_group,
@@ -26,6 +27,7 @@ from tenreg.solver import (
     objective,
     risk_bound_predicted,
     save_problem,
+    solve,
 )
 from tenreg.spectral import gaussian_width_mc
 
@@ -41,6 +43,34 @@ def scalar_problem(n, shape, sigma, seed, truth=None):
     return RegressionProblem(
         covariates=x, responses=y, split=3, noise_sigma=sigma, truth=truth
     )
+
+
+class TestProblemValidation:
+    def test_nan_response_rejected(self):
+        r = np.random.default_rng(40)
+        y = r.standard_normal(10)
+        y[3] = np.nan
+        with pytest.raises(ValueError):
+            RegressionProblem(r.standard_normal((10, 2, 2, 2)), y, split=3)
+
+    def test_inf_covariate_rejected(self):
+        r = np.random.default_rng(41)
+        x = r.standard_normal((10, 2, 2, 2))
+        x[4, 1, 0, 1] = -np.inf
+        with pytest.raises(ValueError):
+            RegressionProblem(x, r.standard_normal(10), split=3)
+
+    def test_nan_truth_rejected(self):
+        r = np.random.default_rng(42)
+        truth = np.zeros((2, 2, 2))
+        truth[0, 1, 1] = np.nan
+        with pytest.raises(ValueError):
+            RegressionProblem(
+                r.standard_normal((10, 2, 2, 2)),
+                r.standard_normal(10),
+                split=3,
+                truth=truth,
+            )
 
 
 class TestObjective:
@@ -296,6 +326,54 @@ class TestPairwise:
         err = float(((res.estimate - truth) ** 2).sum())
         assert err < 0.2 * float((truth**2).sum())
         assert res.components is not None and len(res.components) == 3
+
+
+    def test_objective_trace_nonincreasing(self):
+        spec = ModelClassSpec("t4", (4, 4, 4), r=1, magnitude=3.0)
+        p = gen_problem(gen_truth(spec, 5), 300, 3, 0.5, seed=6)
+        res = fista_pairwise(p, 0.05)
+        assert np.all(np.diff(res.objective_trace) <= 1e-12)
+
+
+def assert_same_result(a, b):
+    np.testing.assert_array_equal(a.estimate, b.estimate)
+    assert a.objective_trace == b.objective_trace
+    assert a.kkt_residual == b.kkt_residual
+    assert (a.iterations, a.status) == (b.iterations, b.status)
+
+
+class TestSolveDispatch:
+    def test_prox_penalty_uses_fista(self):
+        p = scalar_problem(60, (3, 3, 3), 0.3, 31)
+        assert_same_result(
+            solve(p, fiber_group(1), 0.05), fista_solve(p, fiber_group(1), 0.05)
+        )
+
+    def test_matricized_uses_admm(self):
+        p = scalar_problem(80, (3, 3, 3), 0.3, 32)
+        assert_same_result(
+            solve(p, matricized_nuclear_sum(), 0.1, max_iters=200),
+            admm_matricized(p, 0.1, AdmmConfig(max_iters=200)),
+        )
+
+    def test_pairwise_uses_block_fista(self):
+        spec = ModelClassSpec("t4", (4, 4, 4), r=1, magnitude=3.0)
+        p = gen_problem(gen_truth(spec, 7), 300, 3, 0.5, seed=8)
+        res = solve(p, "pairwise", 0.05, max_iters=300)
+        direct = fista_pairwise(p, 0.05, FistaConfig(max_iters=300))
+        assert_same_result(res, direct)
+        assert res.components is not None and len(res.components) == 3
+        for got, want in zip(res.components, direct.components):
+            np.testing.assert_array_equal(got, want)
+
+    def test_max_iters_passed_through(self):
+        p = scalar_problem(60, (3, 3, 3), 0.3, 33)
+        assert solve(p, entry_l1(), 0.05, max_iters=3).iterations <= 3
+
+    def test_tensor_spectral_has_no_solver(self):
+        p = scalar_problem(30, (2, 2, 2), 0.3, 34)
+        with pytest.raises(NoClosedFormProx):
+            solve(p, tensor_spectral(), 0.1)
 
 
 class TestProblemIo:
