@@ -244,9 +244,9 @@ _COMMANDS = {
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    np.seterr(over="raise")
     try:
-        return _COMMANDS[args.command](args)
+        with np.errstate(over="raise"):
+            return _COMMANDS[args.command](args)
     except (TenregError, ValueError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION

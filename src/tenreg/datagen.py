@@ -9,7 +9,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadCovarianceFactor, InfeasibleClass, ShapeMismatch, UnstableModel
+from .errors import (
+    BadCovarianceFactor,
+    InfeasibleClass,
+    ShapeMismatch,
+    UnstableModel,
+    json_key,
+)
 from .solver import RegressionProblem, expand_pairwise
 from .tensor import matricize
 
@@ -81,8 +87,8 @@ class ModelClassSpec:
     @classmethod
     def from_json(cls, obj):
         return cls(
-            kind=obj["kind"],
-            shape=tuple(obj["shape"]),
+            kind=json_key(obj, "kind", "model class"),
+            shape=tuple(json_key(obj, "shape", "model class")),
             s=obj.get("s"),
             r=obj.get("r"),
             magnitude=obj.get("magnitude", 1.0),
@@ -403,7 +409,9 @@ class VarModel:
     @classmethod
     def from_json(cls, obj):
         return cls(
-            coeffs=np.asarray(obj["coeffs"], dtype=np.float64),
+            coeffs=np.asarray(
+                json_key(obj, "coeffs", "VAR model"), dtype=np.float64
+            ),
             burn_in=obj.get("burn_in"),
         )
 

@@ -58,3 +58,11 @@ class BudgetExhausted(TenregError):
 
 class ValidationError(TenregError):
     """Bad user-supplied configuration (CLI exit code 2)."""
+
+
+def json_key(obj, key, what):
+    """``obj[key]`` from decoded JSON; a ValidationError naming `key` when
+    `obj` is not an object that holds it."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValidationError(f"{what} JSON needs the key {key!r}")
+    return obj[key]

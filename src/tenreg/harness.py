@@ -19,7 +19,7 @@ from .datagen import (
     gen_var_model,
     gen_var_series,
 )
-from .errors import BudgetExhausted, ValidationError
+from .errors import BudgetExhausted, ValidationError, json_key
 from .regularizers import RegularizerSpec
 from .solver import empirical_norm, lambda_rule, solve
 
@@ -140,16 +140,19 @@ class RateExperimentConfig:
 
     @classmethod
     def from_json(cls, obj):
-        reg = obj["regularizer"]
+        def need(key):
+            return json_key(obj, key, "rate config")
+
+        reg = need("regularizer")
         if isinstance(reg, dict):
             reg = RegularizerSpec.from_json(reg)
         return cls(
-            model=ModelClassSpec.from_json(obj["model"]),
+            model=ModelClassSpec.from_json(need("model")),
             regularizer=reg,
-            n_grid=tuple(obj["n_grid"]),
-            replications=obj["replications"],
-            seed=obj["seed"],
-            rate_tag=obj["rate_tag"],
+            n_grid=tuple(need("n_grid")),
+            replications=need("replications"),
+            seed=need("seed"),
+            rate_tag=need("rate_tag"),
             lambda_multiplier=obj.get("lambda_multiplier", 1.0),
             c_u=obj.get("c_u", 1.0),
             noise_sigma=obj.get("noise_sigma", 1.0),

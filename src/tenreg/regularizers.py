@@ -26,7 +26,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoClosedFormProx, ShapeMismatch, UnmatchedPair, UnsupportedKind
+from .errors import (
+    NoClosedFormProx,
+    ShapeMismatch,
+    UnmatchedPair,
+    UnsupportedKind,
+    json_key,
+)
 from .tensor import ProjectorTriple, dematricize, matricize, tucker_project
 
 __all__ = [
@@ -114,9 +120,10 @@ class RegularizerSpec:
 
     @classmethod
     def from_json(cls, obj):
+        kind = json_key(obj, "kind", "regularizer")
         axes = obj.get("axes")
         return cls(
-            kind=obj["kind"],
+            kind=kind,
             mode=obj.get("mode"),
             axes=tuple(axes) if axes is not None else None,
         )

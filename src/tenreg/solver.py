@@ -123,7 +123,7 @@ class SolveResult:
     kkt_residual: float
     iterations: int
     lam: float
-    status: str  # Converged | MaxIters, or Diverged from ADMM
+    status: str  # Converged | MaxIters | Diverged
     components: tuple | None = None
 
     def to_json(self):
@@ -164,10 +164,6 @@ def empirical_norm(problem, delta):
     return float(np.sqrt((pred * pred).sum() / problem.n))
 
 
-def _smooth_gradient(x2, y2, a2, n):
-    return x2.T @ (x2 @ a2 - y2) / n
-
-
 def lambda_rule(width, n, c_u=1.0, c_reg=1.0, multiplier=1.0):
     """Tuning rule lam = multiplier * 2 c_u (3 + c_R) / (c_R sqrt(n)) * width."""
     if n < 1 or c_u <= 0 or not (0 < c_reg <= 1) or multiplier < 1:
@@ -197,8 +193,12 @@ def kkt_residual(problem, spec, lam, a, *, rng=None):
     """
     a = _check_param(problem, a)
     x2, y2 = problem.design_matrices()
-    g = _smooth_gradient(x2, y2, a.reshape(x2.shape[1], -1), problem.n)
-    g = g.reshape(problem.truth_shape)
+    g = _LeastSquares(x2, y2, problem.n).grad(a.reshape(x2.shape[1], -1))
+    return _certificate(spec, lam, a, g.reshape(problem.truth_shape), rng=rng)
+
+
+def _certificate(spec, lam, a, g, rng=None):
+    """:func:`kkt_residual` at `a` from the smooth part's gradient `g`."""
     dual = reg_dual(spec, g, rng=rng)
     r_val = reg_eval(spec, a)
     excess = max(0.0, dual - lam)
@@ -206,18 +206,68 @@ def kkt_residual(problem, spec, lam, a, *, rng=None):
     return excess + align
 
 
-def _power_lipschitz(x2, n):
-    """Largest eigenvalue of X^T X / n by a few power iterations."""
+@dataclass
+class _LeastSquares:
+    """The loss ``(1/2n) ||M a - T||^2 + offset`` and its gradient.
+
+    Built once per problem by :func:`_least_squares`.  In data space M and
+    T are the flattened design and responses and the offset is zero.
+    """
+
+    design: np.ndarray
+    target: np.ndarray
+    n: int
+    offset: float = 0.0
+
+    def loss(self, a):
+        """The loss without its constant offset."""
+        r = self.design @ a - self.target
+        return 0.5 * float(r @ r if r.ndim == 1 else (r * r).sum()) / self.n
+
+    def grad(self, a):
+        return self.design.T @ (self.design @ a - self.target) / self.n
+
+    def lipschitz(self):
+        """Largest eigenvalue of M^T M / n by a few power iterations."""
+        dim = self.design.shape[1]
+        v = np.full(dim, 1.0 / np.sqrt(dim))
+        est = 1.0
+        for _ in range(_POWER_ITERS):
+            w = self.design.T @ (self.design @ v) / self.n
+            est = float(np.linalg.norm(w))
+            if est == 0.0:
+                return 1.0
+            v = w / est
+        return est
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _least_squares(x2, y, n):
+    """The operator for ``(1/2n) ||x2 a - y||^2``, or None when the squares
+    of the data overflow.
+
+    With n at most the parameter dimension d it works in data space.  Above
+    that it compresses the loss once: with X^T X = V L V^T, keeping the
+    eigenvalues above ``d eps l_max`` (marginal features are rank-deficient),
+    ``M = L^(1/2) V^T``, ``T = L^(-1/2) V^T X^T y`` and
+    ``offset = (||y||^2 - ||T||^2) / 2n`` give the same loss and gradient
+    at O(d^2) instead of O(nd) per evaluation.
+    """
     dim = x2.shape[1]
-    v = np.full(dim, 1.0 / np.sqrt(dim))
-    est = 1.0
-    for _ in range(_POWER_ITERS):
-        w = x2.T @ (x2 @ v) / n
-        est = float(np.linalg.norm(w))
-        if est == 0.0:
-            return 1.0
-        v = w / est
-    return est
+    if n <= dim:
+        return _LeastSquares(x2, y, n)
+    gram = x2.T @ x2
+    if not np.isfinite(gram).all():
+        return None
+    evals, evecs = np.linalg.eigh(gram)
+    keep = evals > dim * np.finfo(np.float64).eps * evals[-1]
+    root = np.sqrt(evals[keep])
+    vt = evecs[:, keep].T
+    target = (vt @ (x2.T @ y)) / (root if y.ndim == 1 else root[:, None])
+    offset = 0.5 * (float((y * y).sum()) - float((target * target).sum())) / n
+    if not np.isfinite(offset):
+        return None
+    return _LeastSquares(root[:, None] * vt, target, n, offset)
 
 
 @dataclass
@@ -226,73 +276,90 @@ class FistaConfig:
     kkt_tol: float = 1e-7
 
 
-def _apg(x0, smooth, grad, prox_step, penalty, cert, lam, lip, config):
-    """FISTA (Beck & Teboulle 2009) with backtracking and adaptive restart
-    (O'Donoghue & Candes 2015) on ``smooth(x) + lam * penalty(x)``.
+class _Overflow(Exception):
+    """A non-finite step-size inverse or loss inside :func:`_apg`."""
 
-    `prox_step(v, t)` is the prox of ``t * lam * penalty`` at `v`, `cert(x)`
-    the first-order certificate and `lip` the initial step-size inverse.
-    Returns ``(x, trace, certificate, iterations, status)``.
+
+@np.errstate(over="ignore", invalid="ignore")
+def _apg(x0, op, prox_step, penalty, cert, lam, config):
+    """FISTA (Beck & Teboulle 2009) with backtracking and adaptive restart
+    (O'Donoghue & Candes 2015) on ``op.loss(x) + lam * penalty(x)``.
+
+    `op` is a :class:`_LeastSquares`; its constant offset is left out of
+    every comparison and added back to each trace entry.  `prox_step(v, t)`
+    is the prox of ``t * lam * penalty`` at `v` and `cert(x)` the
+    first-order certificate.  A non-finite step-size inverse or loss stops
+    the loop as Diverged.  Returns ``(x, trace, certificate, iterations,
+    status)``.
     """
 
     def full_obj(x):
-        val = smooth(x)
+        val = op.loss(x)
         if lam > 0:
             val += lam * penalty(x)
         return val
 
     def backtrack(y, lip):
-        g = grad(y)
-        fy = smooth(y)
-        while True:
+        g = op.grad(y)
+        fy = op.loss(y)
+        while np.isfinite(lip):
             cand = prox_step(y - g / lip, 1.0 / lip)
+            f_cand = op.loss(cand)
+            if not np.isfinite(f_cand):
+                break
             diff = cand - y
             quad = fy + float((g * diff).sum()) + 0.5 * lip * float((diff * diff).sum())
-            if smooth(cand) <= quad + 1e-12 * max(1.0, abs(quad)):
+            if f_cand <= quad + 1e-12 * max(1.0, abs(quad)):
                 return cand, lip
             lip *= 2.0
+        raise _Overflow
 
-    lip = max(lip, 1e-12)
+    lip = max(op.lipschitz(), 1e-12)
     x = y = x0
     t_mom = 1.0
     obj = full_obj(x)
-    trace = [obj]
+    trace = [obj + op.offset]
     status = "MaxIters"
     kkt = np.inf
     iters_done = 0
     dead_steps = 0
 
-    for it in range(1, config.max_iters + 1):
-        iters_done = it
-        cand, lip = backtrack(y, lip)
-        new_obj = full_obj(cand)
-        if new_obj > obj:
-            # adaptive restart: momentum overshot, redo plain step from x
-            t_mom = 1.0
-            cand, lip = backtrack(x, lip)
+    try:
+        if not np.isfinite(obj):
+            raise _Overflow
+        for it in range(1, config.max_iters + 1):
+            iters_done = it
+            cand, lip = backtrack(y, lip)
             new_obj = full_obj(cand)
             if new_obj > obj:
-                cand, new_obj = x, obj
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
-        y = cand + ((t_mom - 1.0) / t_next) * (cand - x)
-        x, t_mom = cand, t_next
-        rel_change = abs(obj - new_obj) / max(abs(obj), 1e-15)
-        obj = new_obj
-        trace.append(obj)
-        # an objective stall triggers the (costlier) certificate check; the
-        # solver only returns early once the certificate passes or progress
-        # is gone at machine precision
-        if (it % _KKT_EVERY == 0) or rel_change < _TOL:
-            kkt = cert(x)
-            if kkt < config.kkt_tol:
-                status = "Converged"
-                break
-        if rel_change < 1e-15:
-            dead_steps += 1
-            if dead_steps >= 5:
-                break
-        else:
-            dead_steps = 0
+                # adaptive restart: momentum overshot, redo plain step from x
+                t_mom = 1.0
+                cand, lip = backtrack(x, lip)
+                new_obj = full_obj(cand)
+                if new_obj > obj:
+                    cand, new_obj = x, obj
+            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
+            y = cand + ((t_mom - 1.0) / t_next) * (cand - x)
+            x, t_mom = cand, t_next
+            rel_change = abs(obj - new_obj) / max(abs(obj), 1e-15)
+            obj = new_obj
+            trace.append(obj + op.offset)
+            # an objective stall triggers the (costlier) certificate check;
+            # the solver only returns early once the certificate passes or
+            # progress is gone at machine precision
+            if (it % _KKT_EVERY == 0) or rel_change < _TOL:
+                kkt = cert(x)
+                if kkt < config.kkt_tol:
+                    status = "Converged"
+                    break
+            if rel_change < 1e-15:
+                dead_steps += 1
+                if dead_steps >= 5:
+                    break
+            else:
+                dead_steps = 0
+    except _Overflow:
+        return x, trace, np.inf, iters_done, "Diverged"
 
     if not np.isfinite(kkt):
         kkt = cert(x)
@@ -309,34 +376,39 @@ def fista_solve(problem, spec, lam, config=None):
     iterate.  A stalled objective (relative change below 1e-10) or every
     25th iteration triggers the first-order certificate check, and the
     solve returns Converged once the certificate drops below ``kkt_tol``.
+    When n exceeds the covariate dimension, loss, gradient and certificate
+    work on the loss compressed to parameter space once per problem (see
+    :func:`_least_squares`); otherwise on the data.  Data whose squares
+    overflow return Diverged.
     """
     if config is None:
         config = FistaConfig()
     if lam > 0 and not spec.has_prox():
         raise NoClosedFormProx(f"{spec.kind} is not prox-friendly, use ADMM")
     x2, y2 = problem.design_matrices()
-    n = problem.n
     shape = problem.truth_shape
     dim_cov, dim_resp = x2.shape[1], y2.shape[1]
-
-    def smooth(a2):
-        r = x2 @ a2 - y2
-        return 0.5 * float((r * r).sum()) / n
+    op = _least_squares(x2, y2, problem.n)
+    if op is None:
+        return _diverged(shape, lam)
 
     def prox_step(a2, t):
         if lam == 0:
             return a2
         return prox(spec, a2.reshape(shape), t * lam).reshape(dim_cov, dim_resp)
 
+    def cert(a2):
+        a = a2.reshape(shape)
+        g = op.grad(a.reshape(dim_cov, dim_resp)).reshape(shape)
+        return _certificate(spec, lam, a, g)
+
     x, trace, kkt, iters, status = _apg(
         np.zeros((dim_cov, dim_resp)),
-        smooth,
-        lambda a2: _smooth_gradient(x2, y2, a2, n),
+        op,
         prox_step,
         lambda a2: reg_eval(spec, a2.reshape(shape)),
-        lambda a2: kkt_residual(problem, spec, lam, a2.reshape(shape)),
+        cert,
         lam,
-        _power_lipschitz(x2, n),
         config,
     )
     return SolveResult(
@@ -346,6 +418,19 @@ def fista_solve(problem, spec, lam, config=None):
         iterations=iters,
         lam=float(lam),
         status=status,
+    )
+
+
+def _diverged(shape, lam, components=None):
+    """The result of a solve whose data overflow before the first step."""
+    return SolveResult(
+        estimate=np.zeros(shape),
+        objective_trace=[],
+        kkt_residual=float("inf"),
+        iterations=0,
+        lam=float(lam),
+        status="Diverged",
+        components=components,
     )
 
 
@@ -469,7 +554,10 @@ def fista_pairwise(problem, lam, config=None):
     penalty (sum of the component nuclear norms) proxes blockwise by
     singular value soft-thresholding, so no consensus splitting is needed.
     The returned estimate is the assembled order-3 tensor; the fitted
-    component matrices ride along in ``components``.
+    component matrices ride along in ``components``.  Loss, gradient and
+    certificate work on the marginal features, compressed to parameter
+    space when n exceeds their ``d1 d2 + d1 d3 + d2 d3`` columns, as in
+    :func:`fista_solve`.
     """
     if config is None:
         config = FistaConfig()
@@ -497,13 +585,6 @@ def fista_pairwise(problem, lam, config=None):
             np.linalg.svd(m, compute_uv=False).sum() for m in split(vec)
         )
 
-    def smooth(vec):
-        r = phi @ vec - y
-        return 0.5 * float(r @ r) / n
-
-    def grad(vec):
-        return phi.T @ (phi @ vec - y) / n
-
     def prox_vec(vec, t):
         if lam == 0:
             return vec
@@ -511,8 +592,12 @@ def fista_pairwise(problem, lam, config=None):
             [matrix_svt(m, t * lam).ravel() for m in split(vec)]
         )
 
+    op = _least_squares(phi, y, n)
+    if op is None:
+        return _diverged(shape, lam, tuple(split(np.zeros(phi.shape[1]))))
+
     def cert(vec):
-        gv = grad(vec)
+        gv = op.grad(vec)
         dual = max(np.linalg.svd(g_, compute_uv=False)[0] for g_ in split(gv))
         r_val = pen(vec)
         return max(0.0, dual - lam) + abs(float(gv @ vec) + lam * r_val) / (
@@ -521,13 +606,11 @@ def fista_pairwise(problem, lam, config=None):
 
     x, trace, kkt, iters, status = _apg(
         np.zeros(phi.shape[1]),
-        smooth,
-        grad,
+        op,
         prox_vec,
         pen,
         cert,
         lam,
-        _power_lipschitz(phi, n),
         config,
     )
     comps = split(x)

@@ -178,3 +178,36 @@ class TestVarExtremaCommand:
         code, _, err = run_cli(["var-extrema", "--model", mpath], capsys)
         assert code == 2
         assert "error" in err
+
+
+class TestMissingJsonKeys:
+    def test_var_extrema_names_missing_key(self, capsys):
+        code, _, err = run_cli(["var-extrema", "--model", "{}"], capsys)
+        assert code == 2
+        assert "'coeffs'" in err
+
+    def test_gen_names_missing_key(self, capsys):
+        code, _, err = run_cli(
+            ["gen", "--spec", '{"kind": "theta1"}', "--n", "10"], capsys
+        )
+        assert code == 2
+        assert "'shape'" in err
+
+    def test_rate_names_missing_key(self, tmp_path, capsys):
+        cfg_path = str(tmp_path / "cfg.json")
+        with open(cfg_path, "w") as fh:
+            json.dump({"model": {"kind": "theta1", "shape": [3, 3, 3]}}, fh)
+        code, _, err = run_cli(["rate", "--config", cfg_path], capsys)
+        assert code == 2
+        assert "'regularizer'" in err
+
+
+def test_main_restores_numpy_error_state(tmp_path, capsys):
+    before = np.geterr()
+    code, _, _ = run_cli(
+        ["--out", str(tmp_path / "p.json"), "packing", "--kind", "full",
+         "--d", "8", "--delta", "1.0", "--budget", "200"],
+        capsys,
+    )
+    assert code == 0
+    assert np.geterr() == before

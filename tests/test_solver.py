@@ -29,6 +29,7 @@ from tenreg.solver import (
     save_problem,
     solve,
 )
+from tenreg.solver import _least_squares
 from tenreg.spectral import gaussian_width_mc
 
 rng = np.random.default_rng(23)
@@ -374,6 +375,118 @@ class TestSolveDispatch:
         p = scalar_problem(30, (2, 2, 2), 0.3, 34)
         with pytest.raises(NoClosedFormProx):
             solve(p, tensor_spectral(), 0.1)
+
+
+def pairwise_design(p):
+    f12, f13, f23 = marginal_features(p.covariates)
+    phi = np.hstack([f.reshape(p.n, -1) for f in (f12, f13, f23)])
+    return phi, p.responses.reshape(p.n)
+
+
+def pairwise_data_certificate(p, res):
+    # the block solver's certificate, on the data-space gradient
+    phi, y = pairwise_design(p)
+    vec = np.concatenate([c.ravel() for c in res.components])
+    gv = phi.T @ (phi @ vec - y) / p.n
+    blocks = np.split(gv, np.cumsum([c.size for c in res.components])[:-1])
+    dual = max(
+        np.linalg.norm(b.reshape(c.shape), 2) for b, c in zip(blocks, res.components)
+    )
+    r_val = sum(np.linalg.norm(c, "nuc") for c in res.components)
+    return max(0.0, dual - res.lam) + abs(float(gv @ vec) + res.lam * r_val) / (
+        1.0 + r_val
+    )
+
+
+def full_rank_problem():
+    r = np.random.default_rng(35)
+    truth = np.zeros((6, 3, 4))
+    truth[:2, 1, :] = 1.0
+    x = r.standard_normal((400, 6, 3))
+    y = np.einsum("nij,ijk->nk", x, truth) + 0.5 * r.standard_normal((400, 4))
+    return RegressionProblem(covariates=x, responses=y, split=2, truth=truth)
+
+
+def pairwise_problem():
+    spec = ModelClassSpec("t4", (6, 6, 6), r=1, magnitude=3.0)
+    return gen_problem(gen_truth(spec, 36), 1000, 3, 1.0, seed=37)
+
+
+class TestCompressedLoss:
+    """With n above the parameter dimension the loss is compressed to
+    parameter space; it must match the data-space loss."""
+
+    @pytest.mark.parametrize("case", ["full_rank", "pairwise"])
+    def test_loss_and_gradient_match_data_space(self, case):
+        if case == "full_rank":
+            x2, y = full_rank_problem().design_matrices()
+            a = np.random.default_rng(38).standard_normal((x2.shape[1], y.shape[1]))
+        else:
+            x2, y = pairwise_design(pairwise_problem())
+            a = np.random.default_rng(38).standard_normal(x2.shape[1])
+        n = x2.shape[0]
+        comp = _least_squares(x2, y, n)
+        assert comp.design.shape[0] <= x2.shape[1] < n
+        resid = x2 @ a - y
+        want = 0.5 * float((resid * resid).sum()) / n
+        assert abs(comp.loss(a) + comp.offset - want) <= 1e-10 * want
+        g_data, g_comp = x2.T @ resid / n, comp.grad(a)
+        assert np.linalg.norm(g_comp - g_data) <= 1e-10 * np.linalg.norm(g_data)
+
+    def test_pairwise_features_are_rank_deficient(self):
+        phi, y = pairwise_design(pairwise_problem())
+        # each component's row and column sums share the per-axis totals
+        assert _least_squares(phi, y, phi.shape[0]).design.shape[0] == 108 - 17
+
+    def test_full_rank_solve(self):
+        p = full_rank_problem()
+        spec, lam = fiber_group(2), 0.05
+        res = fista_solve(p, spec, lam)
+        assert res.status == "Converged"
+        zero = objective(p, spec, lam, np.zeros(p.truth_shape))
+        assert res.objective_trace[0] == pytest.approx(zero, rel=1e-12)
+        assert np.all(np.diff(res.objective_trace) <= 0.0)
+        assert kkt_residual(p, spec, lam, res.estimate) < FistaConfig().kkt_tol
+
+    def test_pairwise_solve(self):
+        p = pairwise_problem()
+        res = fista_pairwise(p, 0.05)
+        assert res.status == "Converged"
+        zero = objective(p, entry_l1(), 0.0, np.zeros(p.truth_shape))
+        assert res.objective_trace[0] == pytest.approx(zero, rel=1e-12)
+        assert np.all(np.diff(res.objective_trace) <= 0.0)
+        assert pairwise_data_certificate(p, res) < FistaConfig().kkt_tol
+
+
+class TestOverflow:
+    """Finite data whose squares overflow stop as Diverged, not in an
+    endless backtracking loop."""
+
+    @pytest.mark.parametrize("n", [200, 10])  # compressed, data space
+    def test_fista_diverges(self, n):
+        r = np.random.default_rng(39)
+        p = RegressionProblem(
+            covariates=1e160 * r.standard_normal((n, 5, 4)),
+            responses=r.standard_normal((n, 3)),
+            split=2,
+        )
+        res = solve(p, entry_l1(), 0.1, max_iters=50)
+        assert res.status == "Diverged"
+        assert res.iterations <= 50
+        assert res.estimate.shape == (5, 4, 3)
+
+    @pytest.mark.parametrize("n", [60, 10])
+    def test_pairwise_diverges(self, n):
+        r = np.random.default_rng(40)
+        p = RegressionProblem(
+            covariates=1e160 * r.standard_normal((n, 3, 3, 3)),
+            responses=r.standard_normal(n),
+            split=3,
+        )
+        res = solve(p, "pairwise", 0.1, max_iters=50)
+        assert res.status == "Diverged"
+        assert res.iterations <= 50
+        assert len(res.components) == 3
 
 
 class TestProblemIo:
