@@ -8,6 +8,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -360,25 +361,67 @@ class PackingSet:
 def verify_packing(elements, lo, hi):
     """Exhaustive pairwise distance check, independent of the construction.
 
+    Distances are recomputed from the elements as sums of squared
+    differences, one row against all later rows at a time; the Gram form
+    ||a||^2 + ||b||^2 - 2<a, b> would round differently, and the extremes
+    are written into reports.
+
     Returns (ok, min_sq, max_sq, offenders) where offenders lists the pairs
-    outside [lo, hi].
+    outside [lo, hi] in (i, j) order.
     """
-    m = len(elements)
-    flat = [np.asarray(e, dtype=float).ravel() for e in elements]
+    flat = np.array([np.asarray(e, dtype=float).ravel() for e in elements])
     min_sq, max_sq = np.inf, 0.0
     offenders = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            d2 = float(((flat[i] - flat[j]) ** 2).sum())
-            min_sq = min(min_sq, d2)
-            max_sq = max(max_sq, d2)
-            if not (lo - 1e-12 <= d2 <= hi + 1e-12):
-                offenders.append((i, j, d2))
+    for i in range(len(flat) - 1):
+        d2 = ((flat[i] - flat[i + 1 :]) ** 2).sum(axis=1)
+        # fmin/fmax skip NaN distances: they are offenders, not extremes
+        min_sq = min(min_sq, float(np.fmin.reduce(d2)))
+        max_sq = max(max_sq, float(np.fmax.reduce(d2)))
+        outside = ~((lo - 1e-12 <= d2) & (d2 <= hi + 1e-12))
+        offenders.extend(
+            (i, i + 1 + int(k), float(d2[k])) for k in np.flatnonzero(outside)
+        )
     return (not offenders, min_sq, max_sq, offenders)
 
 
-def _hamming(a, b):
-    return int((a != b).sum())
+# Candidates drawn per batch by the sign packings. One draw of shape
+# (m,) + shape consumes the same stream as m draws of `shape`, so the chunk
+# size changes no accepted set; with the block of accepted rows tested per
+# product, it bounds the temporaries whatever the budget or the set size.
+_PACKING_CHUNK = 4096
+_PACKING_BLOCK = 256
+
+
+def _greedy_signs(rng, shape, budget, floor, rank=None):
+    """Accept, in draw order, each of `budget` random sign arrays of `shape`
+    at Hamming distance at least `floor` from every accepted one; with
+    `rank`, candidates of lower matrix rank are skipped.
+
+    For +-1 vectors Hamming(a, b) = (n - <a, b>)/2, and inner products of
+    +-1 vectors are exact in float64, so the floor is an exact bound on the
+    inner product.
+    """
+    ncoord = int(np.prod(shape))
+    max_dot = ncoord - 2 * math.ceil(floor)
+    acc = np.empty((0, ncoord))
+    for start in range(0, budget, _PACKING_CHUNK):
+        m = min(_PACKING_CHUNK, budget - start)
+        chunk = rng.choice([-1.0, 1.0], size=(m,) + shape)
+        flat = chunk.reshape(m, ncoord)
+        rows = np.arange(m)
+        if rank is not None:
+            rows = rows[np.linalg.matrix_rank(chunk) >= rank]
+        for b in range(0, len(acc), _PACKING_BLOCK):
+            block = acc[b : b + _PACKING_BLOCK]
+            rows = rows[(flat[rows] @ block.T <= max_dot).all(axis=1)]
+        # accept the first passing row, then drop later rows too close to it
+        new = []
+        while rows.size:
+            i, rows = rows[0], rows[1:]
+            new.append(i)
+            rows = rows[flat[rows] @ flat[i] <= max_dot]
+        acc = np.concatenate([acc, flat[new]])
+    return acc.reshape((-1,) + shape)
 
 
 def hypercube_packing(
@@ -408,22 +451,27 @@ def hypercube_packing(
     factors on the first r columns, accepted on a Hamming floor of one
     third of the sign coordinates.
 
-    Raises ``BudgetExhausted`` (carrying the partial set) if fewer than
-    `min_size` elements were accepted within the candidate budget.
+    The sign kinds (``full``, ``lowrank``) draw candidates in chunks, which
+    consume the same random stream as one draw per candidate, and take each
+    Hamming distance from an inner product: (n - <a, b>)/2 for +-1 vectors.
+    ``sparse`` draws one candidate at a time and checks it against all
+    accepted elements at once.
+
+    Raises ``ValidationError`` unless delta is finite and positive and
+    budget >= 1, and ``BudgetExhausted`` (carrying the partial set) if fewer
+    than `min_size` elements were accepted within the candidate budget.
     """
+    if not (np.isfinite(delta) and delta > 0):
+        raise ValidationError(f"packing needs a finite delta > 0, got {delta}")
+    if budget < 1:
+        raise ValidationError(f"packing needs budget >= 1, got {budget}")
     rng = np.random.default_rng(seed)
-    accepted = []
     if kind == "full":
         if d < 6:
             raise ValidationError("full hypercube packing needs d >= 6")
         a = np.sqrt(3.0) * delta / (4.0 * np.sqrt(d))
         floor = d / 3.0
-        signs_acc = []
-        for _ in range(budget):
-            cand = rng.choice([-1.0, 1.0], size=d)
-            if all(_hamming(cand, prev) >= floor for prev in signs_acc):
-                signs_acc.append(cand)
-        accepted = [a * sgn for sgn in signs_acc]
+        accepted = list(a * _greedy_signs(rng, (d,), budget, floor))
         lo, hi = delta**2 / 4.0, delta**2
         meta = {"dimension": d, "hamming_floor": floor}
     elif kind == "sparse":
@@ -431,33 +479,31 @@ def hypercube_packing(
             raise ValidationError("sparse packing needs d >= 6 and 1 <= s <= d")
         a = delta / np.sqrt(2.0 * s)
         lo, hi = delta**2 / 8.0, delta**2
+        acc = np.empty((0, d))
         for _ in range(budget):
             cand = np.zeros(d)
             support = rng.choice(d, size=s, replace=False)
             cand[support] = a * rng.choice([-1.0, 1.0], size=s)
-            if all(
-                lo <= float(((cand - prev) ** 2).sum()) <= hi for prev in accepted
-            ):
-                accepted.append(cand)
+            # difference form, not Gram: disjoint supports sit exactly on hi
+            d2 = ((cand - acc) ** 2).sum(axis=1)
+            if ((lo <= d2) & (d2 <= hi)).all():
+                acc = np.concatenate([acc, cand[None]])
+        accepted = list(acc)
         meta = {"dimension": d, "sparsity": s}
     elif kind == "lowrank":
         if d1 is None or d2 is None or r is None:
             raise ValidationError("lowrank packing needs d1, d2, r")
+        if min(d1, d2, r) < 1:
+            raise ValidationError("lowrank packing needs d1, d2, r >= 1")
         if min(d1, d2) < r:
             raise ValidationError("rank exceeds matrix dimensions")
         ncoord = d1 * r
         a = delta / (2.0 * np.sqrt(ncoord))
         floor = ncoord / 3.0
-        signs_acc = []
-        for _ in range(budget):
-            cand = rng.choice([-1.0, 1.0], size=(d1, r))
-            if np.linalg.matrix_rank(cand) < r:
-                continue
-            if all(_hamming(cand, prev) >= floor for prev in signs_acc):
-                signs_acc.append(cand)
-        accepted = [
-            np.hstack([a * sgn, np.zeros((d1, d2 - r))]) for sgn in signs_acc
-        ]
+        signs = _greedy_signs(rng, (d1, r), budget, floor, rank=r)
+        elems = np.zeros((len(signs), d1, d2))
+        elems[:, :, :r] = a * signs
+        accepted = list(elems)
         lo, hi = delta**2 / 4.0, delta**2
         meta = {"d1": d1, "d2": d2, "rank": r, "hamming_floor": floor}
     else:

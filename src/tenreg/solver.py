@@ -8,6 +8,7 @@ first-order optimality certificates.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -127,15 +128,20 @@ class SolveResult:
     components: tuple | None = None
 
     def to_json(self):
+        """Plain JSON: non-finite floats, which JSON cannot carry, are null."""
         return {
             "status": self.status,
             "iterations": self.iterations,
-            "lambda": self.lam,
-            "kkt_residual": self.kkt_residual,
-            "objective_trace": [float(v) for v in self.objective_trace],
+            "lambda": _finite_or_null(self.lam),
+            "kkt_residual": _finite_or_null(self.kkt_residual),
+            "objective_trace": [_finite_or_null(float(v)) for v in self.objective_trace],
             "estimate_shape": list(self.estimate.shape),
-            "estimate": self.estimate.ravel().tolist(),
+            "estimate": [_finite_or_null(v) for v in self.estimate.ravel().tolist()],
         }
+
+
+def _finite_or_null(v):
+    return v if math.isfinite(v) else None
 
 
 def _check_param(problem, a):

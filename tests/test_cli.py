@@ -6,6 +6,7 @@ import pytest
 
 from tenreg.cli import main
 from tenreg.datagen import VarModel
+from tenreg.solver import RegressionProblem, save_problem
 
 
 def run_cli(args, capsys):
@@ -66,6 +67,32 @@ class TestGenSolve:
             capsys,
         )
         assert code == 3
+
+    def test_diverged_result_is_strict_json(self, tmp_path, capsys):
+        r = np.random.default_rng(39)
+        prob_dir = str(tmp_path / "prob")
+        save_problem(
+            prob_dir,
+            RegressionProblem(
+                covariates=1e160 * r.standard_normal((200, 5, 4)),
+                responses=r.standard_normal((200, 3)),
+                split=2,
+            ),
+        )
+        res_path = str(tmp_path / "r.json")
+        code, _, _ = run_cli(
+            ["--out", res_path, "solve", "--problem", prob_dir,
+             "--regularizer", "entry_l1", "--lam", "0.1"],
+            capsys,
+        )
+        assert code == 3
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        result = json.loads(open(res_path).read(), parse_constant=reject)
+        assert result["status"] == "Diverged"
+        assert result["kkt_residual"] is None
 
     def test_validation_exit_code(self, tmp_path, capsys):
         code, _, err = run_cli(
@@ -211,3 +238,24 @@ def test_main_restores_numpy_error_state(tmp_path, capsys):
     )
     assert code == 0
     assert np.geterr() == before
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--delta", "nan"],
+        ["--delta", "inf"],
+        ["--delta", "0"],
+        ["--delta", "-1"],
+        ["--delta", "1.0", "--budget", "0"],
+        ["--delta", "1.0", "--kind", "lowrank", "--d1", "12", "--d2", "8", "--r", "0"],
+        ["--delta", "1.0", "--kind", "lowrank", "--d1", "12", "--d2", "8", "--r", "-1"],
+    ],
+    ids=["delta-nan", "delta-inf", "delta-0", "delta-neg", "budget-0", "rank-0", "rank-neg"],
+)
+def test_packing_rejects_bad_input(tmp_path, capsys, args):
+    out = tmp_path / "p.json"
+    code, _, err = run_cli(["--out", str(out), "packing"] + args, capsys)
+    assert code == 2
+    assert "packing needs" in err
+    assert not out.exists()

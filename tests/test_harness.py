@@ -1,11 +1,14 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+from tenreg import harness
 from tenreg.datagen import ModelClassSpec
 from tenreg.errors import BudgetExhausted, ValidationError
 from tenreg.harness import (
+    PackingSet,
     RateExperimentConfig,
     emit_report,
     fano_precondition_check,
@@ -248,6 +251,168 @@ class TestPacking:
             hypercube_packing(4, 1.0, kind="full", budget=10, seed=0)
         with pytest.raises(ValidationError):
             hypercube_packing(10, 1.0, kind="sparse", budget=10, seed=0, s=99)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(delta=math.nan),
+            dict(delta=math.inf),
+            dict(delta=-math.inf),
+            dict(delta=0.0),
+            dict(delta=-1.0),
+            dict(budget=0),
+            dict(budget=-5),
+            dict(kind="lowrank", d=0, d1=12, d2=8, r=0),
+            dict(kind="lowrank", d=0, d1=12, d2=8, r=-1),
+            dict(kind="lowrank", d=0, d1=0, d2=8, r=1),
+            dict(kind="lowrank", d=0, d1=12, d2=0, r=1),
+        ],
+        ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()),
+    )
+    def test_rejects_bad_input(self, kwargs):
+        call = dict(d=12, delta=1.0, kind="full", budget=100, seed=0) | kwargs
+        with pytest.raises(ValidationError, match="packing needs"):
+            hypercube_packing(**call)
+
+
+# Reference implementations: the per-pair greedy constructions and the
+# per-pair verifier. The library's whole-array versions must reproduce them
+# exactly: same accepted sets, same distances, same report bytes.
+
+
+def _ref_verify(elements, lo, hi):
+    m = len(elements)
+    flat = [np.asarray(e, dtype=float).ravel() for e in elements]
+    min_sq, max_sq = np.inf, 0.0
+    offenders = []
+    for i in range(m):
+        for j in range(i + 1, m):
+            d2 = float(((flat[i] - flat[j]) ** 2).sum())
+            min_sq = min(min_sq, d2)
+            max_sq = max(max_sq, d2)
+            if not (lo - 1e-12 <= d2 <= hi + 1e-12):
+                offenders.append((i, j, d2))
+    return (not offenders, min_sq, max_sq, offenders)
+
+
+def _ref_packing(d, delta, kind, budget, seed, s=None, d1=None, d2=None, r=None):
+    """Accepted elements and verifier window of the per-pair construction."""
+
+    def hamming(a, b):
+        return int((a != b).sum())
+
+    rng = np.random.default_rng(seed)
+    accepted = []
+    if kind == "full":
+        a = np.sqrt(3.0) * delta / (4.0 * np.sqrt(d))
+        signs_acc = []
+        for _ in range(budget):
+            cand = rng.choice([-1.0, 1.0], size=d)
+            if all(hamming(cand, prev) >= d / 3.0 for prev in signs_acc):
+                signs_acc.append(cand)
+        accepted = [a * sgn for sgn in signs_acc]
+        return accepted, (delta**2 / 4.0, delta**2)
+    if kind == "sparse":
+        a = delta / np.sqrt(2.0 * s)
+        lo, hi = delta**2 / 8.0, delta**2
+        for _ in range(budget):
+            cand = np.zeros(d)
+            support = rng.choice(d, size=s, replace=False)
+            cand[support] = a * rng.choice([-1.0, 1.0], size=s)
+            if all(
+                lo <= float(((cand - prev) ** 2).sum()) <= hi for prev in accepted
+            ):
+                accepted.append(cand)
+        return accepted, (lo, hi)
+    ncoord = d1 * r
+    a = delta / (2.0 * np.sqrt(ncoord))
+    signs_acc = []
+    for _ in range(budget):
+        cand = rng.choice([-1.0, 1.0], size=(d1, r))
+        if np.linalg.matrix_rank(cand) < r:
+            continue
+        if all(hamming(cand, prev) >= ncoord / 3.0 for prev in signs_acc):
+            signs_acc.append(cand)
+    accepted = [np.hstack([a * sgn, np.zeros((d1, d2 - r))]) for sgn in signs_acc]
+    return accepted, (delta**2 / 4.0, delta**2)
+
+
+# budgets 9001 and 5000 are not multiples of the 4096-candidate chunk
+PACKING_CASES = [
+    dict(d=12, delta=1.0, kind="full", budget=9001),
+    # accepts about 9 in 10 candidates: hundreds of rows accepted per chunk
+    dict(d=90, delta=1.0, kind="full", budget=400),
+    dict(d=13, delta=0.7, kind="full", budget=5000),
+    dict(d=20, delta=1.0, kind="sparse", budget=3000, s=4),
+    dict(d=9, delta=2.5, kind="sparse", budget=1500, s=2),
+    dict(d=0, delta=1.0, kind="lowrank", budget=5000, d1=12, d2=8, r=2),
+    dict(d=0, delta=1.5, kind="lowrank", budget=3000, d1=4, d2=4, r=3),
+]
+
+
+class TestPackingMatchesReference:
+    @pytest.mark.parametrize("seed", [0, 1, 701])
+    @pytest.mark.parametrize(
+        "case", PACKING_CASES, ids=lambda c: f"{c['kind']}-{c['d'] or c['d1']}"
+    )
+    def test_same_set_and_report(self, case, seed):
+        pack = hypercube_packing(seed=seed, **case)
+        ref, (lo, hi) = _ref_packing(seed=seed, **case)
+        assert len(pack.elements) == len(ref) >= 2
+        for got, want in zip(pack.elements, ref):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+        ok, min_sq, max_sq, _ = _ref_verify(ref, lo, hi)
+        want = PackingSet(
+            elements=ref,
+            delta=float(case["delta"]),
+            min_dist_sq=min_sq,
+            max_dist_sq=max_sq,
+            construction=case["kind"],
+            meta=dict(pack.meta, verified=ok),
+        )
+        assert json.dumps(pack.to_json(), sort_keys=True) == json.dumps(
+            want.to_json(), sort_keys=True
+        )
+
+    def test_chunk_and_block_sizes_change_nothing(self, monkeypatch):
+        for case in (PACKING_CASES[0], PACKING_CASES[1], PACKING_CASES[5]):
+            whole = hypercube_packing(seed=3, **case).to_json()
+            monkeypatch.setattr(harness, "_PACKING_CHUNK", 7)
+            monkeypatch.setattr(harness, "_PACKING_BLOCK", 3)
+            small = hypercube_packing(seed=3, **case).to_json()
+            monkeypatch.undo()
+            assert small == whole
+
+    @pytest.mark.parametrize(
+        "case, window",
+        [
+            (PACKING_CASES[0], (0.3, 0.9)),
+            (PACKING_CASES[3], (0.3, 0.9)),
+            (PACKING_CASES[5], (0.34, 0.8)),
+        ],
+    )
+    def test_verify_with_offenders(self, case, window):
+        elements = hypercube_packing(seed=2, **case).elements
+        got = verify_packing(elements, *window)
+        want = _ref_verify(elements, *window)
+        assert not got[0] and want[3]
+        assert got == want
+        assert [type(v) for v in got[3][0]] == [int, int, float]
+
+    def test_verify_non_finite_and_small_sets(self):
+        elements = [
+            np.array([0.0, 1.0]),
+            np.array([np.nan, 0.0]),
+            np.array([1.0, 1.0]),
+            np.array([np.inf, 0.0]),
+            np.array([0.0, 0.5]),
+        ]
+        for sub in (elements, elements[:1], elements[:2], []):
+            # repr, because nan != nan
+            assert repr(verify_packing(sub, 0.1, 2.0)) == repr(
+                _ref_verify(sub, 0.1, 2.0)
+            )
 
 
 class TestFano:
