@@ -20,7 +20,6 @@ import numpy as np
 from . import datagen, harness, solver
 from .errors import TenregError, ValidationError
 from .regularizers import RegularizerSpec
-from .spectral import gaussian_width_mc
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -164,26 +163,17 @@ def _cmd_solve(args):
     problem = solver.load_problem(args.problem)
     reg = _parse_reg(args.regularizer)
     if args.lam == "auto":
-        if reg == "pairwise":
-            width = harness.pairwise_width_mc(
-                problem.truth_shape, args.width_draws, args.seed
-            )
-            c_reg = 1.0
-        else:
-            width = gaussian_width_mc(
-                reg,
-                problem.truth_shape,
-                args.width_draws,
-                args.seed,
-                workers=args.threads,
-            )
-            c_reg = reg.c_reg
-        lam = solver.lambda_rule(
-            width, problem.n, c_u=args.c_u, c_reg=c_reg, multiplier=args.multiplier
+        _, (lam,) = harness.auto_lambda(
+            reg,
+            problem.truth_shape,
+            [problem.n],
+            problem.noise_sigma,
+            args.width_draws,
+            args.seed,
+            workers=args.threads,
+            c_u=args.c_u,
+            multiplier=args.multiplier,
         )
-        # the rule is normalized for unit-variance noise
-        if problem.noise_sigma > 0:
-            lam *= problem.noise_sigma
     else:
         lam = float(args.lam)
     res = solver.solve(problem, reg, lam, args.max_iters)

@@ -28,7 +28,7 @@ from .solver import empirical_norm, lambda_rule, solve
 # benchmark's tracer test (perfbench/tests/test_tracer.py) checks that a
 # solver wrapped in `tenreg.solver` is also wrapped at this binding.
 from .solver import fista_solve  # noqa: F401
-from .spectral import WidthEstimate, gaussian_width_mc, width_rate_expression
+from .spectral import _width_mc, gaussian_width_mc, width_rate_expression
 
 __all__ = [
     "RateExperimentConfig",
@@ -36,6 +36,7 @@ __all__ = [
     "rate_experiment",
     "width_experiment",
     "pairwise_width_mc",
+    "auto_lambda",
     "PackingSet",
     "hypercube_packing",
     "verify_packing",
@@ -165,30 +166,33 @@ class RateExperimentConfig:
 
 def pairwise_width_mc(shape, draws=2000, seed=0):
     """Width of the pairwise-component penalty ball: expected maximum
-    spectral norm over the marginal sums of a standard Gaussian tensor."""
+    spectral norm over the marginal sums of a standard Gaussian tensor.
+    Runs the width driver on one stream seeded by `seed` itself."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    shape = tuple(shape)
-    vals = np.empty(draws)
-    batch = 128
-    done = 0
-    while done < draws:
-        m = min(batch, draws - done)
-        g = rng.standard_normal((m,) + shape)
-        tops = []
-        for axis in (3, 2, 1):
-            blocks = g.sum(axis=axis)
-            tops.append(np.linalg.svd(blocks, compute_uv=False)[..., 0])
-        vals[done : done + m] = np.maximum.reduce(tops)
-        done += m
-    return WidthEstimate(
-        mean=float(vals.mean()),
-        std_error=float(vals.std(ddof=1) / np.sqrt(draws)),
-        draws=draws,
-        lemma_bound_form="sqrt_max_dim",
-        seed=seed,
-        shape=shape,
-        kind="pairwise_component_nuclear",
-    )
+    return _width_mc("pairwise", shape, draws, seed, [rng], None, None)
+
+
+def auto_lambda(
+    reg, shape, ns, sigma, draws, seed, *, workers=1, c_u=1.0, multiplier=1.0
+):
+    """The automatic tuning rule: one width estimate for the penalty `reg`
+    on `shape` (``"pairwise"`` takes `pairwise_width_mc` and c_R = 1), then
+    `lambda_rule` at each sample size in `ns`, times the noise level `sigma`
+    when sigma > 0.  At sigma = 0 the rule stays unscaled: lambda = 0 makes
+    FISTA from zero return a dense interpolant for n < d, which no risk
+    bound covers.  Returns the width estimate and the lambdas.
+    """
+    if reg == "pairwise":
+        width = pairwise_width_mc(shape, draws, seed)
+        c_reg = 1.0
+    else:
+        width = gaussian_width_mc(reg, shape, draws, seed, workers=workers)
+        c_reg = reg.c_reg
+    lams = []
+    for n in ns:
+        lam = lambda_rule(width, n, c_u=c_u, c_reg=c_reg, multiplier=multiplier)
+        lams.append(sigma * lam if sigma > 0 else lam)
+    return width, lams
 
 
 def _log_fit(x, y):
@@ -212,24 +216,22 @@ def rate_experiment(config):
     """
     model = config.model
     shape = model.shape
-    if config.regularizer == "pairwise":
-        width = pairwise_width_mc(shape, config.width_draws, config.seed)
-    else:
-        width = gaussian_width_mc(
-            config.regularizer, shape, config.width_draws, config.seed
-        )
-    c_reg = 1.0 if config.regularizer == "pairwise" else config.regularizer.c_reg
+    width, lams = auto_lambda(
+        config.regularizer,
+        shape,
+        config.n_grid,
+        config.noise_sigma,
+        config.width_draws,
+        config.seed,
+        c_u=config.c_u,
+        multiplier=config.lambda_multiplier,
+    )
 
     root = np.random.SeedSequence(config.seed)
     per_n_seeds = root.spawn(len(config.n_grid))
     cells = []
     per_n = []
-    for gi, n in enumerate(config.n_grid):
-        # the tuning rule is normalized for unit-variance noise, so the
-        # configured noise scale multiplies it
-        lam = config.noise_sigma * lambda_rule(
-            width, n, c_u=config.c_u, c_reg=c_reg, multiplier=config.lambda_multiplier
-        )
+    for gi, (n, lam) in enumerate(zip(config.n_grid, lams)):
         rep_seeds = per_n_seeds[gi].spawn(config.replications)
         fro2 = []
         emp2 = []

@@ -199,7 +199,7 @@ def reg_eval(spec, a):
     )
 
 
-def reg_dual(spec, a, *, hopm_restarts=20, hopm_iters=200, rng=None):
+def reg_dual(spec, a, *, rng=None):
     """Evaluate the dual norm R*(a).
 
     Exact for the max-reduction kinds, exact to SVD tolerance for the
@@ -207,8 +207,8 @@ def reg_dual(spec, a, *, hopm_restarts=20, hopm_iters=200, rng=None):
     spectral-max form (three times the largest unfolding spectral norm),
     an upper bound on the exact dual that is the standard tuning quantity
     for this penalty.  For ``tensor_spectral_dual_only`` the value is a
-    certified lower bound from multi-restart alternating maximization,
-    which requires `rng`.
+    certified lower bound from `hopm_spectral` at its default restart and
+    sweep counts, which requires `rng`.
     """
     a = _check_order3(a)
     if spec.kind == "tensor_spectral_dual_only":
@@ -216,18 +216,26 @@ def reg_dual(spec, a, *, hopm_restarts=20, hopm_iters=200, rng=None):
 
         if rng is None:
             raise ValueError("the spectral dual is stochastic; pass rng")
-        res = hopm_spectral(a, restarts=hopm_restarts, iters=hopm_iters, rng=rng)
-        return res["value"]
+        return hopm_spectral(a, rng=rng)["value"]
     return float(_dual_batch(spec, a[None])[0])
 
 
 def _dual_batch(spec, g, rng=None, hopm_restarts=None, hopm_iters=None):
     """Dual norm of each tensor in the batch `g` of shape (B, d1, d2, d3).
 
-    Only the spectral-dual kind uses `rng` and the HOPM counts: it runs the
-    batched alternating maximizer from random starts.
+    `spec` may also be ``"pairwise"``, the pairwise-component penalty of
+    `solver.solve`, whose dual is the largest top singular value over the
+    three marginal sums.  Only the spectral-dual kind uses `rng` and the
+    HOPM counts: it runs the batched alternating maximizer from random
+    starts.
     """
     b = g.shape[0]
+    if spec == "pairwise":
+        tops = [
+            np.linalg.svd(g.sum(axis=axis), compute_uv=False)[..., 0]
+            for axis in (3, 2, 1)
+        ]
+        return np.maximum.reduce(tops)
     if spec.kind == "entry_l1":
         return np.abs(g).reshape(b, -1).max(axis=1)
     if spec.kind == "fiber_group":
@@ -247,9 +255,9 @@ def _dual_batch(spec, g, rng=None, hopm_restarts=None, hopm_iters=None):
             tops.append(np.linalg.svd(mat, compute_uv=False)[..., 0])
         return 3.0 * np.maximum.reduce(tops)
     if spec.kind == "tensor_spectral_dual_only":
-        from .spectral import _hopm_batch
+        from .spectral import _hopm
 
-        return _hopm_batch(g, hopm_restarts, hopm_iters, rng)
+        return _hopm(g, hopm_restarts, hopm_iters, rng)[0]
     raise UnsupportedKind(spec.kind)
 
 

@@ -41,76 +41,31 @@ def matrix_svt(z, t):
     return (u * s) @ vt
 
 
-def _unit(v):
-    n = np.linalg.norm(v)
-    return v / n if n > 0 else v
+# A restart stops once no tensor in the batch gains this much in a sweep.
+_HOPM_TOL = 1e-12
 
 
-def _hosvd_starts(a):
-    """Leading left singular vectors of the unfoldings, a deterministic
-    warm start that captures the dominant rank-one direction."""
-    starts = []
-    for k in range(3):
-        mat = np.moveaxis(a, k, 0).reshape(a.shape[k], -1)
-        u, _, _ = np.linalg.svd(mat, full_matrices=False)
-        starts.append(u[:, 0])
-    return starts
+def _hopm(g, restarts, iters, rng, start=None):
+    """Alternating maximization of <g_b, u o v o w> over unit factors for
+    each tensor g_b of the batch `g` of shape (B, d1, d2, d3).
 
-
-def hopm_spectral(a, restarts=20, iters=200, *, rng=None, tol=1e-12):
-    """Lower-bound the tensor spectral norm by alternating maximization.
-
-    Runs one deterministic start from the unfolding singular vectors plus
-    `restarts - 1` random restarts, each alternating the three factors until
-    the rank-one correlation stops improving.  The returned value is
-    attained by the returned unit factors, hence a certified lower bound;
-    it is monotone nondecreasing across iterations by construction.
+    Each restart draws v, then w, from `rng` (the first takes `start`
+    = (v, w) when given) and runs at most `iters` sweeps.  A sweep's value
+    is the norm of the contracted w, attained by the normalized factors.
+    Returns the best value per tensor and the factors (u, v, w) attaining it.
     """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 3:
-        raise ZeroTensor("expected an order-3 tensor")
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-    if not np.any(a):
-        raise ZeroTensor("spectral norm of the zero tensor is undefined here")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    d1, d2, d3 = a.shape
-    best_val = -np.inf
-    best = None
-    hosvd = _hosvd_starts(a)
-    for r in range(restarts):
-        if r == 0:
-            u, v, w = (hosvd[0].copy(), hosvd[1].copy(), hosvd[2].copy())
-        else:
-            u = _unit(rng.standard_normal(d1))
-            v = _unit(rng.standard_normal(d2))
-            w = _unit(rng.standard_normal(d3))
-        val = 0.0
-        for _ in range(iters):
-            u = _unit(np.einsum("ijk,j,k->i", a, v, w))
-            v = _unit(np.einsum("ijk,i,k->j", a, u, w))
-            w = _unit(np.einsum("ijk,i,j->k", a, u, v))
-            new = float(np.einsum("ijk,i,j,k->", a, u, v, w))
-            if new - val < tol:
-                val = max(val, new)
-                break
-            val = new
-        if val > best_val:
-            best_val = val
-            best = (u.copy(), v.copy(), w.copy())
-    return {"value": best_val, "factors": best}
-
-
-def _hopm_batch(g, restarts, iters, rng, tol=1e-12):
-    """Vectorized alternating maximization over a batch of tensors."""
+    if restarts < 1 or iters < 1:
+        raise ValueError("HOPM needs restarts >= 1 and iters >= 1")
     b, d1, d2, d3 = g.shape
     best = np.zeros(b)
     for r in range(restarts):
-        v = rng.standard_normal((b, d2))
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-        w = rng.standard_normal((b, d3))
-        w /= np.linalg.norm(w, axis=1, keepdims=True)
+        if r == 0 and start is not None:
+            v, w = start
+        else:
+            v = rng.standard_normal((b, d2))
+            v /= np.linalg.norm(v, axis=1, keepdims=True)
+            w = rng.standard_normal((b, d3))
+            w /= np.linalg.norm(w, axis=1, keepdims=True)
         val = np.zeros(b)
         for _ in range(iters):
             u = np.einsum("bijk,bj,bk->bi", g, v, w)
@@ -121,12 +76,38 @@ def _hopm_batch(g, restarts, iters, rng, tol=1e-12):
             nw = np.linalg.norm(w, axis=1, keepdims=True)
             w /= np.maximum(nw, 1e-300)
             new = nw[:, 0]
-            if np.all(new - val < tol):
+            if np.all(new - val < _HOPM_TOL):
                 val = np.maximum(val, new)
                 break
             val = new
+        if r:
+            keep = (val <= best)[:, None]
+            u, v, w = (np.where(keep, old, f) for old, f in zip(factors, (u, v, w)))
+        factors = (u, v, w)
         best = np.maximum(best, val)
-    return best
+    return best, factors
+
+
+def hopm_spectral(a, restarts=20, iters=200, *, rng=None):
+    """Lower-bound the tensor spectral norm by alternating maximization.
+
+    Runs the width estimator's batched loop on a batch of one.  The first
+    restart starts from the leading left singular vectors of the mode-2 and
+    mode-3 unfoldings, the other `restarts - 1` from random factors drawn
+    from `rng`.  The returned value is attained by the returned unit
+    factors, hence a certified lower bound.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 3:
+        raise ZeroTensor("expected an order-3 tensor")
+    if not np.any(a):
+        raise ZeroTensor("spectral norm of the zero tensor is undefined here")
+    if rng is None:
+        rng = np.random.default_rng(0)
+    unfold = (np.moveaxis(a, k, 0).reshape(a.shape[k], -1) for k in (1, 2))
+    start = [np.linalg.svd(m, full_matrices=False)[0][None, :, 0] for m in unfold]
+    best, factors = _hopm(a[None], restarts, iters, rng, start)
+    return {"value": float(best[0]), "factors": tuple(f[0] for f in factors)}
 
 
 @dataclass(frozen=True)
@@ -164,6 +145,7 @@ _RATE_TAGS = {
     "slice_nuclear": "sqrt_max_slicedims_log_ngroups",
     "matricized_nuclear_sum": "sqrt_max_pairwise_products",
     "tensor_spectral_dual_only": "sqrt_sum_dims",
+    "pairwise_component_nuclear": "sqrt_max_dim",
 }
 
 
@@ -190,9 +172,49 @@ def width_rate_expression(spec, shape):
     raise ValueError(spec.kind)
 
 
-def _worker_chunks(draws, workers):
-    base, rem = divmod(draws, workers)
-    return [base + (1 if w < rem else 0) for w in range(workers)]
+# Gaussian tensors drawn per `_dual_batch` call. A (m,) + shape draw
+# consumes the same stream as m draws of `shape`.
+_WIDTH_BATCH = 256
+
+
+def _width_mc(spec, shape, draws, seed, rngs, hopm_restarts, hopm_iters):
+    """Mean dual norm of `spec` over `draws` standard Gaussian tensors of
+    `shape`, split evenly over the generators `rngs`, one thread each, and
+    reduced in generator order whatever the scheduling."""
+    shape = tuple(shape)
+    if len(shape) != 3:
+        raise ValueError("width estimation expects an order-3 shape")
+    if draws < 100:
+        raise ValueError("draws must be >= 100")
+    kind = "pairwise_component_nuclear" if spec == "pairwise" else spec.kind
+    base, rem = divmod(draws, len(rngs))
+
+    def run(idx):
+        rng = rngs[idx]
+        need = base + (1 if idx < rem else 0)
+        vals = []
+        while need > 0:
+            m = min(_WIDTH_BATCH, need)
+            g = rng.standard_normal((m,) + shape)
+            vals.append(_dual_batch(spec, g, rng, hopm_restarts, hopm_iters))
+            need -= m
+        return np.concatenate(vals) if vals else np.empty(0)
+
+    if len(rngs) == 1:
+        parts = [run(0)]
+    else:
+        with ThreadPoolExecutor(max_workers=len(rngs)) as pool:
+            parts = list(pool.map(run, range(len(rngs))))
+    values = np.concatenate(parts)
+    return WidthEstimate(
+        mean=float(values.mean()),
+        std_error=float(values.std(ddof=1) / np.sqrt(len(values))),
+        draws=draws,
+        lemma_bound_form=_RATE_TAGS[kind],
+        seed=seed,
+        shape=shape,
+        kind=kind,
+    )
 
 
 def gaussian_width_mc(
@@ -202,7 +224,6 @@ def gaussian_width_mc(
     seed=0,
     *,
     workers=1,
-    batch=256,
     hopm_restarts=8,
     hopm_iters=100,
 ):
@@ -212,43 +233,12 @@ def gaussian_width_mc(
     Draws are split over `workers` counter-based substreams spawned from the
     seed, and the reduction runs in worker order, so results are
     bit-reproducible for a fixed worker count regardless of scheduling.
-    The spectral-dual kind runs a batched alternating maximizer per draw
-    with lighter defaults than the standalone maximizer; raise the restart
-    and iteration counts for tighter per-draw certification.
+    The spectral-dual kind lower-bounds each draw's dual with the batched
+    alternating maximizer that `hopm_spectral` also runs, from
+    `hopm_restarts` random starts of at most `hopm_iters` sweeps each.
     """
-    shape = tuple(shape)
-    if len(shape) != 3:
-        raise ValueError("width estimation expects an order-3 shape")
-    if draws < 100:
-        raise ValueError("draws must be >= 100")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     seqs = np.random.SeedSequence(seed).spawn(workers)
-    chunks = _worker_chunks(draws, workers)
-
-    def run_worker(idx):
-        rng = np.random.Generator(np.random.Philox(seqs[idx]))
-        need = chunks[idx]
-        vals = []
-        while need > 0:
-            m = min(batch, need)
-            g = rng.standard_normal((m,) + shape)
-            vals.append(_dual_batch(spec, g, rng, hopm_restarts, hopm_iters))
-            need -= m
-        return np.concatenate(vals) if vals else np.empty(0)
-
-    if workers == 1:
-        parts = [run_worker(0)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run_worker, range(workers)))
-    values = np.concatenate(parts)
-    mean = float(values.mean())
-    std_error = float(values.std(ddof=1) / np.sqrt(len(values)))
-    return WidthEstimate(
-        mean=mean,
-        std_error=std_error,
-        draws=draws,
-        lemma_bound_form=_RATE_TAGS[spec.kind],
-        seed=seed,
-        shape=shape,
-        kind=spec.kind,
-    )
+    rngs = [np.random.Generator(np.random.Philox(seq)) for seq in seqs]
+    return _width_mc(spec, shape, draws, seed, rngs, hopm_restarts, hopm_iters)

@@ -104,6 +104,54 @@ class TestGenSolve:
         assert "error" in err
 
 
+class TestAutoLambda:
+    @pytest.mark.parametrize("sigma", [0.5, 0.0])
+    def test_rate_and_solve_share_lambda(self, tmp_path, capsys, sigma):
+        model = {"kind": "theta1", "shape": [3, 3, 3], "s": 2}
+        config = {
+            "model": model,
+            "regularizer": {"kind": "entry_l1"},
+            "n_grid": [40, 80, 160, 320],
+            "replications": 10,
+            "seed": 23,
+            "rate_tag": "s_log_total_over_n",
+            "width_draws": 150,
+            "noise_sigma": sigma,
+        }
+        cfg_path = str(tmp_path / "cfg.json")
+        with open(cfg_path, "w") as fh:
+            json.dump(config, fh)
+        code, out, _ = run_cli(["rate", "--config", cfg_path], capsys)
+        assert code == 0
+        rate_lam = json.loads(out)["per_n"][0]["lambda"]
+        prob_dir = str(tmp_path / "prob")
+        code, _, _ = run_cli(
+            ["--seed", "23", "--out", prob_dir, "gen", "--spec", json.dumps(model),
+             "--n", "40", "--sigma", str(sigma)],
+            capsys,
+        )
+        assert code == 0
+        code, out, _ = run_cli(
+            ["--seed", "23", "solve", "--problem", prob_dir, "--regularizer",
+             "entry_l1", "--lam", "auto", "--width-draws", "150"],
+            capsys,
+        )
+        assert code in (0, 3)
+        assert json.loads(out)["lambda"] == rate_lam
+        assert rate_lam > 0
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_width_rejects_fewer_than_one_thread(self, capsys, threads):
+        code, out, err = run_cli(
+            ["--threads", threads, "width", "--kinds", "entry_l1", "--shapes",
+             "4x4x4", "--draws", "100"],
+            capsys,
+        )
+        assert code == 2
+        assert "workers must be >= 1" in err
+        assert out == ""
+
+
 class TestDeterminism:
     def test_width_replay_byte_identical(self, tmp_path, capsys):
         outs = []

@@ -22,6 +22,33 @@ from tenreg.harness import (
     width_experiment,
 )
 from tenreg.regularizers import entry_l1, fiber_group, slice_frob
+from tenreg.spectral import WidthEstimate
+
+
+def _ref_pairwise_width_mc(shape, draws, seed):
+    """The pairwise width loop as it stood before it shared the width
+    driver: its own stream, batches of 128."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    vals = np.empty(draws)
+    done = 0
+    while done < draws:
+        m = min(128, draws - done)
+        g = rng.standard_normal((m,) + shape)
+        tops = []
+        for axis in (3, 2, 1):
+            blocks = g.sum(axis=axis)
+            tops.append(np.linalg.svd(blocks, compute_uv=False)[..., 0])
+        vals[done : done + m] = np.maximum.reduce(tops)
+        done += m
+    return WidthEstimate(
+        mean=float(vals.mean()),
+        std_error=float(vals.std(ddof=1) / np.sqrt(draws)),
+        draws=draws,
+        lemma_bound_form="sqrt_max_dim",
+        seed=seed,
+        shape=shape,
+        kind="pairwise_component_nuclear",
+    )
 
 
 class TestPredictedRate:
@@ -195,6 +222,13 @@ class TestWidthExperiment:
         # marginal sums have entries of std sqrt(d), so the top singular
         # value lands near sqrt(d) * 2 sqrt(d) = 2d
         assert 6.0 <= est.mean <= 40.0
+
+    @pytest.mark.parametrize("draws", [300, 2001])
+    @pytest.mark.parametrize("seed", [0, 2, 17])
+    @pytest.mark.parametrize("shape", [(6, 6, 6), (8, 8, 8), (4, 5, 7)])
+    def test_pairwise_width_matches_reference(self, shape, seed, draws):
+        est = pairwise_width_mc(shape, draws=draws, seed=seed)
+        assert est.to_json() == _ref_pairwise_width_mc(shape, draws, seed).to_json()
 
 
 class TestPacking:

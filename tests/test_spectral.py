@@ -10,6 +10,8 @@ from tenreg.regularizers import (
     tensor_spectral,
 )
 from tenreg.spectral import (
+    WidthEstimate,
+    _hopm,
     gaussian_width_mc,
     hopm_spectral,
     matrix_svt,
@@ -186,3 +188,161 @@ class TestGaussianWidth:
         obj = est.to_json()
         assert obj["draws"] == 100 and obj["kind"] == "entry_l1"
         assert obj["shape"] == [2, 2, 2]
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations: the standalone HOPM and the batched HOPM width
+# driver as they stood before the two loops were merged into `_hopm`.
+# ---------------------------------------------------------------------------
+
+
+def _ref_unit(v):
+    n = np.linalg.norm(v)
+    return v / n if n > 0 else v
+
+
+def _ref_hopm_spectral(a, restarts=20, iters=200, *, rng, tol=1e-12):
+    hosvd = []
+    for k in range(3):
+        mat = np.moveaxis(a, k, 0).reshape(a.shape[k], -1)
+        hosvd.append(np.linalg.svd(mat, full_matrices=False)[0][:, 0])
+    best_val = -np.inf
+    for r in range(restarts):
+        if r == 0:
+            u, v, w = (f.copy() for f in hosvd)
+        else:
+            u = _ref_unit(rng.standard_normal(a.shape[0]))
+            v = _ref_unit(rng.standard_normal(a.shape[1]))
+            w = _ref_unit(rng.standard_normal(a.shape[2]))
+        val = 0.0
+        for _ in range(iters):
+            u = _ref_unit(np.einsum("ijk,j,k->i", a, v, w))
+            v = _ref_unit(np.einsum("ijk,i,k->j", a, u, w))
+            w = _ref_unit(np.einsum("ijk,i,j->k", a, u, v))
+            new = float(np.einsum("ijk,i,j,k->", a, u, v, w))
+            if new - val < tol:
+                val = max(val, new)
+                break
+            val = new
+        best_val = max(best_val, val)
+    return best_val
+
+
+def _ref_hopm_batch(g, restarts, iters, rng, tol=1e-12):
+    b, d1, d2, d3 = g.shape
+    best = np.zeros(b)
+    for r in range(restarts):
+        v = rng.standard_normal((b, d2))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        w = rng.standard_normal((b, d3))
+        w /= np.linalg.norm(w, axis=1, keepdims=True)
+        val = np.zeros(b)
+        for _ in range(iters):
+            u = np.einsum("bijk,bj,bk->bi", g, v, w)
+            u /= np.maximum(np.linalg.norm(u, axis=1, keepdims=True), 1e-300)
+            v = np.einsum("bijk,bi,bk->bj", g, u, w)
+            v /= np.maximum(np.linalg.norm(v, axis=1, keepdims=True), 1e-300)
+            w = np.einsum("bijk,bi,bj->bk", g, u, v)
+            nw = np.linalg.norm(w, axis=1, keepdims=True)
+            w /= np.maximum(nw, 1e-300)
+            new = nw[:, 0]
+            if np.all(new - val < tol):
+                val = np.maximum(val, new)
+                break
+            val = new
+        best = np.maximum(best, val)
+    return best
+
+
+def _ref_spectral_width(shape, draws, seed, workers, restarts, iters):
+    seqs = np.random.SeedSequence(seed).spawn(workers)
+    base, rem = divmod(draws, workers)
+    parts = []
+    for idx in range(workers):
+        rng = np.random.Generator(np.random.Philox(seqs[idx]))
+        need = base + (1 if idx < rem else 0)
+        while need > 0:
+            m = min(256, need)
+            g = rng.standard_normal((m,) + shape)
+            parts.append(_ref_hopm_batch(g, restarts, iters, rng))
+            need -= m
+    values = np.concatenate(parts)
+    return WidthEstimate(
+        mean=float(values.mean()),
+        std_error=float(values.std(ddof=1) / np.sqrt(len(values))),
+        draws=draws,
+        lemma_bound_form="sqrt_sum_dims",
+        seed=seed,
+        shape=shape,
+        kind="tensor_spectral_dual_only",
+    ).to_json()
+
+
+class TestOneHopmLoop:
+    @pytest.mark.parametrize("seed", [0, 1, 31])
+    @pytest.mark.parametrize("d", [4, 6])
+    def test_spectral_width_matches_reference_default_counts(self, d, seed):
+        shape = (d, d, d)
+        est = gaussian_width_mc(tensor_spectral(), shape, draws=300, seed=seed)
+        assert est.to_json() == _ref_spectral_width(shape, 300, seed, 1, 8, 100)
+
+    @pytest.mark.parametrize("seed", [2, 5])
+    @pytest.mark.parametrize("d", [4, 6])
+    def test_spectral_width_matches_reference_2001_draws(self, d, seed):
+        shape = (d, d, d)
+        est = gaussian_width_mc(
+            tensor_spectral(), shape, 2001, seed, hopm_restarts=2, hopm_iters=25
+        )
+        assert est.to_json() == _ref_spectral_width(shape, 2001, seed, 1, 2, 25)
+
+    def test_spectral_width_matches_reference_two_workers(self):
+        shape = (4, 5, 6)
+        est = gaussian_width_mc(
+            tensor_spectral(), shape, 301, 3, workers=2, hopm_restarts=3, hopm_iters=40
+        )
+        assert est.to_json() == _ref_spectral_width(shape, 301, 3, 2, 3, 40)
+
+    def test_returned_factors_attain_the_values(self):
+        for d in (4, 6):
+            g = np.random.default_rng(d).standard_normal((64, d, d, d))
+            best, (u, v, w) = _hopm(g, 4, 60, np.random.default_rng(7))
+            attained = np.einsum("bijk,bi,bj,bk->b", g, u, v, w)
+            np.testing.assert_allclose(attained, best, rtol=1e-12)
+            for f in (u, v, w):
+                np.testing.assert_allclose(np.linalg.norm(f, axis=1), 1.0, rtol=1e-14)
+
+    def test_hopm_spectral_matches_reference_values(self):
+        for i in range(30):
+            a = np.random.default_rng(i).standard_normal((3, 4, 5))
+            new = hopm_spectral(a, rng=np.random.default_rng(100 + i))
+            ref = _ref_hopm_spectral(a, rng=np.random.default_rng(100 + i))
+            assert new["value"] == pytest.approx(ref, rel=1e-12)
+            u, v, w = new["factors"]
+            attained = float(np.einsum("ijk,i,j,k->", a, u, v, w))
+            assert attained == pytest.approx(new["value"], rel=1e-12)
+
+    def test_hopm_spectral_first_restart_is_the_unfolding_start(self):
+        # one restart runs only the deterministic start: it draws nothing
+        a = np.random.default_rng(3).standard_normal((3, 4, 5))
+        gen = np.random.default_rng(9)
+        state = gen.bit_generator.state
+        one = hopm_spectral(a, restarts=1, rng=gen)
+        assert gen.bit_generator.state == state
+        ref = _ref_hopm_spectral(a, restarts=1, rng=np.random.default_rng(9))
+        assert one["value"] == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("kwargs", [{"restarts": 0}, {"iters": 0}])
+    def test_hopm_spectral_rejects_empty_search(self, kwargs):
+        a = np.random.default_rng(0).standard_normal((3, 3, 3))
+        with pytest.raises(ValueError, match="HOPM needs"):
+            hopm_spectral(a, rng=np.random.default_rng(0), **kwargs)
+
+    @pytest.mark.parametrize("kwargs", [{"hopm_restarts": 0}, {"hopm_iters": 0}])
+    def test_spectral_width_rejects_empty_search(self, kwargs):
+        with pytest.raises(ValueError, match="HOPM needs"):
+            gaussian_width_mc(tensor_spectral(), (3, 3, 3), draws=100, **kwargs)
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_width_rejects_fewer_than_one_worker(self, workers):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            gaussian_width_mc(entry_l1(), (3, 3, 3), draws=100, workers=workers)
