@@ -5,6 +5,7 @@ Gaussian widths of penalty unit balls.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -41,21 +42,77 @@ def matrix_svt(z, t):
     return (u * s) @ vt
 
 
-# A restart stops once no tensor in the batch gains this much in a sweep.
+# A draw's restart stops at its first sweep that gains less than this.
 _HOPM_TOL = 1e-12
+# The held rows are compacted once fewer than this share of them is live.
+_HOPM_COMPACT = 0.75
+
+
+def _hopm_sweep(g, v, w):
+    """One alternating sweep on the batch `g` of shape (m, d1, d2, d3):
+    u from (v, w), v from (u, w), w from (u, v), each normalized, plus the
+    norm of the contracted w.  Two contractions of `g`, both on views:
+    P = g x3 w serves u = P v and v = P^T u, and Q = u^T g_(1) gives w = v^T Q.
+    """
+    m, d1, d2, d3 = g.shape
+    p = (g.reshape(m, d1 * d2, d3) @ w[:, :, None]).reshape(m, d1, d2)
+    u = (p @ v[:, :, None])[:, :, 0]
+    u /= np.maximum(np.linalg.norm(u, axis=1, keepdims=True), 1e-300)
+    v = (u[:, None, :] @ p)[:, 0]
+    v /= np.maximum(np.linalg.norm(v, axis=1, keepdims=True), 1e-300)
+    q = (u[:, None, :] @ g.reshape(m, d1, d2 * d3)).reshape(m, d2, d3)
+    w = (v[:, None, :] @ q)[:, 0]
+    nw = np.linalg.norm(w, axis=1)
+    w /= np.maximum(nw, 1e-300)[:, None]
+    return (u, v, w), nw
+
+
+def _hopm_restart(g, v, w, iters):
+    """One restart from (v, w) for every tensor of `g`.  Each draw stops at
+    its first sweep that gains less than `_HOPM_TOL`, or after `iters`
+    sweeps, keeping the larger of its last two values and the factors of
+    its last sweep.  Stopped rows stay in the held batch until fewer than
+    `_HOPM_COMPACT` of the held rows are live; then only the live rows of
+    `g` are copied."""
+    b = g.shape[0]
+    value = np.empty(b)
+    factors = [np.empty((b, d)) for d in g.shape[1:]]
+    rows = np.arange(b)  # batch index of each held row
+    live = np.ones(b, dtype=bool)
+    prev = np.zeros(b)
+    for it in range(iters):
+        (u, v, w), new = _hopm_sweep(g, v, w)
+        stop = live if it == iters - 1 else live & (new - prev < _HOPM_TOL)
+        if stop.any():
+            at = rows[stop]
+            value[at] = np.maximum(prev[stop], new[stop])
+            for out, f in zip(factors, (u, v, w)):
+                out[at] = f[stop]
+            live = live & ~stop
+        prev = new
+        n_live = np.count_nonzero(live)
+        if n_live == 0:
+            break
+        if n_live < _HOPM_COMPACT * len(rows):
+            g, v, w, prev, rows = g[live], v[live], w[live], prev[live], rows[live]
+            live = np.ones(n_live, dtype=bool)
+    return value, factors
 
 
 def _hopm(g, restarts, iters, rng, start=None):
     """Alternating maximization of <g_b, u o v o w> over unit factors for
     each tensor g_b of the batch `g` of shape (B, d1, d2, d3).
 
-    Each restart draws v, then w, from `rng` (the first takes `start`
-    = (v, w) when given) and runs at most `iters` sweeps.  A sweep's value
-    is the norm of the contracted w, attained by the normalized factors.
-    Returns the best value per tensor and the factors (u, v, w) attaining it.
+    Each restart draws v, then w, for the whole batch from `rng` (the first
+    takes `start` = (v, w) when given, without changing it) and runs at most
+    `iters` sweeps per draw; a sweep contracts `g` twice, and each draw stops
+    on its own.  A sweep's value is the norm of the contracted w, attained
+    by the normalized factors.  Returns the best value per tensor and the
+    factors (u, v, w) attaining it, from the first restart that reached it.
     """
     if restarts < 1 or iters < 1:
         raise ValueError("HOPM needs restarts >= 1 and iters >= 1")
+    g = np.ascontiguousarray(g)
     b, d1, d2, d3 = g.shape
     best = np.zeros(b)
     for r in range(restarts):
@@ -66,20 +123,7 @@ def _hopm(g, restarts, iters, rng, start=None):
             v /= np.linalg.norm(v, axis=1, keepdims=True)
             w = rng.standard_normal((b, d3))
             w /= np.linalg.norm(w, axis=1, keepdims=True)
-        val = np.zeros(b)
-        for _ in range(iters):
-            u = np.einsum("bijk,bj,bk->bi", g, v, w)
-            u /= np.maximum(np.linalg.norm(u, axis=1, keepdims=True), 1e-300)
-            v = np.einsum("bijk,bi,bk->bj", g, u, w)
-            v /= np.maximum(np.linalg.norm(v, axis=1, keepdims=True), 1e-300)
-            w = np.einsum("bijk,bi,bj->bk", g, u, v)
-            nw = np.linalg.norm(w, axis=1, keepdims=True)
-            w /= np.maximum(nw, 1e-300)
-            new = nw[:, 0]
-            if np.all(new - val < _HOPM_TOL):
-                val = np.maximum(val, new)
-                break
-            val = new
+        val, (u, v, w) = _hopm_restart(g, v, w, iters)
         if r:
             keep = (val <= best)[:, None]
             u, v, w = (np.where(keep, old, f) for old, f in zip(factors, (u, v, w)))
@@ -100,6 +144,8 @@ def hopm_spectral(a, restarts=20, iters=200, *, rng=None):
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 3:
         raise ZeroTensor("expected an order-3 tensor")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("hopm_spectral needs a finite tensor")
     if not np.any(a):
         raise ZeroTensor("spectral norm of the zero tensor is undefined here")
     if rng is None:
@@ -177,13 +223,23 @@ def width_rate_expression(spec, shape):
 _WIDTH_BATCH = 256
 
 
+def _cores():
+    """Cores this process may run on (all cores where affinity is unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _width_mc(spec, shape, draws, seed, rngs, hopm_restarts, hopm_iters):
     """Mean dual norm of `spec` over `draws` standard Gaussian tensors of
-    `shape`, split evenly over the generators `rngs`, one thread each, and
-    reduced in generator order whatever the scheduling."""
+    `shape`, split evenly over the generators `rngs`, run on at most one
+    thread per available core, and reduced in generator order whatever the
+    scheduling."""
     shape = tuple(shape)
     if len(shape) != 3:
         raise ValueError("width estimation expects an order-3 shape")
+    if min(shape) < 1:
+        raise ValueError(f"width estimation needs every dimension >= 1, got shape {shape}")
     if draws < 100:
         raise ValueError("draws must be >= 100")
     kind = "pairwise_component_nuclear" if spec == "pairwise" else spec.kind
@@ -203,7 +259,7 @@ def _width_mc(spec, shape, draws, seed, rngs, hopm_restarts, hopm_iters):
     if len(rngs) == 1:
         parts = [run(0)]
     else:
-        with ThreadPoolExecutor(max_workers=len(rngs)) as pool:
+        with ThreadPoolExecutor(max_workers=min(len(rngs), _cores())) as pool:
             parts = list(pool.map(run, range(len(rngs))))
     values = np.concatenate(parts)
     return WidthEstimate(
@@ -231,11 +287,16 @@ def gaussian_width_mc(
     expected dual norm of an i.i.d. standard Gaussian tensor.
 
     Draws are split over `workers` counter-based substreams spawned from the
-    seed, and the reduction runs in worker order, so results are
-    bit-reproducible for a fixed worker count regardless of scheduling.
+    seed, run on at most as many threads as there are available cores, and
+    the reduction runs in worker order, so results are bit-reproducible for
+    a fixed worker count regardless of scheduling or core count.
     The spectral-dual kind lower-bounds each draw's dual with the batched
     alternating maximizer that `hopm_spectral` also runs, from
-    `hopm_restarts` random starts of at most `hopm_iters` sweeps each.
+    `hopm_restarts` random starts of at most `hopm_iters` sweeps each.  A
+    sweep contracts the draw batch twice, on views, and each draw stops on
+    its own once a sweep gains less than 1e-12; the factors are drawn from
+    the substream for the whole batch per restart, so the stream each
+    substream consumes does not depend on when draws stop.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")

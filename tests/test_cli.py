@@ -151,6 +151,18 @@ class TestAutoLambda:
         assert "workers must be >= 1" in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "kind", ["tensor_spectral", "entry_l1", "matricized_nuclear_sum"]
+    )
+    def test_width_rejects_a_zero_dimension(self, capsys, kind):
+        code, out, err = run_cli(
+            ["width", "--kinds", kind, "--shapes", "0x3x3", "--draws", "100"],
+            capsys,
+        )
+        assert code == 2
+        assert "dimension >= 1, got shape (0, 3, 3)" in err
+        assert out == ""
+
 
 class TestDeterminism:
     def test_width_replay_byte_identical(self, tmp_path, capsys):

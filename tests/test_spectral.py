@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+from tenreg import spectral
 from tenreg.errors import ZeroTensor
 from tenreg.regularizers import (
     entry_l1,
@@ -102,6 +105,16 @@ class TestHopm:
         with pytest.raises(ZeroTensor):
             hopm_spectral(np.zeros((2, 2, 2)), rng=rng)
 
+    def test_nan_entry_rejected(self):
+        a = np.random.default_rng(0).standard_normal((3, 3, 3))
+        a[1, 2, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            hopm_spectral(a, rng=np.random.default_rng(0))
+
+    def test_all_inf_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            hopm_spectral(np.full((2, 3, 2), np.inf), rng=np.random.default_rng(0))
+
 
 class TestGaussianWidth:
     def test_matches_flat_max_abs_oracle_same_stream(self):
@@ -188,6 +201,44 @@ class TestGaussianWidth:
         obj = est.to_json()
         assert obj["draws"] == 100 and obj["kind"] == "entry_l1"
         assert obj["shape"] == [2, 2, 2]
+
+    @pytest.mark.parametrize("shape", [(0, 3, 3), (3, 3, 0), (2, -1, 2)])
+    def test_rejects_a_dimension_below_one(self, shape):
+        with pytest.raises(ValueError, match=r"dimension >= 1, got shape \("):
+            gaussian_width_mc(tensor_spectral(), shape, draws=100)
+
+    def test_thread_pool_capped_at_core_count(self, monkeypatch):
+        pools = []
+
+        class InlinePool:
+            """Records its size and runs every task in the calling thread."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [fn(item) for item in items]
+
+        monkeypatch.setattr(spectral, "ThreadPoolExecutor", InlinePool)
+        shape, draws, workers = (3, 4, 5), 100, 64
+        est = gaussian_width_mc(entry_l1(), shape, draws=draws, seed=8, workers=workers)
+        assert pools == [min(workers, len(os.sched_getaffinity(0)))]
+        # the 64 substreams in order, as an uncapped pool reduces them
+        base, rem = divmod(draws, workers)
+        vals = []
+        for idx, seq in enumerate(np.random.SeedSequence(8).spawn(workers)):
+            sub = np.random.Generator(np.random.Philox(seq))
+            g = sub.standard_normal((base + (idx < rem),) + shape)
+            vals.append(np.abs(g).reshape(len(g), -1).max(axis=1))
+        vals = np.concatenate(vals)
+        assert est.mean == float(vals.mean())
+        assert est.std_error == float(vals.std(ddof=1) / np.sqrt(draws))
 
 
 # ---------------------------------------------------------------------------
@@ -278,13 +329,24 @@ def _ref_spectral_width(shape, draws, seed, workers, restarts, iters):
     ).to_json()
 
 
+def _assert_width_matches(est, ref):
+    """The two-contraction, per-draw-stopping loop moves the reference's
+    values at the rounding level: the mean to rtol 1e-10, the standard
+    error to rtol 1e-8, and no other field."""
+    got = est.to_json()
+    assert got["mean"] == pytest.approx(ref["mean"], rel=1e-10)
+    assert got["std_error"] == pytest.approx(ref["std_error"], rel=1e-8)
+    others = lambda obj: {k: v for k, v in obj.items() if k not in ("mean", "std_error")}
+    assert others(got) == others(ref)
+
+
 class TestOneHopmLoop:
     @pytest.mark.parametrize("seed", [0, 1, 31])
     @pytest.mark.parametrize("d", [4, 6])
     def test_spectral_width_matches_reference_default_counts(self, d, seed):
         shape = (d, d, d)
         est = gaussian_width_mc(tensor_spectral(), shape, draws=300, seed=seed)
-        assert est.to_json() == _ref_spectral_width(shape, 300, seed, 1, 8, 100)
+        _assert_width_matches(est, _ref_spectral_width(shape, 300, seed, 1, 8, 100))
 
     @pytest.mark.parametrize("seed", [2, 5])
     @pytest.mark.parametrize("d", [4, 6])
@@ -293,14 +355,14 @@ class TestOneHopmLoop:
         est = gaussian_width_mc(
             tensor_spectral(), shape, 2001, seed, hopm_restarts=2, hopm_iters=25
         )
-        assert est.to_json() == _ref_spectral_width(shape, 2001, seed, 1, 2, 25)
+        _assert_width_matches(est, _ref_spectral_width(shape, 2001, seed, 1, 2, 25))
 
     def test_spectral_width_matches_reference_two_workers(self):
         shape = (4, 5, 6)
         est = gaussian_width_mc(
             tensor_spectral(), shape, 301, 3, workers=2, hopm_restarts=3, hopm_iters=40
         )
-        assert est.to_json() == _ref_spectral_width(shape, 301, 3, 2, 3, 40)
+        _assert_width_matches(est, _ref_spectral_width(shape, 301, 3, 2, 3, 40))
 
     def test_returned_factors_attain_the_values(self):
         for d in (4, 6):
@@ -346,3 +408,52 @@ class TestOneHopmLoop:
     def test_width_rejects_fewer_than_one_worker(self, workers):
         with pytest.raises(ValueError, match="workers must be >= 1"):
             gaussian_width_mc(entry_l1(), (3, 3, 3), draws=100, workers=workers)
+
+    @pytest.mark.parametrize("shape", [(4, 4, 4), (6, 6, 6), (8, 8, 8), (4, 5, 6)])
+    def test_values_match_reference_loop(self, shape):
+        for seed in (0, 1):
+            g = np.random.default_rng(seed).standard_normal((96,) + shape)
+            best, _ = _hopm(g, 4, 60, np.random.default_rng(seed + 40))
+            ref = _ref_hopm_batch(g, 4, 60, np.random.default_rng(seed + 40))
+            np.testing.assert_allclose(best, ref, rtol=1e-10)
+
+    def test_generator_state_matches_reference_loop(self):
+        g = np.random.default_rng(5).standard_normal((50, 4, 5, 6))
+        gen, ref_gen = np.random.default_rng(12), np.random.default_rng(12)
+        _hopm(g, 3, 40, gen)
+        _ref_hopm_batch(g, 3, 40, ref_gen)
+        assert gen.bit_generator.state == ref_gen.bit_generator.state
+
+    def test_mixed_batch_compacts_and_matches_reference(self, monkeypatch):
+        # rank-one tensors stop within a few sweeps, the Gaussian draws run
+        # on, so the held rows are compacted while the batch is live
+        gen = np.random.default_rng(21)
+        g = gen.standard_normal((40, 4, 5, 6))
+        for b in range(0, 40, 2):
+            u, v, w = (gen.standard_normal(d) for d in (4, 5, 6))
+            g[b] = (1.0 + b) * outer3(u, v, w)
+        sizes = []
+        sweep = spectral._hopm_sweep
+
+        def counted(gb, v, w):
+            sizes.append(len(gb))
+            return sweep(gb, v, w)
+
+        monkeypatch.setattr(spectral, "_hopm_sweep", counted)
+        best, (u, v, w) = _hopm(g, 3, 80, np.random.default_rng(4))
+        assert sizes[0] == 40 and min(sizes) < 30
+        ref = _ref_hopm_batch(g, 3, 80, np.random.default_rng(4))
+        np.testing.assert_allclose(best, ref, rtol=1e-10)
+        attained = np.einsum("bijk,bi,bj,bk->b", g, u, v, w)
+        np.testing.assert_allclose(attained, best, rtol=1e-12)
+        norms = np.linalg.norm(g.reshape(40, -1), axis=1)
+        np.testing.assert_allclose(best[::2], norms[::2], rtol=1e-10)
+
+    def test_start_arrays_left_unchanged(self):
+        g = np.random.default_rng(2).standard_normal((20, 3, 4, 5))
+        start = tuple(np.random.default_rng(3).standard_normal((20, d)) for d in (4, 5))
+        start = tuple(f / np.linalg.norm(f, axis=1, keepdims=True) for f in start)
+        kept = tuple(f.copy() for f in start)
+        _hopm(g, 2, 30, np.random.default_rng(0), start)
+        for f, k in zip(start, kept):
+            np.testing.assert_array_equal(f, k)
