@@ -11,6 +11,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -144,6 +145,11 @@ def _finite_or_null(v):
     return v if math.isfinite(v) else None
 
 
+def _check_lam(lam):
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError(f"lam must be finite and nonnegative, got {lam}")
+
+
 def _check_param(problem, a):
     a = np.asarray(a, dtype=np.float64)
     if a.shape != problem.truth_shape:
@@ -246,14 +252,33 @@ class _LeastSquares:
             v = w / est
         return est
 
+    @cached_property
+    @np.errstate(over="ignore")
+    def spectrum(self):
+        """``(V^T, e)`` with ``M^T M / n = V diag(e) V^T``, from one thin SVD
+        of M taken on first use and kept; e overflows to inf when the
+        squares of the data do."""
+        _, sing, vt = np.linalg.svd(self.design, full_matrices=False)
+        return vt, sing * sing / self.n
+
+    def shifted_solve(self, b, c):
+        """``(M^T M / n + c I)^{-1} b`` for c > 0, as
+        ``(b - V diag(e / (e + c)) V^T b) / c``: two products with the kept
+        factors, whatever c is."""
+        vt, e = self.spectrum
+        # the transposes scale the rows of V^T b for a vector or matrix b
+        return (b - vt.T @ ((vt @ b).T * (e / (e + c))).T) / c
+
 
 @np.errstate(over="ignore", invalid="ignore")
 def _least_squares(x2, y, n):
     """The operator for ``(1/2n) ||x2 a - y||^2``, or None when the squares
     of the data overflow.
 
-    With n at most the parameter dimension d it works in data space.  Above
-    that it compresses the loss once: with X^T X = V L V^T, keeping the
+    With n at most the parameter dimension d it works in data space and
+    checks only the squares of the responses; those of the design show in
+    the loss, or in :attr:`_LeastSquares.spectrum`.  Above that it
+    compresses the loss once: with X^T X = V L V^T, keeping the
     eigenvalues above ``d eps l_max`` (marginal features are rank-deficient),
     ``M = L^(1/2) V^T``, ``T = L^(-1/2) V^T X^T y`` and
     ``offset = (||y||^2 - ||T||^2) / 2n`` give the same loss and gradient
@@ -261,7 +286,7 @@ def _least_squares(x2, y, n):
     """
     dim = x2.shape[1]
     if n <= dim:
-        return _LeastSquares(x2, y, n)
+        return _LeastSquares(x2, y, n) if np.isfinite((y * y).sum()) else None
     gram = x2.T @ x2
     if not np.isfinite(gram).all():
         return None
@@ -387,6 +412,7 @@ def fista_solve(problem, spec, lam, config=None):
     :func:`_least_squares`); otherwise on the data.  Data whose squares
     overflow return Diverged.
     """
+    _check_lam(lam)
     if config is None:
         config = FistaConfig()
     if lam > 0 and not spec.has_prox():
@@ -446,49 +472,49 @@ class AdmmConfig:
     tol: float = 1e-6
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def admm_matricized(problem, lam, config=None):
     """Consensus ADMM for the averaged sum of matricized nuclear norms.
 
     Three auxiliary copies, one per unfolding, are soft-thresholded at
     ``lam / (3 rho)`` each round; the consensus iterate solves a ridge
-    system against the data.  The penalty parameter is rebalanced when the
-    primal and dual residuals drift apart.  Converged means both residuals
-    fell below `tol`.
+    system by two products with one thin SVD of the design, kept on the
+    least-squares operator FISTA uses, so rebalancing the penalty parameter
+    when the primal and dual residuals drift apart costs nothing.
+    Converged means both residuals fell below `tol`; data whose squares
+    overflow return Diverged.
     """
+    _check_lam(lam)
     if config is None:
         config = AdmmConfig()
     spec = RegularizerSpec("matricized_nuclear_sum")
     x2, y2 = problem.design_matrices()
-    n = problem.n
     shape = problem.truth_shape
     dim_cov, dim_resp = x2.shape[1], y2.shape[1]
     if int(np.prod(shape)) != dim_cov * dim_resp or len(shape) != 3:
         raise ShapeMismatch("consensus solver expects an order-3 truth shape")
 
-    gram = x2.T @ x2 / n
-    rhs0 = x2.T @ y2 / n
-    rho = _ADMM_RHO
+    op = _least_squares(x2, y2, problem.n)
+    if op is None or not np.isfinite(op.spectrum[1]).all():
+        return _diverged(shape, lam)
 
-    def factorize(r):
-        return np.linalg.cholesky(gram + 3.0 * r * np.eye(dim_cov))
+    def full_obj(a):
+        loss = op.loss(a.reshape(dim_cov, dim_resp)) + op.offset
+        return (loss + lam * reg_eval(spec, a)) if lam > 0 else loss
 
-    def chol_solve(lo, b):
-        return np.linalg.solve(lo.T, np.linalg.solve(lo, b))
-
-    low = factorize(rho)
     a = np.zeros(shape)
+    trace = [full_obj(a)]
+    rhs0 = -op.grad(a.reshape(dim_cov, dim_resp))  # M^T T / n
+    rho = _ADMM_RHO
     zs = [np.zeros(shape) for _ in range(3)]
     us = [np.zeros(shape) for _ in range(3)]
-    trace = [objective(problem, spec, lam, a)]
     status = "MaxIters"
     iters_done = 0
 
     for it in range(1, config.max_iters + 1):
         iters_done = it
-        rhs = rhs0 + rho * sum(z - u for z, u in zip(zs, us)).reshape(
-            dim_cov, dim_resp
-        )
-        a = chol_solve(low, rhs).reshape(shape)
+        rhs = rhs0 + rho * sum(z - u for z, u in zip(zs, us)).reshape(rhs0.shape)
+        a = op.shifted_solve(rhs, 3.0 * rho).reshape(shape)
         primal_sq = 0.0
         dual_sq = 0.0
         for k in range(3):
@@ -502,7 +528,7 @@ def admm_matricized(problem, lam, config=None):
             primal_sq += float(((a - znew) ** 2).sum())
         r_norm = np.sqrt(primal_sq)
         s_norm = rho * np.sqrt(dual_sq)
-        trace.append(objective(problem, spec, lam, a))
+        trace.append(full_obj(a))
         if not np.isfinite(r_norm) or trace[-1] > 1e3 * max(trace[0], 1e-12):
             status = "Diverged"
             break
@@ -512,13 +538,12 @@ def admm_matricized(problem, lam, config=None):
         if r_norm > _BALANCE_MU * s_norm:
             rho *= _BALANCE_TAU
             us = [u / _BALANCE_TAU for u in us]
-            low = factorize(rho)
         elif s_norm > _BALANCE_MU * r_norm:
             rho /= _BALANCE_TAU
             us = [u * _BALANCE_TAU for u in us]
-            low = factorize(rho)
 
-    kkt = kkt_residual(problem, spec, lam, a)
+    grad = op.grad(a.reshape(rhs0.shape)).reshape(shape)
+    kkt = _certificate(spec, lam, a, grad)
     return SolveResult(
         estimate=a,
         objective_trace=trace,
@@ -565,6 +590,7 @@ def fista_pairwise(problem, lam, config=None):
     space when n exceeds their ``d1 d2 + d1 d3 + d2 d3`` columns, as in
     :func:`fista_solve`.
     """
+    _check_lam(lam)
     if config is None:
         config = FistaConfig()
     shape = problem.truth_shape

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SvdFailure, ZeroTensor
+from .errors import ShapeMismatch, SvdFailure, ZeroTensor
 from .regularizers import RegularizerSpec, _dual_batch
 
 __all__ = [
@@ -143,7 +143,7 @@ def hopm_spectral(a, restarts=20, iters=200, *, rng=None):
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 3:
-        raise ZeroTensor("expected an order-3 tensor")
+        raise ShapeMismatch("expected an order-3 tensor")
     if not np.all(np.isfinite(a)):
         raise ValueError("hopm_spectral needs a finite tensor")
     if not np.any(a):

@@ -15,6 +15,27 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
+def read_strict_json(path):
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    with open(path) as fh:
+        return json.loads(fh.read(), parse_constant=reject)
+
+
+def save_scaled_problem(prob_dir, n, scale=1e160):
+    """A 3x3x3 scalar-response problem with covariates scaled by `scale`."""
+    r = np.random.default_rng(42)
+    save_problem(
+        prob_dir,
+        RegressionProblem(
+            covariates=scale * r.standard_normal((n, 3, 3, 3)),
+            responses=r.standard_normal(n),
+            split=3,
+        ),
+    )
+
+
 class TestGenSolve:
     def test_gen_then_solve(self, tmp_path, capsys):
         spec = json.dumps({"kind": "theta1", "shape": [3, 3, 3], "s": 2})
@@ -86,13 +107,42 @@ class TestGenSolve:
             capsys,
         )
         assert code == 3
-
-        def reject(token):
-            raise ValueError(f"non-standard JSON constant {token}")
-
-        result = json.loads(open(res_path).read(), parse_constant=reject)
+        result = read_strict_json(res_path)
         assert result["status"] == "Diverged"
         assert result["kkt_residual"] is None
+
+    @pytest.mark.parametrize("n", [60, 20])  # compressed, data space
+    def test_admm_diverged_result_is_strict_json(self, tmp_path, capsys, n):
+        prob_dir = str(tmp_path / "prob")
+        save_scaled_problem(prob_dir, n)
+        res_path = str(tmp_path / "r.json")
+        code, _, err = run_cli(
+            ["--out", res_path, "solve", "--problem", prob_dir,
+             "--regularizer", "matricized_nuclear_sum", "--lam", "0.1"],
+            capsys,
+        )
+        assert code == 3, err
+        result = read_strict_json(res_path)
+        assert result["status"] == "Diverged"
+        assert result["kkt_residual"] is None
+        assert result["estimate_shape"] == [3, 3, 3]
+
+    @pytest.mark.parametrize("lam", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize(
+        "reg", ["entry_l1", "matricized_nuclear_sum", "pairwise"]
+    )
+    def test_bad_lambda_exit_code(self, tmp_path, capsys, reg, lam):
+        prob_dir = str(tmp_path / "prob")
+        save_scaled_problem(prob_dir, 30, scale=1.0)
+        res_path = tmp_path / "r.json"
+        code, _, err = run_cli(
+            ["--out", str(res_path), "solve", "--problem", prob_dir,
+             "--regularizer", reg, "--lam", lam],
+            capsys,
+        )
+        assert code == 2
+        assert "lam must be finite and nonnegative" in err
+        assert not res_path.exists()
 
     def test_validation_exit_code(self, tmp_path, capsys):
         code, _, err = run_cli(

@@ -15,6 +15,7 @@ from tenreg.solver import (
     AdmmConfig,
     FistaConfig,
     RegressionProblem,
+    SolveResult,
     admm_matricized,
     empirical_norm,
     expand_pairwise,
@@ -30,7 +31,8 @@ from tenreg.solver import (
     solve,
 )
 from tenreg.solver import _least_squares
-from tenreg.spectral import gaussian_width_mc
+from tenreg.spectral import gaussian_width_mc, matrix_svt
+from tenreg.tensor import dematricize, matricize
 
 rng = np.random.default_rng(23)
 
@@ -298,6 +300,169 @@ class TestAdmm:
         assert np.linalg.norm(res_a.estimate - res_f.estimate) < 1e-5
 
 
+def _ref_admm_matricized(problem, lam, config):
+    """Consensus ADMM with a Cholesky factor of the data-space ridge system,
+    refactored on every change of rho.  Returns the result and the number
+    of rho changes."""
+    spec = matricized_nuclear_sum()
+    x2, y2 = problem.design_matrices()
+    n = problem.n
+    shape = problem.truth_shape
+    dim_cov, dim_resp = x2.shape[1], y2.shape[1]
+    gram = x2.T @ x2 / n
+    rhs0 = x2.T @ y2 / n
+    rho = 1.0
+
+    def factorize(r):
+        return np.linalg.cholesky(gram + 3.0 * r * np.eye(dim_cov))
+
+    def chol_solve(lo, b):
+        return np.linalg.solve(lo.T, np.linalg.solve(lo, b))
+
+    low = factorize(rho)
+    a = np.zeros(shape)
+    zs = [np.zeros(shape) for _ in range(3)]
+    us = [np.zeros(shape) for _ in range(3)]
+    trace = [objective(problem, spec, lam, a)]
+    status = "MaxIters"
+    iters_done = 0
+    rebalances = 0
+    for it in range(1, config.max_iters + 1):
+        iters_done = it
+        rhs = rhs0 + rho * sum(z - u for z, u in zip(zs, us)).reshape(
+            dim_cov, dim_resp
+        )
+        a = chol_solve(low, rhs).reshape(shape)
+        primal_sq = 0.0
+        dual_sq = 0.0
+        for k in range(3):
+            target = a + us[k]
+            znew = dematricize(
+                matrix_svt(matricize(target, [k]), lam / (3.0 * rho)), shape, [k]
+            )
+            dual_sq += float(((znew - zs[k]) ** 2).sum())
+            zs[k] = znew
+            us[k] = us[k] + a - znew
+            primal_sq += float(((a - znew) ** 2).sum())
+        r_norm = np.sqrt(primal_sq)
+        s_norm = rho * np.sqrt(dual_sq)
+        trace.append(objective(problem, spec, lam, a))
+        if not np.isfinite(r_norm) or trace[-1] > 1e3 * max(trace[0], 1e-12):
+            status = "Diverged"
+            break
+        if r_norm < config.tol and s_norm < config.tol:
+            status = "Converged"
+            break
+        if r_norm > 10.0 * s_norm:
+            rho *= 2.0
+            us = [u / 2.0 for u in us]
+            low = factorize(rho)
+            rebalances += 1
+        elif s_norm > 10.0 * r_norm:
+            rho /= 2.0
+            us = [u * 2.0 for u in us]
+            low = factorize(rho)
+            rebalances += 1
+    result = SolveResult(
+        estimate=a,
+        objective_trace=trace,
+        kkt_residual=float(kkt_residual(problem, spec, lam, a)),
+        iterations=iters_done,
+        lam=float(lam),
+        status=status,
+    )
+    return result, rebalances
+
+
+def theta5_problem(d, n, seed):
+    truth = gen_truth(ModelClassSpec("theta5", (d, d, d), r=2), seed)
+    return gen_problem(truth, n, 3, 1.0, seed=seed)
+
+
+class TestAdmmSpectralSolve:
+    """ADMM's x-update runs on one thin SVD of the least-squares operator's
+    design; it must follow the Cholesky reference step for step."""
+
+    @pytest.mark.parametrize(
+        "d, n, lam, seed, max_iters",
+        [
+            (8, 384, 0.2, 904, 2000),  # data space, n < d
+            (6, 300, 0.2, 905, 2000),  # compressed, n > d
+            (6, 300, 0.05, 906, 2000),  # compressed, rho changed twice
+            (4, 30, 0.1, 907, 12),  # data space, stops at MaxIters
+        ],
+    )
+    def test_matches_cholesky_reference(self, d, n, lam, seed, max_iters):
+        p = theta5_problem(d, n, seed)
+        config = AdmmConfig(max_iters=max_iters)
+        res = admm_matricized(p, lam, config)
+        ref, rebalances = _ref_admm_matricized(p, lam, config)
+        assert (res.status, res.iterations) == (ref.status, ref.iterations)
+        np.testing.assert_allclose(res.estimate, ref.estimate, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(
+            res.objective_trace, ref.objective_trace, rtol=1e-12, atol=0
+        )
+        assert res.kkt_residual == pytest.approx(ref.kkt_residual, rel=1e-8)
+        # every case changes rho, so one factorization serves several shifts
+        assert rebalances >= 1
+
+
+class TestShiftedSolve:
+    """``shifted_solve(b, c)`` is ``(M^T M / n + c I)^{-1} b`` on the data."""
+
+    @pytest.mark.parametrize("case", ["data_space", "compressed", "pairwise"])
+    @pytest.mark.parametrize("c", [1e-3, 0.3, 3.0, 96.0])
+    def test_matches_dense_solve(self, case, c):
+        if case == "data_space":
+            x2, y = scalar_problem(40, (4, 4, 4), 0.3, 43).design_matrices()
+        elif case == "compressed":
+            x2, y = full_rank_problem().design_matrices()
+        else:
+            x2, y = pairwise_design(pairwise_problem())
+        n, dim = x2.shape
+        op = _least_squares(x2, y, n)
+        if case == "data_space":
+            assert n < dim and op.design is x2
+        elif case == "compressed":
+            assert op.design.shape == (dim, dim) and dim < n
+        else:
+            assert op.design.shape == (91, 108)
+        b = np.random.default_rng(44).standard_normal((dim, 3))
+        want = np.linalg.solve(x2.T @ x2 / n + c * np.eye(dim), b)
+        for got, ref in [
+            (op.shifted_solve(b, c), want),
+            (op.shifted_solve(b[:, 0], c), want[:, 0]),
+        ]:
+            assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_factors_are_taken_once(self, monkeypatch):
+        x2, y = scalar_problem(20, (3, 3, 3), 0.3, 45).design_matrices()
+        op = _least_squares(x2, y, 20)
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(
+            np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k)
+        )
+        b = np.ones((27, 1))
+        for c in (0.5, 1.0, 2.0):
+            op.shifted_solve(b, c)
+        assert len(calls) == 1
+
+
+class TestLambdaValidation:
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -1.0])
+    @pytest.mark.parametrize("solver", ["fista", "pairwise", "admm"])
+    def test_rejected_before_solving(self, solver, lam):
+        p = scalar_problem(30, (3, 3, 3), 0.3, 46)
+        run = {
+            "fista": lambda: fista_solve(p, entry_l1(), lam),
+            "pairwise": lambda: fista_pairwise(p, lam),
+            "admm": lambda: admm_matricized(p, lam),
+        }[solver]
+        with pytest.raises(ValueError, match="lam must be finite and nonnegative"):
+            run()
+
+
 class TestPairwise:
     def test_expand_matches_loop(self):
         comps = (
@@ -487,6 +652,25 @@ class TestOverflow:
         assert res.status == "Diverged"
         assert res.iterations <= 50
         assert len(res.components) == 3
+
+    @pytest.mark.parametrize(
+        "n, scaled",
+        [(60, "covariates"), (20, "covariates"), (20, "responses")],
+    )  # compressed, data space with overflowing factors, and first objective
+    def test_admm_diverges(self, n, scaled):
+        r = np.random.default_rng(41)
+        x, y = r.standard_normal((n, 3, 3, 3)), r.standard_normal(n)
+        if scaled == "covariates":
+            x *= 1e160
+        else:
+            y *= 1e160
+        p = RegressionProblem(covariates=x, responses=y, split=3)
+        with np.errstate(over="raise"):
+            res = solve(p, matricized_nuclear_sum(), 0.1, max_iters=50)
+        assert res.status == "Diverged"
+        assert res.iterations == 0
+        assert res.kkt_residual == float("inf")
+        assert res.estimate.shape == (3, 3, 3)
 
 
 class TestProblemIo:

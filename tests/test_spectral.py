@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tenreg import spectral
-from tenreg.errors import ZeroTensor
+from tenreg.errors import ShapeMismatch, ZeroTensor
 from tenreg.regularizers import (
     entry_l1,
     fiber_group,
@@ -104,6 +104,10 @@ class TestHopm:
     def test_zero_tensor(self):
         with pytest.raises(ZeroTensor):
             hopm_spectral(np.zeros((2, 2, 2)), rng=rng)
+
+    def test_order_two_input_is_a_shape_error(self):
+        with pytest.raises(ShapeMismatch):
+            hopm_spectral(np.ones((2, 2)), rng=rng)
 
     def test_nan_entry_rejected(self):
         a = np.random.default_rng(0).standard_normal((3, 3, 3))
