@@ -118,6 +118,11 @@ class RateExperimentConfig:
             raise ValidationError("need at least 10 replications per cell")
         if self.rate_tag not in RATE_TAGS:
             raise ValidationError(f"unknown rate tag {self.rate_tag!r}")
+        reg = self.regularizer
+        if not (isinstance(reg, RegularizerSpec) or reg == "pairwise"):
+            raise ValidationError(
+                f"regularizer must be a penalty object or 'pairwise', got {reg!r}"
+            )
 
     def to_json(self):
         reg = (

@@ -231,11 +231,7 @@ def _dual_batch(spec, g, rng=None, hopm_restarts=None, hopm_iters=None):
     """
     b = g.shape[0]
     if spec == "pairwise":
-        tops = [
-            np.linalg.svd(g.sum(axis=axis), compute_uv=False)[..., 0]
-            for axis in (3, 2, 1)
-        ]
-        return np.maximum.reduce(tops)
+        return _pairwise_dual([g.sum(axis=axis) for axis in (3, 2, 1)])
     if spec.kind == "entry_l1":
         return np.abs(g).reshape(b, -1).max(axis=1)
     if spec.kind == "fiber_group":
@@ -259,6 +255,15 @@ def _dual_batch(spec, g, rng=None, hopm_restarts=None, hopm_iters=None):
 
         return _hopm(g, hopm_restarts, hopm_iters, rng)[0]
     raise UnsupportedKind(spec.kind)
+
+
+def _pairwise_dual(blocks):
+    """Dual norm of the pairwise-component penalty, the sum of the nuclear
+    norms of three component matrices, at the three (stacks of) gradient
+    blocks: their largest top singular value."""
+    return np.maximum.reduce(
+        [np.linalg.svd(m, compute_uv=False)[..., 0] for m in blocks]
+    )
 
 
 def prox(spec, z, t):

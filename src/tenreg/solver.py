@@ -11,12 +11,19 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
-from .errors import NoClosedFormProx, ShapeMismatch
-from .regularizers import RegularizerSpec, compatibility, prox, reg_dual, reg_eval
+from .errors import NoClosedFormProx, ShapeMismatch, json_key
+from .regularizers import (
+    RegularizerSpec,
+    _pairwise_dual,
+    compatibility,
+    prox,
+    reg_dual,
+    reg_eval,
+)
 from .spectral import matrix_svt
 from .tensor import dematricize, matricize, read_tns, write_tns
 
@@ -145,6 +152,22 @@ def _finite_or_null(v):
     return v if math.isfinite(v) else None
 
 
+def _result(
+    lam, estimate, trace=(), kkt=math.inf, iters=0, status="Diverged", components=None
+):
+    """The :class:`SolveResult` of every solver.  The defaults are those of
+    a solve whose data overflow before the first step."""
+    return SolveResult(
+        estimate=estimate,
+        objective_trace=list(trace),
+        kkt_residual=float(kkt),
+        iterations=iters,
+        lam=float(lam),
+        status=status,
+        components=components,
+    )
+
+
 def _check_lam(lam):
     if not (math.isfinite(lam) and lam >= 0):
         raise ValueError(f"lam must be finite and nonnegative, got {lam}")
@@ -160,9 +183,7 @@ def _check_param(problem, a):
 def objective(problem, spec, lam, a):
     """(1/2n) sum ||Y_i - <X_i, a>||_F^2 + lam * R(a)."""
     a = _check_param(problem, a)
-    x2, y2 = problem.design_matrices()
-    resid = x2 @ a.reshape(x2.shape[1], -1) - y2
-    val = 0.5 * float((resid * resid).sum()) / problem.n
+    val = _LeastSquares(*problem.design_matrices(), problem.n).loss(a)
     if lam != 0.0:
         val += lam * reg_eval(spec, a)
     return val
@@ -194,7 +215,7 @@ def risk_bound_predicted(spec, sub, lam, c_u=1.0, c_ell=1.0):
     return (6.0 * (1.0 + c) / (3.0 + c)) * (9.0 * c_u**2 / c_ell**2) * s * lam**2
 
 
-def kkt_residual(problem, spec, lam, a, *, rng=None):
+def kkt_residual(problem, spec, lam, a):
     """First-order optimality certificate for the penalized program.
 
     Returns ``max(0, R*(grad) - lam)`` plus the alignment gap
@@ -204,15 +225,14 @@ def kkt_residual(problem, spec, lam, a, *, rng=None):
     there and rely on the ADMM residuals for convergence.
     """
     a = _check_param(problem, a)
-    x2, y2 = problem.design_matrices()
-    g = _LeastSquares(x2, y2, problem.n).grad(a.reshape(x2.shape[1], -1))
-    return _certificate(spec, lam, a, g.reshape(problem.truth_shape), rng=rng)
+    g = _LeastSquares(*problem.design_matrices(), problem.n).grad(a)
+    return _certificate(lam, a, g, reg_dual(spec, g), reg_eval(spec, a))
 
 
-def _certificate(spec, lam, a, g, rng=None):
-    """:func:`kkt_residual` at `a` from the smooth part's gradient `g`."""
-    dual = reg_dual(spec, g, rng=rng)
-    r_val = reg_eval(spec, a)
+def _certificate(lam, a, g, dual, r_val):
+    """:func:`kkt_residual` at `a` from the smooth part's gradient `g`, the
+    penalty's dual norm `dual` at `g` and its value `r_val` at `a`.  Every
+    solver certifies through this one formula."""
     excess = max(0.0, dual - lam)
     align = abs(float((g * a).sum()) + lam * r_val) / (1.0 + r_val)
     return excess + align
@@ -224,6 +244,9 @@ class _LeastSquares:
 
     Built once per problem by :func:`_least_squares`.  In data space M and
     T are the flattened design and responses and the offset is zero.
+    `loss`, `grad` and `shifted_solve` take a parameter in its own shape
+    (the truth shape, or the pairwise block vector), reshape it to the
+    design's columns, and give a gradient or solve back in that shape.
     """
 
     design: np.ndarray
@@ -231,13 +254,17 @@ class _LeastSquares:
     n: int
     offset: float = 0.0
 
+    def _columns(self, a):
+        return a.reshape(self.design.shape[1], *self.target.shape[1:])
+
     def loss(self, a):
         """The loss without its constant offset."""
-        r = self.design @ a - self.target
+        r = self.design @ self._columns(a) - self.target
         return 0.5 * float(r @ r if r.ndim == 1 else (r * r).sum()) / self.n
 
     def grad(self, a):
-        return self.design.T @ (self.design @ a - self.target) / self.n
+        g = self.design.T @ (self.design @ self._columns(a) - self.target) / self.n
+        return g.reshape(a.shape)
 
     def lipschitz(self):
         """Largest eigenvalue of M^T M / n by a few power iterations."""
@@ -264,10 +291,12 @@ class _LeastSquares:
     def shifted_solve(self, b, c):
         """``(M^T M / n + c I)^{-1} b`` for c > 0, as
         ``(b - V diag(e / (e + c)) V^T b) / c``: two products with the kept
-        factors, whatever c is."""
+        factors, whatever c is.  `b` is a parameter in its own shape or a
+        matrix whose columns are right-hand sides."""
         vt, e = self.spectrum
-        # the transposes scale the rows of V^T b for a vector or matrix b
-        return (b - vt.T @ ((vt @ b).T * (e / (e + c))).T) / c
+        b2 = b.reshape(vt.shape[1], -1)
+        x = (b2 - vt.T @ ((vt @ b2) * (e / (e + c))[:, None])) / c
+        return x.reshape(b.shape)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -312,17 +341,21 @@ class _Overflow(Exception):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _apg(x0, op, prox_step, penalty, cert, lam, config):
+def _apg(x0, op, prox_step, penalty, dual, lam, config):
     """FISTA (Beck & Teboulle 2009) with backtracking and adaptive restart
     (O'Donoghue & Candes 2015) on ``op.loss(x) + lam * penalty(x)``.
 
     `op` is a :class:`_LeastSquares`; its constant offset is left out of
     every comparison and added back to each trace entry.  `prox_step(v, t)`
-    is the prox of ``t * lam * penalty`` at `v` and `cert(x)` the
-    first-order certificate.  A non-finite step-size inverse or loss stops
-    the loop as Diverged.  Returns ``(x, trace, certificate, iterations,
-    status)``.
+    is the prox of ``t * lam * penalty`` at `v` and `dual` the penalty's
+    dual norm, which with `penalty` gives the :func:`_certificate`.  A
+    non-finite step-size inverse or loss stops the loop as Diverged.
+    Returns ``(x, trace, certificate, iterations, status)``.
     """
+
+    def cert(x):
+        g = op.grad(x)
+        return _certificate(lam, x, g, dual(g), penalty(x))
 
     def full_obj(x):
         val = op.loss(x)
@@ -351,8 +384,8 @@ def _apg(x0, op, prox_step, penalty, cert, lam, config):
     obj = full_obj(x)
     trace = [obj + op.offset]
     status = "MaxIters"
-    kkt = np.inf
     iters_done = 0
+    checked_at = -1  # the iteration whose iterate `kkt` certifies
     dead_steps = 0
 
     try:
@@ -379,7 +412,7 @@ def _apg(x0, op, prox_step, penalty, cert, lam, config):
             # the solver only returns early once the certificate passes or
             # progress is gone at machine precision
             if (it % _KKT_EVERY == 0) or rel_change < _TOL:
-                kkt = cert(x)
+                kkt, checked_at = cert(x), it
                 if kkt < config.kkt_tol:
                     status = "Converged"
                     break
@@ -392,7 +425,7 @@ def _apg(x0, op, prox_step, penalty, cert, lam, config):
     except _Overflow:
         return x, trace, np.inf, iters_done, "Diverged"
 
-    if not np.isfinite(kkt):
+    if checked_at != iters_done:
         kkt = cert(x)
     return x, trace, float(kkt), iters_done, status
 
@@ -415,54 +448,23 @@ def fista_solve(problem, spec, lam, config=None):
     _check_lam(lam)
     if config is None:
         config = FistaConfig()
-    if lam > 0 and not spec.has_prox():
+    # the certificate needs the penalty's value, which the tensor nuclear
+    # norm has not, so that kind is refused at every lam
+    if not spec.has_prox() and (lam > 0 or spec.kind == "tensor_spectral_dual_only"):
         raise NoClosedFormProx(f"{spec.kind} is not prox-friendly, use ADMM")
-    x2, y2 = problem.design_matrices()
     shape = problem.truth_shape
-    dim_cov, dim_resp = x2.shape[1], y2.shape[1]
-    op = _least_squares(x2, y2, problem.n)
+    op = _least_squares(*problem.design_matrices(), problem.n)
     if op is None:
-        return _diverged(shape, lam)
+        return _result(lam, np.zeros(shape))
 
-    def prox_step(a2, t):
-        if lam == 0:
-            return a2
-        return prox(spec, a2.reshape(shape), t * lam).reshape(dim_cov, dim_resp)
+    def prox_step(a, t):
+        # the slice prox returns a transposed view; a C-ordered copy keeps
+        # the order in which the iterates' sums run
+        return np.ascontiguousarray(prox(spec, a, t * lam)) if lam > 0 else a
 
-    def cert(a2):
-        a = a2.reshape(shape)
-        g = op.grad(a.reshape(dim_cov, dim_resp)).reshape(shape)
-        return _certificate(spec, lam, a, g)
-
-    x, trace, kkt, iters, status = _apg(
-        np.zeros((dim_cov, dim_resp)),
-        op,
-        prox_step,
-        lambda a2: reg_eval(spec, a2.reshape(shape)),
-        cert,
-        lam,
-        config,
-    )
-    return SolveResult(
-        estimate=x.reshape(shape),
-        objective_trace=trace,
-        kkt_residual=kkt,
-        iterations=iters,
-        lam=float(lam),
-        status=status,
-    )
-
-
-def _diverged(shape, lam, components=None):
-    """The result of a solve whose data overflow before the first step."""
-    return SolveResult(
-        estimate=np.zeros(shape),
-        objective_trace=[],
-        kkt_residual=float("inf"),
-        iterations=0,
-        lam=float(lam),
-        status="Diverged",
-        components=components,
+    penalty, dual = partial(reg_eval, spec), partial(reg_dual, spec)
+    return _result(
+        lam, *_apg(np.zeros(shape), op, prox_step, penalty, dual, lam, config)
     )
 
 
@@ -488,23 +490,21 @@ def admm_matricized(problem, lam, config=None):
     if config is None:
         config = AdmmConfig()
     spec = RegularizerSpec("matricized_nuclear_sum")
-    x2, y2 = problem.design_matrices()
     shape = problem.truth_shape
-    dim_cov, dim_resp = x2.shape[1], y2.shape[1]
-    if int(np.prod(shape)) != dim_cov * dim_resp or len(shape) != 3:
+    if len(shape) != 3:
         raise ShapeMismatch("consensus solver expects an order-3 truth shape")
 
-    op = _least_squares(x2, y2, problem.n)
+    op = _least_squares(*problem.design_matrices(), problem.n)
     if op is None or not np.isfinite(op.spectrum[1]).all():
-        return _diverged(shape, lam)
+        return _result(lam, np.zeros(shape))
 
     def full_obj(a):
-        loss = op.loss(a.reshape(dim_cov, dim_resp)) + op.offset
+        loss = op.loss(a) + op.offset
         return (loss + lam * reg_eval(spec, a)) if lam > 0 else loss
 
     a = np.zeros(shape)
     trace = [full_obj(a)]
-    rhs0 = -op.grad(a.reshape(dim_cov, dim_resp))  # M^T T / n
+    rhs0 = -op.grad(a)  # M^T T / n
     rho = _ADMM_RHO
     zs = [np.zeros(shape) for _ in range(3)]
     us = [np.zeros(shape) for _ in range(3)]
@@ -513,8 +513,8 @@ def admm_matricized(problem, lam, config=None):
 
     for it in range(1, config.max_iters + 1):
         iters_done = it
-        rhs = rhs0 + rho * sum(z - u for z, u in zip(zs, us)).reshape(rhs0.shape)
-        a = op.shifted_solve(rhs, 3.0 * rho).reshape(shape)
+        rhs = rhs0 + rho * sum(z - u for z, u in zip(zs, us))
+        a = op.shifted_solve(rhs, 3.0 * rho)
         primal_sq = 0.0
         dual_sq = 0.0
         for k in range(3):
@@ -542,16 +542,9 @@ def admm_matricized(problem, lam, config=None):
             rho /= _BALANCE_TAU
             us = [u * _BALANCE_TAU for u in us]
 
-    grad = op.grad(a.reshape(rhs0.shape)).reshape(shape)
-    kkt = _certificate(spec, lam, a, grad)
-    return SolveResult(
-        estimate=a,
-        objective_trace=trace,
-        kkt_residual=float(kkt),
-        iterations=iters_done,
-        lam=float(lam),
-        status=status,
-    )
+    g = op.grad(a)
+    kkt = _certificate(lam, a, g, reg_dual(spec, g), reg_eval(spec, a))
+    return _result(lam, a, trace, kkt, iters_done, status)
 
 
 # ---------------------------------------------------------------------------
@@ -596,21 +589,15 @@ def fista_pairwise(problem, lam, config=None):
     shape = problem.truth_shape
     if len(shape) != 3 or problem.resp_shape != ():
         raise ShapeMismatch("pairwise solve expects order-3 covariates, scalar response")
-    d1, d2, d3 = shape
-    f12, f13, f23 = marginal_features(problem.covariates)
+    feats = marginal_features(problem.covariates)
     n = problem.n
-    phi = np.hstack(
-        [f12.reshape(n, -1), f13.reshape(n, -1), f23.reshape(n, -1)]
-    )
+    phi = np.hstack([f.reshape(n, -1) for f in feats])
     y = problem.responses.reshape(n)
-    dims = [(d1, d2), (d1, d3), (d2, d3)]
-    sizes = [d1 * d2, d1 * d3, d2 * d3]
-    offsets = np.cumsum([0] + sizes)
+    dims = [f.shape[1:] for f in feats]
+    cuts = np.cumsum([d[0] * d[1] for d in dims])[:2]
 
     def split(vec):
-        return [
-            vec[offsets[k] : offsets[k + 1]].reshape(dims[k]) for k in range(3)
-        ]
+        return [b.reshape(d) for b, d in zip(np.split(vec, cuts), dims)]
 
     def pen(vec):
         return sum(
@@ -625,36 +612,13 @@ def fista_pairwise(problem, lam, config=None):
         )
 
     op = _least_squares(phi, y, n)
-    if op is None:
-        return _diverged(shape, lam, tuple(split(np.zeros(phi.shape[1]))))
-
-    def cert(vec):
-        gv = op.grad(vec)
-        dual = max(np.linalg.svd(g_, compute_uv=False)[0] for g_ in split(gv))
-        r_val = pen(vec)
-        return max(0.0, dual - lam) + abs(float(gv @ vec) + lam * r_val) / (
-            1.0 + r_val
+    x, run = np.zeros(phi.shape[1]), ()
+    if op is not None:
+        x, *run = _apg(
+            x, op, prox_vec, pen, lambda g: _pairwise_dual(split(g)), lam, config
         )
-
-    x, trace, kkt, iters, status = _apg(
-        np.zeros(phi.shape[1]),
-        op,
-        prox_vec,
-        pen,
-        cert,
-        lam,
-        config,
-    )
-    comps = split(x)
-    return SolveResult(
-        estimate=expand_pairwise(comps, shape),
-        objective_trace=trace,
-        kkt_residual=kkt,
-        iterations=iters,
-        lam=float(lam),
-        status=status,
-        components=tuple(comps),
-    )
+    comps = tuple(split(x))
+    return _result(lam, expand_pairwise(comps, shape), *run, components=comps)
 
 
 def solve(problem, reg, lam, max_iters=2000):
@@ -707,17 +671,16 @@ def load_problem(directory):
     base = os.path.dirname(mpath)
     with open(mpath) as fh:
         manifest = json.load(fh)
-    paths = manifest["paths"]
-    covariates = read_tns(os.path.join(base, paths["covariates"]))
-    responses = read_tns(os.path.join(base, paths["responses"]))
-    truth = None
-    if "truth" in paths:
-        truth = read_tns(os.path.join(base, paths["truth"]))
+    paths = json_key(manifest, "paths", "problem manifest")
+
+    def read(key):
+        return read_tns(os.path.join(base, json_key(paths, key, "manifest paths")))
+
     return RegressionProblem(
-        covariates=covariates,
-        responses=responses,
-        split=manifest["M"],
-        noise_sigma=manifest["sigma"],
-        truth=truth,
+        covariates=read("covariates"),
+        responses=read("responses"),
+        split=json_key(manifest, "M", "problem manifest"),
+        noise_sigma=json_key(manifest, "sigma", "problem manifest"),
+        truth=read("truth") if "truth" in paths else None,
         meta=manifest.get("meta", {}),
     )

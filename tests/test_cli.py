@@ -144,6 +144,19 @@ class TestGenSolve:
         assert "lam must be finite and nonnegative" in err
         assert not res_path.exists()
 
+    def test_tensor_spectral_refused_at_zero_lambda(self, tmp_path, capsys):
+        prob_dir = str(tmp_path / "prob")
+        save_scaled_problem(prob_dir, 30, scale=1.0)
+        res_path = tmp_path / "r.json"
+        code, _, err = run_cli(
+            ["--out", str(res_path), "solve", "--problem", prob_dir,
+             "--regularizer", "tensor_spectral", "--lam", "0"],
+            capsys,
+        )
+        assert code == 2
+        assert "tensor_spectral_dual_only is not prox-friendly" in err
+        assert not res_path.exists()
+
     def test_validation_exit_code(self, tmp_path, capsys):
         code, _, err = run_cli(
             ["gen", "--spec", '{"kind": "theta1", "shape": [3,3,3], "s": 99}',
@@ -337,6 +350,43 @@ class TestMissingJsonKeys:
         code, _, err = run_cli(["rate", "--config", cfg_path], capsys)
         assert code == 2
         assert "'regularizer'" in err
+
+    @pytest.mark.parametrize(
+        "drop", ["paths", "M", "sigma", "paths.covariates", "paths.responses"]
+    )
+    def test_solve_names_missing_manifest_key(self, tmp_path, capsys, drop):
+        prob_dir = str(tmp_path / "prob")
+        save_scaled_problem(prob_dir, 10, scale=1.0)
+        manifest_path = os.path.join(prob_dir, "manifest.json")
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+        *parents, key = drop.split(".")
+        holder = manifest
+        for parent in parents:
+            holder = holder[parent]
+        del holder[key]
+        with open(manifest_path, "w") as fh:
+            json.dump(manifest, fh)
+        code, _, err = run_cli(
+            ["solve", "--problem", prob_dir, "--regularizer", "entry_l1",
+             "--lam", "0.1"],
+            capsys,
+        )
+        assert code == 2
+        assert f"{key!r}" in err
+
+    def test_rate_rejects_a_regularizer_string(self, tmp_path, capsys):
+        cfg_path = str(tmp_path / "cfg.json")
+        with open(cfg_path, "w") as fh:
+            json.dump(
+                {"model": {"kind": "theta1", "shape": [3, 3, 3], "s": 2},
+                 "regularizer": "entry_l1", "n_grid": [50, 100, 200, 400],
+                 "replications": 10, "seed": 1, "rate_tag": "s_log_total_over_n"},
+                fh,
+            )
+        code, _, err = run_cli(["rate", "--config", cfg_path], capsys)
+        assert code == 2
+        assert "'entry_l1'" in err
 
 
 def test_main_restores_numpy_error_state(tmp_path, capsys):

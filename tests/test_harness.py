@@ -96,6 +96,11 @@ class TestRateConfig:
         with pytest.raises(ValidationError):
             self._config(replications=5)
 
+    @pytest.mark.parametrize("reg", ["entry_l1", None, {"kind": "entry_l1"}])
+    def test_rejects_a_regularizer_that_is_not_a_penalty(self, reg):
+        with pytest.raises(ValidationError, match="regularizer must be"):
+            self._config(regularizer=reg)
+
     def test_json_round_trip(self):
         cfg = self._config()
         back = RateExperimentConfig.from_json(cfg.to_json())

@@ -8,6 +8,7 @@ from tenreg.regularizers import (
     fiber_group,
     matricized_nuclear_sum,
     slice_frob,
+    slice_nuclear,
     support_entries,
     tensor_spectral,
 )
@@ -541,6 +542,16 @@ class TestSolveDispatch:
         with pytest.raises(NoClosedFormProx):
             solve(p, tensor_spectral(), 0.1)
 
+    def test_tensor_spectral_refused_at_zero_lambda(self, monkeypatch):
+        # its certificate needs the penalty's value, which it has not, so
+        # the solve is refused before any iteration
+        import tenreg.solver
+
+        monkeypatch.setattr(tenreg.solver, "_apg", pytest.fail)
+        p = scalar_problem(30, (2, 2, 2), 0.3, 34)
+        with pytest.raises(NoClosedFormProx):
+            fista_solve(p, tensor_spectral(), 0.0)
+
 
 def pairwise_design(p):
     f12, f13, f23 = marginal_features(p.covariates)
@@ -561,6 +572,50 @@ def pairwise_data_certificate(p, res):
     return max(0.0, dual - res.lam) + abs(float(gv @ vec) + res.lam * r_val) / (
         1.0 + r_val
     )
+
+
+class TestOneCertificate:
+    """Each solver's returned certificate equals an independent evaluation
+    on the data (n at most the parameter dimension)."""
+
+    @pytest.mark.parametrize(
+        "spec, lam",
+        [
+            (entry_l1(), 0.1),
+            (fiber_group(1), 0.2),
+            (slice_frob((0, 2)), 0.2),
+            (slice_nuclear((0, 1)), 0.2),
+            (entry_l1(), 0.0),
+        ],
+    )
+    def test_fista(self, spec, lam):
+        p = scalar_problem(40, (4, 4, 4), 0.3, 47)
+        res = fista_solve(p, spec, lam)
+        assert res.kkt_residual == kkt_residual(p, spec, lam, res.estimate)
+
+    @pytest.mark.parametrize("max_iters", [30, 40])
+    def test_fista_stopped_between_checks(self, max_iters):
+        # neither is a multiple of the 25-iteration check interval, so the
+        # last check saw an earlier iterate than the one returned
+        p = scalar_problem(40, (4, 4, 4), 0.3, 47)
+        res = fista_solve(p, entry_l1(), 0.1, FistaConfig(max_iters=max_iters))
+        assert (res.status, res.iterations) == ("MaxIters", max_iters)
+        assert res.kkt_residual == kkt_residual(p, entry_l1(), 0.1, res.estimate)
+
+    @pytest.mark.parametrize("lam, max_iters", [(0.2, 2000), (0.05, 7)])
+    def test_admm(self, lam, max_iters):
+        p = theta5_problem(4, 40, 48)
+        res = admm_matricized(p, lam, AdmmConfig(max_iters=max_iters))
+        spec = matricized_nuclear_sum()
+        assert res.kkt_residual == kkt_residual(p, spec, lam, res.estimate)
+
+    @pytest.mark.parametrize("lam", [0.05, 0.5])
+    def test_pairwise(self, lam):
+        spec = ModelClassSpec("t4", (4, 4, 4), r=1, magnitude=3.0)
+        p = gen_problem(gen_truth(spec, 49), 40, 3, 0.5, seed=50)
+        res = fista_pairwise(p, lam)
+        assert res.status == "Converged"
+        assert abs(res.kkt_residual - pairwise_data_certificate(p, res)) <= 1e-13
 
 
 def full_rank_problem():
