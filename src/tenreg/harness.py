@@ -9,6 +9,7 @@ import csv
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,6 +93,11 @@ def predicted_rate(tag, model, n):
     raise ValidationError(f"unknown rate tag {tag!r}")
 
 
+def _is_int(value):
+    """True for an integer that is not a bool (JSON true is not a count)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class RateExperimentConfig:
     """One rate-verification sweep: a truth class, a penalty, an n grid, and
@@ -112,6 +118,12 @@ class RateExperimentConfig:
 
     def __post_init__(self):
         grid = tuple(self.n_grid)
+        if not all(_is_int(n) for n in grid):
+            raise ValidationError(f"n_grid entries must be integers, got {list(grid)!r}")
+        if not _is_int(self.replications):
+            raise ValidationError(
+                f"replications must be an integer, got {self.replications!r}"
+            )
         if len(grid) < 4 or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValidationError("n_grid must be strictly increasing with >= 4 points")
         if self.replications < 10:

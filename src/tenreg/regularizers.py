@@ -160,11 +160,14 @@ def _check_order3(a):
     return a
 
 
-def _slices_first(a, spec):
-    """View `a` as a stack (groups, rows, cols) for the slice kinds."""
-    g = spec.group_axis
-    order = (g,) + tuple(spec.axes)
-    return np.transpose(a, order)
+def _slices_first(a, axes, inverse=False):
+    """View the trailing three axes of `a` as (groups, rows, cols) for the
+    slices spanned by the axis pair `axes`, so a (B, d1, d2, d3) batch reads
+    as B stacks; `inverse` moves such a view back."""
+    group = ({0, 1, 2} - set(axes)).pop()
+    src = [group - 3] + [ax - 3 for ax in axes]
+    dst = [-3, -2, -1]
+    return np.moveaxis(a, dst, src) if inverse else np.moveaxis(a, src, dst)
 
 
 def _nuclear(sv_stack):
@@ -184,7 +187,7 @@ def reg_eval(spec, a):
     if spec.kind == "slice_frob":
         return float(np.sqrt((a * a).sum(axis=spec.axes)).sum())
     if spec.kind == "slice_nuclear":
-        stack = _slices_first(a, spec)
+        stack = _slices_first(a, spec.axes)
         sv = np.linalg.svd(stack, compute_uv=False)
         return float(_nuclear(sv).sum())
     if spec.kind == "matricized_nuclear_sum":
@@ -240,10 +243,7 @@ def _dual_batch(spec, g, rng=None, hopm_restarts=None, hopm_iters=None):
         axes = tuple(ax + 1 for ax in spec.axes)
         return np.sqrt((g * g).sum(axis=axes)).reshape(b, -1).max(axis=1)
     if spec.kind == "slice_nuclear":
-        order = (0, spec.group_axis + 1) + tuple(ax + 1 for ax in spec.axes)
-        stack = np.transpose(g, order)
-        sv = np.linalg.svd(stack, compute_uv=False)
-        return sv[..., 0].max(axis=1)
+        return _max_top_sv([_slices_first(g, spec.axes)])
     if spec.kind == "matricized_nuclear_sum":
         tops = []
         for k in range(3):
@@ -259,11 +259,63 @@ def _dual_batch(spec, g, rng=None, hopm_restarts=None, hopm_iters=None):
 
 def _pairwise_dual(blocks):
     """Dual norm of the pairwise-component penalty, the sum of the nuclear
-    norms of three component matrices, at the three (stacks of) gradient
-    blocks: their largest top singular value."""
-    return np.maximum.reduce(
-        [np.linalg.svd(m, compute_uv=False)[..., 0] for m in blocks]
-    )
+    norms of three component matrices, at the three (B, r, c) stacks of
+    gradient blocks: each of the B largest top singular values."""
+    return _max_top_sv([m[:, None] for m in blocks])
+
+
+# Relative slack on the bounds of `_max_top_sv`, far above the rounding of
+# the bounds and of the SVD (near 1e-15). The Gram matrix of an r×c matrix
+# may round by up to r·c·eps relative, so that term is added to it.
+_SV_BOUND_SLACK = 1e-12
+
+
+@np.errstate(invalid="ignore")
+def _max_top_sv(stacks):
+    """For each of B tensors, the largest top singular value over its
+    matrices, given as a list of (B, k, r, c) stacks.
+
+    The value is the float a full SVD of every matrix gives, but only the
+    matrices that can hold the maximum are decomposed.  Let G be the smaller
+    Gram matrix of a matrix and H = G / tr G, squared twice.  Then
+    σ_max² = λ_max(G) is at most tr G · (tr H⁸)^(1/8), and at least the
+    Rayleigh quotient of G at every row of H⁴ (a power iterate).  A matrix
+    whose upper bound falls below the best lower bound of its tensor, both
+    widened by the slack, cannot hold the maximum and is skipped.  numpy's
+    batched SVD decomposes each matrix on its own, so the survivors'
+    singular values do not depend on which others are skipped.  Non-finite
+    entries give NaN bounds, which skip nothing.
+    """
+    b = stacks[0].shape[0]
+    # one power of two per tensor brings its largest entry into [0.5, 1),
+    # exactly, so the Gram matrices neither overflow nor underflow
+    peak = np.maximum.reduce([np.abs(s).max(axis=(1, 2, 3)) for s in stacks])
+    shift = -np.frexp(peak)[1][:, None, None, None]
+    bounds = []
+    for s in stacks:
+        slack = _SV_BOUND_SLACK + s.shape[-2] * s.shape[-1] * np.finfo(float).eps
+        # contiguous factors let the batched products run on BLAS
+        x = np.ldexp(s, shift, order="C")
+        xt = np.ascontiguousarray(x.swapaxes(-1, -2))
+        gram = x @ xt if x.shape[-2] <= x.shape[-1] else xt @ x
+        tr = np.trace(gram, axis1=-2, axis2=-1)
+        h = gram / np.where(tr > 0, tr, 1.0)[..., None, None]
+        h = h @ h
+        h = h @ h
+        # row j of the symmetric H⁴ has squared norm (H⁸)_jj
+        sq = np.einsum("...ij,...ij->...i", h, h)
+        ray = np.einsum("...ij,...ij->...i", h @ gram, h) / np.where(sq > 0, sq, 1.0)
+        lo = ray.max(axis=-1) * (1 - slack)
+        hi = tr * sq.sum(axis=-1) ** (1 / 8) * (1 + slack)
+        bounds.append((lo, hi))
+    thr = np.maximum.reduce([lo.max(axis=1) for lo, _ in bounds])[:, None]
+    best = np.full(b, -np.inf)
+    for s, (_, hi) in zip(stacks, bounds):
+        keep = ~(hi < thr)
+        top = np.full(keep.shape, -np.inf)
+        top[keep] = np.linalg.svd(s[keep], compute_uv=False)[:, 0]
+        best = np.maximum(best, top.max(axis=1))
+    return best
 
 
 def prox(spec, z, t):
@@ -285,12 +337,10 @@ def prox(spec, z, t):
     if spec.kind == "slice_nuclear":
         from .spectral import matrix_svt
 
-        g = spec.group_axis
-        order = (g,) + tuple(spec.axes)
-        stack = np.transpose(z, order).copy()
+        stack = _slices_first(z, spec.axes).copy()
         for j in range(stack.shape[0]):
             stack[j] = matrix_svt(stack[j], t)
-        return np.transpose(stack, np.argsort(order))
+        return _slices_first(stack, spec.axes, inverse=True)
     raise NoClosedFormProx(
         f"{spec.kind} has no closed-form prox; use the consensus solver"
     )
@@ -306,11 +356,8 @@ def _reg_subgrad(spec, a):
         norms = np.sqrt((a * a).sum(axis=axis, keepdims=True))
         return a / np.where(norms > 0, norms, 1.0)
     if spec.kind == "slice_nuclear":
-        g = spec.group_axis
-        order = (g,) + tuple(spec.axes)
-        stack = np.transpose(a, order)
-        u, _, vt = np.linalg.svd(stack, full_matrices=False)
-        return np.transpose(u @ vt, np.argsort(order))
+        u, _, vt = np.linalg.svd(_slices_first(a, spec.axes), full_matrices=False)
+        return _slices_first(u @ vt, spec.axes, inverse=True)
     if spec.kind == "matricized_nuclear_sum":
         out = np.zeros_like(a)
         for k in range(3):
@@ -476,9 +523,7 @@ def subspace_project(sub, a, which="space"):
         mask = _support_mask(sub)
         return np.where(mask, a, 0.0) if which == "space" else np.where(mask, 0.0, a)
     if sub.variant == "slicewise_projectors":
-        g = ({0, 1, 2} - set(sub.axes)).pop()
-        order = (g,) + tuple(sub.axes)
-        stack = np.transpose(a, order).copy()
+        stack = _slices_first(a, sub.axes).copy()
         for j, (u1, u2) in enumerate(sub.slice_factors):
             s = stack[j]
             if sub.role == "b_space":
@@ -487,7 +532,7 @@ def subspace_project(sub, a, which="space"):
                 perp = s - u1 @ (u1.T @ s)
                 proj = s - (perp - perp @ u2 @ u2.T)
             stack[j] = proj if which == "space" else s - proj
-        return np.transpose(stack, np.argsort(order))
+        return _slices_first(stack, sub.axes, inverse=True)
     if sub.variant == "tucker_projectors":
         pattern = "q" if sub.role == "a_space" else "full"
         proj = tucker_project(a, sub.triple, pattern)

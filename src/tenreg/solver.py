@@ -450,7 +450,12 @@ def fista_solve(problem, spec, lam, config=None):
         config = FistaConfig()
     # the certificate needs the penalty's value, which the tensor nuclear
     # norm has not, so that kind is refused at every lam
-    if not spec.has_prox() and (lam > 0 or spec.kind == "tensor_spectral_dual_only"):
+    if spec.kind == "tensor_spectral_dual_only":
+        raise NoClosedFormProx(
+            f"{spec.kind} is not prox-friendly: tenreg uses it only through its "
+            "dual (Gaussian widths) and has no solver for it"
+        )
+    if not spec.has_prox() and lam > 0:
         raise NoClosedFormProx(f"{spec.kind} is not prox-friendly, use ADMM")
     shape = problem.truth_shape
     op = _least_squares(*problem.design_matrices(), problem.n)
@@ -611,12 +616,13 @@ def fista_pairwise(problem, lam, config=None):
             [matrix_svt(m, t * lam).ravel() for m in split(vec)]
         )
 
+    def dual(vec):
+        return _pairwise_dual([m[None] for m in split(vec)])[0]
+
     op = _least_squares(phi, y, n)
     x, run = np.zeros(phi.shape[1]), ()
     if op is not None:
-        x, *run = _apg(
-            x, op, prox_vec, pen, lambda g: _pairwise_dual(split(g)), lam, config
-        )
+        x, *run = _apg(x, op, prox_vec, pen, dual, lam, config)
     comps = tuple(split(x))
     return _result(lam, expand_pairwise(comps, shape), *run, components=comps)
 

@@ -155,6 +155,7 @@ class TestGenSolve:
         )
         assert code == 2
         assert "tensor_spectral_dual_only is not prox-friendly" in err
+        assert "has no solver for it" in err and "ADMM" not in err
         assert not res_path.exists()
 
     def test_validation_exit_code(self, tmp_path, capsys):
@@ -387,6 +388,28 @@ class TestMissingJsonKeys:
         code, _, err = run_cli(["rate", "--config", cfg_path], capsys)
         assert code == 2
         assert "'entry_l1'" in err
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("replications", "ten", "replications must be an integer"),
+         ("replications", True, "replications must be an integer"),
+         ("n_grid", [50, "100", 200, 400], "n_grid entries must be integers"),
+         ("n_grid", [50, 100, 200, 400.0], "n_grid entries must be integers")],
+        ids=["replications-str", "replications-bool", "n_grid-str", "n_grid-float"],
+    )
+    def test_rate_rejects_a_non_integer_count(
+        self, tmp_path, capsys, field, value, message
+    ):
+        cfg = {"model": {"kind": "theta1", "shape": [3, 3, 3], "s": 2},
+               "regularizer": {"kind": "entry_l1"}, "n_grid": [50, 100, 200, 400],
+               "replications": 10, "seed": 1, "rate_tag": "s_log_total_over_n"}
+        cfg[field] = value
+        cfg_path = str(tmp_path / "cfg.json")
+        with open(cfg_path, "w") as fh:
+            json.dump(cfg, fh)
+        code, _, err = run_cli(["rate", "--config", cfg_path], capsys)
+        assert code == 2
+        assert message in err
 
 
 def test_main_restores_numpy_error_state(tmp_path, capsys):

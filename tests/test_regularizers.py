@@ -23,6 +23,7 @@ from tenreg.regularizers import (
     tensor_spectral,
     tucker_projectors,
 )
+from tenreg.regularizers import _dual_batch, _pairwise_dual
 from tenreg.tensor import ProjectorTriple
 
 rng = np.random.default_rng(7)
@@ -133,6 +134,130 @@ class TestRegDual:
         a[0, 0, 0] = 5.0
         val = reg_dual(tensor_spectral(), a, rng=np.random.default_rng(0))
         assert val == pytest.approx(5.0, rel=1e-9)
+
+
+def full_svd_slice_dual(spec, g):
+    # the slice-nuclear dual as a full SVD of every slice computes it
+    order = (0, spec.group_axis + 1) + tuple(ax + 1 for ax in spec.axes)
+    sv = np.linalg.svd(np.transpose(g, order), compute_uv=False)
+    return sv[..., 0].max(axis=1)
+
+
+def full_svd_pairwise_dual(blocks):
+    return np.maximum.reduce(
+        [np.linalg.svd(m, compute_uv=False)[..., 0] for m in blocks]
+    )
+
+
+def marginal_sums(g):
+    return [g.sum(axis=axis) for axis in (3, 2, 1)]
+
+
+def special_batches(shape, axes):
+    """Batches whose slices along the group axis are rank one, identical or
+    zero, an all-zero tensor, and Gaussian tensors scaled far up and down,
+    to where the squares of their entries leave the normal range."""
+    r = np.random.default_rng(11)
+    group = ({0, 1, 2} - set(axes)).pop()
+    k, rows, cols = (shape[j] for j in (group,) + tuple(axes))
+    back = (0,) + tuple(int(j) + 1 for j in np.argsort((group,) + tuple(axes)))
+
+    def from_slices(stack):
+        return np.transpose(stack, back)
+
+    rank_one = np.einsum(
+        "bki,bkj->bkij", r.standard_normal((8, k, rows)), r.standard_normal((8, k, cols))
+    )
+    tied = np.repeat(r.standard_normal((8, 1, rows, cols)), k, axis=1)
+    gauss = r.standard_normal((8,) + shape)
+    zero_slices = r.standard_normal((8, k, rows, cols))
+    zero_slices[:, ::2] = 0.0
+    return {
+        "rank_one": from_slices(rank_one),
+        "tied": from_slices(tied),
+        "zero_slices": from_slices(zero_slices),
+        "all_zero": np.zeros((2,) + shape),
+        "scaled_up": 1e150 * gauss,
+        "scaled_down": 1e-150 * gauss,
+        "scaled_past_the_gram_range": 1e200 * gauss,
+        "scaled_below_the_gram_range": 1e-200 * gauss,
+    }
+
+
+class TestPrunedTopSingularValues:
+    """The slice-nuclear and pairwise duals decompose only the matrices that
+    can hold the maximum; their values must be those of a full SVD, bit for
+    bit."""
+
+    @pytest.mark.parametrize("shape", [(8, 8, 8), (16, 16, 8)])
+    @pytest.mark.parametrize("axes", [(0, 1), (0, 2)])
+    def test_gaussian_slices_match_full_svd(self, shape, axes):
+        spec = slice_nuclear(axes)
+        g = np.random.default_rng(1).standard_normal((64,) + shape)
+        expected = full_svd_slice_dual(spec, g)
+        assert np.array_equal(_dual_batch(spec, g), expected)
+        assert [reg_dual(spec, a) for a in g[:8]] == [float(v) for v in expected[:8]]
+
+    @pytest.mark.parametrize("shape", [(4, 6, 9), (8, 8, 8)])
+    def test_pairwise_matches_full_svd(self, shape):
+        g = np.random.default_rng(2).standard_normal((64,) + shape)
+        expected = full_svd_pairwise_dual(marginal_sums(g))
+        assert np.array_equal(_dual_batch("pairwise", g), expected)
+        assert np.array_equal(_pairwise_dual(marginal_sums(g)), expected)
+
+    def test_pairwise_two_dimensional_blocks_match_full_svd(self):
+        # the block solver's gradient blocks, one matrix per block
+        for a in np.random.default_rng(3).standard_normal((16, 4, 6, 9)):
+            blocks = [a.sum(axis=axis) for axis in (2, 1, 0)]
+            expected = full_svd_pairwise_dual(blocks)
+            got = _pairwise_dual([m[None] for m in blocks])[0]
+            assert got == expected and type(got) is type(expected)
+
+    @pytest.mark.parametrize("axes", [(0, 1), (0, 2), (1, 2)])
+    @pytest.mark.parametrize(
+        "case",
+        ["rank_one", "tied", "zero_slices", "all_zero", "scaled_up", "scaled_down",
+         "scaled_past_the_gram_range", "scaled_below_the_gram_range"],
+    )
+    def test_special_slices_match_full_svd(self, axes, case):
+        shape = (4, 6, 9)
+        spec = slice_nuclear(axes)
+        g = special_batches(shape, axes)[case]
+        assert g.shape[1:] == shape
+        # the bounds run on exactly rescaled tensors, so squares of entries
+        # near 1e200 neither overflow nor lose digits near 1e-200
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            slices, pairwise = _dual_batch(spec, g), _dual_batch("pairwise", g)
+        assert np.array_equal(slices, full_svd_slice_dual(spec, g))
+        assert np.array_equal(pairwise, full_svd_pairwise_dual(marginal_sums(g)))
+
+    def test_nan_tensor_raises_as_the_full_svd_does(self):
+        a = np.zeros((1, 8, 8, 8))
+        a[0, 3, 2, 1] = np.nan
+        spec = slice_nuclear((0, 1))
+        with pytest.raises(np.linalg.LinAlgError):
+            full_svd_slice_dual(spec, a)
+        with pytest.raises(np.linalg.LinAlgError):
+            _dual_batch(spec, a)
+        with pytest.raises(np.linalg.LinAlgError):
+            reg_dual(spec, a[0])
+        with pytest.raises(np.linalg.LinAlgError):
+            _dual_batch("pairwise", a)
+
+    def test_fewer_than_half_the_slices_are_decomposed(self, monkeypatch):
+        # a silent fall-back to the full SVD would decompose all 2048
+        g = np.random.default_rng(4).standard_normal((256, 8, 8, 8))
+        spec = slice_nuclear((0, 1))
+        expected = full_svd_slice_dual(spec, g)
+        svd, seen = np.linalg.svd, []
+
+        def counting_svd(a, *args, **kwargs):
+            seen.append(int(np.prod(a.shape[:-2])))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        assert np.array_equal(_dual_batch(spec, g), expected)
+        assert 256 <= sum(seen) < 1024
 
 
 def prox_objective(spec, x, z, t):

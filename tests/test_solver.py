@@ -552,6 +552,16 @@ class TestSolveDispatch:
         with pytest.raises(NoClosedFormProx):
             fista_solve(p, tensor_spectral(), 0.0)
 
+    def test_refusal_messages_name_what_can_be_done(self):
+        # the tensor nuclear norm has no solver at all; the matricized
+        # nuclear norm has ADMM
+        p = scalar_problem(30, (2, 2, 2), 0.3, 34)
+        with pytest.raises(NoClosedFormProx, match="no solver for it") as err:
+            fista_solve(p, tensor_spectral(), 0.1)
+        assert "ADMM" not in str(err.value)
+        with pytest.raises(NoClosedFormProx, match="use ADMM"):
+            fista_solve(p, matricized_nuclear_sum(), 0.1)
+
 
 def pairwise_design(p):
     f12, f13, f23 = marginal_features(p.covariates)
