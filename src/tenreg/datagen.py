@@ -14,8 +14,10 @@ from .errors import (
     InfeasibleClass,
     ShapeMismatch,
     UnstableModel,
+    is_int,
     json_key,
 )
+from .regularizers import _group_axis, _slices_first
 from .solver import RegressionProblem, expand_pairwise
 from .tensor import matricize
 
@@ -54,7 +56,8 @@ class ModelClassSpec:
 
     `s` is a support budget (entries, fibers, or slices), `r` a rank budget.
     `mode` picks the fiber axis for theta2; `axes` the slice-spanning pair
-    for the slice classes.  Magnitudes default to +-1 entries for the
+    for the slice classes, rows along ``axes[0]`` (the multi-response t1 and
+    t2 always slice along (1, 2)).  Magnitudes default to +-1 entries for the
     sparsity classes and unit-Frobenius components for the rank classes so
     error norms are comparable across classes.
     """
@@ -70,8 +73,16 @@ class ModelClassSpec:
     def __post_init__(self):
         if self.kind not in _CLASS_KINDS:
             raise ValueError(f"unknown class kind {self.kind!r}")
-        if len(self.shape) != 3:
-            raise ValueError("classes are defined for order-3 tensors")
+        if len(self.shape) != 3 or not all(is_int(d) and d >= 1 for d in self.shape):
+            raise ValueError(f"shape must be three integers >= 1, got {self.shape}")
+        if not (is_int(self.mode) and 0 <= self.mode <= 2):
+            raise ValueError(f"mode must be an integer 0, 1 or 2, got {self.mode!r}")
+        _group_axis(self.axes)
+
+    @property
+    def slice_axes(self):
+        """The axis pair spanning each slice of the slice classes."""
+        return (1, 2) if self.kind in ("t1", "t2") else self.axes
 
     def to_json(self):
         return {
@@ -95,10 +106,6 @@ class ModelClassSpec:
             mode=obj.get("mode", 0),
             axes=tuple(obj.get("axes", (0, 1))),
         )
-
-
-def _group_axis(axes):
-    return ({0, 1, 2} - set(axes)).pop()
 
 
 def _signs(rng, size):
@@ -151,42 +158,34 @@ def gen_truth(spec, seed):
         return out
 
     if spec.kind == "theta2":
-        others = [k for k in range(3) if k != spec.mode]
-        ngroups = shape[others[0]] * shape[others[1]]
-        s = spec.s
-        if s is None or s < 0 or s > ngroups:
-            raise InfeasibleClass(f"need 0 <= s <= {ngroups} fibers")
         out = np.zeros(shape)
-        chosen = rng.choice(ngroups, size=s, replace=False)
+        fibers = np.moveaxis(out, spec.mode, -1)
+        rows, cols, length = fibers.shape
+        s = spec.s
+        if s is None or s < 0 or s > rows * cols:
+            raise InfeasibleClass(f"need 0 <= s <= {rows * cols} fibers")
+        chosen = rng.choice(rows * cols, size=s, replace=False)
         for c in chosen:
-            i, j = divmod(int(c), shape[others[1]])
-            idx = [slice(None)] * 3
-            idx[others[0]], idx[others[1]] = i, j
-            out[tuple(idx)] = spec.magnitude * _signs(rng, shape[spec.mode])
+            fibers[divmod(int(c), cols)] = spec.magnitude * _signs(rng, length)
         return out
 
     if spec.kind in ("theta3", "t1"):
-        axes = (1, 2) if spec.kind == "t1" else spec.axes
-        g = _group_axis(axes)
-        s = spec.s
-        if s is None or s < 0 or s > shape[g]:
-            raise InfeasibleClass(f"need 0 <= s <= {shape[g]} slices")
         out = np.zeros(shape)
-        chosen = rng.choice(shape[g], size=s, replace=False)
+        slices = _slices_first(out, spec.slice_axes)
+        s = spec.s
+        if s is None or s < 0 or s > len(slices):
+            raise InfeasibleClass(f"need 0 <= s <= {len(slices)} slices")
+        chosen = rng.choice(len(slices), size=s, replace=False)
         for j in chosen:
-            idx = [slice(None)] * 3
-            idx[g] = int(j)
-            out[tuple(idx)] = spec.magnitude * _signs(
-                rng, (shape[axes[0]], shape[axes[1]])
-            )
+            slices[j] = spec.magnitude * _signs(rng, slices.shape[1:])
         return out
 
     if spec.kind in ("theta4", "t2"):
-        axes = (1, 2) if spec.kind == "t2" else spec.axes
-        g = _group_axis(axes)
-        da, db = shape[axes[0]], shape[axes[1]]
+        out = np.zeros(shape)
+        slices = _slices_first(out, spec.slice_axes)
+        ngroups, da, db = slices.shape
         r = spec.r
-        max_rank = min(da, db) * shape[g]
+        max_rank = min(da, db) * ngroups
         if r is None or r < 1 or r > max_rank:
             raise InfeasibleClass(f"need 1 <= r <= {max_rank}")
         # split the rank budget over as few slices as possible
@@ -196,19 +195,16 @@ def gen_truth(spec, seed):
             take = min(left, min(da, db))
             parts.append(take)
             left -= take
-        if len(parts) > shape[g]:
+        if len(parts) > ngroups:
             raise InfeasibleClass("rank budget does not fit in the slices")
-        out = np.zeros(shape)
-        chosen = rng.choice(shape[g], size=len(parts), replace=False)
+        chosen = rng.choice(ngroups, size=len(parts), replace=False)
         for j, rj in zip(chosen, parts):
             u = np.linalg.qr(rng.standard_normal((da, rj)))[0]
             v = np.linalg.qr(rng.standard_normal((db, rj)))[0]
             sv = 1.0 + rng.random(rj)
             m = (u * sv) @ v.T
             m *= spec.magnitude / np.linalg.norm(m)
-            idx = [slice(None)] * 3
-            idx[g] = int(j)
-            out[tuple(idx)] = m
+            slices[j] = m
         return out
 
     if spec.kind == "theta5":
@@ -259,16 +255,11 @@ def class_certificate(spec, truth):
         nnz = int(np.count_nonzero(norms))
         return {"ok": nnz <= spec.s, "nonzero_fibers": nnz}
     if spec.kind in ("theta3", "t1"):
-        axes = (1, 2) if spec.kind == "t1" else spec.axes
-        norms = np.sqrt((t * t).sum(axis=axes))
+        norms = np.sqrt((t * t).sum(axis=spec.slice_axes))
         nnz = int(np.count_nonzero(norms))
         return {"ok": nnz <= spec.s, "nonzero_slices": nnz}
     if spec.kind in ("theta4", "t2"):
-        axes = (1, 2) if spec.kind == "t2" else spec.axes
-        g = _group_axis(axes)
-        order = (g,) + tuple(axes)
-        stack = np.transpose(t, order)
-        ranks = [_num_rank(stack[j]) for j in range(stack.shape[0])]
+        ranks = [_num_rank(m) for m in _slices_first(t, spec.slice_axes)]
         return {"ok": sum(ranks) <= spec.r, "slice_ranks": ranks}
     if spec.kind == "theta5":
         ranks = [_num_rank(matricize(t, [k])) for k in range(3)]

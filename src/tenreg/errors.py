@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and checks on decoded JSON."""
+
+import numbers
 
 
 class TenregError(Exception):
@@ -66,3 +68,8 @@ def json_key(obj, key, what):
     if not isinstance(obj, dict) or key not in obj:
         raise ValidationError(f"{what} JSON needs the key {key!r}")
     return obj[key]
+
+
+def is_int(value):
+    """True for an integer that is not a bool (JSON true is not a count)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)

@@ -9,7 +9,6 @@ import csv
 import io
 import json
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,15 +20,16 @@ from .datagen import (
     gen_var_model,
     gen_var_series,
 )
-from .errors import BudgetExhausted, ValidationError, json_key
-from .regularizers import RegularizerSpec
+from .errors import BudgetExhausted, ValidationError, is_int, json_key
+from .regularizers import RegularizerSpec, entry_l1, fiber_group, slice_frob
+from .regularizers import matricized_nuclear_sum, slice_nuclear, tensor_spectral
 from .solver import empirical_norm, lambda_rule, solve
 
 # Unused here since the harness solves through `solve`, but kept bound: the
 # benchmark's tracer test (perfbench/tests/test_tracer.py) checks that a
 # solver wrapped in `tenreg.solver` is also wrapped at this binding.
 from .solver import fista_solve  # noqa: F401
-from .spectral import _width_mc, gaussian_width_mc, width_rate_expression
+from .spectral import _width_mc, _width_sq, gaussian_width_mc, width_rate_expression
 
 __all__ = [
     "RateExperimentConfig",
@@ -47,55 +47,31 @@ __all__ = [
     "report_to_csv",
 ]
 
-RATE_TAGS = (
-    "s_log_total_over_n",
-    "s_max_fiberdim_loggroups_over_n",
-    "s_max_area_loggroups_over_n",
-    "s_max_msq_logp_over_n",
-    "s_max_p_2logm_over_n",
-    "r_max_m_logp_over_n",
-    "r_max_dim_over_n",
-    "r_max_pairprod_over_n",
-    "rsq_sum_dims_over_n",
-)
+# Each tag's rate is budget * w^2 / n, with w^2 the squared width growth law
+# of the penalty that fits the structure: tag -> model -> (budget, penalty).
+_RATES = {
+    "s_log_total_over_n": lambda m: (m.s, entry_l1()),
+    "s_max_fiberdim_loggroups_over_n": lambda m: (m.s, fiber_group(m.mode)),
+    "s_max_area_loggroups_over_n": lambda m: (m.s, slice_frob(m.axes)),
+    # multi-response layout (p, m, m): slices are m x m, groups over p
+    "s_max_msq_logp_over_n": lambda m: (m.s, slice_frob((1, 2))),
+    # VAR layout (m, p, m): fibers have length p, m^2 groups
+    "s_max_p_2logm_over_n": lambda m: (m.s, fiber_group(1)),
+    "r_max_m_logp_over_n": lambda m: (m.r, slice_nuclear((1, 2))),
+    "r_max_dim_over_n": lambda m: (m.r, "pairwise"),
+    "r_max_pairprod_over_n": lambda m: (m.r, matricized_nuclear_sum()),
+    "rsq_sum_dims_over_n": lambda m: (m.r**2, tensor_spectral()),
+}
+RATE_TAGS = tuple(_RATES)
 
 
 def predicted_rate(tag, model, n):
     """Evaluate a predicted-rate formula tag for a model class at sample
     size n (constants are not tracked; only the growth law matters)."""
-    d1, d2, d3 = model.shape
-    if tag == "s_log_total_over_n":
-        return model.s * np.log(d1 * d2 * d3) / n
-    if tag == "s_max_fiberdim_loggroups_over_n":
-        others = [model.shape[k] for k in range(3) if k != model.mode]
-        return model.s * max(model.shape[model.mode], np.log(others[0] * others[1])) / n
-    if tag == "s_max_area_loggroups_over_n":
-        a, b = (model.shape[k] for k in model.axes)
-        g = model.shape[({0, 1, 2} - set(model.axes)).pop()]
-        return model.s * max(a * b, np.log(g)) / n
-    if tag == "s_max_msq_logp_over_n":
-        # multi-response layout (p, m, m): slices are m x m, groups over p
-        p, m = d1, d2
-        return model.s * max(m * m, np.log(p)) / n
-    if tag == "s_max_p_2logm_over_n":
-        # VAR layout (m, p, m): fibers have length p, m^2 groups
-        m, p = d1, d2
-        return model.s * max(p, 2.0 * np.log(m)) / n
-    if tag == "r_max_m_logp_over_n":
-        p, m = d1, d2
-        return model.r * max(m, np.log(p)) / n
-    if tag == "r_max_dim_over_n":
-        return model.r * max(d1, d2, d3) / n
-    if tag == "r_max_pairprod_over_n":
-        return model.r * max(d1 * d2, d2 * d3, d1 * d3) / n
-    if tag == "rsq_sum_dims_over_n":
-        return model.r**2 * (d1 + d2 + d3) / n
-    raise ValidationError(f"unknown rate tag {tag!r}")
-
-
-def _is_int(value):
-    """True for an integer that is not a bool (JSON true is not a count)."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if tag not in _RATES:
+        raise ValidationError(f"unknown rate tag {tag!r}")
+    budget, penalty = _RATES[tag](model)
+    return budget * _width_sq(penalty, model.shape) / n
 
 
 @dataclass(frozen=True)
@@ -118,9 +94,9 @@ class RateExperimentConfig:
 
     def __post_init__(self):
         grid = tuple(self.n_grid)
-        if not all(_is_int(n) for n in grid):
+        if not all(is_int(n) for n in grid):
             raise ValidationError(f"n_grid entries must be integers, got {list(grid)!r}")
-        if not _is_int(self.replications):
+        if not is_int(self.replications):
             raise ValidationError(
                 f"replications must be an integer, got {self.replications!r}"
             )

@@ -27,10 +27,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    InvalidAxes,
     NoClosedFormProx,
     ShapeMismatch,
     UnmatchedPair,
     UnsupportedKind,
+    is_int,
     json_key,
 )
 from .tensor import ProjectorTriple, dematricize, matricize, tucker_project
@@ -74,6 +76,15 @@ _KINDS = (
 _PROX_KINDS = ("entry_l1", "fiber_group", "slice_frob", "slice_nuclear")
 
 
+def _group_axis(axes):
+    """The axis indexing the slices spanned by `axes`, which must be two
+    distinct integers from {0, 1, 2}."""
+    ints = isinstance(axes, (tuple, list)) and all(map(is_int, axes))
+    if not (ints and sorted(axes) in ([0, 1], [0, 2], [1, 2])):
+        raise InvalidAxes(f"axes must be two distinct integers in 0..2, got {axes!r}")
+    return 3 - axes[0] - axes[1]
+
+
 @dataclass(frozen=True)
 class RegularizerSpec:
     """Tagged description of which penalty is in force.
@@ -92,11 +103,11 @@ class RegularizerSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown penalty kind {self.kind!r}")
-        if self.kind == "fiber_group" and self.mode not in (0, 1, 2):
-            raise ValueError("fiber_group needs mode in {0,1,2}")
+        fiber = self.kind == "fiber_group"
+        if fiber and not (is_int(self.mode) and 0 <= self.mode <= 2):
+            raise ValueError(f"fiber_group needs mode 0, 1 or 2, got {self.mode!r}")
         if self.kind in ("slice_frob", "slice_nuclear"):
-            if self.axes is None or len(set(self.axes)) != 2:
-                raise ValueError("slice kinds need a distinct axis pair")
+            _group_axis(self.axes)
 
     @property
     def c_reg(self):
@@ -105,7 +116,12 @@ class RegularizerSpec:
     @property
     def group_axis(self):
         """Axis indexing the groups for the slice kinds."""
-        return ({0, 1, 2} - set(self.axes)).pop()
+        return _group_axis(self.axes)
+
+    @property
+    def norm_axes(self):
+        """Axes each group spans: the fiber mode, or the slice pair."""
+        return (self.mode,) if self.kind == "fiber_group" else self.axes
 
     def has_prox(self):
         return self.kind in _PROX_KINDS
@@ -155,8 +171,8 @@ def tensor_spectral():
 
 def _check_order3(a):
     a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 3:
-        raise ShapeMismatch(f"expected an order-3 tensor, got order {a.ndim}")
+    if a.ndim != 3 or 0 in a.shape:
+        raise ShapeMismatch(f"expected a non-empty order-3 tensor, got shape {a.shape}")
     return a
 
 
@@ -164,8 +180,7 @@ def _slices_first(a, axes, inverse=False):
     """View the trailing three axes of `a` as (groups, rows, cols) for the
     slices spanned by the axis pair `axes`, so a (B, d1, d2, d3) batch reads
     as B stacks; `inverse` moves such a view back."""
-    group = ({0, 1, 2} - set(axes)).pop()
-    src = [group - 3] + [ax - 3 for ax in axes]
+    src = [_group_axis(axes) - 3] + [ax - 3 for ax in axes]
     dst = [-3, -2, -1]
     return np.moveaxis(a, dst, src) if inverse else np.moveaxis(a, src, dst)
 
@@ -182,10 +197,8 @@ def reg_eval(spec, a):
     a = _check_order3(a)
     if spec.kind == "entry_l1":
         return float(np.abs(a).sum())
-    if spec.kind == "fiber_group":
-        return float(np.sqrt((a * a).sum(axis=spec.mode)).sum())
-    if spec.kind == "slice_frob":
-        return float(np.sqrt((a * a).sum(axis=spec.axes)).sum())
+    if spec.kind in ("fiber_group", "slice_frob"):
+        return float(np.sqrt((a * a).sum(axis=spec.norm_axes)).sum())
     if spec.kind == "slice_nuclear":
         stack = _slices_first(a, spec.axes)
         sv = np.linalg.svd(stack, compute_uv=False)
@@ -237,10 +250,8 @@ def _dual_batch(spec, g, rng=None, hopm_restarts=None, hopm_iters=None):
         return _pairwise_dual([g.sum(axis=axis) for axis in (3, 2, 1)])
     if spec.kind == "entry_l1":
         return np.abs(g).reshape(b, -1).max(axis=1)
-    if spec.kind == "fiber_group":
-        return np.sqrt((g * g).sum(axis=spec.mode + 1)).reshape(b, -1).max(axis=1)
-    if spec.kind == "slice_frob":
-        axes = tuple(ax + 1 for ax in spec.axes)
+    if spec.kind in ("fiber_group", "slice_frob"):
+        axes = tuple(ax + 1 for ax in spec.norm_axes)
         return np.sqrt((g * g).sum(axis=axes)).reshape(b, -1).max(axis=1)
     if spec.kind == "slice_nuclear":
         return _max_top_sv([_slices_first(g, spec.axes)])
@@ -330,8 +341,7 @@ def prox(spec, z, t):
     if spec.kind == "entry_l1":
         return np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
     if spec.kind in ("fiber_group", "slice_frob"):
-        axis = spec.mode if spec.kind == "fiber_group" else spec.axes
-        norms = np.sqrt((z * z).sum(axis=axis, keepdims=True))
+        norms = np.sqrt((z * z).sum(axis=spec.norm_axes, keepdims=True))
         scale = np.where(norms > t, 1.0 - t / np.where(norms > 0, norms, 1.0), 0.0)
         return z * scale
     if spec.kind == "slice_nuclear":
@@ -352,8 +362,7 @@ def _reg_subgrad(spec, a):
     if spec.kind == "entry_l1":
         return np.sign(a)
     if spec.kind in ("fiber_group", "slice_frob"):
-        axis = spec.mode if spec.kind == "fiber_group" else spec.axes
-        norms = np.sqrt((a * a).sum(axis=axis, keepdims=True))
+        norms = np.sqrt((a * a).sum(axis=spec.norm_axes, keepdims=True))
         return a / np.where(norms > 0, norms, 1.0)
     if spec.kind == "slice_nuclear":
         u, _, vt = np.linalg.svd(_slices_first(a, spec.axes), full_matrices=False)
@@ -465,8 +474,7 @@ def slicewise_projectors(shape, factors, axes=(0, 1), role="a_space"):
     """
     if role not in ("a_space", "b_space"):
         raise ValueError("role must be 'a_space' or 'b_space'")
-    g = ({0, 1, 2} - set(axes)).pop()
-    if len(factors) != shape[g]:
+    if len(factors) != shape[_group_axis(axes)]:
         raise ShapeMismatch("need one factor pair per slice")
     return SubspaceSpec(
         "slicewise_projectors",
@@ -491,18 +499,13 @@ def _support_mask(sub):
         for idx in sub.indices:
             mask[tuple(idx)] = True
     elif sub.variant == "support_fibers":
-        others = [k for k in range(3) if k != sub.mode]
-        for idx in sub.indices:
-            full = [slice(None)] * 3
-            full[others[0]] = idx[0]
-            full[others[1]] = idx[1]
-            mask[tuple(full)] = True
+        fibers = np.moveaxis(mask, sub.mode, -1)
+        for i, j in sub.indices:
+            fibers[i, j] = True
     elif sub.variant == "support_slices":
-        g = ({0, 1, 2} - set(sub.axes)).pop()
+        slices = _slices_first(mask, sub.axes)
         for j in sub.indices:
-            full = [slice(None)] * 3
-            full[g] = j
-            mask[tuple(full)] = True
+            slices[j] = True
     return mask
 
 

@@ -94,6 +94,8 @@ class RegressionProblem:
             raise ShapeMismatch("need at least one sample")
         if self.split != self.covariates.ndim - 1:
             raise ShapeMismatch("split must equal the covariate order")
+        if 0 in self.truth_shape:
+            raise ShapeMismatch(f"need non-empty axes, got shape {self.truth_shape}")
         if self.truth is not None:
             self.truth = np.asarray(self.truth, dtype=np.float64)
             _check_finite("truth", self.truth)

@@ -5,6 +5,7 @@ Gaussian widths of penalty unit balls.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -195,27 +196,31 @@ _RATE_TAGS = {
 }
 
 
+def _width_sq(spec, shape):
+    """The constant-free squared width growth law of the penalty `spec` on
+    `shape` (``"pairwise"`` for the pairwise-component penalty): the log
+    group count against the group size for the group kinds."""
+    d1, d2, d3 = shape
+    if spec == "pairwise":
+        return max(d1, d2, d3)
+    if spec.kind == "entry_l1":
+        return np.log(d1 * d2 * d3)
+    if spec.kind in ("fiber_group", "slice_frob", "slice_nuclear"):
+        dims = [shape[k] for k in spec.norm_axes]
+        log_groups = np.log(d1 * d2 * d3 // math.prod(dims))
+        if spec.kind == "slice_nuclear":
+            return max(*dims, log_groups)
+        return max(math.prod(dims), log_groups)
+    if spec.kind == "matricized_nuclear_sum":
+        return max(d1 * d2, d2 * d3, d1 * d3)
+    if spec.kind == "tensor_spectral_dual_only":
+        return d1 + d2 + d3
+    raise ValueError(spec.kind)
+
+
 def width_rate_expression(spec, shape):
     """The constant-free growth rate the width estimate is compared to."""
-    d1, d2, d3 = shape
-    if spec.kind == "entry_l1":
-        return float(np.sqrt(np.log(d1 * d2 * d3)))
-    if spec.kind == "fiber_group":
-        others = [shape[k] for k in range(3) if k != spec.mode]
-        return float(np.sqrt(max(shape[spec.mode], np.log(others[0] * others[1]))))
-    if spec.kind == "slice_frob":
-        a, b = (shape[k] for k in spec.axes)
-        g = shape[spec.group_axis]
-        return float(np.sqrt(max(a * b, np.log(g))))
-    if spec.kind == "slice_nuclear":
-        a, b = (shape[k] for k in spec.axes)
-        g = shape[spec.group_axis]
-        return float(np.sqrt(max(a, b, np.log(g))))
-    if spec.kind == "matricized_nuclear_sum":
-        return float(np.sqrt(max(d1 * d2, d2 * d3, d1 * d3)))
-    if spec.kind == "tensor_spectral_dual_only":
-        return float(np.sqrt(d1 + d2 + d3))
-    raise ValueError(spec.kind)
+    return float(np.sqrt(_width_sq(spec, shape)))
 
 
 # Gaussian tensors drawn per `_dual_batch` call. A (m,) + shape draw

@@ -2,9 +2,10 @@
 Tucker-style projections, and the TNS1 binary file format.
 
 Tensors are plain numpy ``float64`` arrays in C order, i.e. the flat layout
-runs with the *last index fastest*.  Every constructor in this package goes
-through :func:`as_tensor`, which rejects NaN/Inf and returns a read-only,
-contiguous array, so downstream code may treat tensor values as immutable.
+runs with the *last index fastest*.  :func:`as_tensor` rejects NaN/Inf and
+returns a read-only, contiguous array; of the functions here only
+:func:`read_tns` passes its result through it, and the others return
+ordinary writable arrays.
 """
 
 from __future__ import annotations

@@ -412,6 +412,50 @@ class TestMissingJsonKeys:
         assert message in err
 
 
+class TestBadGeometry:
+    @pytest.mark.parametrize(
+        "spec, field",
+        [({"kind": "theta3", "s": 1, "axes": [0, 5]}, "axes"),
+         ({"kind": "theta4", "r": 1, "axes": [0, 5]}, "axes"),
+         ({"kind": "theta2", "s": 1, "mode": 3}, "mode"),
+         ({"kind": "theta1", "s": 1, "shape": [4.0, 4, 4]}, "shape"),
+         ({"kind": "theta2", "s": 1, "mode": 1.0}, "mode"),
+         ({"kind": "theta3", "s": 1, "axes": [0, 1.0]}, "axes"),
+         ({"kind": "theta2", "s": 1, "mode": -1}, "mode"),
+         ({"kind": "theta1", "s": 1, "shape": [-2, 4, 4]}, "shape")],
+        ids=["theta3-axes-range", "theta4-axes-range", "mode-range", "shape-float",
+             "mode-float", "axes-float", "mode-negative", "shape-negative"],
+    )
+    def test_gen_rejects_bad_class_geometry(self, tmp_path, capsys, spec, field):
+        spec = {"shape": [4, 4, 4], **spec}
+        prob_dir = tmp_path / "prob"
+        code, out, err = run_cli(
+            ["--out", str(prob_dir), "gen", "--spec", json.dumps(spec), "--n", "10"],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith(f"error: {field} must be")
+        assert out == ""
+        assert not prob_dir.exists()
+
+    @pytest.mark.parametrize(
+        "reg, field",
+        [({"kind": "slice_frob", "axes": [0, 5]}, "axes"),
+         ({"kind": "fiber_group", "mode": 1.0}, "mode")],
+        ids=["slice-axes-range", "fiber-mode-float"],
+    )
+    def test_width_rejects_bad_penalty_geometry(self, tmp_path, capsys, reg, field):
+        reg_path = tmp_path / "reg.json"
+        reg_path.write_text(json.dumps(reg))
+        code, out, err = run_cli(
+            ["width", "--kinds", str(reg_path), "--shapes", "4x4x4", "--draws", "100"],
+            capsys,
+        )
+        assert code == 2
+        assert field in err
+        assert out == ""
+
+
 def test_main_restores_numpy_error_state(tmp_path, capsys):
     before = np.geterr()
     code, _, _ = run_cli(

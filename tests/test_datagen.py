@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,12 @@ from tenreg.datagen import (
     var_spectral_extrema,
     var_truth,
 )
-from tenreg.errors import BadCovarianceFactor, InfeasibleClass, UnstableModel
+from tenreg.errors import (
+    BadCovarianceFactor,
+    InfeasibleClass,
+    InvalidAxes,
+    UnstableModel,
+)
 from tenreg.solver import objective
 from tenreg.regularizers import entry_l1
 from tenreg.tensor import inner, matricize
@@ -228,3 +235,84 @@ class TestVarExtrema:
         f2 = float((delta * delta).sum())
         assert emp2 >= f2 / res["mu_max"] * 0.85
         assert emp2 <= f2 / res["mu_min"] * 1.15
+
+
+# sha256 prefixes of gen_truth(...).tobytes() on a non-cubic shape, recorded
+# before the slice and fiber writes went through views
+GOLDEN_SHAPE = (4, 5, 6)
+GOLDEN_TRUTHS = {
+    ("theta2", (("mode", 0), ("s", 3))): (
+        "c9a8a898d3054e28", "0f6f596a2dcfde7d", "7152bc13f4fa696d"),
+    ("theta2", (("mode", 1), ("s", 3))): (
+        "de3feb1ad1fee1f4", "3ded9cea4d6de641", "752b24bb1be05315"),
+    ("theta2", (("mode", 2), ("s", 3))): (
+        "ac24d05a9fed22e7", "87e33be4d1b6a468", "9dd8c7bccc48ca93"),
+    ("theta3", (("axes", (0, 1)), ("s", 2))): (
+        "05d8979f561db1d2", "a09e801f1cffb8c0", "f3d4afacd3134667"),
+    ("theta3", (("axes", (0, 2)), ("s", 2))): (
+        "864fd88156a611bd", "ae7565d4be2ce445", "4e43fef1203bec35"),
+    ("theta3", (("axes", (1, 2)), ("s", 2))): (
+        "1d131e5ed8f3685a", "1402340cca9db086", "10d39424c428d3eb"),
+    ("theta4", (("axes", (0, 1)), ("r", 3))): (
+        "dd00c0dbc840e3fd", "14a6e3a87373b067", "160a11ce9181eb98"),
+    ("theta4", (("axes", (0, 2)), ("r", 3))): (
+        "6540fc3bb1d7d7af", "fd226176e960ea69", "66ccbab4f5036842"),
+    ("theta4", (("axes", (1, 2)), ("r", 3))): (
+        "08535c029f87dcda", "2a3374fda20494c0", "4bff2fb6b05c7e39"),
+    ("t1", (("s", 2),)): (
+        "1d131e5ed8f3685a", "1402340cca9db086", "10d39424c428d3eb"),
+    ("t2", (("r", 3),)): (
+        "08535c029f87dcda", "2a3374fda20494c0", "4bff2fb6b05c7e39"),
+}
+
+
+class TestGroupGeometry:
+    @pytest.mark.parametrize(
+        "kind, params", list(GOLDEN_TRUTHS), ids=lambda v: str(v).replace(" ", "")
+    )
+    def test_truth_bytes_are_unchanged(self, kind, params):
+        spec = ModelClassSpec(kind, GOLDEN_SHAPE, **dict(params))
+        for seed, want in enumerate(GOLDEN_TRUTHS[kind, params]):
+            t = gen_truth(spec, seed)
+            assert hashlib.sha256(t.tobytes()).hexdigest()[:16] == want
+            assert class_certificate(spec, t)["ok"]
+
+    @pytest.mark.parametrize("kind, budget", [("theta3", {"s": 2}), ("theta4", {"r": 5})])
+    @pytest.mark.parametrize("axes", [(1, 0), (2, 0), (2, 1)])
+    def test_reversed_pair_on_non_square_slices(self, kind, budget, axes):
+        spec = ModelClassSpec(kind, GOLDEN_SHAPE, axes=axes, **budget)
+        t = gen_truth(spec, 3)
+        assert np.any(t)
+        assert class_certificate(spec, t)["ok"]
+
+    @pytest.mark.parametrize("kind, budget", [("theta3", {"s": 2}), ("theta4", {"r": 5})])
+    def test_reversed_pair_is_the_transposed_draw(self, kind, budget):
+        shape = (4, 4, 6)
+        fwd = gen_truth(ModelClassSpec(kind, shape, axes=(0, 1), **budget), 5)
+        rev = gen_truth(ModelClassSpec(kind, shape, axes=(1, 0), **budget), 5)
+        # the first axis of the pair indexes the rows of each slice
+        np.testing.assert_array_equal(rev, fwd.transpose(1, 0, 2))
+
+    def test_slice_axes(self):
+        assert ModelClassSpec("t1", GOLDEN_SHAPE, axes=(0, 2)).slice_axes == (1, 2)
+        assert ModelClassSpec("t2", GOLDEN_SHAPE).slice_axes == (1, 2)
+        assert ModelClassSpec("theta3", GOLDEN_SHAPE, axes=(2, 0)).slice_axes == (2, 0)
+
+    @pytest.mark.parametrize(
+        "field, value, error",
+        [("shape", (4.0, 4, 4), ValueError),
+         ("shape", (-2, 4, 4), ValueError),
+         ("shape", (0, 4, 4), ValueError),
+         ("shape", (True, 4, 4), ValueError),
+         ("mode", -1, ValueError),
+         ("mode", 3, ValueError),
+         ("mode", 1.0, ValueError),
+         ("axes", (0, 5), InvalidAxes),
+         ("axes", (1, 1), InvalidAxes),
+         ("axes", (0, 1.0), InvalidAxes),
+         ("axes", (0, 1, 2), InvalidAxes)],
+    )
+    def test_bad_geometry_is_rejected(self, field, value, error):
+        kw = {"shape": (4, 4, 4), field: value}
+        with pytest.raises(error, match=field):
+            ModelClassSpec("theta2", s=1, **kw)

@@ -21,8 +21,15 @@ from tenreg.harness import (
     verify_packing,
     width_experiment,
 )
-from tenreg.regularizers import entry_l1, fiber_group, slice_frob
-from tenreg.spectral import WidthEstimate
+from tenreg.regularizers import (
+    entry_l1,
+    fiber_group,
+    matricized_nuclear_sum,
+    slice_frob,
+    slice_nuclear,
+    tensor_spectral,
+)
+from tenreg.spectral import WidthEstimate, width_rate_expression
 
 
 def _ref_pairwise_width_mc(shape, draws, seed):
@@ -72,6 +79,43 @@ class TestPredictedRate:
         model = ModelClassSpec("theta1", (4, 4, 4), s=1)
         with pytest.raises(ValidationError):
             predicted_rate("bogus", model, 10)
+
+    @pytest.mark.parametrize(
+        "shape, mode, axes", [((4, 5, 6), 0, (0, 1)), ((7, 3, 5), 2, (2, 0))]
+    )
+    def test_every_tag_is_budget_times_squared_width_over_n(self, shape, mode, axes):
+        model = ModelClassSpec("theta3", shape, s=3, r=2, mode=mode, axes=axes)
+        laws = {
+            "s_log_total_over_n": (3, entry_l1()),
+            "s_max_fiberdim_loggroups_over_n": (3, fiber_group(mode)),
+            "s_max_area_loggroups_over_n": (3, slice_frob(axes)),
+            "s_max_msq_logp_over_n": (3, slice_frob((1, 2))),
+            "s_max_p_2logm_over_n": (3, fiber_group(1)),
+            "r_max_m_logp_over_n": (2, slice_nuclear((1, 2))),
+            "r_max_pairprod_over_n": (2, matricized_nuclear_sum()),
+            "rsq_sum_dims_over_n": (4, tensor_spectral()),
+        }
+        assert set(laws) | {"r_max_dim_over_n"} == set(harness.RATE_TAGS)
+        for tag, (budget, penalty) in laws.items():
+            want = budget * width_rate_expression(penalty, shape) ** 2 / 250
+            assert predicted_rate(tag, model, 250) == pytest.approx(want, rel=1e-12)
+        assert predicted_rate("r_max_dim_over_n", model, 250) == 2 * max(shape) / 250
+
+    @pytest.mark.parametrize(
+        "kind, shape, budget, tag, grid, first",
+        [("t1", (50, 4, 4), {"s": 3}, "s_max_msq_logp_over_n",
+          (500, 1000, 2000, 4000), "0x1.89374bc6a7efap-4"),
+         ("t3", (20, 3, 20), {"s": 6}, "s_max_p_2logm_over_n",
+          (2000, 4000, 8000, 16000), "0x1.267e1236b6f49p-6"),
+         ("t4", (8, 8, 8), {"r": 1}, "r_max_dim_over_n",
+          (4000, 8000, 16000, 32000), "0x1.0624dd2f1a9fcp-9")],
+        ids=["multi_response", "var", "pairwise"],
+    )
+    def test_criterion_5_rates_are_unchanged(self, kind, shape, budget, tag, grid, first):
+        # each grid doubles n, so each rate halves the one before it exactly
+        model = ModelClassSpec(kind, shape, **budget)
+        want = [float.fromhex(first) / 2**k for k in range(len(grid))]
+        assert [predicted_rate(tag, model, n) for n in grid] == want
 
 
 class TestRateConfig:

@@ -1,7 +1,15 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from tenreg.errors import NoClosedFormProx, UnmatchedPair, UnsupportedKind
+from tenreg.errors import (
+    InvalidAxes,
+    NoClosedFormProx,
+    ShapeMismatch,
+    UnmatchedPair,
+    UnsupportedKind,
+)
 from tenreg.regularizers import (
     RegularizerSpec,
     SubspaceSpec,
@@ -363,6 +371,23 @@ class TestSubspaceProject:
                 subspace_project(sub, outside, "space"), np.zeros(SHAPE), atol=1e-12
             )
 
+    @pytest.mark.parametrize(
+        "sub, space, complement",
+        [(support_entries((4, 5, 6), [(0, 1, 2), (3, 4, 5), (1, 0, 0)]),
+          "dd6e78925533572b", "8ea8807ade9e76cf"),
+         (support_fibers((4, 5, 6), [(0, 1), (3, 5)], mode=1),
+          "88b6da601c6f1f49", "f560cb69539b8def"),
+         (support_slices((4, 5, 6), [0, 3], axes=(0, 2)),
+          "a4a8cd59984a9d43", "f3220923f4903a3d")],
+        ids=["entries", "fibers", "slices"],
+    )
+    def test_support_bytes_are_unchanged(self, sub, space, complement):
+        # sha256 prefixes recorded before the masks were marked through views
+        a = np.random.default_rng(7).standard_normal((4, 5, 6))
+        for which, want in (("space", space), ("complement", complement)):
+            out = subspace_project(sub, a, which)
+            assert hashlib.sha256(out.tobytes()).hexdigest()[:16] == want
+
     def test_json_round_trip(self):
         for sub in self._subspaces():
             back = SubspaceSpec.from_json(sub.to_json())
@@ -525,3 +550,42 @@ class TestSpecJson:
         assert entry_l1().c_reg == 1.0
         assert matricized_nuclear_sum().c_reg == 1.0
         assert tensor_spectral().c_reg == 0.5
+
+
+class TestGeometry:
+    def test_norm_axes(self):
+        assert fiber_group(2).norm_axes == (2,)
+        assert slice_frob((2, 0)).norm_axes == (2, 0)
+        assert slice_nuclear((1, 2)).norm_axes == (1, 2)
+
+    @pytest.mark.parametrize(
+        "axes, group", [((0, 1), 2), ((1, 0), 2), ((0, 2), 1), ((2, 1), 0)]
+    )
+    def test_group_axis(self, axes, group):
+        assert slice_frob(axes).group_axis == group
+
+    @pytest.mark.parametrize("kind", ["slice_frob", "slice_nuclear"])
+    @pytest.mark.parametrize(
+        "axes", [None, (0, 5), (-1, 0), (1, 1), (0, 1.0), (0, True), (0, 1, 2), (0,)]
+    )
+    def test_bad_axes_are_rejected(self, kind, axes):
+        with pytest.raises(InvalidAxes, match="axes"):
+            RegularizerSpec(kind, axes=axes)
+
+    @pytest.mark.parametrize("mode", [None, -1, 3, 1.0, True])
+    def test_bad_fiber_mode_is_rejected(self, mode):
+        with pytest.raises(ValueError, match="mode"):
+            RegularizerSpec("fiber_group", mode=mode)
+
+    @pytest.mark.parametrize(
+        "spec", PRIMAL_SPECS + [tensor_spectral()], ids=lambda s: s.kind
+    )
+    @pytest.mark.parametrize("shape", [(0, 3, 3), (3, 0, 3), (3, 3, 0)])
+    def test_an_empty_axis_is_a_shape_mismatch(self, spec, shape):
+        a = np.zeros(shape)
+        with pytest.raises(ShapeMismatch, match="non-empty"):
+            reg_eval(spec, a)
+        with pytest.raises(ShapeMismatch, match="non-empty"):
+            reg_dual(spec, a, rng=np.random.default_rng(0))
+        with pytest.raises(ShapeMismatch, match="non-empty"):
+            prox(spec, a, 0.1)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tenreg.datagen import ModelClassSpec, gen_problem, gen_truth
-from tenreg.errors import NoClosedFormProx
+from tenreg.errors import NoClosedFormProx, ShapeMismatch
 from tenreg.regularizers import (
     entry_l1,
     fiber_group,
@@ -74,6 +74,17 @@ class TestProblemValidation:
                 r.standard_normal(10),
                 split=3,
                 truth=truth,
+            )
+
+    @pytest.mark.parametrize(
+        "cov_shape, resp_shape", [((0, 3, 3), ()), ((3, 3), (0,)), ((3, 0), (2,))]
+    )
+    def test_empty_axis_rejected(self, cov_shape, resp_shape):
+        with pytest.raises(ShapeMismatch, match="non-empty axes"):
+            RegressionProblem(
+                np.zeros((5,) + cov_shape),
+                np.zeros((5,) + resp_shape),
+                split=len(cov_shape),
             )
 
 
