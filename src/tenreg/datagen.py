@@ -5,6 +5,8 @@ autoregressive simulation with spectral extrema computation.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +19,7 @@ from .errors import (
     is_int,
     json_key,
 )
-from .regularizers import _group_axis, _slices_first
+from .regularizers import _group_axis, _group_norms, _groups
 from .solver import RegressionProblem, expand_pairwise
 from .tensor import matricize
 
@@ -49,6 +51,11 @@ _CLASS_KINDS = (
 
 _RANK_TOL = 1e-9
 
+# The support classes, sparse in groups spanning their `norm_axes`, and the
+# name of their groups in messages and certificate keys.
+_SUPPORT_GROUPS = {"theta1": "entries", "theta2": "fibers", "theta3": "slices",
+                   "t1": "slices", "t3": "interactions"}
+
 
 @dataclass(frozen=True)
 class ModelClassSpec:
@@ -57,7 +64,8 @@ class ModelClassSpec:
     `s` is a support budget (entries, fibers, or slices), `r` a rank budget.
     `mode` picks the fiber axis for theta2; `axes` the slice-spanning pair
     for the slice classes, rows along ``axes[0]`` (the multi-response t1 and
-    t2 always slice along (1, 2)).  Magnitudes default to +-1 entries for the
+    t2 always slice along (1, 2), and the VAR class t3 is sparse in the
+    fibers along its lag axis 1).  Magnitudes default to +-1 entries for the
     sparsity classes and unit-Frobenius components for the rank classes so
     error norms are comparable across classes.
     """
@@ -73,16 +81,28 @@ class ModelClassSpec:
     def __post_init__(self):
         if self.kind not in _CLASS_KINDS:
             raise ValueError(f"unknown class kind {self.kind!r}")
-        if len(self.shape) != 3 or not all(is_int(d) and d >= 1 for d in self.shape):
-            raise ValueError(f"shape must be three integers >= 1, got {self.shape}")
+        shape, mag = self.shape, self.magnitude
+        if not (isinstance(shape, (tuple, list)) and len(shape) == 3
+                and all(is_int(d) and d >= 1 for d in shape)):
+            raise ValueError(f"shape must be three integers >= 1, got {shape!r}")
+        for name, v in (("s", self.s), ("r", self.r)):
+            if not (v is None or is_int(v)):
+                raise ValueError(f"{name} must be null or an integer, got {v!r}")
+        real = isinstance(mag, numbers.Real) and not isinstance(mag, bool)
+        if not (real and math.isfinite(mag)):
+            raise ValueError(f"magnitude must be a finite number, got {mag!r}")
         if not (is_int(self.mode) and 0 <= self.mode <= 2):
             raise ValueError(f"mode must be an integer 0, 1 or 2, got {self.mode!r}")
         _group_axis(self.axes)
 
     @property
-    def slice_axes(self):
-        """The axis pair spanning each slice of the slice classes."""
-        return (1, 2) if self.kind in ("t1", "t2") else self.axes
+    def norm_axes(self):
+        """The axes each group of the class spans: none for the entries of
+        theta1, the fiber mode for theta2, the lag axis for t3, (1, 2) for
+        the multi-response t1 and t2, and `axes` for the other slice
+        classes."""
+        slices = (1, 2) if self.kind in ("t1", "t2") else self.axes
+        return {"theta1": (), "theta2": (self.mode,), "t3": (1,)}.get(self.kind, slices)
 
     def to_json(self):
         return {
@@ -97,14 +117,17 @@ class ModelClassSpec:
 
     @classmethod
     def from_json(cls, obj):
+        def seq(v):  # JSON arrays become tuples; other values are left to check
+            return tuple(v) if isinstance(v, list) else v
+
         return cls(
             kind=json_key(obj, "kind", "model class"),
-            shape=tuple(json_key(obj, "shape", "model class")),
+            shape=seq(json_key(obj, "shape", "model class")),
             s=obj.get("s"),
             r=obj.get("r"),
             magnitude=obj.get("magnitude", 1.0),
             mode=obj.get("mode", 0),
-            axes=tuple(obj.get("axes", (0, 1))),
+            axes=seq(obj.get("axes", (0, 1))),
         )
 
 
@@ -145,44 +168,31 @@ def gen_truth(spec, seed):
     """
     rng = np.random.default_rng(seed)
     shape = spec.shape
-    d = np.array(shape)
-    total = int(d.prod())
 
-    if spec.kind == "theta1":
-        s = spec.s
-        if s is None or s < 0 or s > total:
-            raise InfeasibleClass(f"need 0 <= s <= {total}")
-        out = np.zeros(shape)
-        flat = rng.choice(total, size=s, replace=False)
-        out.ravel()[flat] = spec.magnitude * _signs(rng, s)
-        return out
+    if spec.kind == "t3":  # a stable VAR model, sparse in its lag fibers
+        m, p, m2 = shape
+        if m != m2:
+            raise InfeasibleClass("VAR truth shape must be (m, p, m)")
+        model = gen_var_model(m, p, spec.s, magnitude=spec.magnitude, seed=seed)
+        return var_truth(model)
 
-    if spec.kind == "theta2":
+    if spec.kind in _SUPPORT_GROUPS:
         out = np.zeros(shape)
-        fibers = np.moveaxis(out, spec.mode, -1)
-        rows, cols, length = fibers.shape
+        groups = _groups(out, spec.norm_axes)
+        lead = groups.shape[: 3 - len(spec.norm_axes)]
+        count = math.prod(lead)
         s = spec.s
-        if s is None or s < 0 or s > rows * cols:
-            raise InfeasibleClass(f"need 0 <= s <= {rows * cols} fibers")
-        chosen = rng.choice(rows * cols, size=s, replace=False)
-        for c in chosen:
-            fibers[divmod(int(c), cols)] = spec.magnitude * _signs(rng, length)
-        return out
-
-    if spec.kind in ("theta3", "t1"):
-        out = np.zeros(shape)
-        slices = _slices_first(out, spec.slice_axes)
-        s = spec.s
-        if s is None or s < 0 or s > len(slices):
-            raise InfeasibleClass(f"need 0 <= s <= {len(slices)} slices")
-        chosen = rng.choice(len(slices), size=s, replace=False)
-        for j in chosen:
-            slices[j] = spec.magnitude * _signs(rng, slices.shape[1:])
+        if s is None or s < 0 or s > count:
+            name = _SUPPORT_GROUPS[spec.kind]
+            raise InfeasibleClass(f"need 0 <= s <= {count} {name}")
+        chosen = rng.choice(count, size=s, replace=False)
+        signs = _signs(rng, (s,) + groups.shape[len(lead):])
+        groups[np.unravel_index(chosen, lead)] = spec.magnitude * signs
         return out
 
     if spec.kind in ("theta4", "t2"):
         out = np.zeros(shape)
-        slices = _slices_first(out, spec.slice_axes)
+        slices = _groups(out, spec.norm_axes)
         ngroups, da, db = slices.shape
         r = spec.r
         max_rank = min(da, db) * ngroups
@@ -216,15 +226,6 @@ def gen_truth(spec, seed):
         out = np.einsum("abc,ia,jb,kc->ijk", core, *factors)
         return spec.magnitude * out / np.linalg.norm(out)
 
-    if spec.kind == "t3":
-        m, p, m2 = shape
-        if m != m2:
-            raise InfeasibleClass("VAR truth shape must be (m, p, m)")
-        model = gen_var_model(
-            m, p, spec.s, magnitude=spec.magnitude, seed=seed
-        )
-        return var_truth(model)
-
     if spec.kind == "t4":
         comps = gen_pairwise_components(spec, seed)
         return expand_pairwise(comps, shape)
@@ -247,27 +248,15 @@ def class_certificate(spec, truth):
     if t.shape != tuple(shape):
         return {"ok": False, "reason": "shape mismatch"}
 
-    if spec.kind == "theta1":
-        nnz = int(np.count_nonzero(t))
-        return {"ok": nnz <= spec.s, "nonzero_entries": nnz}
-    if spec.kind == "theta2":
-        norms = np.sqrt((t * t).sum(axis=spec.mode))
-        nnz = int(np.count_nonzero(norms))
-        return {"ok": nnz <= spec.s, "nonzero_fibers": nnz}
-    if spec.kind in ("theta3", "t1"):
-        norms = np.sqrt((t * t).sum(axis=spec.slice_axes))
-        nnz = int(np.count_nonzero(norms))
-        return {"ok": nnz <= spec.s, "nonzero_slices": nnz}
+    if spec.kind in _SUPPORT_GROUPS:
+        nnz = int(np.count_nonzero(_group_norms(t, spec.norm_axes)))
+        return {"ok": nnz <= spec.s, f"nonzero_{_SUPPORT_GROUPS[spec.kind]}": nnz}
     if spec.kind in ("theta4", "t2"):
-        ranks = [_num_rank(m) for m in _slices_first(t, spec.slice_axes)]
+        ranks = [_num_rank(m) for m in _groups(t, spec.norm_axes)]
         return {"ok": sum(ranks) <= spec.r, "slice_ranks": ranks}
     if spec.kind == "theta5":
         ranks = [_num_rank(matricize(t, [k])) for k in range(3)]
         return {"ok": max(ranks) <= spec.r, "tucker_ranks": ranks}
-    if spec.kind == "t3":
-        norms = np.sqrt((t * t).sum(axis=1))  # lag axis
-        nnz = int(np.count_nonzero(norms))
-        return {"ok": nnz <= spec.s, "nonzero_interactions": nnz}
     if spec.kind == "t4":
         d1, d2, d3 = shape
         # project back onto the centered interaction subspaces
@@ -414,7 +403,7 @@ def gen_var_model(m, p, s, magnitude=1.0, seed=0, target_rho=0.75):
     +-magnitude entries, then the lag matrices are rescaled so the companion
     spectral radius equals `target_rho`.
     """
-    if s < 1 or s > m * m:
+    if s is None or s < 1 or s > m * m:
         raise InfeasibleClass(f"need 1 <= s <= {m * m}")
     rng = np.random.default_rng(seed)
     coeffs = np.zeros((p, m, m))

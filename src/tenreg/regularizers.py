@@ -2,14 +2,17 @@
 maps, structured subspaces, decomposability margins, and compatibility
 constants.
 
-Six penalty kinds are supported:
+Six penalty kinds are supported.  The first three are one family, the sum
+of l2 norms over groups of entries: each group spans the axes `norm_axes`,
+and the remaining axes index the groups.
 
 ``entry_l1``
-    Sum of absolute entries.
+    Groups of one entry (spanning no axis): the sum of absolute entries.
 ``fiber_group``
-    Sum of vector l2 norms over the fibers along one mode.
+    Groups of the fibers along one mode: the sum of their vector l2 norms.
 ``slice_frob``
-    Sum of Frobenius norms over the slices spanned by an axis pair.
+    Groups of the slices spanned by an axis pair: the sum of their
+    Frobenius norms.
 ``slice_nuclear``
     Sum of matrix nuclear norms over the same slices.
 ``matricized_nuclear_sum``
@@ -73,7 +76,9 @@ _KINDS = (
     "tensor_spectral_dual_only",
 )
 
-_PROX_KINDS = ("entry_l1", "fiber_group", "slice_frob", "slice_nuclear")
+# the sums of l2 norms over groups of entries, fibers or slices
+_GROUP_KINDS = ("entry_l1", "fiber_group", "slice_frob")
+_PROX_KINDS = _GROUP_KINDS + ("slice_nuclear",)
 
 
 def _group_axis(axes):
@@ -120,8 +125,9 @@ class RegularizerSpec:
 
     @property
     def norm_axes(self):
-        """Axes each group spans: the fiber mode, or the slice pair."""
-        return (self.mode,) if self.kind == "fiber_group" else self.axes
+        """Axes each group spans: none for entries, the fiber mode, or the
+        slice pair."""
+        return {"entry_l1": (), "fiber_group": (self.mode,)}.get(self.kind, self.axes)
 
     def has_prox(self):
         return self.kind in _PROX_KINDS
@@ -176,13 +182,27 @@ def _check_order3(a):
     return a
 
 
-def _slices_first(a, axes, inverse=False):
-    """View the trailing three axes of `a` as (groups, rows, cols) for the
-    slices spanned by the axis pair `axes`, so a (B, d1, d2, d3) batch reads
-    as B stacks; `inverse` moves such a view back."""
-    src = [_group_axis(axes) - 3] + [ax - 3 for ax in axes]
-    dst = [-3, -2, -1]
-    return np.moveaxis(a, dst, src) if inverse else np.moveaxis(a, src, dst)
+def _groups(a, axes, inverse=False):
+    """View the trailing three axes of `a` with the axes indexing the groups
+    first, in increasing order, and the spanned `axes` last, in their given
+    order: ``()`` gives the entries, ``(mode,)`` the fibers and a slice pair
+    (groups, rows, cols).  A (B, d1, d2, d3) batch reads as B such views;
+    `inverse` moves a view back."""
+    order = [ax for ax in range(3) if ax not in axes] + list(axes)
+    if len(order) != 3 or set(order) != {0, 1, 2}:
+        raise InvalidAxes(f"axes must be distinct integers in 0..2, got {axes!r}")
+    if inverse:
+        order = [order.index(ax) for ax in range(3)]
+    lead = a.ndim - 3
+    return a.transpose(*range(lead), *(lead + ax for ax in order))
+
+
+def _group_norms(a, axes, keepdims=False):
+    """The l2 norm of each group spanning `axes`: the absolute entry for
+    ``()``, exact at every scale."""
+    if not axes:
+        return np.abs(a)
+    return np.sqrt((a * a).sum(axis=axes, keepdims=keepdims))
 
 
 def _nuclear(sv_stack):
@@ -195,12 +215,10 @@ def _nuclear(sv_stack):
 def reg_eval(spec, a):
     """Evaluate the penalty R(a) >= 0."""
     a = _check_order3(a)
-    if spec.kind == "entry_l1":
-        return float(np.abs(a).sum())
-    if spec.kind in ("fiber_group", "slice_frob"):
-        return float(np.sqrt((a * a).sum(axis=spec.norm_axes)).sum())
+    if spec.kind in _GROUP_KINDS:
+        return float(_group_norms(a, spec.norm_axes).sum())
     if spec.kind == "slice_nuclear":
-        stack = _slices_first(a, spec.axes)
+        stack = _groups(a, spec.axes)
         sv = np.linalg.svd(stack, compute_uv=False)
         return float(_nuclear(sv).sum())
     if spec.kind == "matricized_nuclear_sum":
@@ -248,13 +266,11 @@ def _dual_batch(spec, g, rng=None, hopm_restarts=None, hopm_iters=None):
     b = g.shape[0]
     if spec == "pairwise":
         return _pairwise_dual([g.sum(axis=axis) for axis in (3, 2, 1)])
-    if spec.kind == "entry_l1":
-        return np.abs(g).reshape(b, -1).max(axis=1)
-    if spec.kind in ("fiber_group", "slice_frob"):
+    if spec.kind in _GROUP_KINDS:
         axes = tuple(ax + 1 for ax in spec.norm_axes)
-        return np.sqrt((g * g).sum(axis=axes)).reshape(b, -1).max(axis=1)
+        return _group_norms(g, axes).reshape(b, -1).max(axis=1)
     if spec.kind == "slice_nuclear":
-        return _max_top_sv([_slices_first(g, spec.axes)])
+        return _max_top_sv([_groups(g, spec.axes)])
     if spec.kind == "matricized_nuclear_sum":
         tops = []
         for k in range(3):
@@ -332,25 +348,21 @@ def _max_top_sv(stacks):
 def prox(spec, z, t):
     """Proximal map argmin_x 0.5*||x - z||_F^2 + t*R(x).
 
-    Closed forms: entrywise soft-threshold, blockwise shrinkage on fibers
-    or slices, and per-slice singular value soft-thresholding.
+    Closed forms: blockwise shrinkage z·max(1 - t/||z_g||, 0) on each group
+    of entries, fibers or slices, and singular value soft-thresholding of
+    each slice.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
     z = _check_order3(z)
-    if spec.kind == "entry_l1":
-        return np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
-    if spec.kind in ("fiber_group", "slice_frob"):
-        norms = np.sqrt((z * z).sum(axis=spec.norm_axes, keepdims=True))
+    if spec.kind in _GROUP_KINDS:
+        norms = _group_norms(z, spec.norm_axes, keepdims=True)
         scale = np.where(norms > t, 1.0 - t / np.where(norms > 0, norms, 1.0), 0.0)
         return z * scale
     if spec.kind == "slice_nuclear":
         from .spectral import matrix_svt
 
-        stack = _slices_first(z, spec.axes).copy()
-        for j in range(stack.shape[0]):
-            stack[j] = matrix_svt(stack[j], t)
-        return _slices_first(stack, spec.axes, inverse=True)
+        return _groups(matrix_svt(_groups(z, spec.axes), t), spec.axes, inverse=True)
     raise NoClosedFormProx(
         f"{spec.kind} has no closed-form prox; use the consensus solver"
     )
@@ -359,14 +371,12 @@ def prox(spec, z, t):
 def _reg_subgrad(spec, a):
     """A subgradient of R at `a` (used by the compatibility ascent)."""
     a = _check_order3(a)
-    if spec.kind == "entry_l1":
-        return np.sign(a)
-    if spec.kind in ("fiber_group", "slice_frob"):
-        norms = np.sqrt((a * a).sum(axis=spec.norm_axes, keepdims=True))
+    if spec.kind in _GROUP_KINDS:
+        norms = _group_norms(a, spec.norm_axes, keepdims=True)
         return a / np.where(norms > 0, norms, 1.0)
     if spec.kind == "slice_nuclear":
-        u, _, vt = np.linalg.svd(_slices_first(a, spec.axes), full_matrices=False)
-        return _slices_first(u @ vt, spec.axes, inverse=True)
+        u, _, vt = np.linalg.svd(_groups(a, spec.axes), full_matrices=False)
+        return _groups(u @ vt, spec.axes, inverse=True)
     if spec.kind == "matricized_nuclear_sum":
         out = np.zeros_like(a)
         for k in range(3):
@@ -401,9 +411,17 @@ class SubspaceSpec:
     triple: ProjectorTriple | None = field(default=None, repr=False)
     role: str | None = None
 
+    @property
+    def norm_axes(self):
+        """Axes each group of a support variant spans: none for entries, the
+        fiber mode, or the slice pair; None for the projector variants."""
+        if self.variant == "support_slices":
+            return self.axes
+        return {"support_entries": (), "support_fibers": (self.mode,)}.get(self.variant)
+
     def to_json(self):
         out = {"variant": self.variant, "shape": list(self.shape)}
-        if self.variant in ("support_entries", "support_fibers", "support_slices"):
+        if self.norm_axes is not None:
             out["indices"] = [
                 list(i) if isinstance(i, tuple) else i for i in self.indices
             ]
@@ -424,11 +442,9 @@ class SubspaceSpec:
         variant = obj["variant"]
         shape = tuple(obj["shape"])
         if variant == "support_entries":
-            return support_entries(shape, [tuple(i) for i in obj["indices"]])
+            return support_entries(shape, obj["indices"])
         if variant == "support_fibers":
-            return support_fibers(
-                shape, [tuple(i) for i in obj["indices"]], mode=obj.get("mode", 0)
-            )
+            return support_fibers(shape, obj["indices"], mode=obj.get("mode", 0))
         if variant == "support_slices":
             axes = tuple(obj.get("axes", (0, 1)))
             return support_slices(shape, list(obj["indices"]), axes=axes)
@@ -450,12 +466,13 @@ class SubspaceSpec:
 
 
 def support_entries(shape, indices):
-    return SubspaceSpec("support_entries", tuple(shape), indices=tuple(indices))
+    indices = tuple(map(tuple, indices))
+    return SubspaceSpec("support_entries", tuple(shape), indices=indices)
 
 
 def support_fibers(shape, indices, mode=0):
     return SubspaceSpec(
-        "support_fibers", tuple(shape), indices=tuple(indices), mode=mode
+        "support_fibers", tuple(shape), indices=tuple(map(tuple, indices)), mode=mode
     )
 
 
@@ -495,17 +512,9 @@ def tucker_projectors(shape, triple, role="b_space"):
 
 def _support_mask(sub):
     mask = np.zeros(sub.shape, dtype=bool)
-    if sub.variant == "support_entries":
-        for idx in sub.indices:
-            mask[tuple(idx)] = True
-    elif sub.variant == "support_fibers":
-        fibers = np.moveaxis(mask, sub.mode, -1)
-        for i, j in sub.indices:
-            fibers[i, j] = True
-    elif sub.variant == "support_slices":
-        slices = _slices_first(mask, sub.axes)
-        for j in sub.indices:
-            slices[j] = True
+    groups = _groups(mask, sub.norm_axes)
+    for idx in sub.indices:
+        groups[idx] = True
     return mask
 
 
@@ -522,11 +531,11 @@ def subspace_project(sub, a, which="space"):
         raise ShapeMismatch(f"tensor shape {a.shape} != subspace shape {sub.shape}")
     if which not in ("space", "complement"):
         raise ValueError("which must be 'space' or 'complement'")
-    if sub.variant in ("support_entries", "support_fibers", "support_slices"):
+    if sub.norm_axes is not None:
         mask = _support_mask(sub)
         return np.where(mask, a, 0.0) if which == "space" else np.where(mask, 0.0, a)
     if sub.variant == "slicewise_projectors":
-        stack = _slices_first(a, sub.axes).copy()
+        stack = _groups(a, sub.axes).copy()
         for j, (u1, u2) in enumerate(sub.slice_factors):
             s = stack[j]
             if sub.role == "b_space":
@@ -535,7 +544,7 @@ def subspace_project(sub, a, which="space"):
                 perp = s - u1 @ (u1.T @ s)
                 proj = s - (perp - perp @ u2 @ u2.T)
             stack[j] = proj if which == "space" else s - proj
-        return _slices_first(stack, sub.axes, inverse=True)
+        return _groups(stack, sub.axes, inverse=True)
     if sub.variant == "tucker_projectors":
         pattern = "q" if sub.role == "a_space" else "full"
         proj = tucker_project(a, sub.triple, pattern)
@@ -567,20 +576,12 @@ class CompatibilityResult:
 
 
 def _matched_bound(spec, sub):
-    """Closed-form compatibility bound for the matched pairs."""
-    if spec.kind == "entry_l1" and sub.variant == "support_entries":
-        return float(len(sub.indices))
-    if (
-        spec.kind == "fiber_group"
-        and sub.variant == "support_fibers"
-        and spec.mode == sub.mode
-    ):
-        return float(len(sub.indices))
-    if (
-        spec.kind == "slice_frob"
-        and sub.variant == "support_slices"
-        and set(spec.axes) == set(sub.axes)
-    ):
+    """Closed-form compatibility bound for the matched pairs: a group kind
+    and a support variant whose groups span the same axes, the slice-nuclear
+    norm and projector pairs on the same slices, and the nuclear kinds and
+    Tucker projectors."""
+    groups = sub.norm_axes is not None and spec.kind in _GROUP_KINDS
+    if groups and set(spec.norm_axes) == set(sub.norm_axes):
         return float(len(sub.indices))
     if (
         spec.kind == "slice_nuclear"

@@ -27,8 +27,9 @@ __all__ = [
 def matrix_svt(z, t):
     """Singular value soft-thresholding, the prox of the matrix nuclear norm.
 
-    Returns ``U max(S - t, 0) V^T`` for the SVD of `z`; singular values below
-    1e-12 of the largest are zeroed for rank stability.
+    Returns ``U max(S - t, 0) V^T`` for the SVD of `z`, or of each matrix of
+    a (..., r, c) stack; singular values below 1e-12 of the largest of their
+    matrix are zeroed for rank stability.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -38,9 +39,8 @@ def matrix_svt(z, t):
     except np.linalg.LinAlgError as exc:
         raise SvdFailure(f"SVD did not converge on shape {z.shape}") from exc
     s = np.maximum(s - t, 0.0)
-    if s.size and s[0] > 0:
-        s[s < 1e-12 * s[0]] = 0.0
-    return (u * s) @ vt
+    s[s < 1e-12 * s[..., :1]] = 0.0
+    return (u * s[..., None, :]) @ vt
 
 
 # A draw's restart stops at its first sweep that gains less than this.
@@ -199,13 +199,12 @@ _RATE_TAGS = {
 def _width_sq(spec, shape):
     """The constant-free squared width growth law of the penalty `spec` on
     `shape` (``"pairwise"`` for the pairwise-component penalty): the log
-    group count against the group size for the group kinds."""
+    group count against the group size for the group kinds, where an entry
+    is a group of size 1."""
     d1, d2, d3 = shape
     if spec == "pairwise":
         return max(d1, d2, d3)
-    if spec.kind == "entry_l1":
-        return np.log(d1 * d2 * d3)
-    if spec.kind in ("fiber_group", "slice_frob", "slice_nuclear"):
+    if spec.kind in ("entry_l1", "fiber_group", "slice_frob", "slice_nuclear"):
         dims = [shape[k] for k in spec.norm_axes]
         log_groups = np.log(d1 * d2 * d3 // math.prod(dims))
         if spec.kind == "slice_nuclear":

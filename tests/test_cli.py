@@ -215,6 +215,17 @@ class TestAutoLambda:
         assert "workers must be >= 1" in err
         assert out == ""
 
+    @pytest.mark.parametrize("shape", ["1x1x1", "1x2x1"])
+    def test_width_on_one_or_two_entries(self, capsys, shape):
+        code, out, _ = run_cli(
+            ["width", "--kinds", "entry_l1", "--shapes", shape, "--draws", "200"],
+            capsys,
+        )
+        assert code == 0
+        (row,) = json.loads(out)["rows"]
+        assert row["rate_expression"] == 1.0
+        assert np.isfinite(row["ratio"]) and row["ratio"] == row["estimate"]
+
     @pytest.mark.parametrize(
         "kind", ["tensor_spectral", "entry_l1", "matricized_nuclear_sum"]
     )
@@ -428,6 +439,30 @@ class TestBadGeometry:
     )
     def test_gen_rejects_bad_class_geometry(self, tmp_path, capsys, spec, field):
         spec = {"shape": [4, 4, 4], **spec}
+        prob_dir = tmp_path / "prob"
+        code, out, err = run_cli(
+            ["--out", str(prob_dir), "gen", "--spec", json.dumps(spec), "--n", "10"],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith(f"error: {field} must be")
+        assert out == ""
+        assert not prob_dir.exists()
+
+    @pytest.mark.parametrize(
+        "spec, field",
+        [({"shape": 4}, "shape"),
+         ({"axes": None}, "axes"),
+         ({"s": "2"}, "s"),
+         ({"s": 1.5}, "s"),
+         ({"s": True}, "s"),
+         ({"magnitude": "big"}, "magnitude"),
+         ({"magnitude": float("nan")}, "magnitude")],  # json.dumps writes NaN
+        ids=["shape-int", "axes-null", "s-string", "s-float", "s-bool",
+             "magnitude-string", "magnitude-nan"],
+    )
+    def test_gen_rejects_bad_class_types(self, tmp_path, capsys, spec, field):
+        spec = {"kind": "theta3", "shape": [4, 4, 4], "s": 1, **spec}
         prob_dir = tmp_path / "prob"
         code, out, err = run_cli(
             ["--out", str(prob_dir), "gen", "--spec", json.dumps(spec), "--n", "10"],

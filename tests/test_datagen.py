@@ -238,9 +238,14 @@ class TestVarExtrema:
 
 
 # sha256 prefixes of gen_truth(...).tobytes() on a non-cubic shape, recorded
-# before the slice and fiber writes went through views
+# before the slice and fiber writes went through views (theta1: before the
+# entries were written through the same group view)
 GOLDEN_SHAPE = (4, 5, 6)
 GOLDEN_TRUTHS = {
+    ("theta1", (("s", 5),)): (
+        "7c8664d63f09f55a", "cd3c81d17ffb18ee", "74fb443a96843b9c"),
+    ("theta1", (("magnitude", 2.5), ("s", 12))): (
+        "318d6f45c8756604", "8249cdc82e748ef7", "2c61cd9d50b8541e"),
     ("theta2", (("mode", 0), ("s", 3))): (
         "c9a8a898d3054e28", "0f6f596a2dcfde7d", "7152bc13f4fa696d"),
     ("theta2", (("mode", 1), ("s", 3))): (
@@ -293,10 +298,66 @@ class TestGroupGeometry:
         # the first axis of the pair indexes the rows of each slice
         np.testing.assert_array_equal(rev, fwd.transpose(1, 0, 2))
 
-    def test_slice_axes(self):
-        assert ModelClassSpec("t1", GOLDEN_SHAPE, axes=(0, 2)).slice_axes == (1, 2)
-        assert ModelClassSpec("t2", GOLDEN_SHAPE).slice_axes == (1, 2)
-        assert ModelClassSpec("theta3", GOLDEN_SHAPE, axes=(2, 0)).slice_axes == (2, 0)
+    def test_norm_axes(self):
+        assert ModelClassSpec("t1", GOLDEN_SHAPE, axes=(0, 2)).norm_axes == (1, 2)
+        assert ModelClassSpec("t2", GOLDEN_SHAPE).norm_axes == (1, 2)
+        assert ModelClassSpec("theta3", GOLDEN_SHAPE, axes=(2, 0)).norm_axes == (2, 0)
+        assert ModelClassSpec("theta1", GOLDEN_SHAPE, axes=(2, 0)).norm_axes == ()
+        assert ModelClassSpec("theta2", GOLDEN_SHAPE, mode=2).norm_axes == (2,)
+        assert ModelClassSpec("t3", (4, 3, 4), mode=2).norm_axes == (1,)
+
+    # recorded before the t3 certificate counted through the group norms
+    @pytest.mark.parametrize(
+        "shape, s, hashes",
+        [((4, 3, 4), 3, ("ee93364f21d90dd0", "6091594c7dea74ac", "fa0ca0dd932c8f21")),
+         ((5, 2, 5), 7, ("e4b17d8326a0d342", "5f9e457c354e1da3", "9076dca87dc540d5"))],
+    )
+    def test_t3_truths_and_certificates(self, shape, s, hashes):
+        spec = ModelClassSpec("t3", shape, s=s)
+        for seed, want in enumerate(hashes):
+            t = gen_truth(spec, seed)
+            assert hashlib.sha256(t.tobytes()).hexdigest()[:16] == want
+            assert class_certificate(spec, t) == {"ok": True, "nonzero_interactions": s}
+
+    def test_support_certificates_count_group_norms(self):
+        # one certificate per class on the same tensor, recorded before the
+        # classes counted through one group norm; the 1e-300 entry is a
+        # nonzero entry, but its squared group norm underflows to zero
+        t = np.zeros((4, 3, 4))
+        t[0, 1, 2], t[0, 2, 2], t[3, 0, 1], t[2, 2, 0] = 1.0, -2.0, 1e-300, 5.0
+        want = {
+            ("theta1", ()): {"ok": False, "nonzero_entries": 4},
+            ("theta2", (("mode", 1),)): {"ok": True, "nonzero_fibers": 2},
+            ("theta3", (("axes", (2, 0)),)): {"ok": True, "nonzero_slices": 2},
+            ("t1", ()): {"ok": True, "nonzero_slices": 2},
+            ("t3", ()): {"ok": True, "nonzero_interactions": 2},
+        }
+        for (kind, params), cert in want.items():
+            spec = ModelClassSpec(kind, (4, 3, 4), s=3, **dict(params))
+            assert class_certificate(spec, t) == cert
+
+    @pytest.mark.parametrize(
+        "kind, params, message",
+        [("theta1", {"s": 121}, "need 0 <= s <= 120 entries"),
+         ("theta2", {"s": 31, "mode": 2}, "need 0 <= s <= 20 fibers"),
+         ("theta3", {"s": 7, "axes": (0, 1)}, "need 0 <= s <= 6 slices"),
+         ("t1", {"s": -1}, "need 0 <= s <= 4 slices"),
+         ("theta2", {}, "need 0 <= s <= 30 fibers")],
+    )
+    def test_support_budget_out_of_range(self, kind, params, message):
+        with pytest.raises(InfeasibleClass, match=message):
+            gen_truth(ModelClassSpec(kind, GOLDEN_SHAPE, **params), 0)
+
+    @pytest.mark.parametrize("s", [None, 0, 17])
+    def test_var_budget_out_of_range(self, s):
+        with pytest.raises(InfeasibleClass, match="need 1 <= s <= 16"):
+            gen_truth(ModelClassSpec("t3", (4, 3, 4), s=s), 0)
+
+    def test_numpy_scalars_are_accepted(self):
+        spec = ModelClassSpec(
+            "theta1", (np.int64(3), 3, 3), s=np.int64(2), magnitude=np.float64(0.5)
+        )
+        assert np.count_nonzero(gen_truth(spec, 0)) == 2
 
     @pytest.mark.parametrize(
         "field, value, error",
@@ -310,9 +371,21 @@ class TestGroupGeometry:
          ("axes", (0, 5), InvalidAxes),
          ("axes", (1, 1), InvalidAxes),
          ("axes", (0, 1.0), InvalidAxes),
-         ("axes", (0, 1, 2), InvalidAxes)],
+         ("axes", (0, 1, 2), InvalidAxes),
+         ("axes", None, InvalidAxes),
+         ("shape", 4, ValueError),
+         ("shape", None, ValueError),
+         ("s", "2", ValueError),
+         ("s", 1.5, ValueError),
+         ("s", True, ValueError),
+         ("r", 2.0, ValueError),
+         ("r", False, ValueError),
+         ("magnitude", "big", ValueError),
+         ("magnitude", float("nan"), ValueError),
+         ("magnitude", float("inf"), ValueError),
+         ("magnitude", True, ValueError)],
     )
     def test_bad_geometry_is_rejected(self, field, value, error):
-        kw = {"shape": (4, 4, 4), field: value}
-        with pytest.raises(error, match=field):
-            ModelClassSpec("theta2", s=1, **kw)
+        kw = {"shape": (4, 4, 4), "s": 1, field: value}
+        with pytest.raises(error, match=f"^{field} must be"):
+            ModelClassSpec("theta2", **kw)

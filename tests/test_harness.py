@@ -65,6 +65,11 @@ class TestPredictedRate:
             5 * np.log(512) / 100
         )
 
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (2, 1, 1)])
+    def test_entry_rate_on_one_or_two_entries(self, shape):
+        model = ModelClassSpec("theta1", shape, s=1)
+        assert predicted_rate("s_log_total_over_n", model, 100) == 1 / 100
+
     def test_var_rate(self):
         model = ModelClassSpec("t3", (20, 3, 20), s=6)
         assert predicted_rate("s_max_p_2logm_over_n", model, 1000) == pytest.approx(

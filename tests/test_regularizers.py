@@ -31,7 +31,8 @@ from tenreg.regularizers import (
     tensor_spectral,
     tucker_projectors,
 )
-from tenreg.regularizers import _dual_batch, _pairwise_dual
+from tenreg.regularizers import _dual_batch, _groups, _pairwise_dual
+from tenreg.spectral import matrix_svt
 from tenreg.tensor import ProjectorTriple
 
 rng = np.random.default_rng(7)
@@ -589,3 +590,96 @@ class TestGeometry:
             reg_dual(spec, a, rng=np.random.default_rng(0))
         with pytest.raises(ShapeMismatch, match="non-empty"):
             prox(spec, a, 0.1)
+
+
+GROUP_KINDS = [
+    entry_l1(),
+    fiber_group(0),
+    fiber_group(1),
+    slice_frob((0, 1)),
+    slice_frob((1, 0)),
+    slice_frob((0, 2)),
+]
+SUPPORTS = [
+    support_entries((4, 5, 6), [(0, 1, 2), (3, 4, 5)]),
+    support_fibers((4, 5, 6), [(0, 1), (3, 5)], mode=0),
+    support_fibers((4, 5, 6), [(0, 1), (3, 5)], mode=1),
+    support_slices((4, 5, 6), [0, 3], axes=(0, 1)),
+    support_slices((4, 5, 6), [0, 3], axes=(1, 0)),
+    support_slices((4, 5, 6), [0, 3], axes=(0, 2)),
+]
+# the axes each group spans, per group kind and per support variant
+KIND_AXES = [set(), {0}, {1}, {0, 1}, {0, 1}, {0, 2}]
+
+
+class TestOneGroupFamily:
+    @pytest.mark.parametrize("k", range(len(GROUP_KINDS)))
+    @pytest.mark.parametrize("v", range(len(SUPPORTS)))
+    def test_matched_exactly_when_the_spanned_axes_agree(self, k, v):
+        spec, sub = GROUP_KINDS[k], SUPPORTS[v]
+        if KIND_AXES[k] == KIND_AXES[v]:
+            res = compatibility(spec, sub, draws=20, ascent_steps=5)
+            assert res.analytic_bound == 2.0
+            assert res.mc_estimate <= 2.0 * (1 + 1e-9)
+        else:
+            with pytest.raises(UnmatchedPair):
+                compatibility(spec, sub, draws=20)
+
+    @pytest.mark.parametrize("axes", [(0, 1), (1, 0), (0, 2)])
+    def test_slice_nuclear_and_support_slices_stay_unmatched(self, axes):
+        with pytest.raises(UnmatchedPair):
+            compatibility(
+                slice_nuclear(axes), support_slices((4, 5, 6), [0], axes=axes), draws=20
+            )
+
+    @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+    def test_entry_l1_is_the_abs_form_at_every_scale(self, scale):
+        a = scale * np.random.default_rng(3).standard_normal((4, 5, 6))
+        g = scale * np.random.default_rng(4).standard_normal((7, 4, 5, 6))
+        assert reg_eval(entry_l1(), a) == float(np.abs(a).sum())
+        assert reg_dual(entry_l1(), a) == float(np.abs(a).max())
+        np.testing.assert_array_equal(
+            _dual_batch(entry_l1(), g), np.abs(g).reshape(7, -1).max(axis=1)
+        )
+        assert np.isfinite(reg_eval(entry_l1(), a))
+
+    def test_entry_l1_prox_is_the_soft_threshold_to_rounding(self):
+        z = np.random.default_rng(5).standard_normal((4, 5, 6))
+        # entries just above, at and below the threshold
+        z[0, 0, :3] = [0.5 + 1e-15, 0.5, 0.5 - 1e-15]
+        z[1, 1, :3] = -z[0, 0, :3]
+        want = np.sign(z) * np.maximum(np.abs(z) - 0.5, 0.0)
+        got = prox(entry_l1(), z, 0.5)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(got == 0, want == 0)
+        np.testing.assert_array_equal(np.sign(got), np.sign(want))
+
+    @pytest.mark.parametrize(
+        "axes, layout",
+        [((), (4, 5, 6)), ((0,), (5, 6, 4)), ((2,), (4, 5, 6)), ((0, 1), (6, 4, 5)),
+         ((1, 0), (6, 5, 4)), ((2, 0), (5, 6, 4))],
+    )
+    def test_group_view_layout(self, axes, layout):
+        a = np.arange(120.0).reshape(4, 5, 6)
+        view = _groups(a, axes)
+        assert view.shape == layout
+        order = [ax for ax in range(3) if ax not in axes] + list(axes)
+        np.testing.assert_array_equal(view, a.transpose(order))
+        np.testing.assert_array_equal(_groups(view, axes, inverse=True), a)
+        batch = np.stack([a, -a])
+        np.testing.assert_array_equal(_groups(batch, axes)[1], -view)
+
+    @pytest.mark.parametrize("axes", [(0, 0), (0, 3), (1, 1, 2), (None,)])
+    def test_group_view_rejects_bad_axes(self, axes):
+        with pytest.raises(InvalidAxes, match="axes"):
+            _groups(np.zeros((2, 3, 4)), axes)
+
+    @pytest.mark.parametrize("axes", [(0, 1), (1, 0), (0, 2), (2, 1)])
+    def test_slice_nuclear_prox_is_the_per_slice_svt(self, axes):
+        z = np.random.default_rng(6).standard_normal((4, 5, 6))
+        z[:, 0] *= 1e-3
+        stack = _groups(z, axes).copy()
+        for j in range(stack.shape[0]):
+            stack[j] = matrix_svt(stack[j], 0.7)
+        want = _groups(stack, axes, inverse=True)
+        np.testing.assert_array_equal(prox(slice_nuclear(axes), z, 0.7), want)

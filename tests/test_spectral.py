@@ -55,6 +55,19 @@ class TestMatrixSvt:
             assert base <= 0.5 * ((x + d - z) ** 2).sum() + t * nuc(x + d) + 1e-12
 
 
+    @pytest.mark.parametrize("shape", [(3, 4, 6), (2, 5, 5, 3), (4, 1, 3)])
+    @pytest.mark.parametrize("t", [0.0, 0.4])
+    def test_a_stack_is_thresholded_matrix_by_matrix(self, shape, t):
+        z = np.random.default_rng(12).standard_normal(shape)
+        # the rank cut is relative to each matrix's own largest value
+        z[0] *= 1e-13
+        want = np.empty_like(z)
+        for idx in np.ndindex(shape[:-2]):
+            want[idx] = matrix_svt(z[idx], t)
+        np.testing.assert_array_equal(matrix_svt(z, t), want)
+        np.testing.assert_array_equal(matrix_svt(np.zeros(shape), t), 0.0)
+
+
 def sphere_grid_oracle(a, npoints=2000):
     """Exhaustive maximization over one parameterized unit circle, exact
     inner maximization over the remaining two factors via the top singular
@@ -193,6 +206,10 @@ class TestGaussianWidth:
         assert width_rate_expression(entry_l1(), (4, 4, 4)) == pytest.approx(
             np.sqrt(np.log(64))
         )
+        # an entry is a group of size 1, so the law is max(1, log d1d2d3)
+        for shape in [(1, 1, 1), (1, 2, 1), (2, 1, 1)]:
+            assert width_rate_expression(entry_l1(), shape) == 1.0
+        assert width_rate_expression(entry_l1(), (3, 1, 1)) == np.sqrt(np.log(3))
         assert width_rate_expression(fiber_group(0), (40, 5, 5)) == pytest.approx(
             np.sqrt(40)
         )
