@@ -6,7 +6,6 @@ autoregressive simulation with spectral extrema computation.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +16,9 @@ from .errors import (
     ShapeMismatch,
     UnstableModel,
     is_int,
+    is_real,
     json_key,
+    json_tuple,
 )
 from .regularizers import _group_axis, _group_norms, _groups
 from .solver import RegressionProblem, expand_pairwise
@@ -88,8 +89,7 @@ class ModelClassSpec:
         for name, v in (("s", self.s), ("r", self.r)):
             if not (v is None or is_int(v)):
                 raise ValueError(f"{name} must be null or an integer, got {v!r}")
-        real = isinstance(mag, numbers.Real) and not isinstance(mag, bool)
-        if not (real and math.isfinite(mag)):
+        if not is_real(mag):
             raise ValueError(f"magnitude must be a finite number, got {mag!r}")
         if not (is_int(self.mode) and 0 <= self.mode <= 2):
             raise ValueError(f"mode must be an integer 0, 1 or 2, got {self.mode!r}")
@@ -117,17 +117,14 @@ class ModelClassSpec:
 
     @classmethod
     def from_json(cls, obj):
-        def seq(v):  # JSON arrays become tuples; other values are left to check
-            return tuple(v) if isinstance(v, list) else v
-
         return cls(
             kind=json_key(obj, "kind", "model class"),
-            shape=seq(json_key(obj, "shape", "model class")),
+            shape=json_tuple(json_key(obj, "shape", "model class")),
             s=obj.get("s"),
             r=obj.get("r"),
             magnitude=obj.get("magnitude", 1.0),
             mode=obj.get("mode", 0),
-            axes=seq(obj.get("axes", (0, 1))),
+            axes=json_tuple(obj.get("axes", (0, 1))),
         )
 
 
@@ -470,11 +467,18 @@ def gen_var_series(model, n, seed=0):
     )
 
 
-def var_spectral_extrema(model, grid=64, tol=1e-6, max_refine=12):
+# The unit-circle grid of `var_spectral_extrema` doubles at most this many
+# times, until both extrema move by less than the tolerance.
+_EXTREMA_MAX_REFINE = 12
+_EXTREMA_TOL = 1e-6
+
+
+def var_spectral_extrema(model, grid=64):
     """Extrema over the unit circle of the eigenvalues of A(z)* A(z) where
     A(z) = I - sum_j A_j z^j.
 
-    The grid doubles until both extrema move by less than `tol`.
+    The grid doubles until both extrema move by less than `_EXTREMA_TOL`,
+    at most `_EXTREMA_MAX_REFINE` times.
     """
     if grid < 64:
         raise ValueError("grid must be >= 64")
@@ -491,10 +495,13 @@ def var_spectral_extrema(model, grid=64, tol=1e-6, max_refine=12):
         return float(ev[:, 0].min()), float(ev[:, -1].max())
 
     mu_min, mu_max = extrema(grid)
-    for _ in range(max_refine):
+    for _ in range(_EXTREMA_MAX_REFINE):
         grid *= 2
         new_min, new_max = extrema(grid)
-        done = abs(new_min - mu_min) < tol and abs(new_max - mu_max) < tol
+        done = (
+            abs(new_min - mu_min) < _EXTREMA_TOL
+            and abs(new_max - mu_max) < _EXTREMA_TOL
+        )
         mu_min, mu_max = min(mu_min, new_min), max(mu_max, new_max)
         if done:
             break

@@ -1,5 +1,6 @@
 """Exception types shared across the package, and checks on decoded JSON."""
 
+import math
 import numbers
 
 
@@ -48,9 +49,8 @@ class SvdFailure(TenregError):
 
 
 class BudgetExhausted(TenregError):
-    """Greedy packing ran out of candidate draws.
-
-    Carries the partial set so callers can inspect what was achieved.
+    """Greedy packing accepted fewer than two elements within its candidate
+    budget.  `partial` is None, since such a set is no packing.
     """
 
     def __init__(self, message, partial=None):
@@ -70,6 +70,20 @@ def json_key(obj, key, what):
     return obj[key]
 
 
+def json_tuple(value):
+    """A JSON array as a tuple; any other value as it is, for its check."""
+    return tuple(value) if isinstance(value, list) else value
+
+
 def is_int(value):
     """True for an integer that is not a bool (JSON true is not a count)."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_real(value):
+    """True for a finite real number that is not a bool."""
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )

@@ -20,7 +20,14 @@ from .datagen import (
     gen_var_model,
     gen_var_series,
 )
-from .errors import BudgetExhausted, ValidationError, is_int, json_key
+from .errors import (
+    BudgetExhausted,
+    ValidationError,
+    is_int,
+    is_real,
+    json_key,
+    json_tuple,
+)
 from .regularizers import RegularizerSpec, entry_l1, fiber_group, slice_frob
 from .regularizers import matricized_nuclear_sum, slice_nuclear, tensor_spectral
 from .solver import empirical_norm, lambda_rule, solve
@@ -93,6 +100,8 @@ class RateExperimentConfig:
     max_iters: int = 2000
 
     def __post_init__(self):
+        if not isinstance(self.n_grid, (tuple, list)):
+            raise ValidationError(f"n_grid must be a list, got {self.n_grid!r}")
         grid = tuple(self.n_grid)
         if not all(is_int(n) for n in grid):
             raise ValidationError(f"n_grid entries must be integers, got {list(grid)!r}")
@@ -100,6 +109,22 @@ class RateExperimentConfig:
             raise ValidationError(
                 f"replications must be an integer, got {self.replications!r}"
             )
+        if not (is_int(self.seed) and self.seed >= 0):
+            raise ValidationError(f"seed must be an integer >= 0, got {self.seed!r}")
+        for name in ("max_iters", "width_draws", "split"):
+            value = getattr(self, name)
+            if not is_int(value):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+        for name, bound, ok in (
+            ("c_u", "> 0", lambda v: v > 0),
+            ("lambda_multiplier", ">= 1", lambda v: v >= 1),
+            ("noise_sigma", ">= 0", lambda v: v >= 0),
+        ):
+            value = getattr(self, name)
+            if not (is_real(value) and ok(value)):
+                raise ValidationError(
+                    f"{name} must be a finite number {bound}, got {value!r}"
+                )
         if len(grid) < 4 or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValidationError("n_grid must be strictly increasing with >= 4 points")
         if self.replications < 10:
@@ -144,7 +169,7 @@ class RateExperimentConfig:
         return cls(
             model=ModelClassSpec.from_json(need("model")),
             regularizer=reg,
-            n_grid=tuple(need("n_grid")),
+            n_grid=json_tuple(need("n_grid")),
             replications=need("replications"),
             seed=need("seed"),
             rate_tag=need("rate_tag"),
@@ -290,9 +315,13 @@ def rate_experiment(config):
     }
 
 
-def width_experiment(kinds, shapes, draws=2000, seed=0, workers=1, band=(0.2, 5.0)):
+# A width row is flagged when its estimate / growth-law ratio leaves this band.
+_WIDTH_BAND = (0.2, 5.0)
+
+
+def width_experiment(kinds, shapes, draws=2000, seed=0, workers=1):
     """Width estimates against their growth-law expressions, with ratio
-    columns and out-of-band flags."""
+    columns and flags for the rows outside `_WIDTH_BAND`."""
     rows = []
     flagged = []
     for spec in kinds:
@@ -309,13 +338,13 @@ def width_experiment(kinds, shapes, draws=2000, seed=0, workers=1, band=(0.2, 5.
                 "ratio": ratio,
             }
             rows.append(row)
-            if not (band[0] <= ratio <= band[1]):
+            if not (_WIDTH_BAND[0] <= ratio <= _WIDTH_BAND[1]):
                 flagged.append(row)
     return {
         "kind": "width",
         "seed": seed,
         "draws": draws,
-        "band": list(band),
+        "band": list(_WIDTH_BAND),
         "rows": rows,
         "flagged": flagged,
     }
@@ -379,82 +408,71 @@ def verify_packing(elements, lo, hi):
     return (not offenders, min_sq, max_sq, offenders)
 
 
-# Candidates drawn per batch by the sign packings. One draw of shape
-# (m,) + shape consumes the same stream as m draws of `shape`, so the chunk
-# size changes no accepted set; with the block of accepted rows tested per
-# product, it bounds the temporaries whatever the budget or the set size.
+# Candidates drawn per batch by `_greedy`. Acceptance consumes no random
+# numbers, so the chunk size changes no accepted set; with the block of
+# accepted rows tested per product, it bounds the temporaries whatever the
+# budget or the set size.
 _PACKING_CHUNK = 4096
 _PACKING_BLOCK = 256
 
 
-def _greedy_signs(rng, shape, budget, floor, rank=None):
-    """Accept, in draw order, each of `budget` random sign arrays of `shape`
-    at Hamming distance at least `floor` from every accepted one; with
-    `rank`, candidates of lower matrix rank are skipped.
+def _greedy(draw, budget, lo_dot, hi_dot):
+    """Accept, in draw order, each of `budget` candidates whose inner
+    product with every accepted one lies in [lo_dot, hi_dot].
 
-    For +-1 vectors Hamming(a, b) = (n - <a, b>)/2, and inner products of
-    +-1 vectors are exact in float64, so the floor is an exact bound on the
-    inner product.
+    `draw(m)` returns the next m candidates as the rows of a float array of
+    small integers, less any it drops.  Their inner products are integers,
+    exact in float64, so the window decides without rounding.  Returns the
+    accepted rows.
     """
-    ncoord = int(np.prod(shape))
-    max_dot = ncoord - 2 * math.ceil(floor)
-    acc = np.empty((0, ncoord))
+    acc = np.empty((0, 0))
     for start in range(0, budget, _PACKING_CHUNK):
-        m = min(_PACKING_CHUNK, budget - start)
-        chunk = rng.choice([-1.0, 1.0], size=(m,) + shape)
-        flat = chunk.reshape(m, ncoord)
-        rows = np.arange(m)
-        if rank is not None:
-            rows = rows[np.linalg.matrix_rank(chunk) >= rank]
+        flat = draw(min(_PACKING_CHUNK, budget - start))
+        rows = np.arange(len(flat))
         for b in range(0, len(acc), _PACKING_BLOCK):
-            block = acc[b : b + _PACKING_BLOCK]
-            rows = rows[(flat[rows] @ block.T <= max_dot).all(axis=1)]
-        # accept the first passing row, then drop later rows too close to it
+            dots = flat[rows] @ acc[b : b + _PACKING_BLOCK].T
+            rows = rows[((lo_dot <= dots) & (dots <= hi_dot)).all(axis=1)]
+        # accept the first passing row, then drop later rows outside its window
         new = []
         while rows.size:
             i, rows = rows[0], rows[1:]
             new.append(i)
-            rows = rows[flat[rows] @ flat[i] <= max_dot]
-        acc = np.concatenate([acc, flat[new]])
-    return acc.reshape((-1,) + shape)
+            dots = flat[rows] @ flat[i]
+            rows = rows[(lo_dot <= dots) & (dots <= hi_dot)]
+        acc = np.concatenate([acc, flat[new]]) if len(acc) else flat[new]
+    return acc
 
 
 def hypercube_packing(
-    d,
-    delta,
-    kind="full",
-    budget=100000,
-    seed=0,
-    *,
-    s=None,
-    d1=None,
-    d2=None,
-    r=None,
-    min_size=2,
+    d, delta, kind="full", budget=100000, seed=0, *, s=None, d1=None, d2=None, r=None
 ):
     """Greedy random packing constructions.
 
-    ``full``: sign vectors in dimension `d` scaled so that the Hamming
-    floor d/3 lands the squared distances inside [delta^2/4, delta^2];
-    candidates are accepted when at Hamming distance at least d/3 from all
-    accepted vectors.
+    Every kind draws integer candidates and accepts them through one greedy
+    routine, on a window for their inner product with each accepted
+    candidate; the elements are the accepted candidates times one scale `a`.
 
-    ``sparse``: `s`-sparse sign vectors scaled so disjoint supports attain
-    delta^2 exactly; acceptance enforces the window [delta^2/8, delta^2].
+    ``full``: +-1 vectors in dimension `d`, at Hamming distance at least
+    d/3 from each other, which for +-1 vectors is an inner product at most
+    d - 2 ceil(d/3); `a` lands the squared distances inside
+    [delta^2/4, delta^2].
 
-    ``lowrank``: rank-`r` matrices of shape (`d1`, `d2`) built from sign
-    factors on the first r columns, accepted on a Hamming floor of one
-    third of the sign coordinates.
+    ``sparse``: `s`-sparse +-1 vectors, drawn one at a time (a support,
+    then its signs), with `a` = delta / sqrt(2 s), so that disjoint supports
+    lie delta^2 apart.  The squared distance is a^2 (2s - 2<u, v>), so the
+    window [delta^2/8, delta^2] is 0 <= <u, v> <= floor(7s/8), exactly.
 
-    The sign kinds (``full``, ``lowrank``) draw candidates in chunks, which
-    consume the same random stream as one draw per candidate, and take each
-    Hamming distance from an inner product: (n - <a, b>)/2 for +-1 vectors.
-    ``sparse`` draws one candidate at a time and checks it against all
-    accepted elements at once.
+    ``lowrank``: rank-`r` matrices of shape (`d1`, `d2`) whose first r
+    columns are a +-1 factor of full column rank (rank-deficient draws are
+    dropped) and whose other columns are zero, on the Hamming floor of
+    ``full`` over the d1 r sign coordinates.
+
+    The +-1 kinds draw their candidates in chunks, which consume the same
+    random stream as one draw per candidate.
 
     Raises ``ValidationError`` unless delta is finite and positive and
-    budget >= 1, and ``BudgetExhausted`` (carrying the partial set) if fewer
-    than `min_size` elements were accepted within the candidate budget.
+    budget >= 1, and ``BudgetExhausted`` if fewer than two elements were
+    accepted within the candidate budget.
     """
     if not (np.isfinite(delta) and delta > 0):
         raise ValidationError(f"packing needs a finite delta > 0, got {delta}")
@@ -466,24 +484,27 @@ def hypercube_packing(
             raise ValidationError("full hypercube packing needs d >= 6")
         a = np.sqrt(3.0) * delta / (4.0 * np.sqrt(d))
         floor = d / 3.0
-        accepted = list(a * _greedy_signs(rng, (d,), budget, floor))
+        signs = _greedy(
+            lambda m: rng.choice([-1.0, 1.0], size=(m, d)),
+            budget, -d, d - 2 * math.ceil(floor),
+        )
         lo, hi = delta**2 / 4.0, delta**2
         meta = {"dimension": d, "hamming_floor": floor}
     elif kind == "sparse":
         if d < 6 or s is None or not (1 <= s <= d):
             raise ValidationError("sparse packing needs d >= 6 and 1 <= s <= d")
+
+        def draw(m):
+            rows = np.zeros((m, d))
+            for row in rows:
+                # the support is drawn before its signs
+                support = rng.choice(d, size=s, replace=False)
+                row[support] = rng.choice([-1.0, 1.0], size=s)
+            return rows
+
         a = delta / np.sqrt(2.0 * s)
+        signs = _greedy(draw, budget, 0, 7 * s // 8)
         lo, hi = delta**2 / 8.0, delta**2
-        acc = np.empty((0, d))
-        for _ in range(budget):
-            cand = np.zeros(d)
-            support = rng.choice(d, size=s, replace=False)
-            cand[support] = a * rng.choice([-1.0, 1.0], size=s)
-            # difference form, not Gram: disjoint supports sit exactly on hi
-            d2 = ((cand - acc) ** 2).sum(axis=1)
-            if ((lo <= d2) & (d2 <= hi)).all():
-                acc = np.concatenate([acc, cand[None]])
-        accepted = list(acc)
         meta = {"dimension": d, "sparsity": s}
     elif kind == "lowrank":
         if d1 is None or d2 is None or r is None:
@@ -495,46 +516,42 @@ def hypercube_packing(
         ncoord = d1 * r
         a = delta / (2.0 * np.sqrt(ncoord))
         floor = ncoord / 3.0
-        signs = _greedy_signs(rng, (d1, r), budget, floor, rank=r)
-        elems = np.zeros((len(signs), d1, d2))
-        elems[:, :, :r] = a * signs
-        accepted = list(elems)
+
+        def draw(m):
+            chunk = rng.choice([-1.0, 1.0], size=(m, d1, r))
+            return chunk[np.linalg.matrix_rank(chunk) >= r].reshape(-1, ncoord)
+
+        signs = _greedy(draw, budget, -ncoord, ncoord - 2 * math.ceil(floor))
+        signs = np.pad(signs.reshape(-1, d1, r), ((0, 0), (0, 0), (0, d2 - r)))
         lo, hi = delta**2 / 4.0, delta**2
         meta = {"d1": d1, "d2": d2, "rank": r, "hamming_floor": floor}
     else:
         raise ValidationError(f"unknown packing kind {kind!r}")
 
-    ok, min_sq, max_sq, offenders = (
-        verify_packing(accepted, lo, hi) if len(accepted) >= 2 else (False, 0, 0, [])
-    )
+    accepted = list(a * signs)
+    if len(accepted) < 2:
+        raise BudgetExhausted(
+            f"accepted only {len(accepted)} elements within budget {budget}"
+        )
+    ok, min_sq, max_sq, _ = verify_packing(accepted, lo, hi)
     meta.update(
         {
             "budget": budget,
             "seed": seed,
             "verified": ok,
             "log_size_per_dim": (
-                float(np.log(len(accepted)) / meta.get("dimension", d))
-                if len(accepted) >= 2 and kind != "lowrank"
-                else None
+                float(np.log(len(accepted)) / d) if kind != "lowrank" else None
             ),
         }
     )
-    pack = None
-    if len(accepted) >= 2:
-        pack = PackingSet(
-            elements=accepted,
-            delta=float(delta),
-            min_dist_sq=min_sq,
-            max_dist_sq=max_sq,
-            construction=kind,
-            meta=meta,
-        )
-    if len(accepted) < min_size:
-        raise BudgetExhausted(
-            f"accepted only {len(accepted)} elements within budget {budget}",
-            partial=pack,
-        )
-    return pack
+    return PackingSet(
+        elements=accepted,
+        delta=float(delta),
+        min_dist_sq=min_sq,
+        max_dist_sq=max_sq,
+        construction=kind,
+        meta=meta,
+    )
 
 
 def fano_precondition_check(pack, n, c_u, delta):

@@ -37,6 +37,7 @@ from .errors import (
     UnsupportedKind,
     is_int,
     json_key,
+    json_tuple,
 )
 from .tensor import ProjectorTriple, dematricize, matricize, tucker_project
 
@@ -142,12 +143,10 @@ class RegularizerSpec:
 
     @classmethod
     def from_json(cls, obj):
-        kind = json_key(obj, "kind", "regularizer")
-        axes = obj.get("axes")
         return cls(
-            kind=kind,
+            kind=json_key(obj, "kind", "regularizer"),
             mode=obj.get("mode"),
-            axes=tuple(axes) if axes is not None else None,
+            axes=json_tuple(obj.get("axes")),
         )
 
 
@@ -265,7 +264,7 @@ def _dual_batch(spec, g, rng=None, hopm_restarts=None, hopm_iters=None):
     """
     b = g.shape[0]
     if spec == "pairwise":
-        return _pairwise_dual([g.sum(axis=axis) for axis in (3, 2, 1)])
+        return _max_top_sv([g.sum(axis=axis)[:, None] for axis in (3, 2, 1)])
     if spec.kind in _GROUP_KINDS:
         axes = tuple(ax + 1 for ax in spec.norm_axes)
         return _group_norms(g, axes).reshape(b, -1).max(axis=1)
@@ -282,13 +281,6 @@ def _dual_batch(spec, g, rng=None, hopm_restarts=None, hopm_iters=None):
 
         return _hopm(g, hopm_restarts, hopm_iters, rng)[0]
     raise UnsupportedKind(spec.kind)
-
-
-def _pairwise_dual(blocks):
-    """Dual norm of the pairwise-component penalty, the sum of the nuclear
-    norms of three component matrices, at the three (B, r, c) stacks of
-    gradient blocks: each of the B largest top singular values."""
-    return _max_top_sv([m[:, None] for m in blocks])
 
 
 # Relative slack on the bounds of `_max_top_sv`, far above the rounding of

@@ -18,7 +18,6 @@ import numpy as np
 from .errors import NoClosedFormProx, ShapeMismatch, json_key
 from .regularizers import (
     RegularizerSpec,
-    _pairwise_dual,
     compatibility,
     prox,
     reg_dual,
@@ -619,7 +618,7 @@ def fista_pairwise(problem, lam, config=None):
         )
 
     def dual(vec):
-        return _pairwise_dual([m[None] for m in split(vec)])[0]
+        return max(np.linalg.svd(m, compute_uv=False)[0] for m in split(vec))
 
     op = _least_squares(phi, y, n)
     x, run = np.zeros(phi.shape[1]), ()

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatch, SvdFailure, ZeroTensor
-from .regularizers import RegularizerSpec, _dual_batch
+from .regularizers import SV_RTOL, RegularizerSpec, _dual_batch
 
 __all__ = [
     "matrix_svt",
@@ -28,8 +28,8 @@ def matrix_svt(z, t):
     """Singular value soft-thresholding, the prox of the matrix nuclear norm.
 
     Returns ``U max(S - t, 0) V^T`` for the SVD of `z`, or of each matrix of
-    a (..., r, c) stack; singular values below 1e-12 of the largest of their
-    matrix are zeroed for rank stability.
+    a (..., r, c) stack; singular values below `SV_RTOL` times the largest
+    of their matrix are zeroed for rank stability.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -39,7 +39,7 @@ def matrix_svt(z, t):
     except np.linalg.LinAlgError as exc:
         raise SvdFailure(f"SVD did not converge on shape {z.shape}") from exc
     s = np.maximum(s - t, 0.0)
-    s[s < 1e-12 * s[..., :1]] = 0.0
+    s[s < SV_RTOL * s[..., :1]] = 0.0
     return (u * s[..., None, :]) @ vt
 
 

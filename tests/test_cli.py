@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from tenreg import harness
 from tenreg.cli import main
 from tenreg.datagen import VarModel
 from tenreg.solver import RegressionProblem, save_problem
@@ -423,6 +424,40 @@ class TestMissingJsonKeys:
         assert message in err
 
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("n_grid", 400, "n_grid must be a list"),
+         ("seed", "abc", "seed must be an integer >= 0"),
+         ("seed", -1, "seed must be an integer >= 0"),
+         ("max_iters", "5", "max_iters must be an integer"),
+         ("width_draws", 200.0, "width_draws must be an integer"),
+         ("split", None, "split must be an integer"),
+         ("c_u", None, "c_u must be a finite number > 0"),
+         ("c_u", 0, "c_u must be a finite number > 0"),
+         ("lambda_multiplier", 0.5, "lambda_multiplier must be a finite number >= 1"),
+         ("noise_sigma", -1, "noise_sigma must be a finite number >= 0"),
+         ("noise_sigma", float("nan"), "noise_sigma must be a finite number >= 0")],
+        ids=["n_grid-int", "seed-str", "seed-negative", "max_iters-str",
+             "width_draws-float", "split-null", "c_u-null", "c_u-zero",
+             "lambda_multiplier-below-one", "noise_sigma-negative", "noise_sigma-nan"],
+    )
+    def test_rate_rejects_a_bad_field_before_running(
+        self, tmp_path, capsys, monkeypatch, field, value, message
+    ):
+        # rejected as the config is read: no width draw or solve runs
+        monkeypatch.setattr(harness, "rate_experiment", pytest.fail)
+        cfg = {"model": {"kind": "theta1", "shape": [3, 3, 3], "s": 2},
+               "regularizer": {"kind": "entry_l1"}, "n_grid": [50, 100, 200, 400],
+               "replications": 10, "seed": 1, "rate_tag": "s_log_total_over_n",
+               field: value}
+        cfg_path = str(tmp_path / "cfg.json")
+        with open(cfg_path, "w") as fh:
+            json.dump(cfg, fh)  # writes NaN, which json.load reads back
+        code, _, err = run_cli(["rate", "--config", cfg_path], capsys)
+        assert code == 2
+        assert message in err
+
+
 class TestBadGeometry:
     @pytest.mark.parametrize(
         "spec, field",
@@ -488,6 +523,19 @@ class TestBadGeometry:
         )
         assert code == 2
         assert field in err
+        assert out == ""
+
+    @pytest.mark.parametrize("axes", [5, "01", {"0": 1}], ids=["int", "str", "object"])
+    def test_solve_rejects_axes_that_are_not_a_list(self, tmp_path, capsys, axes):
+        prob_dir = str(tmp_path / "prob")
+        save_scaled_problem(prob_dir, 10, scale=1.0)
+        reg = json.dumps({"kind": "slice_frob", "axes": axes})
+        code, out, err = run_cli(
+            ["solve", "--problem", prob_dir, "--regularizer", reg, "--lam", "0.1"],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("error: axes must be two distinct integers")
         assert out == ""
 
 

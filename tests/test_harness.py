@@ -319,6 +319,23 @@ class TestPacking:
         for e in pack.elements:
             assert np.count_nonzero(e) == 4
 
+    @pytest.mark.parametrize("d, s", [(12, 3), (30, 6)])
+    def test_sparse_set_does_not_depend_on_delta(self, d, s):
+        # acceptance is decided on exact inner products of the sign
+        # patterns, so delta only scales the set
+        patterns = []
+        for delta in (0.3, 0.7, 1.0, 1.3):
+            pack = hypercube_packing(d, delta, kind="sparse", budget=5000, seed=3, s=s)
+            ok, *_ = verify_packing(pack.elements, delta**2 / 8, delta**2)
+            assert ok
+            patterns.append(np.array(pack.elements) / (delta / np.sqrt(2.0 * s)))
+        for pattern in patterns[1:]:
+            assert np.array_equal(pattern, patterns[0])
+
+    def test_sparse_size(self):
+        pack = hypercube_packing(12, 1.0, kind="sparse", budget=5000, seed=3, s=3)
+        assert len(pack.elements) == 100
+
     def test_lowrank_window_and_rank(self):
         delta = 1.5
         pack = hypercube_packing(

@@ -31,7 +31,7 @@ from tenreg.regularizers import (
     tensor_spectral,
     tucker_projectors,
 )
-from tenreg.regularizers import _dual_batch, _groups, _pairwise_dual
+from tenreg.regularizers import _dual_batch, _groups, _max_top_sv
 from tenreg.spectral import matrix_svt
 from tenreg.tensor import ProjectorTriple
 
@@ -212,15 +212,18 @@ class TestPrunedTopSingularValues:
         g = np.random.default_rng(2).standard_normal((64,) + shape)
         expected = full_svd_pairwise_dual(marginal_sums(g))
         assert np.array_equal(_dual_batch("pairwise", g), expected)
-        assert np.array_equal(_pairwise_dual(marginal_sums(g)), expected)
 
     def test_pairwise_two_dimensional_blocks_match_full_svd(self):
-        # the block solver's gradient blocks, one matrix per block
-        for a in np.random.default_rng(3).standard_normal((16, 4, 6, 9)):
+        # the block solver's gradient blocks, one matrix per block: its
+        # certificate takes the three top singular values directly, the
+        # same floats the pruned stack computation gives
+        g = np.random.default_rng(3).standard_normal((16, 4, 6, 9))
+        for a in np.concatenate([g, 1e-200 * g[:4], 1e200 * g[:4]]):
             blocks = [a.sum(axis=axis) for axis in (2, 1, 0)]
-            expected = full_svd_pairwise_dual(blocks)
-            got = _pairwise_dual([m[None] for m in blocks])[0]
-            assert got == expected and type(got) is type(expected)
+            direct = max(np.linalg.svd(m, compute_uv=False)[0] for m in blocks)
+            pruned = _max_top_sv([m[None, None] for m in blocks])[0]
+            assert direct == pruned == full_svd_pairwise_dual(blocks)
+            assert type(direct) is type(pruned)
 
     @pytest.mark.parametrize("axes", [(0, 1), (0, 2), (1, 2)])
     @pytest.mark.parametrize(

@@ -31,7 +31,8 @@ from tenreg.solver import (
     save_problem,
     solve,
 )
-from tenreg.solver import _least_squares
+from tenreg.regularizers import _max_top_sv
+from tenreg.solver import _certificate, _least_squares
 from tenreg.spectral import gaussian_width_mc, matrix_svt
 from tenreg.tensor import dematricize, matricize
 
@@ -637,6 +638,23 @@ class TestOneCertificate:
         res = fista_pairwise(p, lam)
         assert res.status == "Converged"
         assert abs(res.kkt_residual - pairwise_data_certificate(p, res)) <= 1e-13
+
+    @pytest.mark.parametrize("n, max_iters", [(40, 3), (300, 3), (40, 2000)])
+    def test_pairwise_dual_is_the_pruned_top_singular_value(self, n, max_iters):
+        # the block solver takes its blocks' top singular values directly;
+        # the pruned stack computation of the dual gives the same certificate,
+        # also three steps in, where the dual still exceeds lam
+        spec = ModelClassSpec("t4", (4, 4, 4), r=1, magnitude=3.0)
+        p = gen_problem(gen_truth(spec, 49), n, 3, 0.5, seed=50)
+        res = fista_pairwise(p, 0.05, FistaConfig(max_iters=max_iters))
+        vec = np.concatenate([c.ravel() for c in res.components])
+        g = _least_squares(*pairwise_design(p), p.n).grad(vec)
+        blocks = np.split(g, np.cumsum([c.size for c in res.components])[:-1])
+        dual = _max_top_sv(
+            [b.reshape(c.shape)[None, None] for b, c in zip(blocks, res.components)]
+        )[0]
+        r_val = sum(np.linalg.svd(c, compute_uv=False).sum() for c in res.components)
+        assert res.kkt_residual == _certificate(0.05, vec, g, dual, r_val)
 
 
 def full_rank_problem():
