@@ -31,11 +31,8 @@ def _parse_reg(text):
     ``slice_frob:0,1``, ``slice_nuclear:1,2``, ``matricized_nuclear_sum``,
     ``tensor_spectral``, or a JSON object / path to one."""
     text = text.strip()
-    if os.path.exists(text):
-        with open(text) as fh:
-            return RegularizerSpec.from_json(json.load(fh))
-    if text.startswith("{"):
-        return RegularizerSpec.from_json(json.loads(text))
+    if os.path.exists(text) or text.startswith("{"):
+        return RegularizerSpec.from_json(_load_json_arg(text))
     if text == "pairwise":
         return "pairwise"
     name, _, arg = text.partition(":")

@@ -15,6 +15,8 @@ from .errors import (
     InfeasibleClass,
     ShapeMismatch,
     UnstableModel,
+    fields_from_json,
+    fields_to_json,
     is_int,
     is_real,
     json_key,
@@ -105,26 +107,12 @@ class ModelClassSpec:
         return {"theta1": (), "theta2": (self.mode,), "t3": (1,)}.get(self.kind, slices)
 
     def to_json(self):
-        return {
-            "kind": self.kind,
-            "shape": list(self.shape),
-            "s": self.s,
-            "r": self.r,
-            "magnitude": self.magnitude,
-            "mode": self.mode,
-            "axes": list(self.axes),
-        }
+        return fields_to_json(self)
 
     @classmethod
     def from_json(cls, obj):
-        return cls(
-            kind=json_key(obj, "kind", "model class"),
-            shape=json_tuple(json_key(obj, "shape", "model class")),
-            s=obj.get("s"),
-            r=obj.get("r"),
-            magnitude=obj.get("magnitude", 1.0),
-            mode=obj.get("mode", 0),
-            axes=json_tuple(obj.get("axes", (0, 1))),
+        return fields_from_json(
+            cls, obj, "model class", shape=json_tuple, axes=json_tuple
         )
 
 
@@ -338,6 +326,18 @@ def _companion(coeffs):
     return np.vstack([top, np.hstack([eye, zero])])
 
 
+def _spectral_radius(coeffs):
+    return float(np.abs(np.linalg.eigvals(_companion(coeffs))).max())
+
+
+def _rescale_lags(coeffs, rho, target):
+    """Scale lag j of `coeffs` by (target / rho)^j, in place, which moves a
+    companion spectral radius of `rho` to `target`."""
+    scale = target / rho
+    for j in range(coeffs.shape[0]):
+        coeffs[j] *= scale ** (j + 1)
+
+
 @dataclass
 class VarModel:
     """Stable VAR(p) with identity innovation covariance.
@@ -359,10 +359,7 @@ class VarModel:
         if rho >= 1.0:
             if not self.auto_stabilize:
                 raise UnstableModel(f"companion spectral radius {rho:.4f} >= 1")
-            scale = 0.95 / rho
-            p = self.coeffs.shape[0]
-            for j in range(p):
-                self.coeffs[j] *= scale ** (j + 1)
+            _rescale_lags(self.coeffs, rho, 0.95)
         if self.burn_in is None:
             self.burn_in = 500 + 10 * self.coeffs.shape[0]
 
@@ -375,8 +372,9 @@ class VarModel:
         return self.coeffs.shape[1]
 
     def spectral_radius(self):
-        return float(np.abs(np.linalg.eigvals(_companion(self.coeffs))).max())
+        return _spectral_radius(self.coeffs)
 
+    # not the fields codec: `coeffs` is an array, `auto_stabilize` no JSON key
     def to_json(self):
         return {
             "coeffs": [a.tolist() for a in self.coeffs],
@@ -408,11 +406,9 @@ def gen_var_model(m, p, s, magnitude=1.0, seed=0, target_rho=0.75):
     for c in cells:
         k, l = divmod(int(c), m)
         coeffs[:, k, l] = magnitude * _signs(rng, p)
-    rho = float(np.abs(np.linalg.eigvals(_companion(coeffs))).max())
+    rho = _spectral_radius(coeffs)
     if rho > 0:
-        scale = target_rho / rho
-        for j in range(p):
-            coeffs[j] *= scale ** (j + 1)
+        _rescale_lags(coeffs, rho, target_rho)
     return VarModel(coeffs=coeffs)
 
 

@@ -1,7 +1,8 @@
-"""Exception types shared across the package, and checks on decoded JSON."""
+"""Exception types shared across the package, and the codec of decoded JSON."""
 
 import math
 import numbers
+from dataclasses import MISSING, fields
 
 
 class TenregError(Exception):
@@ -50,12 +51,7 @@ class SvdFailure(TenregError):
 
 class BudgetExhausted(TenregError):
     """Greedy packing accepted fewer than two elements within its candidate
-    budget.  `partial` is None, since such a set is no packing.
-    """
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    budget."""
 
 
 class ValidationError(TenregError):
@@ -73,6 +69,32 @@ def json_key(obj, key, what):
 def json_tuple(value):
     """A JSON array as a tuple; any other value as it is, for its check."""
     return tuple(value) if isinstance(value, list) else value
+
+
+def fields_to_json(obj):
+    """Every field of the dataclass `obj`, in field order: a value with its
+    own ``to_json`` through it, a tuple or list as a new list."""
+    out = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if hasattr(value, "to_json"):
+            value = value.to_json()
+        out[f.name] = list(value) if isinstance(value, (tuple, list)) else value
+    return out
+
+
+def fields_from_json(cls, obj, what, **decode):
+    """The dataclass `cls` from decoded JSON. A field with no default is
+    read through `json_key`, so every key is checked before any value is
+    decoded; any other field keeps its dataclass default when its key is
+    left out. ``decode[name]`` converts the value of field `name`."""
+    values = {}
+    for f in fields(cls):
+        if f.default is MISSING and f.default_factory is MISSING:
+            values[f.name] = json_key(obj, f.name, what)
+        elif f.name in obj:
+            values[f.name] = obj[f.name]
+    return cls(**{k: decode[k](v) if k in decode else v for k, v in values.items()})
 
 
 def is_int(value):

@@ -23,9 +23,10 @@ from .datagen import (
 from .errors import (
     BudgetExhausted,
     ValidationError,
+    fields_from_json,
+    fields_to_json,
     is_int,
     is_real,
-    json_key,
     json_tuple,
 )
 from .regularizers import RegularizerSpec, entry_l1, fiber_group, slice_frob
@@ -138,47 +139,15 @@ class RateExperimentConfig:
             )
 
     def to_json(self):
-        reg = (
-            self.regularizer
-            if isinstance(self.regularizer, str)
-            else self.regularizer.to_json()
-        )
-        return {
-            "model": self.model.to_json(),
-            "regularizer": reg,
-            "n_grid": list(self.n_grid),
-            "replications": self.replications,
-            "seed": self.seed,
-            "rate_tag": self.rate_tag,
-            "lambda_multiplier": self.lambda_multiplier,
-            "c_u": self.c_u,
-            "noise_sigma": self.noise_sigma,
-            "width_draws": self.width_draws,
-            "split": self.split,
-            "max_iters": self.max_iters,
-        }
+        return fields_to_json(self)
 
     @classmethod
     def from_json(cls, obj):
-        def need(key):
-            return json_key(obj, key, "rate config")
-
-        reg = need("regularizer")
-        if isinstance(reg, dict):
-            reg = RegularizerSpec.from_json(reg)
-        return cls(
-            model=ModelClassSpec.from_json(need("model")),
-            regularizer=reg,
-            n_grid=json_tuple(need("n_grid")),
-            replications=need("replications"),
-            seed=need("seed"),
-            rate_tag=need("rate_tag"),
-            lambda_multiplier=obj.get("lambda_multiplier", 1.0),
-            c_u=obj.get("c_u", 1.0),
-            noise_sigma=obj.get("noise_sigma", 1.0),
-            width_draws=obj.get("width_draws", 2000),
-            split=obj.get("split", 2),
-            max_iters=obj.get("max_iters", 2000),
+        return fields_from_json(
+            cls, obj, "rate config", model=ModelClassSpec.from_json, n_grid=json_tuple,
+            regularizer=lambda v: (
+                RegularizerSpec.from_json(v) if isinstance(v, dict) else v
+            ),
         )
 
 
@@ -370,6 +339,7 @@ class PackingSet:
         if len(self.elements) < 2:
             raise ValidationError("a packing needs at least two elements")
 
+    # not `fields_to_json`: the elements are arrays, and `size` is derived
     def to_json(self):
         return {
             "construction": self.construction,

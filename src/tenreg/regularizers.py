@@ -35,8 +35,8 @@ from .errors import (
     ShapeMismatch,
     UnmatchedPair,
     UnsupportedKind,
+    fields_from_json,
     is_int,
-    json_key,
     json_tuple,
 )
 from .tensor import ProjectorTriple, dematricize, matricize, tucker_project
@@ -133,6 +133,8 @@ class RegularizerSpec:
     def has_prox(self):
         return self.kind in _PROX_KINDS
 
+    # not `fields_to_json`, which would write an unset mode or axes as null
+    # into the regularizer of every rate report
     def to_json(self):
         out = {"kind": self.kind}
         if self.mode is not None:
@@ -143,11 +145,7 @@ class RegularizerSpec:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(
-            kind=json_key(obj, "kind", "regularizer"),
-            mode=obj.get("mode"),
-            axes=json_tuple(obj.get("axes")),
-        )
+        return fields_from_json(cls, obj, "regularizer", axes=json_tuple)
 
 
 def entry_l1():
@@ -198,10 +196,21 @@ def _groups(a, axes, inverse=False):
 
 def _group_norms(a, axes, keepdims=False):
     """The l2 norm of each group spanning `axes`: the absolute entry for
-    ``()``, exact at every scale."""
+    ``()``.  Correct at every scale: only when a square over- or underflows
+    are the norms taken again, each group first rescaled by the power of two
+    that brings its largest entry into [0.5, 1), exactly."""
     if not axes:
         return np.abs(a)
-    return np.sqrt((a * a).sum(axis=axes, keepdims=keepdims))
+    try:
+        with np.errstate(over="raise", under="raise"):
+            return np.sqrt((a * a).sum(axis=axes, keepdims=keepdims))
+    except FloatingPointError:
+        pass
+    shift = -np.frexp(np.abs(a).max(axis=axes, keepdims=True))[1]
+    with np.errstate(over="ignore", under="ignore"):
+        x = np.ldexp(a, shift)
+        norms = np.ldexp(np.sqrt((x * x).sum(axis=axes, keepdims=True)), -shift)
+    return norms if keepdims else norms.squeeze(axis=axes)
 
 
 def _nuclear(sv_stack):
@@ -209,6 +218,14 @@ def _nuclear(sv_stack):
     sv = np.asarray(sv_stack)
     cut = SV_RTOL * sv.max(axis=-1, keepdims=True)
     return np.where(sv > cut, sv, 0.0).sum(axis=-1)
+
+
+def _unfolding_nuclear(a):
+    """The nuclear norms of the three mode unfoldings of `a`."""
+    return [
+        float(_nuclear(np.linalg.svd(matricize(a, [k]), compute_uv=False)))
+        for k in range(3)
+    ]
 
 
 def reg_eval(spec, a):
@@ -221,11 +238,8 @@ def reg_eval(spec, a):
         sv = np.linalg.svd(stack, compute_uv=False)
         return float(_nuclear(sv).sum())
     if spec.kind == "matricized_nuclear_sum":
-        total = 0.0
-        for k in range(3):
-            sv = np.linalg.svd(matricize(a, [k]), compute_uv=False)
-            total += float(_nuclear(sv))
-        return total / 3.0
+        n1, n2, n3 = _unfolding_nuclear(a)
+        return (n1 + n2 + n3) / 3.0
     raise UnsupportedKind(
         "the tensor nuclear norm primal is not evaluated (NP-hard); "
         "only its dual is approximated"
@@ -411,6 +425,7 @@ class SubspaceSpec:
             return self.axes
         return {"support_entries": (), "support_fibers": (self.mode,)}.get(self.variant)
 
+    # not the fields codec: arrays, and keys that depend on the variant
     def to_json(self):
         out = {"variant": self.variant, "shape": list(self.shape)}
         if self.norm_axes is not None:
@@ -599,10 +614,7 @@ def _surrogate_ratio(spec, a):
         # The tensor nuclear norm dominates each unfolding nuclear norm, so
         # the max over unfoldings gives a certified lower bound when the
         # primal itself cannot be evaluated.
-        val = max(
-            float(_nuclear(np.linalg.svd(matricize(a, [k]), compute_uv=False)))
-            for k in range(3)
-        )
+        val = max(_unfolding_nuclear(a))
     else:
         val = reg_eval(spec, a)
     return val * val / fro2

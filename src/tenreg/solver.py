@@ -136,6 +136,7 @@ class SolveResult:
     status: str  # Converged | MaxIters | Diverged
     components: tuple | None = None
 
+    # not `fields_to_json`: arrays, nulls for non-finite floats, derived keys
     def to_json(self):
         """Plain JSON: non-finite floats, which JSON cannot carry, are null."""
         return {

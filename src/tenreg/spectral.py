@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatch, SvdFailure, ZeroTensor
+from .errors import ShapeMismatch, SvdFailure, ZeroTensor, fields_to_json
 from .regularizers import SV_RTOL, RegularizerSpec, _dual_batch
+from .tensor import matricize
 
 __all__ = [
     "matrix_svt",
@@ -151,7 +152,7 @@ def hopm_spectral(a, restarts=20, iters=200, *, rng=None):
         raise ZeroTensor("spectral norm of the zero tensor is undefined here")
     if rng is None:
         rng = np.random.default_rng(0)
-    unfold = (np.moveaxis(a, k, 0).reshape(a.shape[k], -1) for k in (1, 2))
+    unfold = (matricize(a, [k]) for k in (1, 2))
     start = [np.linalg.svd(m, full_matrices=False)[0][None, :, 0] for m in unfold]
     best, factors = _hopm(a[None], restarts, iters, rng, start)
     return {"value": float(best[0]), "factors": tuple(f[0] for f in factors)}
@@ -174,15 +175,7 @@ class WidthEstimate:
             raise ValueError("draws must be >= 100")
 
     def to_json(self):
-        return {
-            "mean": self.mean,
-            "std_error": self.std_error,
-            "draws": self.draws,
-            "lemma_bound_form": self.lemma_bound_form,
-            "seed": self.seed,
-            "shape": list(self.shape),
-            "kind": self.kind,
-        }
+        return fields_to_json(self)
 
 
 _RATE_TAGS = {

@@ -320,17 +320,17 @@ class TestGroupGeometry:
             assert class_certificate(spec, t) == {"ok": True, "nonzero_interactions": s}
 
     def test_support_certificates_count_group_norms(self):
-        # one certificate per class on the same tensor, recorded before the
-        # classes counted through one group norm; the 1e-300 entry is a
-        # nonzero entry, but its squared group norm underflows to zero
+        # one certificate per class on the same tensor; the 1e-300 entry is
+        # a nonzero entry, whose group is nonzero although its square
+        # underflows to zero
         t = np.zeros((4, 3, 4))
         t[0, 1, 2], t[0, 2, 2], t[3, 0, 1], t[2, 2, 0] = 1.0, -2.0, 1e-300, 5.0
         want = {
             ("theta1", ()): {"ok": False, "nonzero_entries": 4},
-            ("theta2", (("mode", 1),)): {"ok": True, "nonzero_fibers": 2},
-            ("theta3", (("axes", (2, 0)),)): {"ok": True, "nonzero_slices": 2},
-            ("t1", ()): {"ok": True, "nonzero_slices": 2},
-            ("t3", ()): {"ok": True, "nonzero_interactions": 2},
+            ("theta2", (("mode", 1),)): {"ok": True, "nonzero_fibers": 3},
+            ("theta3", (("axes", (2, 0)),)): {"ok": True, "nonzero_slices": 3},
+            ("t1", ()): {"ok": True, "nonzero_slices": 3},
+            ("t3", ()): {"ok": True, "nonzero_interactions": 3},
         }
         for (kind, params), cert in want.items():
             spec = ModelClassSpec(kind, (4, 3, 4), s=3, **dict(params))

@@ -646,6 +646,20 @@ class TestOneGroupFamily:
         )
         assert np.isfinite(reg_eval(entry_l1(), a))
 
+    @pytest.mark.parametrize("power", [600, -600])
+    @pytest.mark.parametrize(
+        "spec", [fiber_group(0), fiber_group(2), slice_frob((0, 1)), slice_frob((2, 0))]
+    )
+    def test_fiber_and_slice_norms_scale_exactly(self, spec, power):
+        # squares of entries near 2^±600 leave the float range; the norms
+        # must not, and must equal the unscaled ones times 2^±600
+        x = np.random.default_rng(8).standard_normal((4, 5, 6))
+        x[1] = 0.0
+        a, scale = np.ldexp(x, power), 2.0**power
+        assert reg_eval(spec, a) == scale * reg_eval(spec, x)
+        assert reg_dual(spec, a) == scale * reg_dual(spec, x)
+        np.testing.assert_array_equal(prox(spec, a, scale * 0.9), scale * prox(spec, x, 0.9))
+
     def test_entry_l1_prox_is_the_soft_threshold_to_rounding(self):
         z = np.random.default_rng(5).standard_normal((4, 5, 6))
         # entries just above, at and below the threshold
