@@ -23,7 +23,7 @@ from .errors import (
     json_tuple,
 )
 from .regularizers import _group_axis, _group_norms, _groups
-from .solver import RegressionProblem, expand_pairwise
+from .solver import RegressionProblem, SufficientStats, expand_pairwise
 from .tensor import matricize
 
 __all__ = [
@@ -32,6 +32,7 @@ __all__ = [
     "gen_pairwise_components",
     "class_certificate",
     "gen_problem",
+    "gen_sufficient_stats",
     "VarModel",
     "gen_var_model",
     "var_truth",
@@ -304,6 +305,48 @@ def gen_problem(truth, n, split, noise_sigma, design="iid", seed=0, meta=None):
     return RegressionProblem(
         covariates=x2.reshape((n,) + cov_shape),
         responses=responses,
+        split=split,
+        noise_sigma=noise_sigma,
+        truth=truth,
+        meta=meta or {},
+    )
+
+
+def gen_sufficient_stats(truth, n, split, noise_sigma, seed=0, meta=None):
+    """Draw the sufficient statistics of an i.i.d. :func:`gen_problem` sample
+    with the identity design, without drawing the sample.
+
+    The rows [x; e] of covariates and standard noise are i.i.d. N(0, I), so
+    their Gram matrix W is Wishart(n, I_{d+q}).  Bartlett's decomposition
+    draws it exactly as W = L L^T, with L lower triangular, ``L_ii^2`` a
+    chi-square with n - i degrees of freedom and standard normals below the
+    diagonal (Bartlett 1933; Odell & Feiveson 1966): d + q chi-squares and
+    (d+q)(d+q-1)/2 normals, whatever n is.  The responses are Y = [X E] B
+    with ``B = [truth; sigma I]``, so ``X^T X = W_xx``,
+    ``X^T Y = W_xx truth + sigma W_xe`` and ``||Y||^2 = <B, W B>``.
+    Needs n >= d + q, where W is nonsingular.
+    """
+    truth = np.asarray(truth, dtype=np.float64)
+    if noise_sigma < 0:
+        raise ValueError("noise_sigma must be nonnegative")
+    if not (0 < split <= truth.ndim):
+        raise ShapeMismatch("split must select a covariate prefix")
+    dim_cov = math.prod(truth.shape[:split])
+    dim_resp = math.prod(truth.shape[split:])
+    dim = dim_cov + dim_resp
+    if n < dim:
+        raise ValueError(f"the Wishart draw needs n >= d + q = {dim}, got n = {n}")
+    rng = np.random.default_rng(seed)
+    low = np.diag(np.sqrt(rng.chisquare(n - np.arange(dim))))
+    low[np.tril_indices(dim, -1)] = rng.standard_normal(dim * (dim - 1) // 2)
+    w = low @ low.T
+    b = np.vstack([truth.reshape(dim_cov, dim_resp), noise_sigma * np.eye(dim_resp)])
+    wb = w @ b
+    return SufficientStats(
+        gram=w[:dim_cov, :dim_cov].copy(),
+        xty=wb[:dim_cov].reshape(truth.shape),
+        yty=float((b * wb).sum()),
+        n=n,
         split=split,
         noise_sigma=noise_sigma,
         truth=truth,

@@ -16,6 +16,7 @@ import numpy as np
 from .datagen import (
     ModelClassSpec,
     gen_problem,
+    gen_sufficient_stats,
     gen_truth,
     gen_var_model,
     gen_var_series,
@@ -104,8 +105,10 @@ class RateExperimentConfig:
         if not isinstance(self.n_grid, (tuple, list)):
             raise ValidationError(f"n_grid must be a list, got {self.n_grid!r}")
         grid = tuple(self.n_grid)
-        if not all(is_int(n) for n in grid):
-            raise ValidationError(f"n_grid entries must be integers, got {list(grid)!r}")
+        if not all(is_int(n) and n >= 1 for n in grid):
+            raise ValidationError(
+                f"n_grid entries must be integers >= 1, got {list(grid)!r}"
+            )
         if not is_int(self.replications):
             raise ValidationError(
                 f"replications must be an integer, got {self.replications!r}"
@@ -126,6 +129,8 @@ class RateExperimentConfig:
                 raise ValidationError(
                     f"{name} must be a finite number {bound}, got {value!r}"
                 )
+        if not 1 <= self.split <= 3:
+            raise ValidationError(f"split must be 1, 2 or 3, got {self.split}")
         if len(grid) < 4 or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValidationError("n_grid must be strictly increasing with >= 4 points")
         if self.replications < 10:
@@ -136,6 +141,11 @@ class RateExperimentConfig:
         if not (isinstance(reg, RegularizerSpec) or reg == "pairwise"):
             raise ValidationError(
                 f"regularizer must be a penalty object or 'pairwise', got {reg!r}"
+            )
+        if reg == "pairwise" and self.split != 3:
+            raise ValidationError(
+                f"the pairwise model regresses a scalar on the whole tensor: "
+                f"split must be 3, got {self.split}"
             )
 
     def to_json(self):
@@ -199,10 +209,15 @@ def rate_experiment(config):
 
     Every cell derives its RNG stream from the config seed, so reports are
     replayable byte for byte.  Solver non-convergence is counted per cell
-    rather than failing the sweep.
+    rather than failing the sweep.  A cell whose rows are i.i.d. (every
+    class but the VAR t3) draws its sufficient statistics by
+    :func:`gen_sufficient_stats` once n exceeds d + q, the covariate and
+    response dimensions; below that it draws the sample by
+    :func:`gen_problem`.
     """
     model = config.model
     shape = model.shape
+    dims = math.prod(shape[: config.split]) + math.prod(shape[config.split :])
     width, lams = auto_lambda(
         config.regularizer,
         shape,
@@ -237,9 +252,8 @@ def rate_experiment(config):
                 problem = gen_var_series(var, n, seed=pseed)
             else:
                 truth = gen_truth(model, tseed)
-                problem = gen_problem(
-                    truth, n, config.split, config.noise_sigma, seed=pseed
-                )
+                draw = gen_sufficient_stats if n > dims else gen_problem
+                problem = draw(truth, n, config.split, config.noise_sigma, seed=pseed)
             res = solve(problem, config.regularizer, lam, config.max_iters)
             if res.status != "Converged":
                 nonconv += 1

@@ -15,7 +15,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .errors import NoClosedFormProx, ShapeMismatch, json_key
+from .errors import NoClosedFormProx, ShapeMismatch, is_int, json_key
 from .regularizers import (
     RegularizerSpec,
     compatibility,
@@ -28,6 +28,7 @@ from .tensor import dematricize, matricize, read_tns, write_tns
 
 __all__ = [
     "RegressionProblem",
+    "SufficientStats",
     "SolveResult",
     "objective",
     "empirical_norm",
@@ -93,15 +94,7 @@ class RegressionProblem:
             raise ShapeMismatch("need at least one sample")
         if self.split != self.covariates.ndim - 1:
             raise ShapeMismatch("split must equal the covariate order")
-        if 0 in self.truth_shape:
-            raise ShapeMismatch(f"need non-empty axes, got shape {self.truth_shape}")
-        if self.truth is not None:
-            self.truth = np.asarray(self.truth, dtype=np.float64)
-            _check_finite("truth", self.truth)
-            if self.truth.shape != self.truth_shape:
-                raise ShapeMismatch(
-                    f"truth shape {self.truth.shape} != {self.truth_shape}"
-                )
+        _check_truth(self)
 
     @property
     def n(self):
@@ -124,6 +117,70 @@ class RegressionProblem:
         x2 = self.covariates.reshape(self.n, -1)
         y2 = self.responses.reshape(self.n, -1)
         return x2, y2
+
+
+@dataclass
+class SufficientStats:
+    """A sample seen only through what penalized least squares reads of it:
+    ``gram = X^T X`` over the flattened covariates, ``xty = X^T Y`` in the
+    truth shape, ``yty = ||Y||^2`` and the sample count `n`.
+
+    Every solver and :func:`empirical_norm` take it in place of a
+    :class:`RegressionProblem` with the same `split`, `noise_sigma`, `truth`
+    and `meta`.  The statistics determine the loss, so a solve returns the
+    estimate of the data they summarize.
+    """
+
+    gram: np.ndarray
+    xty: np.ndarray
+    yty: float
+    n: int
+    split: int
+    noise_sigma: float = 0.0
+    truth: np.ndarray | None = None
+    meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.gram = np.asarray(self.gram, dtype=np.float64)
+        self.xty = np.asarray(self.xty, dtype=np.float64)
+        self.yty = float(self.yty)
+        _check_finite("gram", self.gram)
+        _check_finite("xty", self.xty)
+        if not math.isfinite(self.yty):
+            raise ValueError("yty must be finite")
+        if not (is_int(self.n) and self.n >= 1):
+            raise ShapeMismatch("need at least one sample")
+        if not (is_int(self.split) and 1 <= self.split <= self.xty.ndim):
+            raise ShapeMismatch("split must select a covariate prefix of xty")
+        dim = math.prod(self.cov_shape)
+        if self.gram.shape != (dim, dim):
+            raise ShapeMismatch(f"gram shape {self.gram.shape} != {(dim, dim)}")
+        _check_truth(self)
+
+    @property
+    def cov_shape(self):
+        return self.xty.shape[: self.split]
+
+    @property
+    def resp_shape(self):
+        return self.xty.shape[self.split :]
+
+    @property
+    def truth_shape(self):
+        return self.xty.shape
+
+
+def _check_truth(problem):
+    """Reject empty axes and a truth that is not finite in the truth shape."""
+    if 0 in problem.truth_shape:
+        raise ShapeMismatch(f"need non-empty axes, got shape {problem.truth_shape}")
+    if problem.truth is not None:
+        problem.truth = np.asarray(problem.truth, dtype=np.float64)
+        _check_finite("truth", problem.truth)
+        if problem.truth.shape != problem.truth_shape:
+            raise ShapeMismatch(
+                f"truth shape {problem.truth.shape} != {problem.truth_shape}"
+            )
 
 
 @dataclass
@@ -192,8 +249,12 @@ def objective(problem, spec, lam, a):
 
 
 def empirical_norm(problem, delta):
-    """Design-weighted prediction norm sqrt((1/n) sum ||<delta, X_i>||_F^2)."""
+    """Design-weighted prediction norm sqrt((1/n) sum ||<delta, X_i>||_F^2),
+    which from sufficient statistics is sqrt(<delta, X^T X delta> / n)."""
     delta = _check_param(problem, delta)
+    if isinstance(problem, SufficientStats):
+        d2 = delta.reshape(len(problem.gram), -1)
+        return float(np.sqrt((d2 * (problem.gram @ d2)).sum() / problem.n))
     x2, _ = problem.design_matrices()
     pred = x2 @ delta.reshape(x2.shape[1], -1)
     return float(np.sqrt((pred * pred).sum() / problem.n))
@@ -244,8 +305,8 @@ def _certificate(lam, a, g, dual, r_val):
 class _LeastSquares:
     """The loss ``(1/2n) ||M a - T||^2 + offset`` and its gradient.
 
-    Built once per problem by :func:`_least_squares`.  In data space M and
-    T are the flattened design and responses and the offset is zero.
+    Built once per problem by :func:`_operator`.  In data space M and T
+    are the flattened design and responses and the offset is zero.
     `loss`, `grad` and `shifted_solve` take a parameter in its own shape
     (the truth shape, or the pairwise block vector), reshape it to the
     design's columns, and give a gradient or solve back in that shape.
@@ -301,32 +362,69 @@ class _LeastSquares:
         return x.reshape(b.shape)
 
 
+def _operator(problem, pairwise=False):
+    """The least-squares operator of either problem form, or None when the
+    squares of the data overflow: the one entry every solver takes.
+
+    A :class:`RegressionProblem` goes through :func:`_least_squares` on its
+    flattened design, or with `pairwise` on its marginal-sum features.  A
+    :class:`SufficientStats` goes straight to :func:`_compressed`, its
+    features' statistics ``A gram A^T`` and ``A xty`` through the
+    :func:`_pairwise_map` A, so no design is ever formed.
+    """
+    if isinstance(problem, SufficientStats):
+        gram, xty = problem.gram, problem.xty.reshape(len(problem.gram), -1)
+        if pairwise:
+            amap = _pairwise_map(problem.cov_shape)
+            gram, xty = amap @ gram @ amap.T, amap @ xty[:, 0]
+        return _compressed(gram, xty, problem.yty, problem.n)
+    if pairwise:
+        n = problem.n
+        feats = marginal_features(problem.covariates)
+        return _least_squares(
+            np.hstack([f.reshape(n, -1) for f in feats]),
+            problem.responses.reshape(n),
+            n,
+        )
+    return _least_squares(*problem.design_matrices(), problem.n)
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _least_squares(x2, y, n):
-    """The operator for ``(1/2n) ||x2 a - y||^2``, or None when the squares
-    of the data overflow.
+    """The operator for ``(1/2n) ||x2 a - y||^2`` on data.
 
     With n at most the parameter dimension d it works in data space and
     checks only the squares of the responses; those of the design show in
-    the loss, or in :attr:`_LeastSquares.spectrum`.  Above that it
-    compresses the loss once: with X^T X = V L V^T, keeping the
-    eigenvalues above ``d eps l_max`` (marginal features are rank-deficient),
-    ``M = L^(1/2) V^T``, ``T = L^(-1/2) V^T X^T y`` and
-    ``offset = (||y||^2 - ||T||^2) / 2n`` give the same loss and gradient
-    at O(d^2) instead of O(nd) per evaluation.
+    the loss, or in :attr:`_LeastSquares.spectrum`.  Above that it reduces
+    the data to ``(X^T X, X^T y, ||y||^2)`` and hands them to
+    :func:`_compressed`.
     """
-    dim = x2.shape[1]
-    if n <= dim:
+    if n <= x2.shape[1]:
         return _LeastSquares(x2, y, n) if np.isfinite((y * y).sum()) else None
-    gram = x2.T @ x2
+    return _compressed(x2.T @ x2, x2.T @ y, float((y * y).sum()), n)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _compressed(gram, xty, yty, n):
+    """The operator for the loss whose sufficient statistics are
+    ``gram = X^T X``, ``xty = X^T y``, ``yty = ||y||^2`` and n, or None when
+    they overflow.
+
+    With ``X^T X = V L V^T``, keeping the eigenvalues above ``d eps l_max``
+    (marginal features are rank-deficient), ``M = L^(1/2) V^T``,
+    ``T = L^(-1/2) V^T X^T y`` and ``offset = (||y||^2 - ||T||^2) / 2n``
+    give the loss and gradient of the data at O(d^2) instead of O(nd) per
+    evaluation.
+    """
     if not np.isfinite(gram).all():
         return None
+    dim = gram.shape[1]
     evals, evecs = np.linalg.eigh(gram)
     keep = evals > dim * np.finfo(np.float64).eps * evals[-1]
     root = np.sqrt(evals[keep])
     vt = evecs[:, keep].T
-    target = (vt @ (x2.T @ y)) / (root if y.ndim == 1 else root[:, None])
-    offset = 0.5 * (float((y * y).sum()) - float((target * target).sum())) / n
+    target = (vt @ xty) / (root if xty.ndim == 1 else root[:, None])
+    offset = 0.5 * (yty - float((target * target).sum())) / n
     if not np.isfinite(offset):
         return None
     return _LeastSquares(root[:, None] * vt, target, n, offset)
@@ -442,10 +540,11 @@ def fista_solve(problem, spec, lam, config=None):
     iterate.  A stalled objective (relative change below 1e-10) or every
     25th iteration triggers the first-order certificate check, and the
     solve returns Converged once the certificate drops below ``kkt_tol``.
-    When n exceeds the covariate dimension, loss, gradient and certificate
-    work on the loss compressed to parameter space once per problem (see
-    :func:`_least_squares`); otherwise on the data.  Data whose squares
-    overflow return Diverged.
+    When n exceeds the covariate dimension, or the problem is a
+    :class:`SufficientStats`, loss, gradient and certificate work on the
+    loss compressed to parameter space once per problem (see
+    :func:`_operator`); otherwise on the data.  Data whose squares overflow
+    return Diverged.
     """
     _check_lam(lam)
     if config is None:
@@ -460,7 +559,7 @@ def fista_solve(problem, spec, lam, config=None):
     if not spec.has_prox() and lam > 0:
         raise NoClosedFormProx(f"{spec.kind} is not prox-friendly, use ADMM")
     shape = problem.truth_shape
-    op = _least_squares(*problem.design_matrices(), problem.n)
+    op = _operator(problem)
     if op is None:
         return _result(lam, np.zeros(shape))
 
@@ -501,7 +600,7 @@ def admm_matricized(problem, lam, config=None):
     if len(shape) != 3:
         raise ShapeMismatch("consensus solver expects an order-3 truth shape")
 
-    op = _least_squares(*problem.design_matrices(), problem.n)
+    op = _operator(problem)
     if op is None or not np.isfinite(op.spectrum[1]).all():
         return _result(lam, np.zeros(shape))
 
@@ -577,6 +676,18 @@ def marginal_features(covariates):
     return x.sum(axis=3), x.sum(axis=2), x.sum(axis=1)
 
 
+def _pairwise_map(shape):
+    """The 0/1 matrix A whose product with a flattened covariate tensor is
+    its :func:`marginal_features`, stacked in their order."""
+    d1, d2, d3 = shape
+    eye, ones = np.eye, np.ones
+    return np.vstack([
+        np.kron(eye(d1 * d2), ones((1, d3))),
+        np.kron(eye(d1), np.kron(ones((1, d2)), eye(d3))),
+        np.kron(ones((1, d1)), eye(d2 * d3)),
+    ])
+
+
 def fista_pairwise(problem, lam, config=None):
     """Accelerated proximal gradient in the block parameterization of a
     pairwise interaction model.
@@ -587,8 +698,8 @@ def fista_pairwise(problem, lam, config=None):
     The returned estimate is the assembled order-3 tensor; the fitted
     component matrices ride along in ``components``.  Loss, gradient and
     certificate work on the marginal features, compressed to parameter
-    space when n exceeds their ``d1 d2 + d1 d3 + d2 d3`` columns, as in
-    :func:`fista_solve`.
+    space when n exceeds their ``d1 d2 + d1 d3 + d2 d3`` columns or the
+    problem is a :class:`SufficientStats`, as in :func:`fista_solve`.
     """
     _check_lam(lam)
     if config is None:
@@ -596,12 +707,9 @@ def fista_pairwise(problem, lam, config=None):
     shape = problem.truth_shape
     if len(shape) != 3 or problem.resp_shape != ():
         raise ShapeMismatch("pairwise solve expects order-3 covariates, scalar response")
-    feats = marginal_features(problem.covariates)
-    n = problem.n
-    phi = np.hstack([f.reshape(n, -1) for f in feats])
-    y = problem.responses.reshape(n)
-    dims = [f.shape[1:] for f in feats]
-    cuts = np.cumsum([d[0] * d[1] for d in dims])[:2]
+    d1, d2, d3 = shape
+    dims = [(d1, d2), (d1, d3), (d2, d3)]
+    cuts = np.cumsum([a * b for a, b in dims])[:2]
 
     def split(vec):
         return [b.reshape(d) for b, d in zip(np.split(vec, cuts), dims)]
@@ -621,8 +729,8 @@ def fista_pairwise(problem, lam, config=None):
     def dual(vec):
         return max(np.linalg.svd(m, compute_uv=False)[0] for m in split(vec))
 
-    op = _least_squares(phi, y, n)
-    x, run = np.zeros(phi.shape[1]), ()
+    op = _operator(problem, pairwise=True)
+    x, run = np.zeros(sum(a * b for a, b in dims)), ()
     if op is not None:
         x, *run = _apg(x, op, prox_vec, pen, dual, lam, config)
     comps = tuple(split(x))

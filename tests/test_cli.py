@@ -436,10 +436,14 @@ class TestMissingJsonKeys:
          ("c_u", 0, "c_u must be a finite number > 0"),
          ("lambda_multiplier", 0.5, "lambda_multiplier must be a finite number >= 1"),
          ("noise_sigma", -1, "noise_sigma must be a finite number >= 0"),
-         ("noise_sigma", float("nan"), "noise_sigma must be a finite number >= 0")],
+         ("noise_sigma", float("nan"), "noise_sigma must be a finite number >= 0"),
+         ("n_grid", [0, 1, 2, 3], "n_grid entries must be integers >= 1"),
+         ("n_grid", [-3, -2, -1, 0], "n_grid entries must be integers >= 1"),
+         ("split", 5, "split must be 1, 2 or 3")],
         ids=["n_grid-int", "seed-str", "seed-negative", "max_iters-str",
              "width_draws-float", "split-null", "c_u-null", "c_u-zero",
-             "lambda_multiplier-below-one", "noise_sigma-negative", "noise_sigma-nan"],
+             "lambda_multiplier-below-one", "noise_sigma-negative", "noise_sigma-nan",
+             "n_grid-zero", "n_grid-negative", "split-five"],
     )
     def test_rate_rejects_a_bad_field_before_running(
         self, tmp_path, capsys, monkeypatch, field, value, message

@@ -10,6 +10,7 @@ from tenreg.datagen import (
     coefficient_tensor,
     gen_pairwise_components,
     gen_problem,
+    gen_sufficient_stats,
     gen_truth,
     gen_var_model,
     gen_var_series,
@@ -132,6 +133,46 @@ class TestGenProblem:
             gen_problem(t, 5, 3, 0.0, design=np.zeros((3, 3)), seed=0)
         with pytest.raises(BadCovarianceFactor):
             gen_problem(t, 5, 3, 0.0, design=np.full((8, 8), np.nan), seed=0)
+
+
+class TestGenSufficientStats:
+    def test_wishart_moments(self):
+        # [x; y] with x ~ N(0, I_4) and y = <theta, x> + sigma e has the
+        # covariance S below; its Gram matrix over n rows is Wishart(n, S):
+        # E W = n S and Var W_ij = n (S_ii S_jj + S_ij^2)
+        theta = np.array([1.0, -0.5, 0.0, 2.0])
+        sigma, n, draws = 0.7, 9, 8000
+        cov = np.eye(5)
+        cov[:4, 4] = cov[4, :4] = theta
+        cov[4, 4] = theta @ theta + sigma**2
+        ws = np.empty((draws, 5, 5))
+        for k in range(draws):
+            st = gen_sufficient_stats(theta.reshape(2, 2, 1), n, 2, sigma, seed=k)
+            ws[k, :4, :4] = st.gram
+            ws[k, :4, 4] = ws[k, 4, :4] = st.xty.ravel()
+            ws[k, 4, 4] = st.yty
+        var = n * (np.outer(np.diag(cov), np.diag(cov)) + cov**2)
+        assert np.all(np.abs(ws.mean(axis=0) - n * cov) <= 4.5 * np.sqrt(var / draws))
+        np.testing.assert_allclose(ws.var(axis=0), var, rtol=0.08)
+
+    def test_shapes_and_replay(self):
+        t = gen_truth(ModelClassSpec("t1", (6, 2, 2), s=2), 3)
+        a = gen_sufficient_stats(t, 40, 2, 0.5, seed=4)
+        b = gen_sufficient_stats(t, 40, 2, 0.5, seed=4)
+        assert a.gram.shape == (12, 12) and a.xty.shape == t.shape
+        assert (a.n, a.split, a.noise_sigma) == (40, 2, 0.5)
+        np.testing.assert_array_equal(a.truth, t)
+        np.testing.assert_array_equal(a.gram, b.gram)
+        np.testing.assert_array_equal(a.xty, b.xty)
+        assert a.yty == b.yty
+
+    def test_rejects_n_below_d_plus_q_and_negative_sigma(self):
+        t = np.zeros((2, 2, 1))
+        gen_sufficient_stats(t, 5, 2, 1.0)  # n = d + q is the smallest n
+        with pytest.raises(ValueError, match=r"n >= d \+ q = 5, got n = 4"):
+            gen_sufficient_stats(t, 4, 2, 1.0)
+        with pytest.raises(ValueError, match="noise_sigma"):
+            gen_sufficient_stats(t, 50, 2, -0.1)
 
 
 class TestVarModel:

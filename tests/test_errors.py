@@ -65,7 +65,7 @@ def test_json_that_is_not_an_object_is_a_validation_error(cls, obj, want, what, 
 def test_pairwise_regularizer_passes_as_a_string():
     cfg = RateExperimentConfig.from_json(
         {**RATE_JSON, "model": {"kind": "t4", "shape": [3, 3, 3], "r": 1},
-         "regularizer": "pairwise", "rate_tag": "r_max_dim_over_n"}
+         "regularizer": "pairwise", "rate_tag": "r_max_dim_over_n", "split": 3}
     )
     assert cfg.regularizer == "pairwise"
     assert cfg.to_json()["regularizer"] == "pairwise"

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from tenreg import harness
+from tenreg import harness, solver
 from tenreg.datagen import ModelClassSpec
 from tenreg.errors import BudgetExhausted, ValidationError
 from tenreg.harness import (
@@ -145,6 +145,24 @@ class TestRateConfig:
         with pytest.raises(ValidationError):
             self._config(replications=5)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("n_grid", (-3, -2, -1, 0), "n_grid entries must be integers >= 1"),
+         ("n_grid", (0, 1, 2, 3), "n_grid entries must be integers >= 1"),
+         ("split", 5, "split must be 1, 2 or 3"),
+         ("split", 0, "split must be 1, 2 or 3")],
+    )
+    def test_rejects_a_bad_grid_or_split(self, field, value, message):
+        with pytest.raises(ValidationError, match=message):
+            self._config(**{field: value})
+
+    def test_pairwise_needs_the_whole_tensor(self):
+        pairwise = dict(model=ModelClassSpec("t4", (3, 3, 3), r=1),
+                        regularizer="pairwise", rate_tag="r_max_dim_over_n")
+        self._config(split=3, **pairwise)
+        with pytest.raises(ValidationError, match="split must be 3, got 2"):
+            self._config(split=2, **pairwise)
+
     @pytest.mark.parametrize("reg", ["entry_l1", None, {"kind": "entry_l1"}])
     def test_rejects_a_regularizer_that_is_not_a_penalty(self, reg):
         with pytest.raises(ValidationError, match="regularizer must be"):
@@ -169,6 +187,44 @@ class TestRateConfig:
         rep = rate_experiment(cfg)
         med = [row["median_fro_sq"] for row in rep["per_n"]]
         assert med[-1] < med[0]
+
+
+class TestRateDraw:
+    """A cell with i.i.d. rows draws its sufficient statistics once n
+    exceeds d + q (28 for a 3x3x3 truth and a scalar response), and its
+    sample up to there."""
+
+    @staticmethod
+    def _config(kind, n_grid):
+        if kind == "pairwise":
+            model = ModelClassSpec("t4", (3, 3, 3), r=1)
+            reg, tag = "pairwise", "r_max_dim_over_n"
+        else:
+            model = ModelClassSpec("theta1", (3, 3, 3), s=2)
+            reg, tag = entry_l1(), "s_log_total_over_n"
+        return RateExperimentConfig(
+            model=model, regularizer=reg, n_grid=n_grid, replications=10,
+            seed=3, rate_tag=tag, width_draws=200, noise_sigma=0.5, split=3,
+        )
+
+    @pytest.mark.parametrize("kind", ["theta1", "pairwise"])
+    def test_statistics_above_d_plus_q(self, monkeypatch, kind):
+        monkeypatch.setattr(harness, "gen_problem", pytest.fail)
+        monkeypatch.setattr(solver, "marginal_features", pytest.fail)
+        rep = rate_experiment(self._config(kind, (29, 60, 120, 240)))
+        assert len(rep["cells"]) == 40
+        assert all(math.isfinite(c["emp_sq"]) for c in rep["cells"])
+
+    def test_data_up_to_d_plus_q(self, monkeypatch):
+        calls = []
+        for module, name in ((harness, "gen_problem"), (solver, "marginal_features")):
+            def counted(*args, _real=getattr(module, name), _name=name, **kw):
+                calls.append(_name)
+                return _real(*args, **kw)
+
+            monkeypatch.setattr(module, name, counted)
+        rate_experiment(self._config("pairwise", (10, 20, 28, 29)))
+        assert calls.count("gen_problem") == calls.count("marginal_features") == 30
 
 
 class TestBenefitComparisons:

@@ -17,6 +17,7 @@ from tenreg.solver import (
     FistaConfig,
     RegressionProblem,
     SolveResult,
+    SufficientStats,
     admm_matricized,
     empirical_norm,
     expand_pairwise,
@@ -32,7 +33,7 @@ from tenreg.solver import (
     solve,
 )
 from tenreg.regularizers import _max_top_sv
-from tenreg.solver import _certificate, _least_squares
+from tenreg.solver import _certificate, _least_squares, _operator, _pairwise_map
 from tenreg.spectral import gaussian_width_mc, matrix_svt
 from tenreg.tensor import dematricize, matricize
 
@@ -715,6 +716,83 @@ class TestCompressedLoss:
         assert res.objective_trace[0] == pytest.approx(zero, rel=1e-12)
         assert np.all(np.diff(res.objective_trace) <= 0.0)
         assert pairwise_data_certificate(p, res) < FistaConfig().kkt_tol
+
+
+def stats_of(p):
+    """The sufficient statistics of a data problem."""
+    x2, y2 = p.design_matrices()
+    return SufficientStats(
+        gram=x2.T @ x2,
+        xty=(x2.T @ y2).reshape(p.truth_shape),
+        yty=float((y2 * y2).sum()),
+        n=p.n,
+        split=p.split,
+        noise_sigma=p.noise_sigma,
+        truth=p.truth,
+    )
+
+
+class TestSufficientStats:
+    """A problem given by (X^T X, X^T Y, ||Y||^2, n) solves as its data do."""
+
+    @pytest.mark.parametrize("case", ["full_rank", "pairwise"])
+    def test_operator_matches_the_data(self, case):
+        p = full_rank_problem() if case == "full_rank" else pairwise_problem()
+        pairwise = case == "pairwise"
+        data, stats = _operator(p, pairwise), _operator(stats_of(p), pairwise)
+        a = np.random.default_rng(39).standard_normal(
+            108 if pairwise else p.truth_shape
+        )
+        want = data.loss(a) + data.offset
+        assert abs(stats.loss(a) + stats.offset - want) <= 1e-10 * want
+        g_data, g_stats = data.grad(a), stats.grad(a)
+        assert np.linalg.norm(g_stats - g_data) <= 1e-10 * np.linalg.norm(g_data)
+
+    def test_pairwise_map_gives_the_feature_statistics(self):
+        p = pairwise_problem()
+        phi, y = pairwise_design(p)
+        amap = _pairwise_map(p.cov_shape)
+        x2 = p.covariates.reshape(p.n, -1)
+        for got, want in ((amap @ (x2.T @ x2) @ amap.T, phi.T @ phi),
+                          (amap @ (x2.T @ y), phi.T @ y)):
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    def test_empirical_norm_matches_the_data(self):
+        p = full_rank_problem()
+        delta = np.random.default_rng(40).standard_normal(p.truth_shape)
+        assert empirical_norm(stats_of(p), delta) == pytest.approx(
+            empirical_norm(p, delta), rel=1e-12
+        )
+
+    def test_solves_equal_the_data_solves(self):
+        # the compressed operator is built from the same statistics, so the
+        # solves agree bit for bit; the pairwise features' statistics round
+        # differently, so that solve agrees to its tolerance
+        p = full_rank_problem()
+        assert_same_result(
+            fista_solve(stats_of(p), fiber_group(2), 0.05),
+            fista_solve(p, fiber_group(2), 0.05),
+        )
+        q = make_low_tucker_problem(300, 0.5, 41)
+        cfg = AdmmConfig(max_iters=200)
+        assert_same_result(
+            admm_matricized(stats_of(q), 0.1, cfg), admm_matricized(q, 0.1, cfg)
+        )
+        r = pairwise_problem()
+        got, want = fista_pairwise(stats_of(r), 0.05), fista_pairwise(r, 0.05)
+        assert got.status == want.status == "Converged"
+        assert np.abs(got.estimate - want.estimate).max() <= 1e-6
+
+    def test_validation(self):
+        st = stats_of(full_rank_problem())
+        with pytest.raises(ShapeMismatch, match="gram shape"):
+            SufficientStats(st.gram[:-1, :-1], st.xty, st.yty, st.n, st.split)
+        with pytest.raises(ValueError, match="gram must be finite"):
+            SufficientStats(np.full_like(st.gram, np.nan), st.xty, st.yty, st.n, 2)
+        with pytest.raises(ShapeMismatch, match="at least one sample"):
+            SufficientStats(st.gram, st.xty, st.yty, 0, st.split)
+        with pytest.raises(ShapeMismatch, match="truth shape"):
+            SufficientStats(st.gram, st.xty, st.yty, st.n, 2, truth=np.zeros(3))
 
 
 class TestOverflow:
