@@ -312,7 +312,7 @@ def gen_problem(truth, n, split, noise_sigma, design="iid", seed=0, meta=None):
     )
 
 
-def gen_sufficient_stats(truth, n, split, noise_sigma, seed=0, meta=None):
+def gen_sufficient_stats(truth, n, split, noise_sigma, seed=0):
     """Draw the sufficient statistics of an i.i.d. :func:`gen_problem` sample
     with the identity design, without drawing the sample.
 
@@ -324,7 +324,8 @@ def gen_sufficient_stats(truth, n, split, noise_sigma, seed=0, meta=None):
     (d+q)(d+q-1)/2 normals, whatever n is.  The responses are Y = [X E] B
     with ``B = [truth; sigma I]``, so ``X^T X = W_xx``,
     ``X^T Y = W_xx truth + sigma W_xe`` and ``||Y||^2 = <B, W B>``.
-    Needs n >= d + q, where W is nonsingular.
+    Takes n > d + q, the cells :func:`tenreg.harness.rate_experiment`
+    draws this way; W is nonsingular there.
     """
     truth = np.asarray(truth, dtype=np.float64)
     if noise_sigma < 0:
@@ -334,8 +335,8 @@ def gen_sufficient_stats(truth, n, split, noise_sigma, seed=0, meta=None):
     dim_cov = math.prod(truth.shape[:split])
     dim_resp = math.prod(truth.shape[split:])
     dim = dim_cov + dim_resp
-    if n < dim:
-        raise ValueError(f"the Wishart draw needs n >= d + q = {dim}, got n = {n}")
+    if n <= dim:
+        raise ValueError(f"the Wishart draw needs n > d + q = {dim}, got n = {n}")
     rng = np.random.default_rng(seed)
     low = np.diag(np.sqrt(rng.chisquare(n - np.arange(dim))))
     low[np.tril_indices(dim, -1)] = rng.standard_normal(dim * (dim - 1) // 2)
@@ -348,9 +349,7 @@ def gen_sufficient_stats(truth, n, split, noise_sigma, seed=0, meta=None):
         yty=float((b * wb).sum()),
         n=n,
         split=split,
-        noise_sigma=noise_sigma,
         truth=truth,
-        meta=meta or {},
     )
 
 

@@ -11,7 +11,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -125,10 +125,10 @@ class SufficientStats:
     ``gram = X^T X`` over the flattened covariates, ``xty = X^T Y`` in the
     truth shape, ``yty = ||Y||^2`` and the sample count `n`.
 
-    Every solver and :func:`empirical_norm` take it in place of a
-    :class:`RegressionProblem` with the same `split`, `noise_sigma`, `truth`
-    and `meta`.  The statistics determine the loss, so a solve returns the
-    estimate of the data they summarize.
+    Every solver, :func:`objective`, :func:`kkt_residual` and
+    :func:`empirical_norm` take it in place of a :class:`RegressionProblem`
+    with the same `split` and `truth`.  The statistics determine the loss,
+    so a solve returns the estimate of the data they summarize.
     """
 
     gram: np.ndarray
@@ -136,9 +136,7 @@ class SufficientStats:
     yty: float
     n: int
     split: int
-    noise_sigma: float = 0.0
     truth: np.ndarray | None = None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.gram = np.asarray(self.gram, dtype=np.float64)
@@ -239,10 +237,19 @@ def _check_param(problem, a):
     return a
 
 
+def _exact_loss(problem):
+    """The loss of `problem` as :func:`objective` and :func:`kkt_residual`
+    read it: on the data themselves, or compressed from statistics."""
+    if isinstance(problem, SufficientStats):
+        return _operator(problem)
+    return _LeastSquares(*problem.design_matrices(), problem.n)
+
+
 def objective(problem, spec, lam, a):
     """(1/2n) sum ||Y_i - <X_i, a>||_F^2 + lam * R(a)."""
     a = _check_param(problem, a)
-    val = _LeastSquares(*problem.design_matrices(), problem.n).loss(a)
+    op = _exact_loss(problem)
+    val = op.loss(a) + op.offset
     if lam != 0.0:
         val += lam * reg_eval(spec, a)
     return val
@@ -288,7 +295,7 @@ def kkt_residual(problem, spec, lam, a):
     there and rely on the ADMM residuals for convergence.
     """
     a = _check_param(problem, a)
-    g = _LeastSquares(*problem.design_matrices(), problem.n).grad(a)
+    g = _exact_loss(problem).grad(a)
     return _certificate(lam, a, g, reg_dual(spec, g), reg_eval(spec, a))
 
 
@@ -676,16 +683,17 @@ def marginal_features(covariates):
     return x.sum(axis=3), x.sum(axis=2), x.sum(axis=1)
 
 
+@lru_cache
 def _pairwise_map(shape):
     """The 0/1 matrix A whose product with a flattened covariate tensor is
-    its :func:`marginal_features`, stacked in their order."""
-    d1, d2, d3 = shape
-    eye, ones = np.eye, np.ones
-    return np.vstack([
-        np.kron(eye(d1 * d2), ones((1, d3))),
-        np.kron(eye(d1), np.kron(ones((1, d2)), eye(d3))),
-        np.kron(ones((1, d1)), eye(d2 * d3)),
-    ])
+    its :func:`marginal_features`, stacked in their order: the features of
+    the unit tensors, which are exact, laid out row-major.  Built once per
+    shape and read-only."""
+    d = math.prod(shape)
+    feats = marginal_features(np.eye(d).reshape((d,) + tuple(shape)))
+    amap = np.ascontiguousarray(np.hstack([f.reshape(d, -1) for f in feats]).T)
+    amap.flags.writeable = False
+    return amap
 
 
 def fista_pairwise(problem, lam, config=None):

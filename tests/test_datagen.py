@@ -160,17 +160,18 @@ class TestGenSufficientStats:
         a = gen_sufficient_stats(t, 40, 2, 0.5, seed=4)
         b = gen_sufficient_stats(t, 40, 2, 0.5, seed=4)
         assert a.gram.shape == (12, 12) and a.xty.shape == t.shape
-        assert (a.n, a.split, a.noise_sigma) == (40, 2, 0.5)
+        assert (a.n, a.split) == (40, 2)
         np.testing.assert_array_equal(a.truth, t)
         np.testing.assert_array_equal(a.gram, b.gram)
         np.testing.assert_array_equal(a.xty, b.xty)
         assert a.yty == b.yty
 
-    def test_rejects_n_below_d_plus_q_and_negative_sigma(self):
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_rejects_n_up_to_d_plus_q_and_negative_sigma(self, n):
         t = np.zeros((2, 2, 1))
-        gen_sufficient_stats(t, 5, 2, 1.0)  # n = d + q is the smallest n
-        with pytest.raises(ValueError, match=r"n >= d \+ q = 5, got n = 4"):
-            gen_sufficient_stats(t, 4, 2, 1.0)
+        gen_sufficient_stats(t, 6, 2, 1.0)  # n = d + q + 1 is the smallest n
+        with pytest.raises(ValueError, match=rf"n > d \+ q = 5, got n = {n}"):
+            gen_sufficient_stats(t, n, 2, 1.0)
         with pytest.raises(ValueError, match="noise_sigma"):
             gen_sufficient_stats(t, 50, 2, -0.1)
 

@@ -192,7 +192,8 @@ class TestRateConfig:
 class TestRateDraw:
     """A cell with i.i.d. rows draws its sufficient statistics once n
     exceeds d + q (28 for a 3x3x3 truth and a scalar response), and its
-    sample up to there."""
+    sample up to there.  Above it `marginal_features` sees only the unit
+    tensors that give the pairwise map, never a sample."""
 
     @staticmethod
     def _config(kind, n_grid):
@@ -207,24 +208,40 @@ class TestRateDraw:
             seed=3, rate_tag=tag, width_draws=200, noise_sigma=0.5, split=3,
         )
 
+    @staticmethod
+    def _watch(monkeypatch):
+        """Record each sample `marginal_features` and `gen_problem` see, by
+        its size; the unit tensors of the pairwise map are not a sample."""
+        seen = []
+        real_features, real_gen = solver.marginal_features, harness.gen_problem
+
+        def features(x):
+            x = np.asarray(x)
+            if not np.array_equal(x.reshape(len(x), -1), np.eye(len(x))):
+                seen.append(("marginal_features", len(x)))
+            return real_features(x)
+
+        def gen(truth, n, *args, **kw):
+            seen.append(("gen_problem", n))
+            return real_gen(truth, n, *args, **kw)
+
+        monkeypatch.setattr(solver, "marginal_features", features)
+        monkeypatch.setattr(harness, "gen_problem", gen)
+        return seen
+
     @pytest.mark.parametrize("kind", ["theta1", "pairwise"])
     def test_statistics_above_d_plus_q(self, monkeypatch, kind):
-        monkeypatch.setattr(harness, "gen_problem", pytest.fail)
-        monkeypatch.setattr(solver, "marginal_features", pytest.fail)
+        seen = self._watch(monkeypatch)
         rep = rate_experiment(self._config(kind, (29, 60, 120, 240)))
+        assert seen == []
         assert len(rep["cells"]) == 40
         assert all(math.isfinite(c["emp_sq"]) for c in rep["cells"])
 
     def test_data_up_to_d_plus_q(self, monkeypatch):
-        calls = []
-        for module, name in ((harness, "gen_problem"), (solver, "marginal_features")):
-            def counted(*args, _real=getattr(module, name), _name=name, **kw):
-                calls.append(_name)
-                return _real(*args, **kw)
-
-            monkeypatch.setattr(module, name, counted)
+        seen = self._watch(monkeypatch)
         rate_experiment(self._config("pairwise", (10, 20, 28, 29)))
-        assert calls.count("gen_problem") == calls.count("marginal_features") == 30
+        for name in ("gen_problem", "marginal_features"):
+            assert sorted(n for f, n in seen if f == name) == [10] * 10 + [20] * 10 + [28] * 10
 
 
 class TestBenefitComparisons:

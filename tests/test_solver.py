@@ -727,7 +727,6 @@ def stats_of(p):
         yty=float((y2 * y2).sum()),
         n=p.n,
         split=p.split,
-        noise_sigma=p.noise_sigma,
         truth=p.truth,
     )
 
@@ -757,12 +756,17 @@ class TestSufficientStats:
                           (amap @ (x2.T @ y), phi.T @ y)):
             assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
-    def test_empirical_norm_matches_the_data(self):
+    def test_empirical_norm_objective_and_certificate_match_the_data(self):
         p = full_rank_problem()
         delta = np.random.default_rng(40).standard_normal(p.truth_shape)
         assert empirical_norm(stats_of(p), delta) == pytest.approx(
             empirical_norm(p, delta), rel=1e-12
         )
+        spec = fiber_group(2)
+        for fn in (objective, kkt_residual):
+            assert fn(stats_of(p), spec, 0.05, delta) == pytest.approx(
+                fn(p, spec, 0.05, delta), rel=1e-10
+            )
 
     def test_solves_equal_the_data_solves(self):
         # the compressed operator is built from the same statistics, so the
