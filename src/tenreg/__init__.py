@@ -15,6 +15,7 @@ from .datagen import (
     gen_problem,
     gen_truth,
     gen_var_model,
+    gen_var_panel,
     gen_var_series,
     var_spectral_extrema,
 )

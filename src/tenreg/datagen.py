@@ -5,10 +5,12 @@ autoregressive simulation with spectral extrema computation.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     BadCovarianceFactor,
@@ -38,6 +40,7 @@ __all__ = [
     "var_truth",
     "coefficient_tensor",
     "gen_var_series",
+    "gen_var_panel",
     "var_spectral_extrema",
 ]
 
@@ -271,6 +274,12 @@ def class_certificate(spec, truth):
     return {"ok": False, "reason": f"unknown kind {spec.kind}"}
 
 
+def _check_n(n):
+    """The sample count check of every sampler: an integer >= 1."""
+    if not (is_int(n) and n >= 1):
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+
+
 def gen_problem(truth, n, split, noise_sigma, design="iid", seed=0, meta=None):
     """Sample a regression problem from a truth tensor.
 
@@ -278,6 +287,7 @@ def gen_problem(truth, n, split, noise_sigma, design="iid", seed=0, meta=None):
     square covariance factor is supplied.  Responses follow the linear
     model with i.i.d. centered Gaussian noise of scale `noise_sigma`.
     """
+    _check_n(n)
     truth = np.asarray(truth, dtype=np.float64)
     if noise_sigma < 0:
         raise ValueError("noise_sigma must be nonnegative")
@@ -327,6 +337,7 @@ def gen_sufficient_stats(truth, n, split, noise_sigma, seed=0):
     Takes n > d + q, the cells :func:`tenreg.harness.rate_experiment`
     draws this way; W is nonsingular there.
     """
+    _check_n(n)
     truth = np.asarray(truth, dtype=np.float64)
     if noise_sigma < 0:
         raise ValueError("noise_sigma must be nonnegative")
@@ -475,33 +486,87 @@ def gen_var_series(model, n, seed=0):
     After dropping the burn-in, sample t has covariate X_t of shape (m, p)
     with X_t[l, j] the value of variable l at lag j+1, and response x_t, so
     the regression truth is :func:`var_truth`.  Samples are consecutive and
-    therefore dependent by construction.
+    therefore dependent by construction.  This is the one-series case of
+    :func:`gen_var_panel`.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    p, m = model.p, model.m
-    total = model.burn_in + p + n
-    xs = np.zeros((total, m))
-    eps = rng.standard_normal((total, m))
-    for t in range(total):
-        acc = eps[t].copy()
-        for j in range(1, p + 1):
-            if t - j >= 0:
-                acc += model.coeffs[j - 1] @ xs[t - j]
-        xs[t] = acc
-    start = model.burn_in + p
-    cov = np.zeros((n, m, p))
-    for j in range(1, p + 1):
-        cov[:, :, j - 1] = xs[start - j : start - j + n]
-    responses = xs[start : start + n]
-    return RegressionProblem(
-        covariates=cov,
-        responses=responses,
-        split=2,
-        noise_sigma=1.0,
-        truth=var_truth(model),
-        meta={"model": model.to_json(), "seed": seed},
+    return next(gen_var_panel([model], n, [seed]))
+
+
+def gen_var_panel(models, n, seeds):
+    """Simulate one series per model and yield their problems in order.
+
+    Problem i equals ``gen_var_series(models[i], n, seeds[i])`` exactly,
+    whatever the other models are.  The models must share (p, m, burn_in).
+    The series run in lockstep, in groups of at most p + 2 split evenly,
+    the number of series-sized arrays that stepping one series alone holds
+    (innovations, series and p lag columns).  A group is simulated only
+    when its first problem is asked for, and the panel lets a group's
+    series go before it simulates the next group, so a caller that drops
+    each problem before asking for the next holds one group at a time.
+    Each covariate array is a read-only lag-window view of its series.
+    """
+    models, seeds = list(models), list(seeds)
+    _check_n(n)
+    if not models:
+        raise ValueError("need at least one VAR model")
+    if len(seeds) != len(models):
+        raise ValueError(
+            f"need one seed per model, got {len(seeds)} for {len(models)} models"
+        )
+    if len({(model.p, model.m, model.burn_in) for model in models}) > 1:
+        raise ShapeMismatch("panel models must share their p, m and burn_in")
+    count = math.ceil(len(models) / (models[0].p + 2))
+    groups = np.array_split(np.arange(len(models)), count)
+    return itertools.chain.from_iterable(
+        _var_group([models[i] for i in group], n, [seeds[i] for i in group])
+        for group in groups
+    )
+
+
+def _var_group(models, n, seeds):
+    """Simulate one lockstep group of :func:`gen_var_panel` and return a
+    generator of its problems.
+
+    Step t of every series at once: x_t = eps_t + A_1 x_{t-1} + ... +
+    A_p x_{t-p}.  One batched matmul makes each A_j x_{t-j} by the BLAS
+    matrix-vector call that ``A_j @ x_{t-j}`` makes, and one accumulate adds
+    the terms in that order; accumulate defines its order, where a reduce
+    may sum pairwise.  So every series is bit-identical to adding the terms
+    one at a time.  The lags before t = 0 read p leading zero rows, and
+    adding a zero term leaves the sum as it is.
+    """
+    p, m, burn_in = models[0].p, models[0].m, models[0].burn_in
+    total = burn_in + p + n
+    # series b is x[b, p:]; its innovations are drawn there, then overwritten
+    x = np.zeros((len(models), p + total, m))
+    for row, seed in zip(x, seeds):
+        np.random.default_rng(seed).standard_normal((total, m), out=row[p:])
+    rev = np.stack([model.coeffs[::-1] for model in models])  # A_p ... A_1
+    # terms[0] = eps_t and terms[j] = A_j x_{t-j}; the matmul writes rows p..1
+    terms = np.empty((p + 1, len(models), m))
+    lag_terms = terms[p:0:-1].transpose(1, 0, 2)[..., None]
+    sums = np.empty_like(terms)
+    steps = x.transpose(1, 0, 2)
+    columns = x[..., None]
+    for t in range(p, p + total):
+        terms[0] = steps[t]
+        np.matmul(rev, columns[:, t - p : t], out=lag_terms)
+        np.add.accumulate(terms, axis=0, out=sums)
+        steps[t] = sums[p]
+    first = p + burn_in + p  # the first response, as an index of x[b]
+    return (
+        RegressionProblem(
+            # window i of x[b] is x[b, i : i + p], the p steps before x[b, i + p]
+            covariates=sliding_window_view(row, p, axis=0)[
+                first - p : first - p + n, :, ::-1
+            ],
+            responses=row[first : first + n],
+            split=2,
+            noise_sigma=1.0,
+            truth=var_truth(model),
+            meta={"model": model.to_json(), "seed": seed},
+        )
+        for row, model, seed in zip(x, models, seeds)
     )
 
 

@@ -19,7 +19,7 @@ from .datagen import (
     gen_sufficient_stats,
     gen_truth,
     gen_var_model,
-    gen_var_series,
+    gen_var_panel,
 )
 from .errors import (
     BudgetExhausted,
@@ -213,7 +213,9 @@ def rate_experiment(config):
     class but the VAR t3) draws its sufficient statistics by
     :func:`gen_sufficient_stats` once n exceeds d + q, the covariate and
     response dimensions; below that it draws the sample by
-    :func:`gen_problem`.
+    :func:`gen_problem`.  The VAR cells of one n draw their replications'
+    models first, then solve each problem as :func:`gen_var_panel` yields
+    it, with the series simulated in lockstep groups.
     """
     model = config.model
     shape = model.shape
@@ -234,26 +236,33 @@ def rate_experiment(config):
     cells = []
     per_n = []
     for gi, (n, lam) in enumerate(zip(config.n_grid, lams)):
-        rep_seeds = per_n_seeds[gi].spawn(config.replications)
+        # each replication's truth and sample seeds
+        children = [rep.spawn(2) for rep in per_n_seeds[gi].spawn(config.replications)]
+        if model.kind == "t3":
+            var_models = [
+                gen_var_model(
+                    shape[0], shape[1], model.s, magnitude=model.magnitude, seed=tseed
+                )
+                for tseed, _ in children
+            ]
+            problems = gen_var_panel(var_models, n, [pseed for _, pseed in children])
+        else:
+            draw = gen_sufficient_stats if n > dims else gen_problem
+            problems = (
+                draw(
+                    gen_truth(model, tseed),
+                    n,
+                    config.split,
+                    config.noise_sigma,
+                    seed=pseed,
+                )
+                for tseed, pseed in children
+            )
         fro2 = []
         emp2 = []
         nonconv = 0
         for ri in range(config.replications):
-            child = rep_seeds[ri].spawn(3)
-            tseed, pseed = child[0], child[1]
-            if model.kind == "t3":
-                var = gen_var_model(
-                    shape[0],
-                    shape[1],
-                    model.s,
-                    magnitude=model.magnitude,
-                    seed=tseed,
-                )
-                problem = gen_var_series(var, n, seed=pseed)
-            else:
-                truth = gen_truth(model, tseed)
-                draw = gen_sufficient_stats if n > dims else gen_problem
-                problem = draw(truth, n, config.split, config.noise_sigma, seed=pseed)
+            problem = next(problems)
             res = solve(problem, config.regularizer, lam, config.max_iters)
             if res.status != "Converged":
                 nonconv += 1
@@ -272,6 +281,9 @@ def rate_experiment(config):
                     "iterations": res.iterations,
                 }
             )
+            # a VAR sample pins its lockstep group's series: drop it before
+            # `next` may simulate the next group (an enumerate would keep it)
+            del problem
         per_n.append(
             {
                 "n": int(n),

@@ -160,7 +160,16 @@ def hopm_spectral(a, restarts=20, iters=200, *, rng=None):
 
 @dataclass(frozen=True)
 class WidthEstimate:
-    """Monte-Carlo Gaussian width estimate with its sampling error."""
+    """Monte-Carlo Gaussian width estimate with its sampling error.
+
+    For the tensor-spectral kind the estimate errs low: each draw's value
+    is a local maximum found by the higher-order power method, a lower
+    bound on that draw's spectral norm, which is NP-hard to compute
+    (Hillar & Lim 2013).  The unfolding bound min_k ||G_(k)|| is an upper
+    bound but a loose one: over 2000 draws of a d x d x d Gaussian G its
+    mean is about 1.15, 1.28 and 1.41 times the power-method mean at
+    d = 4, 6 and 8.
+    """
 
     mean: float
     std_error: float
@@ -288,7 +297,8 @@ def gaussian_width_mc(
     the reduction runs in worker order, so results are bit-reproducible for
     a fixed worker count regardless of scheduling or core count.
     The spectral-dual kind lower-bounds each draw's dual with the batched
-    alternating maximizer that `hopm_spectral` also runs, from
+    alternating maximizer that `hopm_spectral` also runs, so its estimate
+    errs low (see :class:`WidthEstimate`), from
     `hopm_restarts` random starts of at most `hopm_iters` sweeps each.  A
     sweep contracts the draw batch twice, on views, and each draw stops on
     its own once a sweep gains less than 1e-12; the factors are drawn from

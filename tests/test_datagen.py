@@ -13,6 +13,7 @@ from tenreg.datagen import (
     gen_sufficient_stats,
     gen_truth,
     gen_var_model,
+    gen_var_panel,
     gen_var_series,
     var_spectral_extrema,
     var_truth,
@@ -21,6 +22,7 @@ from tenreg.errors import (
     BadCovarianceFactor,
     InfeasibleClass,
     InvalidAxes,
+    ShapeMismatch,
     UnstableModel,
 )
 from tenreg.solver import objective
@@ -245,6 +247,105 @@ class TestVarSeries:
         c2 = np.cov(x[2000:].T)
         rel = np.linalg.norm(c1 - c2) / np.linalg.norm(c1)
         assert rel < 0.10
+
+
+def _reference_var_series(model, n, seed):
+    """The per-step simulation loop that `gen_var_panel` replaced, kept as
+    its reference: covariates and responses of `gen_var_series`."""
+    rng = np.random.default_rng(seed)
+    p, m = model.p, model.m
+    total = model.burn_in + p + n
+    xs = np.zeros((total, m))
+    eps = rng.standard_normal((total, m))
+    for t in range(total):
+        acc = eps[t].copy()
+        for j in range(1, p + 1):
+            if t - j >= 0:
+                acc += model.coeffs[j - 1] @ xs[t - j]
+        xs[t] = acc
+    start = model.burn_in + p
+    cov = np.zeros((n, m, p))
+    for j in range(1, p + 1):
+        cov[:, :, j - 1] = xs[start - j : start - j + n]
+    return cov, xs[start : start + n]
+
+
+class TestVarPanel:
+    @staticmethod
+    def _panel(m, p, count):
+        models = [
+            gen_var_model(m, p, s=min(m * m, 4), seed=60 + i) for i in range(count)
+        ]
+        seeds = np.random.SeedSequence(61).spawn(count)
+        return models, seeds
+
+    @pytest.mark.parametrize("n", [1, 50])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_bit_identical_to_the_step_loop(self, p, n):
+        # p + 4 series run as two lockstep groups
+        models, seeds = self._panel(3, p, p + 4)
+        problems = list(gen_var_panel(models, n, seeds))
+        assert len(problems) == len(models)
+        for model, seed, prob in zip(models, seeds, problems):
+            cov, resp = _reference_var_series(model, n, seed)
+            assert np.array_equal(prob.covariates, cov)
+            assert np.array_equal(prob.responses, resp)
+            assert np.array_equal(prob.truth, var_truth(model))
+            assert prob.meta == {"model": model.to_json(), "seed": seed}
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_bit_identical_for_one_variable_at_many_lags(self, count):
+        # a reduce over the p + 1 terms may sum them pairwise (numpy 2.4 does
+        # for one scalar series at p >= 7); the step loop adds them in order
+        models, seeds = self._panel(1, 8, count)
+        problems = gen_var_panel(models, 40, seeds)
+        for model, seed, prob in zip(models, seeds, problems):
+            cov, resp = _reference_var_series(model, 40, seed)
+            assert np.array_equal(prob.covariates, cov)
+            assert np.array_equal(prob.responses, resp)
+
+    def test_series_is_its_panel_element(self):
+        models, seeds = self._panel(3, 2, 6)
+        for i, prob in enumerate(gen_var_panel(models, 30, seeds)):
+            alone = gen_var_series(models[i], 30, seeds[i])
+            assert np.array_equal(alone.covariates, prob.covariates)
+            assert np.array_equal(alone.responses, prob.responses)
+
+    def test_covariates_are_read_only_lag_views(self):
+        model = gen_var_model(3, 2, s=4, seed=62)
+        prob = gen_var_series(model, 20, seed=63)
+        assert not prob.covariates.flags.writeable
+        assert np.shares_memory(prob.covariates, prob.responses)
+        # X_{t+1}[:, 0] is the previous response x_t
+        assert np.array_equal(prob.covariates[1:, :, 0], prob.responses[:-1])
+
+    def test_rejects_bad_panels(self):
+        a = gen_var_model(3, 2, s=4, seed=64)
+        with pytest.raises(ValueError, match="at least one"):
+            gen_var_panel([], 10, [])
+        with pytest.raises(ValueError, match="one seed per model"):
+            gen_var_panel([a, a], 10, [1])
+        for other in (
+            gen_var_model(3, 1, s=4, seed=65),
+            gen_var_model(4, 2, s=4, seed=65),
+            VarModel(coeffs=a.coeffs, burn_in=a.burn_in + 1),
+        ):
+            with pytest.raises(ShapeMismatch, match="p, m and burn_in"):
+                gen_var_panel([a, other], 10, [1, 2])
+
+
+@pytest.mark.parametrize("n", [0, -3, 2.5, 10.0, True, "10", None])
+def test_samplers_reject_a_bad_sample_count(n):
+    truth = np.zeros((2, 2, 1))
+    model = gen_var_model(2, 1, s=2, seed=66)
+    for draw in (
+        lambda: gen_problem(truth, n, 2, 1.0),
+        lambda: gen_sufficient_stats(truth, n, 2, 1.0),
+        lambda: gen_var_series(model, n),
+        lambda: gen_var_panel([model], n, [0]),
+    ):
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            draw()
 
 
 class TestVarExtrema:

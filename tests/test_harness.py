@@ -1,11 +1,12 @@
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from tenreg import harness, solver
-from tenreg.datagen import ModelClassSpec
+from tenreg import datagen, harness, solver
+from tenreg.datagen import ModelClassSpec, gen_var_model, gen_var_series
 from tenreg.errors import BudgetExhausted, ValidationError
 from tenreg.harness import (
     PackingSet,
@@ -242,6 +243,62 @@ class TestRateDraw:
         rate_experiment(self._config("pairwise", (10, 20, 28, 29)))
         for name in ("gen_problem", "marginal_features"):
             assert sorted(n for f, n in seen if f == name) == [10] * 10 + [20] * 10 + [28] * 10
+
+
+class TestVarLockstep:
+    """The VAR cells of one n simulate their series in lockstep groups of at
+    most p + 2, each group only once the previous group's cells are solved
+    and its series freed, and every cell is the one that its own
+    `gen_var_series` sample gives."""
+
+    CONFIG = RateExperimentConfig(
+        model=ModelClassSpec("t3", (3, 2, 3), s=2),
+        regularizer=fiber_group(1),
+        n_grid=(50, 100, 200, 400),
+        replications=10,
+        seed=7,
+        rate_tag="s_max_p_2logm_over_n",
+        width_draws=200,
+    )
+
+    def test_groups_of_at_most_p_plus_2(self, monkeypatch):
+        events = []
+        solved = []  # weak references to the series arrays of solved cells
+        real_group, real_solve = datagen._var_group, harness.solve
+
+        def group(models, n, seeds):
+            assert all(ref() is None for ref in solved), "an earlier group is held"
+            events.append(("simulate", len(models)))
+            return real_group(models, n, seeds)
+
+        def solve(problem, *args, **kw):
+            events.append(("solve", 1))
+            solved.append(weakref.ref(problem.responses.base))
+            return real_solve(problem, *args, **kw)
+
+        monkeypatch.setattr(datagen, "_var_group", group)
+        monkeypatch.setattr(harness, "solve", solve)
+        rep = rate_experiment(self.CONFIG)
+        # p = 2: ten series per n run as groups of 4, 3 and 3
+        one_n = []
+        for size in (4, 3, 3):
+            one_n += [("simulate", size)] + [("solve", 1)] * size
+        assert events == one_n * 4
+        assert len(rep["cells"]) == 40
+
+    def test_cells_match_their_own_series(self):
+        config = self.CONFIG
+        rep = rate_experiment(config)
+        root = np.random.SeedSequence(config.seed).spawn(len(config.n_grid))
+        lam = rep["per_n"][0]["lambda"]
+        for ri, rseed in enumerate(root[0].spawn(config.replications)):
+            tseed, pseed = rseed.spawn(2)
+            model = gen_var_model(3, 2, 2, seed=tseed)
+            problem = gen_var_series(model, 50, seed=pseed)
+            res = solver.solve(problem, config.regularizer, lam, config.max_iters)
+            delta = res.estimate - problem.truth
+            assert rep["cells"][ri]["fro_sq"] == float((delta * delta).sum())
+            assert rep["cells"][ri]["iterations"] == res.iterations
 
 
 class TestBenefitComparisons:
