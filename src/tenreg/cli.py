@@ -29,12 +29,12 @@ EXIT_NONCONVERGED = 3
 def _parse_reg(text):
     """Penalty shorthand: ``entry_l1``, ``fiber_group:1``,
     ``slice_frob:0,1``, ``slice_nuclear:1,2``, ``matricized_nuclear_sum``,
-    ``tensor_spectral``, or a JSON object / path to one."""
+    ``tensor_spectral``, ``pairwise``, or a JSON object / path to one."""
     text = text.strip()
     if os.path.exists(text) or text.startswith("{"):
         return RegularizerSpec.from_json(_load_json_arg(text))
     if text == "pairwise":
-        return "pairwise"
+        return RegularizerSpec("pairwise_component_nuclear")
     name, _, arg = text.partition(":")
     if name == "entry_l1":
         return RegularizerSpec("entry_l1")
@@ -232,6 +232,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ValidationError(f"workers must be >= 1, got {args.threads}")
         with np.errstate(over="raise"):
             return _COMMANDS[args.command](args)
     except (TenregError, ValueError, OSError, json.JSONDecodeError) as exc:

@@ -56,6 +56,8 @@ __all__ = [
     "report_to_csv",
 ]
 
+_PAIRWISE = RegularizerSpec("pairwise_component_nuclear")
+
 # Each tag's rate is budget * w^2 / n, with w^2 the squared width growth law
 # of the penalty that fits the structure: tag -> model -> (budget, penalty).
 _RATES = {
@@ -67,7 +69,7 @@ _RATES = {
     # VAR layout (m, p, m): fibers have length p, m^2 groups
     "s_max_p_2logm_over_n": lambda m: (m.s, fiber_group(1)),
     "r_max_m_logp_over_n": lambda m: (m.r, slice_nuclear((1, 2))),
-    "r_max_dim_over_n": lambda m: (m.r, "pairwise"),
+    "r_max_dim_over_n": lambda m: (m.r, _PAIRWISE),
     "r_max_pairprod_over_n": lambda m: (m.r, matricized_nuclear_sum()),
     "rsq_sum_dims_over_n": lambda m: (m.r**2, tensor_spectral()),
 }
@@ -89,7 +91,7 @@ class RateExperimentConfig:
     the predicted rate the median errors are regressed against."""
 
     model: ModelClassSpec
-    regularizer: RegularizerSpec | str  # a spec, or "pairwise"
+    regularizer: RegularizerSpec  # the pairwise shorthand reads as its spec
     n_grid: tuple[int, ...]
     replications: int
     seed: int
@@ -138,11 +140,13 @@ class RateExperimentConfig:
         if self.rate_tag not in RATE_TAGS:
             raise ValidationError(f"unknown rate tag {self.rate_tag!r}")
         reg = self.regularizer
-        if not (isinstance(reg, RegularizerSpec) or reg == "pairwise"):
+        if reg == "pairwise":
+            object.__setattr__(self, "regularizer", reg := _PAIRWISE)
+        if not isinstance(reg, RegularizerSpec):
             raise ValidationError(
                 f"regularizer must be a penalty object or 'pairwise', got {reg!r}"
             )
-        if reg == "pairwise" and self.split != 3:
+        if reg.kind == _PAIRWISE.kind and self.split != 3:
             raise ValidationError(
                 f"the pairwise model regresses a scalar on the whole tensor: "
                 f"split must be 3, got {self.split}"
@@ -166,28 +170,26 @@ def pairwise_width_mc(shape, draws=2000, seed=0):
     spectral norm over the marginal sums of a standard Gaussian tensor.
     Runs the width driver on one stream seeded by `seed` itself."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    return _width_mc("pairwise", shape, draws, seed, [rng], None, None)
+    return _width_mc(_PAIRWISE, shape, draws, seed, [rng], None, None)
 
 
 def auto_lambda(
     reg, shape, ns, sigma, draws, seed, *, workers=1, c_u=1.0, multiplier=1.0
 ):
     """The automatic tuning rule: one width estimate for the penalty `reg`
-    on `shape` (``"pairwise"`` takes `pairwise_width_mc` and c_R = 1), then
+    on `shape` (the pairwise-component penalty takes `pairwise_width_mc`), then
     `lambda_rule` at each sample size in `ns`, times the noise level `sigma`
     when sigma > 0.  At sigma = 0 the rule stays unscaled: lambda = 0 makes
     FISTA from zero return a dense interpolant for n < d, which no risk
     bound covers.  Returns the width estimate and the lambdas.
     """
-    if reg == "pairwise":
+    if reg.kind == _PAIRWISE.kind:
         width = pairwise_width_mc(shape, draws, seed)
-        c_reg = 1.0
     else:
         width = gaussian_width_mc(reg, shape, draws, seed, workers=workers)
-        c_reg = reg.c_reg
     lams = []
     for n in ns:
-        lam = lambda_rule(width, n, c_u=c_u, c_reg=c_reg, multiplier=multiplier)
+        lam = lambda_rule(width, n, c_u=c_u, c_reg=reg.c_reg, multiplier=multiplier)
         lams.append(sigma * lam if sigma > 0 else lam)
     return width, lams
 

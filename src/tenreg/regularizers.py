@@ -2,7 +2,7 @@
 maps, structured subspaces, decomposability margins, and compatibility
 constants.
 
-Six penalty kinds are supported.  The first three are one family, the sum
+Seven penalty kinds are supported.  The first three are one family, the sum
 of l2 norms over groups of entries: each group spans the axes `norm_axes`,
 and the remaining axes index the groups.
 
@@ -21,6 +21,9 @@ and the remaining axes index the groups.
     Placeholder for the tensor nuclear norm: the primal is NP-hard and is
     never evaluated here; only its dual (the tensor spectral norm) is
     approximated from below by the higher-order power method.
+``pairwise_component_nuclear``
+    Sum of the three component nuclear norms; on a tensor only its dual is
+    defined: the largest top singular value of the three marginal sums.
 """
 
 from __future__ import annotations
@@ -75,6 +78,7 @@ _KINDS = (
     "slice_nuclear",
     "matricized_nuclear_sum",
     "tensor_spectral_dual_only",
+    "pairwise_component_nuclear",
 )
 
 # the sums of l2 norms over groups of entries, fibers or slices
@@ -240,10 +244,7 @@ def reg_eval(spec, a):
     if spec.kind == "matricized_nuclear_sum":
         n1, n2, n3 = _unfolding_nuclear(a)
         return (n1 + n2 + n3) / 3.0
-    raise UnsupportedKind(
-        "the tensor nuclear norm primal is not evaluated (NP-hard); "
-        "only its dual is approximated"
-    )
+    raise UnsupportedKind(f"{spec.kind} is not evaluated on a tensor; only its dual is")
 
 
 def reg_dual(spec, a, *, rng=None):
@@ -270,14 +271,11 @@ def reg_dual(spec, a, *, rng=None):
 def _dual_batch(spec, g, rng=None, hopm_restarts=None, hopm_iters=None):
     """Dual norm of each tensor in the batch `g` of shape (B, d1, d2, d3).
 
-    `spec` may also be ``"pairwise"``, the pairwise-component penalty of
-    `solver.solve`, whose dual is the largest top singular value over the
-    three marginal sums.  Only the spectral-dual kind uses `rng` and the
-    HOPM counts: it runs the batched alternating maximizer from random
-    starts.
+    Only the spectral-dual kind uses `rng` and the HOPM counts: it runs the
+    batched alternating maximizer from random starts.
     """
     b = g.shape[0]
-    if spec == "pairwise":
+    if spec.kind == "pairwise_component_nuclear":
         return _max_top_sv([g.sum(axis=axis)[:, None] for axis in (3, 2, 1)])
     if spec.kind in _GROUP_KINDS:
         axes = tuple(ax + 1 for ax in spec.norm_axes)

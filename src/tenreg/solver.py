@@ -556,12 +556,12 @@ def fista_solve(problem, spec, lam, config=None):
     _check_lam(lam)
     if config is None:
         config = FistaConfig()
-    # the certificate needs the penalty's value, which the tensor nuclear
-    # norm has not, so that kind is refused at every lam
-    if spec.kind == "tensor_spectral_dual_only":
+    # the certificate needs the penalty's value, which neither dual-only
+    # kind has on a tensor, so both are refused at every lam
+    if spec.kind in ("tensor_spectral_dual_only", "pairwise_component_nuclear"):
         raise NoClosedFormProx(
-            f"{spec.kind} is not prox-friendly: tenreg uses it only through its "
-            "dual (Gaussian widths) and has no solver for it"
+            f"{spec.kind} is not prox-friendly: it has no value on a tensor, so "
+            "fista_solve has no solver for it"
         )
     if not spec.has_prox() and lam > 0:
         raise NoClosedFormProx(f"{spec.kind} is not prox-friendly, use ADMM")
@@ -746,10 +746,10 @@ def fista_pairwise(problem, lam, config=None):
 
 
 def solve(problem, reg, lam, max_iters=2000):
-    """Fit `problem` with the solver for `reg`: the block FISTA for
-    ``"pairwise"``, consensus ADMM for the averaged matricized nuclear norm,
-    FISTA for every other penalty."""
-    if reg == "pairwise":
+    """Fit `problem` with the solver for `reg`: the block FISTA for the
+    pairwise-component penalty, consensus ADMM for the averaged matricized
+    nuclear norm, FISTA for every other penalty."""
+    if reg.kind == "pairwise_component_nuclear":
         return fista_pairwise(problem, lam, FistaConfig(max_iters=max_iters))
     if reg.kind == "matricized_nuclear_sum":
         return admm_matricized(problem, lam, AdmmConfig(max_iters=max_iters))

@@ -200,11 +200,10 @@ _RATE_TAGS = {
 
 def _width_sq(spec, shape):
     """The constant-free squared width growth law of the penalty `spec` on
-    `shape` (``"pairwise"`` for the pairwise-component penalty): the log
-    group count against the group size for the group kinds, where an entry
-    is a group of size 1."""
+    `shape`: the log group count against the group size for the group
+    kinds, where an entry is a group of size 1."""
     d1, d2, d3 = shape
-    if spec == "pairwise":
+    if spec.kind == "pairwise_component_nuclear":
         return max(d1, d2, d3)
     if spec.kind in ("entry_l1", "fiber_group", "slice_frob", "slice_nuclear"):
         dims = [shape[k] for k in spec.norm_axes]
@@ -248,7 +247,6 @@ def _width_mc(spec, shape, draws, seed, rngs, hopm_restarts, hopm_iters):
         raise ValueError(f"width estimation needs every dimension >= 1, got shape {shape}")
     if draws < 100:
         raise ValueError("draws must be >= 100")
-    kind = "pairwise_component_nuclear" if spec == "pairwise" else spec.kind
     base, rem = divmod(draws, len(rngs))
 
     def run(idx):
@@ -272,10 +270,10 @@ def _width_mc(spec, shape, draws, seed, rngs, hopm_restarts, hopm_iters):
         mean=float(values.mean()),
         std_error=float(values.std(ddof=1) / np.sqrt(len(values))),
         draws=draws,
-        lemma_bound_form=_RATE_TAGS[kind],
+        lemma_bound_form=_RATE_TAGS[spec.kind],
         seed=seed,
         shape=shape,
-        kind=kind,
+        kind=spec.kind,
     )
 
 

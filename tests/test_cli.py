@@ -206,15 +206,35 @@ class TestAutoLambda:
         assert rate_lam > 0
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
-    def test_width_rejects_fewer_than_one_thread(self, capsys, threads):
-        code, out, err = run_cli(
-            ["--threads", threads, "width", "--kinds", "entry_l1", "--shapes",
-             "4x4x4", "--draws", "100"],
+    def test_width_rejects_fewer_than_one_thread(self, tmp_path, capsys, threads):
+        # every command refuses the flag, also those that use no worker
+        prob_dir = str(tmp_path / "prob")
+        save_scaled_problem(prob_dir, 30, scale=1.0)
+        gen_dir = tmp_path / "gen"
+        for command in (
+            ["width", "--kinds", "entry_l1", "--shapes", "4x4x4", "--draws", "100"],
+            ["solve", "--problem", prob_dir, "--regularizer", "pairwise",
+             "--width-draws", "100"],
+            ["solve", "--problem", prob_dir, "--regularizer", "entry_l1",
+             "--lam", "0.1"],
+            ["--out", str(gen_dir), "gen", "--spec",
+             '{"kind": "theta1", "shape": [3, 3, 3], "s": 2}', "--n", "10"],
+        ):
+            code, out, err = run_cli(["--threads", threads, *command], capsys)
+            assert code == 2
+            assert "workers must be >= 1" in err
+            assert out == ""
+        assert not gen_dir.exists()
+
+    def test_width_of_the_pairwise_penalty(self, capsys):
+        code, out, _ = run_cli(
+            ["width", "--kinds", "pairwise", "--shapes", "3x4x5", "--draws", "200"],
             capsys,
         )
-        assert code == 2
-        assert "workers must be >= 1" in err
-        assert out == ""
+        assert code == 0
+        (row,) = json.loads(out)["rows"]
+        assert row["kind"] == "pairwise_component_nuclear"
+        assert row["rate_expression"] == np.sqrt(5)
 
     @pytest.mark.parametrize("shape", ["1x1x1", "1x2x1"])
     def test_width_on_one_or_two_entries(self, capsys, shape):
@@ -439,11 +459,15 @@ class TestMissingJsonKeys:
          ("noise_sigma", float("nan"), "noise_sigma must be a finite number >= 0"),
          ("n_grid", [0, 1, 2, 3], "n_grid entries must be integers >= 1"),
          ("n_grid", [-3, -2, -1, 0], "n_grid entries must be integers >= 1"),
-         ("split", 5, "split must be 1, 2 or 3")],
+         ("split", 5, "split must be 1, 2 or 3"),
+         ("regularizer", {"kind": "nope"}, "unknown penalty kind"),
+         ("regularizer", "pairwise", "split must be 3"),
+         ("regularizer", {"kind": "pairwise_component_nuclear"}, "split must be 3")],
         ids=["n_grid-int", "seed-str", "seed-negative", "max_iters-str",
              "width_draws-float", "split-null", "c_u-null", "c_u-zero",
              "lambda_multiplier-below-one", "noise_sigma-negative", "noise_sigma-nan",
-             "n_grid-zero", "n_grid-negative", "split-five"],
+             "n_grid-zero", "n_grid-negative", "split-five", "regularizer-unknown-kind",
+             "pairwise-split-two", "pairwise-spec-split-two"],
     )
     def test_rate_rejects_a_bad_field_before_running(
         self, tmp_path, capsys, monkeypatch, field, value, message

@@ -67,8 +67,10 @@ def test_pairwise_regularizer_passes_as_a_string():
         {**RATE_JSON, "model": {"kind": "t4", "shape": [3, 3, 3], "r": 1},
          "regularizer": "pairwise", "rate_tag": "r_max_dim_over_n", "split": 3}
     )
-    assert cfg.regularizer == "pairwise"
-    assert cfg.to_json()["regularizer"] == "pairwise"
+    pairwise = RegularizerSpec("pairwise_component_nuclear")
+    assert cfg.regularizer == pairwise
+    assert cfg.to_json()["regularizer"] == {"kind": "pairwise_component_nuclear"}
+    assert RateExperimentConfig.from_json(cfg.to_json()) == cfg
 
 
 @pytest.mark.parametrize(

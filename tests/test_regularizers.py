@@ -35,6 +35,8 @@ from tenreg.regularizers import _dual_batch, _groups, _max_top_sv
 from tenreg.spectral import matrix_svt
 from tenreg.tensor import ProjectorTriple
 
+PAIRWISE = RegularizerSpec("pairwise_component_nuclear")
+
 rng = np.random.default_rng(7)
 
 PRIMAL_SPECS = [
@@ -65,8 +67,10 @@ class TestRegEval:
         assert reg_eval(slice_nuclear((0, 1)), a) == pytest.approx(7.0)
 
     def test_primal_rejected_for_spectral(self):
-        with pytest.raises(UnsupportedKind):
-            reg_eval(tensor_spectral(), rng.standard_normal(SHAPE))
+        a = rng.standard_normal(SHAPE)
+        for spec in (tensor_spectral(), PAIRWISE):
+            with pytest.raises(UnsupportedKind, match=spec.kind):
+                reg_eval(spec, a)
 
     @pytest.mark.parametrize("spec", PRIMAL_SPECS, ids=lambda s: f"{s.kind}")
     def test_norm_axioms(self, spec):
@@ -211,7 +215,7 @@ class TestPrunedTopSingularValues:
     def test_pairwise_matches_full_svd(self, shape):
         g = np.random.default_rng(2).standard_normal((64,) + shape)
         expected = full_svd_pairwise_dual(marginal_sums(g))
-        assert np.array_equal(_dual_batch("pairwise", g), expected)
+        assert np.array_equal(_dual_batch(PAIRWISE, g), expected)
 
     def test_pairwise_two_dimensional_blocks_match_full_svd(self):
         # the block solver's gradient blocks, one matrix per block: its
@@ -239,7 +243,7 @@ class TestPrunedTopSingularValues:
         # the bounds run on exactly rescaled tensors, so squares of entries
         # near 1e200 neither overflow nor lose digits near 1e-200
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            slices, pairwise = _dual_batch(spec, g), _dual_batch("pairwise", g)
+            slices, pairwise = _dual_batch(spec, g), _dual_batch(PAIRWISE, g)
         assert np.array_equal(slices, full_svd_slice_dual(spec, g))
         assert np.array_equal(pairwise, full_svd_pairwise_dual(marginal_sums(g)))
 
@@ -254,7 +258,7 @@ class TestPrunedTopSingularValues:
         with pytest.raises(np.linalg.LinAlgError):
             reg_dual(spec, a[0])
         with pytest.raises(np.linalg.LinAlgError):
-            _dual_batch("pairwise", a)
+            _dual_batch(PAIRWISE, a)
 
     def test_fewer_than_half_the_slices_are_decomposed(self, monkeypatch):
         # a silent fall-back to the full SVD would decompose all 2048
@@ -327,6 +331,8 @@ class TestProx:
             prox(matricized_nuclear_sum(), z, 1.0)
         with pytest.raises(NoClosedFormProx):
             prox(tensor_spectral(), z, 1.0)
+        with pytest.raises(NoClosedFormProx):
+            prox(PAIRWISE, z, 1.0)
 
 
 class TestSubspaceProject:

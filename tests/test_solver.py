@@ -4,6 +4,7 @@ import pytest
 from tenreg.datagen import ModelClassSpec, gen_problem, gen_truth
 from tenreg.errors import NoClosedFormProx, ShapeMismatch
 from tenreg.regularizers import (
+    RegularizerSpec,
     entry_l1,
     fiber_group,
     matricized_nuclear_sum,
@@ -36,6 +37,8 @@ from tenreg.regularizers import _max_top_sv
 from tenreg.solver import _certificate, _least_squares, _operator, _pairwise_map
 from tenreg.spectral import gaussian_width_mc, matrix_svt
 from tenreg.tensor import dematricize, matricize
+
+PAIRWISE = RegularizerSpec("pairwise_component_nuclear")
 
 rng = np.random.default_rng(23)
 
@@ -539,7 +542,7 @@ class TestSolveDispatch:
     def test_pairwise_uses_block_fista(self):
         spec = ModelClassSpec("t4", (4, 4, 4), r=1, magnitude=3.0)
         p = gen_problem(gen_truth(spec, 7), 300, 3, 0.5, seed=8)
-        res = solve(p, "pairwise", 0.05, max_iters=300)
+        res = solve(p, PAIRWISE, 0.05, max_iters=300)
         direct = fista_pairwise(p, 0.05, FistaConfig(max_iters=300))
         assert_same_result(res, direct)
         assert res.components is not None and len(res.components) == 3
@@ -556,22 +559,25 @@ class TestSolveDispatch:
             solve(p, tensor_spectral(), 0.1)
 
     def test_tensor_spectral_refused_at_zero_lambda(self, monkeypatch):
-        # its certificate needs the penalty's value, which it has not, so
-        # the solve is refused before any iteration
+        # the certificate needs the penalty's value, which neither dual-only
+        # kind has, so the solve is refused before any iteration
         import tenreg.solver
 
         monkeypatch.setattr(tenreg.solver, "_apg", pytest.fail)
         p = scalar_problem(30, (2, 2, 2), 0.3, 34)
-        with pytest.raises(NoClosedFormProx):
-            fista_solve(p, tensor_spectral(), 0.0)
+        for spec in (tensor_spectral(), PAIRWISE):
+            with pytest.raises(NoClosedFormProx):
+                fista_solve(p, spec, 0.0)
 
     def test_refusal_messages_name_what_can_be_done(self):
-        # the tensor nuclear norm has no solver at all; the matricized
+        # neither dual-only kind has a solver in fista_solve (the pairwise
+        # kind has the block solver through `solve`); the matricized
         # nuclear norm has ADMM
         p = scalar_problem(30, (2, 2, 2), 0.3, 34)
-        with pytest.raises(NoClosedFormProx, match="no solver for it") as err:
-            fista_solve(p, tensor_spectral(), 0.1)
-        assert "ADMM" not in str(err.value)
+        for spec in (tensor_spectral(), PAIRWISE):
+            with pytest.raises(NoClosedFormProx, match="no solver for it") as err:
+                fista_solve(p, spec, 0.1)
+            assert "ADMM" not in str(err.value)
         with pytest.raises(NoClosedFormProx, match="use ADMM"):
             fista_solve(p, matricized_nuclear_sum(), 0.1)
 
@@ -824,7 +830,7 @@ class TestOverflow:
             responses=r.standard_normal(n),
             split=3,
         )
-        res = solve(p, "pairwise", 0.1, max_iters=50)
+        res = solve(p, PAIRWISE, 0.1, max_iters=50)
         assert res.status == "Diverged"
         assert res.iterations <= 50
         assert len(res.components) == 3
