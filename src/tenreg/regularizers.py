@@ -100,7 +100,8 @@ class RegularizerSpec:
     """Tagged description of which penalty is in force.
 
     `mode` is the fiber axis for ``fiber_group``; `axes` is the ordered pair
-    of axes spanning each slice for the slice kinds.  The weak
+    of axes spanning each slice for the slice kinds.  No other kind takes
+    either.  The weak
     decomposability constant is 1 for every kind except the tensor nuclear
     pair, which carries 1/2 (recorded even though that primal is never
     evaluated).
@@ -116,8 +117,12 @@ class RegularizerSpec:
         fiber = self.kind == "fiber_group"
         if fiber and not (is_int(self.mode) and 0 <= self.mode <= 2):
             raise ValueError(f"fiber_group needs mode 0, 1 or 2, got {self.mode!r}")
+        if not fiber and self.mode is not None:
+            raise ValueError(f"{self.kind} takes no mode, got {self.mode!r}")
         if self.kind in ("slice_frob", "slice_nuclear"):
             _group_axis(self.axes)
+        elif self.axes is not None:
+            raise ValueError(f"{self.kind} takes no axes, got {self.axes!r}")
 
     @property
     def c_reg(self):
@@ -225,22 +230,27 @@ def _nuclear(sv_stack):
 
 
 def _unfolding_nuclear(a):
-    """The nuclear norms of the three mode unfoldings of `a`."""
-    return [
-        float(_nuclear(np.linalg.svd(matricize(a, [k]), compute_uv=False)))
-        for k in range(3)
-    ]
+    """The nuclear norms of the three mode unfoldings of each tensor in the
+    stack `a` of shape (..., d1, d2, d3), one array per unfolding."""
+    lead = a.shape[:-3]
+    unfold = (np.moveaxis(a, k, -3).reshape(lead + (a.shape[k], -1)) for k in (-3, -2, -1))
+    return [_nuclear(np.linalg.svd(m, compute_uv=False)) for m in unfold]
 
 
 def reg_eval(spec, a):
     """Evaluate the penalty R(a) >= 0."""
-    a = _check_order3(a)
+    return float(_eval_batch(spec, _check_order3(a)[None])[0])
+
+
+def _eval_batch(spec, a):
+    """The penalty of each tensor in the stack `a` of shape (B, d1, d2, d3)."""
+    b = a.shape[0]
     if spec.kind in _GROUP_KINDS:
-        return float(_group_norms(a, spec.norm_axes).sum())
+        axes = tuple(ax - 3 for ax in spec.norm_axes)
+        return _group_norms(a, axes).reshape(b, -1).sum(axis=1)
     if spec.kind == "slice_nuclear":
-        stack = _groups(a, spec.axes)
-        sv = np.linalg.svd(stack, compute_uv=False)
-        return float(_nuclear(sv).sum())
+        sv = np.linalg.svd(_groups(a, spec.axes), compute_uv=False)
+        return _nuclear(sv).sum(axis=1)
     if spec.kind == "matricized_nuclear_sum":
         n1, n2, n3 = _unfolding_nuclear(a)
         return (n1 + n2 + n3) / 3.0
@@ -268,6 +278,12 @@ def reg_dual(spec, a, *, rng=None):
     return float(_dual_batch(spec, a[None])[0])
 
 
+# Gaussian tensors drawn per batch by the Monte-Carlo samplers
+# (`spectral._width_mc` and `compatibility`). A (m,) + shape draw consumes
+# the same stream as m draws of `shape`.
+_WIDTH_BATCH = 256
+
+
 def _dual_batch(spec, g, rng=None, hopm_restarts=None, hopm_iters=None):
     """Dual norm of each tensor in the batch `g` of shape (B, d1, d2, d3).
 
@@ -283,11 +299,7 @@ def _dual_batch(spec, g, rng=None, hopm_restarts=None, hopm_iters=None):
     if spec.kind == "slice_nuclear":
         return _max_top_sv([_groups(g, spec.axes)])
     if spec.kind == "matricized_nuclear_sum":
-        tops = []
-        for k in range(3):
-            mat = np.moveaxis(g, k + 1, 1).reshape(b, g.shape[k + 1], -1)
-            tops.append(np.linalg.svd(mat, compute_uv=False)[..., 0])
-        return 3.0 * np.maximum.reduce(tops)
+        return 3.0 * _max_unfolding_sv(g)
     if spec.kind == "tensor_spectral_dual_only":
         from .spectral import _hopm
 
@@ -299,6 +311,48 @@ def _dual_batch(spec, g, rng=None, hopm_restarts=None, hopm_iters=None):
 # the bounds and of the SVD (near 1e-15). The Gram matrix of an r×c matrix
 # may round by up to r·c·eps relative, so that term is added to it.
 _SV_BOUND_SLACK = 1e-12
+
+
+def _pow2_scaled(stacks):
+    """The (B, ...) `stacks`, each times one power of two per tensor that
+    brings the tensor's largest entry over all of them into [0.5, 1),
+    exactly, so that their Gram matrices neither overflow nor underflow;
+    C-contiguous, so that the batched products run on BLAS.  Also returns
+    the exponents of those powers and the largest absolute entries (NaN
+    for a tensor holding NaN)."""
+    axes = [tuple(range(1, s.ndim)) for s in stacks]
+    peak = np.maximum.reduce(
+        [np.maximum(s.max(axis=ax), -s.min(axis=ax)) for s, ax in zip(stacks, axes)]
+    )
+    shift = -np.frexp(peak)[1]
+    scaled = [
+        np.ldexp(s, shift.reshape((-1,) + (1,) * (s.ndim - 1)), order="C") for s in stacks
+    ]
+    return scaled, shift, peak
+
+
+def _max_unfolding_sv(g):
+    """The largest top singular value of the three mode unfoldings of each
+    tensor in the batch `g`: the square root of the largest eigenvalue of
+    each unfolding's smaller Gram matrix, taken after the exact power-of-two
+    rescale of `_pow2_scaled`.  A tensor holding inf gives NaN, and one
+    holding NaN raises `LinAlgError`, as a full SVD does."""
+    (x,), shift, peak = _pow2_scaled([g])
+    b, d1, d2, d3 = x.shape
+    finite = np.isfinite(peak)
+    if not finite.all():
+        if np.isnan(peak).any():
+            raise np.linalg.LinAlgError("SVD did not converge")
+        x[~finite] = 0.0
+    # the first and last unfoldings are views, the last one transposed;
+    # a matrix and its transpose have the same Gram matrices
+    top = np.zeros(b)
+    for mat in (x.reshape(b, d1, -1), np.moveaxis(x, 2, 1).reshape(b, d2, -1),
+                x.reshape(b, -1, d3)):
+        mat_t = mat.swapaxes(1, 2)
+        gram = mat @ mat_t if mat.shape[1] <= mat.shape[2] else mat_t @ mat
+        top = np.maximum(top, np.linalg.eigvalsh(gram)[:, -1])
+    return np.where(finite, np.ldexp(np.sqrt(top), -shift), np.nan)
 
 
 @np.errstate(invalid="ignore")
@@ -318,15 +372,9 @@ def _max_top_sv(stacks):
     entries give NaN bounds, which skip nothing.
     """
     b = stacks[0].shape[0]
-    # one power of two per tensor brings its largest entry into [0.5, 1),
-    # exactly, so the Gram matrices neither overflow nor underflow
-    peak = np.maximum.reduce([np.abs(s).max(axis=(1, 2, 3)) for s in stacks])
-    shift = -np.frexp(peak)[1][:, None, None, None]
     bounds = []
-    for s in stacks:
+    for s, x in zip(stacks, _pow2_scaled(stacks)[0]):
         slack = _SV_BOUND_SLACK + s.shape[-2] * s.shape[-1] * np.finfo(float).eps
-        # contiguous factors let the batched products run on BLAS
-        x = np.ldexp(s, shift, order="C")
         xt = np.ascontiguousarray(x.swapaxes(-1, -2))
         gram = x @ xt if x.shape[-2] <= x.shape[-1] else xt @ x
         tr = np.trace(gram, axis1=-2, axis2=-1)
@@ -526,13 +574,14 @@ def _support_mask(sub):
 def subspace_project(sub, a, which="space"):
     """Orthogonal projection of `a` onto the subspace or its complement.
 
-    The two projections sum to `a`.  Support variants zero out the
-    complementary index set.  For projector triples, the a_space role
-    applies the low-perp four-term pattern and the b_space role applies the
-    plain mode-wise projection.
+    `a` is one tensor of the subspace's shape or a (..., d1, d2, d3) stack
+    of them, projected one by one.  The two projections sum to `a`.
+    Support variants zero out the complementary index set.  For projector
+    triples, the a_space role applies the low-perp four-term pattern and
+    the b_space role applies the plain mode-wise projection.
     """
-    a = _check_order3(a)
-    if a.shape != sub.shape:
+    a = np.asarray(a, dtype=np.float64)
+    if a.shape[-3:] != sub.shape:
         raise ShapeMismatch(f"tensor shape {a.shape} != subspace shape {sub.shape}")
     if which not in ("space", "complement"):
         raise ValueError("which must be 'space' or 'complement'")
@@ -542,13 +591,13 @@ def subspace_project(sub, a, which="space"):
     if sub.variant == "slicewise_projectors":
         stack = _groups(a, sub.axes).copy()
         for j, (u1, u2) in enumerate(sub.slice_factors):
-            s = stack[j]
+            s = stack[..., j, :, :]
             if sub.role == "b_space":
                 proj = u1 @ (u1.T @ s @ u2) @ u2.T
             else:
                 perp = s - u1 @ (u1.T @ s)
                 proj = s - (perp - perp @ u2 @ u2.T)
-            stack[j] = proj if which == "space" else s - proj
+            stack[..., j, :, :] = proj if which == "space" else s - proj
         return _groups(stack, sub.axes, inverse=True)
     if sub.variant == "tucker_projectors":
         pattern = "q" if sub.role == "a_space" else "full"
@@ -604,18 +653,18 @@ def _matched_bound(spec, sub):
 
 
 def _surrogate_ratio(spec, a):
-    """R^2 / ||a||_F^2 with a computable stand-in for the NP-hard primal."""
-    fro2 = float((a * a).sum())
-    if fro2 == 0:
-        return 0.0
+    """R^2 / ||a||_F^2 of each tensor in the stack `a` of shape
+    (B, d1, d2, d3), 0 for a zero tensor, with a computable stand-in for
+    the NP-hard primal."""
+    fro2 = (a * a).reshape(len(a), -1).sum(axis=1)
     if spec.kind == "tensor_spectral_dual_only":
         # The tensor nuclear norm dominates each unfolding nuclear norm, so
         # the max over unfoldings gives a certified lower bound when the
         # primal itself cannot be evaluated.
-        val = max(_unfolding_nuclear(a))
+        val = np.maximum.reduce(_unfolding_nuclear(a))
     else:
-        val = reg_eval(spec, a)
-    return val * val / fro2
+        val = _eval_batch(spec, a)
+    return np.where(fro2 > 0, val * val / np.where(fro2 > 0, fro2, 1.0), 0.0)
 
 
 def compatibility(spec, sub, *, draws=10000, ascent_steps=100, rng=None):
@@ -623,24 +672,27 @@ def compatibility(spec, sub, *, draws=10000, ascent_steps=100, rng=None):
     the subspace.
 
     The sampler projects standard Gaussian tensors onto the subspace and
-    normalizes; the best sample is refined by normalized gradient ascent on
-    the ratio.  For the tensor-nuclear pair the primal is replaced by its
-    largest-unfolding lower bound, making the estimate a lower estimate.
+    normalizes; the first sample with the largest ratio is refined by
+    normalized gradient ascent on the ratio.  Samples are drawn and scored
+    in (m,) + shape chunks of at most `_WIDTH_BATCH`, which consume the
+    stream that one draw at a time would.  For the tensor-nuclear pair the
+    primal is replaced by its largest-unfolding lower bound, making the
+    estimate a lower estimate.
     """
     analytic = _matched_bound(spec, sub)
     if rng is None:
         rng = np.random.default_rng(0)
     best = 0.0
     best_a = None
-    for _ in range(draws):
-        a = subspace_project(sub, rng.standard_normal(sub.shape), "space")
-        nrm = np.linalg.norm(a)
-        if nrm == 0:
-            continue
-        a = a / nrm
+    for start in range(0, draws, _WIDTH_BATCH):
+        m = min(_WIDTH_BATCH, draws - start)
+        a = subspace_project(sub, rng.standard_normal((m,) + sub.shape), "space")
+        nrm = np.sqrt((a * a).reshape(m, -1).sum(axis=1))
+        a /= np.where(nrm > 0, nrm, 1.0)[:, None, None, None]
         ratio = _surrogate_ratio(spec, a)
-        if ratio > best:
-            best, best_a = ratio, a
+        i = int(ratio.argmax())
+        if ratio[i] > best:
+            best, best_a = float(ratio[i]), a[i]
     if best_a is not None and spec.kind != "tensor_spectral_dual_only":
         a = best_a
         step = 0.1
@@ -654,7 +706,7 @@ def compatibility(spec, sub, *, draws=10000, ascent_steps=100, rng=None):
             cand = a + step * grad / gn
             cand = subspace_project(sub, cand, "space")
             cand /= np.linalg.norm(cand)
-            ratio = _surrogate_ratio(spec, cand)
+            ratio = float(_surrogate_ratio(spec, cand[None])[0])
             if ratio > best:
                 best, a = ratio, cand
             else:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatch, SvdFailure, ZeroTensor, fields_to_json
-from .regularizers import SV_RTOL, RegularizerSpec, _dual_batch
+from .regularizers import _WIDTH_BATCH, SV_RTOL, RegularizerSpec, _dual_batch
 from .tensor import matricize
 
 __all__ = [
@@ -44,94 +44,91 @@ def matrix_svt(z, t):
     return (u * s[..., None, :]) @ vt
 
 
-# A draw's restart stops at its first sweep that gains less than this.
+# A restart stops at its first sweep that gains less than this.
 _HOPM_TOL = 1e-12
-# The held rows are compacted once fewer than this share of them is live.
+# The held draws are compacted once fewer than this share of them is live.
 _HOPM_COMPACT = 0.75
 
 
+def _unit(x):
+    """Normalize the last axis of `x` in place (a zero vector stays zero);
+    return the norms."""
+    norms = np.sqrt(np.einsum("...i,...i->...", x, x))
+    x /= np.maximum(norms, 1e-300)[..., None]
+    return norms
+
+
 def _hopm_sweep(g, v, w):
-    """One alternating sweep on the batch `g` of shape (m, d1, d2, d3):
+    """One alternating sweep of every restart held for the draws `g` of
+    shape (m, d1, d2, d3), from the factors v (m, R, d2) and w (m, R, d3):
     u from (v, w), v from (u, w), w from (u, v), each normalized, plus the
-    norm of the contracted w.  Two contractions of `g`, both on views:
-    P = g x3 w serves u = P v and v = P^T u, and Q = u^T g_(1) gives w = v^T Q.
+    norm of the contracted w.  Two matmuls per draw against its R factor
+    vectors, on views of `g`: P = g x3 w serves u = P v and v = P^T u, and
+    Q = u^T g_(1) gives w = v^T Q.
     """
     m, d1, d2, d3 = g.shape
-    p = (g.reshape(m, d1 * d2, d3) @ w[:, :, None]).reshape(m, d1, d2)
-    u = (p @ v[:, :, None])[:, :, 0]
-    u /= np.maximum(np.linalg.norm(u, axis=1, keepdims=True), 1e-300)
-    v = (u[:, None, :] @ p)[:, 0]
-    v /= np.maximum(np.linalg.norm(v, axis=1, keepdims=True), 1e-300)
-    q = (u[:, None, :] @ g.reshape(m, d1, d2 * d3)).reshape(m, d2, d3)
-    w = (v[:, None, :] @ q)[:, 0]
-    nw = np.linalg.norm(w, axis=1)
-    w /= np.maximum(nw, 1e-300)[:, None]
-    return (u, v, w), nw
-
-
-def _hopm_restart(g, v, w, iters):
-    """One restart from (v, w) for every tensor of `g`.  Each draw stops at
-    its first sweep that gains less than `_HOPM_TOL`, or after `iters`
-    sweeps, keeping the larger of its last two values and the factors of
-    its last sweep.  Stopped rows stay in the held batch until fewer than
-    `_HOPM_COMPACT` of the held rows are live; then only the live rows of
-    `g` are copied."""
-    b = g.shape[0]
-    value = np.empty(b)
-    factors = [np.empty((b, d)) for d in g.shape[1:]]
-    rows = np.arange(b)  # batch index of each held row
-    live = np.ones(b, dtype=bool)
-    prev = np.zeros(b)
-    for it in range(iters):
-        (u, v, w), new = _hopm_sweep(g, v, w)
-        stop = live if it == iters - 1 else live & (new - prev < _HOPM_TOL)
-        if stop.any():
-            at = rows[stop]
-            value[at] = np.maximum(prev[stop], new[stop])
-            for out, f in zip(factors, (u, v, w)):
-                out[at] = f[stop]
-            live = live & ~stop
-        prev = new
-        n_live = np.count_nonzero(live)
-        if n_live == 0:
-            break
-        if n_live < _HOPM_COMPACT * len(rows):
-            g, v, w, prev, rows = g[live], v[live], w[live], prev[live], rows[live]
-            live = np.ones(n_live, dtype=bool)
-    return value, factors
+    p = (w @ g.reshape(m, d1 * d2, d3).transpose(0, 2, 1)).reshape(m, -1, d1, d2)
+    u = np.einsum("brij,brj->bri", p, v)
+    _unit(u)
+    v = np.einsum("brij,bri->brj", p, u)
+    _unit(v)
+    q = (u @ g.reshape(m, d1, d2 * d3)).reshape(m, -1, d2, d3)
+    w = np.einsum("brjk,brj->brk", q, v)
+    return (u, v, w), _unit(w)
 
 
 def _hopm(g, restarts, iters, rng, start=None):
     """Alternating maximization of <g_b, u o v o w> over unit factors for
     each tensor g_b of the batch `g` of shape (B, d1, d2, d3).
 
-    Each restart draws v, then w, for the whole batch from `rng` (the first
-    takes `start` = (v, w) when given, without changing it) and runs at most
-    `iters` sweeps per draw; a sweep contracts `g` twice, and each draw stops
-    on its own.  A sweep's value is the norm of the contracted w, attained
-    by the normalized factors.  Returns the best value per tensor and the
-    factors (u, v, w) attaining it, from the first restart that reached it.
+    Every restart's start is drawn up front, v then w for the whole batch
+    per restart, from `rng` (the first restart takes `start` = (v, w) when
+    given, without changing it), so the stream does not depend on when a
+    restart stops.  All (draw, restart) rows then run as one held set: a
+    row stops at its first sweep that gains less than `_HOPM_TOL`, or after
+    `iters` sweeps, keeping the larger of its last two values and the
+    factors of its last sweep.  A draw stays held until all its restarts
+    have stopped; once fewer than `_HOPM_COMPACT` of the held draws are
+    live, only the live ones are kept.  A sweep's value is the norm of the
+    contracted w, attained by the normalized factors.  Returns the best
+    value per tensor and the factors (u, v, w) attaining it, from the first
+    restart that reached it.
     """
     if restarts < 1 or iters < 1:
         raise ValueError("HOPM needs restarts >= 1 and iters >= 1")
     g = np.ascontiguousarray(g)
     b, d1, d2, d3 = g.shape
-    best = np.zeros(b)
+    v, w = np.empty((b, restarts, d2)), np.empty((b, restarts, d3))
     for r in range(restarts):
         if r == 0 and start is not None:
-            v, w = start
-        else:
-            v = rng.standard_normal((b, d2))
-            v /= np.linalg.norm(v, axis=1, keepdims=True)
-            w = rng.standard_normal((b, d3))
-            w /= np.linalg.norm(w, axis=1, keepdims=True)
-        val, (u, v, w) = _hopm_restart(g, v, w, iters)
-        if r:
-            keep = (val <= best)[:, None]
-            u, v, w = (np.where(keep, old, f) for old, f in zip(factors, (u, v, w)))
-        factors = (u, v, w)
-        best = np.maximum(best, val)
-    return best, factors
+            v[:, 0], w[:, 0] = start
+            continue
+        for f in (v, w):
+            x = rng.standard_normal((b, f.shape[2]))
+            f[:, r] = x / np.linalg.norm(x, axis=1, keepdims=True)
+    value = np.empty((b, restarts))
+    factors = [np.empty((b, restarts, d)) for d in (d1, d2, d3)]
+    rows = np.arange(b)  # batch index of each held draw
+    live = np.ones((b, restarts), dtype=bool)
+    prev = np.zeros((b, restarts))
+    for it in range(iters):
+        (u, v, w), new = _hopm_sweep(g, v, w)
+        stop = live if it == iters - 1 else live & (new - prev < _HOPM_TOL)
+        if stop.any():
+            i, r = np.nonzero(stop)
+            value[rows[i], r] = np.maximum(prev[i, r], new[i, r])
+            for out, f in zip(factors, (u, v, w)):
+                out[rows[i], r] = f[i, r]
+            live &= ~stop
+        prev = new
+        held = live.any(axis=1)
+        n_live = np.count_nonzero(held)
+        if n_live == 0:
+            break
+        if n_live < _HOPM_COMPACT * len(rows):
+            g, v, w, prev, rows, live = (x[held] for x in (g, v, w, prev, rows, live))
+    at, first = np.arange(b), value.argmax(axis=1)
+    return value[at, first], tuple(f[at, first] for f in factors)
 
 
 def hopm_spectral(a, restarts=20, iters=200, *, rng=None):
@@ -223,11 +220,6 @@ def width_rate_expression(spec, shape):
     return float(np.sqrt(_width_sq(spec, shape)))
 
 
-# Gaussian tensors drawn per `_dual_batch` call. A (m,) + shape draw
-# consumes the same stream as m draws of `shape`.
-_WIDTH_BATCH = 256
-
-
 def _cores():
     """Cores this process may run on (all cores where affinity is unknown)."""
     if hasattr(os, "sched_getaffinity"):
@@ -297,11 +289,11 @@ def gaussian_width_mc(
     The spectral-dual kind lower-bounds each draw's dual with the batched
     alternating maximizer that `hopm_spectral` also runs, so its estimate
     errs low (see :class:`WidthEstimate`), from
-    `hopm_restarts` random starts of at most `hopm_iters` sweeps each.  A
-    sweep contracts the draw batch twice, on views, and each draw stops on
-    its own once a sweep gains less than 1e-12; the factors are drawn from
-    the substream for the whole batch per restart, so the stream each
-    substream consumes does not depend on when draws stop.
+    `hopm_restarts` random starts of at most `hopm_iters` sweeps each.  All
+    restarts of a batch of draws run together, each stopping on its own
+    once a sweep gains less than 1e-12; their starts are drawn from the
+    substream up front, per restart for the whole batch, so the stream each
+    substream consumes does not depend on when restarts stop.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")

@@ -113,8 +113,8 @@ def outer3(u, v, w):
 
 
 def _mode_multiply(a, mat, k):
-    """Apply a matrix to mode k of `a`."""
-    return np.moveaxis(np.tensordot(mat, a, axes=(1, k)), 0, k)
+    """Apply a matrix to mode k of `a`, counted among its last three axes."""
+    return np.moveaxis(np.tensordot(mat, a, axes=(1, k - 3)), 0, k - 3)
 
 
 class ProjectorTriple:
@@ -182,12 +182,13 @@ def tucker_project(a, triple, pattern="full"):
     ``pattern="full"`` applies ``P1 x P2 x P3`` mode-wise.  ``"q"`` applies
     the four-term sum over sign patterns with at most one complemented mode,
     ``"qperp"`` the complementary four-term sum; the two are orthogonal
-    projections summing to the identity.
+    projections summing to the identity.  A (..., d1, d2, d3) stack is
+    projected tensor by tensor.
     """
     a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 3:
-        raise ShapeMismatch("tucker_project expects an order-3 tensor")
-    if a.shape != triple.dims:
+    if a.ndim < 3:
+        raise ShapeMismatch("tucker_project expects an order-3 tensor or a stack of them")
+    if a.shape[-3:] != triple.dims:
         raise ShapeMismatch(f"tensor shape {a.shape} != projector dims {triple.dims}")
     if pattern == "full":
         return triple.apply_pattern(a, (0, 0, 0))

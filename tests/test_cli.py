@@ -159,6 +159,30 @@ class TestGenSolve:
         assert "has no solver for it" in err and "ADMM" not in err
         assert not res_path.exists()
 
+    @pytest.mark.parametrize(
+        "reg, message",
+        [('{"kind": "entry_l1", "mode": 7, "axes": [0, 9]}', "entry_l1 takes no mode"),
+         ('{"kind": "matricized_nuclear_sum", "axes": [0, 1]}', "takes no axes"),
+         ('{"kind": "fiber_group", "mode": 0, "axes": [0, 1]}', "fiber_group takes no axes"),
+         ('{"kind": "slice_frob", "axes": [0, 1], "mode": 2}', "slice_frob takes no mode")],
+        ids=["entry-mode", "matricized-axes", "fiber-axes", "slice-mode"],
+    )
+    def test_a_field_the_kind_does_not_take_exit_code(
+        self, tmp_path, capsys, monkeypatch, reg, message
+    ):
+        # refused as the penalty is read: no width draw or solve runs
+        monkeypatch.setattr(harness, "auto_lambda", pytest.fail)
+        prob_dir = str(tmp_path / "prob")
+        save_scaled_problem(prob_dir, 30, scale=1.0)
+        res_path = tmp_path / "r.json"
+        code, _, err = run_cli(
+            ["--out", str(res_path), "solve", "--problem", prob_dir, "--regularizer", reg],
+            capsys,
+        )
+        assert code == 2
+        assert message in err
+        assert not res_path.exists()
+
     def test_validation_exit_code(self, tmp_path, capsys):
         code, _, err = run_cli(
             ["gen", "--spec", '{"kind": "theta1", "shape": [3,3,3], "s": 99}',
@@ -462,12 +486,19 @@ class TestMissingJsonKeys:
          ("split", 5, "split must be 1, 2 or 3"),
          ("regularizer", {"kind": "nope"}, "unknown penalty kind"),
          ("regularizer", "pairwise", "split must be 3"),
-         ("regularizer", {"kind": "pairwise_component_nuclear"}, "split must be 3")],
+         ("regularizer", {"kind": "pairwise_component_nuclear"}, "split must be 3"),
+         ("regularizer", {"kind": "entry_l1", "mode": 7, "axes": [0, 9]},
+          "entry_l1 takes no mode"),
+         ("regularizer", {"kind": "pairwise_component_nuclear", "axes": [0, 1]},
+          "pairwise_component_nuclear takes no axes"),
+         ("regularizer", {"kind": "slice_nuclear", "axes": [0, 1], "mode": 1},
+          "slice_nuclear takes no mode")],
         ids=["n_grid-int", "seed-str", "seed-negative", "max_iters-str",
              "width_draws-float", "split-null", "c_u-null", "c_u-zero",
              "lambda_multiplier-below-one", "noise_sigma-negative", "noise_sigma-nan",
              "n_grid-zero", "n_grid-negative", "split-five", "regularizer-unknown-kind",
-             "pairwise-split-two", "pairwise-spec-split-two"],
+             "pairwise-split-two", "pairwise-spec-split-two", "entry-l1-mode-and-axes",
+             "pairwise-axes", "slice-nuclear-mode"],
     )
     def test_rate_rejects_a_bad_field_before_running(
         self, tmp_path, capsys, monkeypatch, field, value, message

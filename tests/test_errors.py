@@ -9,7 +9,7 @@ import pytest
 from tenreg.datagen import ModelClassSpec
 from tenreg.errors import ValidationError
 from tenreg.harness import RateExperimentConfig
-from tenreg.regularizers import RegularizerSpec, entry_l1
+from tenreg.regularizers import RegularizerSpec, entry_l1, fiber_group, slice_frob
 from tenreg.spectral import WidthEstimate
 
 MODEL_JSON = {"kind": "theta1", "shape": [3, 3, 3]}
@@ -78,8 +78,6 @@ def test_pairwise_regularizer_passes_as_a_string():
     [
         RATE,
         MODEL,
-        # the penalty leaves out an unset mode or axes, so both are set here
-        RegularizerSpec(kind="fiber_group", mode=1, axes=(0, 2)),
         WidthEstimate(
             mean=1.0, std_error=0.1, draws=100, lemma_bound_form="sqrt_sum_dims",
             seed=0, shape=(2, 2, 2), kind="entry_l1",
@@ -89,3 +87,15 @@ def test_pairwise_regularizer_passes_as_a_string():
 )
 def test_to_json_keys_are_the_field_names(obj):
     assert list(obj.to_json()) == [f.name for f in fields(obj)]
+
+
+# a penalty writes only the fields its kind takes, in field order
+@pytest.mark.parametrize(
+    "spec, keys",
+    [(entry_l1(), ["kind"]), (fiber_group(1), ["kind", "mode"]),
+     (slice_frob((0, 2)), ["kind", "axes"])],
+    ids=lambda v: getattr(v, "kind", ""),
+)
+def test_regularizer_to_json_keys_are_the_fields_its_kind_takes(spec, keys):
+    assert list(spec.to_json()) == keys
+    assert RegularizerSpec.from_json(spec.to_json()) == spec

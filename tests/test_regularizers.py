@@ -3,6 +3,8 @@ import hashlib
 import numpy as np
 import pytest
 
+from tenreg import regularizers as regularizers_module
+
 from tenreg.errors import (
     InvalidAxes,
     NoClosedFormProx,
@@ -31,7 +33,13 @@ from tenreg.regularizers import (
     tensor_spectral,
     tucker_projectors,
 )
-from tenreg.regularizers import _dual_batch, _groups, _max_top_sv
+from tenreg.regularizers import (
+    _dual_batch,
+    _groups,
+    _matched_bound,
+    _max_top_sv,
+    _reg_subgrad,
+)
 from tenreg.spectral import matrix_svt
 from tenreg.tensor import ProjectorTriple
 
@@ -276,6 +284,60 @@ class TestPrunedTopSingularValues:
         assert 256 <= sum(seen) < 1024
 
 
+def full_svd_matricized_dual(g):
+    # three times the largest top singular value of the unfoldings, each
+    # from a full SVD
+    b = len(g)
+    tops = [
+        np.linalg.svd(np.moveaxis(g, k + 1, 1).reshape(b, g.shape[k + 1], -1),
+                      compute_uv=False)[:, 0]
+        for k in range(3)
+    ]
+    return 3.0 * np.maximum.reduce(tops)
+
+
+class TestMatricizedDualFromGrams:
+    """The matricized dual takes each unfolding's top singular value from
+    its smaller Gram matrix after an exact power-of-two rescale; it must
+    agree with a full SVD to rounding, at any scale."""
+
+    @pytest.mark.parametrize("shape", [(3, 5, 7), (7, 5, 3), (12, 2, 3), (20, 20, 20)])
+    @pytest.mark.parametrize("scale", [1.0, 2.0**600, 2.0**-600], ids=["1", "2^600", "2^-600"])
+    def test_matches_full_svd(self, shape, scale):
+        spec = matricized_nuclear_sum()
+        g = scale * np.random.default_rng(5).standard_normal((24,) + shape)
+        expected = full_svd_matricized_dual(g)
+        # without the rescale the Gram matrices would overflow or underflow
+        assert np.all(np.isfinite(expected)) and np.all(expected > 0)
+        with np.errstate(over="raise"):
+            got = _dual_batch(spec, g)
+        np.testing.assert_allclose(got, expected, rtol=1e-13)
+        assert reg_dual(spec, g[3]) == pytest.approx(expected[3], rel=1e-13)
+
+    def test_zero_tensor(self):
+        g = np.zeros((2, 3, 4, 5))
+        assert np.array_equal(_dual_batch(matricized_nuclear_sum(), g), [0.0, 0.0])
+
+    def test_nan_raises_and_inf_gives_nan_as_the_full_svd_does(self):
+        spec = matricized_nuclear_sum()
+        g = np.random.default_rng(6).standard_normal((3, 3, 5, 7))
+        bad = g.copy()
+        bad[1, 0, 2, 3] = np.nan
+        for batch in (bad, np.where(np.arange(7) == 4, np.inf, bad)):
+            with pytest.raises(np.linalg.LinAlgError):
+                full_svd_matricized_dual(batch)
+            with pytest.raises(np.linalg.LinAlgError):
+                _dual_batch(spec, batch)
+        with pytest.raises(np.linalg.LinAlgError):
+            reg_dual(spec, bad[1])
+        for value in (np.inf, -np.inf):
+            bad = g.copy()
+            bad[1, 0, 2, 3] = value
+            expected, got = full_svd_matricized_dual(bad), _dual_batch(spec, bad)
+            assert np.isnan(expected[1]) and np.isnan(got[1])
+            np.testing.assert_allclose(got[[0, 2]], expected[[0, 2]], rtol=1e-13)
+
+
 def prox_objective(spec, x, z, t):
     return 0.5 * float(((x - z) ** 2).sum()) + t * reg_eval(spec, x)
 
@@ -407,6 +469,43 @@ class TestSubspaceProject:
                 subspace_project(back, a, "space"),
                 atol=1e-12,
             )
+
+
+def stack_subspaces():
+    r = np.random.default_rng(9)
+    factors = [
+        (np.linalg.qr(r.standard_normal((3, 2)))[0], np.linalg.qr(r.standard_normal((4, 1)))[0])
+        for _ in range(5)
+    ]
+    triple = ProjectorTriple.random(SHAPE, (2, 2, 3), r)
+    return [
+        support_entries(SHAPE, [(0, 1, 2), (2, 3, 4)]),
+        support_fibers(SHAPE, [(0, 1), (3, 4)], mode=0),
+        support_slices(SHAPE, [1, 3], axes=(0, 1)),
+        slicewise_projectors(SHAPE, factors, axes=(0, 1), role="a_space"),
+        slicewise_projectors(SHAPE, factors, axes=(0, 1), role="b_space"),
+        tucker_projectors(SHAPE, triple, role="a_space"),
+        tucker_projectors(SHAPE, triple, role="b_space"),
+    ]
+
+
+class TestSubspaceProjectStack:
+    @pytest.mark.parametrize("which", ["space", "complement"])
+    @pytest.mark.parametrize(
+        "sub", stack_subspaces(), ids=lambda s: f"{s.variant}-{s.role or ''}"
+    )
+    def test_a_stack_is_projected_tensor_by_tensor(self, sub, which):
+        a = np.random.default_rng(10).standard_normal((2, 3) + SHAPE)
+        got = subspace_project(sub, a, which)
+        assert got.shape == a.shape
+        for idx in np.ndindex(2, 3):
+            one = subspace_project(sub, a[idx], which)
+            np.testing.assert_allclose(got[idx], one, rtol=1e-13, atol=1e-14)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 4, 5, 3), (4, 3, 5)])
+    def test_trailing_shape_must_match(self, shape):
+        with pytest.raises(ShapeMismatch, match="subspace shape"):
+            subspace_project(stack_subspaces()[0], np.zeros(shape))
 
 
 class TestDecomposabilityMargin:
@@ -550,6 +649,123 @@ class TestCompatibility:
             compatibility(slice_frob((0, 1)), sub, draws=100)
 
 
+def _ref_ratio(spec, a):
+    # the sampler's ratio on one tensor, as it stood before the batched one
+    fro2 = float((a * a).sum())
+    if fro2 == 0:
+        return 0.0
+    if spec.kind == "tensor_spectral_dual_only":
+        val = max(
+            float(np.linalg.svd(np.moveaxis(a, k, 0).reshape(a.shape[k], -1),
+                                compute_uv=False).sum())
+            for k in range(3)
+        )
+    else:
+        val = reg_eval(spec, a)
+    return val * val / fro2
+
+
+def _ref_compatibility(spec, sub, draws, rng, ascent_steps=100):
+    """The one-draw-at-a-time sampler and its ascent, as they stood before
+    the samples were drawn and scored in batches."""
+    best, best_a = 0.0, None
+    for _ in range(draws):
+        a = subspace_project(sub, rng.standard_normal(sub.shape), "space")
+        nrm = np.linalg.norm(a)
+        if nrm == 0:
+            continue
+        a = a / nrm
+        ratio = _ref_ratio(spec, a)
+        if ratio > best:
+            best, best_a = ratio, a
+    if best_a is not None and spec.kind != "tensor_spectral_dual_only":
+        a, step = best_a, 0.1
+        for _ in range(ascent_steps):
+            r_val = reg_eval(spec, a)
+            grad = 2.0 * r_val * _reg_subgrad(spec, a) - 2.0 * (r_val**2) * a
+            grad = subspace_project(sub, grad, "space")
+            gn = np.linalg.norm(grad)
+            if gn < 1e-14:
+                break
+            cand = subspace_project(sub, a + step * grad / gn, "space")
+            cand /= np.linalg.norm(cand)
+            ratio = _ref_ratio(spec, cand)
+            if ratio > best:
+                best, a = ratio, cand
+            else:
+                step *= 0.5
+    return _matched_bound(spec, sub), best
+
+
+def benchmark_compat_pairs(rng):
+    """The five matched pairs of the benchmark's compatibility Monte-Carlo,
+    drawn from `rng` in its order."""
+    shape = (4, 4, 5)
+    slice_factors = [
+        (np.linalg.qr(rng.standard_normal((4, 2)))[0], np.linalg.qr(rng.standard_normal((4, 1)))[0])
+        for _ in range(5)
+    ]
+    triple = ProjectorTriple.random((4, 4, 4), (2, 2, 2), rng)
+    return [
+        (entry_l1(), support_entries(shape, [(0, 1, 2), (2, 0, 0), (3, 3, 4)])),
+        (fiber_group(0), support_fibers(shape, [(0, 0), (2, 3), (1, 4)], mode=0)),
+        (slice_frob((0, 1)), support_slices(shape, [0, 2], axes=(0, 1))),
+        (slice_nuclear((0, 1)),
+         slicewise_projectors(shape, slice_factors, axes=(0, 1), role="b_space")),
+        (matricized_nuclear_sum(), tucker_projectors((4, 4, 4), triple, role="b_space")),
+    ]
+
+
+class TestBatchedCompatibilitySampler:
+    @pytest.mark.parametrize("seed", [1002, 3002])
+    def test_benchmark_pairs_match_the_one_draw_sampler(self, seed):
+        # 2000 draws: seven full chunks of 256 and one of 208
+        gen, ref_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+        pairs = benchmark_compat_pairs(gen)
+        assert [p[0] for p in benchmark_compat_pairs(ref_gen)] == [p[0] for p in pairs]
+        for spec, sub in pairs:
+            res = compatibility(spec, sub, draws=2000, rng=gen)
+            bound, ref = _ref_compatibility(spec, sub, 2000, ref_gen)
+            assert gen.bit_generator.state == ref_gen.bit_generator.state
+            assert res.analytic_bound == bound
+            assert res.mc_estimate == pytest.approx(ref, rel=1e-12)
+            assert type(res.mc_estimate) is float
+
+    @pytest.mark.parametrize("draws", [0, 1, 255, 257])
+    def test_tensor_nuclear_surrogate_matches_the_one_draw_sampler(self, draws):
+        triple = ProjectorTriple.random((4, 4, 4), (2, 2, 2), np.random.default_rng(0))
+        sub = tucker_projectors((4, 4, 4), triple, role="b_space")
+        gen, ref_gen = np.random.default_rng(8), np.random.default_rng(8)
+        res = compatibility(tensor_spectral(), sub, draws=draws, rng=gen)
+        _, ref = _ref_compatibility(tensor_spectral(), sub, draws, ref_gen)
+        assert gen.bit_generator.state == ref_gen.bit_generator.state
+        assert res.mc_estimate == pytest.approx(ref, rel=1e-12)
+
+    def test_first_of_tied_draws_is_kept(self, monkeypatch):
+        # every draw of a one-entry support scores ratio 1 (or 0 if the
+        # entry is zero); the ascent then starts from the first draw
+        sub = support_entries(SHAPE, [(1, 2, 3)])
+        starts = []
+        real = regularizers_module._reg_subgrad
+
+        def record(spec, a):
+            starts.append(a.copy())
+            return real(spec, a)
+
+        monkeypatch.setattr(regularizers_module, "_reg_subgrad", record)
+        signs = np.sign(np.random.default_rng(19).standard_normal((300,) + SHAPE)[:, 1, 2, 3])
+        # the first draw's sign differs from the second chunk's first and
+        # from the last draw's
+        assert signs[0] != signs[256] and signs[0] != signs[-1]
+        res = compatibility(
+            entry_l1(), sub, draws=300, ascent_steps=1, rng=np.random.default_rng(19)
+        )
+        assert res.mc_estimate == 1.0
+        want = np.zeros(SHAPE)
+        want[1, 2, 3] = signs[0]
+        np.testing.assert_array_equal(starts[0], want)
+
+
 class TestSpecJson:
     def test_round_trip(self):
         for spec in PRIMAL_SPECS + [tensor_spectral()]:
@@ -586,6 +802,28 @@ class TestGeometry:
     def test_bad_fiber_mode_is_rejected(self, mode):
         with pytest.raises(ValueError, match="mode"):
             RegularizerSpec("fiber_group", mode=mode)
+
+    @pytest.mark.parametrize(
+        "kind",
+        ["entry_l1", "slice_frob", "slice_nuclear", "matricized_nuclear_sum",
+         "tensor_spectral_dual_only", "pairwise_component_nuclear"],
+    )
+    def test_mode_is_refused_on_every_kind_but_fibers(self, kind):
+        axes = [0, 1] if kind.startswith("slice") else None
+        with pytest.raises(ValueError, match=f"{kind} takes no mode, got 0"):
+            RegularizerSpec.from_json({"kind": kind, "mode": 0, "axes": axes})
+
+    @pytest.mark.parametrize(
+        "kind",
+        ["entry_l1", "fiber_group", "matricized_nuclear_sum",
+         "tensor_spectral_dual_only", "pairwise_component_nuclear"],
+    )
+    def test_axes_are_refused_on_every_kind_but_slices(self, kind):
+        mode = 0 if kind == "fiber_group" else None
+        with pytest.raises(ValueError, match=rf"{kind} takes no axes, got \(0, 9\)"):
+            RegularizerSpec.from_json({"kind": kind, "mode": mode, "axes": [0, 9]})
+        with pytest.raises(ValueError, match=f"{kind} takes no axes"):
+            RegularizerSpec(kind, mode=mode, axes=(0, 1))
 
     @pytest.mark.parametrize(
         "spec", PRIMAL_SPECS + [tensor_spectral()], ids=lambda s: s.kind

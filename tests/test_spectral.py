@@ -326,6 +326,20 @@ def _ref_hopm_batch(g, restarts, iters, rng, tol=1e-12):
     return best
 
 
+def _drawn_starts(shape, restarts, rng):
+    """The (v, w) starts `_hopm` draws for a batch of `shape`: v, then w,
+    for the whole batch per restart, each row normalized."""
+    b, _, d2, d3 = shape
+    starts = []
+    for _ in range(restarts):
+        pair = []
+        for d in (d2, d3):
+            x = rng.standard_normal((b, d))
+            pair.append(x / np.linalg.norm(x, axis=1, keepdims=True))
+        starts.append(tuple(pair))
+    return starts
+
+
 def _ref_spectral_width(shape, draws, seed, workers, restarts, iters):
     seqs = np.random.SeedSequence(seed).spawn(workers)
     base, rem = divmod(draws, workers)
@@ -469,6 +483,43 @@ class TestOneHopmLoop:
         np.testing.assert_allclose(attained, best, rtol=1e-12)
         norms = np.linalg.norm(g.reshape(40, -1), axis=1)
         np.testing.assert_allclose(best[::2], norms[::2], rtol=1e-10)
+
+    def test_each_draw_is_the_best_of_its_one_restart_runs(self):
+        # all restarts run as one held set; fed the same starts, one
+        # restart at a time gives the same values
+        restarts, iters = 5, 60
+        g = np.random.default_rng(8).standard_normal((48, 4, 5, 6))
+        best, _ = _hopm(g, restarts, iters, np.random.default_rng(3))
+        starts = _drawn_starts(g.shape, restarts, np.random.default_rng(3))
+        unused = np.random.default_rng(0)
+        values = [_hopm(g, 1, iters, unused, start)[0] for start in starts]
+        np.testing.assert_allclose(best, np.max(values, axis=0), rtol=1e-12)
+
+    def test_factors_come_from_the_first_restart_that_reaches_the_maximum(self):
+        # c e_i o e_j o e_k with c a power of two: every start that is not
+        # orthogonal to e_j and e_k reaches exactly c in two sweeps, with
+        # factor signs set by the start; restart 0 starts orthogonal to e_j
+        # and stays at 0, so restart 1 is the first to reach the maximum
+        b, shape, restarts = 32, (3, 4, 5), 4
+        r = np.random.default_rng(14)
+        g = np.zeros((b,) + shape)
+        idx = [r.integers(d, size=b) for d in shape]
+        g[np.arange(b), idx[0], idx[1], idx[2]] = 2.0 ** r.integers(-3, 4, size=b)
+        v0 = np.eye(shape[1])[(idx[1] + 1) % shape[1]]
+        w0 = np.eye(shape[2])[idx[2]]
+        best, factors = _hopm(g, restarts, 20, np.random.default_rng(2), (v0, w0))
+        np.testing.assert_array_equal(best, g.reshape(b, -1).max(axis=1))
+        starts = [(v0, w0)] + _drawn_starts(g.shape, restarts - 1, np.random.default_rng(2))
+        unused = np.random.default_rng(0)
+        runs = [_hopm(g, 1, 20, unused, start) for start in starts]
+        np.testing.assert_array_equal(runs[0][0], 0.0)
+        for run in runs[1:]:
+            np.testing.assert_array_equal(run[0], best)
+        for got, want in zip(factors, runs[1][1]):
+            np.testing.assert_array_equal(got, want)
+        # each later restart would have given other signs for some draws
+        for run in runs[2:]:
+            assert any(np.any(f != f1) for f, f1 in zip(run[1], runs[1][1]))
 
     def test_start_arrays_left_unchanged(self):
         g = np.random.default_rng(2).standard_normal((20, 3, 4, 5))
