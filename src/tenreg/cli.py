@@ -26,27 +26,29 @@ EXIT_VALIDATION = 2
 EXIT_NONCONVERGED = 3
 
 
+# Shorthands that take no argument, and the kinds they name.
+_BARE_KINDS = {
+    "entry_l1": "entry_l1", "matricized_nuclear_sum": "matricized_nuclear_sum",
+    "tensor_spectral": "tensor_spectral_dual_only", "pairwise": "pairwise_component_nuclear",
+}
+
+
 def _parse_reg(text):
     """Penalty shorthand: ``entry_l1``, ``fiber_group:1``,
     ``slice_frob:0,1``, ``slice_nuclear:1,2``, ``matricized_nuclear_sum``,
-    ``tensor_spectral``, ``pairwise``, or a JSON object / path to one."""
+    ``tensor_spectral``, ``pairwise``, or a JSON object / path to one.  An
+    argument after a shorthand that takes none is refused."""
     text = text.strip()
     if os.path.exists(text) or text.startswith("{"):
         return RegularizerSpec.from_json(_load_json_arg(text))
-    if text == "pairwise":
-        return RegularizerSpec("pairwise_component_nuclear")
-    name, _, arg = text.partition(":")
-    if name == "entry_l1":
-        return RegularizerSpec("entry_l1")
+    name, colon, arg = text.partition(":")
+    if name in _BARE_KINDS and not colon:
+        return RegularizerSpec(_BARE_KINDS[name])
     if name == "fiber_group":
         return RegularizerSpec("fiber_group", mode=int(arg or 0))
     if name in ("slice_frob", "slice_nuclear"):
         axes = tuple(int(v) for v in (arg or "0,1").split(","))
         return RegularizerSpec(name, axes=axes)
-    if name == "matricized_nuclear_sum":
-        return RegularizerSpec("matricized_nuclear_sum")
-    if name == "tensor_spectral":
-        return RegularizerSpec("tensor_spectral_dual_only")
     raise ValidationError(f"cannot parse regularizer {text!r}")
 
 

@@ -131,6 +131,8 @@ class RateExperimentConfig:
                 raise ValidationError(
                     f"{name} must be a finite number {bound}, got {value!r}"
                 )
+        if self.max_iters < 1:
+            raise ValidationError(f"max_iters must be >= 1, got {self.max_iters}")
         if not 1 <= self.split <= 3:
             raise ValidationError(f"split must be 1, 2 or 3, got {self.split}")
         if len(grid) < 4 or any(b <= a for a, b in zip(grid, grid[1:])):

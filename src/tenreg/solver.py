@@ -230,6 +230,11 @@ def _check_lam(lam):
         raise ValueError(f"lam must be finite and nonnegative, got {lam}")
 
 
+def _check_max_iters(config):
+    if not (is_int(config.max_iters) and config.max_iters >= 1):
+        raise ValueError(f"max_iters must be an integer >= 1, got {config.max_iters!r}")
+
+
 def _check_param(problem, a):
     a = np.asarray(a, dtype=np.float64)
     if a.shape != problem.truth_shape:
@@ -441,6 +446,7 @@ def _compressed(gram, xty, yty, n):
 class FistaConfig:
     max_iters: int = 2000
     kkt_tol: float = 1e-7
+    __post_init__ = _check_max_iters
 
 
 class _Overflow(Exception):
@@ -456,7 +462,9 @@ def _apg(x0, op, prox_step, penalty, dual, lam, config):
     every comparison and added back to each trace entry.  `prox_step(v, t)`
     is the prox of ``t * lam * penalty`` at `v` and `dual` the penalty's
     dual norm, which with `penalty` gives the :func:`_certificate`.  A
-    non-finite step-size inverse or loss stops the loop as Diverged.
+    non-finite step-size inverse or loss stops the loop as Diverged.  The
+    loss runs once at each step's start and once per backtracking trial, the
+    accepted trial's giving the objective.
     Returns ``(x, trace, certificate, iterations, status)``.
     """
 
@@ -464,11 +472,8 @@ def _apg(x0, op, prox_step, penalty, dual, lam, config):
         g = op.grad(x)
         return _certificate(lam, x, g, dual(g), penalty(x))
 
-    def full_obj(x):
-        val = op.loss(x)
-        if lam > 0:
-            val += lam * penalty(x)
-        return val
+    def full_obj(x, loss):
+        return loss + lam * penalty(x) if lam > 0 else loss
 
     def backtrack(y, lip):
         g = op.grad(y)
@@ -481,14 +486,14 @@ def _apg(x0, op, prox_step, penalty, dual, lam, config):
             diff = cand - y
             quad = fy + float((g * diff).sum()) + 0.5 * lip * float((diff * diff).sum())
             if f_cand <= quad + 1e-12 * max(1.0, abs(quad)):
-                return cand, lip
+                return cand, lip, full_obj(cand, f_cand)
             lip *= 2.0
         raise _Overflow
 
     lip = max(op.lipschitz(), 1e-12)
     x = y = x0
     t_mom = 1.0
-    obj = full_obj(x)
+    obj = full_obj(x, op.loss(x))
     trace = [obj + op.offset]
     status = "MaxIters"
     iters_done = 0
@@ -500,13 +505,11 @@ def _apg(x0, op, prox_step, penalty, dual, lam, config):
             raise _Overflow
         for it in range(1, config.max_iters + 1):
             iters_done = it
-            cand, lip = backtrack(y, lip)
-            new_obj = full_obj(cand)
+            cand, lip, new_obj = backtrack(y, lip)
             if new_obj > obj:
                 # adaptive restart: momentum overshot, redo plain step from x
                 t_mom = 1.0
-                cand, lip = backtrack(x, lip)
-                new_obj = full_obj(cand)
+                cand, lip, new_obj = backtrack(x, lip)
                 if new_obj > obj:
                     cand, new_obj = x, obj
             t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
@@ -585,6 +588,7 @@ def fista_solve(problem, spec, lam, config=None):
 class AdmmConfig:
     max_iters: int = 2000
     tol: float = 1e-6
+    __post_init__ = _check_max_iters
 
 
 @np.errstate(over="ignore", invalid="ignore")

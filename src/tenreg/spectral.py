@@ -46,8 +46,6 @@ def matrix_svt(z, t):
 
 # A restart stops at its first sweep that gains less than this.
 _HOPM_TOL = 1e-12
-# The held draws are compacted once fewer than this share of them is live.
-_HOPM_COMPACT = 0.75
 
 
 def _unit(x):
@@ -87,12 +85,11 @@ def _hopm(g, restarts, iters, rng, start=None):
     restart stops.  All (draw, restart) rows then run as one held set: a
     row stops at its first sweep that gains less than `_HOPM_TOL`, or after
     `iters` sweeps, keeping the larger of its last two values and the
-    factors of its last sweep.  A draw stays held until all its restarts
-    have stopped; once fewer than `_HOPM_COMPACT` of the held draws are
-    live, only the live ones are kept.  A sweep's value is the norm of the
-    contracted w, attained by the normalized factors.  Returns the best
-    value per tensor and the factors (u, v, w) attaining it, from the first
-    restart that reached it.
+    factors of its last sweep.  A draw leaves the held set at the sweep its
+    last restart stops, so each sweep runs only draws with a live restart.
+    A sweep's value is the norm of the contracted w, attained by the
+    normalized factors.  Returns the best value per tensor and the factors
+    (u, v, w) attaining it, from the first restart that reached it.
     """
     if restarts < 1 or iters < 1:
         raise ValueError("HOPM needs restarts >= 1 and iters >= 1")
@@ -122,10 +119,9 @@ def _hopm(g, restarts, iters, rng, start=None):
             live &= ~stop
         prev = new
         held = live.any(axis=1)
-        n_live = np.count_nonzero(held)
-        if n_live == 0:
+        if not held.any():
             break
-        if n_live < _HOPM_COMPACT * len(rows):
+        if not held.all():
             g, v, w, prev, rows, live = (x[held] for x in (g, v, w, prev, rows, live))
     at, first = np.arange(b), value.argmax(axis=1)
     return value[at, first], tuple(f[at, first] for f in factors)

@@ -170,18 +170,13 @@ class ProjectorTriple:
         return out
 
 
-# Sign patterns making up the two complementary Tucker projections: the
-# low-perp half (at most one complemented mode) and the rest.
-_Q_PATTERNS = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
-_QPERP_PATTERNS = [(1, 1, 1), (1, 1, 0), (0, 1, 1), (1, 0, 1)]
-
-
 def tucker_project(a, triple, pattern="full"):
     """Project `a` using a :class:`ProjectorTriple`.
 
-    ``pattern="full"`` applies ``P1 x P2 x P3`` mode-wise.  ``"q"`` applies
-    the four-term sum over sign patterns with at most one complemented mode,
-    ``"qperp"`` the complementary four-term sum; the two are orthogonal
+    ``pattern="full"`` applies ``P1 x P2 x P3`` mode-wise, in mode order.
+    ``"q"`` sums the four sign-pattern terms with at most one complemented
+    mode, ``P1P2 + P1P3 + P2P3 - 2 P1P2P3``, from six mode products;
+    ``"qperp"`` is ``a - q``, the other four.  The two are orthogonal
     projections summing to the identity.  A (..., d1, d2, d3) stack is
     projected tensor by tensor.
     """
@@ -190,18 +185,17 @@ def tucker_project(a, triple, pattern="full"):
         raise ShapeMismatch("tucker_project expects an order-3 tensor or a stack of them")
     if a.shape[-3:] != triple.dims:
         raise ShapeMismatch(f"tensor shape {a.shape} != projector dims {triple.dims}")
-    if pattern == "full":
-        return triple.apply_pattern(a, (0, 0, 0))
-    if pattern == "q":
-        masks = _Q_PATTERNS
-    elif pattern == "qperp":
-        masks = _QPERP_PATTERNS
-    else:
+    if pattern not in ("full", "q", "qperp"):
         raise ValueError(f"unknown pattern {pattern!r}")
-    out = np.zeros_like(a)
-    for mask in masks:
-        out += triple.apply_pattern(a, mask)
-    return out
+    p1 = triple.apply_mode(a, 0)
+    p12 = triple.apply_mode(p1, 1)
+    p123 = triple.apply_mode(p12, 2)
+    if pattern == "full":
+        return p123
+    p13 = triple.apply_mode(p1, 2)
+    p23 = triple.apply_mode(triple.apply_mode(a, 1), 2)
+    q = p12 + p13 + p23 - 2.0 * p123
+    return q if pattern == "q" else a - q
 
 
 def write_tns(path, a):

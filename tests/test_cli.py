@@ -164,8 +164,14 @@ class TestGenSolve:
         [('{"kind": "entry_l1", "mode": 7, "axes": [0, 9]}', "entry_l1 takes no mode"),
          ('{"kind": "matricized_nuclear_sum", "axes": [0, 1]}', "takes no axes"),
          ('{"kind": "fiber_group", "mode": 0, "axes": [0, 1]}', "fiber_group takes no axes"),
-         ('{"kind": "slice_frob", "axes": [0, 1], "mode": 2}', "slice_frob takes no mode")],
-        ids=["entry-mode", "matricized-axes", "fiber-axes", "slice-mode"],
+         ('{"kind": "slice_frob", "axes": [0, 1], "mode": 2}', "slice_frob takes no mode"),
+         ("entry_l1:3", "cannot parse regularizer 'entry_l1:3'"),
+         ("matricized_nuclear_sum:1", "cannot parse regularizer"),
+         ("tensor_spectral:2", "cannot parse regularizer"),
+         ("pairwise:1", "cannot parse regularizer")],
+        ids=["entry-mode", "matricized-axes", "fiber-axes", "slice-mode",
+             "entry-shorthand-arg", "matricized-shorthand-arg",
+             "tensor-spectral-shorthand-arg", "pairwise-shorthand-arg"],
     )
     def test_a_field_the_kind_does_not_take_exit_code(
         self, tmp_path, capsys, monkeypatch, reg, message
@@ -181,6 +187,24 @@ class TestGenSolve:
         )
         assert code == 2
         assert message in err
+        assert not res_path.exists()
+
+    @pytest.mark.parametrize("max_iters", ["0", "-5"])
+    @pytest.mark.parametrize(
+        "reg", ["entry_l1", "matricized_nuclear_sum", "pairwise"]
+    )
+    def test_max_iters_below_one_exit_code(self, tmp_path, capsys, reg, max_iters):
+        # refused before any iteration, not run as a zero-step MaxIters solve
+        prob_dir = str(tmp_path / "prob")
+        save_scaled_problem(prob_dir, 30, scale=1.0)
+        res_path = tmp_path / "r.json"
+        code, _, err = run_cli(
+            ["--out", str(res_path), "solve", "--problem", prob_dir,
+             "--regularizer", reg, "--lam", "0.1", "--max-iters", max_iters],
+            capsys,
+        )
+        assert code == 2
+        assert f"max_iters must be an integer >= 1, got {max_iters}" in err
         assert not res_path.exists()
 
     def test_validation_exit_code(self, tmp_path, capsys):
@@ -474,6 +498,7 @@ class TestMissingJsonKeys:
          ("seed", "abc", "seed must be an integer >= 0"),
          ("seed", -1, "seed must be an integer >= 0"),
          ("max_iters", "5", "max_iters must be an integer"),
+         ("max_iters", 0, "max_iters must be >= 1"),
          ("width_draws", 200.0, "width_draws must be an integer"),
          ("split", None, "split must be an integer"),
          ("c_u", None, "c_u must be a finite number > 0"),
@@ -493,7 +518,7 @@ class TestMissingJsonKeys:
           "pairwise_component_nuclear takes no axes"),
          ("regularizer", {"kind": "slice_nuclear", "axes": [0, 1], "mode": 1},
           "slice_nuclear takes no mode")],
-        ids=["n_grid-int", "seed-str", "seed-negative", "max_iters-str",
+        ids=["n_grid-int", "seed-str", "seed-negative", "max_iters-str", "max_iters-zero",
              "width_draws-float", "split-null", "c_u-null", "c_u-zero",
              "lambda_multiplier-below-one", "noise_sigma-negative", "noise_sigma-nan",
              "n_grid-zero", "n_grid-negative", "split-five", "regularizer-unknown-kind",

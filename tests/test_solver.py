@@ -8,6 +8,7 @@ from tenreg.regularizers import (
     entry_l1,
     fiber_group,
     matricized_nuclear_sum,
+    prox,
     slice_frob,
     slice_nuclear,
     support_entries,
@@ -34,7 +35,13 @@ from tenreg.solver import (
     solve,
 )
 from tenreg.regularizers import _max_top_sv
-from tenreg.solver import _certificate, _least_squares, _operator, _pairwise_map
+from tenreg.solver import (
+    _certificate,
+    _least_squares,
+    _LeastSquares,
+    _operator,
+    _pairwise_map,
+)
 from tenreg.spectral import gaussian_width_mc, matrix_svt
 from tenreg.tensor import dematricize, matricize
 
@@ -267,6 +274,36 @@ class TestFista:
         res = fista_solve(p, entry_l1(), 0.08)
         assert res.kkt_residual < 1e-7
 
+    @pytest.mark.parametrize("n", [20, 60])  # data space, compressed
+    def test_loss_runs_once_per_step_start_and_per_trial(self, monkeypatch, n):
+        # after the one at the start, every loss evaluation follows either
+        # the gradient at the same point (a step's start) or a prox (a
+        # backtracking trial): the accepted trial's loss is kept, not redone
+        events = []
+
+        def logged(name, fn):
+            return lambda *args: events.append((name, args[-1])) or fn(*args)
+
+        monkeypatch.setattr(_LeastSquares, "loss", logged("loss", _LeastSquares.loss))
+        monkeypatch.setattr(_LeastSquares, "grad", logged("grad", _LeastSquares.grad))
+        monkeypatch.setattr("tenreg.solver.prox", logged("prox", prox))
+        # a low first Lipschitz estimate makes the first step backtrack
+        lipschitz = _LeastSquares.lipschitz
+        monkeypatch.setattr(_LeastSquares, "lipschitz", lambda op: lipschitz(op) / 8)
+        p = scalar_problem(n, (3, 3, 3), 0.3, 15)
+        res = fista_solve(p, entry_l1(), 0.05)
+        names = [name for name, _ in events]
+        assert names[0] == "loss"
+        starts = 0
+        for (prev, at_prev), (name, at) in zip(events, events[1:]):
+            if name == "loss":
+                assert prev == "prox" or (prev == "grad" and at is at_prev)
+                starts += prev == "grad"
+        assert names.count("loss") == 1 + starts + names.count("prox")
+        # the run both backtracked and restarted, so the count covers each
+        # way a step can end
+        assert names.count("prox") > starts > res.iterations
+
 
 def make_low_tucker_problem(n, sigma, seed, magnitude=10.0):
     spec = ModelClassSpec("theta5", (6, 6, 6), r=1, magnitude=magnitude)
@@ -464,6 +501,14 @@ class TestShiftedSolve:
         for c in (0.5, 1.0, 2.0):
             op.shifted_solve(b, c)
         assert len(calls) == 1
+
+
+class TestMaxItersValidation:
+    @pytest.mark.parametrize("max_iters", [0, -5, 2.0, True])
+    @pytest.mark.parametrize("config", [FistaConfig, AdmmConfig])
+    def test_a_cap_that_runs_nothing_is_refused(self, config, max_iters):
+        with pytest.raises(ValueError, match="max_iters must be an integer >= 1"):
+            config(max_iters=max_iters)
 
 
 class TestLambdaValidation:

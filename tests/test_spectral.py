@@ -484,6 +484,36 @@ class TestOneHopmLoop:
         norms = np.linalg.norm(g.reshape(40, -1), axis=1)
         np.testing.assert_allclose(best[::2], norms[::2], rtol=1e-10)
 
+    def test_held_set_is_exactly_the_draws_with_a_live_restart(self, monkeypatch):
+        # each sweep's values show which restarts stop; the next sweep must
+        # hold every draw with a restart still live and no other
+        gen = np.random.default_rng(22)
+        g = gen.standard_normal((40, 4, 5, 6))
+        for b in range(0, 40, 4):
+            g[b] = outer3(*(gen.standard_normal(d) for d in (4, 5, 6)))
+        index = {gb.tobytes(): b for b, gb in enumerate(g)}
+        calls = []
+        sweep = spectral._hopm_sweep
+
+        def recorded(gb, v, w):
+            out = sweep(gb, v, w)
+            calls.append(([index[t.tobytes()] for t in gb], out[1]))
+            return out
+
+        monkeypatch.setattr(spectral, "_hopm_sweep", recorded)
+        restarts, iters = 3, 80
+        _hopm(g, restarts, iters, np.random.default_rng(5))
+        live = np.ones((40, restarts), dtype=bool)
+        prev = np.zeros((40, restarts))
+        for it, (held, new) in enumerate(calls):
+            assert held == np.flatnonzero(live.any(axis=1)).tolist()
+            stop = live[held] & (new - prev[held] < spectral._HOPM_TOL)
+            live[held] &= ~stop if it < iters - 1 else False
+            prev[held] = new
+        assert not live.any()
+        # draws left one or a few at a time, not all at once
+        assert len({len(held) for held, _ in calls}) > 10
+
     def test_each_draw_is_the_best_of_its_one_restart_runs(self):
         # all restarts run as one held set; fed the same starts, one
         # restart at a time gives the same values

@@ -203,6 +203,22 @@ class TestTuckerProject:
         total = sum(t for _, t in terms)
         np.testing.assert_allclose(total, a, atol=1e-12)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_q_and_qperp_are_their_four_term_sums(self, seed):
+        # a Gaussian stack against rank-(2, 2, 3) projectors; "full" keeps
+        # the bytes of the mode-by-mode product
+        r = np.random.default_rng(seed)
+        triple = ProjectorTriple.random((4, 5, 6), (2, 2, 3), r)
+        a = r.standard_normal((3, 4, 5, 6))
+        masks = [(i, j, k) for i in (0, 1) for j in (0, 1) for k in (0, 1)]
+        terms = {m: triple.apply_pattern(a, m) for m in masks}
+        for pattern, low in (("q", True), ("qperp", False)):
+            want = sum(t for m, t in terms.items() if (sum(m) <= 1) == low)
+            np.testing.assert_allclose(
+                tucker_project(a, triple, pattern), want, rtol=0, atol=1e-12
+            )
+        np.testing.assert_array_equal(tucker_project(a, triple, "full"), terms[0, 0, 0])
+
     def test_shape_mismatch(self):
         triple = self._triple()
         with pytest.raises(ShapeMismatch):
