@@ -161,7 +161,11 @@ def _cmd_gen(args):
 def _cmd_solve(args):
     problem = solver.load_problem(args.problem)
     reg = _parse_reg(args.regularizer)
+    # refuse what `solve` and the rule would, before the rule's width draws
+    solver._check_max_iters(args.max_iters)
+    solver._check_solvable(problem, reg)
     if args.lam == "auto":
+        solver._check_rule(problem.n, args.c_u, reg.c_reg, args.multiplier)
         _, (lam,) = harness.auto_lambda(
             reg,
             problem.truth_shape,

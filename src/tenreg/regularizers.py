@@ -83,7 +83,8 @@ _KINDS = (
 
 # the sums of l2 norms over groups of entries, fibers or slices
 _GROUP_KINDS = ("entry_l1", "fiber_group", "slice_frob")
-_PROX_KINDS = _GROUP_KINDS + ("slice_nuclear",)
+# the kinds with a closed-form prox, the pairwise one's on its components
+_PROX_KINDS = _GROUP_KINDS + ("slice_nuclear", "pairwise_component_nuclear")
 
 
 def _group_axis(axes):

@@ -1,8 +1,8 @@
 """Solvers for the regularized least-squares tensor regression program:
-accelerated proximal gradient for the prox-friendly penalties, consensus
-ADMM for the averaged matricized nuclear norm, a block solver for pairwise
-interaction models, plus the tuning rule, risk-bound evaluation, and
-first-order optimality certificates.
+accelerated proximal gradient for every penalty with a prox, the
+pairwise-component one in its block parameter, and consensus ADMM for the
+averaged matricized nuclear norm, plus the tuning rule, risk-bound
+evaluation, and first-order optimality certificates.
 """
 
 from __future__ import annotations
@@ -230,9 +230,23 @@ def _check_lam(lam):
         raise ValueError(f"lam must be finite and nonnegative, got {lam}")
 
 
-def _check_max_iters(config):
-    if not (is_int(config.max_iters) and config.max_iters >= 1):
-        raise ValueError(f"max_iters must be an integer >= 1, got {config.max_iters!r}")
+def _check_max_iters(max_iters):
+    if not (is_int(max_iters) and max_iters >= 1):
+        raise ValueError(f"max_iters must be an integer >= 1, got {max_iters!r}")
+
+
+def _check_solvable(problem, spec):
+    """Refuse, before any work, what no solver fits: the tensor-spectral
+    kind, which has no value to certify with, or a truth of the wrong shape."""
+    if spec.kind == "tensor_spectral_dual_only":
+        raise NoClosedFormProx(
+            f"{spec.kind} is not prox-friendly: it has no value on a tensor, so "
+            "fista_solve has no solver for it"
+        )
+    if len(problem.truth_shape) != 3:
+        raise ShapeMismatch(f"{spec.kind} expects an order-3 truth shape")
+    if spec.kind == "pairwise_component_nuclear" and problem.resp_shape:
+        raise ShapeMismatch("pairwise solve expects order-3 covariates, scalar response")
 
 
 def _check_param(problem, a):
@@ -272,10 +286,14 @@ def empirical_norm(problem, delta):
     return float(np.sqrt((pred * pred).sum() / problem.n))
 
 
+def _check_rule(n, c_u, c_reg, multiplier):
+    if not (n >= 1 and 0 < c_u < np.inf and 0 < c_reg <= 1 and 1 <= multiplier < np.inf):
+        raise ValueError("need finite n >= 1, c_u > 0, 0 < c_reg <= 1 and multiplier >= 1")
+
+
 def lambda_rule(width, n, c_u=1.0, c_reg=1.0, multiplier=1.0):
     """Tuning rule lam = multiplier * 2 c_u (3 + c_R) / (c_R sqrt(n)) * width."""
-    if n < 1 or c_u <= 0 or not (0 < c_reg <= 1) or multiplier < 1:
-        raise ValueError("need n >= 1, c_u > 0, 0 < c_reg <= 1, multiplier >= 1")
+    _check_rule(n, c_u, c_reg, multiplier)
     mean = width.mean if hasattr(width, "mean") else float(width)
     return multiplier * 2.0 * c_u * (3.0 + c_reg) / (c_reg * np.sqrt(n)) * mean
 
@@ -391,13 +409,9 @@ def _operator(problem, pairwise=False):
             gram, xty = amap @ gram @ amap.T, amap @ xty[:, 0]
         return _compressed(gram, xty, problem.yty, problem.n)
     if pairwise:
-        n = problem.n
-        feats = marginal_features(problem.covariates)
-        return _least_squares(
-            np.hstack([f.reshape(n, -1) for f in feats]),
-            problem.responses.reshape(n),
-            n,
-        )
+        n, feats = problem.n, marginal_features(problem.covariates)
+        x2 = np.hstack([f.reshape(n, -1) for f in feats])
+        return _least_squares(x2, problem.responses.reshape(n), n)
     return _least_squares(*problem.design_matrices(), problem.n)
 
 
@@ -446,7 +460,9 @@ def _compressed(gram, xty, yty, n):
 class FistaConfig:
     max_iters: int = 2000
     kkt_tol: float = 1e-7
-    __post_init__ = _check_max_iters
+
+    def __post_init__(self):
+        _check_max_iters(self.max_iters)
 
 
 class _Overflow(Exception):
@@ -543,14 +559,16 @@ def _apg(x0, op, prox_step, penalty, dual, lam, config):
 def fista_solve(problem, spec, lam, config=None):
     """Accelerated proximal gradient with backtracking and adaptive restart.
 
-    Requires a penalty with a closed-form prox.  Starts from zero, so a
-    lam above the dual norm of the gradient at zero returns the zero
-    solution exactly.  The objective trace is nonincreasing: momentum steps
-    that would increase the objective trigger a restart from the previous
-    iterate.  A stalled objective (relative change below 1e-10) or every
-    25th iteration triggers the first-order certificate check, and the
-    solve returns Converged once the certificate drops below ``kkt_tol``.
-    When n exceeds the covariate dimension, or the problem is a
+    Requires a penalty with a closed-form prox.  The pairwise-component one
+    has it on the :class:`_PairwiseBlocks` parameter, so that solve returns
+    the assembled tensor with the fitted components in ``components``.
+    Starts from zero, so a lam above the dual norm of the gradient at zero
+    returns the zero solution exactly.  The objective trace is
+    nonincreasing: momentum steps that would increase the objective trigger
+    a restart from the previous iterate.  A stalled objective (relative
+    change below 1e-10) or every 25th iteration triggers the certificate
+    check, and the solve returns Converged once it drops below ``kkt_tol``.
+    When n exceeds the parameter dimension, or the problem is a
     :class:`SufficientStats`, loss, gradient and certificate work on the
     loss compressed to parameter space once per problem (see
     :func:`_operator`); otherwise on the data.  Data whose squares overflow
@@ -559,36 +577,40 @@ def fista_solve(problem, spec, lam, config=None):
     _check_lam(lam)
     if config is None:
         config = FistaConfig()
-    # the certificate needs the penalty's value, which neither dual-only
-    # kind has on a tensor, so both are refused at every lam
-    if spec.kind in ("tensor_spectral_dual_only", "pairwise_component_nuclear"):
-        raise NoClosedFormProx(
-            f"{spec.kind} is not prox-friendly: it has no value on a tensor, so "
-            "fista_solve has no solver for it"
-        )
-    if not spec.has_prox() and lam > 0:
+    _check_solvable(problem, spec)
+    if lam > 0 and not spec.has_prox():
         raise NoClosedFormProx(f"{spec.kind} is not prox-friendly, use ADMM")
     shape = problem.truth_shape
-    op = _operator(problem)
-    if op is None:
-        return _result(lam, np.zeros(shape))
+    pairwise = spec.kind == "pairwise_component_nuclear"
+    if pairwise:
+        blocks = _PairwiseBlocks(shape)
+        x, shrink = np.zeros(blocks.size), blocks.prox
+        penalty, dual = blocks.value, blocks.dual
+    else:
+        x = np.zeros(shape)
+        shrink, penalty, dual = (partial(f, spec) for f in (prox, reg_eval, reg_dual))
 
     def prox_step(a, t):
         # the slice prox returns a transposed view; a C-ordered copy keeps
         # the order in which the iterates' sums run
-        return np.ascontiguousarray(prox(spec, a, t * lam)) if lam > 0 else a
+        return np.ascontiguousarray(shrink(a, t * lam)) if lam > 0 else a
 
-    penalty, dual = partial(reg_eval, spec), partial(reg_dual, spec)
-    return _result(
-        lam, *_apg(np.zeros(shape), op, prox_step, penalty, dual, lam, config)
-    )
+    op, run = _operator(problem, pairwise), ()
+    if op is not None:
+        x, *run = _apg(x, op, prox_step, penalty, dual, lam, config)
+    if not pairwise:
+        return _result(lam, x, *run)
+    comps = blocks.split(x)
+    return _result(lam, expand_pairwise(comps, shape), *run, components=comps)
 
 
 @dataclass
 class AdmmConfig:
     max_iters: int = 2000
     tol: float = 1e-6
-    __post_init__ = _check_max_iters
+
+    def __post_init__(self):
+        _check_max_iters(self.max_iters)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -607,9 +629,8 @@ def admm_matricized(problem, lam, config=None):
     if config is None:
         config = AdmmConfig()
     spec = RegularizerSpec("matricized_nuclear_sum")
+    _check_solvable(problem, spec)
     shape = problem.truth_shape
-    if len(shape) != 3:
-        raise ShapeMismatch("consensus solver expects an order-3 truth shape")
 
     op = _operator(problem)
     if op is None or not np.isfinite(op.spectrum[1]).all():
@@ -673,7 +694,6 @@ def expand_pairwise(components, shape):
     """Assemble the order-3 tensor whose entries are the sums of the three
     pairwise component matrices."""
     a12, a13, a23 = components
-    d1, d2, d3 = shape
     out = np.zeros(shape)
     out += a12[:, :, None]
     out += a13[:, None, :]
@@ -685,6 +705,31 @@ def marginal_features(covariates):
     """Per-sample marginal sums (X summed over each left-out axis)."""
     x = np.asarray(covariates, dtype=np.float64)
     return x.sum(axis=3), x.sum(axis=2), x.sum(axis=1)
+
+
+class _PairwiseBlocks:
+    """The parameter on which ``pairwise_component_nuclear`` has the value,
+    prox and dual that it lacks on a tensor: the component matrices of a
+    (d1, d2, d3) model, raveled and stacked in :func:`marginal_features`'
+    order.  The value sums singular values with no ``SV_RTOL`` cut."""
+
+    def __init__(self, shape):
+        d1, d2, d3 = shape
+        self.dims = ((d1, d2), (d1, d3), (d2, d3))
+        self.size = d1 * d2 + d1 * d3 + d2 * d3
+        self._cuts = [d1 * d2, d1 * d2 + d1 * d3]
+
+    def split(self, vec):
+        return tuple(b.reshape(d) for b, d in zip(np.split(vec, self._cuts), self.dims))
+
+    def value(self, vec):
+        return sum(np.linalg.svd(m, compute_uv=False).sum() for m in self.split(vec))
+
+    def prox(self, vec, t):
+        return np.concatenate([matrix_svt(m, t).ravel() for m in self.split(vec)])
+
+    def dual(self, vec):
+        return max(np.linalg.svd(m, compute_uv=False)[0] for m in self.split(vec))
 
 
 @lru_cache
@@ -701,60 +746,13 @@ def _pairwise_map(shape):
 
 
 def fista_pairwise(problem, lam, config=None):
-    """Accelerated proximal gradient in the block parameterization of a
-    pairwise interaction model.
-
-    The regression is reduced to the three marginal-sum features, and the
-    penalty (sum of the component nuclear norms) proxes blockwise by
-    singular value soft-thresholding, so no consensus splitting is needed.
-    The returned estimate is the assembled order-3 tensor; the fitted
-    component matrices ride along in ``components``.  Loss, gradient and
-    certificate work on the marginal features, compressed to parameter
-    space when n exceeds their ``d1 d2 + d1 d3 + d2 d3`` columns or the
-    problem is a :class:`SufficientStats`, as in :func:`fista_solve`.
-    """
-    _check_lam(lam)
-    if config is None:
-        config = FistaConfig()
-    shape = problem.truth_shape
-    if len(shape) != 3 or problem.resp_shape != ():
-        raise ShapeMismatch("pairwise solve expects order-3 covariates, scalar response")
-    d1, d2, d3 = shape
-    dims = [(d1, d2), (d1, d3), (d2, d3)]
-    cuts = np.cumsum([a * b for a, b in dims])[:2]
-
-    def split(vec):
-        return [b.reshape(d) for b, d in zip(np.split(vec, cuts), dims)]
-
-    def pen(vec):
-        return sum(
-            np.linalg.svd(m, compute_uv=False).sum() for m in split(vec)
-        )
-
-    def prox_vec(vec, t):
-        if lam == 0:
-            return vec
-        return np.concatenate(
-            [matrix_svt(m, t * lam).ravel() for m in split(vec)]
-        )
-
-    def dual(vec):
-        return max(np.linalg.svd(m, compute_uv=False)[0] for m in split(vec))
-
-    op = _operator(problem, pairwise=True)
-    x, run = np.zeros(sum(a * b for a, b in dims)), ()
-    if op is not None:
-        x, *run = _apg(x, op, prox_vec, pen, dual, lam, config)
-    comps = tuple(split(x))
-    return _result(lam, expand_pairwise(comps, shape), *run, components=comps)
+    """:func:`fista_solve` on the pairwise-component penalty."""
+    return fista_solve(problem, RegularizerSpec("pairwise_component_nuclear"), lam, config)
 
 
 def solve(problem, reg, lam, max_iters=2000):
-    """Fit `problem` with the solver for `reg`: the block FISTA for the
-    pairwise-component penalty, consensus ADMM for the averaged matricized
-    nuclear norm, FISTA for every other penalty."""
-    if reg.kind == "pairwise_component_nuclear":
-        return fista_pairwise(problem, lam, FistaConfig(max_iters=max_iters))
+    """Fit `problem` with the solver for `reg`: consensus ADMM for the
+    averaged matricized nuclear norm, FISTA for every other penalty."""
     if reg.kind == "matricized_nuclear_sum":
         return admm_matricized(problem, lam, AdmmConfig(max_iters=max_iters))
     return fista_solve(problem, reg, lam, FistaConfig(max_iters=max_iters))

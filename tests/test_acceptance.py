@@ -470,26 +470,26 @@ def test_criterion_7_packing():
 
 def _subgrad_batch(xs, ys, lam, kind, iters):
     """Tail-averaged diminishing-step subgradient method, batched over
-    instances; independent of the proximal solver it checks."""
+    instances; independent of the proximal solver it checks.  The loss
+    gradient (X^T X / n) x - X^T y / n comes from (m, d, d) Gram matrices
+    formed once."""
     m, n, d = xs.shape
-    mus = np.array(
-        [np.linalg.eigvalsh(xs[i].T @ xs[i] / n).min() for i in range(m)]
-    )
+    grams = xs.transpose(0, 2, 1) @ xs / n
+    xty = np.einsum("mnd,mn->md", xs, ys) / n
+    mus = np.linalg.eigvalsh(grams)[:, :1]
     x = np.zeros((m, d))
     avg = np.zeros((m, d))
     wsum = 0.0
     for k in range(1, iters + 1):
-        resid = np.einsum("mnd,md->mn", xs, x) - ys
-        g = np.einsum("mnd,mn->md", xs, resid) / n
+        g = (grams @ x[:, :, None])[:, :, 0] - xty
         if kind == "entry":
-            g = g + lam * np.sign(x)
+            g += lam * np.sign(x)
         else:
+            # a zero fiber divides by 1 and stays zero
             blocks = x.reshape(m, 2, 4)
-            norms = np.linalg.norm(blocks, axis=1, keepdims=True)
-            g = g + lam * np.where(
-                norms > 0, blocks / np.where(norms > 0, norms, 1.0), 0.0
-            ).reshape(m, d)
-        x = x - (2.0 / (mus * (k + 1)))[:, None] * g
+            norms = np.sqrt((blocks * blocks).sum(axis=1, keepdims=True))
+            g += lam * (blocks / np.where(norms > 0, norms, 1.0)).reshape(m, d)
+        x -= 2.0 / (mus * (k + 1)) * g
         if k > iters // 2:
             avg += k * x
             wsum += k

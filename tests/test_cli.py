@@ -207,6 +207,44 @@ class TestGenSolve:
         assert f"max_iters must be an integer >= 1, got {max_iters}" in err
         assert not res_path.exists()
 
+    @pytest.mark.parametrize(
+        "args, split, message",
+        [(["--regularizer", "entry_l1", "--max-iters", "0"], 3,
+          "max_iters must be an integer >= 1, got 0"),
+         (["--regularizer", "entry_l1", "--multiplier", "0.5"], 3, "multiplier >= 1"),
+         (["--regularizer", "entry_l1", "--c-u", "0"], 3, "c_u > 0"),
+         (["--regularizer", "entry_l1", "--c-u", "nan"], 3, "c_u > 0"),
+         (["--regularizer", "entry_l1", "--multiplier", "inf"], 3, "multiplier >= 1"),
+         (["--regularizer", "tensor_spectral"], 3, "has no solver for it"),
+         (["--regularizer", "pairwise"], 1, "scalar response")],
+        ids=["max-iters", "multiplier", "c-u", "c-u-nan", "multiplier-inf",
+             "tensor-spectral", "pairwise-split-1"],
+    )
+    def test_refused_before_the_width_draws(
+        self, tmp_path, capsys, monkeypatch, args, split, message
+    ):
+        # an input that `solve` or the tuning rule refuses is refused before
+        # the automatic lambda draws its width
+        monkeypatch.setattr(harness, "auto_lambda", pytest.fail)
+        r = np.random.default_rng(42)
+        prob_dir = str(tmp_path / "prob")
+        cov_shape = (3, 3, 3)[:split]
+        save_problem(
+            prob_dir,
+            RegressionProblem(
+                covariates=r.standard_normal((30,) + cov_shape),
+                responses=r.standard_normal((30,) + (3, 3, 3)[split:]),
+                split=split,
+            ),
+        )
+        res_path = tmp_path / "r.json"
+        code, _, err = run_cli(
+            ["--out", str(res_path), "solve", "--problem", prob_dir, *args], capsys
+        )
+        assert code == 2
+        assert message in err
+        assert not res_path.exists()
+
     def test_validation_exit_code(self, tmp_path, capsys):
         code, _, err = run_cli(
             ["gen", "--spec", '{"kind": "theta1", "shape": [3,3,3], "s": 99}',

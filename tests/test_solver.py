@@ -594,6 +594,38 @@ class TestSolveDispatch:
         for got, want in zip(res.components, direct.components):
             np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("lam", [0.05, 0.0])
+    @pytest.mark.parametrize("form", ["data_space", "compressed", "stats"])
+    def test_pairwise_front_ends_agree(self, form, lam):
+        # 40 samples are below the 48 block columns of a 4x4x4 model, 300
+        # above them; the statistics are those of the 300
+        spec = ModelClassSpec("t4", (4, 4, 4), r=1, magnitude=3.0)
+        n = 40 if form == "data_space" else 300
+        p = gen_problem(gen_truth(spec, 7), n, 3, 0.5, seed=8)
+        if form == "stats":
+            p = stats_of(p)
+        got = fista_solve(p, PAIRWISE, lam)
+        for other in (solve(p, PAIRWISE, lam), fista_pairwise(p, lam)):
+            assert_same_result(other, got)
+            for a, b in zip(other.components, got.components, strict=True):
+                np.testing.assert_array_equal(a, b)
+
+    def test_pairwise_solve_runs_fista_solve_once(self, monkeypatch):
+        import tenreg.solver
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].kind)
+            return fista_solve(*args, **kwargs)
+
+        monkeypatch.setattr(tenreg.solver, "fista_solve", counted)
+        monkeypatch.setattr(tenreg.solver, "fista_pairwise", pytest.fail)
+        spec = ModelClassSpec("t4", (3, 3, 3), r=1, magnitude=3.0)
+        p = gen_problem(gen_truth(spec, 7), 60, 3, 0.5, seed=8)
+        assert solve(p, PAIRWISE, 0.05, max_iters=50).components is not None
+        assert calls == [PAIRWISE.kind]
+
     def test_max_iters_passed_through(self):
         p = scalar_problem(60, (3, 3, 3), 0.3, 33)
         assert solve(p, entry_l1(), 0.05, max_iters=3).iterations <= 3
@@ -604,25 +636,22 @@ class TestSolveDispatch:
             solve(p, tensor_spectral(), 0.1)
 
     def test_tensor_spectral_refused_at_zero_lambda(self, monkeypatch):
-        # the certificate needs the penalty's value, which neither dual-only
-        # kind has, so the solve is refused before any iteration
+        # the certificate needs the penalty's value, which the tensor-spectral
+        # kind does not have, so the solve is refused before any iteration
         import tenreg.solver
 
         monkeypatch.setattr(tenreg.solver, "_apg", pytest.fail)
         p = scalar_problem(30, (2, 2, 2), 0.3, 34)
-        for spec in (tensor_spectral(), PAIRWISE):
-            with pytest.raises(NoClosedFormProx):
-                fista_solve(p, spec, 0.0)
+        with pytest.raises(NoClosedFormProx):
+            fista_solve(p, tensor_spectral(), 0.0)
 
     def test_refusal_messages_name_what_can_be_done(self):
-        # neither dual-only kind has a solver in fista_solve (the pairwise
-        # kind has the block solver through `solve`); the matricized
+        # the tensor-spectral kind has no solver at all; the matricized
         # nuclear norm has ADMM
         p = scalar_problem(30, (2, 2, 2), 0.3, 34)
-        for spec in (tensor_spectral(), PAIRWISE):
-            with pytest.raises(NoClosedFormProx, match="no solver for it") as err:
-                fista_solve(p, spec, 0.1)
-            assert "ADMM" not in str(err.value)
+        with pytest.raises(NoClosedFormProx, match="no solver for it") as err:
+            fista_solve(p, tensor_spectral(), 0.1)
+        assert "ADMM" not in str(err.value)
         with pytest.raises(NoClosedFormProx, match="use ADMM"):
             fista_solve(p, matricized_nuclear_sum(), 0.1)
 
