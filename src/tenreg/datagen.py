@@ -280,6 +280,17 @@ def _check_n(n):
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
 
 
+def _check_sample(truth, n, split, noise_sigma):
+    """The checks both Gaussian samplers share; gives `truth` as floats."""
+    _check_n(n)
+    truth = np.asarray(truth, dtype=np.float64)
+    if not (is_real(noise_sigma) and noise_sigma >= 0):
+        raise ValueError(f"noise_sigma must be a finite number >= 0, got {noise_sigma!r}")
+    if not (0 < split <= truth.ndim):
+        raise ShapeMismatch("split must select a covariate prefix")
+    return truth
+
+
 def gen_problem(truth, n, split, noise_sigma, design="iid", seed=0, meta=None):
     """Sample a regression problem from a truth tensor.
 
@@ -287,12 +298,7 @@ def gen_problem(truth, n, split, noise_sigma, design="iid", seed=0, meta=None):
     square covariance factor is supplied.  Responses follow the linear
     model with i.i.d. centered Gaussian noise of scale `noise_sigma`.
     """
-    _check_n(n)
-    truth = np.asarray(truth, dtype=np.float64)
-    if noise_sigma < 0:
-        raise ValueError("noise_sigma must be nonnegative")
-    if not (0 < split <= truth.ndim):
-        raise ShapeMismatch("split must select a covariate prefix")
+    truth = _check_sample(truth, n, split, noise_sigma)
     cov_shape = truth.shape[:split]
     resp_shape = truth.shape[split:]
     dim_cov = int(np.prod(cov_shape))
@@ -337,12 +343,7 @@ def gen_sufficient_stats(truth, n, split, noise_sigma, seed=0):
     Takes n > d + q, the cells :func:`tenreg.harness.rate_experiment`
     draws this way; W is nonsingular there.
     """
-    _check_n(n)
-    truth = np.asarray(truth, dtype=np.float64)
-    if noise_sigma < 0:
-        raise ValueError("noise_sigma must be nonnegative")
-    if not (0 < split <= truth.ndim):
-        raise ShapeMismatch("split must select a covariate prefix")
+    truth = _check_sample(truth, n, split, noise_sigma)
     dim_cov = math.prod(truth.shape[:split])
     dim_resp = math.prod(truth.shape[split:])
     dim = dim_cov + dim_resp

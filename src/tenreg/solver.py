@@ -336,7 +336,8 @@ class _LeastSquares:
     """The loss ``(1/2n) ||M a - T||^2 + offset`` and its gradient.
 
     Built once per problem by :func:`_operator`.  In data space M and T
-    are the flattened design and responses and the offset is zero.
+    are the flattened design and responses and the offset is zero.  M has
+    no more rows than columns: n <= d in data space, r <= d compressed.
     `loss`, `grad` and `shifted_solve` take a parameter in its own shape
     (the truth shape, or the pairwise block vector), reshape it to the
     design's columns, and give a gradient or solve back in that shape.
@@ -373,22 +374,25 @@ class _LeastSquares:
         return est
 
     @cached_property
-    @np.errstate(over="ignore")
+    @np.errstate(over="ignore", invalid="ignore")
     def spectrum(self):
-        """``(V^T, e)`` with ``M^T M / n = V diag(e) V^T``, from one thin SVD
-        of M taken on first use and kept; e overflows to inf when the
-        squares of the data do."""
-        _, sing, vt = np.linalg.svd(self.design, full_matrices=False)
-        return vt, sing * sing / self.n
+        """``(W, e)`` with ``W = U^T M``, from one eigendecomposition
+        ``M M^T = U diag(n e) U^T`` of the row Gram, the smaller Gram, taken
+        on first use and kept; None when it overflows.  ``W^T W = M^T M``."""
+        rows = self.design @ self.design.T
+        if not np.isfinite(rows).all():
+            return None
+        e, u = np.linalg.eigh(rows)
+        return u.T @ self.design, e / self.n
 
     def shifted_solve(self, b, c):
-        """``(M^T M / n + c I)^{-1} b`` for c > 0, as
-        ``(b - V diag(e / (e + c)) V^T b) / c``: two products with the kept
-        factors, whatever c is.  `b` is a parameter in its own shape or a
-        matrix whose columns are right-hand sides."""
-        vt, e = self.spectrum
-        b2 = b.reshape(vt.shape[1], -1)
-        x = (b2 - vt.T @ ((vt @ b2) * (e / (e + c))[:, None])) / c
+        """``(M^T M / n + c I)^{-1} b`` for c > 0, in the Woodbury form
+        ``(b - W^T diag(1 / (n (e + c))) W b) / c``: two products with the
+        kept factors, whatever c is.  `b` is a parameter in its own shape or
+        a matrix whose columns are right-hand sides."""
+        w, e = self.spectrum
+        b2 = b.reshape(w.shape[1], -1)
+        x = (b2 - w.T @ ((w @ b2) / (self.n * (e + c))[:, None])) / c
         return x.reshape(b.shape)
 
 
@@ -618,10 +622,10 @@ def admm_matricized(problem, lam, config=None):
     """Consensus ADMM for the averaged sum of matricized nuclear norms.
 
     Three auxiliary copies, one per unfolding, are soft-thresholded at
-    ``lam / (3 rho)`` each round; the consensus iterate solves a ridge
-    system by two products with one thin SVD of the design, kept on the
-    least-squares operator FISTA uses, so rebalancing the penalty parameter
-    when the primal and dual residuals drift apart costs nothing.
+    ``lam / (3 rho)`` each round; the consensus iterate's ridge system is
+    solved in Woodbury form from one eigendecomposition of the row Gram,
+    kept on FISTA's least-squares operator, so rebalancing the penalty
+    parameter when the primal and dual residuals drift apart costs nothing.
     Converged means both residuals fell below `tol`; data whose squares
     overflow return Diverged.
     """
@@ -633,7 +637,7 @@ def admm_matricized(problem, lam, config=None):
     shape = problem.truth_shape
 
     op = _operator(problem)
-    if op is None or not np.isfinite(op.spectrum[1]).all():
+    if op is None or op.spectrum is None:
         return _result(lam, np.zeros(shape))
 
     def full_obj(a):

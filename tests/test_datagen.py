@@ -334,6 +334,14 @@ class TestVarPanel:
                 gen_var_panel([a, other], 10, [1, 2])
 
 
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -0.1])
+def test_samplers_reject_a_nonfinite_or_negative_sigma(sigma):
+    truth = np.zeros((2, 2, 1))
+    for draw in (gen_problem, gen_sufficient_stats):
+        with pytest.raises(ValueError, match="noise_sigma must be a finite number >= 0"):
+            draw(truth, 50, 2, sigma)
+
+
 @pytest.mark.parametrize("n", [0, -3, 2.5, 10.0, True, "10", None])
 def test_samplers_reject_a_bad_sample_count(n):
     truth = np.zeros((2, 2, 1))

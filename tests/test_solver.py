@@ -464,18 +464,23 @@ class TestAdmmSpectralSolve:
 class TestShiftedSolve:
     """``shifted_solve(b, c)`` is ``(M^T M / n + c I)^{-1} b`` on the data."""
 
-    @pytest.mark.parametrize("case", ["data_space", "compressed", "pairwise"])
+    @pytest.mark.parametrize(
+        "case", ["data_space", "rank_deficient", "compressed", "pairwise"]
+    )
     @pytest.mark.parametrize("c", [1e-3, 0.3, 3.0, 96.0])
     def test_matches_dense_solve(self, case, c):
         if case == "data_space":
             x2, y = scalar_problem(40, (4, 4, 4), 0.3, 43).design_matrices()
+        elif case == "rank_deficient":  # repeated rows: M M^T is singular
+            x2, y = scalar_problem(20, (4, 4, 4), 0.3, 47).design_matrices()
+            x2, y = np.vstack([x2, x2[:12]]), np.vstack([y, y[:12]])
         elif case == "compressed":
             x2, y = full_rank_problem().design_matrices()
         else:
             x2, y = pairwise_design(pairwise_problem())
         n, dim = x2.shape
         op = _least_squares(x2, y, n)
-        if case == "data_space":
+        if case in ("data_space", "rank_deficient"):
             assert n < dim and op.design is x2
         elif case == "compressed":
             assert op.design.shape == (dim, dim) and dim < n
@@ -493,9 +498,12 @@ class TestShiftedSolve:
         x2, y = scalar_problem(20, (3, 3, 3), 0.3, 45).design_matrices()
         op = _least_squares(x2, y, 20)
         calls = []
-        svd = np.linalg.svd
+        eigh = np.linalg.eigh
         monkeypatch.setattr(
-            np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k)
+            np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k)
+        )
+        monkeypatch.setattr(
+            np.linalg, "svd", lambda *a, **k: pytest.fail("np.linalg.svd called")
         )
         b = np.ones((27, 1))
         for c in (0.5, 1.0, 2.0):
