@@ -163,7 +163,7 @@ def _cmd_solve(args):
     reg = _parse_reg(args.regularizer)
     # refuse what `solve` and the rule would, before the rule's width draws
     solver._check_max_iters(args.max_iters)
-    solver._check_solvable(problem, reg)
+    solver._check_solvable(reg, problem.truth_shape, problem.resp_shape)
     if args.lam == "auto":
         solver._check_rule(problem.n, args.c_u, reg.c_reg, args.multiplier)
         _, (lam,) = harness.auto_lambda(

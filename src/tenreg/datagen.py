@@ -280,12 +280,17 @@ def _check_n(n):
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
 
 
+def _check_sigma(noise_sigma):
+    """The noise scale check of both Gaussian samplers: a finite number >= 0."""
+    if not (is_real(noise_sigma) and noise_sigma >= 0):
+        raise ValueError(f"noise_sigma must be a finite number >= 0, got {noise_sigma!r}")
+
+
 def _check_sample(truth, n, split, noise_sigma):
     """The checks both Gaussian samplers share; gives `truth` as floats."""
     _check_n(n)
     truth = np.asarray(truth, dtype=np.float64)
-    if not (is_real(noise_sigma) and noise_sigma >= 0):
-        raise ValueError(f"noise_sigma must be a finite number >= 0, got {noise_sigma!r}")
+    _check_sigma(noise_sigma)
     if not (0 < split <= truth.ndim):
         raise ShapeMismatch("split must select a covariate prefix")
     return truth
@@ -524,6 +529,11 @@ def gen_var_panel(models, n, seeds):
     )
 
 
+# The layout of every VAR sample: the lag windows X_t of shape (m, p) are
+# the covariates of the (m, p, m) truth, and the innovations are standard.
+_VAR_LAYOUT = {"split": 2, "noise_sigma": 1.0}
+
+
 def _var_group(models, n, seeds):
     """Simulate one lockstep group of :func:`gen_var_panel` and return a
     generator of its problems.
@@ -562,8 +572,7 @@ def _var_group(models, n, seeds):
                 first - p : first - p + n, :, ::-1
             ],
             responses=row[first : first + n],
-            split=2,
-            noise_sigma=1.0,
+            **_VAR_LAYOUT,
             truth=var_truth(model),
             meta={"model": model.to_json(), "seed": seed},
         )

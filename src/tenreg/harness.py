@@ -14,7 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import (
+    _VAR_LAYOUT,
     ModelClassSpec,
+    _check_sigma,
     gen_problem,
     gen_sufficient_stats,
     gen_truth,
@@ -27,11 +29,11 @@ from .errors import (
     fields_from_json,
     fields_to_json,
     is_int,
-    is_real,
     json_tuple,
 )
 from .regularizers import RegularizerSpec, entry_l1, fiber_group, slice_frob
 from .regularizers import matricized_nuclear_sum, slice_nuclear, tensor_spectral
+from .solver import _check_max_iters, _check_rule, _check_solvable
 from .solver import empirical_norm, lambda_rule, solve
 
 # Unused here since the harness solves through `solve`, but kept bound: the
@@ -104,6 +106,7 @@ class RateExperimentConfig:
     max_iters: int = 2000
 
     def __post_init__(self):
+        # the sweep's own fields; the rest is checked by the rules its cells run
         if not isinstance(self.n_grid, (tuple, list)):
             raise ValidationError(f"n_grid must be a list, got {self.n_grid!r}")
         grid = tuple(self.n_grid)
@@ -111,28 +114,12 @@ class RateExperimentConfig:
             raise ValidationError(
                 f"n_grid entries must be integers >= 1, got {list(grid)!r}"
             )
-        if not is_int(self.replications):
-            raise ValidationError(
-                f"replications must be an integer, got {self.replications!r}"
-            )
         if not (is_int(self.seed) and self.seed >= 0):
             raise ValidationError(f"seed must be an integer >= 0, got {self.seed!r}")
-        for name in ("max_iters", "width_draws", "split"):
+        for name in ("replications", "width_draws", "split"):
             value = getattr(self, name)
             if not is_int(value):
                 raise ValidationError(f"{name} must be an integer, got {value!r}")
-        for name, bound, ok in (
-            ("c_u", "> 0", lambda v: v > 0),
-            ("lambda_multiplier", ">= 1", lambda v: v >= 1),
-            ("noise_sigma", ">= 0", lambda v: v >= 0),
-        ):
-            value = getattr(self, name)
-            if not (is_real(value) and ok(value)):
-                raise ValidationError(
-                    f"{name} must be a finite number {bound}, got {value!r}"
-                )
-        if self.max_iters < 1:
-            raise ValidationError(f"max_iters must be >= 1, got {self.max_iters}")
         if not 1 <= self.split <= 3:
             raise ValidationError(f"split must be 1, 2 or 3, got {self.split}")
         if len(grid) < 4 or any(b <= a for a, b in zip(grid, grid[1:])):
@@ -148,11 +135,14 @@ class RateExperimentConfig:
             raise ValidationError(
                 f"regularizer must be a penalty object or 'pairwise', got {reg!r}"
             )
-        if reg.kind == _PAIRWISE.kind and self.split != 3:
-            raise ValidationError(
-                f"the pairwise model regresses a scalar on the whole tensor: "
-                f"split must be 3, got {self.split}"
-            )
+        for n in grid:
+            _check_rule(n, self.c_u, reg.c_reg, self.lambda_multiplier)
+        _check_max_iters(self.max_iters)
+        _check_sigma(self.noise_sigma)
+        _check_solvable(reg, self.model.shape, self.model.shape[self.split :])
+        layout = {"split": self.split, "noise_sigma": self.noise_sigma}
+        if self.model.kind == "t3" and layout != _VAR_LAYOUT:
+            raise ValidationError(f"a t3 (VAR) sample needs {_VAR_LAYOUT}, got {layout}")
 
     def to_json(self):
         return fields_to_json(self)
@@ -183,8 +173,11 @@ def auto_lambda(
     `lambda_rule` at each sample size in `ns`, times the noise level `sigma`
     when sigma > 0.  At sigma = 0 the rule stays unscaled: lambda = 0 makes
     FISTA from zero return a dense interpolant for n < d, which no risk
-    bound covers.  Returns the width estimate and the lambdas.
+    bound covers.  The rule's inputs are checked at every n before the width
+    is drawn.  Returns the width estimate and the lambdas.
     """
+    for n in ns:
+        _check_rule(n, c_u, reg.c_reg, multiplier)
     if reg.kind == _PAIRWISE.kind:
         width = pairwise_width_mc(shape, draws, seed)
     else:
@@ -262,25 +255,16 @@ def rate_experiment(config):
                 )
                 for tseed, pseed in children
             )
-        fro2 = []
-        emp2 = []
-        nonconv = 0
         for ri in range(config.replications):
             problem = next(problems)
             res = solve(problem, config.regularizer, lam, config.max_iters)
-            if res.status != "Converged":
-                nonconv += 1
             delta = res.estimate - problem.truth
-            e_fro2 = float((delta * delta).sum())
-            e_emp2 = empirical_norm(problem, delta) ** 2
-            fro2.append(e_fro2)
-            emp2.append(e_emp2)
             cells.append(
                 {
                     "n": int(n),
                     "replication": ri,
-                    "fro_sq": e_fro2,
-                    "emp_sq": e_emp2,
+                    "fro_sq": float((delta * delta).sum()),
+                    "emp_sq": empirical_norm(problem, delta) ** 2,
                     "status": res.status,
                     "iterations": res.iterations,
                 }
@@ -288,16 +272,18 @@ def rate_experiment(config):
             # a VAR sample pins its lockstep group's series: drop it before
             # `next` may simulate the next group (an enumerate would keep it)
             del problem
+        at_n = cells[-config.replications :]
+        fro2 = [cell["fro_sq"] for cell in at_n]
         per_n.append(
             {
                 "n": int(n),
                 "lambda": lam,
                 "median_fro_sq": float(np.median(fro2)),
-                "median_emp_sq": float(np.median(emp2)),
+                "median_emp_sq": float(np.median([cell["emp_sq"] for cell in at_n])),
                 "q25_fro_sq": float(np.percentile(fro2, 25)),
                 "q75_fro_sq": float(np.percentile(fro2, 75)),
                 "predicted_rate": float(predicted_rate(config.rate_tag, model, n)),
-                "nonconverged": nonconv,
+                "nonconverged": sum(cell["status"] != "Converged" for cell in at_n),
             }
         )
     slope, intercept, r2 = _log_fit(

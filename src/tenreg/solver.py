@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
-from .errors import NoClosedFormProx, ShapeMismatch, is_int, json_key
+from .errors import NoClosedFormProx, ShapeMismatch, is_int, is_real, json_key
 from .regularizers import (
     RegularizerSpec,
     compatibility,
@@ -235,18 +235,19 @@ def _check_max_iters(max_iters):
         raise ValueError(f"max_iters must be an integer >= 1, got {max_iters!r}")
 
 
-def _check_solvable(problem, spec):
+def _check_solvable(spec, truth_shape, resp_shape):
     """Refuse, before any work, what no solver fits: the tensor-spectral
-    kind, which has no value to certify with, or a truth of the wrong shape."""
+    kind, which has no value to certify with, or a truth of the wrong shape.
+    The solvers, a rate config and ``tenreg solve`` all ask it."""
     if spec.kind == "tensor_spectral_dual_only":
         raise NoClosedFormProx(
             f"{spec.kind} is not prox-friendly: it has no value on a tensor, so "
             "fista_solve has no solver for it"
         )
-    if len(problem.truth_shape) != 3:
+    if len(truth_shape) != 3:
         raise ShapeMismatch(f"{spec.kind} expects an order-3 truth shape")
-    if spec.kind == "pairwise_component_nuclear" and problem.resp_shape:
-        raise ShapeMismatch("pairwise solve expects order-3 covariates, scalar response")
+    if spec.kind == "pairwise_component_nuclear" and resp_shape:
+        raise ShapeMismatch("pairwise regresses a scalar response: split must be 3")
 
 
 def _check_param(problem, a):
@@ -287,7 +288,8 @@ def empirical_norm(problem, delta):
 
 
 def _check_rule(n, c_u, c_reg, multiplier):
-    if not (n >= 1 and 0 < c_u < np.inf and 0 < c_reg <= 1 and 1 <= multiplier < np.inf):
+    if not (all(map(is_real, (n, c_u, c_reg, multiplier)))
+            and n >= 1 and c_u > 0 and 0 < c_reg <= 1 and multiplier >= 1):
         raise ValueError("need finite n >= 1, c_u > 0, 0 < c_reg <= 1 and multiplier >= 1")
 
 
@@ -581,7 +583,7 @@ def fista_solve(problem, spec, lam, config=None):
     _check_lam(lam)
     if config is None:
         config = FistaConfig()
-    _check_solvable(problem, spec)
+    _check_solvable(spec, problem.truth_shape, problem.resp_shape)
     if lam > 0 and not spec.has_prox():
         raise NoClosedFormProx(f"{spec.kind} is not prox-friendly, use ADMM")
     shape = problem.truth_shape
@@ -633,7 +635,7 @@ def admm_matricized(problem, lam, config=None):
     if config is None:
         config = AdmmConfig()
     spec = RegularizerSpec("matricized_nuclear_sum")
-    _check_solvable(problem, spec)
+    _check_solvable(spec, problem.truth_shape, problem.resp_shape)
     shape = problem.truth_shape
 
     op = _operator(problem)

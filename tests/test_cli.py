@@ -531,47 +531,53 @@ class TestMissingJsonKeys:
 
 
     @pytest.mark.parametrize(
-        "field, value, message",
-        [("n_grid", 400, "n_grid must be a list"),
-         ("seed", "abc", "seed must be an integer >= 0"),
-         ("seed", -1, "seed must be an integer >= 0"),
-         ("max_iters", "5", "max_iters must be an integer"),
-         ("max_iters", 0, "max_iters must be >= 1"),
-         ("width_draws", 200.0, "width_draws must be an integer"),
-         ("split", None, "split must be an integer"),
-         ("c_u", None, "c_u must be a finite number > 0"),
-         ("c_u", 0, "c_u must be a finite number > 0"),
-         ("lambda_multiplier", 0.5, "lambda_multiplier must be a finite number >= 1"),
-         ("noise_sigma", -1, "noise_sigma must be a finite number >= 0"),
-         ("noise_sigma", float("nan"), "noise_sigma must be a finite number >= 0"),
-         ("n_grid", [0, 1, 2, 3], "n_grid entries must be integers >= 1"),
-         ("n_grid", [-3, -2, -1, 0], "n_grid entries must be integers >= 1"),
-         ("split", 5, "split must be 1, 2 or 3"),
-         ("regularizer", {"kind": "nope"}, "unknown penalty kind"),
-         ("regularizer", "pairwise", "split must be 3"),
-         ("regularizer", {"kind": "pairwise_component_nuclear"}, "split must be 3"),
-         ("regularizer", {"kind": "entry_l1", "mode": 7, "axes": [0, 9]},
+        "fields, message",
+        [({"n_grid": 400}, "n_grid must be a list"),
+         ({"seed": "abc"}, "seed must be an integer >= 0"),
+         ({"seed": -1}, "seed must be an integer >= 0"),
+         ({"max_iters": "5"}, "max_iters must be an integer"),
+         ({"max_iters": 0}, "max_iters must be an integer >= 1"),
+         ({"width_draws": 200.0}, "width_draws must be an integer"),
+         ({"split": None}, "split must be an integer"),
+         ({"c_u": None}, "c_u > 0"),
+         ({"c_u": 0}, "c_u > 0"),
+         ({"lambda_multiplier": 0.5}, "multiplier >= 1"),
+         ({"noise_sigma": -1}, "noise_sigma must be a finite number >= 0"),
+         ({"noise_sigma": float("nan")}, "noise_sigma must be a finite number >= 0"),
+         ({"n_grid": [0, 1, 2, 3]}, "n_grid entries must be integers >= 1"),
+         ({"n_grid": [-3, -2, -1, 0]}, "n_grid entries must be integers >= 1"),
+         ({"split": 5}, "split must be 1, 2 or 3"),
+         ({"regularizer": {"kind": "nope"}}, "unknown penalty kind"),
+         ({"regularizer": "pairwise"}, "split must be 3"),
+         ({"regularizer": {"kind": "pairwise_component_nuclear"}}, "split must be 3"),
+         ({"regularizer": {"kind": "entry_l1", "mode": 7, "axes": [0, 9]}},
           "entry_l1 takes no mode"),
-         ("regularizer", {"kind": "pairwise_component_nuclear", "axes": [0, 1]},
+         ({"regularizer": {"kind": "pairwise_component_nuclear", "axes": [0, 1]}},
           "pairwise_component_nuclear takes no axes"),
-         ("regularizer", {"kind": "slice_nuclear", "axes": [0, 1], "mode": 1},
-          "slice_nuclear takes no mode")],
+         ({"regularizer": {"kind": "slice_nuclear", "axes": [0, 1], "mode": 1}},
+          "slice_nuclear takes no mode"),
+         ({"regularizer": {"kind": "tensor_spectral_dual_only"}}, "has no solver for it"),
+         ({"model": {"kind": "t3", "shape": [3, 2, 3], "s": 2}, "noise_sigma": 2.0},
+          "a t3 (VAR) sample needs"),
+         ({"model": {"kind": "t3", "shape": [3, 2, 3], "s": 2}, "split": 1},
+          "a t3 (VAR) sample needs")],
         ids=["n_grid-int", "seed-str", "seed-negative", "max_iters-str", "max_iters-zero",
              "width_draws-float", "split-null", "c_u-null", "c_u-zero",
              "lambda_multiplier-below-one", "noise_sigma-negative", "noise_sigma-nan",
              "n_grid-zero", "n_grid-negative", "split-five", "regularizer-unknown-kind",
              "pairwise-split-two", "pairwise-spec-split-two", "entry-l1-mode-and-axes",
-             "pairwise-axes", "slice-nuclear-mode"],
+             "pairwise-axes", "slice-nuclear-mode", "tensor-spectral",
+             "t3-noise-sigma-two", "t3-split-one"],
     )
     def test_rate_rejects_a_bad_field_before_running(
-        self, tmp_path, capsys, monkeypatch, field, value, message
+        self, tmp_path, capsys, monkeypatch, fields, message
     ):
         # rejected as the config is read: no width draw or solve runs
         monkeypatch.setattr(harness, "rate_experiment", pytest.fail)
         cfg = {"model": {"kind": "theta1", "shape": [3, 3, 3], "s": 2},
                "regularizer": {"kind": "entry_l1"}, "n_grid": [50, 100, 200, 400],
                "replications": 10, "seed": 1, "rate_tag": "s_log_total_over_n",
-               field: value}
+               **fields}
         cfg_path = str(tmp_path / "cfg.json")
         with open(cfg_path, "w") as fh:
             json.dump(cfg, fh)  # writes NaN, which json.load reads back

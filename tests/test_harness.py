@@ -7,7 +7,7 @@ import pytest
 
 from tenreg import datagen, harness, solver
 from tenreg.datagen import ModelClassSpec, gen_var_model, gen_var_series
-from tenreg.errors import BudgetExhausted, ValidationError
+from tenreg.errors import BudgetExhausted, ShapeMismatch, ValidationError
 from tenreg.harness import (
     PackingSet,
     RateExperimentConfig,
@@ -161,8 +161,18 @@ class TestRateConfig:
         pairwise = dict(model=ModelClassSpec("t4", (3, 3, 3), r=1),
                         regularizer="pairwise", rate_tag="r_max_dim_over_n")
         self._config(split=3, **pairwise)
-        with pytest.raises(ValidationError, match="split must be 3, got 2"):
+        with pytest.raises(ShapeMismatch, match="split must be 3"):
             self._config(split=2, **pairwise)
+
+    @pytest.mark.parametrize(
+        "reg, width",
+        [(entry_l1(), "gaussian_width_mc"), (harness._PAIRWISE, "pairwise_width_mc")],
+        ids=["entry_l1", "pairwise"],
+    )
+    def test_auto_lambda_checks_its_rule_before_drawing(self, monkeypatch, reg, width):
+        monkeypatch.setattr(harness, width, pytest.fail)
+        with pytest.raises(ValueError, match="c_u > 0"):
+            harness.auto_lambda(reg, (3, 3, 3), [50, 100], 1.0, 200, 0, c_u=0)
 
     @pytest.mark.parametrize("reg", ["entry_l1", None, {"kind": "entry_l1"}])
     def test_rejects_a_regularizer_that_is_not_a_penalty(self, reg):
