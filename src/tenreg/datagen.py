@@ -35,6 +35,7 @@ __all__ = [
     "class_certificate",
     "gen_problem",
     "gen_sufficient_stats",
+    "gen_samples",
     "VarModel",
     "gen_var_model",
     "var_truth",
@@ -159,11 +160,7 @@ def gen_truth(spec, seed):
     shape = spec.shape
 
     if spec.kind == "t3":  # a stable VAR model, sparse in its lag fibers
-        m, p, m2 = shape
-        if m != m2:
-            raise InfeasibleClass("VAR truth shape must be (m, p, m)")
-        model = gen_var_model(m, p, spec.s, magnitude=spec.magnitude, seed=seed)
-        return var_truth(model)
+        return var_truth(_class_var_model(spec, seed))
 
     if spec.kind in _SUPPORT_GROUPS:
         out = np.zeros(shape)
@@ -194,8 +191,6 @@ def gen_truth(spec, seed):
             take = min(left, min(da, db))
             parts.append(take)
             left -= take
-        if len(parts) > ngroups:
-            raise InfeasibleClass("rank budget does not fit in the slices")
         chosen = rng.choice(ngroups, size=len(parts), replace=False)
         for j, rj in zip(chosen, parts):
             u = np.linalg.qr(rng.standard_normal((da, rj)))[0]
@@ -345,8 +340,8 @@ def gen_sufficient_stats(truth, n, split, noise_sigma, seed=0):
     (d+q)(d+q-1)/2 normals, whatever n is.  The responses are Y = [X E] B
     with ``B = [truth; sigma I]``, so ``X^T X = W_xx``,
     ``X^T Y = W_xx truth + sigma W_xe`` and ``||Y||^2 = <B, W B>``.
-    Takes n > d + q, the cells :func:`tenreg.harness.rate_experiment`
-    draws this way; W is nonsingular there.
+    Takes n > d + q, the cells :func:`gen_samples` draws this way; W is
+    nonsingular there.
     """
     truth = _check_sample(truth, n, split, noise_sigma)
     dim_cov = math.prod(truth.shape[:split])
@@ -367,6 +362,30 @@ def gen_sufficient_stats(truth, n, split, noise_sigma, seed=0):
         n=n,
         split=split,
         truth=truth,
+    )
+
+
+def gen_samples(spec, n, split, noise_sigma, seeds):
+    """The samples of one rate cell, one per (truth seed, sample seed) pair
+    of `seeds`, as an iterator in that order.
+
+    A class with i.i.d. rows (every class but the VAR t3) draws each truth
+    by :func:`gen_truth` only when its sample is asked for, then its
+    sufficient statistics by :func:`gen_sufficient_stats` when n exceeds
+    d + q, the covariate and response dimensions, and its sample by
+    :func:`gen_problem` otherwise.  The VAR class draws every model first,
+    then yields the series of :func:`gen_var_panel`, in the one VAR layout
+    (split 2, unit innovations) whatever `split` and `noise_sigma` are.
+    """
+    _check_n(n)
+    if spec.kind == "t3":
+        models = [_class_var_model(spec, tseed) for tseed, _ in seeds]
+        return gen_var_panel(models, n, [pseed for _, pseed in seeds])
+    dims = math.prod(spec.shape[:split]) + math.prod(spec.shape[split:])
+    draw = gen_sufficient_stats if n > dims else gen_problem
+    return (
+        draw(gen_truth(spec, tseed), n, split, noise_sigma, seed=pseed)
+        for tseed, pseed in seeds
     )
 
 
@@ -469,6 +488,14 @@ def gen_var_model(m, p, s, magnitude=1.0, seed=0, target_rho=0.75):
     if rho > 0:
         _rescale_lags(coeffs, rho, target_rho)
     return VarModel(coeffs=coeffs)
+
+
+def _class_var_model(spec, seed):
+    """The VAR model of a t3 class, whose truth has shape (m, p, m)."""
+    m, p, m2 = spec.shape
+    if m != m2:
+        raise InfeasibleClass("VAR truth shape must be (m, p, m)")
+    return gen_var_model(m, p, spec.s, magnitude=spec.magnitude, seed=seed)
 
 
 def var_truth(model):

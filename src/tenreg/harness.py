@@ -13,16 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import (
-    _VAR_LAYOUT,
-    ModelClassSpec,
-    _check_sigma,
-    gen_problem,
-    gen_sufficient_stats,
-    gen_truth,
-    gen_var_model,
-    gen_var_panel,
-)
+from .datagen import _VAR_LAYOUT, ModelClassSpec, _check_sigma, gen_samples, gen_truth
 from .errors import (
     BudgetExhausted,
     ValidationError,
@@ -40,7 +31,8 @@ from .solver import empirical_norm, lambda_rule, solve
 # benchmark's tracer test (perfbench/tests/test_tracer.py) checks that a
 # solver wrapped in `tenreg.solver` is also wrapped at this binding.
 from .solver import fista_solve  # noqa: F401
-from .spectral import _width_mc, _width_sq, gaussian_width_mc, width_rate_expression
+from .spectral import _check_draws, _width_mc, _width_sq, gaussian_width_mc
+from .spectral import width_rate_expression
 
 __all__ = [
     "RateExperimentConfig",
@@ -139,10 +131,12 @@ class RateExperimentConfig:
             _check_rule(n, self.c_u, reg.c_reg, self.lambda_multiplier)
         _check_max_iters(self.max_iters)
         _check_sigma(self.noise_sigma)
+        _check_draws(self.width_draws)
         _check_solvable(reg, self.model.shape, self.model.shape[self.split :])
         layout = {"split": self.split, "noise_sigma": self.noise_sigma}
         if self.model.kind == "t3" and layout != _VAR_LAYOUT:
             raise ValidationError(f"a t3 (VAR) sample needs {_VAR_LAYOUT}, got {layout}")
+        gen_truth(self.model, self.seed)  # the class's own draw rule; truth unused
 
     def to_json(self):
         return fields_to_json(self)
@@ -206,20 +200,13 @@ def rate_experiment(config):
 
     Every cell derives its RNG stream from the config seed, so reports are
     replayable byte for byte.  Solver non-convergence is counted per cell
-    rather than failing the sweep.  A cell whose rows are i.i.d. (every
-    class but the VAR t3) draws its sufficient statistics by
-    :func:`gen_sufficient_stats` once n exceeds d + q, the covariate and
-    response dimensions; below that it draws the sample by
-    :func:`gen_problem`.  The VAR cells of one n draw their replications'
-    models first, then solve each problem as :func:`gen_var_panel` yields
-    it, with the series simulated in lockstep groups.
+    rather than failing the sweep.  The replications of one n are drawn by
+    :func:`gen_samples` and solved as it yields them.
     """
     model = config.model
-    shape = model.shape
-    dims = math.prod(shape[: config.split]) + math.prod(shape[config.split :])
     width, lams = auto_lambda(
         config.regularizer,
-        shape,
+        model.shape,
         config.n_grid,
         config.noise_sigma,
         config.width_draws,
@@ -235,26 +222,7 @@ def rate_experiment(config):
     for gi, (n, lam) in enumerate(zip(config.n_grid, lams)):
         # each replication's truth and sample seeds
         children = [rep.spawn(2) for rep in per_n_seeds[gi].spawn(config.replications)]
-        if model.kind == "t3":
-            var_models = [
-                gen_var_model(
-                    shape[0], shape[1], model.s, magnitude=model.magnitude, seed=tseed
-                )
-                for tseed, _ in children
-            ]
-            problems = gen_var_panel(var_models, n, [pseed for _, pseed in children])
-        else:
-            draw = gen_sufficient_stats if n > dims else gen_problem
-            problems = (
-                draw(
-                    gen_truth(model, tseed),
-                    n,
-                    config.split,
-                    config.noise_sigma,
-                    seed=pseed,
-                )
-                for tseed, pseed in children
-            )
+        problems = gen_samples(model, n, config.split, config.noise_sigma, children)
         for ri in range(config.replications):
             problem = next(problems)
             res = solve(problem, config.regularizer, lam, config.max_iters)

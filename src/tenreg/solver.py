@@ -16,13 +16,7 @@ from functools import cached_property, lru_cache, partial
 import numpy as np
 
 from .errors import NoClosedFormProx, ShapeMismatch, is_int, is_real, json_key
-from .regularizers import (
-    RegularizerSpec,
-    compatibility,
-    prox,
-    reg_dual,
-    reg_eval,
-)
+from .regularizers import RegularizerSpec, _matched_bound, prox, reg_dual, reg_eval
 from .spectral import matrix_svt
 from .tensor import dematricize, matricize, read_tns, write_tns
 
@@ -306,7 +300,7 @@ def risk_bound_predicted(spec, sub, lam, c_u=1.0, c_ell=1.0):
     if c_ell <= 0 or c_u < c_ell:
         raise ValueError("need c_u >= c_ell > 0")
     c = spec.c_reg
-    s = compatibility(spec, sub, draws=0).analytic_bound
+    s = _matched_bound(spec, sub)
     return (6.0 * (1.0 + c) / (3.0 + c)) * (9.0 * c_u**2 / c_ell**2) * s * lam**2
 
 

@@ -172,10 +172,6 @@ class WidthEstimate:
     shape: tuple[int, ...]
     kind: str
 
-    def __post_init__(self):
-        if self.draws < 100:
-            raise ValueError("draws must be >= 100")
-
     def to_json(self):
         return fields_to_json(self)
 
@@ -223,6 +219,12 @@ def _cores():
     return os.cpu_count() or 1
 
 
+def _check_draws(draws):
+    """The width estimators' draw count check, made before any draw."""
+    if draws < 100:
+        raise ValueError("draws must be >= 100")
+
+
 def _width_mc(spec, shape, draws, seed, rngs, hopm_restarts, hopm_iters):
     """Mean dual norm of `spec` over `draws` standard Gaussian tensors of
     `shape`, split evenly over the generators `rngs`, run on at most one
@@ -233,8 +235,7 @@ def _width_mc(spec, shape, draws, seed, rngs, hopm_restarts, hopm_iters):
         raise ValueError("width estimation expects an order-3 shape")
     if min(shape) < 1:
         raise ValueError(f"width estimation needs every dimension >= 1, got shape {shape}")
-    if draws < 100:
-        raise ValueError("draws must be >= 100")
+    _check_draws(draws)
     base, rem = divmod(draws, len(rngs))
 
     def run(idx):

@@ -560,14 +560,24 @@ class TestMissingJsonKeys:
          ({"model": {"kind": "t3", "shape": [3, 2, 3], "s": 2}, "noise_sigma": 2.0},
           "a t3 (VAR) sample needs"),
          ({"model": {"kind": "t3", "shape": [3, 2, 3], "s": 2}, "split": 1},
-          "a t3 (VAR) sample needs")],
+          "a t3 (VAR) sample needs"),
+         ({"model": {"kind": "t3", "shape": [3, 2, 5], "s": 2},
+           "regularizer": {"kind": "fiber_group", "mode": 1},
+           "rate_tag": "s_max_p_2logm_over_n"}, "VAR truth shape must be (m, p, m)"),
+         ({"model": {"kind": "theta1", "shape": [3, 3, 3], "s": 28}},
+          "need 0 <= s <= 27 entries"),
+         ({"model": {"kind": "theta4", "shape": [3, 3, 3], "r": 10},
+           "regularizer": {"kind": "slice_nuclear", "axes": [0, 1]},
+           "rate_tag": "r_max_m_logp_over_n"}, "need 1 <= r <= 9"),
+         ({"width_draws": 50}, "draws must be >= 100")],
         ids=["n_grid-int", "seed-str", "seed-negative", "max_iters-str", "max_iters-zero",
              "width_draws-float", "split-null", "c_u-null", "c_u-zero",
              "lambda_multiplier-below-one", "noise_sigma-negative", "noise_sigma-nan",
              "n_grid-zero", "n_grid-negative", "split-five", "regularizer-unknown-kind",
              "pairwise-split-two", "pairwise-spec-split-two", "entry-l1-mode-and-axes",
              "pairwise-axes", "slice-nuclear-mode", "tensor-spectral",
-             "t3-noise-sigma-two", "t3-split-one"],
+             "t3-noise-sigma-two", "t3-split-one", "t3-shape-not-m-p-m", "theta1-s-above-27",
+             "theta4-r-above-9", "width_draws-fifty"],
     )
     def test_rate_rejects_a_bad_field_before_running(
         self, tmp_path, capsys, monkeypatch, fields, message

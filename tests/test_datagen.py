@@ -10,6 +10,7 @@ from tenreg.datagen import (
     coefficient_tensor,
     gen_pairwise_components,
     gen_problem,
+    gen_samples,
     gen_sufficient_stats,
     gen_truth,
     gen_var_model,
@@ -25,7 +26,7 @@ from tenreg.errors import (
     ShapeMismatch,
     UnstableModel,
 )
-from tenreg.solver import objective
+from tenreg.solver import SufficientStats, objective
 from tenreg.regularizers import entry_l1
 from tenreg.tensor import inner, matricize
 
@@ -176,6 +177,54 @@ class TestGenSufficientStats:
             gen_sufficient_stats(t, n, 2, 1.0)
         with pytest.raises(ValueError, match="noise_sigma"):
             gen_sufficient_stats(t, 50, 2, -0.1)
+
+
+class TestGenSamples:
+    """A rate cell draws each sample by its class's one rule, so every
+    sample is the one its own seeds give through the direct calls."""
+
+    SEEDS = [(10 + i, 20 + i) for i in range(5)]
+
+    @staticmethod
+    def _assert_same(a, b):
+        assert type(a) is type(b)
+        names = (
+            ("gram", "xty", "yty", "n", "split", "truth")
+            if isinstance(a, SufficientStats)
+            else ("covariates", "responses", "split", "noise_sigma", "truth")
+        )
+        for name in names:
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+    # d + q = 27 + 1 = 28 for a 3x3x3 truth at split 3
+    @pytest.mark.parametrize(
+        "n, draw", [(28, gen_problem), (29, gen_sufficient_stats)],
+        ids=["data", "statistics"],
+    )
+    def test_iid_cells(self, n, draw):
+        spec = ModelClassSpec("theta1", (3, 3, 3), s=2)
+        got = list(gen_samples(spec, n, 3, 0.5, self.SEEDS))
+        assert len(got) == len(self.SEEDS)
+        for sample, (tseed, pseed) in zip(got, self.SEEDS):
+            want = draw(gen_truth(spec, tseed), n, 3, 0.5, seed=pseed)
+            self._assert_same(sample, want)
+
+    def test_var_panel(self):
+        # p = 2: the five series run as lockstep groups of 3 and 2
+        spec = ModelClassSpec("t3", (3, 2, 3), s=2)
+        got = list(gen_samples(spec, 40, 2, 1.0, self.SEEDS))
+        assert len(got) == len(self.SEEDS)
+        for sample, (tseed, pseed) in zip(got, self.SEEDS):
+            want = gen_var_series(gen_var_model(3, 2, 2, seed=tseed), 40, seed=pseed)
+            self._assert_same(sample, want)
+            assert np.array_equal(sample.truth, gen_truth(spec, tseed))
+
+    def test_var_shape_must_be_m_p_m(self):
+        spec = ModelClassSpec("t3", (3, 2, 5), s=2)
+        for draw in (lambda: gen_truth(spec, 0),
+                     lambda: gen_samples(spec, 40, 2, 1.0, self.SEEDS)):
+            with pytest.raises(InfeasibleClass, match=r"\(m, p, m\)"):
+                draw()
 
 
 class TestVarModel:

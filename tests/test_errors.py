@@ -14,7 +14,7 @@ from tenreg.spectral import WidthEstimate
 
 MODEL_JSON = {"kind": "theta1", "shape": [3, 3, 3]}
 RATE_JSON = {
-    "model": MODEL_JSON,
+    "model": {**MODEL_JSON, "s": 2},  # a class its cells can draw
     "regularizer": {"kind": "entry_l1"},
     "n_grid": [50, 100, 200, 400],
     "replications": 10,
@@ -23,7 +23,7 @@ RATE_JSON = {
 }
 MODEL = ModelClassSpec(kind="theta1", shape=(3, 3, 3))
 RATE = RateExperimentConfig(
-    model=MODEL,
+    model=ModelClassSpec(kind="theta1", shape=(3, 3, 3), s=2),
     regularizer=entry_l1(),
     n_grid=(50, 100, 200, 400),
     replications=10,

@@ -224,7 +224,7 @@ class TestRateDraw:
         """Record each sample `marginal_features` and `gen_problem` see, by
         its size; the unit tensors of the pairwise map are not a sample."""
         seen = []
-        real_features, real_gen = solver.marginal_features, harness.gen_problem
+        real_features, real_gen = solver.marginal_features, datagen.gen_problem
 
         def features(x):
             x = np.asarray(x)
@@ -237,7 +237,7 @@ class TestRateDraw:
             return real_gen(truth, n, *args, **kw)
 
         monkeypatch.setattr(solver, "marginal_features", features)
-        monkeypatch.setattr(harness, "gen_problem", gen)
+        monkeypatch.setattr(datagen, "gen_problem", gen)
         return seen
 
     @pytest.mark.parametrize("kind", ["theta1", "pairwise"])
