@@ -28,6 +28,7 @@ and the remaining axes index the groups.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -279,10 +280,27 @@ def reg_dual(spec, a, *, rng=None):
     return float(_dual_batch(spec, a[None])[0])
 
 
-# Gaussian tensors drawn per batch by the Monte-Carlo samplers
-# (`spectral._width_mc` and `compatibility`). A (m,) + shape draw consumes
-# the same stream as m draws of `shape`.
+# A batch of the Monte-Carlo samplers (`spectral._width_mc` and
+# `compatibility`) holds at most `_WIDTH_BATCH` Gaussian tensors and at most
+# `_BATCH_ENTRIES` entries (1 MB), so its memory does not grow with the
+# shape. A (m,) + shape draw consumes the same stream as m draws of `shape`.
 _WIDTH_BATCH = 256
+_BATCH_ENTRIES = 2**17
+
+
+def _batch_draws(shape):
+    """Draws per Monte-Carlo batch of tensors of `shape`: at least one."""
+    return max(1, min(_WIDTH_BATCH, _BATCH_ENTRIES // math.prod(shape)))
+
+
+def _draw_count(draws, least):
+    """`draws` as a Python int, refused before any draw unless it is an
+    integer (a numpy integer too, not a bool) of at least `least`."""
+    if not is_int(draws):
+        raise ValueError(f"draws must be an integer, got {draws!r}")
+    if draws < least:
+        raise ValueError(f"draws must be >= {least}")
+    return int(draws)
 
 
 def _dual_batch(spec, g, rng=None, hopm_restarts=None, hopm_iters=None):
@@ -675,18 +693,22 @@ def compatibility(spec, sub, *, draws=10000, ascent_steps=100, rng=None):
     The sampler projects standard Gaussian tensors onto the subspace and
     normalizes; the first sample with the largest ratio is refined by
     normalized gradient ascent on the ratio.  Samples are drawn and scored
-    in (m,) + shape chunks of at most `_WIDTH_BATCH`, which consume the
-    stream that one draw at a time would.  For the tensor-nuclear pair the
-    primal is replaced by its largest-unfolding lower bound, making the
-    estimate a lower estimate.
+    in (m,) + shape chunks of at most 256 draws and 2**17 entries, which
+    consume the stream that one draw at a time would, so the generator
+    state and the estimate do not depend on the chunk size.  `draws` must
+    be an integer >= 0.  For the tensor-nuclear pair the primal is replaced
+    by its largest-unfolding lower bound, making the estimate a lower
+    estimate.
     """
+    draws = _draw_count(draws, 0)
     analytic = _matched_bound(spec, sub)
     if rng is None:
         rng = np.random.default_rng(0)
     best = 0.0
     best_a = None
-    for start in range(0, draws, _WIDTH_BATCH):
-        m = min(_WIDTH_BATCH, draws - start)
+    batch = _batch_draws(sub.shape)
+    for start in range(0, draws, batch):
+        m = min(batch, draws - start)
         a = subspace_project(sub, rng.standard_normal((m,) + sub.shape), "space")
         nrm = np.sqrt((a * a).reshape(m, -1).sum(axis=1))
         a /= np.where(nrm > 0, nrm, 1.0)[:, None, None, None]

@@ -741,6 +741,48 @@ class TestBatchedCompatibilitySampler:
         assert gen.bit_generator.state == ref_gen.bit_generator.state
         assert res.mc_estimate == pytest.approx(ref, rel=1e-12)
 
+    @pytest.mark.parametrize("per_batch", [1, 7])
+    def test_benchmark_pairs_do_not_depend_on_the_batch_size(self, monkeypatch, per_batch):
+        # an entry cap of `per_batch` tensors leaves the generator state and
+        # the estimate of the default 256-draw batches
+        gen, ref_gen = np.random.default_rng(1002), np.random.default_rng(1002)
+        pairs = benchmark_compat_pairs(gen)
+        benchmark_compat_pairs(ref_gen)
+        default = regularizers_module._BATCH_ENTRIES
+        for spec, sub in pairs:
+            want = compatibility(spec, sub, draws=300, rng=ref_gen)
+            monkeypatch.setattr(
+                regularizers_module, "_BATCH_ENTRIES", per_batch * int(np.prod(sub.shape))
+            )
+            assert regularizers_module._batch_draws(sub.shape) == per_batch
+            got = compatibility(spec, sub, draws=300, rng=gen)
+            monkeypatch.setattr(regularizers_module, "_BATCH_ENTRIES", default)
+            assert gen.bit_generator.state == ref_gen.bit_generator.state
+            assert got == want
+
+    def test_batches_are_capped_by_entries(self, monkeypatch):
+        sizes = []
+        real = regularizers_module.subspace_project
+
+        def record(sub, a, which):
+            if a.ndim == 4:
+                sizes.append(len(a))
+            return real(sub, a, which)
+
+        monkeypatch.setattr(regularizers_module, "subspace_project", record)
+        # 2**17 // 4000 = 32 draws per batch
+        sub = support_entries((10, 20, 20), [(1, 2, 3)])
+        compatibility(entry_l1(), sub, draws=100, ascent_steps=0)
+        assert sizes == [32, 32, 32, 4]
+
+    @pytest.mark.parametrize("draws", [-5, 2.5, 300.0, True, np.float64(3)])
+    def test_a_bad_draw_count_is_refused_before_drawing(self, draws):
+        gen = np.random.default_rng(5)
+        state = gen.bit_generator.state
+        with pytest.raises(ValueError, match="draws must be"):
+            compatibility(entry_l1(), support_entries(SHAPE, [(1, 2, 3)]), draws=draws, rng=gen)
+        assert gen.bit_generator.state == state
+
     def test_first_of_tied_draws_is_kept(self, monkeypatch):
         # every draw of a one-entry support scores ratio 1 (or 0 if the
         # entry is zero); the ascent then starts from the first draw

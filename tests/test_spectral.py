@@ -1,15 +1,19 @@
+import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from tenreg import spectral
+from tenreg import regularizers, spectral
 from tenreg.errors import ShapeMismatch, ZeroTensor
 from tenreg.regularizers import (
+    RegularizerSpec,
     entry_l1,
     fiber_group,
     matricized_nuclear_sum,
     slice_frob,
+    slice_nuclear,
     tensor_spectral,
 )
 from tenreg.spectral import (
@@ -260,6 +264,79 @@ class TestGaussianWidth:
         vals = np.concatenate(vals)
         assert est.mean == float(vals.mean())
         assert est.std_error == float(vals.std(ddof=1) / np.sqrt(draws))
+
+
+# every kind whose dual is computed draw by draw
+PER_DRAW_KINDS = [
+    entry_l1(),
+    fiber_group(1),
+    slice_frob((0, 2)),
+    slice_nuclear((1, 2)),
+    matricized_nuclear_sum(),
+    RegularizerSpec("pairwise_component_nuclear"),
+]
+
+
+class TestBoundedBatches:
+    @pytest.mark.parametrize(
+        "shape, want",
+        [((8, 8, 8), 256), ((1, 1, 1), 256), ((10, 10, 10), 131),
+         ((160, 10, 10), 8), ((64, 64, 64), 1), ((100, 100, 100), 1)],
+    )
+    def test_draws_per_batch(self, shape, want):
+        assert regularizers._batch_draws(shape) == want
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("per_batch", [1, 7])
+    @pytest.mark.parametrize("k", range(len(PER_DRAW_KINDS)))
+    def test_width_does_not_depend_on_the_batch_size(self, monkeypatch, k, per_batch, workers):
+        spec, shape = PER_DRAW_KINDS[k], (3, 4, 5)
+        want = gaussian_width_mc(spec, shape, draws=301, seed=6, workers=workers)
+        sizes = []
+        real = spectral._dual_batch
+
+        def record(spec, g, *args):
+            sizes.append(len(g))
+            return real(spec, g, *args)
+
+        monkeypatch.setattr(regularizers, "_BATCH_ENTRIES", per_batch * 60)
+        monkeypatch.setattr(spectral, "_dual_batch", record)
+        got = gaussian_width_mc(spec, shape, draws=301, seed=6, workers=workers)
+        assert max(sizes) == per_batch and sum(sizes) == 301
+        assert got.mean == want.mean and got.std_error == want.std_error
+
+    @pytest.mark.parametrize(
+        "workers, mean, std_error",
+        [(1, 7.048342913741095, 0.023969926909523116),
+         (2, 7.057079982955869, 0.02346293330928982)],
+    )
+    def test_spectral_width_keeps_its_stream_up_to_512_entries(self, workers, mean, std_error):
+        # 8 x 8 x 8 still draws 256 tensors per batch, so the restart starts
+        # come where they did when every batch held 256
+        est = gaussian_width_mc(tensor_spectral(), (8, 8, 8), draws=300, seed=4, workers=workers)
+        assert (est.mean, est.std_error) == (mean, std_error)
+
+    @pytest.mark.parametrize("spec", [entry_l1(), matricized_nuclear_sum()])
+    def test_memory_is_bounded_at_64_cubed(self, spec):
+        # one 2 MB draw per batch; 256-draw batches would peak over 400 MB
+        tracemalloc.start()
+        try:
+            gaussian_width_mc(spec, (64, 64, 64), draws=100, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+    def test_numpy_integers_give_plain_json(self):
+        est = gaussian_width_mc(entry_l1(), (3, 3, 3), np.int64(150), np.int64(3))
+        assert type(est.draws) is int and type(est.seed) is int
+        assert json.loads(json.dumps(est.to_json())) == est.to_json()
+        assert est == gaussian_width_mc(entry_l1(), (3, 3, 3), 150, 3)
+
+    @pytest.mark.parametrize("draws", [150.5, 200.0, np.float64(200), True, "200"])
+    def test_a_non_integer_draw_count_is_refused(self, draws):
+        with pytest.raises(ValueError, match="draws must be an integer"):
+            gaussian_width_mc(entry_l1(), (3, 3, 3), draws)
 
 
 # ---------------------------------------------------------------------------
