@@ -39,7 +39,6 @@ __all__ = [
     "VarModel",
     "gen_var_model",
     "var_truth",
-    "coefficient_tensor",
     "gen_var_series",
     "gen_var_panel",
     "var_spectral_extrema",
@@ -421,13 +420,13 @@ class VarModel:
     """Stable VAR(p) with identity innovation covariance.
 
     `coeffs` stacks the lag matrices as shape (p, m, m).  Construction
-    rejects unstable coefficient sets unless `auto_stabilize` is set, in
-    which case the lag matrices are rescaled onto spectral radius 0.95.
+    rejects an unstable coefficient set (companion spectral radius at least
+    1) with ``UnstableModel``; :func:`gen_var_model` rescales its draws
+    before it builds one.
     """
 
     coeffs: np.ndarray
     burn_in: int | None = None
-    auto_stabilize: bool = False
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=np.float64)
@@ -435,9 +434,7 @@ class VarModel:
             raise ShapeMismatch("coeffs must have shape (p, m, m)")
         rho = self.spectral_radius()
         if rho >= 1.0:
-            if not self.auto_stabilize:
-                raise UnstableModel(f"companion spectral radius {rho:.4f} >= 1")
-            _rescale_lags(self.coeffs, rho, 0.95)
+            raise UnstableModel(f"companion spectral radius {rho:.4f} >= 1")
         if self.burn_in is None:
             self.burn_in = 500 + 10 * self.coeffs.shape[0]
 
@@ -452,7 +449,7 @@ class VarModel:
     def spectral_radius(self):
         return _spectral_radius(self.coeffs)
 
-    # not the fields codec: `coeffs` is an array, `auto_stabilize` no JSON key
+    # not the fields codec: `coeffs` is an array
     def to_json(self):
         return {
             "coeffs": [a.tolist() for a in self.coeffs],
@@ -505,12 +502,6 @@ def var_truth(model):
     so the covariate lag window contracts against the first two modes.
     """
     return np.transpose(model.coeffs, (2, 0, 1))
-
-
-def coefficient_tensor(model):
-    """Display-layout (m, m, p) tensor whose (k, l, j) entry is the lag-j+1
-    coefficient of variable l on variable k."""
-    return np.transpose(model.coeffs, (1, 2, 0))
 
 
 def gen_var_series(model, n, seed=0):

@@ -46,7 +46,6 @@ __all__ = [
     "verify_packing",
     "fano_precondition_check",
     "emit_report",
-    "parse_report",
     "report_to_csv",
 ]
 
@@ -541,31 +540,17 @@ def fano_precondition_check(pack, n, c_u, delta):
 # ---------------------------------------------------------------------------
 
 
-def emit_report(report, fmt="json", path=None):
-    """Serialize a report deterministically.
+def emit_report(report, fmt="json"):
+    """Serialize a report deterministically and return the text.
 
-    JSON output sorts keys and round-trips exactly through
-    :func:`parse_report`; CSV output is one row per cell plus a summary
-    block.  Returns the serialized text; writes it to `path` when given.
+    JSON output sorts keys and round-trips exactly through ``json.loads``;
+    CSV output is one row per cell plus a summary block.
     """
     if fmt == "json":
-        text = json.dumps(report, sort_keys=True, indent=2)
-    elif fmt == "csv":
-        text = report_to_csv(report)
-    else:
-        raise ValidationError(f"unknown format {fmt!r}")
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
-
-
-def parse_report(text_or_path):
-    """Inverse of the JSON emission."""
-    if "\n" not in text_or_path and text_or_path.endswith(".json"):
-        with open(text_or_path) as fh:
-            return json.load(fh)
-    return json.loads(text_or_path)
+        return json.dumps(report, sort_keys=True, indent=2)
+    if fmt == "csv":
+        return report_to_csv(report)
+    raise ValidationError(f"unknown format {fmt!r}")
 
 
 def report_to_csv(report):

@@ -29,7 +29,7 @@ and the remaining axes index the groups.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from .errors import (
     is_int,
     json_tuple,
 )
-from .tensor import ProjectorTriple, dematricize, matricize, tucker_project
+from .tensor import ProjectorTriple, _orthonormal, dematricize, matricize, tucker_project
 
 __all__ = [
     "RegularizerSpec",
@@ -490,72 +490,52 @@ class SubspaceSpec:
             return self.axes
         return {"support_entries": (), "support_fibers": (self.mode,)}.get(self.variant)
 
-    # not the fields codec: arrays, and keys that depend on the variant
-    def to_json(self):
-        out = {"variant": self.variant, "shape": list(self.shape)}
-        if self.norm_axes is not None:
-            out["indices"] = [
-                list(i) if isinstance(i, tuple) else i for i in self.indices
-            ]
-        if self.mode is not None:
-            out["mode"] = self.mode
-        if self.axes is not None:
-            out["axes"] = list(self.axes)
-        if self.variant == "slicewise_projectors":
-            out["factors"] = [[u1.tolist(), u2.tolist()] for u1, u2 in self.slice_factors]
-            out["role"] = self.role
-        if self.variant == "tucker_projectors":
-            out["factors"] = [u.tolist() for u in self.triple.factors]
-            out["role"] = self.role
-        return out
 
-    @classmethod
-    def from_json(cls, obj):
-        variant = obj["variant"]
-        shape = tuple(obj["shape"])
-        if variant == "support_entries":
-            return support_entries(shape, obj["indices"])
-        if variant == "support_fibers":
-            return support_fibers(shape, obj["indices"], mode=obj.get("mode", 0))
-        if variant == "support_slices":
-            axes = tuple(obj.get("axes", (0, 1)))
-            return support_slices(shape, list(obj["indices"]), axes=axes)
-        if variant == "slicewise_projectors":
-            factors = [
-                (np.asarray(u1, dtype=float), np.asarray(u2, dtype=float))
-                for u1, u2 in obj["factors"]
-            ]
-            return slicewise_projectors(
-                shape,
-                factors,
-                axes=tuple(obj.get("axes", (0, 1))),
-                role=obj.get("role", "a_space"),
-            )
-        if variant == "tucker_projectors":
-            triple = ProjectorTriple([np.asarray(u, dtype=float) for u in obj["factors"]])
-            return tucker_projectors(shape, triple, role=obj["role"])
-        raise ValueError(f"unknown subspace variant {variant!r}")
+def _support(variant, shape, indices, **axes):
+    """The support subspace on the groups `indices` names.  Each index names
+    one group of the grid that the axes outside `norm_axes` index: (i, j, k)
+    for an entry, a pair for a fiber, a slice number or 1-tuple for a slice.
+    An index of the wrong length or out of range raises ShapeMismatch and a
+    repeated one ValueError, since each would misstate the intrinsic
+    dimension that `compatibility` bounds by the number of indices."""
+    sub = SubspaceSpec(variant, tuple(shape), **axes)
+    grid = [d for ax, d in enumerate(sub.shape) if ax not in sub.norm_axes]
+    keys = []
+    for idx in indices:
+        try:
+            key = tuple(idx)
+        except TypeError:
+            key = (idx,)
+        if len(key) != len(grid) or not all(
+            is_int(i) and 0 <= i < d for i, d in zip(key, grid)
+        ):
+            raise ShapeMismatch(f"index {idx!r} names no group of the grid {tuple(grid)}")
+        keys.append(tuple(map(int, key)))
+    if len(set(keys)) < len(keys):
+        raise ValueError("a support index is repeated")
+    return replace(sub, indices=tuple(keys))
 
 
 def support_entries(shape, indices):
-    indices = tuple(map(tuple, indices))
-    return SubspaceSpec("support_entries", tuple(shape), indices=indices)
+    return _support("support_entries", shape, indices)
 
 
 def support_fibers(shape, indices, mode=0):
-    return SubspaceSpec(
-        "support_fibers", tuple(shape), indices=tuple(map(tuple, indices)), mode=mode
-    )
+    if not (is_int(mode) and 0 <= mode <= 2):
+        raise InvalidAxes(f"mode must be 0, 1 or 2, got {mode!r}")
+    return _support("support_fibers", shape, indices, mode=mode)
 
 
 def support_slices(shape, indices, axes=(0, 1)):
-    return SubspaceSpec(
-        "support_slices", tuple(shape), indices=tuple(indices), axes=tuple(axes)
-    )
+    _group_axis(axes)
+    return _support("support_slices", shape, indices, axes=tuple(axes))
 
 
 def slicewise_projectors(shape, factors, axes=(0, 1), role="a_space"):
     """Per-slice projector pairs (U1_j, U2_j) along the group axis.
+
+    U1_j has a row per row of slice j and U2_j a row per column, each with
+    orthonormal columns; the ranks sum to the compatibility bound.
 
     The a_space role spans the slices whose doubly-complemented corner
     vanishes; the b_space role spans the slices fixed by projecting on both
@@ -565,11 +545,14 @@ def slicewise_projectors(shape, factors, axes=(0, 1), role="a_space"):
         raise ValueError("role must be 'a_space' or 'b_space'")
     if len(factors) != shape[_group_axis(axes)]:
         raise ShapeMismatch("need one factor pair per slice")
+    rows, cols = shape[axes[0]], shape[axes[1]]
     return SubspaceSpec(
         "slicewise_projectors",
         tuple(shape),
         axes=tuple(axes),
-        slice_factors=tuple((np.asarray(u1), np.asarray(u2)) for u1, u2 in factors),
+        slice_factors=tuple(
+            (_orthonormal(u1, rows), _orthonormal(u2, cols)) for u1, u2 in factors
+        ),
         role=role,
     )
 

@@ -117,6 +117,18 @@ def _mode_multiply(a, mat, k):
     return np.moveaxis(np.tensordot(mat, a, axes=(1, k - 3)), 0, k - 3)
 
 
+def _orthonormal(u, rows=None, tol=1e-10):
+    """`u` as a float64 matrix, of `rows` rows when given, whose columns are
+    orthonormal: ShapeMismatch for another shape, ValueError otherwise."""
+    u = np.asarray(u, dtype=np.float64)
+    if u.ndim != 2 or rows not in (None, u.shape[0]):
+        want = "a matrix" if rows is None else f"a matrix of {rows} rows"
+        raise ShapeMismatch(f"factor of shape {u.shape} is not {want}")
+    if not np.allclose(u.T @ u, np.eye(u.shape[1]), atol=tol):
+        raise ValueError("factor columns must be orthonormal")
+    return u
+
+
 class ProjectorTriple:
     """Three orthogonal projectors, one per mode, stored as basis factors.
 
@@ -128,15 +140,7 @@ class ProjectorTriple:
     def __init__(self, factors, tol=1e-10):
         if len(factors) != 3:
             raise ShapeMismatch("expected exactly three factors")
-        self.factors = []
-        for u in factors:
-            u = np.asarray(u, dtype=np.float64)
-            if u.ndim != 2:
-                raise ShapeMismatch("factors must be matrices")
-            gram = u.T @ u
-            if not np.allclose(gram, np.eye(u.shape[1]), atol=tol):
-                raise ValueError("factor columns must be orthonormal")
-            self.factors.append(u)
+        self.factors = [_orthonormal(u, tol=tol) for u in factors]
 
     @property
     def ranks(self):

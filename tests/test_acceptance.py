@@ -7,6 +7,7 @@ whole suite is deterministic.
 
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -562,7 +563,7 @@ def test_criterion_9_cli_determinism(tmp_path, capsys):
             )
             == 0
         )
-        outs.append(open(path, "rb").read())
+        outs.append(Path(path).read_bytes())
     identical.append(outs[0] == outs[1])
 
     cfg = {
@@ -582,7 +583,7 @@ def test_criterion_9_cli_determinism(tmp_path, capsys):
     for name in ("r1.json", "r2.json"):
         path = str(tmp_path / name)
         assert run(["--out", path, "rate", "--config", cfg_path]) == 0
-        outs.append(open(path, "rb").read())
+        outs.append(Path(path).read_bytes())
     identical.append(outs[0] == outs[1])
 
     outs = []
@@ -595,7 +596,7 @@ def test_criterion_9_cli_determinism(tmp_path, capsys):
             )
             == 0
         )
-        outs.append(open(path, "rb").read())
+        outs.append(Path(path).read_bytes())
     identical.append(outs[0] == outs[1])
 
     spec = json.dumps({"kind": "theta1", "shape": [3, 3, 3], "s": 2})

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,7 +56,7 @@ class TestGenSolve:
             capsys,
         )
         assert code == 0
-        result = json.loads(open(res_path).read())
+        result = json.loads(Path(res_path).read_text())
         assert result["status"] == "Converged"
         assert result["estimate_shape"] == [3, 3, 3]
 
@@ -358,7 +359,7 @@ class TestDeterminism:
                 capsys,
             )
             assert code == 0
-            outs.append(open(path, "rb").read())
+            outs.append(Path(path).read_bytes())
         assert outs[0] == outs[1]
 
     def test_width_csv_replay(self, tmp_path, capsys):
@@ -370,7 +371,7 @@ class TestDeterminism:
                  "--kinds", "entry_l1", "--shapes", "4x4x4", "--draws", "150"],
                 capsys,
             )
-            outs.append(open(path, "rb").read())
+            outs.append(Path(path).read_bytes())
         assert outs[0] == outs[1]
 
     def test_rate_replay_byte_identical(self, tmp_path, capsys):
@@ -394,7 +395,7 @@ class TestDeterminism:
                 ["--out", path, "rate", "--config", cfg_path], capsys
             )
             assert code == 0
-            outs.append(open(path, "rb").read())
+            outs.append(Path(path).read_bytes())
         assert outs[0] == outs[1]
 
     def test_packing_replay(self, tmp_path, capsys):
@@ -407,7 +408,7 @@ class TestDeterminism:
                 capsys,
             )
             assert code == 0
-            outs.append(open(path, "rb").read())
+            outs.append(Path(path).read_bytes())
         assert outs[0] == outs[1]
 
     def test_gen_deterministic_problem_files(self, tmp_path, capsys):
@@ -436,7 +437,7 @@ class TestVarExtremaCommand:
             ["--out", out_path, "var-extrema", "--model", mpath], capsys
         )
         assert code == 0
-        res = json.load(open(out_path))
+        res = json.loads(Path(out_path).read_text())
         assert res["mu_min"] == pytest.approx(0.25, abs=1e-6)
         assert res["mu_max"] == pytest.approx(2.25, abs=1e-6)
 

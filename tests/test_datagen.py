@@ -7,7 +7,6 @@ from tenreg.datagen import (
     ModelClassSpec,
     VarModel,
     class_certificate,
-    coefficient_tensor,
     gen_pairwise_components,
     gen_problem,
     gen_samples,
@@ -232,10 +231,6 @@ class TestVarModel:
         with pytest.raises(UnstableModel):
             VarModel(coeffs=np.array([[[1.2]]]))
 
-    def test_auto_stabilize(self):
-        m = VarModel(coeffs=np.array([[[1.2]]]), auto_stabilize=True)
-        assert m.spectral_radius() == pytest.approx(0.95, abs=1e-12)
-
     def test_json_round_trip(self):
         m = gen_var_model(3, 2, s=4, seed=17)
         back = VarModel.from_json(m.to_json())
@@ -251,11 +246,10 @@ class TestVarModel:
     def test_truth_layouts_agree(self):
         m = gen_var_model(3, 2, s=3, seed=19)
         t_prob = var_truth(m)  # (m, p, m) problem layout
-        t_disp = coefficient_tensor(m)  # (m, m, p) display layout
         for k in range(3):
             for l in range(3):
                 for j in range(2):
-                    assert t_prob[l, j, k] == t_disp[k, l, j] == m.coeffs[j, k, l]
+                    assert t_prob[l, j, k] == m.coeffs[j, k, l]
 
 
 class TestVarSeries:

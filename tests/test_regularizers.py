@@ -14,7 +14,6 @@ from tenreg.errors import (
 )
 from tenreg.regularizers import (
     RegularizerSpec,
-    SubspaceSpec,
     compatibility,
     decomposability_margin,
     entry_l1,
@@ -460,15 +459,69 @@ class TestSubspaceProject:
             out = subspace_project(sub, a, which)
             assert hashlib.sha256(out.tobytes()).hexdigest()[:16] == want
 
-    def test_json_round_trip(self):
-        for sub in self._subspaces():
-            back = SubspaceSpec.from_json(sub.to_json())
-            a = rng.standard_normal(SHAPE)
-            np.testing.assert_allclose(
-                subspace_project(sub, a, "space"),
-                subspace_project(back, a, "space"),
-                atol=1e-12,
-            )
+
+# supports of shape (4, 5, 6) that must be refused when built
+BAD_SUPPORTS = {
+    "short-entry": (lambda g: support_entries(g, [(0, 1)]), ShapeMismatch),  # names a fiber
+    "long-entry": (lambda g: support_entries(g, [(0, 1, 2, 0)]), ShapeMismatch),
+    "bare-entry": (lambda g: support_entries(g, [3]), ShapeMismatch),  # names a slice
+    "negative-entry": (lambda g: support_entries(g, [(-1, 0, 0)]), ShapeMismatch),
+    "past-entry": (lambda g: support_entries(g, [(4, 0, 0)]), ShapeMismatch),
+    "float-entry": (lambda g: support_entries(g, [(0.0, 1, 2)]), ShapeMismatch),
+    "bool-entry": (lambda g: support_entries(g, [(True, 1, 2)]), ShapeMismatch),
+    "repeated-entry": (lambda g: support_entries(g, [(0, 1, 2), (0, 1, 2)]), ValueError),
+    "past-fiber": (lambda g: support_fibers(g, [(0, 6)], mode=1), ShapeMismatch),
+    "entry-as-fiber": (lambda g: support_fibers(g, [(0, 1, 2)], mode=0), ShapeMismatch),
+    "repeated-fiber": (lambda g: support_fibers(g, [(1, 2), (1, 2)], mode=2), ValueError),
+    "mode-7": (lambda g: support_fibers(g, [(0, 0)], mode=7), InvalidAxes),
+    "mode-none": (lambda g: support_fibers(g, [(0, 0)], mode=None), InvalidAxes),
+    "mode-float": (lambda g: support_fibers(g, [(0, 0)], mode=1.0), InvalidAxes),
+    "past-slice": (lambda g: support_slices(g, [5], axes=(0, 2)), ShapeMismatch),
+    "negative-slice": (lambda g: support_slices(g, [-1], axes=(0, 1)), ShapeMismatch),
+    "pair-as-slice": (lambda g: support_slices(g, [(0, 1)], axes=(0, 1)), ShapeMismatch),
+    "repeated-slice": (lambda g: support_slices(g, [2, 2], axes=(1, 2)), ValueError),
+    "axes-0-0": (lambda g: support_slices(g, [0], axes=(0, 0)), InvalidAxes),
+    "axes-0-3": (lambda g: support_slices(g, [0], axes=(0, 3)), InvalidAxes),
+    "axes-one": (lambda g: support_slices(g, [0], axes=(0,)), InvalidAxes),
+}
+
+
+def _factor(rows, rank, seed=0):
+    return np.linalg.qr(np.random.default_rng(seed).standard_normal((rows, rank)))[0]
+
+
+class TestSubspaceChecks:
+    @pytest.mark.parametrize("name", BAD_SUPPORTS)
+    def test_bad_support_is_refused_when_built(self, name):
+        build, error = BAD_SUPPORTS[name]
+        with pytest.raises(error):
+            build((4, 5, 6))
+
+    def test_numpy_integers_name_groups(self):
+        # criterion 4 builds its supports from np.nonzero
+        truth = np.zeros((4, 5, 6))
+        truth[0, 1, 2] = truth[3, 4, 5] = 1.0
+        sub = support_entries(truth.shape, zip(*np.nonzero(truth)))
+        assert sub.indices == ((0, 1, 2), (3, 4, 5))
+        assert _matched_bound(entry_l1(), sub) == 2.0
+        fibers = support_fibers(truth.shape, [np.array([3, 5])], mode=np.int64(1))
+        assert _matched_bound(fiber_group(1), fibers) == 1.0
+        slices = support_slices(truth.shape, np.nonzero([1, 0, 0, 1, 1])[0], axes=[0, 2])
+        assert _matched_bound(slice_frob((0, 2)), slices) == 3.0
+
+    @pytest.mark.parametrize(
+        "u1, u2, error",
+        [(2 * _factor(3, 1), _factor(4, 1), ValueError),  # a scaled projector
+         (_factor(3, 2), np.ones((4, 1)), ValueError),
+         (_factor(4, 1), _factor(4, 1), ShapeMismatch),  # U1 fits the columns
+         (_factor(3, 1), _factor(3, 1), ShapeMismatch),
+         (_factor(3, 1)[:, 0], _factor(4, 1), ShapeMismatch)],
+        ids=["scaled", "ones", "u1-rows", "u2-rows", "vector"],
+    )
+    def test_bad_slicewise_factors_are_refused_when_built(self, u1, u2, error):
+        good = (_factor(3, 1, 1), _factor(4, 2, 2))
+        with pytest.raises(error):
+            slicewise_projectors(SHAPE, [good, good, (u1, u2), good, good], axes=(0, 1))
 
 
 def stack_subspaces():
