@@ -180,7 +180,7 @@ def _cmd_solve(args):
     else:
         lam = float(args.lam)
     res = solver.solve(problem, reg, lam, args.max_iters)
-    _write_output(json.dumps(res.to_json(), sort_keys=True, indent=2), args.out)
+    _write_output(harness.emit_report(res.to_json()), args.out)
     return EXIT_OK if res.status == "Converged" else EXIT_NONCONVERGED
 
 
@@ -213,14 +213,14 @@ def _cmd_packing(args):
         d2=args.d2,
         r=args.r,
     )
-    _write_output(json.dumps(pack.to_json(), sort_keys=True, indent=2), args.out)
+    _write_output(harness.emit_report(pack.to_json()), args.out)
     return EXIT_OK
 
 
 def _cmd_var_extrema(args):
     model = datagen.VarModel.from_json(_load_json_arg(args.model))
     result = datagen.var_spectral_extrema(model, grid=args.grid)
-    _write_output(json.dumps(result, sort_keys=True, indent=2), args.out)
+    _write_output(harness.emit_report(result), args.out)
     return EXIT_OK
 
 

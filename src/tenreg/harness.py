@@ -46,36 +46,43 @@ __all__ = [
     "verify_packing",
     "fano_precondition_check",
     "emit_report",
-    "report_to_csv",
 ]
 
 _PAIRWISE = RegularizerSpec("pairwise_component_nuclear")
 
 # Each tag's rate is budget * w^2 / n, with w^2 the squared width growth law
-# of the penalty that fits the structure: tag -> model -> (budget, penalty).
+# of the penalty that fits the structure, and the budget a model field to a
+# power: tag -> model -> (field, power, penalty).
 _RATES = {
-    "s_log_total_over_n": lambda m: (m.s, entry_l1()),
-    "s_max_fiberdim_loggroups_over_n": lambda m: (m.s, fiber_group(m.mode)),
-    "s_max_area_loggroups_over_n": lambda m: (m.s, slice_frob(m.axes)),
+    "s_log_total_over_n": lambda m: ("s", 1, entry_l1()),
+    "s_max_fiberdim_loggroups_over_n": lambda m: ("s", 1, fiber_group(m.mode)),
+    "s_max_area_loggroups_over_n": lambda m: ("s", 1, slice_frob(m.axes)),
     # multi-response layout (p, m, m): slices are m x m, groups over p
-    "s_max_msq_logp_over_n": lambda m: (m.s, slice_frob((1, 2))),
+    "s_max_msq_logp_over_n": lambda m: ("s", 1, slice_frob((1, 2))),
     # VAR layout (m, p, m): fibers have length p, m^2 groups
-    "s_max_p_2logm_over_n": lambda m: (m.s, fiber_group(1)),
-    "r_max_m_logp_over_n": lambda m: (m.r, slice_nuclear((1, 2))),
-    "r_max_dim_over_n": lambda m: (m.r, _PAIRWISE),
-    "r_max_pairprod_over_n": lambda m: (m.r, matricized_nuclear_sum()),
-    "rsq_sum_dims_over_n": lambda m: (m.r**2, tensor_spectral()),
+    "s_max_p_2logm_over_n": lambda m: ("s", 1, fiber_group(1)),
+    "r_max_m_logp_over_n": lambda m: ("r", 1, slice_nuclear((1, 2))),
+    "r_max_dim_over_n": lambda m: ("r", 1, _PAIRWISE),
+    "r_max_pairprod_over_n": lambda m: ("r", 1, matricized_nuclear_sum()),
+    "rsq_sum_dims_over_n": lambda m: ("r", 2, tensor_spectral()),
 }
 RATE_TAGS = tuple(_RATES)
 
 
 def predicted_rate(tag, model, n):
     """Evaluate a predicted-rate formula tag for a model class at sample
-    size n (constants are not tracked; only the growth law matters)."""
+    size n (constants are not tracked; only the growth law matters).  The
+    model field the tag takes its budget from must be an integer >= 1."""
     if tag not in _RATES:
         raise ValidationError(f"unknown rate tag {tag!r}")
-    budget, penalty = _RATES[tag](model)
-    return budget * _width_sq(penalty, model.shape) / n
+    field, power, penalty = _RATES[tag](model)
+    budget = getattr(model, field)
+    if not (is_int(budget) and budget >= 1):
+        raise ValidationError(
+            f"rate tag {tag!r} needs the model's {field} to be an integer >= 1, "
+            f"got {budget!r}"
+        )
+    return budget**power * _width_sq(penalty, model.shape) / n
 
 
 @dataclass(frozen=True)
@@ -117,8 +124,7 @@ class RateExperimentConfig:
             raise ValidationError("n_grid must be strictly increasing with >= 4 points")
         if self.replications < 10:
             raise ValidationError("need at least 10 replications per cell")
-        if self.rate_tag not in RATE_TAGS:
-            raise ValidationError(f"unknown rate tag {self.rate_tag!r}")
+        predicted_rate(self.rate_tag, self.model, grid[0])  # the rule the fit runs
         reg = self.regularizer
         if reg == "pairwise":
             object.__setattr__(self, "regularizer", reg := _PAIRWISE)
@@ -273,7 +279,10 @@ _WIDTH_BAND = (0.2, 5.0)
 
 def width_experiment(kinds, shapes, draws=2000, seed=0, workers=1):
     """Width estimates against their growth-law expressions, with ratio
-    columns and flags for the rows outside `_WIDTH_BAND`."""
+    columns and flags for the rows outside `_WIDTH_BAND`.  Refuses an empty
+    table: no kinds or no shapes."""
+    if not (kinds and shapes):
+        raise ValidationError("a width table needs at least one kind and one shape")
     rows = []
     flagged = []
     for spec in kinds:
@@ -544,51 +553,38 @@ def emit_report(report, fmt="json"):
     """Serialize a report deterministically and return the text.
 
     JSON output sorts keys and round-trips exactly through ``json.loads``;
-    CSV output is one row per cell plus a summary block.
+    CSV output is a rate report's cells plus a summary block, or a width
+    report's rows.
     """
     if fmt == "json":
         return json.dumps(report, sort_keys=True, indent=2)
     if fmt == "csv":
-        return report_to_csv(report)
+        return _report_csv(report)
     raise ValidationError(f"unknown format {fmt!r}")
 
 
-def report_to_csv(report):
+def _report_csv(report):
+    """One table of rows with the first row's keys as its header, floats as
+    ``repr`` and a shape as ``d1xd2xd3``: a rate report's cells, then a
+    summary of its fit and its per-n medians, or a width report's rows."""
+    kind = report.get("kind")
+    if kind not in ("rate", "width"):
+        raise ValidationError("csv emission supports rate and width reports")
+
+    def text(v):
+        if isinstance(v, float):
+            return repr(v)
+        return "x".join(map(str, v)) if isinstance(v, list) else v
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    if report.get("kind") == "rate":
-        writer.writerow(["n", "replication", "fro_sq", "emp_sq", "status", "iterations"])
-        for cell in report["cells"]:
-            writer.writerow(
-                [
-                    cell["n"],
-                    cell["replication"],
-                    repr(cell["fro_sq"]),
-                    repr(cell["emp_sq"]),
-                    cell["status"],
-                    cell["iterations"],
-                ]
-            )
-        writer.writerow([])
-        writer.writerow(["summary_key", "value"])
-        writer.writerow(["slope", repr(report["fit"]["slope"])])
-        writer.writerow(["intercept", repr(report["fit"]["intercept"])])
-        writer.writerow(["r_squared", repr(report["fit"]["r_squared"])])
+    rows = report["cells" if kind == "rate" else "rows"]
+    writer.writerow(rows[0])
+    writer.writerows([text(v) for v in row.values()] for row in rows)
+    if kind == "rate":
+        summary = dict(report["fit"])
         for row in report["per_n"]:
-            writer.writerow([f"median_fro_sq_n{row['n']}", repr(row["median_fro_sq"])])
-    elif report.get("kind") == "width":
-        writer.writerow(["kind", "shape", "estimate", "std_error", "rate_expression", "ratio"])
-        for row in report["rows"]:
-            writer.writerow(
-                [
-                    row["kind"],
-                    "x".join(str(v) for v in row["shape"]),
-                    repr(row["estimate"]),
-                    repr(row["std_error"]),
-                    repr(row["rate_expression"]),
-                    repr(row["ratio"]),
-                ]
-            )
-    else:
-        raise ValidationError("csv emission supports rate and width reports")
+            summary[f"median_fro_sq_n{row['n']}"] = row["median_fro_sq"]
+        writer.writerows([[], ["summary_key", "value"]])
+        writer.writerows([key, text(v)] for key, v in summary.items())
     return buf.getvalue()

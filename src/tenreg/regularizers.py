@@ -29,7 +29,7 @@ and the remaining axes index the groups.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -462,6 +462,10 @@ def _reg_subgrad(spec, a):
 # ---------------------------------------------------------------------------
 
 
+_SUBSPACE_VARIANTS = ("support_entries", "support_fibers", "support_slices",
+                      "slicewise_projectors", "tucker_projectors")
+
+
 @dataclass(frozen=True)
 class SubspaceSpec:
     """A low-dimensional subspace against which decomposability margins and
@@ -471,6 +475,14 @@ class SubspaceSpec:
     per-slice projector pairs; and mode-wise projector triples with a role
     selecting which of the two complementary Tucker projections defines the
     space.
+
+    Every field is checked however the subspace is made.  Each index of a
+    support names one group of the grid that the axes outside `norm_axes`
+    index: (i, j, k) for an entry, a pair for a fiber, a slice number or
+    1-tuple for a slice.  An index of the wrong length or out of range
+    raises ShapeMismatch and a repeated one ValueError, since each would
+    misstate the intrinsic dimension that `compatibility` bounds by the
+    number of indices.
     """
 
     variant: str
@@ -482,6 +494,47 @@ class SubspaceSpec:
     triple: ProjectorTriple | None = field(default=None, repr=False)
     role: str | None = None
 
+    def __post_init__(self):
+        if self.variant not in _SUBSPACE_VARIANTS:
+            raise ValueError(f"unknown subspace variant {self.variant!r}")
+        object.__setattr__(self, "shape", tuple(self.shape))
+        fibers = self.variant == "support_fibers"
+        if fibers and not (is_int(self.mode) and 0 <= self.mode <= 2):
+            raise InvalidAxes(f"mode must be 0, 1 or 2, got {self.mode!r}")
+        if self.variant in ("support_slices", "slicewise_projectors"):
+            _group_axis(self.axes)
+            object.__setattr__(self, "axes", tuple(self.axes))
+        if self.norm_axes is not None:
+            grid = tuple(d for ax, d in enumerate(self.shape) if ax not in self.norm_axes)
+            keys = []
+            for idx in self.indices:
+                try:
+                    key = tuple(idx)
+                except TypeError:
+                    key = (idx,)
+                if len(key) != len(grid) or not all(
+                    is_int(i) and 0 <= i < d for i, d in zip(key, grid)
+                ):
+                    raise ShapeMismatch(f"index {idx!r} names no group of the grid {grid}")
+                keys.append(tuple(map(int, key)))
+            if len(set(keys)) < len(keys):
+                raise ValueError("a support index is repeated")
+            object.__setattr__(self, "indices", tuple(keys))
+        elif self.role not in ("a_space", "b_space"):
+            raise ValueError("role must be 'a_space' or 'b_space'")
+        elif self.variant == "tucker_projectors":
+            if getattr(self.triple, "dims", None) != self.shape:
+                raise ShapeMismatch("projector dims do not match shape")
+        else:
+            if len(self.slice_factors) != self.shape[_group_axis(self.axes)]:
+                raise ShapeMismatch("need one factor pair per slice")
+            rows, cols = self.shape[self.axes[0]], self.shape[self.axes[1]]
+            factors = tuple(
+                (_orthonormal(u1, rows), _orthonormal(u2, cols))
+                for u1, u2 in self.slice_factors
+            )
+            object.__setattr__(self, "slice_factors", factors)
+
     @property
     def norm_axes(self):
         """Axes each group of a support variant spans: none for entries, the
@@ -491,44 +544,16 @@ class SubspaceSpec:
         return {"support_entries": (), "support_fibers": (self.mode,)}.get(self.variant)
 
 
-def _support(variant, shape, indices, **axes):
-    """The support subspace on the groups `indices` names.  Each index names
-    one group of the grid that the axes outside `norm_axes` index: (i, j, k)
-    for an entry, a pair for a fiber, a slice number or 1-tuple for a slice.
-    An index of the wrong length or out of range raises ShapeMismatch and a
-    repeated one ValueError, since each would misstate the intrinsic
-    dimension that `compatibility` bounds by the number of indices."""
-    sub = SubspaceSpec(variant, tuple(shape), **axes)
-    grid = [d for ax, d in enumerate(sub.shape) if ax not in sub.norm_axes]
-    keys = []
-    for idx in indices:
-        try:
-            key = tuple(idx)
-        except TypeError:
-            key = (idx,)
-        if len(key) != len(grid) or not all(
-            is_int(i) and 0 <= i < d for i, d in zip(key, grid)
-        ):
-            raise ShapeMismatch(f"index {idx!r} names no group of the grid {tuple(grid)}")
-        keys.append(tuple(map(int, key)))
-    if len(set(keys)) < len(keys):
-        raise ValueError("a support index is repeated")
-    return replace(sub, indices=tuple(keys))
-
-
 def support_entries(shape, indices):
-    return _support("support_entries", shape, indices)
+    return SubspaceSpec("support_entries", shape, indices)
 
 
 def support_fibers(shape, indices, mode=0):
-    if not (is_int(mode) and 0 <= mode <= 2):
-        raise InvalidAxes(f"mode must be 0, 1 or 2, got {mode!r}")
-    return _support("support_fibers", shape, indices, mode=mode)
+    return SubspaceSpec("support_fibers", shape, indices, mode=mode)
 
 
 def support_slices(shape, indices, axes=(0, 1)):
-    _group_axis(axes)
-    return _support("support_slices", shape, indices, axes=tuple(axes))
+    return SubspaceSpec("support_slices", shape, indices, axes=axes)
 
 
 def slicewise_projectors(shape, factors, axes=(0, 1), role="a_space"):
@@ -541,28 +566,13 @@ def slicewise_projectors(shape, factors, axes=(0, 1), role="a_space"):
     vanishes; the b_space role spans the slices fixed by projecting on both
     sides, the smaller space where structured truths live.
     """
-    if role not in ("a_space", "b_space"):
-        raise ValueError("role must be 'a_space' or 'b_space'")
-    if len(factors) != shape[_group_axis(axes)]:
-        raise ShapeMismatch("need one factor pair per slice")
-    rows, cols = shape[axes[0]], shape[axes[1]]
     return SubspaceSpec(
-        "slicewise_projectors",
-        tuple(shape),
-        axes=tuple(axes),
-        slice_factors=tuple(
-            (_orthonormal(u1, rows), _orthonormal(u2, cols)) for u1, u2 in factors
-        ),
-        role=role,
+        "slicewise_projectors", shape, axes=axes, slice_factors=factors, role=role
     )
 
 
 def tucker_projectors(shape, triple, role="b_space"):
-    if role not in ("a_space", "b_space"):
-        raise ValueError("role must be 'a_space' or 'b_space'")
-    if triple.dims != tuple(shape):
-        raise ShapeMismatch("projector dims do not match shape")
-    return SubspaceSpec("tucker_projectors", tuple(shape), triple=triple, role=role)
+    return SubspaceSpec("tucker_projectors", shape, triple=triple, role=role)
 
 
 def _support_mask(sub):
@@ -601,11 +611,9 @@ def subspace_project(sub, a, which="space"):
                 proj = s - (perp - perp @ u2 @ u2.T)
             stack[..., j, :, :] = proj if which == "space" else s - proj
         return _groups(stack, sub.axes, inverse=True)
-    if sub.variant == "tucker_projectors":
-        pattern = "q" if sub.role == "a_space" else "full"
-        proj = tucker_project(a, sub.triple, pattern)
-        return proj if which == "space" else a - proj
-    raise ValueError(f"unknown subspace variant {sub.variant!r}")
+    pattern = "q" if sub.role == "a_space" else "full"
+    proj = tucker_project(a, sub.triple, pattern)
+    return proj if which == "space" else a - proj
 
 
 def decomposability_margin(spec, sub_a, sub_b, a, b):

@@ -177,13 +177,21 @@ def _check_truth(problem):
 
 @dataclass
 class SolveResult:
-    estimate: np.ndarray
-    objective_trace: list
-    kkt_residual: float
-    iterations: int
+    """The result of every solver.  The defaults are those of a solve whose
+    data overflow before the first step."""
+
     lam: float
-    status: str  # Converged | MaxIters | Diverged
+    estimate: np.ndarray
+    objective_trace: list = ()
+    kkt_residual: float = math.inf
+    iterations: int = 0
+    status: str = "Diverged"  # Converged | MaxIters | Diverged
     components: tuple | None = None
+
+    def __post_init__(self):
+        self.lam = float(self.lam)
+        self.objective_trace = list(self.objective_trace)
+        self.kkt_residual = float(self.kkt_residual)
 
     # not `fields_to_json`: arrays, nulls for non-finite floats, derived keys
     def to_json(self):
@@ -201,22 +209,6 @@ class SolveResult:
 
 def _finite_or_null(v):
     return v if math.isfinite(v) else None
-
-
-def _result(
-    lam, estimate, trace=(), kkt=math.inf, iters=0, status="Diverged", components=None
-):
-    """The :class:`SolveResult` of every solver.  The defaults are those of
-    a solve whose data overflow before the first step."""
-    return SolveResult(
-        estimate=estimate,
-        objective_trace=list(trace),
-        kkt_residual=float(kkt),
-        iterations=iters,
-        lam=float(lam),
-        status=status,
-        components=components,
-    )
 
 
 def _check_lam(lam):
@@ -599,9 +591,9 @@ def fista_solve(problem, spec, lam, config=None):
     if op is not None:
         x, *run = _apg(x, op, prox_step, penalty, dual, lam, config)
     if not pairwise:
-        return _result(lam, x, *run)
+        return SolveResult(lam, x, *run)
     comps = blocks.split(x)
-    return _result(lam, expand_pairwise(comps, shape), *run, components=comps)
+    return SolveResult(lam, expand_pairwise(comps, shape), *run, components=comps)
 
 
 @dataclass
@@ -634,7 +626,7 @@ def admm_matricized(problem, lam, config=None):
 
     op = _operator(problem)
     if op is None or op.spectrum is None:
-        return _result(lam, np.zeros(shape))
+        return SolveResult(lam, np.zeros(shape))
 
     def full_obj(a):
         loss = op.loss(a) + op.offset
@@ -682,7 +674,7 @@ def admm_matricized(problem, lam, config=None):
 
     g = op.grad(a)
     kkt = _certificate(lam, a, g, reg_dual(spec, g), reg_eval(spec, a))
-    return _result(lam, a, trace, kkt, iters_done, status)
+    return SolveResult(lam, a, trace, kkt, iters_done, status)
 
 
 # ---------------------------------------------------------------------------

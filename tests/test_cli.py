@@ -7,7 +7,7 @@ import pytest
 
 from tenreg import harness
 from tenreg.cli import main
-from tenreg.datagen import VarModel
+from tenreg.datagen import VarModel, var_spectral_extrema
 from tenreg.solver import RegressionProblem, save_problem
 
 
@@ -411,6 +411,16 @@ class TestDeterminism:
             outs.append(Path(path).read_bytes())
         assert outs[0] == outs[1]
 
+    def test_packing_prints_sorted_indented_json(self, capsys):
+        code, out, _ = run_cli(
+            ["--seed", "17", "packing", "--kind", "sparse", "--d", "8", "--s", "2",
+             "--delta", "1.0", "--budget", "300"],
+            capsys,
+        )
+        assert code == 0
+        pack = harness.hypercube_packing(8, 1.0, kind="sparse", budget=300, seed=17, s=2)
+        assert out == json.dumps(pack.to_json(), sort_keys=True, indent=2) + "\n"
+
     def test_gen_deterministic_problem_files(self, tmp_path, capsys):
         spec = json.dumps({"kind": "theta1", "shape": [3, 3, 3], "s": 2})
         payloads = []
@@ -440,6 +450,15 @@ class TestVarExtremaCommand:
         res = json.loads(Path(out_path).read_text())
         assert res["mu_min"] == pytest.approx(0.25, abs=1e-6)
         assert res["mu_max"] == pytest.approx(2.25, abs=1e-6)
+
+    def test_prints_sorted_indented_json(self, capsys):
+        model = VarModel(coeffs=np.array([[[0.5, 0.1], [0.0, 0.3]]]))
+        code, out, _ = run_cli(
+            ["var-extrema", "--model", json.dumps(model.to_json()), "--grid", "64"], capsys
+        )
+        assert code == 0
+        want = var_spectral_extrema(model, grid=64)
+        assert out == json.dumps(want, sort_keys=True, indent=2) + "\n"
 
     def test_unstable_model_rejected(self, tmp_path, capsys):
         mpath = str(tmp_path / "model.json")
@@ -570,7 +589,13 @@ class TestMissingJsonKeys:
          ({"model": {"kind": "theta4", "shape": [3, 3, 3], "r": 10},
            "regularizer": {"kind": "slice_nuclear", "axes": [0, 1]},
            "rate_tag": "r_max_m_logp_over_n"}, "need 1 <= r <= 9"),
-         ({"width_draws": 50}, "draws must be >= 100")],
+         ({"width_draws": 50}, "draws must be >= 100"),
+         ({"model": {"kind": "t4", "shape": [3, 3, 3], "r": 1}, "regularizer": "pairwise",
+           "split": 3}, "rate tag 's_log_total_over_n' needs the model's s to be"),
+         ({"rate_tag": "rsq_sum_dims_over_n"},
+          "rate tag 'rsq_sum_dims_over_n' needs the model's r to be"),
+         ({"model": {"kind": "theta1", "shape": [3, 3, 3], "s": 0}},
+          "rate tag 's_log_total_over_n' needs the model's s to be")],
         ids=["n_grid-int", "seed-str", "seed-negative", "max_iters-str", "max_iters-zero",
              "width_draws-float", "split-null", "c_u-null", "c_u-zero",
              "lambda_multiplier-below-one", "noise_sigma-negative", "noise_sigma-nan",
@@ -578,7 +603,8 @@ class TestMissingJsonKeys:
              "pairwise-split-two", "pairwise-spec-split-two", "entry-l1-mode-and-axes",
              "pairwise-axes", "slice-nuclear-mode", "tensor-spectral",
              "t3-noise-sigma-two", "t3-split-one", "t3-shape-not-m-p-m", "theta1-s-above-27",
-             "theta4-r-above-9", "width_draws-fifty"],
+             "theta4-r-above-9", "width_draws-fifty", "t4-unset-s", "theta1-unset-r",
+             "theta1-zero-s"],
     )
     def test_rate_rejects_a_bad_field_before_running(
         self, tmp_path, capsys, monkeypatch, fields, message

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import weakref
@@ -17,7 +19,6 @@ from tenreg.harness import (
     pairwise_width_mc,
     predicted_rate,
     rate_experiment,
-    report_to_csv,
     verify_packing,
     width_experiment,
 )
@@ -84,6 +85,18 @@ class TestPredictedRate:
         model = ModelClassSpec("theta1", (4, 4, 4), s=1)
         with pytest.raises(ValidationError):
             predicted_rate("bogus", model, 10)
+
+    @pytest.mark.parametrize(
+        "kind, budget, tag, field",
+        [("t4", {"r": 1}, "s_log_total_over_n", "s"),
+         ("theta1", {"s": 2}, "rsq_sum_dims_over_n", "r"),
+         ("theta1", {"s": 0}, "s_log_total_over_n", "s")],
+        ids=["t4-unset-s", "theta1-unset-r", "theta1-zero-s"],
+    )
+    def test_a_budget_below_one_is_refused(self, kind, budget, tag, field):
+        model = ModelClassSpec(kind, (3, 3, 3), **budget)
+        with pytest.raises(ValidationError, match=f"{tag}.*model's {field} "):
+            predicted_rate(tag, model, 100)
 
     @pytest.mark.parametrize(
         "shape, mode, axes", [((4, 5, 6), 0, (0, 1)), ((7, 3, 5), 2, (2, 0))]
@@ -410,6 +423,11 @@ class TestWidthExperiment:
             )
         assert report["flagged"] == []
 
+    @pytest.mark.parametrize("kinds, shapes", [([], [(3, 3, 3)]), ([entry_l1()], [])])
+    def test_an_empty_table_is_refused(self, kinds, shapes):
+        with pytest.raises(ValidationError, match="at least one kind and one shape"):
+            width_experiment(kinds, shapes, draws=150)
+
     def test_pairwise_width(self):
         est = pairwise_width_mc((6, 6, 6), draws=300, seed=2)
         # marginal sums have entries of std sqrt(d), so the top singular
@@ -708,6 +726,46 @@ class TestFano:
         assert report["log_m_ok"]  # 128 n delta_f^2 = 32 delta_pack^2 = 0.32
 
 
+def _ref_report_csv(report):
+    """The CSV writer as it stood when it named each column itself."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    if report.get("kind") == "rate":
+        writer.writerow(["n", "replication", "fro_sq", "emp_sq", "status", "iterations"])
+        for cell in report["cells"]:
+            writer.writerow(
+                [
+                    cell["n"],
+                    cell["replication"],
+                    repr(cell["fro_sq"]),
+                    repr(cell["emp_sq"]),
+                    cell["status"],
+                    cell["iterations"],
+                ]
+            )
+        writer.writerow([])
+        writer.writerow(["summary_key", "value"])
+        writer.writerow(["slope", repr(report["fit"]["slope"])])
+        writer.writerow(["intercept", repr(report["fit"]["intercept"])])
+        writer.writerow(["r_squared", repr(report["fit"]["r_squared"])])
+        for row in report["per_n"]:
+            writer.writerow([f"median_fro_sq_n{row['n']}", repr(row["median_fro_sq"])])
+    else:
+        writer.writerow(["kind", "shape", "estimate", "std_error", "rate_expression", "ratio"])
+        for row in report["rows"]:
+            writer.writerow(
+                [
+                    row["kind"],
+                    "x".join(str(v) for v in row["shape"]),
+                    repr(row["estimate"]),
+                    repr(row["std_error"]),
+                    repr(row["rate_expression"]),
+                    repr(row["ratio"]),
+                ]
+            )
+    return buf.getvalue()
+
+
 class TestReports:
     def test_json_round_trip(self):
         report = width_experiment([entry_l1()], [(3, 3, 3)], draws=150, seed=9)
@@ -731,17 +789,28 @@ class TestReports:
             noise_sigma=0.5,
         )
         rep = rate_experiment(cfg)
-        text = report_to_csv(rep)
+        text = emit_report(rep, "csv")
+        assert text == _ref_report_csv(rep)
         lines = text.strip().split("\n")
-        assert lines[0].startswith("n,replication,fro_sq")
+        assert lines[0] == "n,replication,fro_sq,emp_sq,status,iterations"
         assert len([l for l in lines if l and l[0].isdigit()]) == 40
         assert any(l.startswith("slope,") for l in lines)
+
+    def test_csv_width_report(self):
+        kinds = [entry_l1(), fiber_group(1), slice_nuclear((0, 2)), matricized_nuclear_sum()]
+        report = width_experiment(kinds, [(3, 3, 3), (2, 4, 5)], draws=150, seed=9)
+        text = emit_report(report, "csv")
+        assert text == _ref_report_csv(report)
+        assert text.startswith("kind,shape,estimate,std_error,rate_expression,ratio\n")
+        assert "\nslice_nuclear,2x4x5," in text
 
     def test_csv_write_and_format_error(self):
         report = width_experiment([entry_l1()], [(3, 3, 3)], draws=150, seed=9)
         assert emit_report(report, fmt="csv").startswith("kind,shape,estimate")
         with pytest.raises(ValidationError):
             emit_report(report, fmt="xml")
+        with pytest.raises(ValidationError, match="rate and width"):
+            emit_report({"kind": "packing"}, fmt="csv")
 
     def test_rate_report_schema(self):
         jsonschema = pytest.importorskip("jsonschema")

@@ -14,6 +14,7 @@ from tenreg.errors import (
 )
 from tenreg.regularizers import (
     RegularizerSpec,
+    SubspaceSpec,
     compatibility,
     decomposability_margin,
     entry_l1,
@@ -496,6 +497,38 @@ class TestSubspaceChecks:
         build, error = BAD_SUPPORTS[name]
         with pytest.raises(error):
             build((4, 5, 6))
+
+    @pytest.mark.parametrize(
+        "fields, error",
+        [(("support_entries", (4, 5, 6), ((0, 1),)), ShapeMismatch),  # names a fiber
+         (("support_entries", (4, 5, 6), ((0, 1, 2), (0, 1, 2))), ValueError),
+         (("support_fibers", (4, 5, 6), ((0, 0),)), InvalidAxes),  # no mode
+         (("support_slices", (4, 5, 6), (0,)), InvalidAxes),  # no axes
+         (("support_cubes", (4, 5, 6)), ValueError)],
+        ids=["short-entry", "repeated-entry", "fiber-without-mode",
+             "slice-without-axes", "unknown-variant"],
+    )
+    def test_a_subspace_built_directly_is_checked(self, fields, error):
+        with pytest.raises(error):
+            SubspaceSpec(*fields)
+
+    def test_projectors_built_directly_are_checked(self):
+        good = (_factor(3, 1, 1), _factor(4, 2, 2))
+        with pytest.raises(ValueError, match="role"):
+            SubspaceSpec("slicewise_projectors", SHAPE, axes=(0, 1),
+                         slice_factors=(good,) * 5)
+        with pytest.raises(ShapeMismatch, match="one factor pair per slice"):
+            SubspaceSpec("slicewise_projectors", SHAPE, axes=(0, 1),
+                         slice_factors=(good,) * 4, role="a_space")
+        with pytest.raises(ValueError, match="orthonormal"):
+            SubspaceSpec("slicewise_projectors", SHAPE, axes=(0, 1),
+                         slice_factors=(good,) * 4 + ((2 * good[0], good[1]),),
+                         role="b_space")
+        triple = ProjectorTriple.random(SHAPE, (1, 1, 1), np.random.default_rng(0))
+        with pytest.raises(ShapeMismatch, match="projector dims"):
+            SubspaceSpec("tucker_projectors", (3, 4, 6), triple=triple, role="b_space")
+        with pytest.raises(ShapeMismatch, match="projector dims"):
+            SubspaceSpec("tucker_projectors", SHAPE, role="b_space")  # no triple
 
     def test_numpy_integers_name_groups(self):
         # criterion 4 builds its supports from np.nonzero

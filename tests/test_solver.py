@@ -937,6 +937,22 @@ class TestOverflow:
         assert res.estimate.shape == (3, 3, 3)
 
 
+class TestSolveResult:
+    def test_defaults_are_a_solve_that_overflows_before_its_first_step(self):
+        res = SolveResult(np.int64(2), np.zeros((2, 2, 2)))
+        assert res.status == "Diverged"
+        assert res.kkt_residual == float("inf")
+        assert res.objective_trace == []
+        assert res.iterations == 0
+        assert res.components is None
+        assert type(res.lam) is float and res.lam == 2.0
+
+    def test_fields_are_coerced(self):
+        res = SolveResult(0.5, np.zeros(2), (3.0, 2.0), np.float64(1e-7), 2, "Converged")
+        assert res.objective_trace == [3.0, 2.0]
+        assert type(res.kkt_residual) is float
+
+
 class TestProblemIo:
     def test_round_trip(self, tmp_path):
         p = scalar_problem(12, (2, 3, 2), 0.4, 18)
