@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 validation error, 3 solver non-convergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -90,7 +91,10 @@ def _write_output(text, out):
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
+@functools.cache
 def build_parser():
+    """The parser, built once per process: parsing reads it and leaves it as
+    it was, so every call starts from the same defaults."""
     parser = argparse.ArgumentParser(prog="tenreg")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--threads", type=int, default=1)

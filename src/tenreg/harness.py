@@ -376,6 +376,7 @@ def verify_packing(elements, lo, hi):
 # budget or the set size.
 _PACKING_CHUNK = 4096
 _PACKING_BLOCK = 256
+_SIGNS = np.array([-1.0, 1.0])
 
 
 def _greedy(draw, budget, lo_dot, hi_dot):
@@ -459,9 +460,10 @@ def hypercube_packing(
         def draw(m):
             rows = np.zeros((m, d))
             for row in rows:
-                # the support is drawn before its signs
+                # the support is drawn before its signs; indexing the two
+                # signs by integers draws what choice([-1, 1]) would
                 support = rng.choice(d, size=s, replace=False)
-                row[support] = rng.choice([-1.0, 1.0], size=s)
+                row[support] = _SIGNS[rng.integers(0, 2, size=s)]
             return rows
 
         a = delta / np.sqrt(2.0 * s)

@@ -339,14 +339,26 @@ class _LeastSquares:
     def _columns(self, a):
         return a.reshape(self.design.shape[1], *self.target.shape[1:])
 
-    def loss(self, a):
-        """The loss without its constant offset."""
-        r = self.design @ self._columns(a) - self.target
+    def _residual(self, a):
+        return self.design @ self._columns(a) - self.target
+
+    def _loss_of(self, r):
         return 0.5 * float(r @ r if r.ndim == 1 else (r * r).sum()) / self.n
 
+    def _grad_of(self, r, shape):
+        return (self.design.T @ r / self.n).reshape(shape)
+
+    def loss(self, a):
+        """The loss without its constant offset."""
+        return self._loss_of(self._residual(a))
+
     def grad(self, a):
-        g = self.design.T @ (self.design @ self._columns(a) - self.target) / self.n
-        return g.reshape(a.shape)
+        return self._grad_of(self._residual(a), a.shape)
+
+    def loss_grad(self, a):
+        """``(loss(a), grad(a))`` from one residual: the same floats."""
+        r = self._residual(a)
+        return self._loss_of(r), self._grad_of(r, a.shape)
 
     def lipschitz(self):
         """Largest eigenvalue of M^T M / n by a few power iterations."""
@@ -470,9 +482,10 @@ def _apg(x0, op, prox_step, penalty, dual, lam, config):
     every comparison and added back to each trace entry.  `prox_step(v, t)`
     is the prox of ``t * lam * penalty`` at `v` and `dual` the penalty's
     dual norm, which with `penalty` gives the :func:`_certificate`.  A
-    non-finite step-size inverse or loss stops the loop as Diverged.  The
-    loss runs once at each step's start and once per backtracking trial, the
-    accepted trial's giving the objective.
+    non-finite step-size inverse or loss stops the loop as Diverged.  Each
+    step's start evaluates loss and gradient from one residual, and each
+    backtracking trial the loss once, the accepted trial's giving the
+    objective.
     Returns ``(x, trace, certificate, iterations, status)``.
     """
 
@@ -484,8 +497,7 @@ def _apg(x0, op, prox_step, penalty, dual, lam, config):
         return loss + lam * penalty(x) if lam > 0 else loss
 
     def backtrack(y, lip):
-        g = op.grad(y)
-        fy = op.loss(y)
+        fy, g = op.loss_grad(y)
         while np.isfinite(lip):
             cand = prox_step(y - g / lip, 1.0 / lip)
             f_cand = op.loss(cand)

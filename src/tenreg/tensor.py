@@ -4,12 +4,14 @@ Tucker-style projections, and the TNS1 binary file format.
 Tensors are plain numpy ``float64`` arrays in C order, i.e. the flat layout
 runs with the *last index fastest*.  :func:`as_tensor` rejects NaN/Inf and
 returns a read-only, contiguous array; of the functions here only
-:func:`read_tns` passes its result through it, and the others return
-ordinary writable arrays.
+:func:`read_tns` follows the same rule (on the array it reads into, without
+a second copy), and the others return ordinary writable arrays.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 
 import numpy as np
@@ -45,9 +47,13 @@ def as_tensor(data, shape=None):
                 f"data of size {arr.size} cannot fill shape {tuple(shape)}"
             )
         arr = arr.reshape(shape)
+    return _freeze(arr.copy())
+
+
+def _freeze(arr):
+    """Flag an array the caller owns read-only, after rejecting NaN/Inf."""
     if not np.all(np.isfinite(arr)):
         raise ValueError("tensor entries must be finite")
-    arr = arr.copy()
     arr.flags.writeable = False
     return arr
 
@@ -207,27 +213,35 @@ def write_tns(path, a):
 
     Layout: magic ``b"TNS1"``, u32 order N, N little-endian u64 extents,
     then the entries as little-endian float64 in C order (last index
-    fastest).
+    fastest).  The payload is written from the array's own buffer, so an
+    input that already is C-ordered ``<f8`` is not copied.
     """
     a = np.ascontiguousarray(a, dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(TNS_MAGIC)
         fh.write(struct.pack("<I", a.ndim))
         fh.write(struct.pack(f"<{a.ndim}Q", *a.shape))
-        fh.write(a.tobytes(order="C"))
+        fh.write(a)
 
 
 def read_tns(path):
-    """Read a TNS1 file, rejecting bad magic or truncated payloads."""
+    """Read a TNS1 file as :func:`as_tensor` would return it (finite,
+    read-only), rejecting bad magic and truncated or over-long payloads.
+
+    The payload's length is checked against the header before anything is
+    allocated; it is then read straight into the returned array.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != TNS_MAGIC:
             raise ValueError(f"bad magic {magic!r}, expected {TNS_MAGIC!r}")
         (order,) = struct.unpack("<I", fh.read(4))
         shape = struct.unpack(f"<{order}Q", fh.read(8 * order))
-        payload = fh.read()
-    expected = int(np.prod(shape)) * 8
-    if len(payload) != expected:
-        raise ValueError(f"payload of {len(payload)} bytes, expected {expected}")
-    data = np.frombuffer(payload, dtype="<f8").reshape(shape)
-    return as_tensor(data)
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        expected = math.prod(shape) * 8
+        if size == expected:
+            data = np.empty(shape, dtype="<f8")
+            size = fh.readinto(data)  # short only if the file shrank meanwhile
+    if size != expected:
+        raise ValueError(f"payload of {size} bytes, expected {expected}")
+    return _freeze(data)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tenreg import harness
-from tenreg.cli import main
+from tenreg.cli import build_parser, main
 from tenreg.datagen import VarModel, var_spectral_extrema
 from tenreg.solver import RegressionProblem, save_problem
 
@@ -254,6 +254,33 @@ class TestGenSolve:
         )
         assert code == 2
         assert "error" in err
+
+    def test_cached_parser_keeps_no_state_between_calls(self, tmp_path, capsys):
+        # the parser is built once per process; a call with other values, then
+        # one refused on a bad flag, must leave the next plain call on the
+        # defaults (--seed 0, --max-iters 2000), writing the first call's bytes
+        spec = json.dumps({"kind": "theta1", "shape": [3, 3, 3], "s": 2})
+        prob_dir = str(tmp_path / "prob")
+        run_cli(["--seed", "4", "--out", prob_dir, "gen", "--spec", spec,
+                 "--n", "60", "--sigma", "0.3"], capsys)
+        solve = ["solve", "--problem", prob_dir, "--regularizer", "entry_l1",
+                 "--lam", "auto", "--width-draws", "200"]
+        first, other, last = (tmp_path / f"{name}.json" for name in ("first", "other", "last"))
+        assert run_cli(["--out", str(first), *solve], capsys)[0] == 0
+        code, _, _ = run_cli(
+            ["--seed", "9", "--out", str(other), *solve, "--max-iters", "5"], capsys
+        )
+        assert code == 3
+        assert json.loads(other.read_text())["iterations"] == 5
+        with pytest.raises(SystemExit) as exc:
+            main(["--seed", "7", *solve, "--max-iters", "4", "--no-such-flag"])
+        assert exc.value.code == 2
+        assert "--no-such-flag" in capsys.readouterr().err
+        args = build_parser().parse_args(solve)
+        assert (args.seed, args.max_iters, args.out) == (0, 2000, None)
+        assert run_cli(["--out", str(last), *solve], capsys)[0] == 0
+        assert last.read_bytes() == first.read_bytes()
+        assert first.read_bytes() != other.read_bytes()
 
 
 class TestAutoLambda:

@@ -255,6 +255,20 @@ class TestPrunedTopSingularValues:
         assert np.array_equal(slices, full_svd_slice_dual(spec, g))
         assert np.array_equal(pairwise, full_svd_pairwise_dual(marginal_sums(g)))
 
+    @pytest.mark.parametrize("axes", [(0, 1), (0, 2), (1, 2)])
+    def test_tall_slices_match_full_svd(self, axes):
+        # every slice, and every marginal sum, of a (9, 6, 4) tensor has more
+        # rows than columns, so each bound reads the Gram xt @ x
+        shape = (9, 6, 4)
+        spec = slice_nuclear(axes)
+        batches = dict(special_batches(shape, axes))
+        batches["gaussian"] = np.random.default_rng(4).standard_normal((64,) + shape)
+        for g in batches.values():
+            assert np.array_equal(_dual_batch(spec, g), full_svd_slice_dual(spec, g))
+            assert np.array_equal(
+                _dual_batch(PAIRWISE, g), full_svd_pairwise_dual(marginal_sums(g))
+            )
+
     def test_nan_tensor_raises_as_the_full_svd_does(self):
         a = np.zeros((1, 8, 8, 8))
         a[0, 3, 2, 1] = np.nan

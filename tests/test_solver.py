@@ -276,16 +276,17 @@ class TestFista:
 
     @pytest.mark.parametrize("n", [20, 60])  # data space, compressed
     def test_loss_runs_once_per_step_start_and_per_trial(self, monkeypatch, n):
-        # after the one at the start, every loss evaluation follows either
-        # the gradient at the same point (a step's start) or a prox (a
-        # backtracking trial): the accepted trial's loss is kept, not redone
+        # after the one at the start, every step start is one fused loss and
+        # gradient evaluation, with no separate loss or gradient at its
+        # point, and every loss evaluation follows a prox (a backtracking
+        # trial): the accepted trial's loss is kept, not redone
         events = []
 
         def logged(name, fn):
             return lambda *args: events.append((name, args[-1])) or fn(*args)
 
-        monkeypatch.setattr(_LeastSquares, "loss", logged("loss", _LeastSquares.loss))
-        monkeypatch.setattr(_LeastSquares, "grad", logged("grad", _LeastSquares.grad))
+        for name in ("loss", "grad", "loss_grad"):
+            monkeypatch.setattr(_LeastSquares, name, logged(name, getattr(_LeastSquares, name)))
         monkeypatch.setattr("tenreg.solver.prox", logged("prox", prox))
         # a low first Lipschitz estimate makes the first step backtrack
         lipschitz = _LeastSquares.lipschitz
@@ -293,13 +294,17 @@ class TestFista:
         p = scalar_problem(n, (3, 3, 3), 0.3, 15)
         res = fista_solve(p, entry_l1(), 0.05)
         names = [name for name, _ in events]
-        assert names[0] == "loss"
-        starts = 0
-        for (prev, at_prev), (name, at) in zip(events, events[1:]):
+        # the objective at the start, then the first step's start there
+        assert names[:2] == ["loss", "loss_grad"]
+        for (prev, at_prev), (name, at) in zip(events[1:], events[2:]):
             if name == "loss":
-                assert prev == "prox" or (prev == "grad" and at is at_prev)
-                starts += prev == "grad"
-        assert names.count("loss") == 1 + starts + names.count("prox")
+                assert prev == "prox"
+            if name == "loss_grad":
+                assert not (prev in ("loss", "grad") and at is at_prev)
+            if prev == "loss_grad":
+                assert name == "prox"
+        starts = names.count("loss_grad")
+        assert names.count("loss") == 1 + names.count("prox")
         # the run both backtracked and restarted, so the count covers each
         # way a step can end
         assert names.count("prox") > starts > res.iterations

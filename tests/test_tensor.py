@@ -261,3 +261,42 @@ class TestTnsFormat:
         path.write_bytes(data[:-8])
         with pytest.raises(ValueError, match="payload"):
             read_tns(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        path = tmp_path / "t.tns"
+        write_tns(path, rng.standard_normal((2, 3)))
+        path.write_bytes(path.read_bytes() + b"\x00" * 8)
+        with pytest.raises(ValueError, match="payload of 56 bytes, expected 48"):
+            read_tns(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_payload(self, tmp_path, bad):
+        a = np.zeros((2, 2, 2))
+        a[1, 0, 1] = bad
+        path = tmp_path / "t.tns"
+        write_tns(path, a)
+        with pytest.raises(ValueError, match="finite"):
+            read_tns(path)
+
+    def test_read_returns_a_frozen_array_of_its_own(self, tmp_path):
+        a = rng.standard_normal((3, 4, 5))
+        path = tmp_path / "t.tns"
+        write_tns(path, a)
+        got = read_tns(path)
+        assert got.flags.owndata and got.flags.c_contiguous
+        assert not got.flags.writeable
+        assert got.dtype == np.float64 and got.shape == (3, 4, 5)
+        with pytest.raises(ValueError):
+            got[0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize(
+        "layout",
+        [lambda a: a.astype(">f8"), lambda a: np.asfortranarray(a),
+         lambda a: np.repeat(a, 2, axis=2)[..., ::2], lambda a: a.astype(np.float32)],
+        ids=["big_endian", "fortran", "strided_view", "float32"],
+    )
+    def test_any_layout_writes_the_c_ordered_bytes(self, tmp_path, layout):
+        a = rng.standard_normal((3, 4, 5)).astype(np.float32).astype(np.float64)
+        write_tns(tmp_path / "c.tns", np.ascontiguousarray(a, dtype="<f8"))
+        write_tns(tmp_path / "other.tns", layout(a))
+        assert (tmp_path / "other.tns").read_bytes() == (tmp_path / "c.tns").read_bytes()
