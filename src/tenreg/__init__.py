@@ -60,11 +60,9 @@ from .solver import (
 from .spectral import WidthEstimate, gaussian_width_mc, hopm_spectral, matrix_svt
 from .tensor import (
     ProjectorTriple,
-    as_tensor,
     dematricize,
     inner,
     matricize,
-    outer3,
     read_tns,
     tucker_project,
     write_tns,

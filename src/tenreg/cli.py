@@ -165,11 +165,11 @@ def _cmd_gen(args):
 def _cmd_solve(args):
     problem = solver.load_problem(args.problem)
     reg = _parse_reg(args.regularizer)
-    # refuse what `solve` and the rule would, before the rule's width draws
+    # refuse what `solve` would before the rule's width draws, as
+    # `auto_lambda` refuses the rule's own inputs
     solver._check_max_iters(args.max_iters)
     solver._check_solvable(reg, problem.truth_shape, problem.resp_shape)
     if args.lam == "auto":
-        solver._check_rule(problem.n, args.c_u, reg.c_reg, args.multiplier)
         _, (lam,) = harness.auto_lambda(
             reg,
             problem.truth_shape,
@@ -246,7 +246,7 @@ def main(argv=None):
             raise ValidationError(f"workers must be >= 1, got {args.threads}")
         with np.errstate(over="raise"):
             return _COMMANDS[args.command](args)
-    except (TenregError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (TenregError, ValueError, OSError, FloatingPointError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION
 

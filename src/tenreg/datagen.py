@@ -120,8 +120,13 @@ class ModelClassSpec:
         )
 
 
+_SIGNS = np.array([-1.0, 1.0])
+
+
 def _signs(rng, size):
-    return rng.choice([-1.0, 1.0], size=size)
+    """+-1 entries of the given size, one fair integer draw each: the values
+    and generator state of `Generator.choice` over the two signs."""
+    return _SIGNS[rng.integers(0, 2, size=size)]
 
 
 def _centered_low_rank(rng, d1, d2, r):
@@ -309,7 +314,7 @@ def gen_problem(truth, n, split, noise_sigma, design="iid", seed=0, meta=None):
         x2 = z
     else:
         factor = np.asarray(design, dtype=np.float64)
-        if factor.shape != (dim_cov, dim_cov) or not np.all(np.isfinite(factor)):
+        if factor.shape != (dim_cov, dim_cov) or not np.isfinite(factor).all():
             raise BadCovarianceFactor(
                 f"factor must be a finite {dim_cov}x{dim_cov} matrix"
             )

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import _VAR_LAYOUT, ModelClassSpec, _check_sigma, gen_samples, gen_truth
+from .datagen import _VAR_LAYOUT, ModelClassSpec, _check_sigma, _signs, gen_samples
+from .datagen import gen_truth
 from .errors import (
     BudgetExhausted,
     ValidationError,
@@ -66,7 +67,6 @@ _RATES = {
     "r_max_pairprod_over_n": lambda m: ("r", 1, matricized_nuclear_sum()),
     "rsq_sum_dims_over_n": lambda m: ("r", 2, tensor_spectral()),
 }
-RATE_TAGS = tuple(_RATES)
 
 
 def predicted_rate(tag, model, n):
@@ -376,7 +376,6 @@ def verify_packing(elements, lo, hi):
 # budget or the set size.
 _PACKING_CHUNK = 4096
 _PACKING_BLOCK = 256
-_SIGNS = np.array([-1.0, 1.0])
 
 
 def _greedy(draw, budget, lo_dot, hi_dot):
@@ -448,7 +447,7 @@ def hypercube_packing(
         a = np.sqrt(3.0) * delta / (4.0 * np.sqrt(d))
         floor = d / 3.0
         signs = _greedy(
-            lambda m: rng.choice([-1.0, 1.0], size=(m, d)),
+            lambda m: _signs(rng, (m, d)),
             budget, -d, d - 2 * math.ceil(floor),
         )
         lo, hi = delta**2 / 4.0, delta**2
@@ -460,10 +459,9 @@ def hypercube_packing(
         def draw(m):
             rows = np.zeros((m, d))
             for row in rows:
-                # the support is drawn before its signs; indexing the two
-                # signs by integers draws what choice([-1, 1]) would
+                # the support is drawn before its signs
                 support = rng.choice(d, size=s, replace=False)
-                row[support] = _SIGNS[rng.integers(0, 2, size=s)]
+                row[support] = _signs(rng, s)
             return rows
 
         a = delta / np.sqrt(2.0 * s)
@@ -482,7 +480,7 @@ def hypercube_packing(
         floor = ncoord / 3.0
 
         def draw(m):
-            chunk = rng.choice([-1.0, 1.0], size=(m, d1, r))
+            chunk = _signs(rng, (m, d1, r))
             return chunk[np.linalg.matrix_rank(chunk) >= r].reshape(-1, ncoord)
 
         signs = _greedy(draw, budget, -ncoord, ncoord - 2 * math.ceil(floor))

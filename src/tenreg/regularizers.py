@@ -131,11 +131,6 @@ class RegularizerSpec:
         return 0.5 if self.kind == "tensor_spectral_dual_only" else 1.0
 
     @property
-    def group_axis(self):
-        """Axis indexing the groups for the slice kinds."""
-        return _group_axis(self.axes)
-
-    @property
     def norm_axes(self):
         """Axes each group spans: none for entries, the fiber mode, or the
         slice pair."""

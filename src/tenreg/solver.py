@@ -55,9 +55,7 @@ _BALANCE_TAU = 2.0
 
 
 def _check_finite(name, arr):
-    # any NaN or +-inf entry makes the sum non-finite; unlike isfinite(arr)
-    # this allocates no full-size temporary
-    if not np.isfinite(arr.sum()):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
 
 
@@ -306,15 +304,19 @@ def kkt_residual(problem, spec, lam, a):
     there and rely on the ADMM residuals for convergence.
     """
     a = _check_param(problem, a)
-    g = _exact_loss(problem).grad(a)
-    return _certificate(lam, a, g, reg_dual(spec, g), reg_eval(spec, a))
+    return _certificate(
+        _exact_loss(problem), lam, a, partial(reg_dual, spec), partial(reg_eval, spec)
+    )
 
 
-def _certificate(lam, a, g, dual, r_val):
-    """:func:`kkt_residual` at `a` from the smooth part's gradient `g`, the
-    penalty's dual norm `dual` at `g` and its value `r_val` at `a`.  Every
-    solver certifies through this one formula."""
-    excess = max(0.0, dual - lam)
+def _certificate(op, lam, a, dual, penalty):
+    """:func:`kkt_residual` at `a` for the loss of the :class:`_LeastSquares`
+    `op`, from its gradient ``g`` at `a`, the penalty's dual norm ``dual(g)``
+    and its value ``penalty(a)``.  Every solver certifies through this one
+    formula."""
+    g = op.grad(a)
+    r_val = penalty(a)
+    excess = max(0.0, dual(g) - lam)
     align = abs(float((g * a).sum()) + lam * r_val) / (1.0 + r_val)
     return excess + align
 
@@ -396,9 +398,12 @@ class _LeastSquares:
         return x.reshape(b.shape)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _operator(problem, pairwise=False):
     """The least-squares operator of either problem form, or None when the
-    squares of the data overflow: the one entry every solver takes.
+    squares of the data overflow: the one entry every solver takes.  It
+    runs with overflow ignored, so sums that overflow show as None or as a
+    non-finite loss, which the solvers return as Diverged.
 
     A :class:`RegressionProblem` goes through :func:`_least_squares` on its
     flattened design, or with `pairwise` on its marginal-sum features.  A
@@ -419,7 +424,6 @@ def _operator(problem, pairwise=False):
     return _least_squares(*problem.design_matrices(), problem.n)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _least_squares(x2, y, n):
     """The operator for ``(1/2n) ||x2 a - y||^2`` on data.
 
@@ -429,12 +433,12 @@ def _least_squares(x2, y, n):
     the data to ``(X^T X, X^T y, ||y||^2)`` and hands them to
     :func:`_compressed`.
     """
+    yty = float((y * y).sum())
     if n <= x2.shape[1]:
-        return _LeastSquares(x2, y, n) if np.isfinite((y * y).sum()) else None
-    return _compressed(x2.T @ x2, x2.T @ y, float((y * y).sum()), n)
+        return _LeastSquares(x2, y, n) if math.isfinite(yty) else None
+    return _compressed(x2.T @ x2, x2.T @ y, yty, n)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _compressed(gram, xty, yty, n):
     """The operator for the loss whose sufficient statistics are
     ``gram = X^T X``, ``xty = X^T y``, ``yty = ||y||^2`` and n, or None when
@@ -450,6 +454,8 @@ def _compressed(gram, xty, yty, n):
         return None
     dim = gram.shape[1]
     evals, evecs = np.linalg.eigh(gram)
+    if not np.isfinite(evals).all():  # finite entries, overflowing spectrum
+        return None
     keep = evals > dim * np.finfo(np.float64).eps * evals[-1]
     root = np.sqrt(evals[keep])
     vt = evecs[:, keep].T
@@ -483,21 +489,17 @@ def _apg(x0, op, prox_step, penalty, dual, lam, config):
     is the prox of ``t * lam * penalty`` at `v` and `dual` the penalty's
     dual norm, which with `penalty` gives the :func:`_certificate`.  A
     non-finite step-size inverse or loss stops the loop as Diverged.  Each
-    step's start evaluates loss and gradient from one residual, and each
-    backtracking trial the loss once, the accepted trial's giving the
-    objective.
+    step's start evaluates loss and gradient from one residual, the first
+    one's also giving the starting objective, and each backtracking trial
+    the loss once, the accepted trial's giving the objective.
     Returns ``(x, trace, certificate, iterations, status)``.
     """
-
-    def cert(x):
-        g = op.grad(x)
-        return _certificate(lam, x, g, dual(g), penalty(x))
 
     def full_obj(x, loss):
         return loss + lam * penalty(x) if lam > 0 else loss
 
-    def backtrack(y, lip):
-        fy, g = op.loss_grad(y)
+    def backtrack(y, lip, at_y=None):
+        fy, g = op.loss_grad(y) if at_y is None else at_y
         while np.isfinite(lip):
             cand = prox_step(y - g / lip, 1.0 / lip)
             f_cand = op.loss(cand)
@@ -513,11 +515,11 @@ def _apg(x0, op, prox_step, penalty, dual, lam, config):
     lip = max(op.lipschitz(), 1e-12)
     x = y = x0
     t_mom = 1.0
-    obj = full_obj(x, op.loss(x))
+    at_x0 = op.loss_grad(x0)
+    obj = full_obj(x, at_x0[0])
     trace = [obj + op.offset]
     status = "MaxIters"
     iters_done = 0
-    checked_at = -1  # the iteration whose iterate `kkt` certifies
     dead_steps = 0
 
     try:
@@ -525,7 +527,7 @@ def _apg(x0, op, prox_step, penalty, dual, lam, config):
             raise _Overflow
         for it in range(1, config.max_iters + 1):
             iters_done = it
-            cand, lip, new_obj = backtrack(y, lip)
+            cand, lip, new_obj = backtrack(y, lip, at_x0 if it == 1 else None)
             if new_obj > obj:
                 # adaptive restart: momentum overshot, redo plain step from x
                 t_mom = 1.0
@@ -540,10 +542,12 @@ def _apg(x0, op, prox_step, penalty, dual, lam, config):
             trace.append(obj + op.offset)
             # an objective stall triggers the (costlier) certificate check;
             # the solver only returns early once the certificate passes or
-            # progress is gone at machine precision
-            if (it % _KKT_EVERY == 0) or rel_change < _TOL:
-                kkt, checked_at = cert(x), it
-                if kkt < config.kkt_tol:
+            # progress is gone at machine precision (a stall, so checked);
+            # the last iteration is certified for the result, not checked
+            check = (it % _KKT_EVERY == 0) or rel_change < _TOL
+            if check or it == config.max_iters:
+                kkt = _certificate(op, lam, x, dual, penalty)
+                if check and kkt < config.kkt_tol:
                     status = "Converged"
                     break
             if rel_change < 1e-15:
@@ -554,9 +558,6 @@ def _apg(x0, op, prox_step, penalty, dual, lam, config):
                 dead_steps = 0
     except _Overflow:
         return x, trace, np.inf, iters_done, "Diverged"
-
-    if checked_at != iters_done:
-        kkt = cert(x)
     return x, trace, float(kkt), iters_done, status
 
 
@@ -684,8 +685,7 @@ def admm_matricized(problem, lam, config=None):
             rho /= _BALANCE_TAU
             us = [u * _BALANCE_TAU for u in us]
 
-    g = op.grad(a)
-    kkt = _certificate(lam, a, g, reg_dual(spec, g), reg_eval(spec, a))
+    kkt = _certificate(op, lam, a, partial(reg_dual, spec), partial(reg_eval, spec))
     return SolveResult(lam, a, trace, kkt, iters_done, status)
 
 

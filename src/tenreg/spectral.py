@@ -145,7 +145,7 @@ def hopm_spectral(a, restarts=20, iters=200, *, rng=None):
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 3:
         raise ShapeMismatch("expected an order-3 tensor")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("hopm_spectral needs a finite tensor")
     if not np.any(a):
         raise ZeroTensor("spectral norm of the zero tensor is undefined here")

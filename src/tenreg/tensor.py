@@ -1,11 +1,10 @@
-"""Dense tensor arithmetic: contraction, matricization, outer products,
-Tucker-style projections, and the TNS1 binary file format.
+"""Dense tensor arithmetic: contraction, matricization, Tucker-style
+projections, and the TNS1 binary file format.
 
 Tensors are plain numpy ``float64`` arrays in C order, i.e. the flat layout
-runs with the *last index fastest*.  :func:`as_tensor` rejects NaN/Inf and
-returns a read-only, contiguous array; of the functions here only
-:func:`read_tns` follows the same rule (on the array it reads into, without
-a second copy), and the others return ordinary writable arrays.
+runs with the *last index fastest*.  :func:`read_tns` rejects NaN/Inf and
+returns a read-only, contiguous array of its own; the other functions here
+return ordinary writable arrays.
 """
 
 from __future__ import annotations
@@ -19,11 +18,9 @@ import numpy as np
 from .errors import InvalidAxes, ShapeMismatch
 
 __all__ = [
-    "as_tensor",
     "inner",
     "matricize",
     "dematricize",
-    "outer3",
     "ProjectorTriple",
     "tucker_project",
     "read_tns",
@@ -33,26 +30,9 @@ __all__ = [
 TNS_MAGIC = b"TNS1"
 
 
-def as_tensor(data, shape=None):
-    """Validate and freeze a tensor value.
-
-    Returns a C-contiguous float64 array flagged read-only.  Raises
-    ``ValueError`` on non-finite entries and ``ShapeMismatch`` if `shape`
-    is given and the data cannot be viewed with it.
-    """
-    arr = np.ascontiguousarray(data, dtype=np.float64)
-    if shape is not None:
-        if arr.size != int(np.prod(shape)):
-            raise ShapeMismatch(
-                f"data of size {arr.size} cannot fill shape {tuple(shape)}"
-            )
-        arr = arr.reshape(shape)
-    return _freeze(arr.copy())
-
-
 def _freeze(arr):
     """Flag an array the caller owns read-only, after rejecting NaN/Inf."""
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("tensor entries must be finite")
     arr.flags.writeable = False
     return arr
@@ -108,14 +88,6 @@ def dematricize(mat, shape, modes):
     inter = [shape[k] for k in modes] + [shape[k] for k in rest]
     inv = np.argsort(modes + rest)
     return np.transpose(mat.reshape(inter), inv)
-
-
-def outer3(u, v, w):
-    """Rank-one order-3 tensor ``u x v x w``."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    return np.einsum("i,j,k->ijk", u, v, w)
 
 
 def _mode_multiply(a, mat, k):
@@ -185,17 +157,16 @@ def tucker_project(a, triple, pattern="full"):
 
     ``pattern="full"`` applies ``P1 x P2 x P3`` mode-wise, in mode order.
     ``"q"`` sums the four sign-pattern terms with at most one complemented
-    mode, ``P1P2 + P1P3 + P2P3 - 2 P1P2P3``, from six mode products;
-    ``"qperp"`` is ``a - q``, the other four.  The two are orthogonal
-    projections summing to the identity.  A (..., d1, d2, d3) stack is
-    projected tensor by tensor.
+    mode, ``P1P2 + P1P3 + P2P3 - 2 P1P2P3``, from six mode products; it is
+    an orthogonal projection, and ``a - q`` sums the other four terms.  A
+    (..., d1, d2, d3) stack is projected tensor by tensor.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim < 3:
         raise ShapeMismatch("tucker_project expects an order-3 tensor or a stack of them")
     if a.shape[-3:] != triple.dims:
         raise ShapeMismatch(f"tensor shape {a.shape} != projector dims {triple.dims}")
-    if pattern not in ("full", "q", "qperp"):
+    if pattern not in ("full", "q"):
         raise ValueError(f"unknown pattern {pattern!r}")
     p1 = triple.apply_mode(a, 0)
     p12 = triple.apply_mode(p1, 1)
@@ -204,8 +175,7 @@ def tucker_project(a, triple, pattern="full"):
         return p123
     p13 = triple.apply_mode(p1, 2)
     p23 = triple.apply_mode(triple.apply_mode(a, 1), 2)
-    q = p12 + p13 + p23 - 2.0 * p123
-    return q if pattern == "q" else a - q
+    return p12 + p13 + p23 - 2.0 * p123
 
 
 def write_tns(path, a):
@@ -225,8 +195,8 @@ def write_tns(path, a):
 
 
 def read_tns(path):
-    """Read a TNS1 file as :func:`as_tensor` would return it (finite,
-    read-only), rejecting bad magic and truncated or over-long payloads.
+    """Read a TNS1 file as a finite, read-only array, rejecting bad magic,
+    non-finite entries and truncated or over-long payloads.
 
     The payload's length is checked against the header before anything is
     allocated; it is then read straight into the returned array.

@@ -113,6 +113,37 @@ class TestGenSolve:
         assert result["status"] == "Diverged"
         assert result["kkt_residual"] is None
 
+    @pytest.mark.parametrize("reg", ["entry_l1", "pairwise", "matricized_nuclear_sum"])
+    def test_finite_covariates_whose_sum_overflows_diverge(self, tmp_path, capsys, reg):
+        prob_dir = str(tmp_path / "prob")
+        save_problem(prob_dir, RegressionProblem(np.full((4, 3, 3, 3), 1e308), np.ones(4), 3))
+        res_path = str(tmp_path / "r.json")
+        code, _, err = run_cli(
+            ["--out", res_path, "solve", "--problem", prob_dir, "--regularizer", reg,
+             "--lam", "0.1"],
+            capsys,
+        )
+        assert code == 3, err
+        assert read_strict_json(res_path)["status"] == "Diverged"
+
+    @pytest.mark.parametrize(
+        "spec, sigma",
+        [({"kind": "theta1", "shape": [3, 3, 3], "s": 2}, "1e308"),
+         ({"kind": "theta1", "shape": [3, 3, 3], "s": 2, "magnitude": 1e308}, "1.0")],
+        ids=["sigma", "magnitude"],
+    )
+    def test_gen_overflow_is_an_input_error(self, tmp_path, capsys, spec, sigma):
+        prob_dir = tmp_path / "prob"
+        code, _, err = run_cli(
+            ["--out", str(prob_dir), "gen", "--spec", json.dumps(spec), "--n", "50",
+             "--sigma", sigma],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not prob_dir.exists()
+
     @pytest.mark.parametrize("n", [60, 20])  # compressed, data space
     def test_admm_diverged_result_is_strict_json(self, tmp_path, capsys, n):
         prob_dir = str(tmp_path / "prob")
@@ -226,7 +257,8 @@ class TestGenSolve:
     ):
         # an input that `solve` or the tuning rule refuses is refused before
         # the automatic lambda draws its width
-        monkeypatch.setattr(harness, "auto_lambda", pytest.fail)
+        for width in ("gaussian_width_mc", "pairwise_width_mc"):
+            monkeypatch.setattr(harness, width, lambda *a, **k: pytest.fail("width drawn"))
         r = np.random.default_rng(42)
         prob_dir = str(tmp_path / "prob")
         cov_shape = (3, 3, 3)[:split]

@@ -5,6 +5,7 @@ import pytest
 
 from tenreg.datagen import (
     ModelClassSpec,
+    _signs,
     VarModel,
     class_certificate,
     gen_pairwise_components,
@@ -30,6 +31,24 @@ from tenreg.regularizers import entry_l1
 from tenreg.tensor import inner, matricize
 
 rng = np.random.default_rng(31)
+
+
+class TestSigns:
+    # every +-1 draw goes through `_signs`: a support class's (s,) + group
+    # shape, a VAR cell's (p,) lags, and a chunk of m full or lowrank packing
+    # candidates, (m, d) and (m, d1, r); each must draw the values and leave
+    # the generator state of Generator.choice over the two signs
+    @pytest.mark.parametrize(
+        "size", [(5,), (3, 4), (2, 4, 5), 3, (4096, 12), (4096, 6, 2)]
+    )
+    @pytest.mark.parametrize("seed", range(5))
+    def test_draws_what_choice_draws(self, size, seed):
+        got, want = np.random.default_rng(seed), np.random.default_rng(seed)
+        signs = _signs(got, size)
+        ref = want.choice([-1.0, 1.0], size=size)
+        assert signs.dtype == ref.dtype and signs.shape == ref.shape
+        np.testing.assert_array_equal(signs, ref)
+        assert got.bit_generator.state == want.bit_generator.state
 
 
 class TestGenTruth:

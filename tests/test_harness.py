@@ -113,7 +113,7 @@ class TestPredictedRate:
             "r_max_pairprod_over_n": (2, matricized_nuclear_sum()),
             "rsq_sum_dims_over_n": (4, tensor_spectral()),
         }
-        assert set(laws) | {"r_max_dim_over_n"} == set(harness.RATE_TAGS)
+        assert set(laws) | {"r_max_dim_over_n"} == set(harness._RATES)
         for tag, (budget, penalty) in laws.items():
             want = budget * width_rate_expression(penalty, shape) ** 2 / 250
             assert predicted_rate(tag, model, 250) == pytest.approx(want, rel=1e-12)

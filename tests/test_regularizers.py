@@ -35,6 +35,7 @@ from tenreg.regularizers import (
 )
 from tenreg.regularizers import (
     _dual_batch,
+    _group_axis,
     _groups,
     _matched_bound,
     _max_top_sv,
@@ -159,7 +160,7 @@ class TestRegDual:
 
 def full_svd_slice_dual(spec, g):
     # the slice-nuclear dual as a full SVD of every slice computes it
-    order = (0, spec.group_axis + 1) + tuple(ax + 1 for ax in spec.axes)
+    order = (0, _group_axis(spec.axes) + 1) + tuple(ax + 1 for ax in spec.axes)
     sv = np.linalg.svd(np.transpose(g, order), compute_uv=False)
     return sv[..., 0].max(axis=1)
 
@@ -930,7 +931,7 @@ class TestGeometry:
         "axes, group", [((0, 1), 2), ((1, 0), 2), ((0, 2), 1), ((2, 1), 0)]
     )
     def test_group_axis(self, axes, group):
-        assert slice_frob(axes).group_axis == group
+        assert _group_axis(slice_frob(axes).axes) == group
 
     @pytest.mark.parametrize("kind", ["slice_frob", "slice_nuclear"])
     @pytest.mark.parametrize(

@@ -276,10 +276,11 @@ class TestFista:
 
     @pytest.mark.parametrize("n", [20, 60])  # data space, compressed
     def test_loss_runs_once_per_step_start_and_per_trial(self, monkeypatch, n):
-        # after the one at the start, every step start is one fused loss and
-        # gradient evaluation, with no separate loss or gradient at its
-        # point, and every loss evaluation follows a prox (a backtracking
-        # trial): the accepted trial's loss is kept, not redone
+        # every step start is one fused loss and gradient evaluation, with no
+        # separate loss or gradient at its point, the first one's loss also
+        # being the starting objective, and every loss evaluation follows a
+        # prox (a backtracking trial): the accepted trial's loss is kept, not
+        # redone
         events = []
 
         def logged(name, fn):
@@ -294,9 +295,9 @@ class TestFista:
         p = scalar_problem(n, (3, 3, 3), 0.3, 15)
         res = fista_solve(p, entry_l1(), 0.05)
         names = [name for name, _ in events]
-        # the objective at the start, then the first step's start there
-        assert names[:2] == ["loss", "loss_grad"]
-        for (prev, at_prev), (name, at) in zip(events[1:], events[2:]):
+        # the first step's start gives the objective at the start too
+        assert names[:2] == ["loss_grad", "prox"]
+        for (prev, at_prev), (name, at) in zip(events, events[1:]):
             if name == "loss":
                 assert prev == "prox"
             if name == "loss_grad":
@@ -304,7 +305,7 @@ class TestFista:
             if prev == "loss_grad":
                 assert name == "prox"
         starts = names.count("loss_grad")
-        assert names.count("loss") == 1 + names.count("prox")
+        assert names.count("loss") == names.count("prox")
         # the run both backtracked and restarted, so the count covers each
         # way a step can end
         assert names.count("prox") > starts > res.iterations
@@ -742,13 +743,19 @@ class TestOneCertificate:
         p = gen_problem(gen_truth(spec, 49), n, 3, 0.5, seed=50)
         res = fista_pairwise(p, 0.05, FistaConfig(max_iters=max_iters))
         vec = np.concatenate([c.ravel() for c in res.components])
-        g = _least_squares(*pairwise_design(p), p.n).grad(vec)
-        blocks = np.split(g, np.cumsum([c.size for c in res.components])[:-1])
-        dual = _max_top_sv(
-            [b.reshape(c.shape)[None, None] for b, c in zip(blocks, res.components)]
-        )[0]
-        r_val = sum(np.linalg.svd(c, compute_uv=False).sum() for c in res.components)
-        assert res.kkt_residual == _certificate(0.05, vec, g, dual, r_val)
+        cuts = np.cumsum([c.size for c in res.components])[:-1]
+
+        def blocks(v):
+            return [b.reshape(c.shape) for b, c in zip(np.split(v, cuts), res.components)]
+
+        def dual(g):
+            return _max_top_sv([b[None, None] for b in blocks(g)])[0]
+
+        def penalty(v):
+            return sum(np.linalg.svd(b, compute_uv=False).sum() for b in blocks(v))
+
+        op = _least_squares(*pairwise_design(p), p.n)
+        assert res.kkt_residual == _certificate(op, 0.05, vec, dual, penalty)
 
 
 def full_rank_problem():
@@ -940,6 +947,48 @@ class TestOverflow:
         assert res.iterations == 0
         assert res.kkt_residual == float("inf")
         assert res.estimate.shape == (3, 3, 3)
+
+
+def huge_forms():
+    """A problem of finite entries whose sums overflow, as data and as
+    statistics: every entry is 1e308."""
+    with np.errstate(over="raise"):
+        return (
+            RegressionProblem(np.full((4, 2, 2, 2), 1e308), np.ones(4), 3),
+            SufficientStats(np.full((8, 8), 1e308), np.full((2, 2, 2), 1e308), 1.0, 4, 3),
+        )
+
+
+class TestFiniteButHuge:
+    """Finiteness is a test of the entries, not of their sum: finite data
+    whose sum overflows are a problem, which every solver ends as Diverged."""
+
+    def test_builds_as_data_and_as_statistics(self):
+        p, st = huge_forms()
+        assert (p.n, p.cov_shape, st.n, st.cov_shape) == (4, (2, 2, 2), 4, (2, 2, 2))
+
+    @pytest.mark.parametrize("form", [0, 1], ids=["data", "statistics"])
+    def test_every_solver_diverges(self, form):
+        p = huge_forms()[form]
+        with np.errstate(over="raise"):
+            results = [fista_solve(p, entry_l1(), 0.1), fista_solve(p, PAIRWISE, 0.1),
+                       admm_matricized(p, 0.1)]
+        assert [r.status for r in results] == ["Diverged"] * 3
+        assert [r.kkt_residual for r in results] == [float("inf")] * 3
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["covariates", "responses", "truth", "gram", "xty"])
+    def test_non_finite_entries_refused_among_huge_ones(self, name, bad):
+        fields = {"covariates": np.full((4, 2, 2, 2), 1e308), "responses": np.full(4, 1e308),
+                  "truth": np.full((2, 2, 2), 1e308), "gram": np.full((8, 8), 1e308),
+                  "xty": np.full((2, 2, 2), 1e308)}
+        fields[name].flat[-1] = bad
+        with np.errstate(over="raise"), pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            if name in ("gram", "xty"):
+                SufficientStats(fields["gram"], fields["xty"], 1.0, 4, 3, truth=fields["truth"])
+            else:
+                RegressionProblem(fields["covariates"], fields["responses"], 3,
+                                  truth=fields["truth"])
 
 
 class TestSolveResult:

@@ -24,7 +24,6 @@ from tenreg.spectral import (
     matrix_svt,
     width_rate_expression,
 )
-from tenreg.tensor import outer3
 
 rng = np.random.default_rng(11)
 
@@ -88,7 +87,8 @@ class TestHopm:
     def test_rank_one(self):
         e1 = np.zeros(3)
         e1[0] = 1.0
-        res = hopm_spectral(5.0 * outer3(e1, e1, e1), rng=np.random.default_rng(0))
+        a = 5.0 * np.einsum("i,j,k->ijk", e1, e1, e1)
+        res = hopm_spectral(a, rng=np.random.default_rng(0))
         assert res["value"] == pytest.approx(5.0, rel=1e-10)
         u, v, w = res["factors"]
         sign_product = np.sign(u[0]) * np.sign(v[0]) * np.sign(w[0])
@@ -543,7 +543,7 @@ class TestOneHopmLoop:
         g = gen.standard_normal((40, 4, 5, 6))
         for b in range(0, 40, 2):
             u, v, w = (gen.standard_normal(d) for d in (4, 5, 6))
-            g[b] = (1.0 + b) * outer3(u, v, w)
+            g[b] = (1.0 + b) * np.einsum("i,j,k->ijk", u, v, w)
         sizes = []
         sweep = spectral._hopm_sweep
 
@@ -567,7 +567,8 @@ class TestOneHopmLoop:
         gen = np.random.default_rng(22)
         g = gen.standard_normal((40, 4, 5, 6))
         for b in range(0, 40, 4):
-            g[b] = outer3(*(gen.standard_normal(d) for d in (4, 5, 6)))
+            u, v, w = (gen.standard_normal(d) for d in (4, 5, 6))
+            g[b] = np.einsum("i,j,k->ijk", u, v, w)
         index = {gb.tobytes(): b for b, gb in enumerate(g)}
         calls = []
         sweep = spectral._hopm_sweep
