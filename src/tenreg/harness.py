@@ -200,65 +200,64 @@ def _log_fit(x, y):
     return float(slope), float(intercept), r2
 
 
+def _cells(model, n, split, sigma, seq, reps, reg, lam, max_iters):
+    """The `reps` replications of one (model, n) point, each a truth and a
+    sample drawn by :func:`gen_samples` from its own child of the
+    SeedSequence `seq`, solved by `solve` at `lam` and scored on
+    delta = estimate - truth.  Yields (cell record, truth) in order."""
+    problems = gen_samples(model, n, split, sigma, [r.spawn(2) for r in seq.spawn(reps)])
+    for ri in range(reps):
+        problem = next(problems)
+        res = solve(problem, reg, lam, max_iters)
+        truth = problem.truth
+        delta = res.estimate - truth
+        cell = {
+            "n": int(n),
+            "replication": ri,
+            "fro_sq": float((delta * delta).sum()),
+            "emp_sq": empirical_norm(problem, delta) ** 2,
+            "status": res.status,
+            "iterations": res.iterations,
+        }
+        # a VAR sample pins its lockstep group's series: drop it before
+        # `next` may simulate the next group (an enumerate would keep it)
+        del problem
+        yield cell, truth
+
+
 def rate_experiment(config):
     """Run the sweep and fit log median error against log predicted rate.
 
     Every cell derives its RNG stream from the config seed, so reports are
     replayable byte for byte.  Solver non-convergence is counted per cell
-    rather than failing the sweep.  The replications of one n are drawn by
-    :func:`gen_samples` and solved as it yields them.
+    rather than failing the sweep.  Each n's cells come from :func:`_cells`
+    and its row of medians is a reduction over them.
     """
-    model = config.model
+    model, reps = config.model, config.replications
     width, lams = auto_lambda(
-        config.regularizer,
-        model.shape,
-        config.n_grid,
-        config.noise_sigma,
-        config.width_draws,
-        config.seed,
-        c_u=config.c_u,
+        config.regularizer, model.shape, config.n_grid, config.noise_sigma,
+        config.width_draws, config.seed, c_u=config.c_u,
         multiplier=config.lambda_multiplier,
     )
-
-    root = np.random.SeedSequence(config.seed)
-    per_n_seeds = root.spawn(len(config.n_grid))
-    cells = []
-    per_n = []
-    for gi, (n, lam) in enumerate(zip(config.n_grid, lams)):
-        # each replication's truth and sample seeds
-        children = [rep.spawn(2) for rep in per_n_seeds[gi].spawn(config.replications)]
-        problems = gen_samples(model, n, config.split, config.noise_sigma, children)
-        for ri in range(config.replications):
-            problem = next(problems)
-            res = solve(problem, config.regularizer, lam, config.max_iters)
-            delta = res.estimate - problem.truth
-            cells.append(
-                {
-                    "n": int(n),
-                    "replication": ri,
-                    "fro_sq": float((delta * delta).sum()),
-                    "emp_sq": empirical_norm(problem, delta) ** 2,
-                    "status": res.status,
-                    "iterations": res.iterations,
-                }
-            )
-            # a VAR sample pins its lockstep group's series: drop it before
-            # `next` may simulate the next group (an enumerate would keep it)
-            del problem
-        at_n = cells[-config.replications :]
+    seqs = np.random.SeedSequence(config.seed).spawn(len(config.n_grid))
+    cells, per_n = [], []
+    for seq, n, lam in zip(seqs, config.n_grid, lams):
+        at_n = [cell for cell, _ in _cells(
+            model, n, config.split, config.noise_sigma, seq, reps,
+            config.regularizer, lam, config.max_iters,
+        )]
+        cells += at_n
         fro2 = [cell["fro_sq"] for cell in at_n]
-        per_n.append(
-            {
-                "n": int(n),
-                "lambda": lam,
-                "median_fro_sq": float(np.median(fro2)),
-                "median_emp_sq": float(np.median([cell["emp_sq"] for cell in at_n])),
-                "q25_fro_sq": float(np.percentile(fro2, 25)),
-                "q75_fro_sq": float(np.percentile(fro2, 75)),
-                "predicted_rate": float(predicted_rate(config.rate_tag, model, n)),
-                "nonconverged": sum(cell["status"] != "Converged" for cell in at_n),
-            }
-        )
+        per_n.append({
+            "n": int(n),
+            "lambda": lam,
+            "median_fro_sq": float(np.median(fro2)),
+            "median_emp_sq": float(np.median([cell["emp_sq"] for cell in at_n])),
+            "q25_fro_sq": float(np.percentile(fro2, 25)),
+            "q75_fro_sq": float(np.percentile(fro2, 75)),
+            "predicted_rate": float(predicted_rate(config.rate_tag, model, n)),
+            "nonconverged": sum(cell["status"] != "Converged" for cell in at_n),
+        })
     slope, intercept, r2 = _log_fit(
         [np.log(row["predicted_rate"]) for row in per_n],
         [np.log(row["median_fro_sq"]) for row in per_n],

@@ -241,22 +241,30 @@ def _check_param(problem, a):
     return a
 
 
-def _exact_loss(problem):
-    """The loss of `problem` as :func:`objective` and :func:`kkt_residual`
-    read it: on the data themselves, or compressed from statistics."""
+@np.errstate(over="ignore", invalid="ignore")
+def _on_exact_loss(problem, a, value):
+    """``value(op, a)`` for the loss operator `op` of `problem` as
+    :func:`objective` and :func:`kkt_residual` read it: on the data
+    themselves, or compressed from statistics.  Sums of finite data that
+    overflow read as inf, with no warning, as a solve on them ends Diverged
+    with an infinite certificate."""
+    a = _check_param(problem, a)
     if isinstance(problem, SufficientStats):
-        return _operator(problem)
-    return _LeastSquares(*problem.design_matrices(), problem.n)
+        op = _operator(problem)
+    else:
+        op = _LeastSquares(*problem.design_matrices(), problem.n)
+    val = math.inf if op is None else value(op, a)
+    return val if math.isfinite(val) else math.inf
 
 
 def objective(problem, spec, lam, a):
     """(1/2n) sum ||Y_i - <X_i, a>||_F^2 + lam * R(a)."""
-    a = _check_param(problem, a)
-    op = _exact_loss(problem)
-    val = op.loss(a) + op.offset
-    if lam != 0.0:
-        val += lam * reg_eval(spec, a)
-    return val
+
+    def value(op, a):
+        val = op.loss(a) + op.offset
+        return val + lam * reg_eval(spec, a) if lam != 0.0 else val
+
+    return _on_exact_loss(problem, a, value)
 
 
 def empirical_norm(problem, delta):
@@ -303,10 +311,8 @@ def kkt_residual(problem, spec, lam, a):
     spectral-max form, which over-covers, so treat the value as diagnostic
     there and rely on the ADMM residuals for convergence.
     """
-    a = _check_param(problem, a)
-    return _certificate(
-        _exact_loss(problem), lam, a, partial(reg_dual, spec), partial(reg_eval, spec)
-    )
+    dual, penalty = partial(reg_dual, spec), partial(reg_eval, spec)
+    return _on_exact_loss(problem, a, lambda op, a: _certificate(op, lam, a, dual, penalty))
 
 
 def _certificate(op, lam, a, dual, penalty):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from tenreg import datagen, harness, solver
-from tenreg.datagen import ModelClassSpec, gen_var_model, gen_var_series
+from tenreg.datagen import ModelClassSpec, gen_truth, gen_var_model, gen_var_series
 from tenreg.errors import BudgetExhausted, ShapeMismatch, ValidationError
 from tenreg.harness import (
     PackingSet,
@@ -321,6 +321,55 @@ class TestVarLockstep:
             delta = res.estimate - problem.truth
             assert rep["cells"][ri]["fro_sq"] == float((delta * delta).sum())
             assert rep["cells"][ri]["iterations"] == res.iterations
+
+
+class TestRateReport:
+    """A rate report is a reduction over its own cells, and each cell is
+    scored against the truth its own seed draws."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [TestRateConfig()._config(noise_sigma=0.5), TestVarLockstep.CONFIG],
+        ids=["theta1", "t3"],
+    )
+    def test_rows_and_fit_reduce_the_cells(self, config):
+        rep = rate_experiment(config)
+        reps, model = config.replications, config.model
+        width, lams = harness.auto_lambda(
+            config.regularizer, model.shape, config.n_grid, config.noise_sigma,
+            config.width_draws, config.seed,
+        )
+        assert rep["width"] == width.to_json()
+        # fresh streams: `_cells` spawns from the ones it is given
+        seqs = zip(np.random.SeedSequence(config.seed).spawn(len(config.n_grid)),
+                   np.random.SeedSequence(config.seed).spawn(len(config.n_grid)))
+        for gi, (row, n, lam, (seq, own)) in enumerate(
+            zip(rep["per_n"], config.n_grid, lams, seqs)
+        ):
+            at_n = rep["cells"][gi * reps : (gi + 1) * reps]
+            fro2 = [c["fro_sq"] for c in at_n]
+            assert row == {
+                "n": n,
+                "lambda": lam,
+                "median_fro_sq": float(np.median(fro2)),
+                "median_emp_sq": float(np.median([c["emp_sq"] for c in at_n])),
+                "q25_fro_sq": float(np.percentile(fro2, 25)),
+                "q75_fro_sq": float(np.percentile(fro2, 75)),
+                "predicted_rate": predicted_rate(config.rate_tag, model, n),
+                "nonconverged": sum(c["status"] != "Converged" for c in at_n),
+            }
+            pairs = list(harness._cells(
+                model, n, config.split, config.noise_sigma, seq, reps,
+                config.regularizer, lam, config.max_iters,
+            ))
+            assert [cell for cell, _ in pairs] == at_n
+            for (_, truth), rseed in zip(pairs, own.spawn(reps), strict=True):
+                np.testing.assert_array_equal(truth, gen_truth(model, rseed.spawn(2)[0]))
+        slope, intercept, r2 = harness._log_fit(
+            np.log([row["predicted_rate"] for row in rep["per_n"]]),
+            np.log([row["median_fro_sq"] for row in rep["per_n"]]),
+        )
+        assert rep["fit"] == {"slope": slope, "intercept": intercept, "r_squared": r2}
 
 
 class TestBenefitComparisons:

@@ -976,6 +976,13 @@ class TestFiniteButHuge:
         assert [r.status for r in results] == ["Diverged"] * 3
         assert [r.kkt_residual for r in results] == [float("inf")] * 3
 
+    @pytest.mark.parametrize("form", [0, 1], ids=["data", "statistics"])
+    def test_objective_and_certificate_read_inf(self, form):
+        p, a = huge_forms()[form], np.ones((2, 2, 2))
+        with np.errstate(over="raise"):
+            assert objective(p, entry_l1(), 0.1, a) == float("inf")
+            assert kkt_residual(p, entry_l1(), 0.1, a) == float("inf")
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("name", ["covariates", "responses", "truth", "gram", "xty"])
     def test_non_finite_entries_refused_among_huge_ones(self, name, bad):
