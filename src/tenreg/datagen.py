@@ -25,7 +25,7 @@ from .errors import (
     json_tuple,
 )
 from .regularizers import _group_axis, _group_norms, _groups
-from .solver import RegressionProblem, SufficientStats, expand_pairwise
+from .solver import RegressionProblem, SufficientStats, _check_sigma, expand_pairwise
 from .tensor import matricize
 
 __all__ = [
@@ -277,12 +277,6 @@ def _check_n(n):
     """The sample count check of every sampler: an integer >= 1."""
     if not (is_int(n) and n >= 1):
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
-
-
-def _check_sigma(noise_sigma):
-    """The noise scale check of both Gaussian samplers: a finite number >= 0."""
-    if not (is_real(noise_sigma) and noise_sigma >= 0):
-        raise ValueError(f"noise_sigma must be a finite number >= 0, got {noise_sigma!r}")
 
 
 def _check_sample(truth, n, split, noise_sigma):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import _VAR_LAYOUT, ModelClassSpec, _check_sigma, _signs, gen_samples
+from .datagen import _VAR_LAYOUT, ModelClassSpec, _signs, gen_samples
 from .datagen import gen_truth
 from .errors import (
     BudgetExhausted,
@@ -25,7 +25,7 @@ from .errors import (
 )
 from .regularizers import RegularizerSpec, entry_l1, fiber_group, slice_frob
 from .regularizers import matricized_nuclear_sum, slice_nuclear, tensor_spectral
-from .solver import _check_max_iters, _check_rule, _check_solvable
+from .solver import _check_max_iters, _check_rule, _check_sigma, _check_solvable
 from .solver import empirical_norm, lambda_rule, solve
 
 # Unused here since the harness solves through `solve`, but kept bound: the

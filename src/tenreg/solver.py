@@ -15,7 +15,8 @@ from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
-from .errors import NoClosedFormProx, ShapeMismatch, is_int, is_real, json_key
+from .errors import NoClosedFormProx, ShapeMismatch, ValidationError, is_int, is_real
+from .errors import json_key
 from .regularizers import RegularizerSpec, _matched_bound, prox, reg_dual, reg_eval
 from .spectral import matrix_svt
 from .tensor import dematricize, matricize, read_tns, write_tns
@@ -59,6 +60,13 @@ def _check_finite(name, arr):
         raise ValueError(f"{name} must be finite")
 
 
+def _check_sigma(noise_sigma):
+    """The noise scale check of a problem and of both Gaussian samplers: a
+    finite number >= 0."""
+    if not (is_real(noise_sigma) and noise_sigma >= 0):
+        raise ValueError(f"noise_sigma must be a finite number >= 0, got {noise_sigma!r}")
+
+
 @dataclass
 class RegressionProblem:
     """A sample of covariate/response pairs with the covariate-mode split.
@@ -86,6 +94,7 @@ class RegressionProblem:
             raise ShapeMismatch("need at least one sample")
         if self.split != self.covariates.ndim - 1:
             raise ShapeMismatch("split must equal the covariate order")
+        _check_sigma(self.noise_sigma)
         _check_truth(self)
 
     @property
@@ -245,9 +254,11 @@ def _check_param(problem, a):
 def _on_exact_loss(problem, a, value):
     """``value(op, a)`` for the loss operator `op` of `problem` as
     :func:`objective` and :func:`kkt_residual` read it: on the data
-    themselves, or compressed from statistics.  Sums of finite data that
-    overflow read as inf, with no warning, as a solve on them ends Diverged
-    with an infinite certificate."""
+    themselves, or on statistics through the solvers' own compressed
+    operator.  Sums of finite data that overflow read as inf, with no
+    warning, as a solve on them ends Diverged with an infinite certificate;
+    statistics whose Gram overflows have no operator, so they read inf at
+    every point, as their solve ends Diverged."""
     a = _check_param(problem, a)
     if isinstance(problem, SufficientStats):
         op = _operator(problem)
@@ -259,12 +270,17 @@ def _on_exact_loss(problem, a, value):
 
 def objective(problem, spec, lam, a):
     """(1/2n) sum ||Y_i - <X_i, a>||_F^2 + lam * R(a)."""
+    penalty = partial(reg_eval, spec)
+    return _on_exact_loss(
+        problem, a, lambda op, a: _penalized(op.loss(a), lam, penalty, a) + op.offset
+    )
 
-    def value(op, a):
-        val = op.loss(a) + op.offset
-        return val + lam * reg_eval(spec, a) if lam != 0.0 else val
 
-    return _on_exact_loss(problem, a, value)
+def _penalized(loss, lam, penalty, a):
+    """``loss + lam * penalty(a)``, the penalty skipped at lam = 0: the
+    objective as every solver and :func:`objective` form it, each adding
+    its operator's constant offset last."""
+    return loss + lam * penalty(a) if lam != 0.0 else loss
 
 
 def empirical_norm(problem, delta):
@@ -386,7 +402,8 @@ class _LeastSquares:
     def spectrum(self):
         """``(W, e)`` with ``W = U^T M``, from one eigendecomposition
         ``M M^T = U diag(n e) U^T`` of the row Gram, the smaller Gram, taken
-        on first use and kept; None when it overflows.  ``W^T W = M^T M``."""
+        on first use and kept; None when it overflows.  ``W^T W = M^T M``.
+        A compressed operator has it set by :func:`_compressed`."""
         rows = self.design @ self.design.T
         if not np.isfinite(rows).all():
             return None
@@ -454,7 +471,9 @@ def _compressed(gram, xty, yty, n):
     (marginal features are rank-deficient), ``M = L^(1/2) V^T``,
     ``T = L^(-1/2) V^T X^T y`` and ``offset = (||y||^2 - ||T||^2) / 2n``
     give the loss and gradient of the data at O(d^2) instead of O(nd) per
-    evaluation.
+    evaluation.  Since ``M M^T = L``, the operator's
+    :attr:`~_LeastSquares.spectrum` is ``(M, L / n)`` from this one
+    eigendecomposition.
     """
     if not np.isfinite(gram).all():
         return None
@@ -469,7 +488,9 @@ def _compressed(gram, xty, yty, n):
     offset = 0.5 * (yty - float((target * target).sum())) / n
     if not np.isfinite(offset):
         return None
-    return _LeastSquares(root[:, None] * vt, target, n, offset)
+    op = _LeastSquares(root[:, None] * vt, target, n, offset)
+    op.spectrum = op.design, evals[keep] / n
+    return op
 
 
 @dataclass
@@ -501,9 +522,6 @@ def _apg(x0, op, prox_step, penalty, dual, lam, config):
     Returns ``(x, trace, certificate, iterations, status)``.
     """
 
-    def full_obj(x, loss):
-        return loss + lam * penalty(x) if lam > 0 else loss
-
     def backtrack(y, lip, at_y=None):
         fy, g = op.loss_grad(y) if at_y is None else at_y
         while np.isfinite(lip):
@@ -514,7 +532,7 @@ def _apg(x0, op, prox_step, penalty, dual, lam, config):
             diff = cand - y
             quad = fy + float((g * diff).sum()) + 0.5 * lip * float((diff * diff).sum())
             if f_cand <= quad + 1e-12 * max(1.0, abs(quad)):
-                return cand, lip, full_obj(cand, f_cand)
+                return cand, lip, _penalized(f_cand, lam, penalty, cand)
             lip *= 2.0
         raise _Overflow
 
@@ -522,7 +540,7 @@ def _apg(x0, op, prox_step, penalty, dual, lam, config):
     x = y = x0
     t_mom = 1.0
     at_x0 = op.loss_grad(x0)
-    obj = full_obj(x, at_x0[0])
+    obj = _penalized(at_x0[0], lam, penalty, x)
     trace = [obj + op.offset]
     status = "MaxIters"
     iters_done = 0
@@ -647,12 +665,9 @@ def admm_matricized(problem, lam, config=None):
     if op is None or op.spectrum is None:
         return SolveResult(lam, np.zeros(shape))
 
-    def full_obj(a):
-        loss = op.loss(a) + op.offset
-        return (loss + lam * reg_eval(spec, a)) if lam > 0 else loss
-
+    penalty = partial(reg_eval, spec)
     a = np.zeros(shape)
-    trace = [full_obj(a)]
+    trace = [_penalized(op.loss(a), lam, penalty, a) + op.offset]
     rhs0 = -op.grad(a)  # M^T T / n
     rho = _ADMM_RHO
     zs = [np.zeros(shape) for _ in range(3)]
@@ -677,7 +692,7 @@ def admm_matricized(problem, lam, config=None):
             primal_sq += float(((a - znew) ** 2).sum())
         r_norm = np.sqrt(primal_sq)
         s_norm = rho * np.sqrt(dual_sq)
-        trace.append(full_obj(a))
+        trace.append(_penalized(op.loss(a), lam, penalty, a) + op.offset)
         if not np.isfinite(r_norm) or trace[-1] > 1e3 * max(trace[0], 1e-12):
             status = "Diverged"
             break
@@ -691,7 +706,7 @@ def admm_matricized(problem, lam, config=None):
             rho /= _BALANCE_TAU
             us = [u * _BALANCE_TAU for u in us]
 
-    kkt = _certificate(op, lam, a, partial(reg_dual, spec), partial(reg_eval, spec))
+    kkt = _certificate(op, lam, a, partial(reg_dual, spec), penalty)
     return SolveResult(lam, a, trace, kkt, iters_done, status)
 
 
@@ -810,7 +825,10 @@ def load_problem(directory):
     paths = json_key(manifest, "paths", "problem manifest")
 
     def read(key):
-        return read_tns(os.path.join(base, json_key(paths, key, "manifest paths")))
+        name = json_key(paths, key, "manifest paths")
+        if not isinstance(name, str):
+            raise ValidationError(f"manifest path {key!r} must be a string, got {name!r}")
+        return read_tns(os.path.join(base, name))
 
     return RegressionProblem(
         covariates=read("covariates"),

@@ -194,20 +194,32 @@ def write_tns(path, a):
         fh.write(a)
 
 
+def _header_field(fh, end, fmt):
+    """Unpack `fmt` at the position of `fh`, a file of `end` bytes, after
+    checking that the file holds it."""
+    need = struct.calcsize(fmt)
+    if end - fh.tell() < need:
+        raise ValueError(f"truncated header: {end} bytes, need {fh.tell() + need}")
+    return struct.unpack(fmt, fh.read(need))
+
+
 def read_tns(path):
     """Read a TNS1 file as a finite, read-only array, rejecting bad magic,
-    non-finite entries and truncated or over-long payloads.
+    truncated headers, non-finite entries and truncated or over-long
+    payloads.
 
-    The payload's length is checked against the header before anything is
-    allocated; it is then read straight into the returned array.
+    The order and extents are checked against the file's size before they
+    are read, and the payload's length against the header before anything
+    is allocated; it is then read straight into the returned array.
     """
     with open(path, "rb") as fh:
+        end = os.fstat(fh.fileno()).st_size
         magic = fh.read(4)
         if magic != TNS_MAGIC:
             raise ValueError(f"bad magic {magic!r}, expected {TNS_MAGIC!r}")
-        (order,) = struct.unpack("<I", fh.read(4))
-        shape = struct.unpack(f"<{order}Q", fh.read(8 * order))
-        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        (order,) = _header_field(fh, end, "<I")
+        shape = _header_field(fh, end, f"<{order}Q")
+        size = end - fh.tell()
         expected = math.prod(shape) * 8
         if size == expected:
             data = np.empty(shape, dtype="<f8")

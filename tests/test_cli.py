@@ -573,6 +573,45 @@ class TestMissingJsonKeys:
         assert code == 2
         assert f"{key!r}" in err
 
+    @pytest.mark.parametrize(
+        "sigma", ["abc", None, -1, float("nan"), True],
+        ids=["str", "null", "negative", "nan", "true"],
+    )
+    def test_solve_rejects_a_manifest_sigma_that_is_not_a_finite_number(
+        self, tmp_path, capsys, sigma
+    ):
+        prob_dir = str(tmp_path / "prob")
+        save_scaled_problem(prob_dir, 10, scale=1.0)
+        manifest_path = os.path.join(prob_dir, "manifest.json")
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+        manifest["sigma"] = sigma
+        with open(manifest_path, "w") as fh:
+            json.dump(manifest, fh)
+        code, _, err = run_cli(
+            ["solve", "--problem", prob_dir, "--regularizer", "entry_l1", "--lam", "auto"],
+            capsys,
+        )
+        assert code == 2
+        assert "noise_sigma must be a finite number >= 0" in err
+
+    @pytest.mark.parametrize(
+        "raw",
+        [b"TNS1\x03\x00", b"TNS1\x03\x00\x00\x00\x0a",
+         b"TNS1\xe8\x03\x00\x00" + b"\x00" * 16],
+        ids=["cut-order", "cut-extents", "order-1000"],
+    )
+    def test_solve_rejects_a_truncated_header(self, tmp_path, capsys, raw):
+        prob_dir = str(tmp_path / "prob")
+        save_scaled_problem(prob_dir, 10, scale=1.0)
+        Path(prob_dir, "covariates.tns").write_bytes(raw)
+        code, _, err = run_cli(
+            ["solve", "--problem", prob_dir, "--regularizer", "entry_l1", "--lam", "0.1"],
+            capsys,
+        )
+        assert code == 2
+        assert "truncated header" in err
+
     def test_rate_rejects_a_regularizer_string(self, tmp_path, capsys):
         cfg_path = str(tmp_path / "cfg.json")
         with open(cfg_path, "w") as fh:

@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
-from tenreg.datagen import ModelClassSpec, gen_problem, gen_truth
-from tenreg.errors import NoClosedFormProx, ShapeMismatch
+from tenreg.datagen import ModelClassSpec, gen_problem, gen_sufficient_stats, gen_truth
+from tenreg.errors import NoClosedFormProx, ShapeMismatch, ValidationError
 from tenreg.regularizers import (
     RegularizerSpec,
     entry_l1,
@@ -87,6 +89,13 @@ class TestProblemValidation:
                 split=3,
                 truth=truth,
             )
+
+    @pytest.mark.parametrize("sigma", [-1.0, np.nan, np.inf, True, None, "abc"])
+    def test_noise_scale_that_is_not_a_finite_number_rejected(self, sigma):
+        r = np.random.default_rng(43)
+        with pytest.raises(ValueError, match="noise_sigma must be a finite number >= 0"):
+            RegressionProblem(r.standard_normal((10, 2, 2, 2)), r.standard_normal(10),
+                              split=3, noise_sigma=sigma)
 
     @pytest.mark.parametrize(
         "cov_shape, resp_shape", [((0, 3, 3), ()), ((3, 3), (0,)), ((3, 0), (2,))]
@@ -899,6 +908,60 @@ class TestSufficientStats:
             SufficientStats(st.gram, st.xty, st.yty, st.n, 2, truth=np.zeros(3))
 
 
+class TestOneEigendecomposition:
+    """A solve eigendecomposes once: statistics in :func:`_compressed`,
+    whose eigenpairs also serve ADMM's ridge solve, and data with n <= d in
+    the row Gram of ADMM's ridge solve."""
+
+    @pytest.mark.parametrize(
+        "spec, n",
+        [(matricized_nuclear_sum(), 300), (matricized_nuclear_sum(), 40), (entry_l1(), 300)],
+        ids=["admm-statistics", "admm-data-space", "fista-statistics"],
+    )
+    def test_one_eigh_per_solve(self, monkeypatch, spec, n):
+        p = theta5_problem(4, n, 48)
+        p = stats_of(p) if n > 64 else p
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(
+            np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k)
+        )
+        assert solve(p, spec, 0.2).status == "Converged"
+        assert len(calls) == 1
+
+
+def wishart_stats(n, seed):
+    """Statistics of a theta5 4x4x4 sample drawn without its data."""
+    truth = gen_truth(ModelClassSpec("theta5", (4, 4, 4), r=2), seed)
+    return gen_sufficient_stats(truth, n, 3, 1.0, seed=seed + 1)
+
+
+class TestObjectiveIsTheTrace:
+    """:func:`objective` and :func:`kkt_residual` at a solve's estimate are
+    its last trace entry and its certificate, bit for bit, on data with
+    n <= d and on statistics: one penalized objective, offset added last."""
+
+    @pytest.mark.parametrize(
+        "spec, lam",
+        [(entry_l1(), 0.1), (entry_l1(), 0.0), (fiber_group(1), 0.2),
+         (slice_frob((0, 2)), 0.2), (matricized_nuclear_sum(), 0.2),
+         (matricized_nuclear_sum(), 0.05)],
+        ids=["entry", "entry-lam0", "fiber", "slice-frob", "admm", "admm-small-lam"],
+    )
+    @pytest.mark.parametrize(
+        "form", ["data", "data-statistics", "wishart-100", "wishart-400"]
+    )
+    def test_last_entry_and_certificate(self, spec, lam, form):
+        if form.startswith("wishart"):
+            p = wishart_stats(int(form.split("-")[1]), 50)
+        else:
+            p = theta5_problem(4, 40, 49)  # n = 40 <= d = 64
+            p = stats_of(p) if form == "data-statistics" else p
+        res = solve(p, spec, lam)
+        assert objective(p, spec, lam, res.estimate) == res.objective_trace[-1]
+        assert kkt_residual(p, spec, lam, res.estimate) == res.kkt_residual
+
+
 class TestOverflow:
     """Finite data whose squares overflow stop as Diverged, not in an
     endless backtracking loop."""
@@ -1023,3 +1086,14 @@ class TestProblemIo:
         np.testing.assert_array_equal(back.responses, p.responses)
         np.testing.assert_array_equal(back.truth, p.truth)
         assert back.split == 3 and back.noise_sigma == 0.4
+
+    @pytest.mark.parametrize("key", ["covariates", "responses", "truth"])
+    def test_a_path_that_is_not_a_string_is_refused(self, tmp_path, key):
+        mpath = save_problem(str(tmp_path / "prob"), scalar_problem(12, (2, 3, 2), 0.4, 18))
+        with open(mpath) as fh:
+            manifest = json.load(fh)
+        manifest["paths"][key] = 5
+        with open(mpath, "w") as fh:
+            json.dump(manifest, fh)
+        with pytest.raises(ValidationError, match=f"manifest path '{key}' must be a string"):
+            load_problem(mpath)

@@ -224,6 +224,21 @@ class TestTnsFormat:
         with pytest.raises(ValueError, match="payload of 56 bytes, expected 48"):
             read_tns(path)
 
+    @pytest.mark.parametrize(
+        "raw, need",
+        [(b"TNS1", 8), (b"TNS1\x03\x00", 8), (b"TNS1\x03\x00\x00\x00", 32),
+         (b"TNS1\x03\x00\x00\x00" + b"\x02\x00" * 8, 32),
+         (b"TNS1\xe8\x03\x00\x00" + b"\x00" * 16, 8008)],
+        ids=["no-order", "cut-order", "no-extents", "cut-extents", "order-1000"],
+    )
+    def test_truncated_header(self, tmp_path, raw, need):
+        # the order and extents are checked against the file's size, so an
+        # order of 1000 is refused without reading 8000 bytes
+        path = tmp_path / "t.tns"
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match=f"truncated header: {len(raw)} bytes, need {need}$"):
+            read_tns(path)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_payload(self, tmp_path, bad):
         a = np.zeros((2, 2, 2))
