@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import datagen, harness, solver
-from .errors import TenregError, ValidationError
+from .errors import TenregError, ValidationError, check_count
 from .regularizers import RegularizerSpec
 
 EXIT_OK = 0
@@ -148,14 +148,12 @@ def _cmd_gen(args):
     cert = datagen.class_certificate(spec, truth)
     if not cert["ok"]:
         raise ValidationError(f"generated truth failed its certificate: {cert}")
-    problem = datagen.gen_problem(
-        truth,
-        args.n,
-        args.split,
-        args.sigma,
-        seed=args.seed,
-        meta={"class": spec.to_json(), "seed": args.seed, "certificate": cert},
-    )
+    if spec.kind == "t3":  # a VAR series of lag windows, in its one layout
+        seeds = [(args.seed, args.seed)]
+        (problem,) = datagen.gen_samples(spec, args.n, args.split, args.sigma, seeds)
+    else:
+        problem = datagen.gen_problem(truth, args.n, args.split, args.sigma, seed=args.seed)
+    problem.meta.update({"class": spec.to_json(), "seed": args.seed, "certificate": cert})
     out = args.out or "problem"
     manifest = solver.save_problem(out, problem)
     sys.stdout.write(manifest + "\n")
@@ -167,7 +165,7 @@ def _cmd_solve(args):
     reg = _parse_reg(args.regularizer)
     # refuse what `solve` would before the rule's width draws, as
     # `auto_lambda` refuses the rule's own inputs
-    solver._check_max_iters(args.max_iters)
+    check_count("max_iters", args.max_iters, 1)
     solver._check_solvable(reg, problem.truth_shape, problem.resp_shape)
     if args.lam == "auto":
         _, (lam,) = harness.auto_lambda(
@@ -242,8 +240,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.threads < 1:
-            raise ValidationError(f"workers must be >= 1, got {args.threads}")
+        check_count("workers", args.threads, 1)
         with np.errstate(over="raise"):
             return _COMMANDS[args.command](args)
     except (TenregError, ValueError, OSError, FloatingPointError) as exc:

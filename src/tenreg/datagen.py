@@ -17,15 +17,17 @@ from .errors import (
     InfeasibleClass,
     ShapeMismatch,
     UnstableModel,
+    ValidationError,
+    check_count,
+    check_real,
     fields_from_json,
     fields_to_json,
     is_int,
     is_real,
-    json_key,
     json_tuple,
 )
 from .regularizers import _group_axis, _group_norms, _groups
-from .solver import RegressionProblem, SufficientStats, _check_sigma, expand_pairwise
+from .solver import RegressionProblem, SufficientStats, expand_pairwise
 from .tensor import matricize
 
 __all__ = [
@@ -273,17 +275,11 @@ def class_certificate(spec, truth):
     return {"ok": False, "reason": f"unknown kind {spec.kind}"}
 
 
-def _check_n(n):
-    """The sample count check of every sampler: an integer >= 1."""
-    if not (is_int(n) and n >= 1):
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
-
-
 def _check_sample(truth, n, split, noise_sigma):
     """The checks both Gaussian samplers share; gives `truth` as floats."""
-    _check_n(n)
+    check_count("n", n, 1)
     truth = np.asarray(truth, dtype=np.float64)
-    _check_sigma(noise_sigma)
+    check_real("noise_sigma", noise_sigma, 0)
     if not (0 < split <= truth.ndim):
         raise ShapeMismatch("split must select a covariate prefix")
     return truth
@@ -372,10 +368,12 @@ def gen_samples(spec, n, split, noise_sigma, seeds):
     sufficient statistics by :func:`gen_sufficient_stats` when n exceeds
     d + q, the covariate and response dimensions, and its sample by
     :func:`gen_problem` otherwise.  The VAR class draws every model first,
-    then yields the series of :func:`gen_var_panel`, in the one VAR layout
-    (split 2, unit innovations) whatever `split` and `noise_sigma` are.
+    then yields the series of :func:`gen_var_panel`; it takes only the one
+    VAR layout, split 2 and unit innovations (:func:`_check_var_layout`).
     """
-    _check_n(n)
+    check_count("n", n, 1)
+    check_real("noise_sigma", noise_sigma, 0)
+    _check_var_layout(spec, split, noise_sigma)
     if spec.kind == "t3":
         models = [_class_var_model(spec, tseed) for tseed, _ in seeds]
         return gen_var_panel(models, n, [pseed for _, pseed in seeds])
@@ -431,6 +429,8 @@ class VarModel:
         self.coeffs = np.asarray(self.coeffs, dtype=np.float64)
         if self.coeffs.ndim != 3 or self.coeffs.shape[1] != self.coeffs.shape[2]:
             raise ShapeMismatch("coeffs must have shape (p, m, m)")
+        if self.burn_in is not None:
+            self.burn_in = check_count("burn_in", self.burn_in, 0)
         rho = self.spectral_radius()
         if rho >= 1.0:
             raise UnstableModel(f"companion spectral radius {rho:.4f} >= 1")
@@ -448,7 +448,7 @@ class VarModel:
     def spectral_radius(self):
         return _spectral_radius(self.coeffs)
 
-    # not the fields codec: `coeffs` is an array
+    # not `fields_to_json`: `coeffs` is an array
     def to_json(self):
         return {
             "coeffs": [a.tolist() for a in self.coeffs],
@@ -457,12 +457,7 @@ class VarModel:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(
-            coeffs=np.asarray(
-                json_key(obj, "coeffs", "VAR model"), dtype=np.float64
-            ),
-            burn_in=obj.get("burn_in"),
-        )
+        return fields_from_json(cls, obj, "VAR model")
 
 
 def gen_var_model(m, p, s, magnitude=1.0, seed=0, target_rho=0.75):
@@ -529,7 +524,7 @@ def gen_var_panel(models, n, seeds):
     Each covariate array is a read-only lag-window view of its series.
     """
     models, seeds = list(models), list(seeds)
-    _check_n(n)
+    check_count("n", n, 1)
     if not models:
         raise ValueError("need at least one VAR model")
     if len(seeds) != len(models):
@@ -549,6 +544,14 @@ def gen_var_panel(models, n, seeds):
 # The layout of every VAR sample: the lag windows X_t of shape (m, p) are
 # the covariates of the (m, p, m) truth, and the innovations are standard.
 _VAR_LAYOUT = {"split": 2, "noise_sigma": 1.0}
+
+
+def _check_var_layout(spec, split, noise_sigma):
+    """Refuse a t3 (VAR) draw in any layout but `_VAR_LAYOUT`: the rule of
+    :func:`gen_samples` and of a rate config."""
+    layout = {"split": split, "noise_sigma": noise_sigma}
+    if spec.kind == "t3" and layout != _VAR_LAYOUT:
+        raise ValidationError(f"a t3 (VAR) sample needs {_VAR_LAYOUT}, got {layout}")
 
 
 def _var_group(models, n, seeds):
@@ -610,8 +613,7 @@ def var_spectral_extrema(model, grid=64):
     The grid doubles until both extrema move by less than `_EXTREMA_TOL`,
     at most `_EXTREMA_MAX_REFINE` times.
     """
-    if grid < 64:
-        raise ValueError("grid must be >= 64")
+    grid = check_count("grid", grid, 64)
     coeffs = model.coeffs
     p, m = model.p, model.m
 

@@ -54,8 +54,8 @@ class BudgetExhausted(TenregError):
     budget."""
 
 
-class ValidationError(TenregError):
-    """Bad user-supplied configuration (CLI exit code 2)."""
+class ValidationError(TenregError, ValueError):
+    """Bad user-supplied input (CLI exit code 2); a ValueError too."""
 
 
 def json_key(obj, key, what):
@@ -87,13 +87,17 @@ def fields_from_json(cls, obj, what, **decode):
     """The dataclass `cls` from decoded JSON. A field with no default is
     read through `json_key`, so every key is checked before any value is
     decoded; any other field keeps its dataclass default when its key is
-    left out. ``decode[name]`` converts the value of field `name`."""
+    left out, and a key that names no field is refused.  ``decode[name]``
+    converts the value of field `name`."""
     values = {}
     for f in fields(cls):
         if f.default is MISSING and f.default_factory is MISSING:
             values[f.name] = json_key(obj, f.name, what)
         elif f.name in obj:
             values[f.name] = obj[f.name]
+    unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValidationError(f"{what} JSON has unknown keys {unknown}")
     return cls(**{k: decode[k](v) if k in decode else v for k, v in values.items()})
 
 
@@ -109,3 +113,18 @@ def is_real(value):
         and not isinstance(value, bool)
         and math.isfinite(value)
     )
+
+
+def check_count(name, value, least):
+    """`value` as a Python int, refused unless it is an integer (a numpy
+    integer too, not a bool) of at least `least`: every count's rule."""
+    if not (is_int(value) and value >= least):
+        raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def check_real(name, value, least):
+    """Refuse `value` unless it is a finite real number (not a bool) of at
+    least `least`: every scale's rule."""
+    if not (is_real(value) and value >= least):
+        raise ValidationError(f"{name} must be a finite number >= {least}, got {value!r}")

@@ -13,11 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import _VAR_LAYOUT, ModelClassSpec, _signs, gen_samples
+from .datagen import ModelClassSpec, _check_var_layout, _signs, gen_samples
 from .datagen import gen_truth
 from .errors import (
     BudgetExhausted,
     ValidationError,
+    check_count,
+    check_real,
     fields_from_json,
     fields_to_json,
     is_int,
@@ -25,14 +27,14 @@ from .errors import (
 )
 from .regularizers import RegularizerSpec, entry_l1, fiber_group, slice_frob
 from .regularizers import matricized_nuclear_sum, slice_nuclear, tensor_spectral
-from .solver import _check_max_iters, _check_rule, _check_sigma, _check_solvable
+from .solver import _check_rule, _check_solvable
 from .solver import empirical_norm, lambda_rule, solve
 
 # Unused here since the harness solves through `solve`, but kept bound: the
 # benchmark's tracer test (perfbench/tests/test_tracer.py) checks that a
 # solver wrapped in `tenreg.solver` is also wrapped at this binding.
 from .solver import fista_solve  # noqa: F401
-from .spectral import _check_draws, _width_mc, _width_sq, gaussian_width_mc
+from .spectral import _width_mc, _width_sq, gaussian_width_mc
 from .spectral import width_rate_expression
 
 __all__ = [
@@ -112,18 +114,15 @@ class RateExperimentConfig:
             raise ValidationError(
                 f"n_grid entries must be integers >= 1, got {list(grid)!r}"
             )
-        if not (is_int(self.seed) and self.seed >= 0):
-            raise ValidationError(f"seed must be an integer >= 0, got {self.seed!r}")
-        for name in ("replications", "width_draws", "split"):
-            value = getattr(self, name)
-            if not is_int(value):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
+        check_count("seed", self.seed, 0)
+        check_count("replications", self.replications, 10)
+        check_count("width_draws", self.width_draws, 100)
+        if not is_int(self.split):
+            raise ValidationError(f"split must be an integer, got {self.split!r}")
         if not 1 <= self.split <= 3:
             raise ValidationError(f"split must be 1, 2 or 3, got {self.split}")
         if len(grid) < 4 or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValidationError("n_grid must be strictly increasing with >= 4 points")
-        if self.replications < 10:
-            raise ValidationError("need at least 10 replications per cell")
         predicted_rate(self.rate_tag, self.model, grid[0])  # the rule the fit runs
         reg = self.regularizer
         if reg == "pairwise":
@@ -134,13 +133,10 @@ class RateExperimentConfig:
             )
         for n in grid:
             _check_rule(n, self.c_u, reg.c_reg, self.lambda_multiplier)
-        _check_max_iters(self.max_iters)
-        _check_sigma(self.noise_sigma)
-        _check_draws(self.width_draws)
+        check_count("max_iters", self.max_iters, 1)
+        check_real("noise_sigma", self.noise_sigma, 0)
         _check_solvable(reg, self.model.shape, self.model.shape[self.split :])
-        layout = {"split": self.split, "noise_sigma": self.noise_sigma}
-        if self.model.kind == "t3" and layout != _VAR_LAYOUT:
-            raise ValidationError(f"a t3 (VAR) sample needs {_VAR_LAYOUT}, got {layout}")
+        _check_var_layout(self.model, self.split, self.noise_sigma)
         gen_truth(self.model, self.seed)  # the class's own draw rule; truth unused
 
     def to_json(self):
@@ -432,13 +428,12 @@ def hypercube_packing(
     random stream as one draw per candidate.
 
     Raises ``ValidationError`` unless delta is finite and positive and
-    budget >= 1, and ``BudgetExhausted`` if fewer than two elements were
-    accepted within the candidate budget.
+    budget an integer >= 1, and ``BudgetExhausted`` if fewer than two
+    elements were accepted within the candidate budget.
     """
     if not (np.isfinite(delta) and delta > 0):
         raise ValidationError(f"packing needs a finite delta > 0, got {delta}")
-    if budget < 1:
-        raise ValidationError(f"packing needs budget >= 1, got {budget}")
+    budget = check_count("budget", budget, 1)
     rng = np.random.default_rng(seed)
     if kind == "full":
         if d < 6:

@@ -39,6 +39,8 @@ from .errors import (
     ShapeMismatch,
     UnmatchedPair,
     UnsupportedKind,
+    check_count,
+    check_real,
     fields_from_json,
     is_int,
     json_tuple,
@@ -288,16 +290,6 @@ def _batch_draws(shape):
     return max(1, min(_WIDTH_BATCH, _BATCH_ENTRIES // math.prod(shape)))
 
 
-def _draw_count(draws, least):
-    """`draws` as a Python int, refused before any draw unless it is an
-    integer (a numpy integer too, not a bool) of at least `least`."""
-    if not is_int(draws):
-        raise ValueError(f"draws must be an integer, got {draws!r}")
-    if draws < least:
-        raise ValueError(f"draws must be >= {least}")
-    return int(draws)
-
-
 def _dual_batch(spec, g, rng=None, hopm_restarts=None, hopm_iters=None):
     """Dual norm of each tensor in the batch `g` of shape (B, d1, d2, d3).
 
@@ -418,8 +410,7 @@ def prox(spec, z, t):
     of entries, fibers or slices, and singular value soft-thresholding of
     each slice.
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    check_real("t", t, 0)
     z = _check_order3(z)
     if spec.kind in _GROUP_KINDS:
         norms = _group_norms(z, spec.norm_axes, keepdims=True)
@@ -681,12 +672,13 @@ def compatibility(spec, sub, *, draws=10000, ascent_steps=100, rng=None):
     normalized gradient ascent on the ratio.  Samples are drawn and scored
     in (m,) + shape chunks of at most 256 draws and 2**17 entries, which
     consume the stream that one draw at a time would, so the generator
-    state and the estimate do not depend on the chunk size.  `draws` must
-    be an integer >= 0.  For the tensor-nuclear pair the primal is replaced
-    by its largest-unfolding lower bound, making the estimate a lower
-    estimate.
+    state and the estimate do not depend on the chunk size.  `draws` and
+    `ascent_steps` must be integers >= 0.  For the tensor-nuclear pair the
+    primal is replaced by its largest-unfolding lower bound, making the
+    estimate a lower estimate.
     """
-    draws = _draw_count(draws, 0)
+    draws = check_count("draws", draws, 0)
+    ascent_steps = check_count("ascent_steps", ascent_steps, 0)
     analytic = _matched_bound(spec, sub)
     if rng is None:
         rng = np.random.default_rng(0)

@@ -16,7 +16,7 @@ from functools import cached_property, lru_cache, partial
 import numpy as np
 
 from .errors import NoClosedFormProx, ShapeMismatch, ValidationError, is_int, is_real
-from .errors import json_key
+from .errors import check_count, check_real, json_key
 from .regularizers import RegularizerSpec, _matched_bound, prox, reg_dual, reg_eval
 from .spectral import matrix_svt
 from .tensor import dematricize, matricize, read_tns, write_tns
@@ -60,13 +60,6 @@ def _check_finite(name, arr):
         raise ValueError(f"{name} must be finite")
 
 
-def _check_sigma(noise_sigma):
-    """The noise scale check of a problem and of both Gaussian samplers: a
-    finite number >= 0."""
-    if not (is_real(noise_sigma) and noise_sigma >= 0):
-        raise ValueError(f"noise_sigma must be a finite number >= 0, got {noise_sigma!r}")
-
-
 @dataclass
 class RegressionProblem:
     """A sample of covariate/response pairs with the covariate-mode split.
@@ -94,7 +87,7 @@ class RegressionProblem:
             raise ShapeMismatch("need at least one sample")
         if self.split != self.covariates.ndim - 1:
             raise ShapeMismatch("split must equal the covariate order")
-        _check_sigma(self.noise_sigma)
+        check_real("noise_sigma", self.noise_sigma, 0)
         _check_truth(self)
 
     @property
@@ -218,16 +211,6 @@ def _finite_or_null(v):
     return v if math.isfinite(v) else None
 
 
-def _check_lam(lam):
-    if not (math.isfinite(lam) and lam >= 0):
-        raise ValueError(f"lam must be finite and nonnegative, got {lam}")
-
-
-def _check_max_iters(max_iters):
-    if not (is_int(max_iters) and max_iters >= 1):
-        raise ValueError(f"max_iters must be an integer >= 1, got {max_iters!r}")
-
-
 def _check_solvable(spec, truth_shape, resp_shape):
     """Refuse, before any work, what no solver fits: the tensor-spectral
     kind, which has no value to certify with, or a truth of the wrong shape.
@@ -311,8 +294,9 @@ def lambda_rule(width, n, c_u=1.0, c_reg=1.0, multiplier=1.0):
 def risk_bound_predicted(spec, sub, lam, c_u=1.0, c_ell=1.0):
     """Right-hand side of the risk bound for a matched (penalty, subspace)
     pair: (6(1+c_R)/(3+c_R)) * (9 c_u^2 / c_ell^2) * s * lam^2."""
-    if c_ell <= 0 or c_u < c_ell:
-        raise ValueError("need c_u >= c_ell > 0")
+    check_real("lam", lam, 0)
+    if not (is_real(c_ell) and is_real(c_u) and 0 < c_ell <= c_u):
+        raise ValidationError("need c_u >= c_ell > 0")
     c = spec.c_reg
     s = _matched_bound(spec, sub)
     return (6.0 * (1.0 + c) / (3.0 + c)) * (9.0 * c_u**2 / c_ell**2) * s * lam**2
@@ -348,8 +332,10 @@ class _LeastSquares:
     """The loss ``(1/2n) ||M a - T||^2 + offset`` and its gradient.
 
     Built once per problem by :func:`_operator`.  In data space M and T
-    are the flattened design and responses and the offset is zero.  M has
-    no more rows than columns: n <= d in data space, r <= d compressed.
+    are the flattened design and responses and the offset is zero.  The
+    operators of :func:`_operator` have no more rows than columns in M:
+    n <= d in data space, r <= d compressed.  :func:`_on_exact_loss` also
+    builds one on data with n > d, which reads only its loss and gradient.
     `loss`, `grad` and `shifted_solve` take a parameter in its own shape
     (the truth shape, or the pairwise block vector), reshape it to the
     design's columns, and give a gradient or solve back in that shape.
@@ -499,7 +485,7 @@ class FistaConfig:
     kkt_tol: float = 1e-7
 
     def __post_init__(self):
-        _check_max_iters(self.max_iters)
+        check_count("max_iters", self.max_iters, 1)
 
 
 class _Overflow(Exception):
@@ -603,7 +589,7 @@ def fista_solve(problem, spec, lam, config=None):
     :func:`_operator`); otherwise on the data.  Data whose squares overflow
     return Diverged.
     """
-    _check_lam(lam)
+    check_real("lam", lam, 0)
     if config is None:
         config = FistaConfig()
     _check_solvable(spec, problem.truth_shape, problem.resp_shape)
@@ -639,7 +625,7 @@ class AdmmConfig:
     tol: float = 1e-6
 
     def __post_init__(self):
-        _check_max_iters(self.max_iters)
+        check_count("max_iters", self.max_iters, 1)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -654,7 +640,7 @@ def admm_matricized(problem, lam, config=None):
     Converged means both residuals fell below `tol`; data whose squares
     overflow return Diverged.
     """
-    _check_lam(lam)
+    check_real("lam", lam, 0)
     if config is None:
         config = AdmmConfig()
     spec = RegularizerSpec("matricized_nuclear_sum")
@@ -667,8 +653,9 @@ def admm_matricized(problem, lam, config=None):
 
     penalty = partial(reg_eval, spec)
     a = np.zeros(shape)
-    trace = [_penalized(op.loss(a), lam, penalty, a) + op.offset]
-    rhs0 = -op.grad(a)  # M^T T / n
+    loss0, grad0 = op.loss_grad(a)
+    trace = [_penalized(loss0, lam, penalty, a) + op.offset]
+    rhs0 = -grad0  # M^T T / n
     rho = _ADMM_RHO
     zs = [np.zeros(shape) for _ in range(3)]
     us = [np.zeros(shape) for _ in range(3)]

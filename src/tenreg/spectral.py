@@ -12,14 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatch, SvdFailure, ZeroTensor, fields_to_json
-from .regularizers import (
-    SV_RTOL,
-    RegularizerSpec,
-    _batch_draws,
-    _draw_count,
-    _dual_batch,
-)
+from .errors import ShapeMismatch, SvdFailure, ZeroTensor, check_count, check_real
+from .errors import fields_to_json
+from .regularizers import SV_RTOL, RegularizerSpec, _batch_draws, _dual_batch
 from .tensor import matricize
 
 __all__ = [
@@ -38,8 +33,7 @@ def matrix_svt(z, t):
     a (..., r, c) stack; singular values below `SV_RTOL` times the largest
     of their matrix are zeroed for rank stability.
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    check_real("t", t, 0)
     z = np.asarray(z, dtype=np.float64)
     try:
         u, s, vt = np.linalg.svd(z, full_matrices=False)
@@ -225,12 +219,6 @@ def _cores():
     return os.cpu_count() or 1
 
 
-def _check_draws(draws):
-    """The width estimators' draw count check, made before any draw: an
-    integer >= 100, returned as a Python int."""
-    return _draw_count(draws, 100)
-
-
 def _width_mc(spec, shape, draws, seed, rngs, hopm_restarts, hopm_iters):
     """Mean dual norm of `spec` over `draws` standard Gaussian tensors of
     `shape`, split evenly over the generators `rngs`, run on at most one
@@ -244,7 +232,7 @@ def _width_mc(spec, shape, draws, seed, rngs, hopm_restarts, hopm_iters):
         raise ValueError("width estimation expects an order-3 shape")
     if min(shape) < 1:
         raise ValueError(f"width estimation needs every dimension >= 1, got shape {shape}")
-    draws = _check_draws(draws)
+    draws = check_count("draws", draws, 100)
     batch = _batch_draws(shape)
     base, rem = divmod(draws, len(rngs))
 
@@ -308,8 +296,7 @@ def gaussian_width_mc(
     follows the batch size, which is 256 draws up to 512 entries.
     `draws` must be an integer >= 100.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    workers = check_count("workers", workers, 1)
     seqs = np.random.SeedSequence(seed).spawn(workers)
     rngs = [np.random.Generator(np.random.Philox(seq)) for seq in seqs]
     return _width_mc(spec, shape, draws, seed, rngs, hopm_restarts, hopm_iters)

@@ -7,8 +7,8 @@ import pytest
 
 from tenreg import harness
 from tenreg.cli import build_parser, main
-from tenreg.datagen import VarModel, var_spectral_extrema
-from tenreg.solver import RegressionProblem, save_problem
+from tenreg.datagen import ModelClassSpec, VarModel, gen_truth, var_spectral_extrema
+from tenreg.solver import RegressionProblem, load_problem, save_problem
 
 
 def run_cli(args, capsys):
@@ -174,7 +174,7 @@ class TestGenSolve:
             capsys,
         )
         assert code == 2
-        assert "lam must be finite and nonnegative" in err
+        assert "lam must be a finite number >= 0" in err
         assert not res_path.exists()
 
     def test_tensor_spectral_refused_at_zero_lambda(self, tmp_path, capsys):
@@ -368,7 +368,7 @@ class TestAutoLambda:
         ):
             code, out, err = run_cli(["--threads", threads, *command], capsys)
             assert code == 2
-            assert "workers must be >= 1" in err
+            assert "workers must be an integer >= 1" in err
             assert out == ""
         assert not gen_dir.exists()
 
@@ -493,6 +493,45 @@ class TestDeterminism:
             with open(os.path.join(prob_dir, "covariates.tns"), "rb") as fh:
                 payloads.append(fh.read())
         assert payloads[0] == payloads[1]
+
+
+class TestGenVar:
+    """`gen` on the VAR class t3 draws a lag-window series, in the one VAR
+    layout only."""
+
+    SPEC = {"kind": "t3", "shape": [3, 2, 3], "s": 2}
+
+    def test_default_split_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "var"
+        code, _, err = run_cli(
+            ["--out", str(out), "gen", "--spec", json.dumps(self.SPEC), "--n", "5"], capsys
+        )
+        assert code == 2
+        assert "a t3 (VAR) sample needs" in err
+        assert not out.exists()
+
+    def test_split_two_writes_a_lag_window_series(self, tmp_path, capsys):
+        out = tmp_path / "var"
+        code, _, _ = run_cli(
+            ["--seed", "4", "--out", str(out), "gen", "--spec", json.dumps(self.SPEC),
+             "--n", "30", "--split", "2"],
+            capsys,
+        )
+        assert code == 0
+        problem = load_problem(str(out))
+        spec = ModelClassSpec.from_json(self.SPEC)
+        assert problem.cov_shape == (3, 2)
+        assert np.array_equal(problem.truth, gen_truth(spec, 4))
+        # lag 1 of each covariate is the previous response
+        assert np.array_equal(problem.covariates[1:, :, 0], problem.responses[:-1])
+        meta = problem.meta
+        assert (meta["class"], meta["seed"], meta["certificate"]["ok"]) == (spec.to_json(), 4, True)
+        code, _, _ = run_cli(
+            ["--out", str(tmp_path / "r.json"), "solve", "--problem", str(out),
+             "--regularizer", "fiber_group:1", "--lam", "auto", "--width-draws", "200"],
+            capsys,
+        )
+        assert code == 0
 
 
 class TestVarExtremaCommand:
@@ -687,7 +726,7 @@ class TestMissingJsonKeys:
          ({"model": {"kind": "theta4", "shape": [3, 3, 3], "r": 10},
            "regularizer": {"kind": "slice_nuclear", "axes": [0, 1]},
            "rate_tag": "r_max_m_logp_over_n"}, "need 1 <= r <= 9"),
-         ({"width_draws": 50}, "draws must be >= 100"),
+         ({"width_draws": 50}, "width_draws must be an integer >= 100"),
          ({"model": {"kind": "t4", "shape": [3, 3, 3], "r": 1}, "regularizer": "pairwise",
            "split": 3}, "rate tag 's_log_total_over_n' needs the model's s to be"),
          ({"rate_tag": "rsq_sum_dims_over_n"},
@@ -830,5 +869,5 @@ def test_packing_rejects_bad_input(tmp_path, capsys, args):
     out = tmp_path / "p.json"
     code, _, err = run_cli(["--out", str(out), "packing"] + args, capsys)
     assert code == 2
-    assert "packing needs" in err
+    assert ("budget must be an integer >= 1" if "--budget" in args else "packing needs") in err
     assert not out.exists()

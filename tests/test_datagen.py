@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from tenreg import datagen
 from tenreg.datagen import (
     ModelClassSpec,
     _signs,
@@ -25,6 +26,7 @@ from tenreg.errors import (
     InvalidAxes,
     ShapeMismatch,
     UnstableModel,
+    ValidationError,
 )
 from tenreg.solver import SufficientStats, objective
 from tenreg.regularizers import entry_l1
@@ -236,6 +238,13 @@ class TestGenSamples:
             want = gen_var_series(gen_var_model(3, 2, 2, seed=tseed), 40, seed=pseed)
             self._assert_same(sample, want)
             assert np.array_equal(sample.truth, gen_truth(spec, tseed))
+
+    @pytest.mark.parametrize("split, sigma", [(3, 1.0), (2, 0.5), (2, True)])
+    def test_var_takes_only_its_layout(self, monkeypatch, split, sigma):
+        monkeypatch.setattr(datagen, "gen_var_panel", pytest.fail)
+        spec = ModelClassSpec("t3", (3, 2, 3), s=2)
+        with pytest.raises(ValidationError, match="noise_sigma"):
+            gen_samples(spec, 40, split, sigma, self.SEEDS)
 
     def test_var_shape_must_be_m_p_m(self):
         spec = ModelClassSpec("t3", (3, 2, 5), s=2)

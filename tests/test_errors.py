@@ -1,15 +1,21 @@
 """The JSON codec of the spec and config dataclasses (`fields_to_json`,
-`fields_from_json`), through the classes that read and write with it."""
+`fields_from_json`), through the classes that read and write with it, and
+the input rules `check_count` and `check_real` at the entry points that
+take a count or a scale."""
 
+import math
 import re
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
-from tenreg.datagen import ModelClassSpec
-from tenreg.errors import ValidationError
+from tenreg import datagen, harness, regularizers, solver, spectral
+from tenreg.datagen import ModelClassSpec, VarModel, gen_var_model
+from tenreg.errors import ValidationError, check_count, check_real
 from tenreg.harness import RateExperimentConfig
 from tenreg.regularizers import RegularizerSpec, entry_l1, fiber_group, slice_frob
+from tenreg.regularizers import support_entries
 from tenreg.spectral import WidthEstimate
 
 MODEL_JSON = {"kind": "theta1", "shape": [3, 3, 3]}
@@ -99,3 +105,119 @@ def test_to_json_keys_are_the_field_names(obj):
 def test_regularizer_to_json_keys_are_the_fields_its_kind_takes(spec, keys):
     assert list(spec.to_json()) == keys
     assert RegularizerSpec.from_json(spec.to_json()) == spec
+
+
+# class, its JSON, and a misspelled key of it (nested ones in the rate
+# config's model and regularizer)
+UNKNOWN_KEYS = [
+    (RateExperimentConfig, {**RATE_JSON, "max_iter": 5, "noise_simga": 0.0},
+     "rate config", ["max_iter", "noise_simga"]),
+    (RateExperimentConfig, {**RATE_JSON, "model": {**RATE_JSON["model"], "magnitdue": 5}},
+     "model class", ["magnitdue"]),
+    (RateExperimentConfig, {**RATE_JSON, "regularizer": {"kind": "entry_l1", "mdoe": 1}},
+     "regularizer", ["mdoe"]),
+    (ModelClassSpec, {**MODEL_JSON, "magnitdue": 5}, "model class", ["magnitdue"]),
+    (RegularizerSpec, {"kind": "fiber_group", "mdoe": 1}, "regularizer", ["mdoe"]),
+    (VarModel, {**gen_var_model(2, 1, 1).to_json(), "burnin": 10}, "VAR model", ["burnin"]),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, obj, what, keys", UNKNOWN_KEYS,
+    ids=["rate", "rate-model", "rate-regularizer", "model", "regularizer", "var"],
+)
+def test_unknown_keys_are_named(cls, obj, what, keys):
+    message = f"{what} JSON has unknown keys {keys}"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        cls.from_json(obj)
+
+
+def test_validation_error_is_a_value_error():
+    assert issubclass(ValidationError, ValueError)
+
+
+def test_checks_take_numpy_numbers_and_give_a_count_as_int():
+    count = check_count("n", np.int64(5), 1)
+    assert count == 5 and type(count) is int
+    check_real("sigma", np.float64(0.5), 0)
+
+
+SHAPE = (3, 3, 3)
+SUB = support_entries(SHAPE, [(0, 0, 0)])
+PROBLEM = solver.RegressionProblem(
+    np.random.default_rng(0).standard_normal((10,) + SHAPE), np.ones(10), 3
+)
+RATE_FIELDS = dict(
+    model=ModelClassSpec("theta1", SHAPE, s=2), regularizer=entry_l1(),
+    n_grid=(50, 100, 200, 400), replications=10, seed=0, rate_tag="s_log_total_over_n",
+)
+
+# entry point: (call with the bad value, the step after the check, the
+# argument's name, "count" or "real", the least value allowed)
+ENTRY_POINTS = {
+    "width-workers": (lambda v: spectral.gaussian_width_mc(entry_l1(), SHAPE, 100, workers=v),
+                      (spectral, "_width_mc"), "workers", "count", 1),
+    "width-draws": (lambda v: spectral.gaussian_width_mc(entry_l1(), SHAPE, v),
+                    (spectral, "_batch_draws"), "draws", "count", 100),
+    "fista-lam": (lambda v: solver.fista_solve(PROBLEM, entry_l1(), v),
+                  (solver, "_operator"), "lam", "real", 0),
+    "admm-lam": (lambda v: solver.admm_matricized(PROBLEM, v),
+                 (solver, "_operator"), "lam", "real", 0),
+    "fista-max_iters": (lambda v: solver.FistaConfig(max_iters=v), None, "max_iters", "count", 1),
+    "prox-t": (lambda v: regularizers.prox(entry_l1(), np.ones(SHAPE), v),
+               (regularizers, "_check_order3"), "t", "real", 0),
+    "svt-t": (lambda v: spectral.matrix_svt(np.ones((3, 3)), v),
+              (np.linalg, "svd"), "t", "real", 0),
+    "risk-lam": (lambda v: solver.risk_bound_predicted(entry_l1(), SUB, v),
+                 (solver, "_matched_bound"), "lam", "real", 0),
+    "compat-draws": (lambda v: regularizers.compatibility(entry_l1(), SUB, draws=v),
+                     (regularizers, "_matched_bound"), "draws", "count", 0),
+    "compat-ascent_steps": (
+        lambda v: regularizers.compatibility(entry_l1(), SUB, ascent_steps=v),
+        (regularizers, "_matched_bound"), "ascent_steps", "count", 0),
+    "packing-budget": (lambda v: harness.hypercube_packing(12, 1.0, budget=v),
+                       (harness, "_greedy"), "budget", "count", 1),
+    "var-burn_in": (lambda v: VarModel(np.zeros((1, 2, 2)), burn_in=v),
+                    (datagen, "_spectral_radius"), "burn_in", "count", 0),
+    "var-extrema-grid": (lambda v: datagen.var_spectral_extrema(gen_var_model(2, 1, 1), grid=v),
+                         (np.linalg, "eigvalsh"), "grid", "count", 64),
+    "gen_problem-n": (lambda v: datagen.gen_problem(np.ones(SHAPE), v, 3, 1.0),
+                      (np.random, "default_rng"), "n", "count", 1),
+    "gen_samples-sigma": (lambda v: datagen.gen_samples(RATE_FIELDS["model"], 20, 3, v, [(0, 0)]),
+                          (datagen, "gen_truth"), "noise_sigma", "real", 0),
+    "problem-sigma": (lambda v: solver.RegressionProblem(np.ones((2,) + SHAPE), np.ones(2), 3, v),
+                      (solver, "_check_truth"), "noise_sigma", "real", 0),
+    "rate-width_draws": (lambda v: RateExperimentConfig(**RATE_FIELDS, width_draws=v),
+                         (harness, "predicted_rate"), "width_draws", "count", 100),
+    "rate-max_iters": (lambda v: RateExperimentConfig(**RATE_FIELDS, max_iters=v),
+                       (harness, "_check_solvable"), "max_iters", "count", 1),
+    "rate-noise_sigma": (lambda v: RateExperimentConfig(**RATE_FIELDS, noise_sigma=v),
+                         (harness, "_check_solvable"), "noise_sigma", "real", 0),
+}
+BAD = {"count": {"true": True, "fraction": 2.5, "below": None},
+       "real": {"true": True, "nan": math.nan, "below": None}}
+
+
+@pytest.mark.parametrize(
+    "entry, bad",
+    [(e, b) for e, (*_, kind, _least) in ENTRY_POINTS.items() for b in BAD[kind]],
+    ids=lambda v: v,
+)
+def test_bad_count_or_scale_is_refused_before_any_work(monkeypatch, entry, bad):
+    call, step, name, kind, least = ENTRY_POINTS[entry]
+    value = BAD[kind][bad]
+    if value is None:
+        value = least - 1 if kind == "count" else least - 0.5
+    if step is not None:
+        monkeypatch.setattr(*step, pytest.fail)
+    rule = "an integer" if kind == "count" else "a finite number"
+    message = f"{name} must be {rule} >= {least}, got {value!r}"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        call(value)
+
+
+@pytest.mark.parametrize("c_ell", [True, math.nan, 0.0, 2.0])
+def test_risk_bound_refuses_a_bad_c_ell_before_any_work(monkeypatch, c_ell):
+    monkeypatch.setattr(solver, "_matched_bound", pytest.fail)
+    with pytest.raises(ValidationError, match=re.escape("need c_u >= c_ell > 0")):
+        solver.risk_bound_predicted(entry_l1(), SUB, 0.1, c_ell=c_ell)

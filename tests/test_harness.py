@@ -581,7 +581,8 @@ class TestPacking:
     )
     def test_rejects_bad_input(self, kwargs):
         call = dict(d=12, delta=1.0, kind="full", budget=100, seed=0) | kwargs
-        with pytest.raises(ValidationError, match="packing needs"):
+        message = "budget must be an integer >= 1" if "budget" in kwargs else "packing needs"
+        with pytest.raises(ValidationError, match=message):
             hypercube_packing(**call)
 
 

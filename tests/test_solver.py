@@ -544,7 +544,7 @@ class TestLambdaValidation:
             "pairwise": lambda: fista_pairwise(p, lam),
             "admm": lambda: admm_matricized(p, lam),
         }[solver]
-        with pytest.raises(ValueError, match="lam must be finite and nonnegative"):
+        with pytest.raises(ValueError, match="lam must be a finite number >= 0"):
             run()
 
 

@@ -518,7 +518,7 @@ class TestOneHopmLoop:
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_width_rejects_fewer_than_one_worker(self, workers):
-        with pytest.raises(ValueError, match="workers must be >= 1"):
+        with pytest.raises(ValueError, match="workers must be an integer >= 1"):
             gaussian_width_mc(entry_l1(), (3, 3, 3), draws=100, workers=workers)
 
     @pytest.mark.parametrize("shape", [(4, 4, 4), (6, 6, 6), (8, 8, 8), (4, 5, 6)])
