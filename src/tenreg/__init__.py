@@ -3,8 +3,8 @@
 Dense order-N tensor arithmetic, a catalogue of weakly decomposable
 penalties with their duals and proximal maps, accelerated proximal gradient
 and consensus ADMM solvers with first-order certificates, synthetic data
-generators (including stationary VAR simulation), Monte-Carlo Gaussian
-width estimation, and an experiment harness for width scaling, risk-bound,
+generators (including stationary VAR simulation), exact and Monte-Carlo
+Gaussian widths, and an experiment harness for width scaling, risk-bound,
 and rate-verification studies.
 """
 
@@ -57,7 +57,13 @@ from .solver import (
     objective,
     risk_bound_predicted,
 )
-from .spectral import WidthEstimate, gaussian_width_mc, hopm_spectral, matrix_svt
+from .spectral import (
+    WidthEstimate,
+    gaussian_width,
+    gaussian_width_mc,
+    hopm_spectral,
+    matrix_svt,
+)
 from .tensor import (
     ProjectorTriple,
     dematricize,

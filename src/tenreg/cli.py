@@ -144,15 +144,15 @@ def build_parser():
 
 def _cmd_gen(args):
     spec = datagen.ModelClassSpec.from_json(_load_json_arg(args.spec))
-    truth = datagen.gen_truth(spec, args.seed)
-    cert = datagen.class_certificate(spec, truth)
-    if not cert["ok"]:
-        raise ValidationError(f"generated truth failed its certificate: {cert}")
     if spec.kind == "t3":  # a VAR series of lag windows, in its one layout
         seeds = [(args.seed, args.seed)]
         (problem,) = datagen.gen_samples(spec, args.n, args.split, args.sigma, seeds)
     else:
+        truth = datagen.gen_truth(spec, args.seed)
         problem = datagen.gen_problem(truth, args.n, args.split, args.sigma, seed=args.seed)
+    cert = datagen.class_certificate(spec, problem.truth)
+    if not cert["ok"]:
+        raise ValidationError(f"generated truth failed its certificate: {cert}")
     problem.meta.update({"class": spec.to_json(), "seed": args.seed, "certificate": cert})
     out = args.out or "problem"
     manifest = solver.save_problem(out, problem)

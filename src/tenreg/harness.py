@@ -34,7 +34,8 @@ from .solver import empirical_norm, lambda_rule, solve
 # benchmark's tracer test (perfbench/tests/test_tracer.py) checks that a
 # solver wrapped in `tenreg.solver` is also wrapped at this binding.
 from .solver import fista_solve  # noqa: F401
-from .spectral import _width_mc, _width_sq, gaussian_width_mc
+from .spectral import _EXACT_KINDS, _exact_estimate, _width_mc, _width_sq
+from .spectral import gaussian_width_mc
 from .spectral import width_rate_expression
 
 __all__ = [
@@ -163,18 +164,24 @@ def pairwise_width_mc(shape, draws=2000, seed=0):
 def auto_lambda(
     reg, shape, ns, sigma, draws, seed, *, workers=1, c_u=1.0, multiplier=1.0
 ):
-    """The automatic tuning rule: one width estimate for the penalty `reg`
-    on `shape` (the pairwise-component penalty takes `pairwise_width_mc`), then
-    `lambda_rule` at each sample size in `ns`, times the noise level `sigma`
-    when sigma > 0.  At sigma = 0 the rule stays unscaled: lambda = 0 makes
-    FISTA from zero return a dense interpolant for n < d, which no risk
-    bound covers.  The rule's inputs are checked at every n before the width
-    is drawn.  Returns the width estimate and the lambdas.
+    """The automatic tuning rule: one width for the penalty `reg` on `shape`,
+    then `lambda_rule` at each sample size in `ns`, times the noise level
+    `sigma` when sigma > 0.  The penalties whose dual is a largest group
+    norm (entries, fibers, slice Frobenius and slice nuclear norms) take
+    their exact width, `gaussian_width`, which depends on neither `draws`,
+    `seed` nor `workers`, though those are checked as for a draw; the
+    pairwise-component penalty takes `pairwise_width_mc`, and the other
+    kinds `gaussian_width_mc`.  At sigma = 0 the rule stays unscaled:
+    lambda = 0 makes FISTA from zero return a dense interpolant for n < d,
+    which no risk bound covers.  The rule's inputs are checked at every n
+    before the width is formed.  Returns the width and the lambdas.
     """
     for n in ns:
         _check_rule(n, c_u, reg.c_reg, multiplier)
     if reg.kind == _PAIRWISE.kind:
         width = pairwise_width_mc(shape, draws, seed)
+    elif reg.kind in _EXACT_KINDS:
+        width = _exact_estimate(reg, shape, draws, seed, workers)
     else:
         width = gaussian_width_mc(reg, shape, draws, seed, workers=workers)
     lams = []

@@ -140,8 +140,7 @@ class SufficientStats:
         _check_finite("xty", self.xty)
         if not math.isfinite(self.yty):
             raise ValueError("yty must be finite")
-        if not (is_int(self.n) and self.n >= 1):
-            raise ShapeMismatch("need at least one sample")
+        check_count("n", self.n, 1)
         if not (is_int(self.split) and 1 <= self.split <= self.xty.ndim):
             raise ShapeMismatch("split must select a covariate prefix of xty")
         dim = math.prod(self.cov_shape)

@@ -351,6 +351,36 @@ class TestAutoLambda:
         assert json.loads(out)["lambda"] == rate_lam
         assert rate_lam > 0
 
+    def test_group_lambda_ignores_seed_threads_and_draws(self, tmp_path, capsys, monkeypatch):
+        # the exact width: no draw runs, and the lambda is the same at any
+        # --seed, --threads and --width-draws; fewer than 100 draws are still
+        # refused, as for a drawn width
+        monkeypatch.setattr(harness, "gaussian_width_mc", pytest.fail)
+        prob_dir = str(tmp_path / "prob")
+        run_cli(["--seed", "6", "--out", prob_dir, "gen", "--spec",
+                 json.dumps({"kind": "theta1", "shape": [3, 3, 3], "s": 2}),
+                 "--n", "60"], capsys)
+        lams = set()
+        for flags, draws in ((["--seed", "1"], "2000"),
+                             (["--seed", "2", "--threads", "2"], "2000"),
+                             (["--seed", "3"], "5000")):
+            code, out, _ = run_cli(
+                [*flags, "solve", "--problem", prob_dir, "--regularizer",
+                 "entry_l1", "--lam", "auto", "--width-draws", draws],
+                capsys,
+            )
+            assert code in (0, 3)
+            lams.add(json.loads(out)["lambda"])
+        assert len(lams) == 1
+        code, out, err = run_cli(
+            ["solve", "--problem", prob_dir, "--regularizer", "entry_l1",
+             "--lam", "auto", "--width-draws", "50"],
+            capsys,
+        )
+        assert code == 2
+        assert "draws must be an integer >= 100" in err
+        assert out == ""
+
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_width_rejects_fewer_than_one_thread(self, tmp_path, capsys, threads):
         # every command refuses the flag, also those that use no worker

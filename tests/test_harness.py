@@ -30,7 +30,7 @@ from tenreg.regularizers import (
     slice_nuclear,
     tensor_spectral,
 )
-from tenreg.spectral import WidthEstimate, width_rate_expression
+from tenreg.spectral import WidthEstimate, gaussian_width, width_rate_expression
 
 
 def _ref_pairwise_width_mc(shape, draws, seed):
@@ -210,6 +210,71 @@ class TestRateConfig:
         rep = rate_experiment(cfg)
         med = [row["median_fro_sq"] for row in rep["per_n"]]
         assert med[-1] < med[0]
+
+
+class TestAutoLambda:
+    """The penalties whose dual is a largest group norm tune on their exact
+    width; every other kind draws it."""
+
+    GROUPS = [(entry_l1(), (8, 8, 8)), (fiber_group(1), (20, 3, 20)),
+              (slice_frob((1, 2)), (50, 4, 4)), (slice_nuclear((0, 1)), (8, 8, 8))]
+
+    @pytest.mark.parametrize("reg, shape", GROUPS, ids=lambda v: getattr(v, "kind", ""))
+    def test_group_kinds_draw_nothing(self, monkeypatch, reg, shape):
+        for name in ("gaussian_width_mc", "pairwise_width_mc"):
+            monkeypatch.setattr(harness, name, pytest.fail)
+        width, (lam,) = harness.auto_lambda(reg, shape, [400], 1.0, 2000, 0)
+        assert width.mean == gaussian_width(reg, shape)
+        assert (width.std_error, width.draws) == (0.0, 0)
+        assert lam == solver.lambda_rule(width.mean, 400)
+
+    @pytest.mark.parametrize("reg, shape", GROUPS, ids=lambda v: getattr(v, "kind", ""))
+    def test_lambda_depends_on_no_seed_worker_or_draw_count(self, reg, shape):
+        lams = {
+            tuple(harness.auto_lambda(
+                reg, shape, [100, 400], 0.5, draws, seed, workers=workers
+            )[1])
+            for draws, seed, workers in [(100, 0, 1), (2000, 1, 2), (5000, 7, 3)]
+        }
+        assert len(lams) == 1
+
+    @pytest.mark.parametrize(
+        "reg, width",
+        [(matricized_nuclear_sum(), "gaussian_width_mc"),
+         (tensor_spectral(), "gaussian_width_mc"),
+         (harness._PAIRWISE, "pairwise_width_mc")],
+        ids=lambda v: getattr(v, "kind", ""),
+    )
+    def test_other_kinds_still_draw(self, monkeypatch, reg, width):
+        calls = []
+        drawn = getattr(harness, width)
+        monkeypatch.setattr(
+            harness, width, lambda *a, **k: calls.append(a) or drawn(*a, **k)
+        )
+        est, _ = harness.auto_lambda(reg, (3, 3, 3), [50], 1.0, 100, 4)
+        assert len(calls) == 1
+        assert est.draws == 100 and est.std_error > 0
+
+    @pytest.mark.parametrize(
+        "kwargs, error, message",
+        [({"draws": 50}, ValidationError, "draws must be an integer >= 100"),
+         ({"draws": 200.0}, ValidationError, "draws must be an integer >= 100"),
+         ({"workers": 0}, ValidationError, "workers must be an integer >= 1"),
+         ({"workers": True}, ValidationError, "workers must be an integer >= 1"),
+         ({"seed": -1}, ValueError, "non-negative"),
+         ({"seed": 2.5}, TypeError, "SeedSequence"),
+         ({"shape": (3, 3)}, ValidationError, "order-3 shape")],
+        ids=["few-draws", "float-draws", "no-worker", "bool-worker", "negative-seed",
+             "float-seed", "order-2"],
+    )
+    def test_refuses_what_a_draw_refuses(self, kwargs, error, message):
+        call = dict(shape=(3, 3, 3), draws=200, seed=0, workers=1) | kwargs
+        for reg in (entry_l1(), matricized_nuclear_sum()):
+            with pytest.raises(error, match=message):
+                harness.auto_lambda(
+                    reg, call["shape"], [50], 1.0, call["draws"], call["seed"],
+                    workers=call["workers"],
+                )
 
 
 class TestRateDraw:

@@ -902,8 +902,9 @@ class TestSufficientStats:
             SufficientStats(st.gram[:-1, :-1], st.xty, st.yty, st.n, st.split)
         with pytest.raises(ValueError, match="gram must be finite"):
             SufficientStats(np.full_like(st.gram, np.nan), st.xty, st.yty, st.n, 2)
-        with pytest.raises(ShapeMismatch, match="at least one sample"):
-            SufficientStats(st.gram, st.xty, st.yty, 0, st.split)
+        for n in (0, True, 2.5):
+            with pytest.raises(ValidationError, match="n must be an integer >= 1"):
+                SufficientStats(st.gram, st.xty, st.yty, n, st.split)
         with pytest.raises(ShapeMismatch, match="truth shape"):
             SufficientStats(st.gram, st.xty, st.yty, st.n, 2, truth=np.zeros(3))
 

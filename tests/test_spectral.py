@@ -1,12 +1,15 @@
 import json
+import math
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from tenreg import regularizers, spectral
-from tenreg.errors import ShapeMismatch, ZeroTensor
+from tenreg.errors import ShapeMismatch, UnsupportedKind, ValidationError, ZeroTensor
 from tenreg.regularizers import (
     RegularizerSpec,
     entry_l1,
@@ -19,6 +22,7 @@ from tenreg.regularizers import (
 from tenreg.spectral import (
     WidthEstimate,
     _hopm,
+    gaussian_width,
     gaussian_width_mc,
     hopm_spectral,
     matrix_svt,
@@ -266,6 +270,135 @@ class TestGaussianWidth:
         assert est.std_error == float(vals.std(ddof=1) / np.sqrt(draws))
 
 
+# (penalty, shape) of the criterion-3 width table (its group kinds), then of
+# the benchmark's automatic lambdas: the CLI's theta1 and theta2 solves, and
+# the VAR and multi-response rate sweeps
+CRITERION_3_GROUP_SHAPES = [
+    (entry_l1(), (5, 5, 5)),
+    (entry_l1(), (10, 10, 10)),
+    (entry_l1(), (20, 20, 20)),
+    (fiber_group(0), (10, 10, 10)),
+    (fiber_group(0), (40, 10, 10)),
+    (fiber_group(0), (160, 10, 10)),
+    (slice_frob((0, 1)), (4, 4, 8)),
+    (slice_frob((0, 1)), (8, 8, 8)),
+    (slice_frob((0, 1)), (16, 16, 8)),
+    (slice_nuclear((0, 1)), (4, 4, 8)),
+    (slice_nuclear((0, 1)), (8, 8, 8)),
+    (slice_nuclear((0, 1)), (16, 16, 8)),
+]
+# a slice far from square: its integral starts above 0 (sigma_min >> 0)
+SKINNY_SLICE = [(slice_nuclear((0, 1)), (2, 120, 10))]
+AUTO_LAMBDA_SHAPES = [
+    (entry_l1(), (8, 8, 8)),
+    (fiber_group(0), (8, 8, 8)),
+    (fiber_group(1), (20, 3, 20)),
+    (slice_frob((1, 2)), (50, 4, 4)),
+]
+
+
+def _chi_mean(k):
+    """E chi_k = sqrt(2) Gamma((k + 1) / 2) / Gamma(k / 2)."""
+    return math.sqrt(2.0) * math.exp(math.lgamma((k + 1) / 2) - math.lgamma(k / 2))
+
+
+class TestExactWidth:
+    """A width whose dual is the largest of m i.i.d. group norms is one
+    integral over the law of a group norm, with no draw."""
+
+    @pytest.mark.parametrize(
+        "spec, shape",
+        [(entry_l1(), (1, 1, 1)), (fiber_group(0), (2, 1, 1)), (fiber_group(1), (1, 3, 1)),
+         (fiber_group(2), (1, 1, 8)), (fiber_group(0), (160, 1, 1)),
+         (slice_frob((0, 1)), (4, 4, 1)), (slice_frob((1, 2)), (1, 16, 16))],
+    )
+    def test_one_group_is_the_chi_mean(self, spec, shape):
+        # one entry: E|Z| = sqrt(2/pi); one group of size k: E chi_k
+        k = math.prod(shape)
+        want = math.sqrt(2.0 / math.pi) if k == 1 else _chi_mean(k)
+        assert gaussian_width(spec, shape) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "spec, shape",
+        [(entry_l1(), (20, 20, 20)), (fiber_group(1), (20, 3, 20)),
+         (fiber_group(0), (8, 8, 8)), (slice_frob((1, 2)), (50, 4, 4)),
+         (fiber_group(0), (160, 10, 10)), (slice_frob((0, 1)), (16, 16, 8)),
+         (slice_nuclear((0, 1)), (1, 1, 5)), (slice_nuclear((1, 2)), (3, 6, 9)),
+         (slice_nuclear((0, 1)), (8, 8, 8)), (slice_nuclear((0, 2)), (16, 8, 16)),
+         (slice_nuclear((0, 1)), (8, 3000, 1)), (slice_nuclear((1, 2)), (2, 120, 120))],
+        ids=["k1", "k3", "k8", "k16", "k160", "k256", "1x1", "6x9", "8x8", "16x16",
+             "8x3000", "120x120"],
+    )
+    def test_twice_the_nodes_agrees(self, monkeypatch, spec, shape):
+        once = gaussian_width(spec, shape)
+        monkeypatch.setattr(spectral, "_QUAD_PANELS", 2 * spectral._QUAD_PANELS)
+        assert abs(gaussian_width(spec, shape) - once) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "spec, shape",
+        CRITERION_3_GROUP_SHAPES + AUTO_LAMBDA_SHAPES + SKINNY_SLICE,
+        ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else v.kind,
+    )
+    def test_monte_carlo_agrees_within_four_standard_errors(self, spec, shape):
+        est = gaussian_width_mc(spec, shape, draws=2000, seed=101)
+        assert abs(est.mean - gaussian_width(spec, shape)) <= 4 * est.std_error
+
+    def test_large_groups_keep_memory_bounded(self):
+        # a 100 x 100 slice is a chi law of 10000 degrees of freedom: its
+        # series is summed in blocks, and its mean sits near sqrt(10000)
+        tracemalloc.start()
+        try:
+            width = gaussian_width(slice_frob((0, 1)), (100, 100, 100))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert _chi_mean(10000) < width < _chi_mean(10000) + math.sqrt(2 * math.log(100))
+
+    @pytest.mark.parametrize("shape", [(1, 7, 3), (1, 1, 5), (3, 1, 50)])
+    def test_a_slice_of_one_row_is_a_fiber(self, shape):
+        # the largest singular value of a 1 x c matrix is its norm, chi_c
+        norms = fiber_group(1) if shape[1] > 1 else fiber_group(0)
+        assert gaussian_width(slice_nuclear((0, 1)), shape) == pytest.approx(
+            gaussian_width(norms, shape), rel=1e-12
+        )
+
+    def test_slice_nuclear_lies_between_its_bounds(self):
+        # E sigma_max of one r x c slice is at least E chi_c (a column) and
+        # at most sqrt(r) + sqrt(c) (Gordon)
+        for r, c in [(2, 2), (4, 9), (16, 16)]:
+            width = gaussian_width(slice_nuclear((0, 1)), (r, c, 1))
+            assert _chi_mean(c) < width < math.sqrt(r) + math.sqrt(c)
+
+    @pytest.mark.parametrize(
+        "spec", [matricized_nuclear_sum(), tensor_spectral(),
+                 RegularizerSpec("pairwise_component_nuclear")],
+        ids=lambda spec: spec.kind,
+    )
+    def test_other_kinds_have_no_exact_width(self, spec):
+        with pytest.raises(UnsupportedKind, match="no exact width"):
+            gaussian_width(spec, (3, 3, 3))
+
+    @pytest.mark.parametrize("shape", [(3, 3), (3, 0, 3), (3, 2.0, 3)])
+    def test_refuses_a_shape_the_draws_refuse(self, shape):
+        with pytest.raises(ValidationError, match="width estimation"):
+            gaussian_width(entry_l1(), shape)
+        with pytest.raises(ValidationError, match="width estimation"):
+            gaussian_width_mc(entry_l1(), shape, draws=100)
+
+    def test_import_solves_no_quadrature(self):
+        # the nodes are solved for at the first exact width, not at import
+        code = (
+            "import tenreg, tenreg.spectral as s; "
+            "assert s._legendre.cache_info().currsize == 0; "
+            "s.gaussian_width(tenreg.entry_l1(), (2, 2, 2)); "
+            "assert s._legendre.cache_info().currsize == 1"
+        )
+        src = os.path.dirname(os.path.dirname(spectral.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=120, env=env)
+
+
 # every kind whose dual is computed draw by draw
 PER_DRAW_KINDS = [
     entry_l1(),
@@ -505,15 +638,22 @@ class TestOneHopmLoop:
         ref = _ref_hopm_spectral(a, restarts=1, rng=np.random.default_rng(9))
         assert one["value"] == pytest.approx(ref, rel=1e-12)
 
-    @pytest.mark.parametrize("kwargs", [{"restarts": 0}, {"iters": 0}])
+    @pytest.mark.parametrize(
+        "kwargs", [{"restarts": 0}, {"iters": 0}, {"restarts": True}, {"iters": 2.5}]
+    )
     def test_hopm_spectral_rejects_empty_search(self, kwargs):
         a = np.random.default_rng(0).standard_normal((3, 3, 3))
-        with pytest.raises(ValueError, match="HOPM needs"):
+        (name,) = kwargs
+        with pytest.raises(ValidationError, match=f"{name} must be an integer >= 1"):
             hopm_spectral(a, rng=np.random.default_rng(0), **kwargs)
 
-    @pytest.mark.parametrize("kwargs", [{"hopm_restarts": 0}, {"hopm_iters": 0}])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"hopm_restarts": 0}, {"hopm_iters": 0}, {"hopm_restarts": True}, {"hopm_iters": 2.5}],
+    )
     def test_spectral_width_rejects_empty_search(self, kwargs):
-        with pytest.raises(ValueError, match="HOPM needs"):
+        (name,) = kwargs
+        with pytest.raises(ValidationError, match=f"{name[5:]} must be an integer >= 1"):
             gaussian_width_mc(tensor_spectral(), (3, 3, 3), draws=100, **kwargs)
 
     @pytest.mark.parametrize("workers", [0, -1])
