@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import datagen, harness, solver
-from .errors import TenregError, ValidationError, check_count
+from .errors import TenregError, ValidationError, check_count, check_shape
 from .regularizers import RegularizerSpec
 
 EXIT_OK = 0
@@ -67,13 +67,8 @@ def _parse_kinds(text):
 
 
 def _parse_shapes(text):
-    shapes = []
-    for part in text.split(","):
-        dims = tuple(int(v) for v in part.strip().split("x"))
-        if len(dims) != 3:
-            raise ValidationError(f"shape {part!r} is not three-dimensional")
-        shapes.append(dims)
-    return shapes
+    dims = (tuple(int(v) for v in part.split("x")) for part in text.split(","))
+    return [check_shape("shape", shape) for shape in dims]
 
 
 def _load_json_arg(text):

@@ -18,15 +18,18 @@ from .errors import (
     ShapeMismatch,
     UnstableModel,
     ValidationError,
+    check_choice,
     check_count,
     check_real,
+    check_shape,
+    check_split,
     fields_from_json,
     fields_to_json,
     is_int,
     is_real,
     json_tuple,
 )
-from .regularizers import _group_axis, _group_norms, _groups
+from .regularizers import _fiber_mode, _group_axis, _group_norms, _groups
 from .solver import RegressionProblem, SufficientStats, expand_pairwise
 from .tensor import matricize
 
@@ -88,19 +91,14 @@ class ModelClassSpec:
     axes: tuple[int, int] = (0, 1)
 
     def __post_init__(self):
-        if self.kind not in _CLASS_KINDS:
-            raise ValueError(f"unknown class kind {self.kind!r}")
-        shape, mag = self.shape, self.magnitude
-        if not (isinstance(shape, (tuple, list)) and len(shape) == 3
-                and all(is_int(d) and d >= 1 for d in shape)):
-            raise ValueError(f"shape must be three integers >= 1, got {shape!r}")
+        check_choice("class kind", self.kind, _CLASS_KINDS)
+        check_shape("shape", self.shape)
         for name, v in (("s", self.s), ("r", self.r)):
             if not (v is None or is_int(v)):
-                raise ValueError(f"{name} must be null or an integer, got {v!r}")
-        if not is_real(mag):
-            raise ValueError(f"magnitude must be a finite number, got {mag!r}")
-        if not (is_int(self.mode) and 0 <= self.mode <= 2):
-            raise ValueError(f"mode must be an integer 0, 1 or 2, got {self.mode!r}")
+                raise ValidationError(f"{name} must be null or an integer, got {v!r}")
+        if not is_real(self.magnitude):
+            raise ValidationError(f"magnitude must be a finite number, got {self.magnitude!r}")
+        _fiber_mode(self.mode)
         _group_axis(self.axes)
 
     @property
@@ -280,8 +278,7 @@ def _check_sample(truth, n, split, noise_sigma):
     check_count("n", n, 1)
     truth = np.asarray(truth, dtype=np.float64)
     check_real("noise_sigma", noise_sigma, 0)
-    if not (0 < split <= truth.ndim):
-        raise ShapeMismatch("split must select a covariate prefix")
+    check_split(split, truth.ndim)
     return truth
 
 
@@ -342,7 +339,7 @@ def gen_sufficient_stats(truth, n, split, noise_sigma, seed=0):
     dim_resp = math.prod(truth.shape[split:])
     dim = dim_cov + dim_resp
     if n <= dim:
-        raise ValueError(f"the Wishart draw needs n > d + q = {dim}, got n = {n}")
+        raise ValidationError(f"the Wishart draw needs n > d + q = {dim}, got n = {n}")
     rng = np.random.default_rng(seed)
     low = np.diag(np.sqrt(rng.chisquare(n - np.arange(dim))))
     low[np.tril_indices(dim, -1)] = rng.standard_normal(dim * (dim - 1) // 2)
@@ -373,6 +370,7 @@ def gen_samples(spec, n, split, noise_sigma, seeds):
     """
     check_count("n", n, 1)
     check_real("noise_sigma", noise_sigma, 0)
+    check_split(split, len(spec.shape))
     _check_var_layout(spec, split, noise_sigma)
     if spec.kind == "t3":
         models = [_class_var_model(spec, tseed) for tseed, _ in seeds]
@@ -467,6 +465,7 @@ def gen_var_model(m, p, s, magnitude=1.0, seed=0, target_rho=0.75):
     +-magnitude entries, then the lag matrices are rescaled so the companion
     spectral radius equals `target_rho`.
     """
+    m, p = check_count("m", m, 1), check_count("p", p, 1)
     if s is None or s < 1 or s > m * m:
         raise InfeasibleClass(f"need 1 <= s <= {m * m}")
     rng = np.random.default_rng(seed)
@@ -526,9 +525,9 @@ def gen_var_panel(models, n, seeds):
     models, seeds = list(models), list(seeds)
     check_count("n", n, 1)
     if not models:
-        raise ValueError("need at least one VAR model")
+        raise ValidationError("need at least one VAR model")
     if len(seeds) != len(models):
-        raise ValueError(
+        raise ValidationError(
             f"need one seed per model, got {len(seeds)} for {len(models)} models"
         )
     if len({(model.p, model.m, model.burn_in) for model in models}) > 1:

@@ -1,47 +1,57 @@
-"""Exception types shared across the package, and the codec of decoded JSON."""
+"""Exception types shared across the package, the codec of decoded JSON, and
+the input rules: one check per kind of input, each refusing with a
+`ValidationError`."""
 
 import math
 import numbers
 from dataclasses import MISSING, fields
+
+import numpy as np
 
 
 class TenregError(Exception):
     """Base class for all package-specific errors."""
 
 
-class ShapeMismatch(TenregError):
+class ValidationError(TenregError, ValueError):
+    """Bad user-supplied input (CLI exit code 2); a ValueError too.  Every
+    class below but `SvdFailure` and `BudgetExhausted`, which report
+    outcomes, refuses an input and derives from it."""
+
+
+class ShapeMismatch(ValidationError):
     pass
 
 
-class InvalidAxes(TenregError):
+class InvalidAxes(ValidationError):
     pass
 
 
-class ZeroTensor(TenregError):
+class ZeroTensor(ValidationError):
     pass
 
 
-class UnsupportedKind(TenregError):
+class UnsupportedKind(ValidationError):
     pass
 
 
-class NoClosedFormProx(TenregError):
+class NoClosedFormProx(ValidationError):
     pass
 
 
-class UnmatchedPair(TenregError):
+class UnmatchedPair(ValidationError):
     pass
 
 
-class InfeasibleClass(TenregError):
+class InfeasibleClass(ValidationError):
     pass
 
 
-class BadCovarianceFactor(TenregError):
+class BadCovarianceFactor(ValidationError):
     pass
 
 
-class UnstableModel(TenregError):
+class UnstableModel(ValidationError):
     pass
 
 
@@ -52,10 +62,6 @@ class SvdFailure(TenregError):
 class BudgetExhausted(TenregError):
     """Greedy packing accepted fewer than two elements within its candidate
     budget."""
-
-
-class ValidationError(TenregError, ValueError):
-    """Bad user-supplied input (CLI exit code 2); a ValueError too."""
 
 
 def json_key(obj, key, what):
@@ -128,3 +134,35 @@ def check_real(name, value, least):
     least `least`: every scale's rule."""
     if not (is_real(value) and value >= least):
         raise ValidationError(f"{name} must be a finite number >= {least}, got {value!r}")
+
+
+def check_finite(name, arr):
+    """`arr` as a float64 array, refused unless every entry is finite: every
+    array's rule."""
+    arr = np.asarray(arr, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{name} must be finite")
+    return arr
+
+
+def check_choice(name, value, choices):
+    """Refuse `value` unless it is one of the strings `choices`: every named
+    option's rule."""
+    if value not in tuple(choices):
+        raise ValidationError(f"unknown {name} {value!r}: choose one of {', '.join(choices)}")
+
+
+def check_shape(name, shape):
+    """`shape` as a tuple, refused unless it is a tuple or list of three
+    integers (not bools) of at least 1: every tensor shape's rule."""
+    if not (isinstance(shape, (tuple, list)) and len(shape) == 3
+            and all(is_int(d) and d >= 1 for d in shape)):
+        raise ValidationError(f"{name} must be three integers >= 1, got {shape!r}")
+    return tuple(shape)
+
+
+def check_split(split, order):
+    """Refuse `split` unless it is an integer (not a bool) in 1..`order`, a
+    covariate prefix of an order-`order` truth: every split's rule."""
+    if not (is_int(split) and 1 <= split <= order):
+        raise ShapeMismatch(f"split must be an integer in 1..{order}, got {split!r}")

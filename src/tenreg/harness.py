@@ -18,11 +18,14 @@ from .datagen import gen_truth
 from .errors import (
     BudgetExhausted,
     ValidationError,
+    check_choice,
     check_count,
     check_real,
+    check_split,
     fields_from_json,
     fields_to_json,
     is_int,
+    is_real,
     json_tuple,
 )
 from .regularizers import RegularizerSpec, entry_l1, fiber_group, slice_frob
@@ -34,7 +37,7 @@ from .solver import empirical_norm, lambda_rule, solve
 # benchmark's tracer test (perfbench/tests/test_tracer.py) checks that a
 # solver wrapped in `tenreg.solver` is also wrapped at this binding.
 from .solver import fista_solve  # noqa: F401
-from .spectral import _exact_estimate, _width_mc, _width_sq
+from .spectral import _exact_estimate, _width_inputs, _width_mc, _width_sq
 from .spectral import gaussian_width_mc
 from .spectral import width_rate_expression
 
@@ -76,15 +79,12 @@ def predicted_rate(tag, model, n):
     """Evaluate a predicted-rate formula tag for a model class at sample
     size n (constants are not tracked; only the growth law matters).  The
     model field the tag takes its budget from must be an integer >= 1."""
-    if tag not in _RATES:
-        raise ValidationError(f"unknown rate tag {tag!r}")
+    check_choice("rate tag", tag, _RATES)
     field, power, penalty = _RATES[tag](model)
     budget = getattr(model, field)
     if not (is_int(budget) and budget >= 1):
-        raise ValidationError(
-            f"rate tag {tag!r} needs the model's {field} to be an integer >= 1, "
-            f"got {budget!r}"
-        )
+        raise ValidationError(f"rate tag {tag!r} needs the model's {field} to be an integer "
+                              f">= 1, got {budget!r}")
     return budget**power * _width_sq(penalty, model.shape) / n
 
 
@@ -112,16 +112,11 @@ class RateExperimentConfig:
             raise ValidationError(f"n_grid must be a list, got {self.n_grid!r}")
         grid = tuple(self.n_grid)
         if not all(is_int(n) and n >= 1 for n in grid):
-            raise ValidationError(
-                f"n_grid entries must be integers >= 1, got {list(grid)!r}"
-            )
+            raise ValidationError(f"n_grid entries must be integers >= 1, got {list(grid)!r}")
         check_count("seed", self.seed, 0)
         check_count("replications", self.replications, 10)
         check_count("width_draws", self.width_draws, 100)
-        if not is_int(self.split):
-            raise ValidationError(f"split must be an integer, got {self.split!r}")
-        if not 1 <= self.split <= 3:
-            raise ValidationError(f"split must be 1, 2 or 3, got {self.split}")
+        check_split(self.split, 3)
         if len(grid) < 4 or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValidationError("n_grid must be strictly increasing with >= 4 points")
         predicted_rate(self.rate_tag, self.model, grid[0])  # the rule the fit runs
@@ -157,7 +152,8 @@ def pairwise_width_mc(shape, draws=2000, seed=0):
     """Width of the pairwise-component penalty ball: expected maximum
     spectral norm over the marginal sums of a standard Gaussian tensor.
     Runs the width driver on one stream seeded by `seed` itself."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    _, seq, shape, draws = _width_inputs(shape, draws, seed, 1)
+    rng = np.random.Generator(np.random.Philox(seq))
     return _width_mc(_PAIRWISE, shape, draws, seed, [rng], None, None)
 
 
@@ -166,18 +162,18 @@ def auto_lambda(
 ):
     """The automatic tuning rule: one width for the penalty `reg` on `shape`,
     then `lambda_rule` at each sample size in `ns`, times the noise level
-    `sigma` when sigma > 0.  The penalties whose dual is a largest chi
-    group norm (entries, fibers and slice Frobenius norms) take their exact
-    width, `gaussian_width`, which depends on neither `draws`, `seed` nor
-    `workers`, though those are checked as for a draw; the
-    pairwise-component penalty takes `pairwise_width_mc`, and the other
-    kinds `gaussian_width_mc`.  The slice-nuclear penalty still draws,
-    though `gaussian_width` has its width exactly: without its draws a
-    one-seed traced `cli_pipeline` pass of the benchmark falls below the
-    span coverage its tracer test requires (ROADMAP item 7).  At sigma = 0
-    the rule stays unscaled: lambda = 0 makes FISTA from zero return a
-    dense interpolant for n < d, which no risk bound covers.  The rule's inputs are checked at every n
-    before the width is formed.  Returns the width and the lambdas.
+    `sigma` when sigma > 0.  The penalties whose dual is a largest chi group
+    norm (entries, fibers and slice Frobenius norms) take their exact width,
+    `gaussian_width`, which depends on neither `draws`, `seed` nor `workers`,
+    though those are checked as for a draw; the pairwise-component penalty
+    takes `pairwise_width_mc`, and the other kinds `gaussian_width_mc`.  The
+    slice-nuclear penalty still draws, though `gaussian_width` has its width
+    exactly: without its draws a one-seed traced `cli_pipeline` pass of the
+    benchmark falls below the span coverage its tracer test requires (ROADMAP
+    item 1).  At sigma = 0 the rule stays unscaled: lambda = 0 makes FISTA from
+    zero return a dense interpolant for n < d, which no risk bound covers.  The
+    rule's inputs are checked at every n before the width is formed.  Returns
+    the width and the lambdas.
     """
     for n in ns:
         _check_rule(n, c_u, reg.c_reg, multiplier)
@@ -437,17 +433,21 @@ def hypercube_packing(
     The +-1 kinds draw their candidates in chunks, which consume the same
     random stream as one draw per candidate.
 
-    Raises ``ValidationError`` unless delta is finite and positive and
-    budget an integer >= 1, and ``BudgetExhausted`` if fewer than two
-    elements were accepted within the candidate budget.
+    Raises ``ValidationError`` unless delta is a finite number > 0, budget
+    an integer >= 1, kind one of the three, and the kind's own sizes
+    integers (not bools) in range: `d` >= 6 for ``full`` and ``sparse``;
+    `d1`, `d2` and `r` >= 1 for ``lowrank``, which ignores `d`.  Raises
+    ``BudgetExhausted`` if fewer than two elements were accepted within the
+    candidate budget.
     """
-    if not (np.isfinite(delta) and delta > 0):
+    if not (is_real(delta) and delta > 0):
         raise ValidationError(f"packing needs a finite delta > 0, got {delta}")
     budget = check_count("budget", budget, 1)
+    check_choice("packing kind", kind, ("full", "sparse", "lowrank"))
+    if kind != "lowrank" and not (is_int(d) and d >= 6):
+        raise ValidationError(f"{kind} packing needs an integer d >= 6, got {d!r}")
     rng = np.random.default_rng(seed)
     if kind == "full":
-        if d < 6:
-            raise ValidationError("full hypercube packing needs d >= 6")
         a = np.sqrt(3.0) * delta / (4.0 * np.sqrt(d))
         floor = d / 3.0
         signs = _greedy(
@@ -457,8 +457,8 @@ def hypercube_packing(
         lo, hi = delta**2 / 4.0, delta**2
         meta = {"dimension": d, "hamming_floor": floor}
     elif kind == "sparse":
-        if d < 6 or s is None or not (1 <= s <= d):
-            raise ValidationError("sparse packing needs d >= 6 and 1 <= s <= d")
+        if not (is_int(s) and 1 <= s <= d):
+            raise ValidationError(f"sparse packing needs an integer 1 <= s <= d, got {s!r}")
 
         def draw(m):
             rows = np.zeros((m, d))
@@ -472,11 +472,9 @@ def hypercube_packing(
         signs = _greedy(draw, budget, 0, 7 * s // 8)
         lo, hi = delta**2 / 8.0, delta**2
         meta = {"dimension": d, "sparsity": s}
-    elif kind == "lowrank":
-        if d1 is None or d2 is None or r is None:
-            raise ValidationError("lowrank packing needs d1, d2, r")
-        if min(d1, d2, r) < 1:
-            raise ValidationError("lowrank packing needs d1, d2, r >= 1")
+    else:
+        if not all(is_int(v) and v >= 1 for v in (d1, d2, r)):
+            raise ValidationError(f"lowrank packing needs integers >= 1, got {d1=}, {d2=}, {r=}")
         if min(d1, d2) < r:
             raise ValidationError("rank exceeds matrix dimensions")
         ncoord = d1 * r
@@ -491,8 +489,6 @@ def hypercube_packing(
         signs = np.pad(signs.reshape(-1, d1, r), ((0, 0), (0, 0), (0, d2 - r)))
         lo, hi = delta**2 / 4.0, delta**2
         meta = {"d1": d1, "d2": d2, "rank": r, "hamming_floor": floor}
-    else:
-        raise ValidationError(f"unknown packing kind {kind!r}")
 
     accepted = list(a * signs)
     if len(accepted) < 2:
@@ -560,11 +556,10 @@ def emit_report(report, fmt="json"):
     CSV output is a rate report's cells plus a summary block, or a width
     report's rows.
     """
+    check_choice("format", fmt, ("json", "csv"))
     if fmt == "json":
         return json.dumps(report, sort_keys=True, indent=2)
-    if fmt == "csv":
-        return _report_csv(report)
-    raise ValidationError(f"unknown format {fmt!r}")
+    return _report_csv(report)
 
 
 def _report_csv(report):
@@ -572,8 +567,7 @@ def _report_csv(report):
     ``repr`` and a shape as ``d1xd2xd3``: a rate report's cells, then a
     summary of its fit and its per-n medians, or a width report's rows."""
     kind = report.get("kind")
-    if kind not in ("rate", "width"):
-        raise ValidationError("csv emission supports rate and width reports")
+    check_choice("CSV report kind", kind, ("rate", "width"))
 
     def text(v):
         if isinstance(v, float):

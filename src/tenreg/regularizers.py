@@ -39,6 +39,8 @@ from .errors import (
     ShapeMismatch,
     UnmatchedPair,
     UnsupportedKind,
+    ValidationError,
+    check_choice,
     check_count,
     check_real,
     fields_from_json,
@@ -99,16 +101,21 @@ def _group_axis(axes):
     return 3 - axes[0] - axes[1]
 
 
+def _fiber_mode(mode):
+    """Refuse `mode` unless it is an integer 0, 1 or 2, not a bool: every fiber mode's rule."""
+    if not (is_int(mode) and 0 <= mode <= 2):
+        raise InvalidAxes(f"mode must be an integer 0, 1 or 2, got {mode!r}")
+
+
 @dataclass(frozen=True)
 class RegularizerSpec:
     """Tagged description of which penalty is in force.
 
     `mode` is the fiber axis for ``fiber_group``; `axes` is the ordered pair
     of axes spanning each slice for the slice kinds.  No other kind takes
-    either.  The weak
-    decomposability constant is 1 for every kind except the tensor nuclear
-    pair, which carries 1/2 (recorded even though that primal is never
-    evaluated).
+    either, and each refusal is a `ValidationError`.  The weak decomposability
+    constant is 1 for every kind except the tensor nuclear pair, which
+    carries 1/2 (recorded even though that primal is never evaluated).
     """
 
     kind: str
@@ -116,17 +123,15 @@ class RegularizerSpec:
     axes: tuple[int, int] | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown penalty kind {self.kind!r}")
-        fiber = self.kind == "fiber_group"
-        if fiber and not (is_int(self.mode) and 0 <= self.mode <= 2):
-            raise ValueError(f"fiber_group needs mode 0, 1 or 2, got {self.mode!r}")
-        if not fiber and self.mode is not None:
-            raise ValueError(f"{self.kind} takes no mode, got {self.mode!r}")
+        check_choice("penalty kind", self.kind, _KINDS)
+        if self.kind == "fiber_group":
+            _fiber_mode(self.mode)
+        elif self.mode is not None:
+            raise ValidationError(f"{self.kind} takes no mode, got {self.mode!r}")
         if self.kind in ("slice_frob", "slice_nuclear"):
             _group_axis(self.axes)
         elif self.axes is not None:
-            raise ValueError(f"{self.kind} takes no axes, got {self.axes!r}")
+            raise ValidationError(f"{self.kind} takes no axes, got {self.axes!r}")
 
     @property
     def c_reg(self):
@@ -272,7 +277,7 @@ def reg_dual(spec, a, *, rng=None):
         from .spectral import hopm_spectral
 
         if rng is None:
-            raise ValueError("the spectral dual is stochastic; pass rng")
+            raise ValidationError("the spectral dual is stochastic; pass rng")
         return hopm_spectral(a, rng=rng)["value"]
     return float(_dual_batch(spec, a[None])[0])
 
@@ -466,7 +471,7 @@ class SubspaceSpec:
     support names one group of the grid that the axes outside `norm_axes`
     index: (i, j, k) for an entry, a pair for a fiber, a slice number or
     1-tuple for a slice.  An index of the wrong length or out of range
-    raises ShapeMismatch and a repeated one ValueError, since each would
+    raises ShapeMismatch and a repeated one ValidationError, since each would
     misstate the intrinsic dimension that `compatibility` bounds by the
     number of indices.
     """
@@ -481,12 +486,10 @@ class SubspaceSpec:
     role: str | None = None
 
     def __post_init__(self):
-        if self.variant not in _SUBSPACE_VARIANTS:
-            raise ValueError(f"unknown subspace variant {self.variant!r}")
+        check_choice("subspace variant", self.variant, _SUBSPACE_VARIANTS)
         object.__setattr__(self, "shape", tuple(self.shape))
-        fibers = self.variant == "support_fibers"
-        if fibers and not (is_int(self.mode) and 0 <= self.mode <= 2):
-            raise InvalidAxes(f"mode must be 0, 1 or 2, got {self.mode!r}")
+        if self.variant == "support_fibers":
+            _fiber_mode(self.mode)
         if self.variant in ("support_slices", "slicewise_projectors"):
             _group_axis(self.axes)
             object.__setattr__(self, "axes", tuple(self.axes))
@@ -504,11 +507,11 @@ class SubspaceSpec:
                     raise ShapeMismatch(f"index {idx!r} names no group of the grid {grid}")
                 keys.append(tuple(map(int, key)))
             if len(set(keys)) < len(keys):
-                raise ValueError("a support index is repeated")
+                raise ValidationError("a support index is repeated")
             object.__setattr__(self, "indices", tuple(keys))
-        elif self.role not in ("a_space", "b_space"):
-            raise ValueError("role must be 'a_space' or 'b_space'")
-        elif self.variant == "tucker_projectors":
+            return
+        check_choice("role", self.role, ("a_space", "b_space"))
+        if self.variant == "tucker_projectors":
             if getattr(self.triple, "dims", None) != self.shape:
                 raise ShapeMismatch("projector dims do not match shape")
         else:
@@ -581,8 +584,7 @@ def subspace_project(sub, a, which="space"):
     a = np.asarray(a, dtype=np.float64)
     if a.shape[-3:] != sub.shape:
         raise ShapeMismatch(f"tensor shape {a.shape} != subspace shape {sub.shape}")
-    if which not in ("space", "complement"):
-        raise ValueError("which must be 'space' or 'complement'")
+    check_choice("which", which, ("space", "complement"))
     if sub.norm_axes is not None:
         mask = _support_mask(sub)
         return np.where(mask, a, 0.0) if which == "space" else np.where(mask, 0.0, a)

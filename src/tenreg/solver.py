@@ -15,8 +15,8 @@ from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
-from .errors import NoClosedFormProx, ShapeMismatch, ValidationError, is_int, is_real
-from .errors import check_count, check_real, json_key
+from .errors import NoClosedFormProx, ShapeMismatch, ValidationError, is_real
+from .errors import check_count, check_finite, check_real, check_split, json_key
 from .regularizers import RegularizerSpec, _matched_bound, prox, reg_dual, reg_eval
 from .spectral import matrix_svt
 from .tensor import dematricize, matricize, read_tns, write_tns
@@ -55,11 +55,6 @@ _BALANCE_MU = 10.0
 _BALANCE_TAU = 2.0
 
 
-def _check_finite(name, arr):
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} must be finite")
-
-
 @dataclass
 class RegressionProblem:
     """A sample of covariate/response pairs with the covariate-mode split.
@@ -77,10 +72,8 @@ class RegressionProblem:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.covariates = np.asarray(self.covariates, dtype=np.float64)
-        self.responses = np.asarray(self.responses, dtype=np.float64)
-        _check_finite("covariates", self.covariates)
-        _check_finite("responses", self.responses)
+        self.covariates = check_finite("covariates", self.covariates)
+        self.responses = check_finite("responses", self.responses)
         if self.covariates.shape[0] != self.responses.shape[0]:
             raise ShapeMismatch("covariate and response counts differ")
         if self.covariates.shape[0] < 1:
@@ -133,16 +126,11 @@ class SufficientStats:
     truth: np.ndarray | None = None
 
     def __post_init__(self):
-        self.gram = np.asarray(self.gram, dtype=np.float64)
-        self.xty = np.asarray(self.xty, dtype=np.float64)
-        self.yty = float(self.yty)
-        _check_finite("gram", self.gram)
-        _check_finite("xty", self.xty)
-        if not math.isfinite(self.yty):
-            raise ValueError("yty must be finite")
+        self.gram = check_finite("gram", self.gram)
+        self.xty = check_finite("xty", self.xty)
+        self.yty = float(check_finite("yty", self.yty))
         check_count("n", self.n, 1)
-        if not (is_int(self.split) and 1 <= self.split <= self.xty.ndim):
-            raise ShapeMismatch("split must select a covariate prefix of xty")
+        check_split(self.split, self.xty.ndim)
         dim = math.prod(self.cov_shape)
         if self.gram.shape != (dim, dim):
             raise ShapeMismatch(f"gram shape {self.gram.shape} != {(dim, dim)}")
@@ -166,12 +154,9 @@ def _check_truth(problem):
     if 0 in problem.truth_shape:
         raise ShapeMismatch(f"need non-empty axes, got shape {problem.truth_shape}")
     if problem.truth is not None:
-        problem.truth = np.asarray(problem.truth, dtype=np.float64)
-        _check_finite("truth", problem.truth)
+        problem.truth = check_finite("truth", problem.truth)
         if problem.truth.shape != problem.truth_shape:
-            raise ShapeMismatch(
-                f"truth shape {problem.truth.shape} != {problem.truth_shape}"
-            )
+            raise ShapeMismatch(f"truth shape {problem.truth.shape} != {problem.truth_shape}")
 
 
 @dataclass
@@ -280,7 +265,7 @@ def empirical_norm(problem, delta):
 def _check_rule(n, c_u, c_reg, multiplier):
     if not (all(map(is_real, (n, c_u, c_reg, multiplier)))
             and n >= 1 and c_u > 0 and 0 < c_reg <= 1 and multiplier >= 1):
-        raise ValueError("need finite n >= 1, c_u > 0, 0 < c_reg <= 1 and multiplier >= 1")
+        raise ValidationError("need finite n >= 1, c_u > 0, 0 < c_reg <= 1 and multiplier >= 1")
 
 
 def lambda_rule(width, n, c_u=1.0, c_reg=1.0, multiplier=1.0):

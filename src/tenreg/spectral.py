@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatch, SvdFailure, UnsupportedKind, ValidationError, ZeroTensor
-from .errors import check_count, check_real, fields_to_json, is_int
+from .errors import ShapeMismatch, SvdFailure, UnsupportedKind, ZeroTensor
+from .errors import check_count, check_finite, check_real, check_shape, fields_to_json
 from .regularizers import _GROUP_KINDS, SV_RTOL, RegularizerSpec, _batch_draws, _dual_batch
 from .tensor import matricize
 
@@ -139,11 +139,9 @@ def hopm_spectral(a, restarts=20, iters=200, *, rng=None):
     from `rng`.  The returned value is attained by the returned unit
     factors, hence a certified lower bound.
     """
-    a = np.asarray(a, dtype=np.float64)
+    a = check_finite("tensor entries", a)
     if a.ndim != 3:
         raise ShapeMismatch("expected an order-3 tensor")
-    if not np.isfinite(a).all():
-        raise ValueError("hopm_spectral needs a finite tensor")
     if not np.any(a):
         raise ZeroTensor("spectral norm of the zero tensor is undefined here")
     if rng is None:
@@ -208,7 +206,7 @@ def _width_sq(spec, shape):
         return max(d1 * d2, d2 * d3, d1 * d3)
     if spec.kind == "tensor_spectral_dual_only":
         return d1 + d2 + d3
-    raise ValueError(spec.kind)
+    raise UnsupportedKind(spec.kind)
 
 
 def width_rate_expression(spec, shape):
@@ -223,16 +221,13 @@ def _cores():
     return os.cpu_count() or 1
 
 
-def _width_shape(shape):
-    """`shape` as a tuple of three integers >= 1: every width's shape rule."""
-    shape = tuple(shape)
-    if len(shape) != 3:
-        raise ValidationError("width estimation expects an order-3 shape")
-    if not all(is_int(d) for d in shape):
-        raise ValidationError(f"width estimation needs integer dimensions, got shape {shape}")
-    if min(shape) < 1:
-        raise ValidationError(f"width estimation needs every dimension >= 1, got shape {shape}")
-    return shape
+def _width_inputs(shape, draws, seed, workers):
+    """Hold a width's inputs to their rules, for an exact width as for a drawn
+    one, in one order: `workers`, `seed` (that of the draws' substreams),
+    `shape`, `draws`.  Returns them checked, the seed as its SeedSequence."""
+    workers = check_count("workers", workers, 1)
+    seq = np.random.SeedSequence(seed)
+    return workers, seq, check_shape("shape", shape), check_count("draws", draws, 100)
 
 
 def _width_mc(spec, shape, draws, seed, rngs, hopm_restarts, hopm_iters):
@@ -242,9 +237,8 @@ def _width_mc(spec, shape, draws, seed, rngs, hopm_restarts, hopm_iters):
     scheduling.  Each generator draws in batches of at most 256 tensors and
     2**17 entries (1 MB), so memory stays bounded at any shape; every dual
     but the tensor-spectral one is computed per draw, so its values do not
-    depend on the batch size."""
-    shape = _width_shape(shape)
-    draws = check_count("draws", draws, 100)
+    depend on the batch size.  `shape` and `draws` have passed
+    :func:`_width_inputs`."""
     batch = _batch_draws(shape)
     base, rem = divmod(draws, len(rngs))
 
@@ -308,9 +302,8 @@ def gaussian_width_mc(
     follows the batch size, which is 256 draws up to 512 entries.
     `draws` must be an integer >= 100.
     """
-    workers = check_count("workers", workers, 1)
-    seqs = np.random.SeedSequence(seed).spawn(workers)
-    rngs = [np.random.Generator(np.random.Philox(seq)) for seq in seqs]
+    workers, seq, shape, draws = _width_inputs(shape, draws, seed, workers)
+    rngs = [np.random.Generator(np.random.Philox(s)) for s in seq.spawn(workers)]
     return _width_mc(spec, shape, draws, seed, rngs, hopm_restarts, hopm_iters)
 
 
@@ -491,7 +484,7 @@ def gaussian_width(spec, shape):
     """
     if spec.kind not in _EXACT_KINDS:
         raise UnsupportedKind(f"no exact width for {spec.kind}; use gaussian_width_mc")
-    shape = _width_shape(shape)
+    shape = check_shape("shape", shape)
     dims = [shape[ax] for ax in spec.norm_axes]
     m = math.prod(shape) // math.prod(dims)
     if spec.kind != "slice_nuclear":
@@ -501,14 +494,10 @@ def gaussian_width(spec, shape):
 
 def _exact_estimate(spec, shape, draws, seed, workers):
     """The exact width of the penalty `spec` on `shape` as a width entry:
-    `std_error` 0 and `draws` 0.  `draws`, `seed` and `workers` are
-    held to the rules :func:`gaussian_width_mc` holds them to, though
-    nothing is drawn, so a caller that may take either width refuses the
-    same inputs, in the same order."""
-    check_count("workers", workers, 1)
-    np.random.SeedSequence(seed)  # the seed rule of the draws' substreams
-    shape = _width_shape(shape)
-    check_count("draws", draws, 100)
+    `std_error` 0 and `draws` 0.  Its inputs pass :func:`_width_inputs`,
+    though nothing is drawn, so a caller that may take either width refuses
+    the same inputs, in the same order."""
+    shape = _width_inputs(shape, draws, seed, workers)[2]
     return WidthEstimate(
         mean=gaussian_width(spec, shape),
         std_error=0.0,

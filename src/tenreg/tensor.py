@@ -15,7 +15,7 @@ import struct
 
 import numpy as np
 
-from .errors import InvalidAxes, ShapeMismatch
+from .errors import InvalidAxes, ShapeMismatch, ValidationError, check_choice, check_finite
 
 __all__ = [
     "inner",
@@ -32,8 +32,7 @@ TNS_MAGIC = b"TNS1"
 
 def _freeze(arr):
     """Flag an array the caller owns read-only, after rejecting NaN/Inf."""
-    if not np.isfinite(arr).all():
-        raise ValueError("tensor entries must be finite")
+    check_finite("tensor entries", arr)
     arr.flags.writeable = False
     return arr
 
@@ -97,13 +96,13 @@ def _mode_multiply(a, mat, k):
 
 def _orthonormal(u, rows=None, tol=1e-10):
     """`u` as a float64 matrix, of `rows` rows when given, whose columns are
-    orthonormal: ShapeMismatch for another shape, ValueError otherwise."""
+    orthonormal: ShapeMismatch for another shape, ValidationError otherwise."""
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 2 or rows not in (None, u.shape[0]):
         want = "a matrix" if rows is None else f"a matrix of {rows} rows"
         raise ShapeMismatch(f"factor of shape {u.shape} is not {want}")
     if not np.allclose(u.T @ u, np.eye(u.shape[1]), atol=tol):
-        raise ValueError("factor columns must be orthonormal")
+        raise ValidationError("factor columns must be orthonormal")
     return u
 
 
@@ -166,8 +165,7 @@ def tucker_project(a, triple, pattern="full"):
         raise ShapeMismatch("tucker_project expects an order-3 tensor or a stack of them")
     if a.shape[-3:] != triple.dims:
         raise ShapeMismatch(f"tensor shape {a.shape} != projector dims {triple.dims}")
-    if pattern not in ("full", "q"):
-        raise ValueError(f"unknown pattern {pattern!r}")
+    check_choice("pattern", pattern, ("full", "q"))
     p1 = triple.apply_mode(a, 0)
     p12 = triple.apply_mode(p1, 1)
     p123 = triple.apply_mode(p12, 2)
@@ -199,7 +197,7 @@ def _header_field(fh, end, fmt):
     checking that the file holds it."""
     need = struct.calcsize(fmt)
     if end - fh.tell() < need:
-        raise ValueError(f"truncated header: {end} bytes, need {fh.tell() + need}")
+        raise ValidationError(f"truncated header: {end} bytes, need {fh.tell() + need}")
     return struct.unpack(fmt, fh.read(need))
 
 
@@ -216,7 +214,7 @@ def read_tns(path):
         end = os.fstat(fh.fileno()).st_size
         magic = fh.read(4)
         if magic != TNS_MAGIC:
-            raise ValueError(f"bad magic {magic!r}, expected {TNS_MAGIC!r}")
+            raise ValidationError(f"bad magic {magic!r}, expected {TNS_MAGIC!r}")
         (order,) = _header_field(fh, end, "<I")
         shape = _header_field(fh, end, f"<{order}Q")
         size = end - fh.tell()
@@ -225,5 +223,5 @@ def read_tns(path):
             data = np.empty(shape, dtype="<f8")
             size = fh.readinto(data)  # short only if the file shrank meanwhile
     if size != expected:
-        raise ValueError(f"payload of {size} bytes, expected {expected}")
+        raise ValidationError(f"payload of {size} bytes, expected {expected}")
     return _freeze(data)

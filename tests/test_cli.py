@@ -432,7 +432,7 @@ class TestAutoLambda:
             capsys,
         )
         assert code == 2
-        assert "dimension >= 1, got shape (0, 3, 3)" in err
+        assert "shape must be three integers >= 1, got (0, 3, 3)" in err
         assert out == ""
 
 
@@ -733,7 +733,7 @@ class TestMissingJsonKeys:
          ({"noise_sigma": float("nan")}, "noise_sigma must be a finite number >= 0"),
          ({"n_grid": [0, 1, 2, 3]}, "n_grid entries must be integers >= 1"),
          ({"n_grid": [-3, -2, -1, 0]}, "n_grid entries must be integers >= 1"),
-         ({"split": 5}, "split must be 1, 2 or 3"),
+         ({"split": 5}, "split must be an integer in 1..3, got 5"),
          ({"regularizer": {"kind": "nope"}}, "unknown penalty kind"),
          ({"regularizer": "pairwise"}, "split must be 3"),
          ({"regularizer": {"kind": "pairwise_component_nuclear"}}, "split must be 3"),
@@ -892,8 +892,12 @@ def test_main_restores_numpy_error_state(tmp_path, capsys):
         ["--delta", "1.0", "--budget", "0"],
         ["--delta", "1.0", "--kind", "lowrank", "--d1", "12", "--d2", "8", "--r", "0"],
         ["--delta", "1.0", "--kind", "lowrank", "--d1", "12", "--d2", "8", "--r", "-1"],
+        ["--delta", "1.0", "--d", "5"],
+        ["--delta", "1.0", "--kind", "sparse", "--d", "20"],
+        ["--delta", "1.0", "--kind", "lowrank", "--d1", "12", "--d2", "8"],
     ],
-    ids=["delta-nan", "delta-inf", "delta-0", "delta-neg", "budget-0", "rank-0", "rank-neg"],
+    ids=["delta-nan", "delta-inf", "delta-0", "delta-neg", "budget-0", "rank-0", "rank-neg",
+         "d-5", "sparse-no-s", "lowrank-no-r"],
 )
 def test_packing_rejects_bad_input(tmp_path, capsys, args):
     out = tmp_path / "p.json"

@@ -1,7 +1,9 @@
 """The JSON codec of the spec and config dataclasses (`fields_to_json`,
-`fields_from_json`), through the classes that read and write with it, and
-the input rules `check_count` and `check_real` at the entry points that
-take a count or a scale."""
+`fields_from_json`), through the classes that read and write with it; the
+input rules `check_count` and `check_real` at the entry points that take a
+count or a scale, and the finite, choice, shape, fiber-mode and split rules
+at the entry points that take an array, a named option, a shape, a fiber
+mode or a covariate split; and the exception classes that refuse input."""
 
 import math
 import re
@@ -10,12 +12,13 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from tenreg import datagen, harness, regularizers, solver, spectral
+from tenreg import datagen, errors, harness, regularizers, solver, spectral, tensor
 from tenreg.datagen import ModelClassSpec, VarModel, gen_var_model
 from tenreg.errors import ValidationError, check_count, check_real
 from tenreg.harness import RateExperimentConfig
 from tenreg.regularizers import RegularizerSpec, entry_l1, fiber_group, slice_frob
-from tenreg.regularizers import support_entries
+from tenreg.regularizers import slicewise_projectors, subspace_project, support_entries
+from tenreg.regularizers import support_fibers
 from tenreg.spectral import WidthEstimate
 
 MODEL_JSON = {"kind": "theta1", "shape": [3, 3, 3]}
@@ -181,6 +184,10 @@ ENTRY_POINTS = {
                     (datagen, "_spectral_radius"), "burn_in", "count", 0),
     "var-extrema-grid": (lambda v: datagen.var_spectral_extrema(gen_var_model(2, 1, 1), grid=v),
                          (np.linalg, "eigvalsh"), "grid", "count", 64),
+    "var-model-m": (lambda v: datagen.gen_var_model(v, 1, 1),
+                    (np.random, "default_rng"), "m", "count", 1),
+    "var-model-p": (lambda v: datagen.gen_var_model(2, v, 1),
+                    (np.random, "default_rng"), "p", "count", 1),
     "gen_problem-n": (lambda v: datagen.gen_problem(np.ones(SHAPE), v, 3, 1.0),
                       (np.random, "default_rng"), "n", "count", 1),
     "gen_samples-sigma": (lambda v: datagen.gen_samples(RATE_FIELDS["model"], 20, 3, v, [(0, 0)]),
@@ -221,3 +228,115 @@ def test_risk_bound_refuses_a_bad_c_ell_before_any_work(monkeypatch, c_ell):
     monkeypatch.setattr(solver, "_matched_bound", pytest.fail)
     with pytest.raises(ValidationError, match=re.escape("need c_u >= c_ell > 0")):
         solver.risk_bound_predicted(entry_l1(), SUB, 0.1, c_ell=c_ell)
+
+
+TRIPLE = tensor.ProjectorTriple([np.eye(3)[:, :1]] * 3)
+PAIR = (np.eye(3)[:, :1], np.eye(3)[:, :1])
+STATS = dict(gram=np.eye(9), xty=np.ones(SHAPE), yty=1.0, n=4, split=2)
+
+# entry point: (call with the bad value, the step after the check or None,
+# the rule and its argument: the array's, option's or shape's name, nothing
+# for a fiber mode, or a split's order)
+RULE_ENTRY_POINTS = {
+    "problem-covariates": (
+        lambda v: solver.RegressionProblem(np.full((2,) + SHAPE, v), np.ones(2), 3),
+        (solver, "_check_truth"), "finite", "covariates"),
+    "stats-gram": (lambda v: solver.SufficientStats(**{**STATS, "gram": np.full((9, 9), v)}),
+                   (solver, "_check_truth"), "finite", "gram"),
+    "stats-yty": (lambda v: solver.SufficientStats(**{**STATS, "yty": v}),
+                  (solver, "_check_truth"), "finite", "yty"),
+    "hopm-tensor": (lambda v: spectral.hopm_spectral(np.full(SHAPE, v)),
+                    (spectral, "matricize"), "finite", "tensor entries"),
+    "penalty-kind": (lambda v: RegularizerSpec(v), None, "choice", "penalty kind"),
+    "class-kind": (lambda v: ModelClassSpec(v, SHAPE), (datagen, "check_shape"),
+                   "choice", "class kind"),
+    "subspace-variant": (lambda v: regularizers.SubspaceSpec(v, SHAPE), None,
+                         "choice", "subspace variant"),
+    "subspace-role": (lambda v: slicewise_projectors(SHAPE, (PAIR,) * 3, role=v),
+                      (regularizers, "_orthonormal"), "choice", "role"),
+    "project-which": (lambda v: subspace_project(SUB, np.ones(SHAPE), v),
+                      (regularizers, "_support_mask"), "choice", "which"),
+    "tucker-pattern": (lambda v: tensor.tucker_project(np.ones(SHAPE), TRIPLE, v),
+                       (tensor.ProjectorTriple, "apply_mode"), "choice", "pattern"),
+    "rate-tag": (lambda v: harness.predicted_rate(v, RATE_FIELDS["model"], 100),
+                 (harness, "_width_sq"), "choice", "rate tag"),
+    "packing-kind": (lambda v: harness.hypercube_packing(12, 1.0, kind=v),
+                     (np.random, "default_rng"), "choice", "packing kind"),
+    "report-format": (lambda v: harness.emit_report({"kind": "width"}, v),
+                      (harness, "_report_csv"), "choice", "format"),
+    "csv-report-kind": (lambda v: harness.emit_report({"kind": v}, "csv"),
+                        (harness.csv, "writer"), "choice", "CSV report kind"),
+    "class-shape": (lambda v: ModelClassSpec("theta1", v), (datagen, "_fiber_mode"),
+                    "shape", "shape"),
+    "width-shape": (lambda v: spectral.gaussian_width_mc(entry_l1(), v, 100),
+                    (spectral, "_width_mc"), "shape", "shape"),
+    "exact-width-shape": (lambda v: spectral.gaussian_width(entry_l1(), v),
+                          (spectral, "_chi_max_mean"), "shape", "shape"),
+    "auto-lambda-shape": (lambda v: harness.auto_lambda(entry_l1(), v, [50], 1.0, 100, 0),
+                          (spectral, "gaussian_width"), "shape", "shape"),
+    "pairwise-width-shape": (lambda v: harness.pairwise_width_mc(v, 100),
+                             (harness, "_width_mc"), "shape", "shape"),
+    "penalty-mode": (lambda v: RegularizerSpec("fiber_group", mode=v), None, "mode", None),
+    "class-mode": (lambda v: ModelClassSpec("theta2", SHAPE, mode=v),
+                   (datagen, "_group_axis"), "mode", None),
+    "support-mode": (lambda v: support_fibers(SHAPE, [(0, 0)], mode=v), None, "mode", None),
+    "gen_problem-split": (lambda v: datagen.gen_problem(np.ones(SHAPE), 10, v, 1.0),
+                          (np.random, "default_rng"), "split", 3),
+    "wishart-split": (lambda v: datagen.gen_sufficient_stats(np.ones(SHAPE), 100, v, 1.0),
+                      (np.random, "default_rng"), "split", 3),
+    "gen_samples-split": (lambda v: datagen.gen_samples(RATE_FIELDS["model"], 20, v, 1.0,
+                                                        [(0, 0)]),
+                          (datagen, "_check_var_layout"), "split", 3),
+    "stats-split": (lambda v: solver.SufficientStats(**{**STATS, "split": v}),
+                    (solver, "_check_truth"), "split", 3),
+    "rate-split": (lambda v: RateExperimentConfig(**RATE_FIELDS, split=v),
+                   (harness, "predicted_rate"), "split", 3),
+}
+RULE_BAD = {
+    "finite": {"nan": math.nan, "inf": math.inf, "-inf": -math.inf},
+    "choice": {"typo": "nope", "none": None, "list": ["entry_l1"]},
+    "shape": {"order-2": (3, 3), "zero": (3, 0, 3), "float": (3, 2.0, 3),
+              "bool": (True, 3, 3), "none": None},
+    "mode": {"five": 5, "negative": -1, "float": 1.0, "bool": True, "none": None},
+    "split": {"zero": 0, "four": 4, "fraction": 1.5, "true": True, "none": None},
+}
+
+
+def _rule_message(rule, arg, value):
+    """The one wording of `rule` for the bad `value`."""
+    if rule == "finite":
+        return f"{arg} must be finite"
+    if rule == "choice":
+        return f"unknown {arg} {value!r}: choose one of "
+    if rule == "shape":
+        return f"{arg} must be three integers >= 1, got {value!r}"
+    if rule == "mode":
+        return f"mode must be an integer 0, 1 or 2, got {value!r}"
+    return f"split must be an integer in 1..{arg}, got {value!r}"
+
+
+@pytest.mark.parametrize(
+    "entry, bad",
+    [(e, b) for e, (_call, _step, rule, _arg) in RULE_ENTRY_POINTS.items()
+     for b in RULE_BAD[rule]],
+    ids=lambda v: v,
+)
+def test_bad_input_is_refused_by_its_rule_before_any_work(monkeypatch, entry, bad):
+    call, step, rule, arg = RULE_ENTRY_POINTS[entry]
+    value = RULE_BAD[rule][bad]
+    if step is not None:
+        monkeypatch.setattr(*step, pytest.fail)
+    with pytest.raises(ValidationError, match=re.escape(_rule_message(rule, arg, value))):
+        call(value)
+
+
+REFUSING = ["ShapeMismatch", "InvalidAxes", "UnsupportedKind", "NoClosedFormProx",
+            "UnmatchedPair", "InfeasibleClass", "BadCovarianceFactor", "UnstableModel",
+            "ZeroTensor"]
+
+
+@pytest.mark.parametrize("name", REFUSING + ["SvdFailure", "BudgetExhausted"])
+def test_every_class_that_refuses_input_is_a_validation_error(name):
+    cls = getattr(errors, name)
+    assert issubclass(cls, errors.TenregError)
+    assert issubclass(cls, ValidationError) == (name in REFUSING)

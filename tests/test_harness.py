@@ -162,8 +162,8 @@ class TestRateConfig:
         "field, value, message",
         [("n_grid", (-3, -2, -1, 0), "n_grid entries must be integers >= 1"),
          ("n_grid", (0, 1, 2, 3), "n_grid entries must be integers >= 1"),
-         ("split", 5, "split must be 1, 2 or 3"),
-         ("split", 0, "split must be 1, 2 or 3")],
+         ("split", 5, "split must be an integer in 1..3, got 5"),
+         ("split", 0, "split must be an integer in 1..3, got 0")],
     )
     def test_rejects_a_bad_grid_or_split(self, field, value, message):
         with pytest.raises(ValidationError, match=message):
@@ -264,7 +264,7 @@ class TestAutoLambda:
          ({"workers": True}, ValidationError, "workers must be an integer >= 1"),
          ({"seed": -1}, ValueError, "non-negative"),
          ({"seed": 2.5}, TypeError, "SeedSequence"),
-         ({"shape": (3, 3)}, ValidationError, "order-3 shape")],
+         ({"shape": (3, 3)}, ValidationError, "shape must be three integers >= 1")],
         ids=["few-draws", "float-draws", "no-worker", "bool-worker", "negative-seed",
              "float-seed", "order-2"],
     )
@@ -642,6 +642,14 @@ class TestPacking:
             dict(kind="lowrank", d=0, d1=12, d2=8, r=-1),
             dict(kind="lowrank", d=0, d1=0, d2=8, r=1),
             dict(kind="lowrank", d=0, d1=12, d2=0, r=1),
+            dict(d=12.0),
+            dict(d=True),
+            dict(kind="sparse", d=20, s=2.5),
+            dict(kind="sparse", d=20, s=True),
+            dict(kind="lowrank", d=0, d1=12, d2=8, r=True),
+            dict(kind="lowrank", d=0, d1=12.0, d2=8, r=1),
+            dict(delta=True),
+            dict(delta="1.0"),
         ],
         ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()),
     )
@@ -925,7 +933,7 @@ class TestReports:
         assert emit_report(report, fmt="csv").startswith("kind,shape,estimate")
         with pytest.raises(ValidationError):
             emit_report(report, fmt="xml")
-        with pytest.raises(ValidationError, match="rate and width"):
+        with pytest.raises(ValidationError, match="unknown CSV report kind 'packing'"):
             emit_report({"kind": "packing"}, fmt="csv")
 
     def test_rate_report_schema(self):

@@ -233,7 +233,7 @@ class TestGaussianWidth:
 
     @pytest.mark.parametrize("shape", [(0, 3, 3), (3, 3, 0), (2, -1, 2)])
     def test_rejects_a_dimension_below_one(self, shape):
-        with pytest.raises(ValueError, match=r"dimension >= 1, got shape \("):
+        with pytest.raises(ValueError, match=r"shape must be three integers >= 1, got \("):
             gaussian_width_mc(tensor_spectral(), shape, draws=100)
 
     def test_thread_pool_capped_at_core_count(self, monkeypatch):
@@ -381,9 +381,9 @@ class TestExactWidth:
 
     @pytest.mark.parametrize("shape", [(3, 3), (3, 0, 3), (3, 2.0, 3)])
     def test_refuses_a_shape_the_draws_refuse(self, shape):
-        with pytest.raises(ValidationError, match="width estimation"):
+        with pytest.raises(ValidationError, match="shape must be three integers >= 1"):
             gaussian_width(entry_l1(), shape)
-        with pytest.raises(ValidationError, match="width estimation"):
+        with pytest.raises(ValidationError, match="shape must be three integers >= 1"):
             gaussian_width_mc(entry_l1(), shape, draws=100)
 
     def test_import_solves_no_quadrature(self):

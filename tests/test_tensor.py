@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tenreg.errors import InvalidAxes, ShapeMismatch
+from tenreg.errors import InvalidAxes, ShapeMismatch, ValidationError
 from tenreg.tensor import (
     ProjectorTriple,
     dematricize,
@@ -245,7 +245,7 @@ class TestTnsFormat:
         a[1, 0, 1] = bad
         path = tmp_path / "t.tns"
         write_tns(path, a)
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValidationError, match="^tensor entries must be finite$"):
             read_tns(path)
 
     def test_read_returns_a_frozen_array_of_its_own(self, tmp_path):
