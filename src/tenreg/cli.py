@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import os
 import sys
 
 import numpy as np
 
-from . import datagen, harness, solver
+from . import datagen, harness, solver, spectral
 from .errors import TenregError, ValidationError, check_count, check_shape
 from .regularizers import RegularizerSpec
 
@@ -86,6 +87,11 @@ def _write_output(text, out):
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
+def _default(func, name):
+    """The default of the parameter `name` of the library function `func`."""
+    return inspect.signature(func).parameters[name].default
+
+
 @functools.cache
 def build_parser():
     """The parser, built once per process: parsing reads it and leaves it as
@@ -107,24 +113,25 @@ def build_parser():
     p_solve.add_argument("--problem", required=True, help="problem directory")
     p_solve.add_argument("--regularizer", required=True)
     p_solve.add_argument("--lam", default="auto")
-    p_solve.add_argument("--multiplier", type=float, default=1.0)
-    p_solve.add_argument("--c-u", type=float, default=1.0)
-    p_solve.add_argument("--width-draws", type=int, default=2000)
-    p_solve.add_argument("--max-iters", type=int, default=2000)
+    p_solve.add_argument("--c-u", type=float, default=_default(harness.auto_lambda, "c_u"))
+    p_solve.add_argument("--width-draws", type=int, default=spectral.WIDTH_DRAWS)
+    p_solve.add_argument("--max-iters", type=int, default=solver.MAX_ITERS)
 
     p_width = sub.add_parser("width", help="Gaussian width table")
     p_width.add_argument("--kinds", required=True, help="comma-separated shorthands")
     p_width.add_argument("--shapes", required=True, help="e.g. 5x5x5,10x10x10")
-    p_width.add_argument("--draws", type=int, default=2000)
+    p_width.add_argument("--draws", type=int, default=spectral.WIDTH_DRAWS)
 
     p_rate = sub.add_parser("rate", help="rate-verification sweep")
     p_rate.add_argument("--config", required=True, help="RateExperimentConfig JSON")
 
     p_pack = sub.add_parser("packing", help="greedy packing construction")
-    p_pack.add_argument("--kind", choices=["full", "sparse", "lowrank"], default="full")
+    p_pack.add_argument("--kind", choices=["full", "sparse", "lowrank"],
+                        default=_default(harness.hypercube_packing, "kind"))
     p_pack.add_argument("--d", type=int, default=12)
     p_pack.add_argument("--delta", type=float, required=True)
-    p_pack.add_argument("--budget", type=int, default=100000)
+    p_pack.add_argument("--budget", type=int,
+                        default=_default(harness.hypercube_packing, "budget"))
     p_pack.add_argument("--s", type=int, default=None)
     p_pack.add_argument("--d1", type=int, default=None)
     p_pack.add_argument("--d2", type=int, default=None)
@@ -132,7 +139,7 @@ def build_parser():
 
     p_var = sub.add_parser("var-extrema", help="VAR spectral extrema")
     p_var.add_argument("--model", required=True, help="VarModel JSON or path")
-    p_var.add_argument("--grid", type=int, default=64)
+    p_var.add_argument("--grid", type=int, default=_default(datagen.var_spectral_extrema, "grid"))
 
     return parser
 
@@ -172,7 +179,6 @@ def _cmd_solve(args):
             args.seed,
             workers=args.threads,
             c_u=args.c_u,
-            multiplier=args.multiplier,
         )
     else:
         lam = float(args.lam)

@@ -21,6 +21,7 @@ from .errors import (
     check_choice,
     check_count,
     check_real,
+    check_seed,
     check_shape,
     check_split,
     fields_from_json,
@@ -145,13 +146,12 @@ def gen_pairwise_components(spec, seed):
     r = spec.r
     if r is None or r < 1 or r > min(spec.shape) - 1:
         raise InfeasibleClass("pairwise rank must satisfy 1 <= r <= min(d)-1")
-    rng = np.random.default_rng(seed)
-    comps = (
+    rng = np.random.default_rng(check_seed(seed))
+    return (
         spec.magnitude * _centered_low_rank(rng, d1, d2, r),
         spec.magnitude * _centered_low_rank(rng, d1, d3, r),
         spec.magnitude * _centered_low_rank(rng, d2, d3, r),
     )
-    return comps
 
 
 def gen_truth(spec, seed):
@@ -160,7 +160,7 @@ def gen_truth(spec, seed):
     Raises ``InfeasibleClass`` when the parameters cannot be met at the
     given shape.  Every generated tensor passes :func:`class_certificate`.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     shape = spec.shape
 
     if spec.kind == "t3":  # a stable VAR model, sparse in its lag fibers
@@ -273,13 +273,13 @@ def class_certificate(spec, truth):
     return {"ok": False, "reason": f"unknown kind {spec.kind}"}
 
 
-def _check_sample(truth, n, split, noise_sigma):
-    """The checks both Gaussian samplers share; gives `truth` as floats."""
+def _check_sample(truth, n, split, noise_sigma, seed):
+    """The checks both Gaussian samplers share; gives `truth` as floats and its generator."""
     check_count("n", n, 1)
     truth = np.asarray(truth, dtype=np.float64)
     check_real("noise_sigma", noise_sigma, 0)
     check_split(split, truth.ndim)
-    return truth
+    return truth, np.random.default_rng(check_seed(seed))
 
 
 def gen_problem(truth, n, split, noise_sigma, design="iid", seed=0, meta=None):
@@ -289,11 +289,10 @@ def gen_problem(truth, n, split, noise_sigma, design="iid", seed=0, meta=None):
     square covariance factor is supplied.  Responses follow the linear
     model with i.i.d. centered Gaussian noise of scale `noise_sigma`.
     """
-    truth = _check_sample(truth, n, split, noise_sigma)
+    truth, rng = _check_sample(truth, n, split, noise_sigma, seed)
     cov_shape = truth.shape[:split]
     resp_shape = truth.shape[split:]
     dim_cov = int(np.prod(cov_shape))
-    rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, dim_cov))
     if isinstance(design, str):
         if design != "iid":
@@ -334,13 +333,12 @@ def gen_sufficient_stats(truth, n, split, noise_sigma, seed=0):
     Takes n > d + q, the cells :func:`gen_samples` draws this way; W is
     nonsingular there.
     """
-    truth = _check_sample(truth, n, split, noise_sigma)
+    truth, rng = _check_sample(truth, n, split, noise_sigma, seed)
     dim_cov = math.prod(truth.shape[:split])
     dim_resp = math.prod(truth.shape[split:])
     dim = dim_cov + dim_resp
     if n <= dim:
         raise ValidationError(f"the Wishart draw needs n > d + q = {dim}, got n = {n}")
-    rng = np.random.default_rng(seed)
     low = np.diag(np.sqrt(rng.chisquare(n - np.arange(dim))))
     low[np.tril_indices(dim, -1)] = rng.standard_normal(dim * (dim - 1) // 2)
     w = low @ low.T
@@ -463,12 +461,14 @@ def gen_var_model(m, p, s, magnitude=1.0, seed=0, target_rho=0.75):
 
     Each chosen (output, input) cell is filled across all lags with
     +-magnitude entries, then the lag matrices are rescaled so the companion
-    spectral radius equals `target_rho`.
+    spectral radius equals `target_rho`, in [0, 1).
     """
-    m, p = check_count("m", m, 1), check_count("p", p, 1)
-    if s is None or s < 1 or s > m * m:
+    m, p, s = (check_count(name, v, 1) for name, v in (("m", m), ("p", p), ("s", s)))
+    if s > m * m:
         raise InfeasibleClass(f"need 1 <= s <= {m * m}")
-    rng = np.random.default_rng(seed)
+    if not (is_real(target_rho) and 0 <= target_rho < 1):
+        raise ValidationError(f"target_rho must be a finite number in [0, 1), got {target_rho!r}")
+    rng = np.random.default_rng(check_seed(seed))
     coeffs = np.zeros((p, m, m))
     cells = rng.choice(m * m, size=s, replace=False)
     for c in cells:
@@ -522,7 +522,7 @@ def gen_var_panel(models, n, seeds):
     each problem before asking for the next holds one group at a time.
     Each covariate array is a read-only lag-window view of its series.
     """
-    models, seeds = list(models), list(seeds)
+    models, seeds = list(models), [check_seed(seed) for seed in seeds]
     check_count("n", n, 1)
     if not models:
         raise ValidationError("need at least one VAR model")

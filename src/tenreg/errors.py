@@ -136,6 +136,15 @@ def check_real(name, value, least):
         raise ValidationError(f"{name} must be a finite number >= {least}, got {value!r}")
 
 
+def check_seed(seed):
+    """A `np.random.SeedSequence` as it is, or else the count rule's seed, an
+    integer >= 0: every generator seed's rule.  A seed that a report echoes
+    takes the count rule alone, as JSON holds only the integer."""
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
+    return check_count("seed", seed, 0)
+
+
 def check_finite(name, arr):
     """`arr` as a float64 array, refused unless every entry is finite: every
     array's rule."""

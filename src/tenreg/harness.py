@@ -30,7 +30,7 @@ from .errors import (
 )
 from .regularizers import RegularizerSpec, entry_l1, fiber_group, slice_frob
 from .regularizers import _GROUP_KINDS, matricized_nuclear_sum, slice_nuclear, tensor_spectral
-from .solver import _check_rule, _check_solvable
+from .solver import MAX_ITERS, _check_rule, _check_solvable
 from .solver import empirical_norm, lambda_rule, solve
 
 # Unused here since the harness solves through `solve`, but kept bound: the
@@ -38,7 +38,7 @@ from .solver import empirical_norm, lambda_rule, solve
 # solver wrapped in `tenreg.solver` is also wrapped at this binding.
 from .solver import fista_solve  # noqa: F401
 from .spectral import _exact_estimate, _width_inputs, _width_mc, _width_sq
-from .spectral import gaussian_width_mc
+from .spectral import WIDTH_DRAWS, gaussian_width_mc
 from .spectral import width_rate_expression
 
 __all__ = [
@@ -99,12 +99,11 @@ class RateExperimentConfig:
     replications: int
     seed: int
     rate_tag: str
-    lambda_multiplier: float = 1.0
     c_u: float = 1.0
     noise_sigma: float = 1.0
-    width_draws: int = 2000
+    width_draws: int = WIDTH_DRAWS
     split: int = 2
-    max_iters: int = 2000
+    max_iters: int = MAX_ITERS
 
     def __post_init__(self):
         # the sweep's own fields; the rest is checked by the rules its cells run
@@ -128,7 +127,7 @@ class RateExperimentConfig:
                 f"regularizer must be a penalty object or 'pairwise', got {reg!r}"
             )
         for n in grid:
-            _check_rule(n, self.c_u, reg.c_reg, self.lambda_multiplier)
+            _check_rule(n, self.c_u, reg.c_reg)
         check_count("max_iters", self.max_iters, 1)
         check_real("noise_sigma", self.noise_sigma, 0)
         _check_solvable(reg, self.model.shape, self.model.shape[self.split :])
@@ -148,7 +147,7 @@ class RateExperimentConfig:
         )
 
 
-def pairwise_width_mc(shape, draws=2000, seed=0):
+def pairwise_width_mc(shape, draws=WIDTH_DRAWS, seed=0):
     """Width of the pairwise-component penalty ball: expected maximum
     spectral norm over the marginal sums of a standard Gaussian tensor.
     Runs the width driver on one stream seeded by `seed` itself."""
@@ -157,9 +156,7 @@ def pairwise_width_mc(shape, draws=2000, seed=0):
     return _width_mc(_PAIRWISE, shape, draws, seed, [rng], None, None)
 
 
-def auto_lambda(
-    reg, shape, ns, sigma, draws, seed, *, workers=1, c_u=1.0, multiplier=1.0
-):
+def auto_lambda(reg, shape, ns, sigma, draws, seed, *, workers=1, c_u=1.0):
     """The automatic tuning rule: one width for the penalty `reg` on `shape`,
     then `lambda_rule` at each sample size in `ns`, times the noise level
     `sigma` when sigma > 0.  The penalties whose dual is a largest chi group
@@ -176,7 +173,7 @@ def auto_lambda(
     the width and the lambdas.
     """
     for n in ns:
-        _check_rule(n, c_u, reg.c_reg, multiplier)
+        _check_rule(n, c_u, reg.c_reg)
     if reg.kind == _PAIRWISE.kind:
         width = pairwise_width_mc(shape, draws, seed)
     elif reg.kind in _GROUP_KINDS:
@@ -185,7 +182,7 @@ def auto_lambda(
         width = gaussian_width_mc(reg, shape, draws, seed, workers=workers)
     lams = []
     for n in ns:
-        lam = lambda_rule(width, n, c_u=c_u, c_reg=reg.c_reg, multiplier=multiplier)
+        lam = lambda_rule(width, n, c_u=c_u, c_reg=reg.c_reg)
         lams.append(sigma * lam if sigma > 0 else lam)
     return width, lams
 
@@ -239,7 +236,6 @@ def rate_experiment(config):
     width, lams = auto_lambda(
         config.regularizer, model.shape, config.n_grid, config.noise_sigma,
         config.width_draws, config.seed, c_u=config.c_u,
-        multiplier=config.lambda_multiplier,
     )
     seqs = np.random.SeedSequence(config.seed).spawn(len(config.n_grid))
     cells, per_n = [], []
@@ -278,7 +274,7 @@ def rate_experiment(config):
 _WIDTH_BAND = (0.2, 5.0)
 
 
-def width_experiment(kinds, shapes, draws=2000, seed=0, workers=1):
+def width_experiment(kinds, shapes, draws=WIDTH_DRAWS, seed=0, workers=1):
     """Width estimates against their growth-law expressions, with ratio
     columns and flags for the rows outside `_WIDTH_BAND`.  Refuses an empty
     table: no kinds or no shapes."""
@@ -434,8 +430,8 @@ def hypercube_packing(
     random stream as one draw per candidate.
 
     Raises ``ValidationError`` unless delta is a finite number > 0, budget
-    an integer >= 1, kind one of the three, and the kind's own sizes
-    integers (not bools) in range: `d` >= 6 for ``full`` and ``sparse``;
+    an integer >= 1, kind one of the three, seed an integer >= 0, and the
+    kind's own sizes integers (not bools) in range: `d` >= 6 for ``full`` and ``sparse``;
     `d1`, `d2` and `r` >= 1 for ``lowrank``, which ignores `d`.  Raises
     ``BudgetExhausted`` if fewer than two elements were accepted within the
     candidate budget.
@@ -446,6 +442,7 @@ def hypercube_packing(
     check_choice("packing kind", kind, ("full", "sparse", "lowrank"))
     if kind != "lowrank" and not (is_int(d) and d >= 6):
         raise ValidationError(f"{kind} packing needs an integer d >= 6, got {d!r}")
+    seed = check_count("seed", seed, 0)  # echoed in the packing's meta
     rng = np.random.default_rng(seed)
     if kind == "full":
         a = np.sqrt(3.0) * delta / (4.0 * np.sqrt(d))

@@ -30,9 +30,7 @@ __all__ = [
     "lambda_rule",
     "risk_bound_predicted",
     "kkt_residual",
-    "FistaConfig",
     "fista_solve",
-    "AdmmConfig",
     "admm_matricized",
     "expand_pairwise",
     "marginal_features",
@@ -42,6 +40,8 @@ __all__ = [
     "solve",
 ]
 
+# The iteration cap of every solver, a rate config and `tenreg solve`.
+MAX_ITERS = 2000
 # FISTA: relative objective change that triggers a certificate check, the
 # periodic certificate interval, and power steps for the initial Lipschitz
 # estimate.
@@ -78,6 +78,7 @@ class RegressionProblem:
             raise ShapeMismatch("covariate and response counts differ")
         if self.covariates.shape[0] < 1:
             raise ShapeMismatch("need at least one sample")
+        check_split(self.split, len(self.truth_shape))
         if self.split != self.covariates.ndim - 1:
             raise ShapeMismatch("split must equal the covariate order")
         check_real("noise_sigma", self.noise_sigma, 0)
@@ -262,17 +263,16 @@ def empirical_norm(problem, delta):
     return float(np.sqrt((pred * pred).sum() / problem.n))
 
 
-def _check_rule(n, c_u, c_reg, multiplier):
-    if not (all(map(is_real, (n, c_u, c_reg, multiplier)))
-            and n >= 1 and c_u > 0 and 0 < c_reg <= 1 and multiplier >= 1):
-        raise ValidationError("need finite n >= 1, c_u > 0, 0 < c_reg <= 1 and multiplier >= 1")
+def _check_rule(n, c_u, c_reg):
+    if not (all(map(is_real, (n, c_u, c_reg))) and n >= 1 and c_u > 0 and 0 < c_reg <= 1):
+        raise ValidationError("need finite n >= 1, c_u > 0 and 0 < c_reg <= 1")
 
 
-def lambda_rule(width, n, c_u=1.0, c_reg=1.0, multiplier=1.0):
-    """Tuning rule lam = multiplier * 2 c_u (3 + c_R) / (c_R sqrt(n)) * width."""
-    _check_rule(n, c_u, c_reg, multiplier)
+def lambda_rule(width, n, c_u=1.0, c_reg=1.0):
+    """Tuning rule lam = 2 c_u (3 + c_R) / (c_R sqrt(n)) * width."""
+    _check_rule(n, c_u, c_reg)
     mean = width.mean if hasattr(width, "mean") else float(width)
-    return multiplier * 2.0 * c_u * (3.0 + c_reg) / (c_reg * np.sqrt(n)) * mean
+    return 2.0 * c_u * (3.0 + c_reg) / (c_reg * np.sqrt(n)) * mean
 
 
 def risk_bound_predicted(spec, sub, lam, c_u=1.0, c_ell=1.0):
@@ -463,21 +463,12 @@ def _compressed(gram, xty, yty, n):
     return op
 
 
-@dataclass
-class FistaConfig:
-    max_iters: int = 2000
-    kkt_tol: float = 1e-7
-
-    def __post_init__(self):
-        check_count("max_iters", self.max_iters, 1)
-
-
 class _Overflow(Exception):
     """A non-finite step-size inverse or loss inside :func:`_apg`."""
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _apg(x0, op, prox_step, penalty, dual, lam, config):
+def _apg(x0, op, prox_step, penalty, dual, lam, max_iters, kkt_tol):
     """FISTA (Beck & Teboulle 2009) with backtracking and adaptive restart
     (O'Donoghue & Candes 2015) on ``op.loss(x) + lam * penalty(x)``.
 
@@ -519,7 +510,7 @@ def _apg(x0, op, prox_step, penalty, dual, lam, config):
     try:
         if not np.isfinite(obj):
             raise _Overflow
-        for it in range(1, config.max_iters + 1):
+        for it in range(1, max_iters + 1):
             iters_done = it
             cand, lip, new_obj = backtrack(y, lip, at_x0 if it == 1 else None)
             if new_obj > obj:
@@ -539,9 +530,9 @@ def _apg(x0, op, prox_step, penalty, dual, lam, config):
             # progress is gone at machine precision (a stall, so checked);
             # the last iteration is certified for the result, not checked
             check = (it % _KKT_EVERY == 0) or rel_change < _TOL
-            if check or it == config.max_iters:
+            if check or it == max_iters:
                 kkt = _certificate(op, lam, x, dual, penalty)
-                if check and kkt < config.kkt_tol:
+                if check and kkt < kkt_tol:
                     status = "Converged"
                     break
             if rel_change < 1e-15:
@@ -555,7 +546,7 @@ def _apg(x0, op, prox_step, penalty, dual, lam, config):
     return x, trace, float(kkt), iters_done, status
 
 
-def fista_solve(problem, spec, lam, config=None):
+def fista_solve(problem, spec, lam, max_iters=MAX_ITERS, kkt_tol=1e-7):
     """Accelerated proximal gradient with backtracking and adaptive restart.
 
     Requires a penalty with a closed-form prox.  The pairwise-component one
@@ -566,16 +557,17 @@ def fista_solve(problem, spec, lam, config=None):
     nonincreasing: momentum steps that would increase the objective trigger
     a restart from the previous iterate.  A stalled objective (relative
     change below 1e-10) or every 25th iteration triggers the certificate
-    check, and the solve returns Converged once it drops below ``kkt_tol``.
-    When n exceeds the parameter dimension, or the problem is a
+    check, and the solve returns Converged once it drops below `kkt_tol`,
+    or MaxIters after `max_iters` steps.  When n exceeds the parameter
+    dimension, or the problem is a
     :class:`SufficientStats`, loss, gradient and certificate work on the
     loss compressed to parameter space once per problem (see
     :func:`_operator`); otherwise on the data.  Data whose squares overflow
     return Diverged.
     """
+    max_iters = check_count("max_iters", max_iters, 1)
+    check_real("kkt_tol", kkt_tol, 0)
     check_real("lam", lam, 0)
-    if config is None:
-        config = FistaConfig()
     _check_solvable(spec, problem.truth_shape, problem.resp_shape)
     if lam > 0 and not spec.has_prox():
         raise NoClosedFormProx(f"{spec.kind} is not prox-friendly, use ADMM")
@@ -596,24 +588,15 @@ def fista_solve(problem, spec, lam, config=None):
 
     op, run = _operator(problem, pairwise), ()
     if op is not None:
-        x, *run = _apg(x, op, prox_step, penalty, dual, lam, config)
+        x, *run = _apg(x, op, prox_step, penalty, dual, lam, max_iters, kkt_tol)
     if not pairwise:
         return SolveResult(lam, x, *run)
     comps = blocks.split(x)
     return SolveResult(lam, expand_pairwise(comps, shape), *run, components=comps)
 
 
-@dataclass
-class AdmmConfig:
-    max_iters: int = 2000
-    tol: float = 1e-6
-
-    def __post_init__(self):
-        check_count("max_iters", self.max_iters, 1)
-
-
 @np.errstate(over="ignore", invalid="ignore")
-def admm_matricized(problem, lam, config=None):
+def admm_matricized(problem, lam, max_iters=MAX_ITERS, tol=1e-6):
     """Consensus ADMM for the averaged sum of matricized nuclear norms.
 
     Three auxiliary copies, one per unfolding, are soft-thresholded at
@@ -621,12 +604,12 @@ def admm_matricized(problem, lam, config=None):
     solved in Woodbury form from one eigendecomposition of the row Gram,
     kept on FISTA's least-squares operator, so rebalancing the penalty
     parameter when the primal and dual residuals drift apart costs nothing.
-    Converged means both residuals fell below `tol`; data whose squares
-    overflow return Diverged.
+    Converged means both residuals fell below `tol` within `max_iters`
+    rounds; data whose squares overflow return Diverged.
     """
+    max_iters = check_count("max_iters", max_iters, 1)
+    check_real("tol", tol, 0)
     check_real("lam", lam, 0)
-    if config is None:
-        config = AdmmConfig()
     spec = RegularizerSpec("matricized_nuclear_sum")
     _check_solvable(spec, problem.truth_shape, problem.resp_shape)
     shape = problem.truth_shape
@@ -646,7 +629,7 @@ def admm_matricized(problem, lam, config=None):
     status = "MaxIters"
     iters_done = 0
 
-    for it in range(1, config.max_iters + 1):
+    for it in range(1, max_iters + 1):
         iters_done = it
         rhs = rhs0 + rho * sum(z - u for z, u in zip(zs, us))
         a = op.shifted_solve(rhs, 3.0 * rho)
@@ -667,7 +650,7 @@ def admm_matricized(problem, lam, config=None):
         if not np.isfinite(r_norm) or trace[-1] > 1e3 * max(trace[0], 1e-12):
             status = "Diverged"
             break
-        if r_norm < config.tol and s_norm < config.tol:
+        if r_norm < tol and s_norm < tol:
             status = "Converged"
             break
         if r_norm > _BALANCE_MU * s_norm:
@@ -741,17 +724,17 @@ def _pairwise_map(shape):
     return amap
 
 
-def fista_pairwise(problem, lam, config=None):
-    """:func:`fista_solve` on the pairwise-component penalty."""
-    return fista_solve(problem, RegularizerSpec("pairwise_component_nuclear"), lam, config)
+def fista_pairwise(problem, lam, **settings):
+    """:func:`fista_solve` on the pairwise-component penalty, with its settings."""
+    return fista_solve(problem, RegularizerSpec("pairwise_component_nuclear"), lam, **settings)
 
 
-def solve(problem, reg, lam, max_iters=2000):
+def solve(problem, reg, lam, max_iters=MAX_ITERS):
     """Fit `problem` with the solver for `reg`: consensus ADMM for the
     averaged matricized nuclear norm, FISTA for every other penalty."""
     if reg.kind == "matricized_nuclear_sum":
-        return admm_matricized(problem, lam, AdmmConfig(max_iters=max_iters))
-    return fista_solve(problem, reg, lam, FistaConfig(max_iters=max_iters))
+        return admm_matricized(problem, lam, max_iters)
+    return fista_solve(problem, reg, lam, max_iters)
 
 
 # ---------------------------------------------------------------------------

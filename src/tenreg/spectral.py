@@ -221,12 +221,16 @@ def _cores():
     return os.cpu_count() or 1
 
 
+# The draws of a Monte-Carlo width when its caller gives none.
+WIDTH_DRAWS = 2000
+
+
 def _width_inputs(shape, draws, seed, workers):
     """Hold a width's inputs to their rules, for an exact width as for a drawn
     one, in one order: `workers`, `seed` (that of the draws' substreams),
     `shape`, `draws`.  Returns them checked, the seed as its SeedSequence."""
     workers = check_count("workers", workers, 1)
-    seq = np.random.SeedSequence(seed)
+    seq = np.random.SeedSequence(check_count("seed", seed, 0))
     return workers, seq, check_shape("shape", shape), check_count("draws", draws, 100)
 
 
@@ -273,7 +277,7 @@ def _width_mc(spec, shape, draws, seed, rngs, hopm_restarts, hopm_iters):
 def gaussian_width_mc(
     spec: RegularizerSpec,
     shape,
-    draws=2000,
+    draws=WIDTH_DRAWS,
     seed=0,
     *,
     workers=1,

@@ -46,7 +46,6 @@ from tenreg.regularizers import (
     tucker_projectors,
 )
 from tenreg.solver import (
-    FistaConfig,
     RegressionProblem,
     empirical_norm,
     fista_solve,
@@ -511,9 +510,7 @@ def test_criterion_8_solver_oracle_equivalence():
                 responses=ys[i],
                 split=3,
             )
-            res = fista_solve(
-                problem, spec, lam, FistaConfig(kkt_tol=1e-10, max_iters=5000)
-            )
+            res = fista_solve(problem, spec, lam, max_iters=5000, kkt_tol=1e-10)
             dist = float(np.linalg.norm(res.estimate.ravel() - oracle[i]))
             worst = max(worst, dist)
     elapsed = time.time() - start

@@ -1,11 +1,13 @@
+import inspect
 import json
 import os
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tenreg import harness
+from tenreg import datagen, harness, solver, spectral
 from tenreg.cli import build_parser, main
 from tenreg.datagen import ModelClassSpec, VarModel, gen_truth, var_spectral_extrema
 from tenreg.solver import RegressionProblem, load_problem, save_problem
@@ -243,14 +245,11 @@ class TestGenSolve:
         "args, split, message",
         [(["--regularizer", "entry_l1", "--max-iters", "0"], 3,
           "max_iters must be an integer >= 1, got 0"),
-         (["--regularizer", "entry_l1", "--multiplier", "0.5"], 3, "multiplier >= 1"),
          (["--regularizer", "entry_l1", "--c-u", "0"], 3, "c_u > 0"),
          (["--regularizer", "entry_l1", "--c-u", "nan"], 3, "c_u > 0"),
-         (["--regularizer", "entry_l1", "--multiplier", "inf"], 3, "multiplier >= 1"),
          (["--regularizer", "tensor_spectral"], 3, "has no solver for it"),
          (["--regularizer", "pairwise"], 1, "scalar response")],
-        ids=["max-iters", "multiplier", "c-u", "c-u-nan", "multiplier-inf",
-             "tensor-spectral", "pairwise-split-1"],
+        ids=["max-iters", "c-u", "c-u-nan", "tensor-spectral", "pairwise-split-1"],
     )
     def test_refused_before_the_width_draws(
         self, tmp_path, capsys, monkeypatch, args, split, message
@@ -728,7 +727,7 @@ class TestMissingJsonKeys:
          ({"split": None}, "split must be an integer"),
          ({"c_u": None}, "c_u > 0"),
          ({"c_u": 0}, "c_u > 0"),
-         ({"lambda_multiplier": 0.5}, "multiplier >= 1"),
+         ({"lambda_multiplier": 1.0}, "rate config JSON has unknown keys ['lambda_multiplier']"),
          ({"noise_sigma": -1}, "noise_sigma must be a finite number >= 0"),
          ({"noise_sigma": float("nan")}, "noise_sigma must be a finite number >= 0"),
          ({"n_grid": [0, 1, 2, 3]}, "n_grid entries must be integers >= 1"),
@@ -765,7 +764,7 @@ class TestMissingJsonKeys:
           "rate tag 's_log_total_over_n' needs the model's s to be")],
         ids=["n_grid-int", "seed-str", "seed-negative", "max_iters-str", "max_iters-zero",
              "width_draws-float", "split-null", "c_u-null", "c_u-zero",
-             "lambda_multiplier-below-one", "noise_sigma-negative", "noise_sigma-nan",
+             "lambda_multiplier-unknown", "noise_sigma-negative", "noise_sigma-nan",
              "n_grid-zero", "n_grid-negative", "split-five", "regularizer-unknown-kind",
              "pairwise-split-two", "pairwise-spec-split-two", "entry-l1-mode-and-axes",
              "pairwise-axes", "slice-nuclear-mode", "tensor-spectral",
@@ -905,3 +904,39 @@ def test_packing_rejects_bad_input(tmp_path, capsys, args):
     assert code == 2
     assert ("budget must be an integer >= 1" if "--budget" in args else "packing needs") in err
     assert not out.exists()
+
+
+def _library_default(func, name):
+    return inspect.signature(func).parameters[name].default
+
+
+RATE_DEFAULTS = {f.name: f.default for f in fields(harness.RateExperimentConfig)}
+# (command line, flag's attribute, the library defaults it mirrors)
+MIRRORED_FLAGS = [
+    (["solve", "--problem", "p", "--regularizer", "entry_l1"], "max_iters",
+     [_library_default(solver.solve, "max_iters"),
+      _library_default(solver.fista_solve, "max_iters"),
+      _library_default(solver.admm_matricized, "max_iters"), RATE_DEFAULTS["max_iters"]]),
+    (["solve", "--problem", "p", "--regularizer", "entry_l1"], "width_draws",
+     [_library_default(spectral.gaussian_width_mc, "draws"),
+      _library_default(harness.pairwise_width_mc, "draws"), RATE_DEFAULTS["width_draws"]]),
+    (["solve", "--problem", "p", "--regularizer", "entry_l1"], "c_u",
+     [_library_default(harness.auto_lambda, "c_u"), RATE_DEFAULTS["c_u"]]),
+    (["width", "--kinds", "entry_l1", "--shapes", "3x3x3"], "draws",
+     [_library_default(harness.width_experiment, "draws")]),
+    (["packing", "--delta", "1"], "kind", [_library_default(harness.hypercube_packing, "kind")]),
+    (["packing", "--delta", "1"], "budget",
+     [_library_default(harness.hypercube_packing, "budget")]),
+    (["var-extrema", "--model", "m.json"], "grid",
+     [_library_default(datagen.var_spectral_extrema, "grid")]),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, attr, library", MIRRORED_FLAGS, ids=[f"{a[0]}-{attr}" for a, attr, _ in MIRRORED_FLAGS]
+)
+def test_a_flag_mirroring_a_library_parameter_takes_its_default(argv, attr, library):
+    # every library default the flag stands for is the same value, and the
+    # flag left out gives it
+    assert len(set(library)) == 1
+    assert getattr(build_parser().parse_args(argv), attr) == library[0]

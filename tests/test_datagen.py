@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -570,9 +571,15 @@ class TestGroupGeometry:
         with pytest.raises(InfeasibleClass, match=message):
             gen_truth(ModelClassSpec(kind, GOLDEN_SHAPE, **params), 0)
 
-    @pytest.mark.parametrize("s", [None, 0, 17])
-    def test_var_budget_out_of_range(self, s):
-        with pytest.raises(InfeasibleClass, match="need 1 <= s <= 16"):
+    @pytest.mark.parametrize(
+        "s, error, message",
+        [(None, ValidationError, "s must be an integer >= 1, got None"),
+         (0, ValidationError, "s must be an integer >= 1, got 0"),
+         (17, InfeasibleClass, "need 1 <= s <= 16")],
+        ids=["None", "0", "17"],
+    )
+    def test_var_budget_out_of_range(self, s, error, message):
+        with pytest.raises(error, match=re.escape(message)):
             gen_truth(ModelClassSpec("t3", (4, 3, 4), s=s), 0)
 
     def test_numpy_scalars_are_accepted(self):

@@ -1,9 +1,10 @@
 """The JSON codec of the spec and config dataclasses (`fields_to_json`,
 `fields_from_json`), through the classes that read and write with it; the
-input rules `check_count` and `check_real` at the entry points that take a
-count or a scale, and the finite, choice, shape, fiber-mode and split rules
-at the entry points that take an array, a named option, a shape, a fiber
-mode or a covariate split; and the exception classes that refuse input."""
+input rules `check_count`, `check_seed` and `check_real` at the entry
+points that take a count, a seed or a scale, and the finite, choice,
+shape, fiber-mode and split rules at the entry points that take an array,
+a named option, a shape, a fiber mode or a covariate split; and the
+exception classes that refuse input."""
 
 import math
 import re
@@ -166,7 +167,18 @@ ENTRY_POINTS = {
                   (solver, "_operator"), "lam", "real", 0),
     "admm-lam": (lambda v: solver.admm_matricized(PROBLEM, v),
                  (solver, "_operator"), "lam", "real", 0),
-    "fista-max_iters": (lambda v: solver.FistaConfig(max_iters=v), None, "max_iters", "count", 1),
+    "fista-max_iters": (lambda v: solver.fista_solve(PROBLEM, entry_l1(), 0.1, max_iters=v),
+                        (solver, "_operator"), "max_iters", "count", 1),
+    "fista-kkt_tol": (lambda v: solver.fista_solve(PROBLEM, entry_l1(), 0.1, kkt_tol=v),
+                      (solver, "_operator"), "kkt_tol", "real", 0),
+    "pairwise-kkt_tol": (lambda v: solver.fista_pairwise(PROBLEM, 0.1, kkt_tol=v),
+                         (solver, "_operator"), "kkt_tol", "real", 0),
+    "admm-max_iters": (lambda v: solver.admm_matricized(PROBLEM, 0.1, max_iters=v),
+                       (solver, "_operator"), "max_iters", "count", 1),
+    "admm-tol": (lambda v: solver.admm_matricized(PROBLEM, 0.1, tol=v),
+                 (solver, "_operator"), "tol", "real", 0),
+    "solve-max_iters": (lambda v: solver.solve(PROBLEM, entry_l1(), math.nan, v),
+                        (solver, "_operator"), "max_iters", "count", 1),
     "prox-t": (lambda v: regularizers.prox(entry_l1(), np.ones(SHAPE), v),
                (regularizers, "_check_order3"), "t", "real", 0),
     "svt-t": (lambda v: spectral.matrix_svt(np.ones((3, 3)), v),
@@ -188,6 +200,31 @@ ENTRY_POINTS = {
                     (np.random, "default_rng"), "m", "count", 1),
     "var-model-p": (lambda v: datagen.gen_var_model(2, v, 1),
                     (np.random, "default_rng"), "p", "count", 1),
+    "var-model-s": (lambda v: datagen.gen_var_model(2, 1, v),
+                    (np.random, "default_rng"), "s", "count", 1),
+    "width-seed": (lambda v: spectral.gaussian_width_mc(entry_l1(), SHAPE, 100, seed=v),
+                   (spectral, "_width_mc"), "seed", "count", 0),
+    "exact-width-seed": (lambda v: harness.auto_lambda(entry_l1(), SHAPE, [50], 1.0, 100, v),
+                         (spectral, "gaussian_width"), "seed", "count", 0),
+    "pairwise-width-seed": (lambda v: harness.pairwise_width_mc(SHAPE, 100, v),
+                            (harness, "_width_mc"), "seed", "count", 0),
+    "packing-seed": (lambda v: harness.hypercube_packing(12, 1.0, seed=v),
+                     (np.random, "default_rng"), "seed", "count", 0),
+    "rate-seed": (lambda v: RateExperimentConfig(**{**RATE_FIELDS, "seed": v}),
+                  (harness, "predicted_rate"), "seed", "count", 0),
+    "truth-seed": (lambda v: datagen.gen_truth(RATE_FIELDS["model"], v),
+                   (np.random, "default_rng"), "seed", "count", 0),
+    "pairwise-components-seed": (
+        lambda v: datagen.gen_pairwise_components(ModelClassSpec("t4", SHAPE, r=1), v),
+        (np.random, "default_rng"), "seed", "count", 0),
+    "gen_problem-seed": (lambda v: datagen.gen_problem(np.ones(SHAPE), 10, 3, 1.0, seed=v),
+                         (np.random, "default_rng"), "seed", "count", 0),
+    "wishart-seed": (lambda v: datagen.gen_sufficient_stats(np.ones(SHAPE), 100, 3, 1.0, v),
+                     (np.random, "default_rng"), "seed", "count", 0),
+    "var-model-seed": (lambda v: datagen.gen_var_model(2, 1, 1, seed=v),
+                       (np.random, "default_rng"), "seed", "count", 0),
+    "var-panel-seed": (lambda v: datagen.gen_var_panel([gen_var_model(2, 1, 1)], 10, [v]),
+                       (datagen, "_var_group"), "seed", "count", 0),
     "gen_problem-n": (lambda v: datagen.gen_problem(np.ones(SHAPE), v, 3, 1.0),
                       (np.random, "default_rng"), "n", "count", 1),
     "gen_samples-sigma": (lambda v: datagen.gen_samples(RATE_FIELDS["model"], 20, 3, v, [(0, 0)]),
@@ -228,6 +265,21 @@ def test_risk_bound_refuses_a_bad_c_ell_before_any_work(monkeypatch, c_ell):
     monkeypatch.setattr(solver, "_matched_bound", pytest.fail)
     with pytest.raises(ValidationError, match=re.escape("need c_u >= c_ell > 0")):
         solver.risk_bound_predicted(entry_l1(), SUB, 0.1, c_ell=c_ell)
+
+
+@pytest.mark.parametrize("rho", [math.nan, 1.0, -0.1, True, "0.5"])
+def test_var_model_refuses_a_bad_target_rho_before_any_draw(monkeypatch, rho):
+    monkeypatch.setattr(np.random, "default_rng", pytest.fail)
+    message = f"target_rho must be a finite number in [0, 1), got {rho!r}"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        gen_var_model(2, 1, 1, target_rho=rho)
+
+
+def test_seed_rule_keeps_a_seed_sequence_and_gives_an_integer_as_int():
+    seq = np.random.SeedSequence(5)
+    assert errors.check_seed(seq) is seq
+    seed = errors.check_seed(np.int64(5))
+    assert seed == 5 and type(seed) is int
 
 
 TRIPLE = tensor.ProjectorTriple([np.eye(3)[:, :1]] * 3)
@@ -289,6 +341,8 @@ RULE_ENTRY_POINTS = {
                           (datagen, "_check_var_layout"), "split", 3),
     "stats-split": (lambda v: solver.SufficientStats(**{**STATS, "split": v}),
                     (solver, "_check_truth"), "split", 3),
+    "problem-split": (lambda v: solver.RegressionProblem(np.ones((2,) + SHAPE), np.ones(2), v),
+                      (solver, "_check_truth"), "split", 3),
     "rate-split": (lambda v: RateExperimentConfig(**RATE_FIELDS, split=v),
                    (harness, "predicted_rate"), "split", 3),
 }

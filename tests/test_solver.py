@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import numpy as np
@@ -17,8 +18,6 @@ from tenreg.regularizers import (
     tensor_spectral,
 )
 from tenreg.solver import (
-    AdmmConfig,
-    FistaConfig,
     RegressionProblem,
     SolveResult,
     SufficientStats,
@@ -48,6 +47,9 @@ from tenreg.spectral import gaussian_width_mc, matrix_svt
 from tenreg.tensor import dematricize, matricize
 
 PAIRWISE = RegularizerSpec("pairwise_component_nuclear")
+# the default certificate tolerance of FISTA and residual tolerance of ADMM
+KKT_TOL = inspect.signature(fista_solve).parameters["kkt_tol"].default
+ADMM_TOL = inspect.signature(admm_matricized).parameters["tol"].default
 
 rng = np.random.default_rng(23)
 
@@ -169,8 +171,6 @@ class TestLambdaRule:
     def test_validation(self):
         with pytest.raises(ValueError):
             lambda_rule(1.0, 0)
-        with pytest.raises(ValueError):
-            lambda_rule(1.0, 10, multiplier=0.5)
 
 
 class TestRiskBound:
@@ -226,7 +226,7 @@ class TestKkt:
 class TestFista:
     def test_unregularized_reaches_least_squares(self):
         p = scalar_problem(100, (2, 2, 2), 0.1, 8)
-        res = fista_solve(p, entry_l1(), 0.0, FistaConfig(kkt_tol=2e-9))
+        res = fista_solve(p, entry_l1(), 0.0, kkt_tol=2e-9)
         x2, y2 = p.design_matrices()
         grad = x2.T @ (x2 @ res.estimate.reshape(-1, 1) - y2) / p.n
         assert np.linalg.norm(grad) < 1e-8
@@ -329,7 +329,7 @@ def make_low_tucker_problem(n, sigma, seed, magnitude=10.0):
 class TestAdmm:
     def test_matches_fista_at_zero_lambda(self):
         p = scalar_problem(100, (3, 3, 3), 0.2, 15)
-        res_a = admm_matricized(p, 0.0, AdmmConfig(max_iters=3000))
+        res_a = admm_matricized(p, 0.0, max_iters=3000)
         res_f = fista_solve(p, entry_l1(), 0.0)
         assert np.linalg.norm(res_a.estimate - res_f.estimate) < 1e-5
 
@@ -362,14 +362,12 @@ class TestAdmm:
         y = x.reshape(80, -1) @ truth.ravel() + 0.1 * r.standard_normal(80)
         p = RegressionProblem(covariates=x, responses=y, split=3, truth=truth)
         lam = 0.3
-        res_a = admm_matricized(p, lam, AdmmConfig(max_iters=5000, tol=1e-8))
-        res_f = fista_solve(
-            p, slice_frob((0, 1)), lam, FistaConfig(kkt_tol=1e-10, max_iters=5000)
-        )
+        res_a = admm_matricized(p, lam, max_iters=5000, tol=1e-8)
+        res_f = fista_solve(p, slice_frob((0, 1)), lam, max_iters=5000, kkt_tol=1e-10)
         assert np.linalg.norm(res_a.estimate - res_f.estimate) < 1e-5
 
 
-def _ref_admm_matricized(problem, lam, config):
+def _ref_admm_matricized(problem, lam, max_iters, tol):
     """Consensus ADMM with a Cholesky factor of the data-space ridge system,
     refactored on every change of rho.  Returns the result and the number
     of rho changes."""
@@ -396,7 +394,7 @@ def _ref_admm_matricized(problem, lam, config):
     status = "MaxIters"
     iters_done = 0
     rebalances = 0
-    for it in range(1, config.max_iters + 1):
+    for it in range(1, max_iters + 1):
         iters_done = it
         rhs = rhs0 + rho * sum(z - u for z, u in zip(zs, us)).reshape(
             dim_cov, dim_resp
@@ -419,7 +417,7 @@ def _ref_admm_matricized(problem, lam, config):
         if not np.isfinite(r_norm) or trace[-1] > 1e3 * max(trace[0], 1e-12):
             status = "Diverged"
             break
-        if r_norm < config.tol and s_norm < config.tol:
+        if r_norm < tol and s_norm < tol:
             status = "Converged"
             break
         if r_norm > 10.0 * s_norm:
@@ -463,9 +461,8 @@ class TestAdmmSpectralSolve:
     )
     def test_matches_cholesky_reference(self, d, n, lam, seed, max_iters):
         p = theta5_problem(d, n, seed)
-        config = AdmmConfig(max_iters=max_iters)
-        res = admm_matricized(p, lam, config)
-        ref, rebalances = _ref_admm_matricized(p, lam, config)
+        res = admm_matricized(p, lam, max_iters)
+        ref, rebalances = _ref_admm_matricized(p, lam, max_iters, ADMM_TOL)
         assert (res.status, res.iterations) == (ref.status, ref.iterations)
         np.testing.assert_allclose(res.estimate, ref.estimate, rtol=1e-10, atol=0)
         np.testing.assert_allclose(
@@ -528,10 +525,16 @@ class TestShiftedSolve:
 
 class TestMaxItersValidation:
     @pytest.mark.parametrize("max_iters", [0, -5, 2.0, True])
-    @pytest.mark.parametrize("config", [FistaConfig, AdmmConfig])
-    def test_a_cap_that_runs_nothing_is_refused(self, config, max_iters):
+    @pytest.mark.parametrize("solver", ["fista", "pairwise", "admm"])
+    def test_a_cap_that_runs_nothing_is_refused(self, solver, max_iters):
+        p = scalar_problem(30, (3, 3, 3), 0.3, 46)
+        run = {
+            "fista": lambda: fista_solve(p, entry_l1(), 0.1, max_iters),
+            "pairwise": lambda: fista_pairwise(p, 0.1, max_iters=max_iters),
+            "admm": lambda: admm_matricized(p, 0.1, max_iters),
+        }[solver]
         with pytest.raises(ValueError, match="max_iters must be an integer >= 1"):
-            config(max_iters=max_iters)
+            run()
 
 
 class TestLambdaValidation:
@@ -604,14 +607,14 @@ class TestSolveDispatch:
         p = scalar_problem(80, (3, 3, 3), 0.3, 32)
         assert_same_result(
             solve(p, matricized_nuclear_sum(), 0.1, max_iters=200),
-            admm_matricized(p, 0.1, AdmmConfig(max_iters=200)),
+            admm_matricized(p, 0.1, max_iters=200),
         )
 
     def test_pairwise_uses_block_fista(self):
         spec = ModelClassSpec("t4", (4, 4, 4), r=1, magnitude=3.0)
         p = gen_problem(gen_truth(spec, 7), 300, 3, 0.5, seed=8)
         res = solve(p, PAIRWISE, 0.05, max_iters=300)
-        direct = fista_pairwise(p, 0.05, FistaConfig(max_iters=300))
+        direct = fista_pairwise(p, 0.05, max_iters=300)
         assert_same_result(res, direct)
         assert res.components is not None and len(res.components) == 3
         for got, want in zip(res.components, direct.components):
@@ -724,14 +727,14 @@ class TestOneCertificate:
         # neither is a multiple of the 25-iteration check interval, so the
         # last check saw an earlier iterate than the one returned
         p = scalar_problem(40, (4, 4, 4), 0.3, 47)
-        res = fista_solve(p, entry_l1(), 0.1, FistaConfig(max_iters=max_iters))
+        res = fista_solve(p, entry_l1(), 0.1, max_iters=max_iters)
         assert (res.status, res.iterations) == ("MaxIters", max_iters)
         assert res.kkt_residual == kkt_residual(p, entry_l1(), 0.1, res.estimate)
 
     @pytest.mark.parametrize("lam, max_iters", [(0.2, 2000), (0.05, 7)])
     def test_admm(self, lam, max_iters):
         p = theta5_problem(4, 40, 48)
-        res = admm_matricized(p, lam, AdmmConfig(max_iters=max_iters))
+        res = admm_matricized(p, lam, max_iters=max_iters)
         spec = matricized_nuclear_sum()
         assert res.kkt_residual == kkt_residual(p, spec, lam, res.estimate)
 
@@ -750,7 +753,7 @@ class TestOneCertificate:
         # also three steps in, where the dual still exceeds lam
         spec = ModelClassSpec("t4", (4, 4, 4), r=1, magnitude=3.0)
         p = gen_problem(gen_truth(spec, 49), n, 3, 0.5, seed=50)
-        res = fista_pairwise(p, 0.05, FistaConfig(max_iters=max_iters))
+        res = fista_pairwise(p, 0.05, max_iters=max_iters)
         vec = np.concatenate([c.ravel() for c in res.components])
         cuts = np.cumsum([c.size for c in res.components])[:-1]
 
@@ -815,7 +818,7 @@ class TestCompressedLoss:
         zero = objective(p, spec, lam, np.zeros(p.truth_shape))
         assert res.objective_trace[0] == pytest.approx(zero, rel=1e-12)
         assert np.all(np.diff(res.objective_trace) <= 0.0)
-        assert kkt_residual(p, spec, lam, res.estimate) < FistaConfig().kkt_tol
+        assert kkt_residual(p, spec, lam, res.estimate) < KKT_TOL
 
     def test_pairwise_solve(self):
         p = pairwise_problem()
@@ -824,7 +827,7 @@ class TestCompressedLoss:
         zero = objective(p, entry_l1(), 0.0, np.zeros(p.truth_shape))
         assert res.objective_trace[0] == pytest.approx(zero, rel=1e-12)
         assert np.all(np.diff(res.objective_trace) <= 0.0)
-        assert pairwise_data_certificate(p, res) < FistaConfig().kkt_tol
+        assert pairwise_data_certificate(p, res) < KKT_TOL
 
 
 def stats_of(p):
@@ -887,9 +890,9 @@ class TestSufficientStats:
             fista_solve(p, fiber_group(2), 0.05),
         )
         q = make_low_tucker_problem(300, 0.5, 41)
-        cfg = AdmmConfig(max_iters=200)
         assert_same_result(
-            admm_matricized(stats_of(q), 0.1, cfg), admm_matricized(q, 0.1, cfg)
+            admm_matricized(stats_of(q), 0.1, max_iters=200),
+            admm_matricized(q, 0.1, max_iters=200),
         )
         r = pairwise_problem()
         got, want = fista_pairwise(stats_of(r), 0.05), fista_pairwise(r, 0.05)
