@@ -100,7 +100,8 @@ def build_parser():
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--out", type=str, default=None)
-    parser.add_argument("--format", choices=["json", "csv"], default="json")
+    parser.add_argument("--format", choices=harness.REPORT_FORMATS,
+                        default=_default(harness.emit_report, "fmt"))
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="draw a problem from a truth class")
@@ -126,7 +127,7 @@ def build_parser():
     p_rate.add_argument("--config", required=True, help="RateExperimentConfig JSON")
 
     p_pack = sub.add_parser("packing", help="greedy packing construction")
-    p_pack.add_argument("--kind", choices=["full", "sparse", "lowrank"],
+    p_pack.add_argument("--kind", choices=harness.PACKING_KINDS,
                         default=_default(harness.hypercube_packing, "kind"))
     p_pack.add_argument("--d", type=int, default=12)
     p_pack.add_argument("--delta", type=float, required=True)

@@ -70,6 +70,12 @@ _SUPPORT_GROUPS = {"theta1": "entries", "theta2": "fibers", "theta3": "slices",
                    "t1": "slices", "t3": "interactions"}
 
 
+def _check_magnitude(magnitude):
+    """Refuse a truth scale that is not a finite number (or is a bool)."""
+    if not is_real(magnitude):
+        raise ValidationError(f"magnitude must be a finite number, got {magnitude!r}")
+
+
 @dataclass(frozen=True)
 class ModelClassSpec:
     """Which structured truth class to draw from, and with what parameters.
@@ -97,8 +103,7 @@ class ModelClassSpec:
         for name, v in (("s", self.s), ("r", self.r)):
             if not (v is None or is_int(v)):
                 raise ValidationError(f"{name} must be null or an integer, got {v!r}")
-        if not is_real(self.magnitude):
-            raise ValidationError(f"magnitude must be a finite number, got {self.magnitude!r}")
+        _check_magnitude(self.magnitude)
         _fiber_mode(self.mode)
         _group_axis(self.axes)
 
@@ -466,6 +471,7 @@ def gen_var_model(m, p, s, magnitude=1.0, seed=0, target_rho=0.75):
     m, p, s = (check_count(name, v, 1) for name, v in (("m", m), ("p", p), ("s", s)))
     if s > m * m:
         raise InfeasibleClass(f"need 1 <= s <= {m * m}")
+    _check_magnitude(magnitude)
     if not (is_real(target_rho) and 0 <= target_rho < 1):
         raise ValidationError(f"target_rho must be a finite number in [0, 1), got {target_rho!r}")
     rng = np.random.default_rng(check_seed(seed))

@@ -28,6 +28,7 @@ from .errors import (
     is_real,
     json_tuple,
 )
+from . import regularizers
 from .regularizers import RegularizerSpec, entry_l1, fiber_group, slice_frob
 from .regularizers import _GROUP_KINDS, matricized_nuclear_sum, slice_nuclear, tensor_spectral
 from .solver import MAX_ITERS, _check_rule, _check_solvable
@@ -368,11 +369,9 @@ def verify_packing(elements, lo, hi):
 
 
 # Candidates drawn per batch by `_greedy`. Acceptance consumes no random
-# numbers, so the chunk size changes no accepted set; with the block of
-# accepted rows tested per product, it bounds the temporaries whatever the
-# budget or the set size.
+# numbers, so the chunk size changes no accepted set.
 _PACKING_CHUNK = 4096
-_PACKING_BLOCK = 256
+PACKING_KINDS = ("full", "sparse", "lowrank")  # the kinds of `hypercube_packing`
 
 
 def _greedy(draw, budget, lo_dot, hi_dot):
@@ -381,16 +380,20 @@ def _greedy(draw, budget, lo_dot, hi_dot):
 
     `draw(m)` returns the next m candidates as the rows of a float array of
     small integers, less any it drops.  Their inner products are integers,
-    exact in float64, so the window decides without rounding.  Returns the
-    accepted rows.
+    exact in float64, so the window decides without rounding.  A tile of
+    products holds at most `regularizers._BATCH_ENTRIES`, the Monte-Carlo
+    batch budget, whatever the accepted set.  Returns the accepted rows.
     """
     acc = np.empty((0, 0))
     for start in range(0, budget, _PACKING_CHUNK):
         flat = draw(min(_PACKING_CHUNK, budget - start))
         rows = np.arange(len(flat))
-        for b in range(0, len(acc), _PACKING_BLOCK):
-            dots = flat[rows] @ acc[b : b + _PACKING_BLOCK].T
+        b = 0
+        while rows.size and b < len(acc):
+            block = acc[b : b + max(1, regularizers._BATCH_ENTRIES // rows.size)]
+            dots = flat[rows] @ block.T
             rows = rows[((lo_dot <= dots) & (dots <= hi_dot)).all(axis=1)]
+            b += len(block)
         # accept the first passing row, then drop later rows outside its window
         new = []
         while rows.size:
@@ -439,7 +442,7 @@ def hypercube_packing(
     if not (is_real(delta) and delta > 0):
         raise ValidationError(f"packing needs a finite delta > 0, got {delta}")
     budget = check_count("budget", budget, 1)
-    check_choice("packing kind", kind, ("full", "sparse", "lowrank"))
+    check_choice("packing kind", kind, PACKING_KINDS)
     if kind != "lowrank" and not (is_int(d) and d >= 6):
         raise ValidationError(f"{kind} packing needs an integer d >= 6, got {d!r}")
     seed = check_count("seed", seed, 0)  # echoed in the packing's meta
@@ -489,28 +492,14 @@ def hypercube_packing(
 
     accepted = list(a * signs)
     if len(accepted) < 2:
-        raise BudgetExhausted(
-            f"accepted only {len(accepted)} elements within budget {budget}"
-        )
+        raise BudgetExhausted(f"accepted only {len(accepted)} elements within budget {budget}")
     ok, min_sq, max_sq, _ = verify_packing(accepted, lo, hi)
     meta.update(
-        {
-            "budget": budget,
-            "seed": seed,
-            "verified": ok,
-            "log_size_per_dim": (
-                float(np.log(len(accepted)) / d) if kind != "lowrank" else None
-            ),
-        }
+        budget=budget, seed=seed, verified=ok,
+        log_size_per_dim=float(np.log(len(accepted)) / d) if kind != "lowrank" else None,
     )
-    return PackingSet(
-        elements=accepted,
-        delta=float(delta),
-        min_dist_sq=min_sq,
-        max_dist_sq=max_sq,
-        construction=kind,
-        meta=meta,
-    )
+    return PackingSet(elements=accepted, delta=float(delta), min_dist_sq=min_sq,
+                      max_dist_sq=max_sq, construction=kind, meta=meta)
 
 
 def fano_precondition_check(pack, n, c_u, delta):
@@ -545,6 +534,8 @@ def fano_precondition_check(pack, n, c_u, delta):
 # Report emission
 # ---------------------------------------------------------------------------
 
+REPORT_FORMATS = ("json", "csv")  # the formats of `emit_report`
+
 
 def emit_report(report, fmt="json"):
     """Serialize a report deterministically and return the text.
@@ -553,7 +544,7 @@ def emit_report(report, fmt="json"):
     CSV output is a rate report's cells plus a summary block, or a width
     report's rows.
     """
-    check_choice("format", fmt, ("json", "csv"))
+    check_choice("format", fmt, REPORT_FORMATS)
     if fmt == "json":
         return json.dumps(report, sort_keys=True, indent=2)
     return _report_csv(report)

@@ -1,6 +1,8 @@
+import argparse
 import inspect
 import json
 import os
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -10,6 +12,7 @@ import pytest
 from tenreg import datagen, harness, solver, spectral
 from tenreg.cli import build_parser, main
 from tenreg.datagen import ModelClassSpec, VarModel, gen_truth, var_spectral_extrema
+from tenreg.errors import ValidationError
 from tenreg.solver import RegressionProblem, load_problem, save_problem
 
 
@@ -929,6 +932,7 @@ MIRRORED_FLAGS = [
      [_library_default(harness.hypercube_packing, "budget")]),
     (["var-extrema", "--model", "m.json"], "grid",
      [_library_default(datagen.var_spectral_extrema, "grid")]),
+    (["packing", "--delta", "1"], "format", [_library_default(harness.emit_report, "fmt")]),
 ]
 
 
@@ -940,3 +944,27 @@ def test_a_flag_mirroring_a_library_parameter_takes_its_default(argv, attr, libr
     # flag left out gives it
     assert len(set(library)) == 1
     assert getattr(build_parser().parse_args(argv), attr) == library[0]
+
+
+def _flag(parser, option, command=None):
+    """The argparse action of `option`, on `command`'s subparser if given."""
+    if command is not None:
+        (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = sub.choices[command]
+    return parser._option_string_actions[option]
+
+
+@pytest.mark.parametrize(
+    "command, option, choices, refuse",
+    [(None, "--format", harness.REPORT_FORMATS,
+      lambda v: harness.emit_report({"kind": "width"}, v)),
+     ("packing", "--kind", harness.PACKING_KINDS,
+      lambda v: harness.hypercube_packing(12, 1.0, kind=v))],
+    ids=["format", "packing-kind"],
+)
+def test_a_choice_flag_offers_the_library_choices(command, option, choices, refuse):
+    # argparse offers exactly the tuple the library checks against, and the
+    # library's refusal lists the same values in the same order
+    assert tuple(_flag(build_parser(), option, command).choices) == choices
+    with pytest.raises(ValidationError, match=re.escape(f"choose one of {', '.join(choices)}")):
+        refuse("nope")

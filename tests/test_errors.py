@@ -1,10 +1,10 @@
 """The JSON codec of the spec and config dataclasses (`fields_to_json`,
 `fields_from_json`), through the classes that read and write with it; the
 input rules `check_count`, `check_seed` and `check_real` at the entry
-points that take a count, a seed or a scale, and the finite, choice,
-shape, fiber-mode and split rules at the entry points that take an array,
-a named option, a shape, a fiber mode or a covariate split; and the
-exception classes that refuse input."""
+points that take a count, a seed or a scale, and the finite, magnitude,
+choice, shape, fiber-mode and split rules at the entry points that take an
+array, a truth magnitude, a named option, a shape, a fiber mode or a
+covariate split; and the exception classes that refuse input."""
 
 import math
 import re
@@ -287,8 +287,8 @@ PAIR = (np.eye(3)[:, :1], np.eye(3)[:, :1])
 STATS = dict(gram=np.eye(9), xty=np.ones(SHAPE), yty=1.0, n=4, split=2)
 
 # entry point: (call with the bad value, the step after the check or None,
-# the rule and its argument: the array's, option's or shape's name, nothing
-# for a fiber mode, or a split's order)
+# the rule and its argument: the array's, number's, option's or shape's
+# name, nothing for a fiber mode, or a split's order)
 RULE_ENTRY_POINTS = {
     "problem-covariates": (
         lambda v: solver.RegressionProblem(np.full((2,) + SHAPE, v), np.ones(2), 3),
@@ -318,6 +318,10 @@ RULE_ENTRY_POINTS = {
                       (harness, "_report_csv"), "choice", "format"),
     "csv-report-kind": (lambda v: harness.emit_report({"kind": v}, "csv"),
                         (harness.csv, "writer"), "choice", "CSV report kind"),
+    "class-magnitude": (lambda v: ModelClassSpec("theta1", SHAPE, magnitude=v),
+                        (datagen, "_fiber_mode"), "number", "magnitude"),
+    "var-model-magnitude": (lambda v: gen_var_model(2, 1, 1, magnitude=v),
+                            (np.random, "default_rng"), "number", "magnitude"),
     "class-shape": (lambda v: ModelClassSpec("theta1", v), (datagen, "_fiber_mode"),
                     "shape", "shape"),
     "width-shape": (lambda v: spectral.gaussian_width_mc(entry_l1(), v, 100),
@@ -348,6 +352,7 @@ RULE_ENTRY_POINTS = {
 }
 RULE_BAD = {
     "finite": {"nan": math.nan, "inf": math.inf, "-inf": -math.inf},
+    "number": {"nan": math.nan, "inf": math.inf, "true": True},
     "choice": {"typo": "nope", "none": None, "list": ["entry_l1"]},
     "shape": {"order-2": (3, 3), "zero": (3, 0, 3), "float": (3, 2.0, 3),
               "bool": (True, 3, 3), "none": None},
@@ -360,6 +365,8 @@ def _rule_message(rule, arg, value):
     """The one wording of `rule` for the bad `value`."""
     if rule == "finite":
         return f"{arg} must be finite"
+    if rule == "number":
+        return f"{arg} must be a finite number, got {value!r}"
     if rule == "choice":
         return f"unknown {arg} {value!r}: choose one of "
     if rule == "shape":

@@ -2,12 +2,13 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from tenreg import datagen, harness, solver
+from tenreg import datagen, harness, regularizers, solver
 from tenreg.datagen import ModelClassSpec, gen_truth, gen_var_model, gen_var_series
 from tenreg.errors import BudgetExhausted, ShapeMismatch, ValidationError
 from tenreg.harness import (
@@ -733,39 +734,76 @@ PACKING_CASES = [
 ]
 
 
+# the benchmark's criterion-7 packings, each with its seed: full, sparse,
+# low-rank, and the full packing of the Fano check at delta 0.1
+MC_TABLES_PACKINGS = [
+    (dict(d=12, delta=1.0, kind="full", budget=100000), 701),
+    (dict(d=20, delta=1.0, kind="sparse", budget=20000, s=4), 702),
+    (dict(d=12, delta=1.0, kind="lowrank", budget=5000, d1=12, d2=8, r=2), 704),
+    (dict(d=12, delta=0.1, kind="full", budget=20000), 703),
+]
+
+
+def _assert_matches_reference(case, seed):
+    pack = hypercube_packing(seed=seed, **case)
+    ref, (lo, hi) = _ref_packing(seed=seed, **case)
+    assert len(pack.elements) == len(ref) >= 2
+    for got, want in zip(pack.elements, ref):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+    ok, min_sq, max_sq, _ = _ref_verify(ref, lo, hi)
+    want = PackingSet(
+        elements=ref,
+        delta=float(case["delta"]),
+        min_dist_sq=min_sq,
+        max_dist_sq=max_sq,
+        construction=case["kind"],
+        meta=dict(pack.meta, verified=ok),
+    )
+    assert json.dumps(pack.to_json(), sort_keys=True) == json.dumps(
+        want.to_json(), sort_keys=True
+    )
+
+
 class TestPackingMatchesReference:
     @pytest.mark.parametrize("seed", [0, 1, 701])
     @pytest.mark.parametrize(
         "case", PACKING_CASES, ids=lambda c: f"{c['kind']}-{c['d'] or c['d1']}"
     )
     def test_same_set_and_report(self, case, seed):
-        pack = hypercube_packing(seed=seed, **case)
-        ref, (lo, hi) = _ref_packing(seed=seed, **case)
-        assert len(pack.elements) == len(ref) >= 2
-        for got, want in zip(pack.elements, ref):
-            assert got.shape == want.shape
-            assert np.array_equal(got, want)
-        ok, min_sq, max_sq, _ = _ref_verify(ref, lo, hi)
-        want = PackingSet(
-            elements=ref,
-            delta=float(case["delta"]),
-            min_dist_sq=min_sq,
-            max_dist_sq=max_sq,
-            construction=case["kind"],
-            meta=dict(pack.meta, verified=ok),
-        )
-        assert json.dumps(pack.to_json(), sort_keys=True) == json.dumps(
-            want.to_json(), sort_keys=True
-        )
+        _assert_matches_reference(case, seed)
+
+    @pytest.mark.parametrize(
+        "case, seed", MC_TABLES_PACKINGS, ids=lambda v: v["kind"] if isinstance(v, dict) else v
+    )
+    def test_benchmark_packings_match_reference(self, case, seed):
+        _assert_matches_reference(case, seed)
 
     def test_chunk_and_block_sizes_change_nothing(self, monkeypatch):
+        # a tile of one accepted row, and 7-candidate chunks tested in tiles
+        # of 20 products: both far fewer rows than the accepted set
         for case in (PACKING_CASES[0], PACKING_CASES[1], PACKING_CASES[5]):
             whole = hypercube_packing(seed=3, **case).to_json()
-            monkeypatch.setattr(harness, "_PACKING_CHUNK", 7)
-            monkeypatch.setattr(harness, "_PACKING_BLOCK", 3)
-            small = hypercube_packing(seed=3, **case).to_json()
-            monkeypatch.undo()
-            assert small == whole
+            assert len(whole["elements"]) > 20
+            for chunk, entries in ((harness._PACKING_CHUNK, 1), (7, 20)):
+                monkeypatch.setattr(harness, "_PACKING_CHUNK", chunk)
+                monkeypatch.setattr(regularizers, "_BATCH_ENTRIES", entries)
+                small = hypercube_packing(seed=3, **case).to_json()
+                monkeypatch.undo()
+                assert small == whole
+
+    def test_acceptance_tiles_keep_the_sparse_packing_small(self):
+        # 429 accepted rows against 4096-candidate chunks: one tile of every
+        # accepted row would hold 1.7 million products (13 MB)
+        case, seed = MC_TABLES_PACKINGS[1]
+        tracemalloc.start()
+        try:
+            pack = hypercube_packing(seed=seed, **case)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(pack.elements) == 429
+        assert peak < 4 * 2**20
 
     @pytest.mark.parametrize(
         "case, window",
