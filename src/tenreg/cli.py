@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import datagen, harness, solver, spectral
-from .errors import TenregError, ValidationError, check_count, check_shape
+from .errors import TenregError, ValidationError, check_choice, check_count, check_shape
 from .regularizers import RegularizerSpec
 
 EXIT_OK = 0
@@ -243,6 +243,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         check_count("workers", args.threads, 1)
+        if args.format == "csv":
+            check_choice("CSV report kind", args.command, harness.CSV_REPORT_KINDS)
         with np.errstate(over="raise"):
             return _COMMANDS[args.command](args)
     except (TenregError, ValueError, OSError, FloatingPointError) as exc:

@@ -13,13 +13,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
-    BadCovarianceFactor,
-    InfeasibleClass,
-    ShapeMismatch,
-    UnstableModel,
     ValidationError,
     check_choice,
     check_count,
+    check_finite,
     check_real,
     check_seed,
     check_shape,
@@ -150,7 +147,7 @@ def gen_pairwise_components(spec, seed):
     d1, d2, d3 = spec.shape
     r = spec.r
     if r is None or r < 1 or r > min(spec.shape) - 1:
-        raise InfeasibleClass("pairwise rank must satisfy 1 <= r <= min(d)-1")
+        raise ValidationError("pairwise rank must satisfy 1 <= r <= min(d)-1")
     rng = np.random.default_rng(check_seed(seed))
     return (
         spec.magnitude * _centered_low_rank(rng, d1, d2, r),
@@ -162,7 +159,7 @@ def gen_pairwise_components(spec, seed):
 def gen_truth(spec, seed):
     """Draw a truth certified to belong to the class.
 
-    Raises ``InfeasibleClass`` when the parameters cannot be met at the
+    Raises ``ValidationError`` when the parameters cannot be met at the
     given shape.  Every generated tensor passes :func:`class_certificate`.
     """
     rng = np.random.default_rng(check_seed(seed))
@@ -179,7 +176,7 @@ def gen_truth(spec, seed):
         s = spec.s
         if s is None or s < 0 or s > count:
             name = _SUPPORT_GROUPS[spec.kind]
-            raise InfeasibleClass(f"need 0 <= s <= {count} {name}")
+            raise ValidationError(f"need 0 <= s <= {count} {name}")
         chosen = rng.choice(count, size=s, replace=False)
         signs = _signs(rng, (s,) + groups.shape[len(lead):])
         groups[np.unravel_index(chosen, lead)] = spec.magnitude * signs
@@ -192,7 +189,7 @@ def gen_truth(spec, seed):
         r = spec.r
         max_rank = min(da, db) * ngroups
         if r is None or r < 1 or r > max_rank:
-            raise InfeasibleClass(f"need 1 <= r <= {max_rank}")
+            raise ValidationError(f"need 1 <= r <= {max_rank}")
         # split the rank budget over as few slices as possible
         parts = []
         left = r
@@ -213,7 +210,7 @@ def gen_truth(spec, seed):
     if spec.kind == "theta5":
         r = spec.r
         if r is None or r < 1 or r > min(shape):
-            raise InfeasibleClass(f"need 1 <= r <= {min(shape)}")
+            raise ValidationError(f"need 1 <= r <= {min(shape)}")
         factors = [np.linalg.qr(rng.standard_normal((dk, r)))[0] for dk in shape]
         core = rng.standard_normal((r, r, r))
         out = np.einsum("abc,ia,jb,kc->ijk", core, *factors)
@@ -223,7 +220,7 @@ def gen_truth(spec, seed):
         comps = gen_pairwise_components(spec, seed)
         return expand_pairwise(comps, shape)
 
-    raise InfeasibleClass(spec.kind)
+    raise ValidationError(spec.kind)
 
 
 def _num_rank(mat):
@@ -301,12 +298,12 @@ def gen_problem(truth, n, split, noise_sigma, design="iid", seed=0, meta=None):
     z = rng.standard_normal((n, dim_cov))
     if isinstance(design, str):
         if design != "iid":
-            raise BadCovarianceFactor(f"unknown design {design!r}")
+            raise ValidationError(f"unknown design {design!r}")
         x2 = z
     else:
         factor = np.asarray(design, dtype=np.float64)
         if factor.shape != (dim_cov, dim_cov) or not np.isfinite(factor).all():
-            raise BadCovarianceFactor(
+            raise ValidationError(
                 f"factor must be a finite {dim_cov}x{dim_cov} matrix"
             )
         x2 = z @ factor.T
@@ -418,23 +415,23 @@ class VarModel:
     """Stable VAR(p) with identity innovation covariance.
 
     `coeffs` stacks the lag matrices as shape (p, m, m).  Construction
-    rejects an unstable coefficient set (companion spectral radius at least
-    1) with ``UnstableModel``; :func:`gen_var_model` rescales its draws
-    before it builds one.
+    rejects a non-finite or unstable coefficient set (companion spectral
+    radius at least 1) with ``ValidationError``; :func:`gen_var_model`
+    rescales its draws before it builds one.
     """
 
     coeffs: np.ndarray
     burn_in: int | None = None
 
     def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=np.float64)
+        self.coeffs = check_finite("coeffs", self.coeffs)
         if self.coeffs.ndim != 3 or self.coeffs.shape[1] != self.coeffs.shape[2]:
-            raise ShapeMismatch("coeffs must have shape (p, m, m)")
+            raise ValidationError("coeffs must have shape (p, m, m)")
         if self.burn_in is not None:
             self.burn_in = check_count("burn_in", self.burn_in, 0)
         rho = self.spectral_radius()
         if rho >= 1.0:
-            raise UnstableModel(f"companion spectral radius {rho:.4f} >= 1")
+            raise ValidationError(f"companion spectral radius {rho:.4f} >= 1")
         if self.burn_in is None:
             self.burn_in = 500 + 10 * self.coeffs.shape[0]
 
@@ -470,7 +467,7 @@ def gen_var_model(m, p, s, magnitude=1.0, seed=0, target_rho=0.75):
     """
     m, p, s = (check_count(name, v, 1) for name, v in (("m", m), ("p", p), ("s", s)))
     if s > m * m:
-        raise InfeasibleClass(f"need 1 <= s <= {m * m}")
+        raise ValidationError(f"need 1 <= s <= {m * m}")
     _check_magnitude(magnitude)
     if not (is_real(target_rho) and 0 <= target_rho < 1):
         raise ValidationError(f"target_rho must be a finite number in [0, 1), got {target_rho!r}")
@@ -490,7 +487,7 @@ def _class_var_model(spec, seed):
     """The VAR model of a t3 class, whose truth has shape (m, p, m)."""
     m, p, m2 = spec.shape
     if m != m2:
-        raise InfeasibleClass("VAR truth shape must be (m, p, m)")
+        raise ValidationError("VAR truth shape must be (m, p, m)")
     return gen_var_model(m, p, spec.s, magnitude=spec.magnitude, seed=seed)
 
 
@@ -537,7 +534,7 @@ def gen_var_panel(models, n, seeds):
             f"need one seed per model, got {len(seeds)} for {len(models)} models"
         )
     if len({(model.p, model.m, model.burn_in) for model in models}) > 1:
-        raise ShapeMismatch("panel models must share their p, m and burn_in")
+        raise ValidationError("panel models must share their p, m and burn_in")
     count = math.ceil(len(models) / (models[0].p + 2))
     groups = np.array_split(np.arange(len(models)), count)
     return itertools.chain.from_iterable(

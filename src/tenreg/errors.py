@@ -15,44 +15,8 @@ class TenregError(Exception):
 
 class ValidationError(TenregError, ValueError):
     """Bad user-supplied input (CLI exit code 2); a ValueError too.  Every
-    class below but `SvdFailure` and `BudgetExhausted`, which report
-    outcomes, refuses an input and derives from it."""
-
-
-class ShapeMismatch(ValidationError):
-    pass
-
-
-class InvalidAxes(ValidationError):
-    pass
-
-
-class ZeroTensor(ValidationError):
-    pass
-
-
-class UnsupportedKind(ValidationError):
-    pass
-
-
-class NoClosedFormProx(ValidationError):
-    pass
-
-
-class UnmatchedPair(ValidationError):
-    pass
-
-
-class InfeasibleClass(ValidationError):
-    pass
-
-
-class BadCovarianceFactor(ValidationError):
-    pass
-
-
-class UnstableModel(ValidationError):
-    pass
+    refusal of an input raises it; `SvdFailure` and `BudgetExhausted` report
+    outcomes instead."""
 
 
 class SvdFailure(TenregError):
@@ -174,4 +138,4 @@ def check_split(split, order):
     """Refuse `split` unless it is an integer (not a bool) in 1..`order`, a
     covariate prefix of an order-`order` truth: every split's rule."""
     if not (is_int(split) and 1 <= split <= order):
-        raise ShapeMismatch(f"split must be an integer in 1..{order}, got {split!r}")
+        raise ValidationError(f"split must be an integer in 1..{order}, got {split!r}")

@@ -535,6 +535,7 @@ def fano_precondition_check(pack, n, c_u, delta):
 # ---------------------------------------------------------------------------
 
 REPORT_FORMATS = ("json", "csv")  # the formats of `emit_report`
+CSV_REPORT_KINDS = ("rate", "width")  # the reports with a CSV form, named as their commands
 
 
 def emit_report(report, fmt="json"):
@@ -555,7 +556,7 @@ def _report_csv(report):
     ``repr`` and a shape as ``d1xd2xd3``: a rate report's cells, then a
     summary of its fit and its per-n medians, or a width report's rows."""
     kind = report.get("kind")
-    check_choice("CSV report kind", kind, ("rate", "width"))
+    check_choice("CSV report kind", kind, CSV_REPORT_KINDS)
 
     def text(v):
         if isinstance(v, float):

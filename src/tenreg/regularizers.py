@@ -34,11 +34,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    InvalidAxes,
-    NoClosedFormProx,
-    ShapeMismatch,
-    UnmatchedPair,
-    UnsupportedKind,
     ValidationError,
     check_choice,
     check_count,
@@ -97,14 +92,14 @@ def _group_axis(axes):
     distinct integers from {0, 1, 2}."""
     ints = isinstance(axes, (tuple, list)) and all(map(is_int, axes))
     if not (ints and sorted(axes) in ([0, 1], [0, 2], [1, 2])):
-        raise InvalidAxes(f"axes must be two distinct integers in 0..2, got {axes!r}")
+        raise ValidationError(f"axes must be two distinct integers in 0..2, got {axes!r}")
     return 3 - axes[0] - axes[1]
 
 
 def _fiber_mode(mode):
     """Refuse `mode` unless it is an integer 0, 1 or 2, not a bool: every fiber mode's rule."""
     if not (is_int(mode) and 0 <= mode <= 2):
-        raise InvalidAxes(f"mode must be an integer 0, 1 or 2, got {mode!r}")
+        raise ValidationError(f"mode must be an integer 0, 1 or 2, got {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -188,7 +183,7 @@ def tensor_spectral():
 def _check_order3(a):
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 3 or 0 in a.shape:
-        raise ShapeMismatch(f"expected a non-empty order-3 tensor, got shape {a.shape}")
+        raise ValidationError(f"expected a non-empty order-3 tensor, got shape {a.shape}")
     return a
 
 
@@ -200,7 +195,7 @@ def _groups(a, axes, inverse=False):
     `inverse` moves a view back."""
     order = [ax for ax in range(3) if ax not in axes] + list(axes)
     if len(order) != 3 or set(order) != {0, 1, 2}:
-        raise InvalidAxes(f"axes must be distinct integers in 0..2, got {axes!r}")
+        raise ValidationError(f"axes must be distinct integers in 0..2, got {axes!r}")
     if inverse:
         order = [order.index(ax) for ax in range(3)]
     lead = a.ndim - 3
@@ -258,7 +253,7 @@ def _eval_batch(spec, a):
     if spec.kind == "matricized_nuclear_sum":
         n1, n2, n3 = _unfolding_nuclear(a)
         return (n1 + n2 + n3) / 3.0
-    raise UnsupportedKind(f"{spec.kind} is not evaluated on a tensor; only its dual is")
+    raise ValidationError(f"{spec.kind} is not evaluated on a tensor; only its dual is")
 
 
 def reg_dual(spec, a, *, rng=None):
@@ -286,6 +281,9 @@ def reg_dual(spec, a, *, rng=None):
 # `compatibility`) holds at most `_WIDTH_BATCH` Gaussian tensors and at most
 # `_BATCH_ENTRIES` entries (1 MB), so its memory does not grow with the
 # shape. A (m,) + shape draw consumes the same stream as m draws of `shape`.
+# The draw cap binds at small shapes, where the power-method products of the
+# tensor-spectral dual grow with draws times restarts, not with the entries
+# drawn; it also fixes where that dual's restart draws fall in the stream.
 _WIDTH_BATCH = 256
 _BATCH_ENTRIES = 2**17
 
@@ -315,7 +313,7 @@ def _dual_batch(spec, g, rng=None, hopm_restarts=None, hopm_iters=None):
         from .spectral import _hopm
 
         return _hopm(g, hopm_restarts, hopm_iters, rng)[0]
-    raise UnsupportedKind(spec.kind)
+    raise ValidationError(spec.kind)
 
 
 # Relative slack on the bounds of `_max_top_sv`, far above the rounding of
@@ -425,7 +423,7 @@ def prox(spec, z, t):
         from .spectral import matrix_svt
 
         return _groups(matrix_svt(_groups(z, spec.axes), t), spec.axes, inverse=True)
-    raise NoClosedFormProx(
+    raise ValidationError(
         f"{spec.kind} has no closed-form prox; use the consensus solver"
     )
 
@@ -445,7 +443,7 @@ def _reg_subgrad(spec, a):
             u, _, vt = np.linalg.svd(matricize(a, [k]), full_matrices=False)
             out += dematricize(u @ vt, a.shape, [k]) / 3.0
         return out
-    raise UnsupportedKind(spec.kind)
+    raise ValidationError(spec.kind)
 
 
 # ---------------------------------------------------------------------------
@@ -470,10 +468,10 @@ class SubspaceSpec:
     Every field is checked however the subspace is made.  Each index of a
     support names one group of the grid that the axes outside `norm_axes`
     index: (i, j, k) for an entry, a pair for a fiber, a slice number or
-    1-tuple for a slice.  An index of the wrong length or out of range
-    raises ShapeMismatch and a repeated one ValidationError, since each would
-    misstate the intrinsic dimension that `compatibility` bounds by the
-    number of indices.
+    1-tuple for a slice.  An index of the wrong length, out of range or
+    repeated raises ValidationError, since each would misstate the
+    intrinsic dimension that `compatibility` bounds by the number of
+    indices.
     """
 
     variant: str
@@ -504,7 +502,7 @@ class SubspaceSpec:
                 if len(key) != len(grid) or not all(
                     is_int(i) and 0 <= i < d for i, d in zip(key, grid)
                 ):
-                    raise ShapeMismatch(f"index {idx!r} names no group of the grid {grid}")
+                    raise ValidationError(f"index {idx!r} names no group of the grid {grid}")
                 keys.append(tuple(map(int, key)))
             if len(set(keys)) < len(keys):
                 raise ValidationError("a support index is repeated")
@@ -513,10 +511,10 @@ class SubspaceSpec:
         check_choice("role", self.role, ("a_space", "b_space"))
         if self.variant == "tucker_projectors":
             if getattr(self.triple, "dims", None) != self.shape:
-                raise ShapeMismatch("projector dims do not match shape")
+                raise ValidationError("projector dims do not match shape")
         else:
             if len(self.slice_factors) != self.shape[_group_axis(self.axes)]:
-                raise ShapeMismatch("need one factor pair per slice")
+                raise ValidationError("need one factor pair per slice")
             rows, cols = self.shape[self.axes[0]], self.shape[self.axes[1]]
             factors = tuple(
                 (_orthonormal(u1, rows), _orthonormal(u2, cols))
@@ -583,7 +581,7 @@ def subspace_project(sub, a, which="space"):
     """
     a = np.asarray(a, dtype=np.float64)
     if a.shape[-3:] != sub.shape:
-        raise ShapeMismatch(f"tensor shape {a.shape} != subspace shape {sub.shape}")
+        raise ValidationError(f"tensor shape {a.shape} != subspace shape {sub.shape}")
     check_choice("which", which, ("space", "complement"))
     if sub.norm_axes is not None:
         mask = _support_mask(sub)
@@ -647,7 +645,7 @@ def _matched_bound(spec, sub):
             return float(r)
         if spec.kind == "tensor_spectral_dual_only":
             return float(r * r)
-    raise UnmatchedPair(f"no closed-form bound for ({spec.kind}, {sub.variant})")
+    raise ValidationError(f"no closed-form bound for ({spec.kind}, {sub.variant})")
 
 
 def _surrogate_ratio(spec, a):

@@ -15,10 +15,10 @@ from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
-from .errors import NoClosedFormProx, ShapeMismatch, ValidationError, is_real
+from .errors import ValidationError, is_real
 from .errors import check_count, check_finite, check_real, check_split, json_key
 from .regularizers import RegularizerSpec, _matched_bound, prox, reg_dual, reg_eval
-from .spectral import matrix_svt
+from .spectral import WidthEstimate, matrix_svt
 from .tensor import dematricize, matricize, read_tns, write_tns
 
 __all__ = [
@@ -75,12 +75,12 @@ class RegressionProblem:
         self.covariates = check_finite("covariates", self.covariates)
         self.responses = check_finite("responses", self.responses)
         if self.covariates.shape[0] != self.responses.shape[0]:
-            raise ShapeMismatch("covariate and response counts differ")
+            raise ValidationError("covariate and response counts differ")
         if self.covariates.shape[0] < 1:
-            raise ShapeMismatch("need at least one sample")
+            raise ValidationError("need at least one sample")
         check_split(self.split, len(self.truth_shape))
         if self.split != self.covariates.ndim - 1:
-            raise ShapeMismatch("split must equal the covariate order")
+            raise ValidationError("split must equal the covariate order")
         check_real("noise_sigma", self.noise_sigma, 0)
         _check_truth(self)
 
@@ -134,7 +134,7 @@ class SufficientStats:
         check_split(self.split, self.xty.ndim)
         dim = math.prod(self.cov_shape)
         if self.gram.shape != (dim, dim):
-            raise ShapeMismatch(f"gram shape {self.gram.shape} != {(dim, dim)}")
+            raise ValidationError(f"gram shape {self.gram.shape} != {(dim, dim)}")
         _check_truth(self)
 
     @property
@@ -153,11 +153,11 @@ class SufficientStats:
 def _check_truth(problem):
     """Reject empty axes and a truth that is not finite in the truth shape."""
     if 0 in problem.truth_shape:
-        raise ShapeMismatch(f"need non-empty axes, got shape {problem.truth_shape}")
+        raise ValidationError(f"need non-empty axes, got shape {problem.truth_shape}")
     if problem.truth is not None:
         problem.truth = check_finite("truth", problem.truth)
         if problem.truth.shape != problem.truth_shape:
-            raise ShapeMismatch(f"truth shape {problem.truth.shape} != {problem.truth_shape}")
+            raise ValidationError(f"truth shape {problem.truth.shape} != {problem.truth_shape}")
 
 
 @dataclass
@@ -201,20 +201,20 @@ def _check_solvable(spec, truth_shape, resp_shape):
     kind, which has no value to certify with, or a truth of the wrong shape.
     The solvers, a rate config and ``tenreg solve`` all ask it."""
     if spec.kind == "tensor_spectral_dual_only":
-        raise NoClosedFormProx(
+        raise ValidationError(
             f"{spec.kind} is not prox-friendly: it has no value on a tensor, so "
             "fista_solve has no solver for it"
         )
     if len(truth_shape) != 3:
-        raise ShapeMismatch(f"{spec.kind} expects an order-3 truth shape")
+        raise ValidationError(f"{spec.kind} expects an order-3 truth shape")
     if spec.kind == "pairwise_component_nuclear" and resp_shape:
-        raise ShapeMismatch("pairwise regresses a scalar response: split must be 3")
+        raise ValidationError("pairwise regresses a scalar response: split must be 3")
 
 
 def _check_param(problem, a):
     a = np.asarray(a, dtype=np.float64)
     if a.shape != problem.truth_shape:
-        raise ShapeMismatch(f"parameter shape {a.shape} != {problem.truth_shape}")
+        raise ValidationError(f"parameter shape {a.shape} != {problem.truth_shape}")
     return a
 
 
@@ -271,7 +271,8 @@ def _check_rule(n, c_u, c_reg):
 def lambda_rule(width, n, c_u=1.0, c_reg=1.0):
     """Tuning rule lam = 2 c_u (3 + c_R) / (c_R sqrt(n)) * width."""
     _check_rule(n, c_u, c_reg)
-    mean = width.mean if hasattr(width, "mean") else float(width)
+    mean = width.mean if isinstance(width, WidthEstimate) else width
+    check_real("width", mean, 0)
     return 2.0 * c_u * (3.0 + c_reg) / (c_reg * np.sqrt(n)) * mean
 
 
@@ -570,7 +571,7 @@ def fista_solve(problem, spec, lam, max_iters=MAX_ITERS, kkt_tol=1e-7):
     check_real("lam", lam, 0)
     _check_solvable(spec, problem.truth_shape, problem.resp_shape)
     if lam > 0 and not spec.has_prox():
-        raise NoClosedFormProx(f"{spec.kind} is not prox-friendly, use ADMM")
+        raise ValidationError(f"{spec.kind} is not prox-friendly, use ADMM")
     shape = problem.truth_shape
     pairwise = spec.kind == "pairwise_component_nuclear"
     if pairwise:

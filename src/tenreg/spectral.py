@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatch, SvdFailure, UnsupportedKind, ZeroTensor
+from .errors import SvdFailure, ValidationError
 from .errors import check_count, check_finite, check_real, check_shape, fields_to_json
 from .regularizers import _GROUP_KINDS, SV_RTOL, RegularizerSpec, _batch_draws, _dual_batch
 from .tensor import matricize
@@ -141,9 +141,9 @@ def hopm_spectral(a, restarts=20, iters=200, *, rng=None):
     """
     a = check_finite("tensor entries", a)
     if a.ndim != 3:
-        raise ShapeMismatch("expected an order-3 tensor")
+        raise ValidationError("expected an order-3 tensor")
     if not np.any(a):
-        raise ZeroTensor("spectral norm of the zero tensor is undefined here")
+        raise ValidationError("spectral norm of the zero tensor is undefined here")
     if rng is None:
         rng = np.random.default_rng(0)
     unfold = (matricize(a, [k]) for k in (1, 2))
@@ -206,7 +206,7 @@ def _width_sq(spec, shape):
         return max(d1 * d2, d2 * d3, d1 * d3)
     if spec.kind == "tensor_spectral_dual_only":
         return d1 + d2 + d3
-    raise UnsupportedKind(spec.kind)
+    raise ValidationError(spec.kind)
 
 
 def width_rate_expression(spec, shape):
@@ -487,7 +487,7 @@ def gaussian_width(spec, shape):
     drawn, and twice the nodes agree to within 1e-10 at every tested shape.
     """
     if spec.kind not in _EXACT_KINDS:
-        raise UnsupportedKind(f"no exact width for {spec.kind}; use gaussian_width_mc")
+        raise ValidationError(f"no exact width for {spec.kind}; use gaussian_width_mc")
     shape = check_shape("shape", shape)
     dims = [shape[ax] for ax in spec.norm_axes]
     m = math.prod(shape) // math.prod(dims)

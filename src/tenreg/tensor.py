@@ -15,7 +15,7 @@ import struct
 
 import numpy as np
 
-from .errors import InvalidAxes, ShapeMismatch, ValidationError, check_choice, check_finite
+from .errors import ValidationError, check_choice, check_finite
 
 __all__ = [
     "inner",
@@ -49,7 +49,7 @@ def inner(a, b):
     b = np.asarray(b, dtype=np.float64)
     m, n = a.ndim, b.ndim
     if m > n or a.shape != b.shape[:m]:
-        raise ShapeMismatch(f"shape {a.shape} is not a prefix of {b.shape}")
+        raise ValidationError(f"shape {a.shape} is not a prefix of {b.shape}")
     out = np.tensordot(a, b, axes=(tuple(range(m)), tuple(range(m))))
     if m == n:
         return float(out)
@@ -67,13 +67,13 @@ def matricize(a, modes):
     a = np.asarray(a, dtype=np.float64)
     modes = list(modes)
     if not modes:
-        raise InvalidAxes("modes must be non-empty")
+        raise ValidationError("modes must be non-empty")
     if len(set(modes)) != len(modes):
-        raise InvalidAxes(f"duplicate axes in {modes}")
+        raise ValidationError(f"duplicate axes in {modes}")
     if any(k < 0 or k >= a.ndim for k in modes):
-        raise InvalidAxes(f"axes {modes} out of range for order-{a.ndim} tensor")
+        raise ValidationError(f"axes {modes} out of range for order-{a.ndim} tensor")
     if len(modes) >= a.ndim:
-        raise InvalidAxes("modes must be a proper subset of the axes")
+        raise ValidationError("modes must be a proper subset of the axes")
     rest = [k for k in range(a.ndim) if k not in modes]
     rows = int(np.prod([a.shape[k] for k in modes]))
     return np.transpose(a, modes + rest).reshape(rows, -1)
@@ -96,11 +96,11 @@ def _mode_multiply(a, mat, k):
 
 def _orthonormal(u, rows=None, tol=1e-10):
     """`u` as a float64 matrix, of `rows` rows when given, whose columns are
-    orthonormal: ShapeMismatch for another shape, ValidationError otherwise."""
+    orthonormal, else a ValidationError."""
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 2 or rows not in (None, u.shape[0]):
         want = "a matrix" if rows is None else f"a matrix of {rows} rows"
-        raise ShapeMismatch(f"factor of shape {u.shape} is not {want}")
+        raise ValidationError(f"factor of shape {u.shape} is not {want}")
     if not np.allclose(u.T @ u, np.eye(u.shape[1]), atol=tol):
         raise ValidationError("factor columns must be orthonormal")
     return u
@@ -116,7 +116,7 @@ class ProjectorTriple:
 
     def __init__(self, factors, tol=1e-10):
         if len(factors) != 3:
-            raise ShapeMismatch("expected exactly three factors")
+            raise ValidationError("expected exactly three factors")
         self.factors = [_orthonormal(u, tol=tol) for u in factors]
 
     @property
@@ -162,9 +162,9 @@ def tucker_project(a, triple, pattern="full"):
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim < 3:
-        raise ShapeMismatch("tucker_project expects an order-3 tensor or a stack of them")
+        raise ValidationError("tucker_project expects an order-3 tensor or a stack of them")
     if a.shape[-3:] != triple.dims:
-        raise ShapeMismatch(f"tensor shape {a.shape} != projector dims {triple.dims}")
+        raise ValidationError(f"tensor shape {a.shape} != projector dims {triple.dims}")
     check_choice("pattern", pattern, ("full", "q"))
     p1 = triple.apply_mode(a, 0)
     p12 = triple.apply_mode(p1, 1)

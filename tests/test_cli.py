@@ -909,6 +909,25 @@ def test_packing_rejects_bad_input(tmp_path, capsys, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, work",
+    [(["packing", "--delta", "1.0", "--budget", "200"], (harness, "hypercube_packing")),
+     (["solve", "--problem", "p", "--regularizer", "entry_l1", "--lam", "0.1"],
+      (solver, "load_problem")),
+     (["var-extrema", "--model", '{"coeffs": [[[0.5]]]}'], (datagen.VarModel, "from_json"))],
+    ids=["packing", "solve", "var-extrema"],
+)
+def test_csv_is_refused_before_a_command_without_a_csv_form(
+    tmp_path, capsys, monkeypatch, argv, work
+):
+    monkeypatch.setattr(*work, pytest.fail)
+    out = tmp_path / "report.csv"
+    code, stdout, err = run_cli(["--format", "csv", "--out", str(out)] + argv, capsys)
+    assert (code, stdout) == (2, "")
+    assert f"unknown CSV report kind {argv[0]!r}: choose one of rate, width" in err
+    assert not out.exists()
+
+
 def _library_default(func, name):
     return inspect.signature(func).parameters[name].default
 

@@ -10,7 +10,7 @@ import pytest
 
 from tenreg import datagen, harness, regularizers, solver
 from tenreg.datagen import ModelClassSpec, gen_truth, gen_var_model, gen_var_series
-from tenreg.errors import BudgetExhausted, ShapeMismatch, ValidationError
+from tenreg.errors import BudgetExhausted, ValidationError
 from tenreg.harness import (
     PackingSet,
     RateExperimentConfig,
@@ -174,7 +174,7 @@ class TestRateConfig:
         pairwise = dict(model=ModelClassSpec("t4", (3, 3, 3), r=1),
                         regularizer="pairwise", rate_tag="r_max_dim_over_n")
         self._config(split=3, **pairwise)
-        with pytest.raises(ShapeMismatch, match="split must be 3"):
+        with pytest.raises(ValidationError, match="split must be 3"):
             self._config(split=2, **pairwise)
 
     @pytest.mark.parametrize(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tenreg.errors import InvalidAxes, ShapeMismatch, ValidationError
+from tenreg.errors import ValidationError
 from tenreg.tensor import (
     ProjectorTriple,
     dematricize,
@@ -45,9 +45,9 @@ class TestInner:
         assert inner(a, b) == pytest.approx(float((a * b).sum()))
 
     def test_prefix_violation(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ValidationError, match="is not a prefix of"):
             inner(rng.standard_normal((3, 2)), rng.standard_normal((2, 3, 4)))
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ValidationError, match="is not a prefix of"):
             inner(rng.standard_normal((2, 3, 4)), rng.standard_normal((2, 3)))
 
     def test_linearity(self):
@@ -104,13 +104,13 @@ class TestMatricize:
 
     def test_invalid_axes(self):
         a = rng.standard_normal((2, 3, 4))
-        with pytest.raises(InvalidAxes):
+        with pytest.raises(ValidationError, match="modes must be non-empty"):
             matricize(a, [])
-        with pytest.raises(InvalidAxes):
+        with pytest.raises(ValidationError, match="duplicate axes"):
             matricize(a, [0, 0])
-        with pytest.raises(InvalidAxes):
+        with pytest.raises(ValidationError, match="out of range for order-3 tensor"):
             matricize(a, [3])
-        with pytest.raises(InvalidAxes):
+        with pytest.raises(ValidationError, match="proper subset of the axes"):
             matricize(a, [0, 1, 2])
 
 
@@ -176,7 +176,7 @@ class TestTuckerProject:
 
     def test_shape_mismatch(self):
         triple = self._triple()
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ValidationError, match="!= projector dims"):
             tucker_project(rng.standard_normal((3, 3, 3)), triple, "full")
 
 
