@@ -38,7 +38,7 @@ from .solver import empirical_norm, lambda_rule, solve
 # benchmark's tracer test (perfbench/tests/test_tracer.py) checks that a
 # solver wrapped in `tenreg.solver` is also wrapped at this binding.
 from .solver import fista_solve  # noqa: F401
-from .spectral import _exact_estimate, _width_inputs, _width_mc, _width_sq
+from .spectral import _exact_estimate, _width_sq
 from .spectral import WIDTH_DRAWS, gaussian_width_mc
 from .spectral import width_rate_expression
 
@@ -151,10 +151,9 @@ class RateExperimentConfig:
 def pairwise_width_mc(shape, draws=WIDTH_DRAWS, seed=0):
     """Width of the pairwise-component penalty ball: expected maximum
     spectral norm over the marginal sums of a standard Gaussian tensor.
-    Runs the width driver on one stream seeded by `seed` itself."""
-    _, seq, shape, draws = _width_inputs(shape, draws, seed, 1)
-    rng = np.random.Generator(np.random.Philox(seq))
-    return _width_mc(_PAIRWISE, shape, draws, seed, [rng], None, None)
+    The width driver's own draw on one worker, which draws from the seed's
+    own stream, as `auto_lambda` and `width_experiment` do."""
+    return gaussian_width_mc(_PAIRWISE, shape, draws, seed)
 
 
 def auto_lambda(reg, shape, ns, sigma, draws, seed, *, workers=1, c_u=1.0):
@@ -163,8 +162,9 @@ def auto_lambda(reg, shape, ns, sigma, draws, seed, *, workers=1, c_u=1.0):
     `sigma` when sigma > 0.  The penalties whose dual is a largest chi group
     norm (entries, fibers and slice Frobenius norms) take their exact width,
     `gaussian_width`, which depends on neither `draws`, `seed` nor `workers`,
-    though those are checked as for a draw; the pairwise-component penalty
-    takes `pairwise_width_mc`, and the other kinds `gaussian_width_mc`.  The
+    though those are checked as for a draw; every other kind, the
+    pairwise-component penalty included, takes `gaussian_width_mc`, the
+    width `width_experiment` reports at the same seed and workers.  The
     slice-nuclear penalty still draws, though `gaussian_width` has its width
     exactly: without its draws a one-seed traced `cli_pipeline` pass of the
     benchmark falls below the span coverage its tracer test requires (ROADMAP
@@ -175,9 +175,7 @@ def auto_lambda(reg, shape, ns, sigma, draws, seed, *, workers=1, c_u=1.0):
     """
     for n in ns:
         _check_rule(n, c_u, reg.c_reg)
-    if reg.kind == _PAIRWISE.kind:
-        width = pairwise_width_mc(shape, draws, seed)
-    elif reg.kind in _GROUP_KINDS:
+    if reg.kind in _GROUP_KINDS:
         width = _exact_estimate(reg, shape, draws, seed, workers)
     else:
         width = gaussian_width_mc(reg, shape, draws, seed, workers=workers)

@@ -277,7 +277,7 @@ def reg_dual(spec, a, *, rng=None):
     return float(_dual_batch(spec, a[None])[0])
 
 
-# A batch of the Monte-Carlo samplers (`spectral._width_mc` and
+# A batch of the Monte-Carlo samplers (`spectral.gaussian_width_mc` and
 # `compatibility`) holds at most `_WIDTH_BATCH` Gaussian tensors and at most
 # `_BATCH_ENTRIES` entries (1 MB), so its memory does not grow with the
 # shape. A (m,) + shape draw consumes the same stream as m draws of `shape`.

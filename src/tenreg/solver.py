@@ -768,7 +768,8 @@ def save_problem(directory, problem):
 
 
 def load_problem(directory):
-    """Read a problem written by :func:`save_problem`."""
+    """Read a problem written by :func:`save_problem`.  Its manifest's `n`,
+    `cov_shape` and `resp_shape` must agree with the tensors read."""
     mpath = (
         directory
         if directory.endswith(".json")
@@ -785,7 +786,7 @@ def load_problem(directory):
             raise ValidationError(f"manifest path {key!r} must be a string, got {name!r}")
         return read_tns(os.path.join(base, name))
 
-    return RegressionProblem(
+    problem = RegressionProblem(
         covariates=read("covariates"),
         responses=read("responses"),
         split=json_key(manifest, "M", "problem manifest"),
@@ -793,3 +794,11 @@ def load_problem(directory):
         truth=read("truth") if "truth" in paths else None,
         meta=manifest.get("meta", {}),
     )
+    for key, have in [("n", problem.n), ("cov_shape", list(problem.cov_shape)),
+                      ("resp_shape", list(problem.resp_shape))]:
+        stated = json_key(manifest, key, "problem manifest")
+        if stated != have:
+            raise ValidationError(
+                f"manifest key {key!r} is {stated!r}, but the tensors give {have!r}"
+            )
+    return problem

@@ -227,51 +227,11 @@ WIDTH_DRAWS = 2000
 
 def _width_inputs(shape, draws, seed, workers):
     """Hold a width's inputs to their rules, for an exact width as for a drawn
-    one, in one order: `workers`, `seed` (that of the draws' substreams),
+    one, in one order: `workers`, `seed` (that of the draws' streams),
     `shape`, `draws`.  Returns them checked, the seed as its SeedSequence."""
     workers = check_count("workers", workers, 1)
     seq = np.random.SeedSequence(check_count("seed", seed, 0))
     return workers, seq, check_shape("shape", shape), check_count("draws", draws, 100)
-
-
-def _width_mc(spec, shape, draws, seed, rngs, hopm_restarts, hopm_iters):
-    """Mean dual norm of `spec` over `draws` standard Gaussian tensors of
-    `shape`, split evenly over the generators `rngs`, run on at most one
-    thread per available core, and reduced in generator order whatever the
-    scheduling.  Each generator draws in batches of at most 256 tensors and
-    2**17 entries (1 MB), so memory stays bounded at any shape; every dual
-    but the tensor-spectral one is computed per draw, so its values do not
-    depend on the batch size.  `shape` and `draws` have passed
-    :func:`_width_inputs`."""
-    batch = _batch_draws(shape)
-    base, rem = divmod(draws, len(rngs))
-
-    def run(idx):
-        rng = rngs[idx]
-        need = base + (1 if idx < rem else 0)
-        vals = []
-        while need > 0:
-            m = min(batch, need)
-            g = rng.standard_normal((m,) + shape)
-            vals.append(_dual_batch(spec, g, rng, hopm_restarts, hopm_iters))
-            need -= m
-        return np.concatenate(vals) if vals else np.empty(0)
-
-    if len(rngs) == 1:
-        parts = [run(0)]
-    else:
-        with ThreadPoolExecutor(max_workers=min(len(rngs), _cores())) as pool:
-            parts = list(pool.map(run, range(len(rngs))))
-    values = np.concatenate(parts)
-    return WidthEstimate(
-        mean=float(values.mean()),
-        std_error=float(values.std(ddof=1) / np.sqrt(len(values))),
-        draws=draws,
-        lemma_bound_form=_RATE_TAGS[spec.kind],
-        seed=int(seed),
-        shape=shape,
-        kind=spec.kind,
-    )
 
 
 def gaussian_width_mc(
@@ -287,28 +247,58 @@ def gaussian_width_mc(
     """Estimate the Gaussian width of the unit ball of the penalty, i.e. the
     expected dual norm of an i.i.d. standard Gaussian tensor.
 
-    Draws are split over `workers` counter-based substreams spawned from the
-    seed, run on at most as many threads as there are available cores, and
-    the reduction runs in worker order, so results are bit-reproducible for
-    a fixed worker count regardless of scheduling or core count.
+    Draws are split evenly over `workers` counter-based (Philox) streams,
+    one rule for every kind: worker 0 draws from the seed's own
+    SeedSequence, worker i >= 1 from its (i - 1)-th spawned child.  They run
+    on at most as many threads as there are available cores, and the
+    reduction runs in worker order, so results are bit-reproducible for a
+    fixed worker count regardless of scheduling or core count.
     The spectral-dual kind lower-bounds each draw's dual with the batched
     alternating maximizer that `hopm_spectral` also runs, so its estimate
     errs low (see :class:`WidthEstimate`), from
     `hopm_restarts` random starts of at most `hopm_iters` sweeps each.  All
     restarts of a batch of draws run together, each stopping on its own
     once a sweep gains less than 1e-12; their starts are drawn from the
-    substream up front, per restart for the whole batch, so the stream each
-    substream consumes does not depend on when restarts stop.
+    worker's stream up front, per restart for the whole batch, so the stream
+    each worker consumes does not depend on when restarts stop.
     A batch holds at most 256 draws and 2**17 entries (1 MB): 100 draws at
     64 x 64 x 64 peak near 40 MB of memory.  Every kind but the
-    tensor-spectral one gives the same floats for any batch size; the
-    tensor-spectral kind draws its starts after each batch, so its stream
-    follows the batch size, which is 256 draws up to 512 entries.
-    `draws` must be an integer >= 100.
+    tensor-spectral one gives the same floats for any batch size, since its
+    dual is computed per draw; the tensor-spectral kind draws its starts
+    after each batch, so its stream follows the batch size, which is 256
+    draws up to 512 entries.  `draws` must be an integer >= 100.
     """
     workers, seq, shape, draws = _width_inputs(shape, draws, seed, workers)
-    rngs = [np.random.Generator(np.random.Philox(s)) for s in seq.spawn(workers)]
-    return _width_mc(spec, shape, draws, seed, rngs, hopm_restarts, hopm_iters)
+    rngs = [np.random.Generator(np.random.Philox(s)) for s in (seq, *seq.spawn(workers - 1))]
+    batch = _batch_draws(shape)
+    base, rem = divmod(draws, workers)
+
+    def run(idx):
+        rng = rngs[idx]
+        need = base + (1 if idx < rem else 0)
+        vals = []
+        while need > 0:
+            m = min(batch, need)
+            g = rng.standard_normal((m,) + shape)
+            vals.append(_dual_batch(spec, g, rng, hopm_restarts, hopm_iters))
+            need -= m
+        return np.concatenate(vals) if vals else np.empty(0)
+
+    if workers == 1:
+        parts = [run(0)]
+    else:
+        with ThreadPoolExecutor(max_workers=min(workers, _cores())) as pool:
+            parts = list(pool.map(run, range(workers)))
+    values = np.concatenate(parts)
+    return WidthEstimate(
+        mean=float(values.mean()),
+        std_error=float(values.std(ddof=1) / np.sqrt(len(values))),
+        draws=draws,
+        lemma_bound_form=_RATE_TAGS[spec.kind],
+        seed=int(seed),
+        shape=shape,
+        kind=spec.kind,
+    )
 
 
 # The kinds with an exact width: the dual norm of a standard Gaussian tensor

@@ -621,7 +621,8 @@ class TestMissingJsonKeys:
         assert "'regularizer'" in err
 
     @pytest.mark.parametrize(
-        "drop", ["paths", "M", "sigma", "paths.covariates", "paths.responses"]
+        "drop", ["paths", "M", "sigma", "paths.covariates", "paths.responses", "n",
+                 "cov_shape", "resp_shape"]
     )
     def test_solve_names_missing_manifest_key(self, tmp_path, capsys, drop):
         prob_dir = str(tmp_path / "prob")
@@ -643,6 +644,27 @@ class TestMissingJsonKeys:
         )
         assert code == 2
         assert f"{key!r}" in err
+
+    @pytest.mark.parametrize(
+        "key, value", [("n", 999), ("cov_shape", [7]), ("resp_shape", [5, 5])]
+    )
+    def test_solve_refuses_a_manifest_that_contradicts_its_tensors(
+        self, tmp_path, capsys, key, value
+    ):
+        prob_dir = str(tmp_path / "prob")
+        save_scaled_problem(prob_dir, 10, scale=1.0)
+        manifest_path = os.path.join(prob_dir, "manifest.json")
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+        manifest[key] = value
+        with open(manifest_path, "w") as fh:
+            json.dump(manifest, fh)
+        code, _, err = run_cli(
+            ["solve", "--problem", prob_dir, "--regularizer", "entry_l1", "--lam", "0.1"],
+            capsys,
+        )
+        assert code == 2
+        assert f"manifest key {key!r} is {value!r}" in err
 
     @pytest.mark.parametrize(
         "sigma", ["abc", None, -1, float("nan"), True],

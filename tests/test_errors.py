@@ -160,7 +160,7 @@ RATE_FIELDS = dict(
 # argument's name, "count" or "real", the least value allowed)
 ENTRY_POINTS = {
     "width-workers": (lambda v: spectral.gaussian_width_mc(entry_l1(), SHAPE, 100, workers=v),
-                      (spectral, "_width_mc"), "workers", "count", 1),
+                      (spectral, "_batch_draws"), "workers", "count", 1),
     "width-draws": (lambda v: spectral.gaussian_width_mc(entry_l1(), SHAPE, v),
                     (spectral, "_batch_draws"), "draws", "count", 100),
     "fista-lam": (lambda v: solver.fista_solve(PROBLEM, entry_l1(), v),
@@ -204,11 +204,11 @@ ENTRY_POINTS = {
     "var-model-s": (lambda v: datagen.gen_var_model(2, 1, v),
                     (np.random, "default_rng"), "s", "count", 1),
     "width-seed": (lambda v: spectral.gaussian_width_mc(entry_l1(), SHAPE, 100, seed=v),
-                   (spectral, "_width_mc"), "seed", "count", 0),
+                   (spectral, "_batch_draws"), "seed", "count", 0),
     "exact-width-seed": (lambda v: harness.auto_lambda(entry_l1(), SHAPE, [50], 1.0, 100, v),
                          (spectral, "gaussian_width"), "seed", "count", 0),
     "pairwise-width-seed": (lambda v: harness.pairwise_width_mc(SHAPE, 100, v),
-                            (harness, "_width_mc"), "seed", "count", 0),
+                            (spectral, "_batch_draws"), "seed", "count", 0),
     "packing-seed": (lambda v: harness.hypercube_packing(12, 1.0, seed=v),
                      (np.random, "default_rng"), "seed", "count", 0),
     "rate-seed": (lambda v: RateExperimentConfig(**{**RATE_FIELDS, "seed": v}),
@@ -328,13 +328,13 @@ RULE_ENTRY_POINTS = {
     "class-shape": (lambda v: ModelClassSpec("theta1", v), (datagen, "_fiber_mode"),
                     "shape", "shape"),
     "width-shape": (lambda v: spectral.gaussian_width_mc(entry_l1(), v, 100),
-                    (spectral, "_width_mc"), "shape", "shape"),
+                    (spectral, "_batch_draws"), "shape", "shape"),
     "exact-width-shape": (lambda v: spectral.gaussian_width(entry_l1(), v),
                           (spectral, "_chi_max_mean"), "shape", "shape"),
     "auto-lambda-shape": (lambda v: harness.auto_lambda(entry_l1(), v, [50], 1.0, 100, 0),
                           (spectral, "gaussian_width"), "shape", "shape"),
     "pairwise-width-shape": (lambda v: harness.pairwise_width_mc(v, 100),
-                             (harness, "_width_mc"), "shape", "shape"),
+                             (spectral, "_batch_draws"), "shape", "shape"),
     "penalty-mode": (lambda v: RegularizerSpec("fiber_group", mode=v), None, "mode", None),
     "class-mode": (lambda v: ModelClassSpec("theta2", SHAPE, mode=v),
                    (datagen, "_group_axis"), "mode", None),

@@ -31,7 +31,8 @@ from tenreg.regularizers import (
     slice_nuclear,
     tensor_spectral,
 )
-from tenreg.spectral import WidthEstimate, gaussian_width, width_rate_expression
+from tenreg.spectral import WidthEstimate, gaussian_width, gaussian_width_mc
+from tenreg.spectral import width_rate_expression
 
 
 def _ref_pairwise_width_mc(shape, draws, seed):
@@ -240,18 +241,15 @@ class TestAutoLambda:
         assert len(lams) == 1
 
     @pytest.mark.parametrize(
-        "reg, width",
-        [(matricized_nuclear_sum(), "gaussian_width_mc"),
-         (slice_nuclear((0, 1)), "gaussian_width_mc"),
-         (tensor_spectral(), "gaussian_width_mc"),
-         (harness._PAIRWISE, "pairwise_width_mc")],
-        ids=lambda v: getattr(v, "kind", ""),
+        "reg",
+        [matricized_nuclear_sum(), slice_nuclear((0, 1)), tensor_spectral(), harness._PAIRWISE],
+        ids=lambda v: v.kind,
     )
-    def test_other_kinds_still_draw(self, monkeypatch, reg, width):
+    def test_other_kinds_still_draw(self, monkeypatch, reg):
         calls = []
-        drawn = getattr(harness, width)
+        drawn = harness.gaussian_width_mc
         monkeypatch.setattr(
-            harness, width, lambda *a, **k: calls.append(a) or drawn(*a, **k)
+            harness, "gaussian_width_mc", lambda *a, **k: calls.append(a) or drawn(*a, **k)
         )
         est, _ = harness.auto_lambda(reg, (3, 3, 3), [50], 1.0, 100, 4)
         assert len(calls) == 1
@@ -263,15 +261,16 @@ class TestAutoLambda:
          ({"draws": 200.0}, ValidationError, "draws must be an integer >= 100"),
          ({"workers": 0}, ValidationError, "workers must be an integer >= 1"),
          ({"workers": True}, ValidationError, "workers must be an integer >= 1"),
+         ({"workers": 2.5}, ValidationError, "workers must be an integer >= 1"),
          ({"seed": -1}, ValidationError, "seed must be an integer >= 0"),
          ({"seed": 2.5}, ValidationError, "seed must be an integer >= 0"),
          ({"shape": (3, 3)}, ValidationError, "shape must be three integers >= 1")],
-        ids=["few-draws", "float-draws", "no-worker", "bool-worker", "negative-seed",
-             "float-seed", "order-2"],
+        ids=["few-draws", "float-draws", "no-worker", "bool-worker", "float-worker",
+             "negative-seed", "float-seed", "order-2"],
     )
     def test_refuses_what_a_draw_refuses(self, kwargs, error, message):
         call = dict(shape=(3, 3, 3), draws=200, seed=0, workers=1) | kwargs
-        for reg in (entry_l1(), matricized_nuclear_sum()):
+        for reg in (entry_l1(), matricized_nuclear_sum(), harness._PAIRWISE):
             with pytest.raises(error, match=message):
                 harness.auto_lambda(
                     reg, call["shape"], [50], 1.0, call["draws"], call["seed"],
@@ -554,6 +553,19 @@ class TestWidthExperiment:
     def test_pairwise_width_matches_reference(self, shape, seed, draws):
         est = pairwise_width_mc(shape, draws=draws, seed=seed)
         assert est.to_json() == _ref_pairwise_width_mc(shape, draws, seed).to_json()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pairwise_width_is_one_number_at_one_seed(self, workers):
+        # the automatic lambda, the width driver and the width table draw
+        # the pairwise width from the same streams
+        shape, draws, seed = (3, 3, 3), 300, 5
+        drawn = gaussian_width_mc(harness._PAIRWISE, shape, draws, seed, workers=workers)
+        auto, _ = harness.auto_lambda(
+            harness._PAIRWISE, shape, [50], 1.0, draws, seed, workers=workers
+        )
+        (row,) = width_experiment([harness._PAIRWISE], [shape], draws, seed, workers)["rows"]
+        assert auto == drawn
+        assert row["estimate"] == drawn.mean
 
 
 class TestPacking:
