@@ -148,8 +148,10 @@ def build_parser():
 def _cmd_gen(args):
     spec = datagen.ModelClassSpec.from_json(_load_json_arg(args.spec))
     if spec.kind == "t3":  # a VAR series of lag windows, in its one layout
-        seeds = [(args.seed, args.seed)]
-        (problem,) = datagen.gen_samples(spec, args.n, args.split, args.sigma, seeds)
+        # the series itself, which `gen_samples` yields as statistics at n > m p
+        datagen._check_var_layout(spec, args.split, args.sigma)
+        model = datagen._class_var_model(spec, args.seed)
+        (problem,) = datagen.gen_var_panel([model], args.n, [args.seed])
     else:
         truth = datagen.gen_truth(spec, args.seed)
         problem = datagen.gen_problem(truth, args.n, args.split, args.sigma, seed=args.seed)

@@ -28,7 +28,7 @@ from .errors import (
     json_tuple,
 )
 from .regularizers import _fiber_mode, _group_axis, _group_norms, _groups
-from .solver import RegressionProblem, SufficientStats, expand_pairwise
+from .solver import RegressionProblem, SufficientStats, _statistics, expand_pairwise
 from .tensor import matricize
 
 __all__ = [
@@ -342,7 +342,7 @@ def gen_sufficient_stats(truth, n, split, noise_sigma, seed=0):
     if n <= dim:
         raise ValidationError(f"the Wishart draw needs n > d + q = {dim}, got n = {n}")
     low = np.diag(np.sqrt(rng.chisquare(n - np.arange(dim))))
-    low[np.tril_indices(dim, -1)] = rng.standard_normal(dim * (dim - 1) // 2)
+    low[np.tri(dim, dim, -1, dtype=bool)] = rng.standard_normal(dim * (dim - 1) // 2)
     w = low @ low.T
     b = np.vstack([truth.reshape(dim_cov, dim_resp), noise_sigma * np.eye(dim_resp)])
     wb = w @ b
@@ -365,8 +365,12 @@ def gen_samples(spec, n, split, noise_sigma, seeds):
     sufficient statistics by :func:`gen_sufficient_stats` when n exceeds
     d + q, the covariate and response dimensions, and its sample by
     :func:`gen_problem` otherwise.  The VAR class draws every model first,
-    then yields the series of :func:`gen_var_panel`; it takes only the one
-    VAR layout, split 2 and unit innovations (:func:`_check_var_layout`).
+    then simulates the series of :func:`gen_var_panel`; it takes only the
+    one VAR layout, split 2 and unit innovations (:func:`_check_var_layout`).
+    When n exceeds the m p lag coordinates it yields each series'
+    statistics, which are all a solve reads of it when the solver would
+    compress it anyway, so the lag design is copied once and dropped;
+    otherwise it yields the series.
     """
     check_count("n", n, 1)
     check_real("noise_sigma", noise_sigma, 0)
@@ -374,12 +378,32 @@ def gen_samples(spec, n, split, noise_sigma, seeds):
     _check_var_layout(spec, split, noise_sigma)
     if spec.kind == "t3":
         models = [_class_var_model(spec, tseed) for tseed, _ in seeds]
-        return gen_var_panel(models, n, [pseed for _, pseed in seeds])
+        panel = gen_var_panel(models, n, [pseed for _, pseed in seeds])
+        if n <= math.prod(spec.shape[:split]):
+            return panel
+        # `map`, not a generator expression: its frame would hold the last
+        # series, and so its lockstep group, while the next group is simulated
+        return map(_series_statistics, panel)
     dims = math.prod(spec.shape[:split]) + math.prod(spec.shape[split:])
     draw = gen_sufficient_stats if n > dims else gen_problem
     return (
         draw(gen_truth(spec, tseed), n, split, noise_sigma, seed=pseed)
         for tseed, pseed in seeds
+    )
+
+
+def _series_statistics(problem):
+    """The :class:`SufficientStats` of a sample, by the one reduction a
+    solver makes of data with n > d (``solver._statistics``), so a solve on
+    them returns the estimate of the sample bit for bit."""
+    gram, xty, yty = _statistics(problem.covariates, problem.responses)
+    return SufficientStats(
+        gram=gram,
+        xty=xty.reshape(problem.truth_shape),
+        yty=yty,
+        n=problem.n,
+        split=problem.split,
+        truth=problem.truth,
     )
 
 

@@ -202,7 +202,12 @@ def _cells(model, n, split, sigma, seq, reps, reg, lam, max_iters):
     """The `reps` replications of one (model, n) point, each a truth and a
     sample drawn by :func:`gen_samples` from its own child of the
     SeedSequence `seq`, solved by `solve` at `lam` and scored on
-    delta = estimate - truth.  Yields (cell record, truth) in order."""
+    delta = estimate - truth.  Yields (cell record, truth) in order.
+
+    A sample with more rows than covariate coordinates comes as its
+    sufficient statistics, i.i.d. or VAR, so its `emp_sq` is
+    delta^T G delta / n; a VAR cell's is that of its series' own Gram, the
+    design's sum of squares up to rounding."""
     problems = gen_samples(model, n, split, sigma, [r.spawn(2) for r in seq.spawn(reps)])
     for ri in range(reps):
         problem = next(problems)
@@ -217,7 +222,7 @@ def _cells(model, n, split, sigma, seq, reps, reg, lam, max_iters):
             "status": res.status,
             "iterations": res.iterations,
         }
-        # a VAR sample pins its lockstep group's series: drop it before
+        # a VAR series (n <= m p) pins its lockstep group: drop it before
         # `next` may simulate the next group (an enumerate would keep it)
         del problem
         yield cell, truth

@@ -424,13 +424,22 @@ def _least_squares(x2, y, n):
     With n at most the parameter dimension d it works in data space and
     checks only the squares of the responses; those of the design show in
     the loss, or in :attr:`_LeastSquares.spectrum`.  Above that it reduces
-    the data to ``(X^T X, X^T y, ||y||^2)`` and hands them to
-    :func:`_compressed`.
+    the data by :func:`_statistics` and hands them to :func:`_compressed`.
     """
+    if n > x2.shape[1]:
+        return _compressed(*_statistics(x2, y), n)
+    return _LeastSquares(x2, y, n) if math.isfinite(float((y * y).sum())) else None
+
+
+def _statistics(x, y):
+    """``(X^T X, X^T y, ||y||^2)`` for the design X, the covariates `x`
+    flattened to one row per sample, and the responses `y`: the one
+    reduction of data to sufficient statistics.  ``||y||^2`` comes first,
+    so a copy that flattening makes (that of a lag-window view) lives only
+    for the two products."""
     yty = float((y * y).sum())
-    if n <= x2.shape[1]:
-        return _LeastSquares(x2, y, n) if math.isfinite(yty) else None
-    return _compressed(x2.T @ x2, x2.T @ y, yty, n)
+    x2 = x.reshape(len(x), -1)
+    return x2.T @ x2, x2.T @ y, yty
 
 
 def _compressed(gram, xty, yty, n):

@@ -223,13 +223,30 @@ class TestGenSamples:
             want = draw(gen_truth(spec, tseed), n, 3, 0.5, seed=pseed)
             self._assert_same(sample, want)
 
+    # a 3x2x3 VAR truth has m p = 6 lag coordinates, and p = 2: the five
+    # series run as lockstep groups of 3 and 2
     def test_var_panel(self):
-        # p = 2: the five series run as lockstep groups of 3 and 2
+        # n = 40 > 6: each sample is the statistics of its own series, as a
+        # solver reduces the series' flattened lag design
         spec = ModelClassSpec("t3", (3, 2, 3), s=2)
         got = list(gen_samples(spec, 40, 2, 1.0, self.SEEDS))
         assert len(got) == len(self.SEEDS)
         for sample, (tseed, pseed) in zip(got, self.SEEDS):
-            want = gen_var_series(gen_var_model(3, 2, 2, seed=tseed), 40, seed=pseed)
+            series = gen_var_series(gen_var_model(3, 2, 2, seed=tseed), 40, seed=pseed)
+            x2, y = series.covariates.reshape(40, 6), series.responses
+            want = SufficientStats(
+                gram=x2.T @ x2, xty=(x2.T @ y).reshape(3, 2, 3), yty=float((y * y).sum()),
+                n=40, split=2, truth=series.truth,
+            )
+            self._assert_same(sample, want)
+            assert np.array_equal(sample.truth, gen_truth(spec, tseed))
+
+    def test_var_panel_at_most_m_p_is_the_series(self):
+        spec = ModelClassSpec("t3", (3, 2, 3), s=2)
+        got = list(gen_samples(spec, 6, 2, 1.0, self.SEEDS))
+        assert len(got) == len(self.SEEDS)
+        for sample, (tseed, pseed) in zip(got, self.SEEDS):
+            want = gen_var_series(gen_var_model(3, 2, 2, seed=tseed), 6, seed=pseed)
             self._assert_same(sample, want)
             assert np.array_equal(sample.truth, gen_truth(spec, tseed))
 

@@ -351,17 +351,18 @@ class TestVarLockstep:
 
     def test_groups_of_at_most_p_plus_2(self, monkeypatch):
         events = []
-        solved = []  # weak references to the series arrays of solved cells
+        simulated = []  # weak references to the series arrays of each group
         real_group, real_solve = datagen._var_group, harness.solve
 
         def group(models, n, seeds):
-            assert all(ref() is None for ref in solved), "an earlier group is held"
+            assert all(ref() is None for ref in simulated), "an earlier group is held"
             events.append(("simulate", len(models)))
-            return real_group(models, n, seeds)
+            for problem in real_group(models, n, seeds):
+                simulated.append(weakref.ref(problem.responses.base))
+                yield problem
 
         def solve(problem, *args, **kw):
             events.append(("solve", 1))
-            solved.append(weakref.ref(problem.responses.base))
             return real_solve(problem, *args, **kw)
 
         monkeypatch.setattr(datagen, "_var_group", group)
@@ -374,8 +375,18 @@ class TestVarLockstep:
         assert events == one_n * 4
         assert len(rep["cells"]) == 40
 
-    def test_cells_match_their_own_series(self):
+    def test_cells_match_their_own_series(self, monkeypatch):
+        # n = 50 > m p = 6: the cells are solved and scored on statistics
         config = self.CONFIG
+        estimates = []
+        real_solve = harness.solve
+
+        def solve(*args):
+            res = real_solve(*args)
+            estimates.append(res.estimate)
+            return res
+
+        monkeypatch.setattr(harness, "solve", solve)
         rep = rate_experiment(config)
         root = np.random.SeedSequence(config.seed).spawn(len(config.n_grid))
         lam = rep["per_n"][0]["lambda"]
@@ -385,8 +396,33 @@ class TestVarLockstep:
             problem = gen_var_series(model, 50, seed=pseed)
             res = solver.solve(problem, config.regularizer, lam, config.max_iters)
             delta = res.estimate - problem.truth
-            assert rep["cells"][ri]["fro_sq"] == float((delta * delta).sum())
-            assert rep["cells"][ri]["iterations"] == res.iterations
+            cell = rep["cells"][ri]
+            assert np.array_equal(estimates[ri], res.estimate)
+            assert cell["fro_sq"] == float((delta * delta).sum())
+            assert (cell["status"], cell["iterations"]) == (res.status, res.iterations)
+            # delta^T G delta / n against the design's own sum of squares
+            assert math.isclose(
+                cell["emp_sq"], solver.empirical_norm(problem, delta) ** 2, rel_tol=1e-12
+            )
+
+    def test_a_point_holds_one_group_and_one_design_copy(self):
+        # (20, 3, 20) at n = 16000, eight series in two lockstep groups of 4:
+        # a group is 10.6 MB and the flattened lag design 7.7 MB.  Scoring on
+        # the series adds a second design copy, its prediction and the
+        # square of that (23.6 MB at the peak); statistics add neither, and
+        # holding the first group while simulating the second would add 10.6 MB
+        model, reg, n = ModelClassSpec("t3", (20, 3, 20), s=6), fiber_group(1), 16000
+        _, (lam,) = harness.auto_lambda(reg, model.shape, [n], 1.0, 200, 0)
+        tracemalloc.start()
+        try:
+            cells = list(harness._cells(
+                model, n, 2, 1.0, np.random.SeedSequence(302), 8, reg, lam, 2000,
+            ))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(cells) == 8
+        assert peak < 20 * 2**20
 
 
 class TestRateReport:
