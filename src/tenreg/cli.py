@@ -98,7 +98,6 @@ def build_parser():
     it was, so every call starts from the same defaults."""
     parser = argparse.ArgumentParser(prog="tenreg")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--out", type=str, default=None)
     parser.add_argument("--format", choices=harness.REPORT_FORMATS,
                         default=_default(harness.emit_report, "fmt"))
@@ -180,7 +179,6 @@ def _cmd_solve(args):
             problem.noise_sigma,
             args.width_draws,
             args.seed,
-            workers=args.threads,
             c_u=args.c_u,
         )
     else:
@@ -193,9 +191,7 @@ def _cmd_solve(args):
 def _cmd_width(args):
     kinds = _parse_kinds(args.kinds)
     shapes = _parse_shapes(args.shapes)
-    report = harness.width_experiment(
-        kinds, shapes, draws=args.draws, seed=args.seed, workers=args.threads
-    )
+    report = harness.width_experiment(kinds, shapes, draws=args.draws, seed=args.seed)
     _write_output(harness.emit_report(report, args.format), args.out)
     return EXIT_OK
 
@@ -244,7 +240,6 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        check_count("workers", args.threads, 1)
         if args.format == "csv":
             check_choice("CSV report kind", args.command, harness.CSV_REPORT_KINDS)
         with np.errstate(over="raise"):

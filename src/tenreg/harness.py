@@ -79,13 +79,15 @@ _RATES = {
 def predicted_rate(tag, model, n):
     """Evaluate a predicted-rate formula tag for a model class at sample
     size n (constants are not tracked; only the growth law matters).  The
-    model field the tag takes its budget from must be an integer >= 1."""
+    model field the tag takes its budget from must be an integer >= 1, and
+    n a finite number >= 1."""
     check_choice("rate tag", tag, _RATES)
     field, power, penalty = _RATES[tag](model)
     budget = getattr(model, field)
     if not (is_int(budget) and budget >= 1):
         raise ValidationError(f"rate tag {tag!r} needs the model's {field} to be an integer "
                               f">= 1, got {budget!r}")
+    check_real("n", n, 1)
     return budget**power * _width_sq(penalty, model.shape) / n
 
 
@@ -151,20 +153,20 @@ class RateExperimentConfig:
 def pairwise_width_mc(shape, draws=WIDTH_DRAWS, seed=0):
     """Width of the pairwise-component penalty ball: expected maximum
     spectral norm over the marginal sums of a standard Gaussian tensor.
-    The width driver's own draw on one worker, which draws from the seed's
-    own stream, as `auto_lambda` and `width_experiment` do."""
+    The width driver's own draw, from the seed's one stream, as
+    `auto_lambda` and `width_experiment` draw it."""
     return gaussian_width_mc(_PAIRWISE, shape, draws, seed)
 
 
-def auto_lambda(reg, shape, ns, sigma, draws, seed, *, workers=1, c_u=1.0):
+def auto_lambda(reg, shape, ns, sigma, draws, seed, *, c_u=1.0):
     """The automatic tuning rule: one width for the penalty `reg` on `shape`,
     then `lambda_rule` at each sample size in `ns`, times the noise level
     `sigma` when sigma > 0.  The penalties whose dual is a largest chi group
     norm (entries, fibers and slice Frobenius norms) take their exact width,
-    `gaussian_width`, which depends on neither `draws`, `seed` nor `workers`,
-    though those are checked as for a draw; every other kind, the
+    `gaussian_width`, which depends on neither `draws` nor `seed`, though
+    both are checked as for a draw; every other kind, the
     pairwise-component penalty included, takes `gaussian_width_mc`, the
-    width `width_experiment` reports at the same seed and workers.  The
+    width `width_experiment` reports at the same seed.  The
     slice-nuclear penalty still draws, though `gaussian_width` has its width
     exactly: without its draws a one-seed traced `cli_pipeline` pass of the
     benchmark falls below the span coverage its tracer test requires (ROADMAP
@@ -176,9 +178,9 @@ def auto_lambda(reg, shape, ns, sigma, draws, seed, *, workers=1, c_u=1.0):
     for n in ns:
         _check_rule(n, c_u, reg.c_reg)
     if reg.kind in _GROUP_KINDS:
-        width = _exact_estimate(reg, shape, draws, seed, workers)
+        width = _exact_estimate(reg, shape, draws, seed)
     else:
-        width = gaussian_width_mc(reg, shape, draws, seed, workers=workers)
+        width = gaussian_width_mc(reg, shape, draws, seed)
     lams = []
     for n in ns:
         lam = lambda_rule(width, n, c_u=c_u, c_reg=reg.c_reg)
@@ -278,7 +280,7 @@ def rate_experiment(config):
 _WIDTH_BAND = (0.2, 5.0)
 
 
-def width_experiment(kinds, shapes, draws=WIDTH_DRAWS, seed=0, workers=1):
+def width_experiment(kinds, shapes, draws=WIDTH_DRAWS, seed=0):
     """Width estimates against their growth-law expressions, with ratio
     columns and flags for the rows outside `_WIDTH_BAND`.  Refuses an empty
     table: no kinds or no shapes."""
@@ -288,7 +290,7 @@ def width_experiment(kinds, shapes, draws=WIDTH_DRAWS, seed=0, workers=1):
     flagged = []
     for spec in kinds:
         for shape in shapes:
-            est = gaussian_width_mc(spec, shape, draws, seed, workers=workers)
+            est = gaussian_width_mc(spec, shape, draws, seed)
             rate = width_rate_expression(spec, shape)
             ratio = est.mean / rate
             row = {

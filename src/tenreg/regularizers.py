@@ -260,10 +260,10 @@ def reg_dual(spec, a, *, rng=None):
     """Evaluate the dual norm R*(a).
 
     Exact for the max-reduction kinds, exact to SVD tolerance for the
-    nuclear kinds.  For ``matricized_nuclear_sum`` the returned value is the
-    spectral-max form (three times the largest unfolding spectral norm),
-    an upper bound on the exact dual that is the standard tuning quantity
-    for this penalty.  For ``tensor_spectral_dual_only`` the value is a
+    nuclear kinds.  For ``matricized_nuclear_sum`` the returned value is
+    3 max_k ||a_(k)||, three times the even-split bound max_k ||a_(k)|| on
+    the exact dual (Holder's inequality on each unfolding), so an upper
+    bound on it.  For ``tensor_spectral_dual_only`` the value is a
     certified lower bound from `hopm_spectral` at its default restart and
     sweep counts, which requires `rng`.
     """

@@ -130,11 +130,17 @@ class SufficientStats:
         self.gram = check_finite("gram", self.gram)
         self.xty = check_finite("xty", self.xty)
         self.yty = float(check_finite("yty", self.yty))
+        check_real("yty", self.yty, 0)
         check_count("n", self.n, 1)
         check_split(self.split, self.xty.ndim)
         dim = math.prod(self.cov_shape)
         if self.gram.shape != (dim, dim):
             raise ValidationError(f"gram shape {self.gram.shape} != {(dim, dim)}")
+        # what no sample has: every producer writes an exactly symmetric Gram
+        if not np.array_equal(self.gram, self.gram.T):
+            raise ValidationError("gram must be symmetric")
+        if (np.diagonal(self.gram) < 0).any():
+            raise ValidationError("gram must have a nonnegative diagonal")
         _check_truth(self)
 
     @property

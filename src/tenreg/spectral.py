@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,24 +212,16 @@ def width_rate_expression(spec, shape):
     return float(np.sqrt(_width_sq(spec, shape)))
 
 
-def _cores():
-    """Cores this process may run on (all cores where affinity is unknown)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 # The draws of a Monte-Carlo width when its caller gives none.
 WIDTH_DRAWS = 2000
 
 
-def _width_inputs(shape, draws, seed, workers):
+def _width_inputs(shape, draws, seed):
     """Hold a width's inputs to their rules, for an exact width as for a drawn
-    one, in one order: `workers`, `seed` (that of the draws' streams),
-    `shape`, `draws`.  Returns them checked, the seed as its SeedSequence."""
-    workers = check_count("workers", workers, 1)
+    one, in one order: `seed` (that of the draws' stream), `shape`, `draws`.
+    Returns them checked, the seed as its SeedSequence."""
     seq = np.random.SeedSequence(check_count("seed", seed, 0))
-    return workers, seq, check_shape("shape", shape), check_count("draws", draws, 100)
+    return seq, check_shape("shape", shape), check_count("draws", draws, 100)
 
 
 def gaussian_width_mc(
@@ -240,27 +230,23 @@ def gaussian_width_mc(
     draws=WIDTH_DRAWS,
     seed=0,
     *,
-    workers=1,
     hopm_restarts=8,
     hopm_iters=100,
 ):
     """Estimate the Gaussian width of the unit ball of the penalty, i.e. the
     expected dual norm of an i.i.d. standard Gaussian tensor.
 
-    Draws are split evenly over `workers` counter-based (Philox) streams,
-    one rule for every kind: worker 0 draws from the seed's own
-    SeedSequence, worker i >= 1 from its (i - 1)-th spawned child.  They run
-    on at most as many threads as there are available cores, and the
-    reduction runs in worker order, so results are bit-reproducible for a
-    fixed worker count regardless of scheduling or core count.
+    Every draw comes from one counter-based (Philox) stream on the seed's
+    own SeedSequence, one rule for every kind, so the estimate is a function
+    of the seed and its inputs alone.
     The spectral-dual kind lower-bounds each draw's dual with the batched
     alternating maximizer that `hopm_spectral` also runs, so its estimate
     errs low (see :class:`WidthEstimate`), from
     `hopm_restarts` random starts of at most `hopm_iters` sweeps each.  All
     restarts of a batch of draws run together, each stopping on its own
     once a sweep gains less than 1e-12; their starts are drawn from the
-    worker's stream up front, per restart for the whole batch, so the stream
-    each worker consumes does not depend on when restarts stop.
+    stream up front, per restart for the whole batch, so the stream does
+    not depend on when restarts stop.
     A batch holds at most 256 draws and 2**17 entries (1 MB): 100 draws at
     64 x 64 x 64 peak near 40 MB of memory.  Every kind but the
     tensor-spectral one gives the same floats for any batch size, since its
@@ -268,28 +254,14 @@ def gaussian_width_mc(
     after each batch, so its stream follows the batch size, which is 256
     draws up to 512 entries.  `draws` must be an integer >= 100.
     """
-    workers, seq, shape, draws = _width_inputs(shape, draws, seed, workers)
-    rngs = [np.random.Generator(np.random.Philox(s)) for s in (seq, *seq.spawn(workers - 1))]
+    seq, shape, draws = _width_inputs(shape, draws, seed)
+    rng = np.random.Generator(np.random.Philox(seq))
     batch = _batch_draws(shape)
-    base, rem = divmod(draws, workers)
-
-    def run(idx):
-        rng = rngs[idx]
-        need = base + (1 if idx < rem else 0)
-        vals = []
-        while need > 0:
-            m = min(batch, need)
-            g = rng.standard_normal((m,) + shape)
-            vals.append(_dual_batch(spec, g, rng, hopm_restarts, hopm_iters))
-            need -= m
-        return np.concatenate(vals) if vals else np.empty(0)
-
-    if workers == 1:
-        parts = [run(0)]
-    else:
-        with ThreadPoolExecutor(max_workers=min(workers, _cores())) as pool:
-            parts = list(pool.map(run, range(workers)))
-    values = np.concatenate(parts)
+    vals = []
+    for start in range(0, draws, batch):
+        g = rng.standard_normal((min(batch, draws - start),) + shape)
+        vals.append(_dual_batch(spec, g, rng, hopm_restarts, hopm_iters))
+    values = np.concatenate(vals)
     return WidthEstimate(
         mean=float(values.mean()),
         std_error=float(values.std(ddof=1) / np.sqrt(len(values))),
@@ -486,12 +458,12 @@ def gaussian_width(spec, shape):
     return _sigma_max_mean(*sorted(dims), m)
 
 
-def _exact_estimate(spec, shape, draws, seed, workers):
+def _exact_estimate(spec, shape, draws, seed):
     """The exact width of the penalty `spec` on `shape` as a width entry:
     `std_error` 0 and `draws` 0.  Its inputs pass :func:`_width_inputs`,
     though nothing is drawn, so a caller that may take either width refuses
     the same inputs, in the same order."""
-    shape = _width_inputs(shape, draws, seed, workers)[2]
+    shape = _width_inputs(shape, draws, seed)[1]
     return WidthEstimate(
         mean=gaussian_width(spec, shape),
         std_error=0.0,

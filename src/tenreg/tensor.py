@@ -94,14 +94,17 @@ def _mode_multiply(a, mat, k):
     return np.moveaxis(np.tensordot(mat, a, axes=(1, k - 3)), 0, k - 3)
 
 
-def _orthonormal(u, rows=None, tol=1e-10):
+_ORTHONORMAL_TOL = 1e-10
+
+
+def _orthonormal(u, rows=None):
     """`u` as a float64 matrix, of `rows` rows when given, whose columns are
-    orthonormal, else a ValidationError."""
+    orthonormal to `_ORTHONORMAL_TOL`, else a ValidationError."""
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 2 or rows not in (None, u.shape[0]):
         want = "a matrix" if rows is None else f"a matrix of {rows} rows"
         raise ValidationError(f"factor of shape {u.shape} is not {want}")
-    if not np.allclose(u.T @ u, np.eye(u.shape[1]), atol=tol):
+    if not np.allclose(u.T @ u, np.eye(u.shape[1]), atol=_ORTHONORMAL_TOL):
         raise ValidationError("factor columns must be orthonormal")
     return u
 
@@ -114,10 +117,10 @@ class ProjectorTriple:
     ``d * rank`` instead of ``d**2``.
     """
 
-    def __init__(self, factors, tol=1e-10):
+    def __init__(self, factors):
         if len(factors) != 3:
             raise ValidationError("expected exactly three factors")
-        self.factors = [_orthonormal(u, tol=tol) for u in factors]
+        self.factors = [_orthonormal(u) for u in factors]
 
     @property
     def ranks(self):

@@ -353,9 +353,9 @@ class TestAutoLambda:
         assert json.loads(out)["lambda"] == rate_lam
         assert rate_lam > 0
 
-    def test_group_lambda_ignores_seed_threads_and_draws(self, tmp_path, capsys, monkeypatch):
+    def test_group_lambda_ignores_seed_and_draws(self, tmp_path, capsys, monkeypatch):
         # the exact width: no draw runs, and the lambda is the same at any
-        # --seed, --threads and --width-draws; fewer than 100 draws are still
+        # --seed and --width-draws; fewer than 100 draws are still
         # refused, as for a drawn width
         monkeypatch.setattr(harness, "gaussian_width_mc", pytest.fail)
         prob_dir = str(tmp_path / "prob")
@@ -364,7 +364,7 @@ class TestAutoLambda:
                  "--n", "60"], capsys)
         lams = set()
         for flags, draws in ((["--seed", "1"], "2000"),
-                             (["--seed", "2", "--threads", "2"], "2000"),
+                             (["--seed", "2"], "2000"),
                              (["--seed", "3"], "5000")):
             code, out, _ = run_cli(
                 [*flags, "solve", "--problem", prob_dir, "--regularizer",
@@ -383,26 +383,17 @@ class TestAutoLambda:
         assert "draws must be an integer >= 100" in err
         assert out == ""
 
-    @pytest.mark.parametrize("threads", ["0", "-1"])
-    def test_width_rejects_fewer_than_one_thread(self, tmp_path, capsys, threads):
-        # every command refuses the flag, also those that use no worker
-        prob_dir = str(tmp_path / "prob")
-        save_scaled_problem(prob_dir, 30, scale=1.0)
-        gen_dir = tmp_path / "gen"
-        for command in (
-            ["width", "--kinds", "entry_l1", "--shapes", "4x4x4", "--draws", "100"],
-            ["solve", "--problem", prob_dir, "--regularizer", "pairwise",
-             "--width-draws", "100"],
-            ["solve", "--problem", prob_dir, "--regularizer", "entry_l1",
-             "--lam", "0.1"],
-            ["--out", str(gen_dir), "gen", "--spec",
-             '{"kind": "theta1", "shape": [3, 3, 3], "s": 2}', "--n", "10"],
-        ):
-            code, out, err = run_cli(["--threads", threads, *command], capsys)
-            assert code == 2
-            assert "workers must be an integer >= 1" in err
-            assert out == ""
-        assert not gen_dir.exists()
+    def test_threads_flag_is_refused(self, tmp_path, capsys):
+        # a width has one stream per seed, so there is no thread count to
+        # set: the parser exits 2 before the command runs
+        out = tmp_path / "width.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["--threads", "2", "--out", str(out), "width", "--kinds", "entry_l1",
+                  "--shapes", "4x4x4", "--draws", "100"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "tenreg: error:" in captured.err
+        assert not out.exists()
 
     def test_width_of_the_pairwise_penalty(self, capsys):
         code, out, _ = run_cli(

@@ -159,8 +159,6 @@ RATE_FIELDS = dict(
 # entry point: (call with the bad value, the step after the check, the
 # argument's name, "count" or "real", the least value allowed)
 ENTRY_POINTS = {
-    "width-workers": (lambda v: spectral.gaussian_width_mc(entry_l1(), SHAPE, 100, workers=v),
-                      (spectral, "_batch_draws"), "workers", "count", 1),
     "width-draws": (lambda v: spectral.gaussian_width_mc(entry_l1(), SHAPE, v),
                     (spectral, "_batch_draws"), "draws", "count", 100),
     "fista-lam": (lambda v: solver.fista_solve(PROBLEM, entry_l1(), v),
@@ -232,6 +230,8 @@ ENTRY_POINTS = {
                           (datagen, "gen_truth"), "noise_sigma", "real", 0),
     "problem-sigma": (lambda v: solver.RegressionProblem(np.ones((2,) + SHAPE), np.ones(2), 3, v),
                       (solver, "_check_truth"), "noise_sigma", "real", 0),
+    "rate-n": (lambda v: harness.predicted_rate("s_log_total_over_n", RATE_FIELDS["model"], v),
+               (harness, "_width_sq"), "n", "real", 1),
     "rate-width_draws": (lambda v: RateExperimentConfig(**RATE_FIELDS, width_draws=v),
                          (harness, "predicted_rate"), "width_draws", "count", 100),
     "rate-max_iters": (lambda v: RateExperimentConfig(**RATE_FIELDS, max_iters=v),

@@ -83,6 +83,19 @@ class TestPredictedRate:
         model = ModelClassSpec("t4", (8, 8, 8), r=1)
         assert predicted_rate("r_max_dim_over_n", model, 500) == pytest.approx(8 / 500)
 
+    @pytest.mark.parametrize("n", [0, -5])
+    @pytest.mark.parametrize(
+        "tag, model",
+        [("s_log_total_over_n", ModelClassSpec("theta1", (4, 4, 4), s=1)),
+         ("r_max_dim_over_n", ModelClassSpec("t4", (8, 8, 8), r=1))],
+        ids=["entry", "pairwise"],
+    )
+    def test_n_below_one_is_refused(self, tag, model, n):
+        # n = 0 once gave inf or raised ZeroDivisionError, n = -5 a negative
+        # rate; NaN and True are refused in test_errors
+        with pytest.raises(ValidationError, match=f"n must be a finite number >= 1, got {n}"):
+            predicted_rate(tag, model, n)
+
     def test_unknown_tag(self):
         model = ModelClassSpec("theta1", (4, 4, 4), s=1)
         with pytest.raises(ValidationError):
@@ -231,12 +244,10 @@ class TestAutoLambda:
         assert lam == solver.lambda_rule(width.mean, 400)
 
     @pytest.mark.parametrize("reg, shape", GROUPS, ids=lambda v: getattr(v, "kind", ""))
-    def test_lambda_depends_on_no_seed_worker_or_draw_count(self, reg, shape):
+    def test_lambda_depends_on_no_seed_or_draw_count(self, reg, shape):
         lams = {
-            tuple(harness.auto_lambda(
-                reg, shape, [100, 400], 0.5, draws, seed, workers=workers
-            )[1])
-            for draws, seed, workers in [(100, 0, 1), (2000, 1, 2), (5000, 7, 3)]
+            tuple(harness.auto_lambda(reg, shape, [100, 400], 0.5, draws, seed)[1])
+            for draws, seed in [(100, 0), (2000, 1), (5000, 7)]
         }
         assert len(lams) == 1
 
@@ -259,23 +270,24 @@ class TestAutoLambda:
         "kwargs, error, message",
         [({"draws": 50}, ValidationError, "draws must be an integer >= 100"),
          ({"draws": 200.0}, ValidationError, "draws must be an integer >= 100"),
-         ({"workers": 0}, ValidationError, "workers must be an integer >= 1"),
-         ({"workers": True}, ValidationError, "workers must be an integer >= 1"),
-         ({"workers": 2.5}, ValidationError, "workers must be an integer >= 1"),
          ({"seed": -1}, ValidationError, "seed must be an integer >= 0"),
          ({"seed": 2.5}, ValidationError, "seed must be an integer >= 0"),
          ({"shape": (3, 3)}, ValidationError, "shape must be three integers >= 1")],
-        ids=["few-draws", "float-draws", "no-worker", "bool-worker", "float-worker",
-             "negative-seed", "float-seed", "order-2"],
+        ids=["few-draws", "float-draws", "negative-seed", "float-seed", "order-2"],
     )
     def test_refuses_what_a_draw_refuses(self, kwargs, error, message):
-        call = dict(shape=(3, 3, 3), draws=200, seed=0, workers=1) | kwargs
+        call = dict(shape=(3, 3, 3), draws=200, seed=0) | kwargs
         for reg in (entry_l1(), matricized_nuclear_sum(), harness._PAIRWISE):
             with pytest.raises(error, match=message):
-                harness.auto_lambda(
-                    reg, call["shape"], [50], 1.0, call["draws"], call["seed"],
-                    workers=call["workers"],
-                )
+                harness.auto_lambda(reg, call["shape"], [50], 1.0, call["draws"], call["seed"])
+
+    def test_refuses_the_seed_then_the_shape_then_the_draws(self):
+        # an exact width refuses in the order a drawn one does
+        cases = [((3, 3), 50, -1, "seed"), ((3, 3), 50, 0, "shape"), ((3, 3, 3), 50, 0, "draws")]
+        for reg in (entry_l1(), matricized_nuclear_sum()):
+            for shape, draws, seed, name in cases:
+                with pytest.raises(ValidationError, match=f"^{name} must be"):
+                    harness.auto_lambda(reg, shape, [50], 1.0, draws, seed)
 
 
 class TestRateDraw:
@@ -590,16 +602,13 @@ class TestWidthExperiment:
         est = pairwise_width_mc(shape, draws=draws, seed=seed)
         assert est.to_json() == _ref_pairwise_width_mc(shape, draws, seed).to_json()
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_pairwise_width_is_one_number_at_one_seed(self, workers):
+    def test_pairwise_width_is_one_number_at_one_seed(self):
         # the automatic lambda, the width driver and the width table draw
-        # the pairwise width from the same streams
+        # the pairwise width from the same stream
         shape, draws, seed = (3, 3, 3), 300, 5
-        drawn = gaussian_width_mc(harness._PAIRWISE, shape, draws, seed, workers=workers)
-        auto, _ = harness.auto_lambda(
-            harness._PAIRWISE, shape, [50], 1.0, draws, seed, workers=workers
-        )
-        (row,) = width_experiment([harness._PAIRWISE], [shape], draws, seed, workers)["rows"]
+        drawn = gaussian_width_mc(harness._PAIRWISE, shape, draws, seed)
+        auto, _ = harness.auto_lambda(harness._PAIRWISE, shape, [50], 1.0, draws, seed)
+        (row,) = width_experiment([harness._PAIRWISE], [shape], draws, seed)["rows"]
         assert auto == drawn
         assert row["estimate"] == drawn.mean
 

@@ -914,6 +914,22 @@ class TestSufficientStats:
         with pytest.raises(ValidationError, match="truth shape"):
             SufficientStats(st.gram, st.xty, st.yty, st.n, 2, truth=np.zeros(3))
 
+    @pytest.mark.parametrize("change", ["negative_yty", "asymmetric", "negative_diagonal"])
+    def test_refuses_statistics_that_no_sample_has(self, change):
+        # each once gave an answer: yty = -5 a negative objective, -I a
+        # Converged solve on no rows, an asymmetric Gram one triangle's eigh
+        st = stats_of(full_rank_problem())
+        gram, yty = st.gram.copy(), st.yty
+        if change == "negative_yty":
+            yty, message = -5.0, "yty must be a finite number >= 0, got -5.0"
+        elif change == "asymmetric":  # one ulp off symmetric
+            gram[0, 1] = np.nextafter(gram[0, 1], np.inf)
+            message = "gram must be symmetric"
+        else:
+            gram, message = -np.eye(len(gram)), "gram must have a nonnegative diagonal"
+        with pytest.raises(ValidationError, match=message):
+            SufficientStats(gram, st.xty, yty, st.n, st.split)
+
 
 class TestOneEigendecomposition:
     """A solve eigendecomposes once: statistics in :func:`_compressed`,

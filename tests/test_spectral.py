@@ -185,9 +185,9 @@ class TestGaussianWidth:
         ratio = small.std_error / large.std_error
         assert 7.0 <= ratio <= 13.0
 
-    def test_deterministic_and_worker_stable(self):
-        a = gaussian_width_mc(entry_l1(), (4, 4, 4), draws=300, seed=21, workers=2)
-        b = gaussian_width_mc(entry_l1(), (4, 4, 4), draws=300, seed=21, workers=2)
+    def test_deterministic(self):
+        a = gaussian_width_mc(entry_l1(), (4, 4, 4), draws=300, seed=21)
+        b = gaussian_width_mc(entry_l1(), (4, 4, 4), draws=300, seed=21)
         assert a.mean == b.mean and a.std_error == b.std_error
 
     def test_spectral_band(self):
@@ -236,38 +236,13 @@ class TestGaussianWidth:
         with pytest.raises(ValueError, match=r"shape must be three integers >= 1, got \("):
             gaussian_width_mc(tensor_spectral(), shape, draws=100)
 
-    def test_thread_pool_capped_at_core_count(self, monkeypatch):
-        pools = []
-
-        class InlinePool:
-            """Records its size and runs every task in the calling thread."""
-
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return [fn(item) for item in items]
-
-        monkeypatch.setattr(spectral, "ThreadPoolExecutor", InlinePool)
-        shape, draws, workers = (3, 4, 5), 100, 64
-        est = gaussian_width_mc(entry_l1(), shape, draws=draws, seed=8, workers=workers)
-        assert pools == [min(workers, len(os.sched_getaffinity(0)))]
-        # the 64 streams in order, as an uncapped pool reduces them: the
-        # seed's own, then its 63 spawned children
-        base, rem = divmod(draws, workers)
-        vals = []
-        root = np.random.SeedSequence(8)
-        for idx, seq in enumerate((root, *root.spawn(workers - 1))):
-            sub = np.random.Generator(np.random.Philox(seq))
-            g = sub.standard_normal((base + (idx < rem),) + shape)
-            vals.append(np.abs(g).reshape(len(g), -1).max(axis=1))
-        vals = np.concatenate(vals)
+    def test_draws_come_from_the_seeds_one_stream(self):
+        # every draw from Philox on the seed's own SeedSequence, in order
+        shape, draws = (3, 4, 5), 100
+        est = gaussian_width_mc(entry_l1(), shape, draws=draws, seed=8)
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(8)))
+        g = rng.standard_normal((draws,) + shape)
+        vals = np.abs(g).reshape(draws, -1).max(axis=1)
         assert est.mean == float(vals.mean())
         assert est.std_error == float(vals.std(ddof=1) / np.sqrt(draws))
 
@@ -447,12 +422,11 @@ class TestBoundedBatches:
     def test_draws_per_batch(self, shape, want):
         assert regularizers._batch_draws(shape) == want
 
-    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("per_batch", [1, 7])
     @pytest.mark.parametrize("k", range(len(PER_DRAW_KINDS)))
-    def test_width_does_not_depend_on_the_batch_size(self, monkeypatch, k, per_batch, workers):
+    def test_width_does_not_depend_on_the_batch_size(self, monkeypatch, k, per_batch):
         spec, shape = PER_DRAW_KINDS[k], (3, 4, 5)
-        want = gaussian_width_mc(spec, shape, draws=301, seed=6, workers=workers)
+        want = gaussian_width_mc(spec, shape, draws=301, seed=6)
         sizes = []
         real = spectral._dual_batch
 
@@ -462,20 +436,15 @@ class TestBoundedBatches:
 
         monkeypatch.setattr(regularizers, "_BATCH_ENTRIES", per_batch * 60)
         monkeypatch.setattr(spectral, "_dual_batch", record)
-        got = gaussian_width_mc(spec, shape, draws=301, seed=6, workers=workers)
+        got = gaussian_width_mc(spec, shape, draws=301, seed=6)
         assert max(sizes) == per_batch and sum(sizes) == 301
         assert got.mean == want.mean and got.std_error == want.std_error
 
-    @pytest.mark.parametrize(
-        "workers, mean, std_error",
-        [(1, 7.011898475520203, 0.02353685190153453),
-         (2, 7.044387713177268, 0.022684981268306644)],
-    )
-    def test_spectral_width_keeps_its_stream_up_to_512_entries(self, workers, mean, std_error):
+    def test_spectral_width_keeps_its_stream_up_to_512_entries(self):
         # 8 x 8 x 8 still draws 256 tensors per batch, so the restart starts
         # come where they did when every batch held 256
-        est = gaussian_width_mc(tensor_spectral(), (8, 8, 8), draws=300, seed=4, workers=workers)
-        assert (est.mean, est.std_error) == (mean, std_error)
+        est = gaussian_width_mc(tensor_spectral(), (8, 8, 8), draws=300, seed=4)
+        assert (est.mean, est.std_error) == (7.011898475520203, 0.02353685190153453)
 
     @pytest.mark.parametrize("spec", [entry_l1(), matricized_nuclear_sum()])
     def test_memory_is_bounded_at_64_cubed(self, spec):
@@ -578,19 +547,12 @@ def _drawn_starts(shape, restarts, rng):
     return starts
 
 
-def _ref_spectral_width(shape, draws, seed, workers, restarts, iters):
-    root = np.random.SeedSequence(seed)
-    seqs = [root, *root.spawn(workers - 1)]
-    base, rem = divmod(draws, workers)
+def _ref_spectral_width(shape, draws, seed, restarts, iters):
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     parts = []
-    for idx in range(workers):
-        rng = np.random.Generator(np.random.Philox(seqs[idx]))
-        need = base + (1 if idx < rem else 0)
-        while need > 0:
-            m = min(256, need)
-            g = rng.standard_normal((m,) + shape)
-            parts.append(_ref_hopm_batch(g, restarts, iters, rng))
-            need -= m
+    for start in range(0, draws, 256):
+        g = rng.standard_normal((min(256, draws - start),) + shape)
+        parts.append(_ref_hopm_batch(g, restarts, iters, rng))
     values = np.concatenate(parts)
     return WidthEstimate(
         mean=float(values.mean()),
@@ -620,7 +582,7 @@ class TestOneHopmLoop:
     def test_spectral_width_matches_reference_default_counts(self, d, seed):
         shape = (d, d, d)
         est = gaussian_width_mc(tensor_spectral(), shape, draws=300, seed=seed)
-        _assert_width_matches(est, _ref_spectral_width(shape, 300, seed, 1, 8, 100))
+        _assert_width_matches(est, _ref_spectral_width(shape, 300, seed, 8, 100))
 
     @pytest.mark.parametrize("seed", [2, 5])
     @pytest.mark.parametrize("d", [4, 6])
@@ -629,14 +591,7 @@ class TestOneHopmLoop:
         est = gaussian_width_mc(
             tensor_spectral(), shape, 2001, seed, hopm_restarts=2, hopm_iters=25
         )
-        _assert_width_matches(est, _ref_spectral_width(shape, 2001, seed, 1, 2, 25))
-
-    def test_spectral_width_matches_reference_two_workers(self):
-        shape = (4, 5, 6)
-        est = gaussian_width_mc(
-            tensor_spectral(), shape, 301, 3, workers=2, hopm_restarts=3, hopm_iters=40
-        )
-        _assert_width_matches(est, _ref_spectral_width(shape, 301, 3, 2, 3, 40))
+        _assert_width_matches(est, _ref_spectral_width(shape, 2001, seed, 2, 25))
 
     def test_returned_factors_attain_the_values(self):
         for d in (4, 6):
@@ -684,11 +639,6 @@ class TestOneHopmLoop:
         (name,) = kwargs
         with pytest.raises(ValidationError, match=f"{name[5:]} must be an integer >= 1"):
             gaussian_width_mc(tensor_spectral(), (3, 3, 3), draws=100, **kwargs)
-
-    @pytest.mark.parametrize("workers", [0, -1])
-    def test_width_rejects_fewer_than_one_worker(self, workers):
-        with pytest.raises(ValueError, match="workers must be an integer >= 1"):
-            gaussian_width_mc(entry_l1(), (3, 3, 3), draws=100, workers=workers)
 
     @pytest.mark.parametrize("shape", [(4, 4, 4), (6, 6, 6), (8, 8, 8), (4, 5, 6)])
     def test_values_match_reference_loop(self, shape):
