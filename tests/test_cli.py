@@ -383,13 +383,25 @@ class TestAutoLambda:
         assert "draws must be an integer >= 100" in err
         assert out == ""
 
-    def test_threads_flag_is_refused(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["width", "solve-pairwise", "solve-lam", "gen"])
+    def test_threads_flag_is_refused(self, tmp_path, capsys, command):
         # a width has one stream per seed, so there is no thread count to
-        # set: the parser exits 2 before the command runs
-        out = tmp_path / "width.json"
+        # set: the parser exits 2 before any command runs, also before
+        # those that draw no width
+        prob_dir = str(tmp_path / "prob")
+        save_scaled_problem(prob_dir, 30, scale=1.0)
+        out = tmp_path / "out"
+        args = {
+            "width": ["width", "--kinds", "entry_l1", "--shapes", "4x4x4", "--draws", "100"],
+            "solve-pairwise": ["solve", "--problem", prob_dir, "--regularizer", "pairwise",
+                               "--width-draws", "100"],
+            "solve-lam": ["solve", "--problem", prob_dir, "--regularizer", "entry_l1",
+                          "--lam", "0.1"],
+            "gen": ["gen", "--spec", '{"kind": "theta1", "shape": [3, 3, 3], "s": 2}',
+                    "--n", "10"],
+        }[command]
         with pytest.raises(SystemExit) as exc:
-            main(["--threads", "2", "--out", str(out), "width", "--kinds", "entry_l1",
-                  "--shapes", "4x4x4", "--draws", "100"])
+            main(["--threads", "2", "--out", str(out), *args])
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "tenreg: error:" in captured.err

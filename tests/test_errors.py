@@ -207,6 +207,14 @@ ENTRY_POINTS = {
                          (spectral, "gaussian_width"), "seed", "count", 0),
     "pairwise-width-seed": (lambda v: harness.pairwise_width_mc(SHAPE, 100, v),
                             (spectral, "_batch_draws"), "seed", "count", 0),
+    "exact-width-draws": (lambda v: harness.auto_lambda(entry_l1(), SHAPE, [50], 1.0, v, 0),
+                          (spectral, "gaussian_width"), "draws", "count", 100),
+    "pairwise-width-draws": (lambda v: harness.pairwise_width_mc(SHAPE, v),
+                             (spectral, "_batch_draws"), "draws", "count", 100),
+    "width-table-draws": (lambda v: harness.width_experiment([entry_l1()], [SHAPE], v),
+                          (spectral, "_batch_draws"), "draws", "count", 100),
+    "width-table-seed": (lambda v: harness.width_experiment([entry_l1()], [SHAPE], 100, v),
+                         (spectral, "_batch_draws"), "seed", "count", 0),
     "packing-seed": (lambda v: harness.hypercube_packing(12, 1.0, seed=v),
                      (np.random, "default_rng"), "seed", "count", 0),
     "rate-seed": (lambda v: RateExperimentConfig(**{**RATE_FIELDS, "seed": v}),

@@ -593,6 +593,12 @@ class TestOneHopmLoop:
         )
         _assert_width_matches(est, _ref_spectral_width(shape, 2001, seed, 2, 25))
 
+    def test_spectral_width_matches_reference_uneven_shape(self):
+        # three unequal dimensions and a last batch of 45 draws
+        shape = (4, 5, 6)
+        est = gaussian_width_mc(tensor_spectral(), shape, 301, 3, hopm_restarts=3, hopm_iters=40)
+        _assert_width_matches(est, _ref_spectral_width(shape, 301, 3, 3, 40))
+
     def test_returned_factors_attain_the_values(self):
         for d in (4, 6):
             g = np.random.default_rng(d).standard_normal((64, d, d, d))
