@@ -50,7 +50,6 @@ from .solver import (
     SolveResult,
     admm_matricized,
     empirical_norm,
-    fista_pairwise,
     fista_solve,
     kkt_residual,
     lambda_rule,

@@ -93,11 +93,12 @@ def check_count(name, value, least):
     return int(value)
 
 
-def check_real(name, value, least):
+def check_real(name, value, least, *, strict=False):
     """Refuse `value` unless it is a finite real number (not a bool) of at
-    least `least`: every scale's rule."""
-    if not (is_real(value) and value >= least):
-        raise ValidationError(f"{name} must be a finite number >= {least}, got {value!r}")
+    least `least`, or above `least` if `strict`: every scale's rule."""
+    if not (is_real(value) and (value > least if strict else value >= least)):
+        bound = ">" if strict else ">="
+        raise ValidationError(f"{name} must be a finite number {bound} {least}, got {value!r}")
 
 
 def check_seed(seed):

@@ -47,7 +47,6 @@ __all__ = [
     "predicted_rate",
     "rate_experiment",
     "width_experiment",
-    "pairwise_width_mc",
     "auto_lambda",
     "PackingSet",
     "hypercube_packing",
@@ -150,6 +149,7 @@ class RateExperimentConfig:
         )
 
 
+# Read only by the benchmark (perfbench/layers.py), which times it as a layer.
 def pairwise_width_mc(shape, draws=WIDTH_DRAWS, seed=0):
     """Width of the pairwise-component penalty ball: expected maximum
     spectral norm over the marginal sums of a standard Gaussian tensor.
@@ -514,8 +514,12 @@ def fano_precondition_check(pack, n, c_u, delta):
 
     Only the preconditions are checked; the minimax claim itself is a
     statistical statement about all estimators and is not computable from
-    one dataset.
+    one dataset.  Refuses an `n` that is not an integer >= 1, and a `c_u` or
+    `delta` that is not a finite number > 0.
     """
+    check_count("n", n, 1)
+    check_real("c_u", c_u, 0, strict=True)
+    check_real("delta", delta, 0, strict=True)
     m = len(pack.elements)
     log_m = float(np.log(m))
     required = 128.0 * n * delta**2

@@ -34,7 +34,6 @@ __all__ = [
     "admm_matricized",
     "expand_pairwise",
     "marginal_features",
-    "fista_pairwise",
     "save_problem",
     "load_problem",
     "solve",
@@ -740,6 +739,7 @@ def _pairwise_map(shape):
     return amap
 
 
+# Read only by the benchmark (perfbench/layers.py), which times it as a layer.
 def fista_pairwise(problem, lam, **settings):
     """:func:`fista_solve` on the pairwise-component penalty, with its settings."""
     return fista_solve(problem, RegularizerSpec("pairwise_component_nuclear"), lam, **settings)

@@ -36,6 +36,8 @@ def matrix_svt(z, t):
     """
     check_real("t", t, 0)
     z = np.asarray(z, dtype=np.float64)
+    if z.ndim < 2:
+        raise ValidationError(f"matrix_svt needs a matrix or a stack of them, got shape {z.shape}")
     try:
         u, s, vt = np.linalg.svd(z, full_matrices=False)
     except np.linalg.LinAlgError as exc:

@@ -15,7 +15,7 @@ import struct
 
 import numpy as np
 
-from .errors import ValidationError, check_choice, check_finite
+from .errors import ValidationError, check_choice, check_finite, check_shape, is_int
 
 __all__ = [
     "inner",
@@ -132,7 +132,15 @@ class ProjectorTriple:
 
     @classmethod
     def random(cls, dims, ranks, rng):
-        """Draw Haar-random orthonormal factors of the given ranks."""
+        """Draw Haar-random orthonormal factors of the given ranks.  Refuses
+        `dims` that are not a shape and `ranks` that are not three integers,
+        each in 1..its dim, before the first draw."""
+        dims = check_shape("dims", dims)
+        if not (isinstance(ranks, (tuple, list)) and len(ranks) == 3
+                and all(is_int(r) and 1 <= r <= d for d, r in zip(dims, ranks))):
+            raise ValidationError(
+                f"ranks must be three integers, each in 1..its dim of {dims}, got {ranks!r}"
+            )
         factors = []
         for d, r in zip(dims, ranks):
             q, _ = np.linalg.qr(rng.standard_normal((d, r)))

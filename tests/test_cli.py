@@ -132,12 +132,15 @@ class TestGenSolve:
         assert read_strict_json(res_path)["status"] == "Diverged"
 
     @pytest.mark.parametrize(
-        "spec, sigma",
-        [({"kind": "theta1", "shape": [3, 3, 3], "s": 2}, "1e308"),
-         ({"kind": "theta1", "shape": [3, 3, 3], "s": 2, "magnitude": 1e308}, "1.0")],
-        ids=["sigma", "magnitude"],
+        "spec, sigma, message",
+        [({"kind": "theta1", "shape": [3, 3, 3], "s": 2}, "1e308", "overflow encountered"),
+         ({"kind": "theta1", "shape": [3, 3, 3], "s": 2, "magnitude": 1e308}, "1.0",
+          "overflow encountered"),
+         ({"kind": "theta1", "shape": [3, 3, 3], "s": 2}, "nan",
+          "noise_sigma must be a finite number >= 0, got nan")],
+        ids=["sigma", "magnitude", "sigma-nan"],
     )
-    def test_gen_overflow_is_an_input_error(self, tmp_path, capsys, spec, sigma):
+    def test_gen_overflow_is_an_input_error(self, tmp_path, capsys, spec, sigma, message):
         prob_dir = tmp_path / "prob"
         code, _, err = run_cli(
             ["--out", str(prob_dir), "gen", "--spec", json.dumps(spec), "--n", "50",
@@ -146,6 +149,7 @@ class TestGenSolve:
         )
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
         assert "Traceback" not in err
         assert not prob_dir.exists()
 
@@ -250,16 +254,18 @@ class TestGenSolve:
           "max_iters must be an integer >= 1, got 0"),
          (["--regularizer", "entry_l1", "--c-u", "0"], 3, "c_u > 0"),
          (["--regularizer", "entry_l1", "--c-u", "nan"], 3, "c_u > 0"),
+         (["--regularizer", "matricized_nuclear_sum", "--c-u", "0"], 3, "c_u > 0"),
          (["--regularizer", "tensor_spectral"], 3, "has no solver for it"),
          (["--regularizer", "pairwise"], 1, "scalar response")],
-        ids=["max-iters", "c-u", "c-u-nan", "tensor-spectral", "pairwise-split-1"],
+        ids=["max-iters", "c-u", "c-u-nan", "c-u-matricized", "tensor-spectral",
+             "pairwise-split-1"],
     )
     def test_refused_before_the_width_draws(
         self, tmp_path, capsys, monkeypatch, args, split, message
     ):
         # an input that `solve` or the tuning rule refuses is refused before
         # the automatic lambda draws its width
-        for width in ("gaussian_width_mc", "pairwise_width_mc"):
+        for width in ("gaussian_width_mc", "_exact_estimate"):
             monkeypatch.setattr(harness, width, lambda *a, **k: pytest.fail("width drawn"))
         r = np.random.default_rng(42)
         prob_dir = str(tmp_path / "prob")
@@ -407,7 +413,7 @@ class TestAutoLambda:
         assert captured.out == "" and "tenreg: error:" in captured.err
         assert not out.exists()
 
-    def test_width_of_the_pairwise_penalty(self, capsys):
+    def test_width_of_the_pairwise_penalty(self, tmp_path, capsys):
         code, out, _ = run_cli(
             ["width", "--kinds", "pairwise", "--shapes", "3x4x5", "--draws", "200"],
             capsys,
@@ -416,6 +422,19 @@ class TestAutoLambda:
         (row,) = json.loads(out)["rows"]
         assert row["kind"] == "pairwise_component_nuclear"
         assert row["rate_expression"] == np.sqrt(5)
+        # a rate config naming the penalty by its shorthand echoes it as its
+        # penalty object, and draws the table's width at the same seed and draws
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"model": {"kind": "t4", "shape": [3, 4, 5], "r": 1}, "regularizer": "pairwise",
+             "split": 3, "n_grid": [50, 100, 200, 400], "replications": 10, "seed": 0,
+             "rate_tag": "r_max_dim_over_n", "width_draws": 200}
+        ))
+        code, out, _ = run_cli(["rate", "--config", str(cfg_path)], capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert report["config"]["regularizer"] == {"kind": "pairwise_component_nuclear"}
+        assert report["width"]["mean"] == row["estimate"]
 
     @pytest.mark.parametrize("shape", ["1x1x1", "1x2x1"])
     def test_width_on_one_or_two_entries(self, capsys, shape):
@@ -468,7 +487,13 @@ class TestDeterminism:
             outs.append(Path(path).read_bytes())
         assert outs[0] == outs[1]
 
-    def test_rate_replay_byte_identical(self, tmp_path, capsys):
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "optional", [{"width_draws": 150, "noise_sigma": 0.5}, {}], ids=["set", "defaults"]
+    )
+    def test_rate_replay_byte_identical(self, tmp_path, capsys, optional, fmt):
+        # a config of the required keys alone runs on the dataclass defaults
+        # and echoes them; a CSV report's header is its cells' own keys
         config = {
             "model": {"kind": "theta1", "shape": [3, 3, 3], "s": 2},
             "regularizer": {"kind": "entry_l1"},
@@ -476,21 +501,26 @@ class TestDeterminism:
             "replications": 10,
             "seed": 13,
             "rate_tag": "s_log_total_over_n",
-            "width_draws": 150,
-            "noise_sigma": 0.5,
+            **optional,
         }
         cfg_path = str(tmp_path / "cfg.json")
         with open(cfg_path, "w") as fh:
             json.dump(config, fh)
         outs = []
-        for name in ("r1.json", "r2.json"):
+        for name in ("r1", "r2"):
             path = str(tmp_path / name)
             code, _, _ = run_cli(
-                ["--out", path, "rate", "--config", cfg_path], capsys
+                ["--format", fmt, "--out", path, "rate", "--config", cfg_path], capsys
             )
             assert code == 0
             outs.append(Path(path).read_bytes())
         assert outs[0] == outs[1]
+        if fmt == "csv":
+            assert outs[0].startswith(b"n,replication,fro_sq,emp_sq,status,iterations\n")
+        else:
+            echoed = json.loads(outs[0])["config"]
+            unset = RATE_DEFAULTS.keys() - config.keys()
+            assert {k: echoed[k] for k in unset} == {k: RATE_DEFAULTS[k] for k in unset}
 
     def test_packing_replay(self, tmp_path, capsys):
         outs = []
@@ -555,7 +585,7 @@ class TestGenVar:
         assert code == 0
         problem = load_problem(str(out))
         spec = ModelClassSpec.from_json(self.SPEC)
-        assert problem.cov_shape == (3, 2)
+        assert (problem.n, problem.cov_shape) == (30, (3, 2))
         assert np.array_equal(problem.truth, gen_truth(spec, 4))
         # lag 1 of each covariate is the previous response
         assert np.array_equal(problem.covariates[1:, :, 0], problem.responses[:-1])
@@ -756,6 +786,7 @@ class TestMissingJsonKeys:
          ({"c_u": None}, "c_u > 0"),
          ({"c_u": 0}, "c_u > 0"),
          ({"lambda_multiplier": 1.0}, "rate config JSON has unknown keys ['lambda_multiplier']"),
+         ({"max_iter": 50}, "rate config JSON has unknown keys ['max_iter']"),
          ({"noise_sigma": -1}, "noise_sigma must be a finite number >= 0"),
          ({"noise_sigma": float("nan")}, "noise_sigma must be a finite number >= 0"),
          ({"n_grid": [0, 1, 2, 3]}, "n_grid entries must be integers >= 1"),
@@ -792,10 +823,10 @@ class TestMissingJsonKeys:
           "rate tag 's_log_total_over_n' needs the model's s to be")],
         ids=["n_grid-int", "seed-str", "seed-negative", "max_iters-str", "max_iters-zero",
              "width_draws-float", "split-null", "c_u-null", "c_u-zero",
-             "lambda_multiplier-unknown", "noise_sigma-negative", "noise_sigma-nan",
-             "n_grid-zero", "n_grid-negative", "split-five", "regularizer-unknown-kind",
-             "pairwise-split-two", "pairwise-spec-split-two", "entry-l1-mode-and-axes",
-             "pairwise-axes", "slice-nuclear-mode", "tensor-spectral",
+             "lambda_multiplier-unknown", "max_iter-unknown", "noise_sigma-negative",
+             "noise_sigma-nan", "n_grid-zero", "n_grid-negative", "split-five",
+             "regularizer-unknown-kind", "pairwise-split-two", "pairwise-spec-split-two",
+             "entry-l1-mode-and-axes", "pairwise-axes", "slice-nuclear-mode", "tensor-spectral",
              "t3-noise-sigma-two", "t3-split-one", "t3-shape-not-m-p-m", "theta1-s-above-27",
              "theta4-r-above-9", "width_draws-fifty", "t4-unset-s", "theta1-unset-r",
              "theta1-zero-s"],
@@ -965,8 +996,7 @@ MIRRORED_FLAGS = [
       _library_default(solver.fista_solve, "max_iters"),
       _library_default(solver.admm_matricized, "max_iters"), RATE_DEFAULTS["max_iters"]]),
     (["solve", "--problem", "p", "--regularizer", "entry_l1"], "width_draws",
-     [_library_default(spectral.gaussian_width_mc, "draws"),
-      _library_default(harness.pairwise_width_mc, "draws"), RATE_DEFAULTS["width_draws"]]),
+     [_library_default(spectral.gaussian_width_mc, "draws"), RATE_DEFAULTS["width_draws"]]),
     (["solve", "--problem", "p", "--regularizer", "entry_l1"], "c_u",
      [_library_default(harness.auto_lambda, "c_u"), RATE_DEFAULTS["c_u"]]),
     (["width", "--kinds", "entry_l1", "--shapes", "3x3x3"], "draws",

@@ -151,13 +151,15 @@ SUB = support_entries(SHAPE, [(0, 0, 0)])
 PROBLEM = solver.RegressionProblem(
     np.random.default_rng(0).standard_normal((10,) + SHAPE), np.ones(10), 3
 )
+PACK = harness.PackingSet([np.zeros(2), np.ones(2)], 1.0, 2.0, 2.0, "full", {})
 RATE_FIELDS = dict(
     model=ModelClassSpec("theta1", SHAPE, s=2), regularizer=entry_l1(),
     n_grid=(50, 100, 200, 400), replications=10, seed=0, rate_tag="s_log_total_over_n",
 )
 
 # entry point: (call with the bad value, the step after the check, the
-# argument's name, "count" or "real", the least value allowed)
+# argument's name, "count", "real" or "positive" (a real above the bound),
+# the least value allowed or the bound)
 ENTRY_POINTS = {
     "width-draws": (lambda v: spectral.gaussian_width_mc(entry_l1(), SHAPE, v),
                     (spectral, "_batch_draws"), "draws", "count", 100),
@@ -169,7 +171,7 @@ ENTRY_POINTS = {
                         (solver, "_operator"), "max_iters", "count", 1),
     "fista-kkt_tol": (lambda v: solver.fista_solve(PROBLEM, entry_l1(), 0.1, kkt_tol=v),
                       (solver, "_operator"), "kkt_tol", "real", 0),
-    "pairwise-kkt_tol": (lambda v: solver.fista_pairwise(PROBLEM, 0.1, kkt_tol=v),
+    "pairwise-kkt_tol": (lambda v: solver.fista_solve(PROBLEM, harness._PAIRWISE, 0.1, kkt_tol=v),
                          (solver, "_operator"), "kkt_tol", "real", 0),
     "admm-max_iters": (lambda v: solver.admm_matricized(PROBLEM, 0.1, max_iters=v),
                        (solver, "_operator"), "max_iters", "count", 1),
@@ -205,11 +207,11 @@ ENTRY_POINTS = {
                    (spectral, "_batch_draws"), "seed", "count", 0),
     "exact-width-seed": (lambda v: harness.auto_lambda(entry_l1(), SHAPE, [50], 1.0, 100, v),
                          (spectral, "gaussian_width"), "seed", "count", 0),
-    "pairwise-width-seed": (lambda v: harness.pairwise_width_mc(SHAPE, 100, v),
+    "pairwise-width-seed": (lambda v: spectral.gaussian_width_mc(harness._PAIRWISE, SHAPE, 100, v),
                             (spectral, "_batch_draws"), "seed", "count", 0),
     "exact-width-draws": (lambda v: harness.auto_lambda(entry_l1(), SHAPE, [50], 1.0, v, 0),
                           (spectral, "gaussian_width"), "draws", "count", 100),
-    "pairwise-width-draws": (lambda v: harness.pairwise_width_mc(SHAPE, v),
+    "pairwise-width-draws": (lambda v: spectral.gaussian_width_mc(harness._PAIRWISE, SHAPE, v),
                              (spectral, "_batch_draws"), "draws", "count", 100),
     "width-table-draws": (lambda v: harness.width_experiment([entry_l1()], [SHAPE], v),
                           (spectral, "_batch_draws"), "draws", "count", 100),
@@ -246,9 +248,17 @@ ENTRY_POINTS = {
                        (harness, "_check_solvable"), "max_iters", "count", 1),
     "rate-noise_sigma": (lambda v: RateExperimentConfig(**RATE_FIELDS, noise_sigma=v),
                          (harness, "_check_solvable"), "noise_sigma", "real", 0),
+    "fano-n": (lambda v: harness.fano_precondition_check(PACK, v, 1.0, 0.1),
+               (harness, "verify_packing"), "n", "count", 1),
+    "fano-c_u": (lambda v: harness.fano_precondition_check(PACK, 50, v, 0.1),
+                 (harness, "verify_packing"), "c_u", "positive", 0),
+    "fano-delta": (lambda v: harness.fano_precondition_check(PACK, 50, 1.0, v),
+                   (harness, "verify_packing"), "delta", "positive", 0),
 }
 BAD = {"count": {"true": True, "fraction": 2.5, "below": None},
-       "real": {"true": True, "nan": math.nan, "below": None}}
+       "real": {"true": True, "nan": math.nan, "below": None},
+       "positive": {"true": True, "nan": math.nan, "zero": 0.0, "negative": -1.0}}
+RULE = {"count": "an integer >=", "real": "a finite number >=", "positive": "a finite number >"}
 
 
 @pytest.mark.parametrize(
@@ -263,8 +273,7 @@ def test_bad_count_or_scale_is_refused_before_any_work(monkeypatch, entry, bad):
         value = least - 1 if kind == "count" else least - 0.5
     if step is not None:
         monkeypatch.setattr(*step, pytest.fail)
-    rule = "an integer" if kind == "count" else "a finite number"
-    message = f"{name} must be {rule} >= {least}, got {value!r}"
+    message = f"{name} must be {RULE[kind]} {least}, got {value!r}"
     with pytest.raises(ValidationError, match=re.escape(message)):
         call(value)
 
@@ -341,7 +350,7 @@ RULE_ENTRY_POINTS = {
                           (spectral, "_chi_max_mean"), "shape", "shape"),
     "auto-lambda-shape": (lambda v: harness.auto_lambda(entry_l1(), v, [50], 1.0, 100, 0),
                           (spectral, "gaussian_width"), "shape", "shape"),
-    "pairwise-width-shape": (lambda v: harness.pairwise_width_mc(v, 100),
+    "pairwise-width-shape": (lambda v: spectral.gaussian_width_mc(harness._PAIRWISE, v, 100),
                              (spectral, "_batch_draws"), "shape", "shape"),
     "penalty-mode": (lambda v: RegularizerSpec("fiber_group", mode=v), None, "mode", None),
     "class-mode": (lambda v: ModelClassSpec("theta2", SHAPE, mode=v),

@@ -17,7 +17,6 @@ from tenreg.harness import (
     emit_report,
     fano_precondition_check,
     hypercube_packing,
-    pairwise_width_mc,
     predicted_rate,
     rate_experiment,
     verify_packing,
@@ -193,7 +192,7 @@ class TestRateConfig:
 
     @pytest.mark.parametrize(
         "reg, width",
-        [(entry_l1(), "gaussian_width_mc"), (harness._PAIRWISE, "pairwise_width_mc")],
+        [(entry_l1(), "_exact_estimate"), (harness._PAIRWISE, "gaussian_width_mc")],
         ids=["entry_l1", "pairwise"],
     )
     def test_auto_lambda_checks_its_rule_before_drawing(self, monkeypatch, reg, width):
@@ -236,8 +235,7 @@ class TestAutoLambda:
 
     @pytest.mark.parametrize("reg, shape", GROUPS, ids=lambda v: getattr(v, "kind", ""))
     def test_group_kinds_draw_nothing(self, monkeypatch, reg, shape):
-        for name in ("gaussian_width_mc", "pairwise_width_mc"):
-            monkeypatch.setattr(harness, name, pytest.fail)
+        monkeypatch.setattr(harness, "gaussian_width_mc", pytest.fail)
         width, (lam,) = harness.auto_lambda(reg, shape, [400], 1.0, 2000, 0)
         assert width.mean == gaussian_width(reg, shape)
         assert (width.std_error, width.draws) == (0.0, 0)
@@ -590,7 +588,7 @@ class TestWidthExperiment:
             width_experiment(kinds, shapes, draws=150)
 
     def test_pairwise_width(self):
-        est = pairwise_width_mc((6, 6, 6), draws=300, seed=2)
+        est = gaussian_width_mc(harness._PAIRWISE, (6, 6, 6), draws=300, seed=2)
         # marginal sums have entries of std sqrt(d), so the top singular
         # value lands near sqrt(d) * 2 sqrt(d) = 2d
         assert 6.0 <= est.mean <= 40.0
@@ -599,8 +597,12 @@ class TestWidthExperiment:
     @pytest.mark.parametrize("seed", [0, 2, 17])
     @pytest.mark.parametrize("shape", [(6, 6, 6), (8, 8, 8), (4, 5, 7)])
     def test_pairwise_width_matches_reference(self, shape, seed, draws):
-        est = pairwise_width_mc(shape, draws=draws, seed=seed)
+        est = gaussian_width_mc(harness._PAIRWISE, shape, draws=draws, seed=seed)
         assert est.to_json() == _ref_pairwise_width_mc(shape, draws, seed).to_json()
+
+    def test_pairwise_width_mc_is_the_width_driver_on_the_pairwise_penalty(self):
+        want = gaussian_width_mc(harness._PAIRWISE, (4, 5, 7), 300, 2)
+        assert harness.pairwise_width_mc((4, 5, 7), 300, 2) == want
 
     def test_pairwise_width_is_one_number_at_one_seed(self):
         # the automatic lambda, the width driver and the width table draw

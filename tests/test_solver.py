@@ -533,7 +533,7 @@ class TestMaxItersValidation:
         p = scalar_problem(30, (3, 3, 3), 0.3, 46)
         run = {
             "fista": lambda: fista_solve(p, entry_l1(), 0.1, max_iters),
-            "pairwise": lambda: fista_pairwise(p, 0.1, max_iters=max_iters),
+            "pairwise": lambda: fista_solve(p, PAIRWISE, 0.1, max_iters=max_iters),
             "admm": lambda: admm_matricized(p, 0.1, max_iters),
         }[solver]
         with pytest.raises(ValueError, match="max_iters must be an integer >= 1"):
@@ -547,7 +547,7 @@ class TestLambdaValidation:
         p = scalar_problem(30, (3, 3, 3), 0.3, 46)
         run = {
             "fista": lambda: fista_solve(p, entry_l1(), lam),
-            "pairwise": lambda: fista_pairwise(p, lam),
+            "pairwise": lambda: fista_solve(p, PAIRWISE, lam),
             "admm": lambda: admm_matricized(p, lam),
         }[solver]
         with pytest.raises(ValueError, match="lam must be a finite number >= 0"):
@@ -578,17 +578,24 @@ class TestPairwise:
         spec = ModelClassSpec("t4", (6, 6, 6), r=1, magnitude=3.0)
         truth = gen_truth(spec, 3)
         p = gen_problem(truth, 3000, 3, 0.5, seed=4)
-        res = fista_pairwise(p, 0.05)
+        res = fista_solve(p, PAIRWISE, 0.05)
         assert res.status == "Converged"
         err = float(((res.estimate - truth) ** 2).sum())
         assert err < 0.2 * float((truth**2).sum())
         assert res.components is not None and len(res.components) == 3
 
+    def test_fista_pairwise_is_fista_solve_on_the_pairwise_penalty(self):
+        spec = ModelClassSpec("t4", (4, 4, 4), r=1, magnitude=3.0)
+        p = gen_problem(gen_truth(spec, 7), 300, 3, 0.5, seed=8)
+        got, want = fista_pairwise(p, 0.05, max_iters=300), fista_solve(p, PAIRWISE, 0.05, 300)
+        assert_same_result(got, want)
+        for a, b in zip(got.components, want.components, strict=True):
+            np.testing.assert_array_equal(a, b)
 
     def test_objective_trace_nonincreasing(self):
         spec = ModelClassSpec("t4", (4, 4, 4), r=1, magnitude=3.0)
         p = gen_problem(gen_truth(spec, 5), 300, 3, 0.5, seed=6)
-        res = fista_pairwise(p, 0.05)
+        res = fista_solve(p, PAIRWISE, 0.05)
         assert np.all(np.diff(res.objective_trace) <= 1e-12)
 
 
@@ -617,7 +624,7 @@ class TestSolveDispatch:
         spec = ModelClassSpec("t4", (4, 4, 4), r=1, magnitude=3.0)
         p = gen_problem(gen_truth(spec, 7), 300, 3, 0.5, seed=8)
         res = solve(p, PAIRWISE, 0.05, max_iters=300)
-        direct = fista_pairwise(p, 0.05, max_iters=300)
+        direct = fista_solve(p, PAIRWISE, 0.05, max_iters=300)
         assert_same_result(res, direct)
         assert res.components is not None and len(res.components) == 3
         for got, want in zip(res.components, direct.components):
@@ -634,26 +641,10 @@ class TestSolveDispatch:
         if form == "stats":
             p = stats_of(p)
         got = fista_solve(p, PAIRWISE, lam)
-        for other in (solve(p, PAIRWISE, lam), fista_pairwise(p, lam)):
-            assert_same_result(other, got)
-            for a, b in zip(other.components, got.components, strict=True):
-                np.testing.assert_array_equal(a, b)
-
-    def test_pairwise_solve_runs_fista_solve_once(self, monkeypatch):
-        import tenreg.solver
-
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args[1].kind)
-            return fista_solve(*args, **kwargs)
-
-        monkeypatch.setattr(tenreg.solver, "fista_solve", counted)
-        monkeypatch.setattr(tenreg.solver, "fista_pairwise", pytest.fail)
-        spec = ModelClassSpec("t4", (3, 3, 3), r=1, magnitude=3.0)
-        p = gen_problem(gen_truth(spec, 7), 60, 3, 0.5, seed=8)
-        assert solve(p, PAIRWISE, 0.05, max_iters=50).components is not None
-        assert calls == [PAIRWISE.kind]
+        other = solve(p, PAIRWISE, lam)
+        assert_same_result(other, got)
+        for a, b in zip(other.components, got.components, strict=True):
+            np.testing.assert_array_equal(a, b)
 
     def test_max_iters_passed_through(self):
         p = scalar_problem(60, (3, 3, 3), 0.3, 33)
@@ -745,7 +736,7 @@ class TestOneCertificate:
     def test_pairwise(self, lam):
         spec = ModelClassSpec("t4", (4, 4, 4), r=1, magnitude=3.0)
         p = gen_problem(gen_truth(spec, 49), 40, 3, 0.5, seed=50)
-        res = fista_pairwise(p, lam)
+        res = fista_solve(p, PAIRWISE, lam)
         assert res.status == "Converged"
         assert abs(res.kkt_residual - pairwise_data_certificate(p, res)) <= 1e-13
 
@@ -756,7 +747,7 @@ class TestOneCertificate:
         # also three steps in, where the dual still exceeds lam
         spec = ModelClassSpec("t4", (4, 4, 4), r=1, magnitude=3.0)
         p = gen_problem(gen_truth(spec, 49), n, 3, 0.5, seed=50)
-        res = fista_pairwise(p, 0.05, max_iters=max_iters)
+        res = fista_solve(p, PAIRWISE, 0.05, max_iters=max_iters)
         vec = np.concatenate([c.ravel() for c in res.components])
         cuts = np.cumsum([c.size for c in res.components])[:-1]
 
@@ -825,7 +816,7 @@ class TestCompressedLoss:
 
     def test_pairwise_solve(self):
         p = pairwise_problem()
-        res = fista_pairwise(p, 0.05)
+        res = fista_solve(p, PAIRWISE, 0.05)
         assert res.status == "Converged"
         zero = objective(p, entry_l1(), 0.0, np.zeros(p.truth_shape))
         assert res.objective_trace[0] == pytest.approx(zero, rel=1e-12)
@@ -898,7 +889,7 @@ class TestSufficientStats:
             admm_matricized(q, 0.1, max_iters=200),
         )
         r = pairwise_problem()
-        got, want = fista_pairwise(stats_of(r), 0.05), fista_pairwise(r, 0.05)
+        got, want = fista_solve(stats_of(r), PAIRWISE, 0.05), fista_solve(r, PAIRWISE, 0.05)
         assert got.status == want.status == "Converged"
         assert np.abs(got.estimate - want.estimate).max() <= 1e-6
 

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -73,6 +74,12 @@ class TestMatrixSvt:
             want[idx] = matrix_svt(z[idx], t)
         np.testing.assert_array_equal(matrix_svt(z, t), want)
         np.testing.assert_array_equal(matrix_svt(np.zeros(shape), t), 0.0)
+
+    @pytest.mark.parametrize("z", [np.ones(3), np.float64(1.0)], ids=["1-D", "0-D"])
+    def test_a_non_matrix_is_refused_by_its_shape(self, z):
+        # a shape error, not an SVD that failed to converge
+        with pytest.raises(ValidationError, match=re.escape(f"got shape {np.shape(z)}")):
+            matrix_svt(z, 0.1)
 
 
 def sphere_grid_oracle(a, npoints=2000):

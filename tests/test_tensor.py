@@ -118,6 +118,25 @@ class TestTuckerProject:
     def _triple(self, dims=(4, 5, 6), ranks=(2, 2, 3)):
         return ProjectorTriple.random(dims, ranks, rng)
 
+    def test_random_draws_each_factor_in_mode_order(self):
+        got = ProjectorTriple.random((4, 5, 6), (2, 2, 3), np.random.default_rng(3))
+        r = np.random.default_rng(3)
+        for u, (d, k) in zip(got.factors, ((4, 2), (5, 2), (6, 3))):
+            np.testing.assert_array_equal(u, np.linalg.qr(r.standard_normal((d, k)))[0])
+
+    @pytest.mark.parametrize(
+        "dims, ranks",
+        [((4, 4, 4), (5, 2, 2)), ((4, 4, 4), (0, 2, 2)), ((4, 4, 4), (-1, 2, 2)),
+         ((4, 4, 4), (2.5, 2, 2)), ((4, 4, 4), (True, 2, 2)), ((4, 4, 4), (2, 2)),
+         ((4, 0, 4), (1, 1, 1)), ((4, 4), (1, 1))],
+        ids=["above-dim", "zero", "negative", "fraction", "bool", "two-ranks",
+             "zero-dim", "two-dims"],
+    )
+    def test_random_refuses_bad_dims_or_ranks_before_a_draw(self, dims, ranks):
+        # no generator: a draw would raise AttributeError, not a refusal
+        with pytest.raises(ValidationError, match="must be three integers"):
+            ProjectorTriple.random(dims, ranks, None)
+
     def test_identity_projectors(self):
         dims = (3, 4, 5)
         triple = ProjectorTriple([np.eye(d) for d in dims])
