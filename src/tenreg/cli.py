@@ -146,14 +146,7 @@ def build_parser():
 
 def _cmd_gen(args):
     spec = datagen.ModelClassSpec.from_json(_load_json_arg(args.spec))
-    if spec.kind == "t3":  # a VAR series of lag windows, in its one layout
-        # the series itself, which `gen_samples` yields as statistics at n > m p
-        datagen._check_var_layout(spec, args.split, args.sigma)
-        model = datagen._class_var_model(spec, args.seed)
-        (problem,) = datagen.gen_var_panel([model], args.n, [args.seed])
-    else:
-        truth = datagen.gen_truth(spec, args.seed)
-        problem = datagen.gen_problem(truth, args.n, args.split, args.sigma, seed=args.seed)
+    problem = datagen.gen_sample(spec, args.n, args.split, args.sigma, (args.seed, args.seed))
     cert = datagen.class_certificate(spec, problem.truth)
     if not cert["ok"]:
         raise ValidationError(f"generated truth failed its certificate: {cert}")
@@ -161,7 +154,7 @@ def _cmd_gen(args):
     out = args.out or "problem"
     manifest = solver.save_problem(out, problem)
     sys.stdout.write(manifest + "\n")
-    return EXIT_OK
+    return None, EXIT_OK
 
 
 def _cmd_solve(args):
@@ -184,23 +177,18 @@ def _cmd_solve(args):
     else:
         lam = float(args.lam)
     res = solver.solve(problem, reg, lam, args.max_iters)
-    _write_output(harness.emit_report(res.to_json()), args.out)
-    return EXIT_OK if res.status == "Converged" else EXIT_NONCONVERGED
+    return res.to_json(), EXIT_OK if res.status == "Converged" else EXIT_NONCONVERGED
 
 
 def _cmd_width(args):
     kinds = _parse_kinds(args.kinds)
     shapes = _parse_shapes(args.shapes)
-    report = harness.width_experiment(kinds, shapes, draws=args.draws, seed=args.seed)
-    _write_output(harness.emit_report(report, args.format), args.out)
-    return EXIT_OK
+    return harness.width_experiment(kinds, shapes, draws=args.draws, seed=args.seed), EXIT_OK
 
 
 def _cmd_rate(args):
     config = harness.RateExperimentConfig.from_json(_load_json_arg(args.config))
-    report = harness.rate_experiment(config)
-    _write_output(harness.emit_report(report, args.format), args.out)
-    return EXIT_OK
+    return harness.rate_experiment(config), EXIT_OK
 
 
 def _cmd_packing(args):
@@ -215,17 +203,16 @@ def _cmd_packing(args):
         d2=args.d2,
         r=args.r,
     )
-    _write_output(harness.emit_report(pack.to_json()), args.out)
-    return EXIT_OK
+    return pack.to_json(), EXIT_OK
 
 
 def _cmd_var_extrema(args):
     model = datagen.VarModel.from_json(_load_json_arg(args.model))
-    result = datagen.var_spectral_extrema(model, grid=args.grid)
-    _write_output(harness.emit_report(result), args.out)
-    return EXIT_OK
+    return datagen.var_spectral_extrema(model, grid=args.grid), EXIT_OK
 
 
+# Each command returns its report, or None when it writes its own output
+# (`gen` writes a problem directory), and its exit code.
 _COMMANDS = {
     "gen": _cmd_gen,
     "solve": _cmd_solve,
@@ -243,7 +230,10 @@ def main(argv=None):
         if args.format == "csv":
             check_choice("CSV report kind", args.command, harness.CSV_REPORT_KINDS)
         with np.errstate(over="raise"):
-            return _COMMANDS[args.command](args)
+            report, code = _COMMANDS[args.command](args)
+            if report is not None:
+                _write_output(harness.emit_report(report, args.format), args.out)
+            return code
     except (TenregError, ValueError, OSError, FloatingPointError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION

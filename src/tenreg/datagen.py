@@ -13,6 +13,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
+    JsonFields,
     ValidationError,
     check_choice,
     check_count,
@@ -22,7 +23,6 @@ from .errors import (
     check_shape,
     check_split,
     fields_from_json,
-    fields_to_json,
     is_int,
     is_real,
     json_tuple,
@@ -37,6 +37,7 @@ __all__ = [
     "gen_pairwise_components",
     "class_certificate",
     "gen_problem",
+    "gen_sample",
     "gen_sufficient_stats",
     "gen_samples",
     "VarModel",
@@ -74,7 +75,7 @@ def _check_magnitude(magnitude):
 
 
 @dataclass(frozen=True)
-class ModelClassSpec:
+class ModelClassSpec(JsonFields):
     """Which structured truth class to draw from, and with what parameters.
 
     `s` is a support budget (entries, fibers, or slices), `r` a rank budget.
@@ -112,9 +113,6 @@ class ModelClassSpec:
         classes."""
         slices = (1, 2) if self.kind in ("t1", "t2") else self.axes
         return {"theta1": (), "theta2": (self.mode,), "t3": (1,)}.get(self.kind, slices)
-
-    def to_json(self):
-        return fields_to_json(self)
 
     @classmethod
     def from_json(cls, obj):
@@ -248,23 +246,15 @@ def class_certificate(spec, truth):
         ranks = [_num_rank(matricize(t, [k])) for k in range(3)]
         return {"ok": max(ranks) <= spec.r, "tucker_ranks": ranks}
     if spec.kind == "t4":
-        d1, d2, d3 = shape
         # project back onto the centered interaction subspaces
-        a12 = t.mean(axis=2)
-        a13 = t.mean(axis=1)
-        a23 = t.mean(axis=0)
         grand = t.mean()
-        a12 = a12 - a12.mean(0, keepdims=True) - a12.mean(1, keepdims=True) + grand
-        a13 = a13 - a13.mean(0, keepdims=True) - a13.mean(1, keepdims=True) + grand
-        a23 = a23 - a23.mean(0, keepdims=True) - a23.mean(1, keepdims=True) + grand
-        recon = expand_pairwise((a12, a13, a23), shape)
-        resid = float(np.abs(recon - t).max())
-        ranks = [_num_rank(m) for m in (a12, a13, a23)]
-        centering = max(
-            float(np.abs(m.sum(axis=ax)).max())
-            for m in (a12, a13, a23)
-            for ax in (0, 1)
-        )
+        comps = [
+            m - m.mean(0, keepdims=True) - m.mean(1, keepdims=True) + grand
+            for m in (t.mean(axis=2), t.mean(axis=1), t.mean(axis=0))
+        ]
+        resid = float(np.abs(expand_pairwise(comps, shape) - t).max())
+        ranks = [_num_rank(m) for m in comps]
+        centering = max(float(np.abs(m.sum(axis=ax)).max()) for m in comps for ax in (0, 1))
         ok = resid < 1e-10 and centering < 1e-10 and max(ranks) <= spec.r
         return {
             "ok": ok,
@@ -284,7 +274,7 @@ def _check_sample(truth, n, split, noise_sigma, seed):
     return truth, np.random.default_rng(check_seed(seed))
 
 
-def gen_problem(truth, n, split, noise_sigma, design="iid", seed=0, meta=None):
+def gen_problem(truth, n, split, noise_sigma, design="iid", seed=0):
     """Sample a regression problem from a truth tensor.
 
     Covariates are i.i.d. standard Gaussian, or ``Z @ factor.T`` when a
@@ -316,7 +306,6 @@ def gen_problem(truth, n, split, noise_sigma, design="iid", seed=0, meta=None):
         split=split,
         noise_sigma=noise_sigma,
         truth=truth,
-        meta=meta or {},
     )
 
 
@@ -356,38 +345,50 @@ def gen_sufficient_stats(truth, n, split, noise_sigma, seed=0):
     )
 
 
+def gen_sample(spec, n, split, noise_sigma, seeds):
+    """The sample of size `n` of the class `spec` at the (truth seed, sample
+    seed) pair `seeds`: for the VAR class t3 a series of lag windows of
+    :func:`gen_var_series`, in the one VAR layout (:func:`_check_var_layout`),
+    and for every other class a :func:`gen_problem` sample of its
+    :func:`gen_truth` truth."""
+    tseed, pseed = seeds
+    _check_var_layout(spec, split, noise_sigma)
+    if spec.kind == "t3":
+        return gen_var_series(_class_var_model(spec, tseed), n, seed=pseed)
+    return gen_problem(gen_truth(spec, tseed), n, split, noise_sigma, seed=pseed)
+
+
 def gen_samples(spec, n, split, noise_sigma, seeds):
     """The samples of one rate cell, one per (truth seed, sample seed) pair
     of `seeds`, as an iterator in that order.
 
-    A class with i.i.d. rows (every class but the VAR t3) draws each truth
-    by :func:`gen_truth` only when its sample is asked for, then its
-    sufficient statistics by :func:`gen_sufficient_stats` when n exceeds
-    d + q, the covariate and response dimensions, and its sample by
-    :func:`gen_problem` otherwise.  The VAR class draws every model first,
-    then simulates the series of :func:`gen_var_panel`; it takes only the
-    one VAR layout, split 2 and unit innovations (:func:`_check_var_layout`).
-    When n exceeds the m p lag coordinates it yields each series'
-    statistics, which are all a solve reads of it when the solver would
-    compress it anyway, so the lag design is copied once and dropped;
-    otherwise it yields the series.
+    Each is the :func:`gen_sample` sample of its pair, drawn only when it is
+    asked for, unless n exceeds the covariate coordinates a solver would
+    compress the sample to: d + q, the covariate and response dimensions,
+    for a class with i.i.d. rows, which then draws each truth by
+    :func:`gen_truth` and its sufficient statistics by
+    :func:`gen_sufficient_stats`; and the m p lag coordinates for the VAR
+    class t3, which then draws every model first, simulates the series of
+    :func:`gen_var_panel` in lockstep and yields each series' statistics,
+    all a solve reads of it, so the lag design is copied once and dropped.
     """
     check_count("n", n, 1)
     check_real("noise_sigma", noise_sigma, 0)
     check_split(split, len(spec.shape))
     _check_var_layout(spec, split, noise_sigma)
+    dims = math.prod(spec.shape[:split])
+    if spec.kind != "t3":
+        dims += math.prod(spec.shape[split:])
+    if n <= dims:
+        return (gen_sample(spec, n, split, noise_sigma, pair) for pair in seeds)
     if spec.kind == "t3":
         models = [_class_var_model(spec, tseed) for tseed, _ in seeds]
         panel = gen_var_panel(models, n, [pseed for _, pseed in seeds])
-        if n <= math.prod(spec.shape[:split]):
-            return panel
         # `map`, not a generator expression: its frame would hold the last
         # series, and so its lockstep group, while the next group is simulated
         return map(_series_statistics, panel)
-    dims = math.prod(spec.shape[:split]) + math.prod(spec.shape[split:])
-    draw = gen_sufficient_stats if n > dims else gen_problem
     return (
-        draw(gen_truth(spec, tseed), n, split, noise_sigma, seed=pseed)
+        gen_sufficient_stats(gen_truth(spec, tseed), n, split, noise_sigma, seed=pseed)
         for tseed, pseed in seeds
     )
 
@@ -435,7 +436,7 @@ def _rescale_lags(coeffs, rho, target):
 
 
 @dataclass
-class VarModel:
+class VarModel(JsonFields):
     """Stable VAR(p) with identity innovation covariance.
 
     `coeffs` stacks the lag matrices as shape (p, m, m).  Construction
@@ -469,13 +470,6 @@ class VarModel:
 
     def spectral_radius(self):
         return _spectral_radius(self.coeffs)
-
-    # not `fields_to_json`: `coeffs` is an array
-    def to_json(self):
-        return {
-            "coeffs": [a.tolist() for a in self.coeffs],
-            "burn_in": self.burn_in,
-        }
 
     @classmethod
     def from_json(cls, obj):

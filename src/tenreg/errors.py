@@ -43,14 +43,24 @@ def json_tuple(value):
 
 def fields_to_json(obj):
     """Every field of the dataclass `obj`, in field order: a value with its
-    own ``to_json`` through it, a tuple or list as a new list."""
+    own ``to_json`` through it, an array as nested lists, a tuple or list as
+    a new list."""
     out = {}
     for f in fields(obj):
         value = getattr(obj, f.name)
         if hasattr(value, "to_json"):
             value = value.to_json()
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
         out[f.name] = list(value) if isinstance(value, (tuple, list)) else value
     return out
+
+
+class JsonFields:
+    """Base of a dataclass whose JSON is :func:`fields_to_json` of it."""
+
+    def to_json(self):
+        return fields_to_json(self)
 
 
 def fields_from_json(cls, obj, what, **decode):

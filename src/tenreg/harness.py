@@ -17,13 +17,13 @@ from .datagen import ModelClassSpec, _check_var_layout, _signs, gen_samples
 from .datagen import gen_truth
 from .errors import (
     BudgetExhausted,
+    JsonFields,
     ValidationError,
     check_choice,
     check_count,
     check_real,
     check_split,
     fields_from_json,
-    fields_to_json,
     is_int,
     is_real,
     json_tuple,
@@ -91,7 +91,7 @@ def predicted_rate(tag, model, n):
 
 
 @dataclass(frozen=True)
-class RateExperimentConfig:
+class RateExperimentConfig(JsonFields):
     """One rate-verification sweep: a truth class, a penalty, an n grid, and
     the predicted rate the median errors are regressed against."""
 
@@ -135,9 +135,6 @@ class RateExperimentConfig:
         _check_solvable(reg, self.model.shape, self.model.shape[self.split :])
         _check_var_layout(self.model, self.split, self.noise_sigma)
         gen_truth(self.model, self.seed)  # the class's own draw rule; truth unused
-
-    def to_json(self):
-        return fields_to_json(self)
 
     @classmethod
     def from_json(cls, obj):

@@ -293,6 +293,13 @@ def _batch_draws(shape):
     return max(1, min(_WIDTH_BATCH, _BATCH_ENTRIES // math.prod(shape)))
 
 
+def _marginal_sums(x):
+    """The sums of each (d1, d2, d3) tensor of the stack `x` over axes 3, 2
+    and 1 of `x`: its (d1, d2), (d1, d3) and (d2, d3) marginals, in that
+    order, the features of the pairwise-component penalty."""
+    return x.sum(axis=3), x.sum(axis=2), x.sum(axis=1)
+
+
 def _dual_batch(spec, g, rng=None, hopm_restarts=None, hopm_iters=None):
     """Dual norm of each tensor in the batch `g` of shape (B, d1, d2, d3).
 
@@ -301,7 +308,7 @@ def _dual_batch(spec, g, rng=None, hopm_restarts=None, hopm_iters=None):
     """
     b = g.shape[0]
     if spec.kind == "pairwise_component_nuclear":
-        return _max_top_sv([g.sum(axis=axis)[:, None] for axis in (3, 2, 1)])
+        return _max_top_sv([m[:, None] for m in _marginal_sums(g)])
     if spec.kind in _GROUP_KINDS:
         axes = tuple(ax + 1 for ax in spec.norm_axes)
         return _group_norms(g, axes).reshape(b, -1).max(axis=1)

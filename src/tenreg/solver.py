@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ValidationError, is_real
 from .errors import check_count, check_finite, check_real, check_split, json_key
-from .regularizers import RegularizerSpec, _matched_bound, prox, reg_dual, reg_eval
+from .regularizers import RegularizerSpec, _marginal_sums, _matched_bound, prox, reg_dual, reg_eval
 from .spectral import WidthEstimate, matrix_svt
 from .tensor import dematricize, matricize, read_tns, write_tns
 
@@ -697,8 +697,7 @@ def expand_pairwise(components, shape):
 
 def marginal_features(covariates):
     """Per-sample marginal sums (X summed over each left-out axis)."""
-    x = np.asarray(covariates, dtype=np.float64)
-    return x.sum(axis=3), x.sum(axis=2), x.sum(axis=1)
+    return _marginal_sums(np.asarray(covariates, dtype=np.float64))
 
 
 class _PairwiseBlocks:

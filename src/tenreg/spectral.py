@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SvdFailure, ValidationError
-from .errors import check_count, check_finite, check_real, check_shape, fields_to_json
+from .errors import JsonFields, check_count, check_finite, check_real, check_shape
 from .regularizers import _GROUP_KINDS, SV_RTOL, RegularizerSpec, _batch_draws, _dual_batch
 from .tensor import matricize
 
@@ -153,7 +153,7 @@ def hopm_spectral(a, restarts=20, iters=200, *, rng=None):
 
 
 @dataclass(frozen=True)
-class WidthEstimate:
+class WidthEstimate(JsonFields):
     """A Gaussian width with its sampling error: a Monte-Carlo estimate, or
     an exact width, which reads `std_error` 0 and `draws` 0.
 
@@ -174,9 +174,6 @@ class WidthEstimate:
     shape: tuple[int, ...]
     kind: str
 
-    def to_json(self):
-        return fields_to_json(self)
-
 
 _RATE_TAGS = {
     "entry_l1": "sqrt_log_d1d2d3",
@@ -187,6 +184,13 @@ _RATE_TAGS = {
     "tensor_spectral_dual_only": "sqrt_sum_dims",
     "pairwise_component_nuclear": "sqrt_max_dim",
 }
+
+
+def _estimate(spec, shape, seed, mean, std_error, draws):
+    """The :class:`WidthEstimate` of the penalty `spec` on `shape` from the
+    draws of `seed`, with its rate tag."""
+    tag = _RATE_TAGS[spec.kind]
+    return WidthEstimate(mean, std_error, draws, tag, int(seed), shape, spec.kind)
 
 
 def _width_sq(spec, shape):
@@ -264,15 +268,8 @@ def gaussian_width_mc(
         g = rng.standard_normal((min(batch, draws - start),) + shape)
         vals.append(_dual_batch(spec, g, rng, hopm_restarts, hopm_iters))
     values = np.concatenate(vals)
-    return WidthEstimate(
-        mean=float(values.mean()),
-        std_error=float(values.std(ddof=1) / np.sqrt(len(values))),
-        draws=draws,
-        lemma_bound_form=_RATE_TAGS[spec.kind],
-        seed=int(seed),
-        shape=shape,
-        kind=spec.kind,
-    )
+    std_error = float(values.std(ddof=1) / np.sqrt(len(values)))
+    return _estimate(spec, shape, seed, float(values.mean()), std_error, draws)
 
 
 # The kinds with an exact width: the dual norm of a standard Gaussian tensor
@@ -466,12 +463,4 @@ def _exact_estimate(spec, shape, draws, seed):
     though nothing is drawn, so a caller that may take either width refuses
     the same inputs, in the same order."""
     shape = _width_inputs(shape, draws, seed)[1]
-    return WidthEstimate(
-        mean=gaussian_width(spec, shape),
-        std_error=0.0,
-        draws=0,
-        lemma_bound_form=_RATE_TAGS[spec.kind],
-        seed=int(seed),
-        shape=shape,
-        kind=spec.kind,
-    )
+    return _estimate(spec, shape, seed, gaussian_width(spec, shape), 0.0, 0)
