@@ -175,7 +175,7 @@ class SolveResult:
     objective_trace: list = ()
     kkt_residual: float = math.inf
     iterations: int = 0
-    status: str = "Diverged"  # Converged | MaxIters | Diverged
+    status: str = "Diverged"  # Converged | MaxIters | Stalled | Diverged
     components: tuple | None = None
 
     def __post_init__(self):
@@ -553,6 +553,7 @@ def _apg(x0, op, prox_step, penalty, dual, lam, max_iters, kkt_tol):
             if rel_change < 1e-15:
                 dead_steps += 1
                 if dead_steps >= 5:
+                    status = "Stalled"
                     break
             else:
                 dead_steps = 0
@@ -573,12 +574,12 @@ def fista_solve(problem, spec, lam, max_iters=MAX_ITERS, kkt_tol=1e-7):
     a restart from the previous iterate.  A stalled objective (relative
     change below 1e-10) or every 25th iteration triggers the certificate
     check, and the solve returns Converged once it drops below `kkt_tol`,
-    or MaxIters after `max_iters` steps.  When n exceeds the parameter
-    dimension, or the problem is a
-    :class:`SufficientStats`, loss, gradient and certificate work on the
-    loss compressed to parameter space once per problem (see
-    :func:`_operator`); otherwise on the data.  Data whose squares overflow
-    return Diverged.
+    Stalled once five steps in a row change the objective by less than
+    1e-15 relative, or MaxIters after `max_iters` steps.  When n exceeds the
+    parameter dimension, or the problem is a :class:`SufficientStats`,
+    loss, gradient and certificate work on the loss compressed to parameter
+    space once per problem (see :func:`_operator`); otherwise on the data.
+    Data whose squares overflow return Diverged.
     """
     max_iters = check_count("max_iters", max_iters, 1)
     check_real("kkt_tol", kkt_tol, 0)

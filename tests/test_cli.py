@@ -599,6 +599,32 @@ class TestGenVar:
         assert code == 0
 
 
+@pytest.mark.parametrize(
+    "spec, n, split",
+    [
+        ({"kind": "theta1", "shape": [3, 3, 3], "s": 2}, 5, 3),
+        ({"kind": "theta1", "shape": [3, 3, 3], "s": 2}, 400, 3),
+        # m p = 6 lag coordinates: a rate cell yields the series at n = 5
+        # and its statistics at n = 30
+        ({"kind": "t3", "shape": [3, 2, 3], "s": 2}, 5, 2),
+        ({"kind": "t3", "shape": [3, 2, 3], "s": 2}, 30, 2),
+    ],
+)
+def test_gen_writes_the_library_sample(tmp_path, capsys, spec, n, split):
+    out = tmp_path / "prob"
+    code, _, _ = run_cli(
+        ["--seed", "6", "--out", str(out), "gen", "--spec", json.dumps(spec),
+         "--n", str(n), "--split", str(split)],
+        capsys,
+    )
+    assert code == 0
+    got = load_problem(str(out))
+    want = datagen.gen_sample(ModelClassSpec.from_json(spec), n, split, 1.0, (6, 6))
+    for name in ("covariates", "responses", "truth"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.meta.get("model") == want.meta.get("model")
+
+
 class TestVarExtremaCommand:
     def test_closed_form(self, tmp_path, capsys):
         model = VarModel(coeffs=0.5 * np.eye(2)[None, :, :])

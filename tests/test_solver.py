@@ -540,6 +540,15 @@ class TestMaxItersValidation:
             run()
 
 
+def test_a_stall_before_the_cap_is_stalled_not_max_iters():
+    # at kkt_tol 0 no certificate passes, so a solve that stops before its
+    # cap stopped on five steps of no objective change, not on the cap
+    p = scalar_problem(40, (2, 2, 2), 0.3, 1)
+    res = fista_solve(p, entry_l1(), 0.05, max_iters=5000, kkt_tol=0)
+    assert res.iterations < 5000
+    assert res.status == "Stalled"
+
+
 class TestLambdaValidation:
     @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -1.0])
     @pytest.mark.parametrize("solver", ["fista", "pairwise", "admm"])
