@@ -174,6 +174,11 @@ class WidthEstimate(JsonFields):
     shape: tuple[int, ...]
     kind: str
 
+    @classmethod
+    def _of(cls, spec, shape, seed, mean, std_error, draws):
+        """The width of the penalty `spec` on `shape` at `seed`, with its rate tag."""
+        return cls(mean, std_error, draws, _RATE_TAGS[spec.kind], int(seed), shape, spec.kind)
+
 
 _RATE_TAGS = {
     "entry_l1": "sqrt_log_d1d2d3",
@@ -184,13 +189,6 @@ _RATE_TAGS = {
     "tensor_spectral_dual_only": "sqrt_sum_dims",
     "pairwise_component_nuclear": "sqrt_max_dim",
 }
-
-
-def _estimate(spec, shape, seed, mean, std_error, draws):
-    """The :class:`WidthEstimate` of the penalty `spec` on `shape` from the
-    draws of `seed`, with its rate tag."""
-    tag = _RATE_TAGS[spec.kind]
-    return WidthEstimate(mean, std_error, draws, tag, int(seed), shape, spec.kind)
 
 
 def _width_sq(spec, shape):
@@ -269,7 +267,7 @@ def gaussian_width_mc(
         vals.append(_dual_batch(spec, g, rng, hopm_restarts, hopm_iters))
     values = np.concatenate(vals)
     std_error = float(values.std(ddof=1) / np.sqrt(len(values)))
-    return _estimate(spec, shape, seed, float(values.mean()), std_error, draws)
+    return WidthEstimate._of(spec, shape, seed, float(values.mean()), std_error, draws)
 
 
 # The kinds with an exact width: the dual norm of a standard Gaussian tensor
@@ -463,4 +461,4 @@ def _exact_estimate(spec, shape, draws, seed):
     though nothing is drawn, so a caller that may take either width refuses
     the same inputs, in the same order."""
     shape = _width_inputs(shape, draws, seed)[1]
-    return _estimate(spec, shape, seed, gaussian_width(spec, shape), 0.0, 0)
+    return WidthEstimate._of(spec, shape, seed, gaussian_width(spec, shape), 0.0, 0)
