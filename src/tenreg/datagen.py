@@ -360,33 +360,31 @@ def gen_sample(spec, n, split, noise_sigma, seeds):
 
 def gen_samples(spec, n, split, noise_sigma, seeds):
     """The samples of one rate cell, one per (truth seed, sample seed) pair
-    of `seeds`, as an iterator in that order.
+    of `seeds`, as an iterator in that order, each equal to the
+    :func:`gen_sample` sample of its pair.
 
-    Each is the :func:`gen_sample` sample of its pair, drawn only when it is
-    asked for, unless n exceeds the covariate coordinates a solver would
-    compress the sample to: d + q, the covariate and response dimensions,
-    for a class with i.i.d. rows, which then draws each truth by
-    :func:`gen_truth` and its sufficient statistics by
-    :func:`gen_sufficient_stats`; and the m p lag coordinates for the VAR
-    class t3, which then draws every model first, simulates the series of
-    :func:`gen_var_panel` in lockstep and yields each series' statistics,
-    all a solve reads of it, so the lag design is copied once and dropped.
+    The VAR class t3 draws every model first and simulates the series of
+    :func:`gen_var_panel` in lockstep, at any n; past the m p lag
+    coordinates a solver would compress a series to, it yields each
+    series' statistics, all a solve reads of it, so the lag design is
+    copied once and dropped.  A class with i.i.d. rows draws each sample
+    only when it is asked for, unless n exceeds d + q, the covariate and
+    response dimensions: it then draws each truth by :func:`gen_truth` and
+    its sufficient statistics by :func:`gen_sufficient_stats`.
     """
     check_count("n", n, 1)
     check_real("noise_sigma", noise_sigma, 0)
     check_split(split, len(spec.shape))
     _check_var_layout(spec, split, noise_sigma)
     dims = math.prod(spec.shape[:split])
-    if spec.kind != "t3":
-        dims += math.prod(spec.shape[split:])
-    if n <= dims:
-        return (gen_sample(spec, n, split, noise_sigma, pair) for pair in seeds)
     if spec.kind == "t3":
         models = [_class_var_model(spec, tseed) for tseed, _ in seeds]
         panel = gen_var_panel(models, n, [pseed for _, pseed in seeds])
         # `map`, not a generator expression: its frame would hold the last
         # series, and so its lockstep group, while the next group is simulated
-        return map(_series_statistics, panel)
+        return panel if n <= dims else map(_series_statistics, panel)
+    if n <= dims + math.prod(spec.shape[split:]):
+        return (gen_sample(spec, n, split, noise_sigma, pair) for pair in seeds)
     return (
         gen_sufficient_stats(gen_truth(spec, tseed), n, split, noise_sigma, seed=pseed)
         for tseed, pseed in seeds

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import ModelClassSpec, _check_var_layout, _signs, gen_samples
+from .datagen import _SUPPORT_GROUPS, ModelClassSpec, _check_var_layout, _signs, gen_samples
 from .datagen import gen_truth
 from .errors import (
     BudgetExhausted,
@@ -29,8 +29,7 @@ from .errors import (
     json_tuple,
 )
 from . import regularizers
-from .regularizers import RegularizerSpec, entry_l1, fiber_group, slice_frob
-from .regularizers import _GROUP_KINDS, matricized_nuclear_sum, slice_nuclear, tensor_spectral
+from .regularizers import _GROUP_KINDS, RegularizerSpec
 from .solver import MAX_ITERS, _check_rule, _check_solvable
 from .solver import empirical_norm, lambda_rule, solve
 
@@ -57,43 +56,43 @@ __all__ = [
 
 _PAIRWISE = RegularizerSpec("pairwise_component_nuclear")
 
-# Each tag's rate is budget * w^2 / n, with w^2 the squared width growth law
-# of the penalty that fits the structure, and the budget a model field to a
-# power: tag -> model -> (field, power, penalty).
+# The penalty kind each rate tag names; a config's tag must name the kind it
+# solves, whose growth law its fit reads.
 _RATES = {
-    "s_log_total_over_n": lambda m: ("s", 1, entry_l1()),
-    "s_max_fiberdim_loggroups_over_n": lambda m: ("s", 1, fiber_group(m.mode)),
-    "s_max_area_loggroups_over_n": lambda m: ("s", 1, slice_frob(m.axes)),
-    # multi-response layout (p, m, m): slices are m x m, groups over p
-    "s_max_msq_logp_over_n": lambda m: ("s", 1, slice_frob((1, 2))),
-    # VAR layout (m, p, m): fibers have length p, m^2 groups
-    "s_max_p_2logm_over_n": lambda m: ("s", 1, fiber_group(1)),
-    "r_max_m_logp_over_n": lambda m: ("r", 1, slice_nuclear((1, 2))),
-    "r_max_dim_over_n": lambda m: ("r", 1, _PAIRWISE),
-    "r_max_pairprod_over_n": lambda m: ("r", 1, matricized_nuclear_sum()),
-    "rsq_sum_dims_over_n": lambda m: ("r", 2, tensor_spectral()),
+    "s_log_total_over_n": "entry_l1",
+    "s_max_fiberdim_loggroups_over_n": "fiber_group",
+    "s_max_area_loggroups_over_n": "slice_frob",
+    "s_max_msq_logp_over_n": "slice_frob",
+    "s_max_p_2logm_over_n": "fiber_group",
+    "r_max_m_logp_over_n": "slice_nuclear",
+    "r_max_dim_over_n": "pairwise_component_nuclear",
+    "r_max_pairprod_over_n": "matricized_nuclear_sum",
+    "rsq_sum_dims_over_n": "tensor_spectral_dual_only",
 }
 
 
-def predicted_rate(tag, model, n):
-    """Evaluate a predicted-rate formula tag for a model class at sample
-    size n (constants are not tracked; only the growth law matters).  The
-    model field the tag takes its budget from must be an integer >= 1, and
-    n a finite number >= 1."""
-    check_choice("rate tag", tag, _RATES)
-    field, power, penalty = _RATES[tag](model)
+def predicted_rate(model, reg, n):
+    """The predicted rate of the penalty `reg` on the class `model` at
+    sample size n: budget * w^2 / n, with w^2 the squared width growth law
+    of `reg` on the model's shape (`spectral._width_sq`; constants are not
+    tracked).  The budget is the class's s for a support class and its r
+    for a rank class, squared for the tensor-spectral penalty; it must be
+    an integer >= 1, and n a finite number >= 1."""
+    field = "s" if model.kind in _SUPPORT_GROUPS else "r"
     budget = getattr(model, field)
     if not (is_int(budget) and budget >= 1):
-        raise ValidationError(f"rate tag {tag!r} needs the model's {field} to be an integer "
+        raise ValidationError(f"a {model.kind} rate needs the model's {field} to be an integer "
                               f">= 1, got {budget!r}")
     check_real("n", n, 1)
-    return budget**power * _width_sq(penalty, model.shape) / n
+    power = 2 if reg.kind == "tensor_spectral_dual_only" else 1
+    return budget**power * _width_sq(reg, model.shape) / n
 
 
 @dataclass(frozen=True)
 class RateExperimentConfig(JsonFields):
     """One rate-verification sweep: a truth class, a penalty, an n grid, and
-    the predicted rate the median errors are regressed against."""
+    a rate tag naming the penalty's kind.  The median errors are regressed
+    against the `predicted_rate` of the class and the penalty solved."""
 
     model: ModelClassSpec
     regularizer: RegularizerSpec  # the pairwise shorthand reads as its spec
@@ -120,7 +119,7 @@ class RateExperimentConfig(JsonFields):
         check_split(self.split, 3)
         if len(grid) < 4 or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValidationError("n_grid must be strictly increasing with >= 4 points")
-        predicted_rate(self.rate_tag, self.model, grid[0])  # the rule the fit runs
+        check_choice("rate tag", self.rate_tag, _RATES)
         reg = self.regularizer
         if reg == "pairwise":
             object.__setattr__(self, "regularizer", reg := _PAIRWISE)
@@ -128,6 +127,7 @@ class RateExperimentConfig(JsonFields):
             raise ValidationError(
                 f"regularizer must be a penalty object or 'pairwise', got {reg!r}"
             )
+        predicted_rate(self.model, reg, grid[0])  # the rule the fit runs
         for n in grid:
             _check_rule(n, self.c_u, reg.c_reg)
         check_count("max_iters", self.max_iters, 1)
@@ -135,6 +135,9 @@ class RateExperimentConfig(JsonFields):
         _check_solvable(reg, self.model.shape, self.model.shape[self.split :])
         _check_var_layout(self.model, self.split, self.noise_sigma)
         gen_truth(self.model, self.seed)  # the class's own draw rule; truth unused
+        if (kind := _RATES[self.rate_tag]) != reg.kind:
+            raise ValidationError(f"rate tag {self.rate_tag!r} names the {kind} penalty, but "
+                                  f"the config solves {reg.kind}")
 
     @classmethod
     def from_json(cls, obj):
@@ -256,7 +259,7 @@ def rate_experiment(config):
             "median_emp_sq": float(np.median([cell["emp_sq"] for cell in at_n])),
             "q25_fro_sq": float(np.percentile(fro2, 25)),
             "q75_fro_sq": float(np.percentile(fro2, 75)),
-            "predicted_rate": float(predicted_rate(config.rate_tag, model, n)),
+            "predicted_rate": float(predicted_rate(model, config.regularizer, n)),
             "nonconverged": sum(cell["status"] != "Converged" for cell in at_n),
         })
     slope, intercept, r2 = _log_fit(

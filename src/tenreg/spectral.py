@@ -155,7 +155,8 @@ def hopm_spectral(a, restarts=20, iters=200, *, rng=None):
 @dataclass(frozen=True)
 class WidthEstimate(JsonFields):
     """A Gaussian width with its sampling error: a Monte-Carlo estimate, or
-    an exact width, which reads `std_error` 0 and `draws` 0.
+    an exact width, which reads `std_error` 0 and `draws` 0.  Its `kind`,
+    the penalty's, names the growth law it is read against (`_width_sq`).
 
     For the tensor-spectral kind the estimate errs low: each draw's value
     is a local maximum found by the higher-order power method, a lower
@@ -169,32 +170,22 @@ class WidthEstimate(JsonFields):
     mean: float
     std_error: float
     draws: int
-    lemma_bound_form: str
     seed: int
     shape: tuple[int, ...]
     kind: str
 
     @classmethod
     def _of(cls, spec, shape, seed, mean, std_error, draws):
-        """The width of the penalty `spec` on `shape` at `seed`, with its rate tag."""
-        return cls(mean, std_error, draws, _RATE_TAGS[spec.kind], int(seed), shape, spec.kind)
-
-
-_RATE_TAGS = {
-    "entry_l1": "sqrt_log_d1d2d3",
-    "fiber_group": "sqrt_max_fiberdim_log_ngroups",
-    "slice_frob": "sqrt_max_slicearea_log_ngroups",
-    "slice_nuclear": "sqrt_max_slicedims_log_ngroups",
-    "matricized_nuclear_sum": "sqrt_max_pairwise_products",
-    "tensor_spectral_dual_only": "sqrt_sum_dims",
-    "pairwise_component_nuclear": "sqrt_max_dim",
-}
+        """The width of the penalty `spec` on `shape` at `seed`."""
+        return cls(mean, std_error, draws, int(seed), shape, spec.kind)
 
 
 def _width_sq(spec, shape):
     """The constant-free squared width growth law of the penalty `spec` on
     `shape`: the log group count against the group size for the group
-    kinds, where an entry is a group of size 1."""
+    kinds, where an entry is a group of size 1.  The one home of the laws:
+    a width table's rate expression and a rate sweep's predicted rate
+    (`harness.predicted_rate`) both read it."""
     d1, d2, d3 = shape
     if spec.kind == "pairwise_component_nuclear":
         return max(d1, d2, d3)

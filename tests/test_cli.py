@@ -842,11 +842,20 @@ class TestMissingJsonKeys:
            "rate_tag": "r_max_m_logp_over_n"}, "need 1 <= r <= 9"),
          ({"width_draws": 50}, "width_draws must be an integer >= 100"),
          ({"model": {"kind": "t4", "shape": [3, 3, 3], "r": 1}, "regularizer": "pairwise",
-           "split": 3}, "rate tag 's_log_total_over_n' needs the model's s to be"),
-         ({"rate_tag": "rsq_sum_dims_over_n"},
-          "rate tag 'rsq_sum_dims_over_n' needs the model's r to be"),
+           "split": 3}, "rate tag 's_log_total_over_n' names the entry_l1 penalty, but the "
+                        "config solves pairwise_component_nuclear"),
+         ({"rate_tag": "rsq_sum_dims_over_n"}, "rate tag 'rsq_sum_dims_over_n' names the "
+                                               "tensor_spectral_dual_only penalty"),
          ({"model": {"kind": "theta1", "shape": [3, 3, 3], "s": 0}},
-          "rate tag 's_log_total_over_n' needs the model's s to be")],
+          "a theta1 rate needs the model's s to be an integer >= 1, got 0"),
+         ({"model": {"kind": "t4", "shape": [3, 3, 3]}, "regularizer": "pairwise",
+           "rate_tag": "r_max_dim_over_n", "split": 3},
+          "a t4 rate needs the model's r to be an integer >= 1, got None"),
+         ({"model": {"kind": "t1", "shape": [50, 4, 4], "s": 3},
+           "n_grid": [500, 1000, 2000, 4000], "replications": 12, "seed": 301,
+           "rate_tag": "s_max_msq_logp_over_n", "split": 2},
+          "rate tag 's_max_msq_logp_over_n' names the slice_frob penalty, but the config "
+          "solves entry_l1")],
         ids=["n_grid-int", "seed-str", "seed-negative", "max_iters-str", "max_iters-zero",
              "width_draws-float", "split-null", "c_u-null", "c_u-zero",
              "lambda_multiplier-unknown", "max_iter-unknown", "noise_sigma-negative",
@@ -855,7 +864,7 @@ class TestMissingJsonKeys:
              "entry-l1-mode-and-axes", "pairwise-axes", "slice-nuclear-mode", "tensor-spectral",
              "t3-noise-sigma-two", "t3-split-one", "t3-shape-not-m-p-m", "theta1-s-above-27",
              "theta4-r-above-9", "width_draws-fifty", "t4-unset-s", "theta1-unset-r",
-             "theta1-zero-s"],
+             "theta1-zero-s", "t4-unset-r", "tag-kind-mismatch"],
     )
     def test_rate_rejects_a_bad_field_before_running(
         self, tmp_path, capsys, monkeypatch, fields, message

@@ -241,13 +241,21 @@ class TestGenSamples:
             self._assert_same(sample, want)
             assert np.array_equal(sample.truth, gen_truth(spec, tseed))
 
-    def test_var_panel_at_most_m_p_is_the_series(self):
+    def test_var_panel_at_most_m_p_is_the_series(self, monkeypatch):
+        # n = 6 = m p: the series still run in lockstep, as groups of 3 and 2
+        sizes = []
+        real = datagen._var_group
+        monkeypatch.setattr(datagen, "_var_group",
+                            lambda models, *rest: sizes.append(len(models)) or real(models, *rest))
         spec = ModelClassSpec("t3", (3, 2, 3), s=2)
         got = list(gen_samples(spec, 6, 2, 1.0, self.SEEDS))
+        assert sizes == [3, 2]
         assert len(got) == len(self.SEEDS)
         for sample, (tseed, pseed) in zip(got, self.SEEDS):
             want = gen_var_series(gen_var_model(3, 2, 2, seed=tseed), 6, seed=pseed)
             self._assert_same(sample, want)
+            for name in ("covariates", "responses"):  # bit for bit
+                assert getattr(sample, name).tobytes() == getattr(want, name).tobytes()
             assert np.array_equal(sample.truth, gen_truth(spec, tseed))
 
     @pytest.mark.parametrize("split, sigma", [(3, 1.0), (2, 0.5), (2, True)])

@@ -89,8 +89,7 @@ def test_pairwise_regularizer_passes_as_a_string():
         RATE,
         MODEL,
         WidthEstimate(
-            mean=1.0, std_error=0.1, draws=100, lemma_bound_form="sqrt_sum_dims",
-            seed=0, shape=(2, 2, 2), kind="entry_l1",
+            mean=1.0, std_error=0.1, draws=100, seed=0, shape=(2, 2, 2), kind="entry_l1",
         ),
     ],
     ids=lambda obj: type(obj).__name__,
@@ -240,7 +239,7 @@ ENTRY_POINTS = {
                           (datagen, "gen_truth"), "noise_sigma", "real", 0),
     "problem-sigma": (lambda v: solver.RegressionProblem(np.ones((2,) + SHAPE), np.ones(2), 3, v),
                       (solver, "_check_truth"), "noise_sigma", "real", 0),
-    "rate-n": (lambda v: harness.predicted_rate("s_log_total_over_n", RATE_FIELDS["model"], v),
+    "rate-n": (lambda v: harness.predicted_rate(RATE_FIELDS["model"], entry_l1(), v),
                (harness, "_width_sq"), "n", "real", 1),
     "rate-width_draws": (lambda v: RateExperimentConfig(**RATE_FIELDS, width_draws=v),
                          (harness, "predicted_rate"), "width_draws", "count", 100),
@@ -330,8 +329,8 @@ RULE_ENTRY_POINTS = {
                       (regularizers, "_support_mask"), "choice", "which"),
     "tucker-pattern": (lambda v: tensor.tucker_project(np.ones(SHAPE), TRIPLE, v),
                        (tensor.ProjectorTriple, "apply_mode"), "choice", "pattern"),
-    "rate-tag": (lambda v: harness.predicted_rate(v, RATE_FIELDS["model"], 100),
-                 (harness, "_width_sq"), "choice", "rate tag"),
+    "rate-tag": (lambda v: RateExperimentConfig(**{**RATE_FIELDS, "rate_tag": v}),
+                 (harness, "predicted_rate"), "choice", "rate tag"),
     "packing-kind": (lambda v: harness.hypercube_packing(12, 1.0, kind=v),
                      (np.random, "default_rng"), "choice", "packing kind"),
     "report-format": (lambda v: harness.emit_report({"kind": "width"}, v),

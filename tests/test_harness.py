@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import re
 import tracemalloc
 import weakref
 
@@ -53,7 +54,6 @@ def _ref_pairwise_width_mc(shape, draws, seed):
         mean=float(vals.mean()),
         std_error=float(vals.std(ddof=1) / np.sqrt(draws)),
         draws=draws,
-        lemma_bound_form="sqrt_max_dim",
         seed=seed,
         shape=shape,
         kind="pairwise_component_nuclear",
@@ -63,91 +63,85 @@ def _ref_pairwise_width_mc(shape, draws, seed):
 class TestPredictedRate:
     def test_entry_rate(self):
         model = ModelClassSpec("theta1", (8, 8, 8), s=5)
-        assert predicted_rate("s_log_total_over_n", model, 100) == pytest.approx(
-            5 * np.log(512) / 100
-        )
+        assert predicted_rate(model, entry_l1(), 100) == pytest.approx(5 * np.log(512) / 100)
 
     @pytest.mark.parametrize("shape", [(1, 1, 1), (2, 1, 1)])
     def test_entry_rate_on_one_or_two_entries(self, shape):
         model = ModelClassSpec("theta1", shape, s=1)
-        assert predicted_rate("s_log_total_over_n", model, 100) == 1 / 100
+        assert predicted_rate(model, entry_l1(), 100) == 1 / 100
 
     def test_var_rate(self):
         model = ModelClassSpec("t3", (20, 3, 20), s=6)
-        assert predicted_rate("s_max_p_2logm_over_n", model, 1000) == pytest.approx(
+        assert predicted_rate(model, fiber_group(1), 1000) == pytest.approx(
             6 * max(3, 2 * np.log(20)) / 1000
         )
 
     def test_pairwise_rate(self):
         model = ModelClassSpec("t4", (8, 8, 8), r=1)
-        assert predicted_rate("r_max_dim_over_n", model, 500) == pytest.approx(8 / 500)
+        assert predicted_rate(model, harness._PAIRWISE, 500) == pytest.approx(8 / 500)
 
     @pytest.mark.parametrize("n", [0, -5])
     @pytest.mark.parametrize(
-        "tag, model",
-        [("s_log_total_over_n", ModelClassSpec("theta1", (4, 4, 4), s=1)),
-         ("r_max_dim_over_n", ModelClassSpec("t4", (8, 8, 8), r=1))],
+        "model, reg",
+        [(ModelClassSpec("theta1", (4, 4, 4), s=1), entry_l1()),
+         (ModelClassSpec("t4", (8, 8, 8), r=1), harness._PAIRWISE)],
         ids=["entry", "pairwise"],
     )
-    def test_n_below_one_is_refused(self, tag, model, n):
+    def test_n_below_one_is_refused(self, model, reg, n):
         # n = 0 once gave inf or raised ZeroDivisionError, n = -5 a negative
         # rate; NaN and True are refused in test_errors
         with pytest.raises(ValidationError, match=f"n must be a finite number >= 1, got {n}"):
-            predicted_rate(tag, model, n)
-
-    def test_unknown_tag(self):
-        model = ModelClassSpec("theta1", (4, 4, 4), s=1)
-        with pytest.raises(ValidationError):
-            predicted_rate("bogus", model, 10)
+            predicted_rate(model, reg, n)
 
     @pytest.mark.parametrize(
-        "kind, budget, tag, field",
-        [("t4", {"r": 1}, "s_log_total_over_n", "s"),
-         ("theta1", {"s": 2}, "rsq_sum_dims_over_n", "r"),
-         ("theta1", {"s": 0}, "s_log_total_over_n", "s")],
-        ids=["t4-unset-s", "theta1-unset-r", "theta1-zero-s"],
+        "kind, budget, reg, field",
+        [("t4", {"s": 1}, harness._PAIRWISE, "r"),
+         ("theta1", {"r": 2}, entry_l1(), "s"),
+         ("theta1", {"s": 0}, entry_l1(), "s")],
+        ids=["t4-unset-r", "theta1-unset-s", "theta1-zero-s"],
     )
-    def test_a_budget_below_one_is_refused(self, kind, budget, tag, field):
+    def test_a_budget_below_one_is_refused(self, kind, budget, reg, field):
+        # the class sets the budget field, whatever the penalty
         model = ModelClassSpec(kind, (3, 3, 3), **budget)
-        with pytest.raises(ValidationError, match=f"{tag}.*model's {field} "):
-            predicted_rate(tag, model, 100)
+        with pytest.raises(ValidationError, match=f"a {kind} rate needs the model's {field} "):
+            predicted_rate(model, reg, 100)
 
     @pytest.mark.parametrize(
-        "shape, mode, axes", [((4, 5, 6), 0, (0, 1)), ((7, 3, 5), 2, (2, 0))]
+        "reg",
+        [entry_l1(), fiber_group(2), slice_frob((2, 0)), slice_nuclear((1, 2)),
+         matricized_nuclear_sum(), tensor_spectral(), harness._PAIRWISE],
+        ids=lambda reg: reg.kind,
     )
-    def test_every_tag_is_budget_times_squared_width_over_n(self, shape, mode, axes):
-        model = ModelClassSpec("theta3", shape, s=3, r=2, mode=mode, axes=axes)
-        laws = {
-            "s_log_total_over_n": (3, entry_l1()),
-            "s_max_fiberdim_loggroups_over_n": (3, fiber_group(mode)),
-            "s_max_area_loggroups_over_n": (3, slice_frob(axes)),
-            "s_max_msq_logp_over_n": (3, slice_frob((1, 2))),
-            "s_max_p_2logm_over_n": (3, fiber_group(1)),
-            "r_max_m_logp_over_n": (2, slice_nuclear((1, 2))),
-            "r_max_pairprod_over_n": (2, matricized_nuclear_sum()),
-            "rsq_sum_dims_over_n": (4, tensor_spectral()),
-        }
-        assert set(laws) | {"r_max_dim_over_n"} == set(harness._RATES)
-        for tag, (budget, penalty) in laws.items():
-            want = budget * width_rate_expression(penalty, shape) ** 2 / 250
-            assert predicted_rate(tag, model, 250) == pytest.approx(want, rel=1e-12)
-        assert predicted_rate("r_max_dim_over_n", model, 250) == 2 * max(shape) / 250
+    @pytest.mark.parametrize(
+        "kind, budget", [("theta3", 3), ("theta4", 2)], ids=["support", "rank"]
+    )
+    def test_every_kind_is_budget_times_squared_width_over_n(self, kind, budget, reg):
+        # s for a support class and r for a rank class, squared only for the
+        # tensor-spectral penalty; the unused field must not be read
+        shape = (7, 3, 5)
+        model = ModelClassSpec(kind, shape, **{"s" if kind == "theta3" else "r": budget})
+        power = 2 if reg.kind == "tensor_spectral_dual_only" else 1
+        want = budget**power * width_rate_expression(reg, shape) ** 2 / 250
+        assert predicted_rate(model, reg, 250) == pytest.approx(want, rel=1e-12)
+
+    def test_every_tag_names_a_penalty_kind(self):
+        assert set(harness._RATES.values()) == set(regularizers._KINDS)
 
     @pytest.mark.parametrize(
-        "kind, shape, budget, tag, grid, first",
-        [("t1", (50, 4, 4), {"s": 3}, "s_max_msq_logp_over_n",
+        "kind, shape, budget, reg, grid, first",
+        [("t1", (50, 4, 4), {"s": 3}, slice_frob((1, 2)),
           (500, 1000, 2000, 4000), "0x1.89374bc6a7efap-4"),
-         ("t3", (20, 3, 20), {"s": 6}, "s_max_p_2logm_over_n",
+         ("t3", (20, 3, 20), {"s": 6}, fiber_group(1),
           (2000, 4000, 8000, 16000), "0x1.267e1236b6f49p-6"),
-         ("t4", (8, 8, 8), {"r": 1}, "r_max_dim_over_n",
+         ("t4", (8, 8, 8), {"r": 1}, harness._PAIRWISE,
           (4000, 8000, 16000, 32000), "0x1.0624dd2f1a9fcp-9")],
         ids=["multi_response", "var", "pairwise"],
     )
-    def test_criterion_5_rates_are_unchanged(self, kind, shape, budget, tag, grid, first):
+    def test_criterion_5_rates_are_unchanged(self, kind, shape, budget, reg, grid, first):
         # each grid doubles n, so each rate halves the one before it exactly
         model = ModelClassSpec(kind, shape, **budget)
         want = [float.fromhex(first) / 2**k for k in range(len(grid))]
-        assert [predicted_rate(tag, model, n) for n in grid] == want
+        assert [predicted_rate(model, reg, n) for n in grid] == want
 
 
 class TestRateConfig:
@@ -189,6 +183,47 @@ class TestRateConfig:
         self._config(split=3, **pairwise)
         with pytest.raises(ValidationError, match="split must be 3"):
             self._config(split=2, **pairwise)
+
+    # the criterion-5 sweeps, then the i.i.d. and the two VAR configs CI replays
+    PRESENT = {
+        "multi_response": {"model": {"kind": "t1", "shape": [50, 4, 4], "s": 3},
+                           "regularizer": {"kind": "slice_frob", "axes": [1, 2]},
+                           "n_grid": [500, 1000, 2000, 4000], "replications": 12,
+                           "seed": 301, "rate_tag": "s_max_msq_logp_over_n", "split": 2},
+        "var": {"model": {"kind": "t3", "shape": [20, 3, 20], "s": 6},
+                "regularizer": {"kind": "fiber_group", "mode": 1},
+                "n_grid": [2000, 4000, 8000, 16000], "replications": 12, "seed": 302,
+                "rate_tag": "s_max_p_2logm_over_n", "split": 2},
+        "pairwise": {"model": {"kind": "t4", "shape": [8, 8, 8], "r": 1, "magnitude": 3.0},
+                     "regularizer": "pairwise", "n_grid": [4000, 8000, 16000, 32000],
+                     "replications": 12, "seed": 303, "rate_tag": "r_max_dim_over_n",
+                     "split": 3},
+        "ci_iid": {"model": {"kind": "theta1", "shape": [3, 3, 3], "s": 2},
+                   "regularizer": {"kind": "entry_l1"}, "n_grid": [50, 100, 200, 400],
+                   "replications": 10, "seed": 0, "rate_tag": "s_log_total_over_n"},
+        "ci_var": {"model": {"kind": "t3", "shape": [3, 2, 3], "s": 2},
+                   "regularizer": {"kind": "fiber_group", "mode": 1},
+                   "n_grid": [200, 400, 800, 1600], "replications": 10, "seed": 0,
+                   "rate_tag": "s_max_p_2logm_over_n"},
+        "ci_var_small": {"model": {"kind": "t3", "shape": [3, 2, 3], "s": 2},
+                         "regularizer": {"kind": "fiber_group", "mode": 1},
+                         "n_grid": [3, 6, 12, 24], "replications": 10, "seed": 0,
+                         "rate_tag": "s_max_p_2logm_over_n"},
+    }
+
+    @pytest.mark.parametrize("name", PRESENT)
+    def test_every_present_config_is_accepted(self, name):
+        cfg = RateExperimentConfig.from_json(self.PRESENT[name])
+        assert harness._RATES[cfg.rate_tag] == cfg.regularizer.kind
+
+    def test_a_tag_naming_another_kind_is_refused(self):
+        # t1 solving entry_l1 would be fit against slice_frob's law,
+        # 0.096 ... 0.012 where entry_l1's own gives 0.0401 ... 0.0050
+        cfg = {**self.PRESENT["multi_response"], "regularizer": {"kind": "entry_l1"}}
+        message = ("rate tag 's_max_msq_logp_over_n' names the slice_frob penalty, but the "
+                   "config solves entry_l1")
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            RateExperimentConfig.from_json(cfg)
 
     @pytest.mark.parametrize(
         "reg, width",
@@ -467,7 +502,7 @@ class TestRateReport:
                 "median_emp_sq": float(np.median([c["emp_sq"] for c in at_n])),
                 "q25_fro_sq": float(np.percentile(fro2, 25)),
                 "q75_fro_sq": float(np.percentile(fro2, 75)),
-                "predicted_rate": predicted_rate(config.rate_tag, model, n),
+                "predicted_rate": predicted_rate(model, config.regularizer, n),
                 "nonconverged": sum(c["status"] != "Converged" for c in at_n),
             }
             pairs = list(harness._cells(

@@ -565,7 +565,6 @@ def _ref_spectral_width(shape, draws, seed, restarts, iters):
         mean=float(values.mean()),
         std_error=float(values.std(ddof=1) / np.sqrt(len(values))),
         draws=draws,
-        lemma_bound_form="sqrt_sum_dims",
         seed=seed,
         shape=shape,
         kind="tensor_spectral_dual_only",
