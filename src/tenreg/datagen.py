@@ -365,7 +365,7 @@ def gen_samples(spec, n, split, noise_sigma, seeds):
 
     The VAR class t3 draws every model first and simulates the series of
     :func:`gen_var_panel` in lockstep, at any n; past the m p lag
-    coordinates a solver would compress a series to, it yields each
+    coordinates a solver would reduce a series to, it yields each
     series' statistics, all a solve reads of it, so the lag design is
     copied once and dropped.  A class with i.i.d. rows draws each sample
     only when it is asked for, unless n exceeds d + q, the covariate and
@@ -576,32 +576,22 @@ def _var_group(models, n, seeds):
     """Simulate one lockstep group of :func:`gen_var_panel` and return a
     generator of its problems.
 
-    Step t of every series at once: x_t = eps_t + A_1 x_{t-1} + ... +
-    A_p x_{t-p}.  One batched matmul makes each A_j x_{t-j} by the BLAS
-    matrix-vector call that ``A_j @ x_{t-j}`` makes, and one accumulate adds
-    the terms in that order; accumulate defines its order, where a reduce
-    may sum pairwise.  So every series is bit-identical to adding the terms
-    one at a time.  The lags before t = 0 read p leading zero rows, and
-    adding a zero term leaves the sum as it is.
+    Step t of every series at once: x_t = eps_t + [A_p ... A_1] x_{t-p:t},
+    the p lags flattened oldest first, by one batched matmul with each
+    model's stacked coefficients and one add of the innovations.  The lags
+    before t = 0 read p leading zero rows.
     """
     p, m, burn_in = models[0].p, models[0].m, models[0].burn_in
     total = burn_in + p + n
-    # series b is x[b, p:]; its innovations are drawn there, then overwritten
+    # series b is x[b, p:]; its innovations are drawn there, then added to
     x = np.zeros((len(models), p + total, m))
     for row, seed in zip(x, seeds):
         np.random.default_rng(seed).standard_normal((total, m), out=row[p:])
-    rev = np.stack([model.coeffs[::-1] for model in models])  # A_p ... A_1
-    # terms[0] = eps_t and terms[j] = A_j x_{t-j}; the matmul writes rows p..1
-    terms = np.empty((p + 1, len(models), m))
-    lag_terms = terms[p:0:-1].transpose(1, 0, 2)[..., None]
-    sums = np.empty_like(terms)
-    steps = x.transpose(1, 0, 2)
-    columns = x[..., None]
+    stacked = np.stack([np.concatenate(model.coeffs[::-1], axis=1) for model in models])
+    lagged = np.empty((len(models), m, 1))
     for t in range(p, p + total):
-        terms[0] = steps[t]
-        np.matmul(rev, columns[:, t - p : t], out=lag_terms)
-        np.add.accumulate(terms, axis=0, out=sums)
-        steps[t] = sums[p]
+        np.matmul(stacked, x[:, t - p : t].reshape(len(models), p * m, 1), out=lagged)
+        x[:, t] += lagged[..., 0]
     first = p + burn_in + p  # the first response, as an index of x[b]
     return (
         RegressionProblem(

@@ -227,17 +227,16 @@ def _check_param(problem, a):
 def _on_exact_loss(problem, a, value):
     """``value(op, a)`` for the loss operator `op` of `problem` as
     :func:`objective` and :func:`kkt_residual` read it: on the data
-    themselves, or on statistics through the solvers' own compressed
-    operator.  Sums of finite data that overflow read as inf, with no
-    warning, as a solve on them ends Diverged with an infinite certificate;
-    statistics whose Gram overflows have no operator, so they read inf at
-    every point, as their solve ends Diverged."""
+    themselves, or on statistics through the solvers' own Gram operator.
+    Sums of finite entries that overflow read as inf, with no warning, as a
+    solve on them ends Diverged: for statistics, only where ``G a`` does
+    (at a = 0 their loss reads yty / 2n)."""
     a = _check_param(problem, a)
     if isinstance(problem, SufficientStats):
         op = _operator(problem)
     else:
         op = _LeastSquares(*problem.design_matrices(), problem.n)
-    val = math.inf if op is None else value(op, a)
+    val = value(op, a)
     return val if math.isfinite(val) else math.inf
 
 
@@ -293,129 +292,168 @@ def risk_bound_predicted(spec, sub, lam, c_u=1.0, c_ell=1.0):
 
 
 def kkt_residual(problem, spec, lam, a):
-    """First-order optimality certificate for the penalized program.
-
-    Returns ``max(0, R*(grad) - lam)`` plus the alignment gap
-    ``|<grad, a> + lam R(a)| / (1 + R(a))``; both vanish exactly at a
-    minimizer.  For the averaged matricized nuclear norm the dual is its
-    spectral-max form, which over-covers, so treat the value as diagnostic
-    there and rely on the ADMM residuals for convergence.
-    """
+    """Relative duality gap at `a`, a bound on ``(P(a) - P*) / P(a)`` for
+    the objective P of :func:`objective`: the gap of the residual over n
+    scaled into the dual ball by ``s = min(1, lam / R*(g))`` (Fercoq,
+    Gramfort & Salmon 2015), ``lam R(a) + s <g, a> + (1 - s)^2 F(a)`` for
+    the loss F and its gradient g, over ``P(a)``.  It vanishes exactly at a
+    minimizer; at lam = 0 only a zero gradient is dual feasible, so off an
+    exact fit it reads 1.  The matricized nuclear norm's R* over-covers, so
+    there it is sound but loose, and ADMM stops on its own residuals."""
     dual, penalty = partial(reg_dual, spec), partial(reg_eval, spec)
     return _on_exact_loss(problem, a, lambda op, a: _certificate(op, lam, a, dual, penalty))
 
 
 def _certificate(op, lam, a, dual, penalty):
-    """:func:`kkt_residual` at `a` for the loss of the :class:`_LeastSquares`
-    `op`, from its gradient ``g`` at `a`, the penalty's dual norm ``dual(g)``
-    and its value ``penalty(a)``.  Every solver certifies through this one
-    formula."""
-    g = op.grad(a)
-    r_val = penalty(a)
-    excess = max(0.0, dual(g) - lam)
-    align = abs(float((g * a).sum()) + lam * r_val) / (1.0 + r_val)
-    return excess + align
+    """:func:`kkt_residual` at `a` on the operator `op`, the penalty's dual
+    norm `dual` and its value `penalty`: the one formula every solver
+    certifies with.  A gap that rounds below zero reads 0, one that overflows inf."""
+    loss, g = op.loss_grad(a)
+    full = loss + op.offset
+    lam_r = _penalized(0.0, lam, penalty, a)
+    r_dual = dual(g)
+    s = 1.0 if r_dual <= lam else lam / r_dual
+    gap = lam_r + s * float(np.vdot(g, a)) + (1.0 - s) ** 2 * full
+    if gap > 0 and full + lam_r:
+        return gap / abs(full + lam_r)
+    return 0.0 if gap <= 0 else math.inf
 
 
-@dataclass
-class _LeastSquares:
-    """The loss ``(1/2n) ||M a - T||^2 + offset`` and its gradient.
+class _Quadratic:
+    """The loss ``F(a) = loss(a) + offset`` of least squares on a design X
+    over n samples, Hessian ``H = X^T X / n``, on the data or on their Gram.
+    Its methods take a parameter in its own shape (the truth shape, or the
+    pairwise block vector) and give a gradient or solve back in it."""
 
-    Built once per problem by :func:`_operator`.  In data space M and T
-    are the flattened design and responses and the offset is zero.  The
-    operators of :func:`_operator` have no more rows than columns in M:
-    n <= d in data space, r <= d compressed.  :func:`_on_exact_loss` also
-    builds one on data with n > d, which reads only its loss and gradient.
-    `loss`, `grad` and `shifted_solve` take a parameter in its own shape
-    (the truth shape, or the pairwise block vector), reshape it to the
-    design's columns, and give a gradient or solve back in that shape.
-    """
+    offset = 0.0
 
-    design: np.ndarray
-    target: np.ndarray
-    n: int
-    offset: float = 0.0
-
-    def _columns(self, a):
-        return a.reshape(self.design.shape[1], *self.target.shape[1:])
-
-    def _residual(self, a):
-        return self.design @ self._columns(a) - self.target
-
-    def _loss_of(self, r):
-        return 0.5 * float(r @ r if r.ndim == 1 else (r * r).sum()) / self.n
-
-    def _grad_of(self, r, shape):
-        return (self.design.T @ r / self.n).reshape(shape)
-
-    def loss(self, a):
-        """The loss without its constant offset."""
-        return self._loss_of(self._residual(a))
-
-    def grad(self, a):
-        return self._grad_of(self._residual(a), a.shape)
-
-    def loss_grad(self, a):
-        """``(loss(a), grad(a))`` from one residual: the same floats."""
-        r = self._residual(a)
-        return self._loss_of(r), self._grad_of(r, a.shape)
+    def hvp(self, a):
+        """``H a``: one product with the Gram, or two with the design."""
+        return self._hess(self._columns(a)).reshape(a.shape)
 
     def lipschitz(self):
-        """Largest eigenvalue of M^T M / n by a few power iterations."""
-        dim = self.design.shape[1]
-        v = np.full(dim, 1.0 / np.sqrt(dim))
-        est = 1.0
+        """Largest eigenvalue of H by a few power iterations."""
+        v = np.full(self.dim, 1.0 / np.sqrt(self.dim))
         for _ in range(_POWER_ITERS):
-            w = self.design.T @ (self.design @ v) / self.n
+            w = self._hess(v)
             est = float(np.linalg.norm(w))
             if est == 0.0:
                 return 1.0
             v = w / est
         return est
 
-    @cached_property
-    @np.errstate(over="ignore", invalid="ignore")
-    def spectrum(self):
-        """``(W, e)`` with ``W = U^T M``, from one eigendecomposition
-        ``M M^T = U diag(n e) U^T`` of the row Gram, the smaller Gram, taken
-        on first use and kept; None when it overflows.  ``W^T W = M^T M``.
-        A compressed operator has it set by :func:`_compressed`."""
-        rows = self.design @ self.design.T
-        if not np.isfinite(rows).all():
-            return None
-        e, u = np.linalg.eigh(rows)
-        return u.T @ self.design, e / self.n
-
     def shifted_solve(self, b, c):
-        """``(M^T M / n + c I)^{-1} b`` for c > 0, in the Woodbury form
-        ``(b - W^T diag(1 / (n (e + c))) W b) / c``: two products with the
-        kept factors, whatever c is.  `b` is a parameter in its own shape or
-        a matrix whose columns are right-hand sides."""
+        """``(H + c I)^{-1} b`` for c > 0 in the Woodbury form
+        ``(b - W^T diag(1 / (n (e + c))) W b) / c`` of the `spectrum` ``(W, e)``,
+        ``W^T W = X^T X``; `b` may also hold right-hand sides as columns."""
         w, e = self.spectrum
         b2 = b.reshape(w.shape[1], -1)
         x = (b2 - w.T @ ((w @ b2) / (self.n * (e + c))[:, None])) / c
         return x.reshape(b.shape)
 
 
+@dataclass
+class _LeastSquares(_Quadratic):
+    """``(1/2n) ||M a - T||^2`` on the flattened design M and responses T."""
+
+    design: np.ndarray
+    target: np.ndarray
+    n: int
+
+    def __post_init__(self):
+        self.dim = self.design.shape[1]
+
+    def _columns(self, a):
+        return a.reshape(self.dim, *self.target.shape[1:])
+
+    def _hess(self, c):
+        return self.design.T @ (self.design @ c) / self.n
+
+    def _residual(self, a):
+        return self.design @ self._columns(a) - self.target
+
+    def _loss_of(self, r):
+        return 0.5 * float(np.vdot(r, r)) / self.n
+
+    def loss(self, a):
+        """The loss without its constant offset, from one product."""
+        return self._loss_of(self._residual(a))
+
+    def loss_grad(self, a):
+        r = self._residual(a)
+        return self._loss_of(r), (self.design.T @ r / self.n).reshape(a.shape)
+
+    @cached_property
+    @np.errstate(over="ignore", invalid="ignore")
+    def spectrum(self):
+        """``(W, e)`` with ``W = U^T M`` from the smaller, row Gram
+        ``M M^T = U diag(n e) U^T``, taken once; None when it overflows."""
+        rows = self.design @ self.design.T
+        if not np.isfinite(rows).all():
+            return None
+        e, u = np.linalg.eigh(rows)
+        return u.T @ self.design, e / self.n
+
+
+@dataclass
+class _Gram(_Quadratic):
+    """The loss of the statistics ``gram = X^T X``, ``xty = X^T y``,
+    ``yty = ||y||^2`` and n: one product ``G a`` gives the loss
+    ``(<a, G a> / 2 - <xty, a>) / n``, which cancels, and the gradient
+    ``(G a - xty) / n``; the offset is ``yty / 2n``."""
+
+    gram: np.ndarray
+    xty: np.ndarray
+    yty: float
+    n: int
+
+    def __post_init__(self):
+        self.dim, self.offset = len(self.gram), 0.5 * self.yty / self.n
+
+    def _columns(self, a):
+        return a.reshape(self.dim, *self.xty.shape[1:])
+
+    def _hess(self, c):
+        return self.gram @ c / self.n
+
+    def loss_grad(self, a):
+        c = self._columns(a)
+        gc = self.gram @ c
+        loss = (0.5 * float(np.vdot(c, gc)) - float(np.vdot(self.xty, c))) / self.n
+        return loss, ((gc - self.xty) / self.n).reshape(a.shape)
+
+    def loss(self, a):
+        return self.loss_grad(a)[0]
+
+    @cached_property
+    @np.errstate(over="ignore", invalid="ignore")
+    def spectrum(self):
+        """``(W, e) = (L^(1/2) V^T, L / n)`` from ``X^T X = V L V^T``, taken
+        once, by ADMM alone, eigenvalues below zero read as 0; None on overflow."""
+        if not np.isfinite(self.gram).all():
+            return None
+        e, v = np.linalg.eigh(self.gram)
+        e = np.maximum(e, 0.0)
+        return (np.sqrt(e)[:, None] * v.T, e / self.n) if np.isfinite(e).all() else None
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _operator(problem, pairwise=False):
     """The least-squares operator of either problem form, or None when the
-    squares of the data overflow: the one entry every solver takes.  It
-    runs with overflow ignored, so sums that overflow show as None or as a
-    non-finite loss, which the solvers return as Diverged.
-
-    A :class:`RegressionProblem` goes through :func:`_least_squares` on its
-    flattened design, or with `pairwise` on its marginal-sum features.  A
-    :class:`SufficientStats` goes straight to :func:`_compressed`, its
-    features' statistics ``A gram A^T`` and ``A xty`` through the
-    :func:`_pairwise_map` A, so no design is ever formed.
-    """
+    squares of the responses overflow: the one entry every solver takes.
+    Other sums that overflow, with no warning, show as a non-finite loss or
+    Lipschitz estimate or a None `spectrum`, which the solvers return as
+    Diverged.  A :class:`RegressionProblem` goes through
+    :func:`_least_squares` on its flattened design, or with `pairwise` on
+    its marginal-sum features; a :class:`SufficientStats` to :class:`_Gram`,
+    with its features' statistics ``A gram A^T`` and ``A xty`` through the
+    :func:`_pairwise_map` A, so no design is ever formed."""
     if isinstance(problem, SufficientStats):
         gram, xty = problem.gram, problem.xty.reshape(len(problem.gram), -1)
         if pairwise:
             amap = _pairwise_map(problem.cov_shape)
             gram, xty = amap @ gram @ amap.T, amap @ xty[:, 0]
-        return _compressed(gram, xty, problem.yty, problem.n)
+        return _Gram(gram, xty, problem.yty, problem.n)
     if pairwise:
         n, feats = problem.n, marginal_features(problem.covariates)
         x2 = np.hstack([f.reshape(n, -1) for f in feats])
@@ -424,133 +462,104 @@ def _operator(problem, pairwise=False):
 
 
 def _least_squares(x2, y, n):
-    """The operator for ``(1/2n) ||x2 a - y||^2`` on data.
-
-    With n at most the parameter dimension d it works in data space and
-    checks only the squares of the responses; those of the design show in
-    the loss, or in :attr:`_LeastSquares.spectrum`.  Above that it reduces
-    the data by :func:`_statistics` and hands them to :func:`_compressed`.
-    """
+    """The operator for ``(1/2n) ||x2 a - y||^2`` on data, or None when the
+    squares of the responses overflow.  With n at most the parameter
+    dimension d it works in data space; above that on the Gram of
+    :func:`_statistics`."""
     if n > x2.shape[1]:
-        return _compressed(*_statistics(x2, y), n)
+        gram, xty, yty = _statistics(x2, y)
+        return _Gram(gram, xty, yty, n) if math.isfinite(yty) else None
     return _LeastSquares(x2, y, n) if math.isfinite(float((y * y).sum())) else None
 
 
 def _statistics(x, y):
-    """``(X^T X, X^T y, ||y||^2)`` for the design X, the covariates `x`
-    flattened to one row per sample, and the responses `y`: the one
-    reduction of data to sufficient statistics.  ``||y||^2`` comes first,
-    so a copy that flattening makes (that of a lag-window view) lives only
-    for the two products."""
+    """``(X^T X, X^T y, ||y||^2)`` for the covariates `x` flattened to the
+    design X and the responses `y`: the one reduction of data to sufficient
+    statistics.  ``||y||^2`` comes first, so a copy that flattening makes (of
+    a lag-window view) lives only for the two products."""
     yty = float((y * y).sum())
     x2 = x.reshape(len(x), -1)
     return x2.T @ x2, x2.T @ y, yty
 
 
-def _compressed(gram, xty, yty, n):
-    """The operator for the loss whose sufficient statistics are
-    ``gram = X^T X``, ``xty = X^T y``, ``yty = ||y||^2`` and n, or None when
-    they overflow.
-
-    With ``X^T X = V L V^T``, keeping the eigenvalues above ``d eps l_max``
-    (marginal features are rank-deficient), ``M = L^(1/2) V^T``,
-    ``T = L^(-1/2) V^T X^T y`` and ``offset = (||y||^2 - ||T||^2) / 2n``
-    give the loss and gradient of the data at O(d^2) instead of O(nd) per
-    evaluation.  Since ``M M^T = L``, the operator's
-    :attr:`~_LeastSquares.spectrum` is ``(M, L / n)`` from this one
-    eigendecomposition.
-    """
-    if not np.isfinite(gram).all():
-        return None
-    dim = gram.shape[1]
-    evals, evecs = np.linalg.eigh(gram)
-    if not np.isfinite(evals).all():  # finite entries, overflowing spectrum
-        return None
-    keep = evals > dim * np.finfo(np.float64).eps * evals[-1]
-    root = np.sqrt(evals[keep])
-    vt = evecs[:, keep].T
-    target = (vt @ xty) / (root if xty.ndim == 1 else root[:, None])
-    offset = 0.5 * (yty - float((target * target).sum())) / n
-    if not np.isfinite(offset):
-        return None
-    op = _LeastSquares(root[:, None] * vt, target, n, offset)
-    op.spectrum = op.design, evals[keep] / n
-    return op
-
-
 class _Overflow(Exception):
-    """A non-finite step-size inverse or loss inside :func:`_apg`."""
+    """A non-finite step-size inverse or curvature inside :func:`_apg`."""
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _apg(x0, op, prox_step, penalty, dual, lam, max_iters, kkt_tol):
     """FISTA (Beck & Teboulle 2009) with backtracking and adaptive restart
-    (O'Donoghue & Candes 2015) on ``op.loss(x) + lam * penalty(x)``.
+    (O'Donoghue & Candes 2015) on the loss of the :class:`_Quadratic` `op`
+    plus ``lam * penalty``, whose prox at `v` with step t is
+    ``prox_step(v, t)`` and whose dual norm `dual` gives the certificate.
 
-    `op` is a :class:`_LeastSquares`; its constant offset is left out of
-    every comparison and added back to each trace entry.  `prox_step(v, t)`
-    is the prox of ``t * lam * penalty`` at `v` and `dual` the penalty's
-    dual norm, which with `penalty` gives the :func:`_certificate`.  A
-    non-finite step-size inverse or loss stops the loop as Diverged.  Each
-    step's start evaluates loss and gradient from one residual, the first
-    one's also giving the starting objective, and each backtracking trial
-    the loss once, the accepted trial's giving the objective.
-    Returns ``(x, trace, certificate, iterations, status)``.
+    The loss is evaluated once, at `x0`; every later value is carried by the
+    exact differences of a quadratic, ``<g(y), d> + <d, H d> / 2`` from y to
+    a trial ``y + d`` and ``<g(x) + g(y), y - x> / 2`` from x to the
+    momentum point y, so no two (cancelling) loss values are compared.
+    Each step's start takes the gradient at y, and each backtracking trial
+    one ``H d``: its descent test is ``<d, H d> <= L ||d||^2``, with the
+    slack ``1e-12 max(1, |model|)``, and it gives the trial's gradient.  A
+    non-finite step-size inverse or curvature ends Diverged.  Returns
+    ``(x, trace, certificate, iterations, status)``.
     """
 
-    def backtrack(y, lip, at_y=None):
-        fy, g = op.loss_grad(y) if at_y is None else at_y
+    def backtrack(y, fy, gy, lip):
         while np.isfinite(lip):
-            cand = prox_step(y - g / lip, 1.0 / lip)
-            f_cand = op.loss(cand)
-            if not np.isfinite(f_cand):
+            cand = prox_step(y - gy / lip, 1.0 / lip)
+            d = cand - y
+            hd = op.hvp(d)
+            lin, curv = float(np.vdot(gy, d)), float(np.vdot(d, hd))
+            if not np.isfinite(curv):
                 break
-            diff = cand - y
-            quad = fy + float((g * diff).sum()) + 0.5 * lip * float((diff * diff).sum())
-            if f_cand <= quad + 1e-12 * max(1.0, abs(quad)):
-                return cand, lip, _penalized(f_cand, lam, penalty, cand)
+            sq = float(np.vdot(d, d))
+            quad = fy + lin + 0.5 * lip * sq
+            if curv <= lip * sq + 2e-12 * max(1.0, abs(quad)):
+                return cand, lip, fy + lin + 0.5 * curv, gy + hd
             lip *= 2.0
         raise _Overflow
 
-    lip = max(op.lipschitz(), 1e-12)
+    lip, t_mom = max(op.lipschitz(), 1e-12), 1.0
     x = y = x0
-    t_mom = 1.0
-    at_x0 = op.loss_grad(x0)
-    obj = _penalized(at_x0[0], lam, penalty, x)
-    trace = [obj + op.offset]
-    status = "MaxIters"
-    iters_done = 0
-    dead_steps = 0
+    fx, gx = op.loss_grad(x0)
+    fx += op.offset
+    obj = _penalized(fx, lam, penalty, x)
+    trace = [obj]
+    status, iters_done, dead_steps = "MaxIters", 0, 0
 
     try:
         if not np.isfinite(obj):
             raise _Overflow
         for it in range(1, max_iters + 1):
             iters_done = it
-            cand, lip, new_obj = backtrack(y, lip, at_x0 if it == 1 else None)
+            gy = op.loss_grad(y)[1] if it > 1 else gx  # y = x0 at the first step
+            fy = fx + 0.5 * float(np.vdot(gx + gy, y - x))
+            cand, lip, f_cand, g_cand = backtrack(y, fy, gy, lip)
+            new_obj = _penalized(f_cand, lam, penalty, cand)
             if new_obj > obj:
                 # adaptive restart: momentum overshot, redo plain step from x
                 t_mom = 1.0
-                cand, lip, new_obj = backtrack(x, lip)
+                cand, lip, f_cand, g_cand = backtrack(x, fx, gx, lip)
+                new_obj = _penalized(f_cand, lam, penalty, cand)
                 if new_obj > obj:
-                    cand, new_obj = x, obj
+                    cand, f_cand, g_cand, new_obj = x, fx, gx, obj
             t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
             y = cand + ((t_mom - 1.0) / t_next) * (cand - x)
-            x, t_mom = cand, t_next
+            x, fx, gx, t_mom = cand, f_cand, g_cand, t_next
             rel_change = abs(obj - new_obj) / max(abs(obj), 1e-15)
             obj = new_obj
-            trace.append(obj + op.offset)
+            trace.append(obj)
             # an objective stall triggers the (costlier) certificate check;
-            # the solver only returns early once the certificate passes or
-            # progress is gone at machine precision (a stall, so checked);
-            # the last iteration is certified for the result, not checked
+            # the solver only returns early once the certificate passes or the
+            # objective, carried by exact differences, stops moving (a stall,
+            # so checked); the last iteration is certified, not checked
             check = (it % _KKT_EVERY == 0) or rel_change < _TOL
             if check or it == max_iters:
                 kkt = _certificate(op, lam, x, dual, penalty)
                 if check and kkt < kkt_tol:
                     status = "Converged"
                     break
-            if rel_change < 1e-15:
+            if rel_change == 0.0:
                 dead_steps += 1
                 if dead_steps >= 5:
                     status = "Stalled"
@@ -573,13 +582,13 @@ def fista_solve(problem, spec, lam, max_iters=MAX_ITERS, kkt_tol=1e-7):
     nonincreasing: momentum steps that would increase the objective trigger
     a restart from the previous iterate.  A stalled objective (relative
     change below 1e-10) or every 25th iteration triggers the certificate
-    check, and the solve returns Converged once it drops below `kkt_tol`,
-    Stalled once five steps in a row change the objective by less than
-    1e-15 relative, or MaxIters after `max_iters` steps.  When n exceeds the
-    parameter dimension, or the problem is a :class:`SufficientStats`,
-    loss, gradient and certificate work on the loss compressed to parameter
-    space once per problem (see :func:`_operator`); otherwise on the data.
-    Data whose squares overflow return Diverged.
+    check, and the solve returns Converged once the relative duality gap of
+    :func:`kkt_residual` drops below `kkt_tol`, Stalled once five steps in a
+    row leave the objective unchanged, or MaxIters after `max_iters` steps.
+    On statistics, or data with n above the parameter dimension, every loss
+    and gradient is one product with the Gram X^T X, and no solve takes an
+    eigendecomposition (see :func:`_operator`).  Data whose squares
+    overflow return Diverged.
     """
     max_iters = check_count("max_iters", max_iters, 1)
     check_real("kkt_tol", kkt_tol, 0)
@@ -617,8 +626,8 @@ def admm_matricized(problem, lam, max_iters=MAX_ITERS, tol=1e-6):
 
     Three auxiliary copies, one per unfolding, are soft-thresholded at
     ``lam / (3 rho)`` each round; the consensus iterate's ridge system is
-    solved in Woodbury form from one eigendecomposition of the row Gram,
-    kept on FISTA's least-squares operator, so rebalancing the penalty
+    solved in Woodbury form from the one eigendecomposition of the smaller
+    Gram that FISTA's least-squares operator keeps, so rebalancing the penalty
     parameter when the primal and dual residuals drift apart costs nothing.
     Converged means both residuals fell below `tol` within `max_iters`
     rounds; data whose squares overflow return Diverged.

@@ -153,7 +153,7 @@ class TestGenSolve:
         assert "Traceback" not in err
         assert not prob_dir.exists()
 
-    @pytest.mark.parametrize("n", [60, 20])  # compressed, data space
+    @pytest.mark.parametrize("n", [60, 20])  # Gram, data space
     def test_admm_diverged_result_is_strict_json(self, tmp_path, capsys, n):
         prob_dir = str(tmp_path / "prob")
         save_scaled_problem(prob_dir, n)

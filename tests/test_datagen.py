@@ -340,20 +340,18 @@ class TestVarSeries:
 
 
 def _reference_var_series(model, n, seed):
-    """The per-step simulation loop that `gen_var_panel` replaced, kept as
-    its reference: covariates and responses of `gen_var_series`."""
+    """A plain one-series loop of the step `gen_var_panel` takes,
+    x_t = eps_t + [A_p ... A_1] x_{t-p:t}, kept as its reference:
+    covariates and responses of `gen_var_series`."""
     rng = np.random.default_rng(seed)
     p, m = model.p, model.m
     total = model.burn_in + p + n
-    xs = np.zeros((total, m))
-    eps = rng.standard_normal((total, m))
-    for t in range(total):
-        acc = eps[t].copy()
-        for j in range(1, p + 1):
-            if t - j >= 0:
-                acc += model.coeffs[j - 1] @ xs[t - j]
-        xs[t] = acc
-    start = model.burn_in + p
+    xs = np.zeros((p + total, m))  # p zero lags before the first step
+    xs[p:] = rng.standard_normal((total, m))
+    stacked = np.concatenate(model.coeffs[::-1], axis=1)
+    for t in range(p, p + total):
+        xs[t] += stacked @ xs[t - p : t].ravel()
+    start = p + model.burn_in + p
     cov = np.zeros((n, m, p))
     for j in range(1, p + 1):
         cov[:, :, j - 1] = xs[start - j : start - j + n]
@@ -385,8 +383,8 @@ class TestVarPanel:
 
     @pytest.mark.parametrize("count", [1, 3])
     def test_bit_identical_for_one_variable_at_many_lags(self, count):
-        # a reduce over the p + 1 terms may sum them pairwise (numpy 2.4 does
-        # for one scalar series at p >= 7); the step loop adds them in order
+        # one scalar series at p = 8: each step's product is a dot product of
+        # eight lags, batched or not
         models, seeds = self._panel(1, 8, count)
         problems = gen_var_panel(models, 40, seeds)
         for model, seed, prob in zip(models, seeds, problems):

@@ -184,7 +184,8 @@ class TestRateConfig:
         with pytest.raises(ValidationError, match="split must be 3"):
             self._config(split=2, **pairwise)
 
-    # the criterion-5 sweeps, then the i.i.d. and the two VAR configs CI replays
+    # the criterion-5 sweeps, then the i.i.d., the two VAR and the pairwise
+    # configs CI replays
     PRESENT = {
         "multi_response": {"model": {"kind": "t1", "shape": [50, 4, 4], "s": 3},
                            "regularizer": {"kind": "slice_frob", "axes": [1, 2]},
@@ -209,6 +210,10 @@ class TestRateConfig:
                          "regularizer": {"kind": "fiber_group", "mode": 1},
                          "n_grid": [3, 6, 12, 24], "replications": 10, "seed": 0,
                          "rate_tag": "s_max_p_2logm_over_n"},
+        "ci_pairwise": {"model": {"kind": "t4", "shape": [3, 3, 3], "r": 1},
+                        "regularizer": "pairwise", "n_grid": [50, 100, 200, 400],
+                        "replications": 10, "seed": 0, "rate_tag": "r_max_dim_over_n",
+                        "split": 3},
     }
 
     @pytest.mark.parametrize("name", PRESENT)

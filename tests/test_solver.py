@@ -1,5 +1,6 @@
 import inspect
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from tenreg.regularizers import (
     fiber_group,
     matricized_nuclear_sum,
     prox,
+    reg_dual,
+    reg_eval,
     slice_frob,
     slice_nuclear,
     support_entries,
@@ -36,12 +39,15 @@ from tenreg.solver import (
     solve,
 )
 from tenreg.regularizers import _max_top_sv
+import tenreg.solver
 from tenreg.solver import (
     _certificate,
+    _Gram,
     _least_squares,
     _LeastSquares,
     _operator,
     _pairwise_map,
+    _PairwiseBlocks,
 )
 from tenreg.spectral import gaussian_width_mc, matrix_svt
 from tenreg.tensor import dematricize, matricize
@@ -228,12 +234,14 @@ class TestKkt:
 
 class TestFista:
     def test_unregularized_reaches_least_squares(self):
+        # at lam = 0 only a zero gradient is dual feasible, so the relative
+        # gap reads 1 off an exact fit, and the solve runs until it stalls
         p = scalar_problem(100, (2, 2, 2), 0.1, 8)
-        res = fista_solve(p, entry_l1(), 0.0, kkt_tol=2e-9)
+        res = fista_solve(p, entry_l1(), 0.0)
         x2, y2 = p.design_matrices()
         grad = x2.T @ (x2 @ res.estimate.reshape(-1, 1) - y2) / p.n
         assert np.linalg.norm(grad) < 1e-8
-        assert res.status == "Converged"
+        assert (res.status, res.kkt_residual) == ("Stalled", 1.0)
 
     def test_null_solution_threshold(self):
         p = scalar_problem(40, (2, 2, 2), 0.5, 9)
@@ -286,41 +294,35 @@ class TestFista:
         res = fista_solve(p, entry_l1(), 0.08)
         assert res.kkt_residual < 1e-7
 
-    @pytest.mark.parametrize("n", [20, 60])  # data space, compressed
-    def test_loss_runs_once_per_step_start_and_per_trial(self, monkeypatch, n):
-        # every step start is one fused loss and gradient evaluation, with no
-        # separate loss or gradient at its point, the first one's loss also
-        # being the starting objective, and every loss evaluation follows a
-        # prox (a backtracking trial): the accepted trial's loss is kept, not
-        # redone
+    @pytest.mark.parametrize("n, form", [(20, _LeastSquares), (60, _Gram)])
+    def test_one_product_per_step_start_and_per_trial(self, monkeypatch, n, form):
+        # the loss is evaluated once, at the start; every later step start is
+        # one gradient evaluation (a loss_grad), every backtracking trial one
+        # prox followed by one Hessian product, and every certificate one
+        # loss_grad of its own
         events = []
 
         def logged(name, fn):
-            return lambda *args: events.append((name, args[-1])) or fn(*args)
+            return lambda *args: events.append(name) or fn(*args)
 
-        for name in ("loss", "grad", "loss_grad"):
-            monkeypatch.setattr(_LeastSquares, name, logged(name, getattr(_LeastSquares, name)))
+        for name in ("loss", "loss_grad", "hvp"):
+            monkeypatch.setattr(form, name, logged(name, getattr(form, name)))
         monkeypatch.setattr("tenreg.solver.prox", logged("prox", prox))
+        monkeypatch.setattr("tenreg.solver._certificate",
+                            logged("certificate", tenreg.solver._certificate))
         # a low first Lipschitz estimate makes the first step backtrack
-        lipschitz = _LeastSquares.lipschitz
-        monkeypatch.setattr(_LeastSquares, "lipschitz", lambda op: lipschitz(op) / 8)
+        lipschitz = form.lipschitz
+        monkeypatch.setattr(form, "lipschitz", lambda op: lipschitz(op) / 8)
         p = scalar_problem(n, (3, 3, 3), 0.3, 15)
         res = fista_solve(p, entry_l1(), 0.05)
-        names = [name for name, _ in events]
-        # the first step's start gives the objective at the start too
-        assert names[:2] == ["loss_grad", "prox"]
-        for (prev, at_prev), (name, at) in zip(events, events[1:]):
-            if name == "loss":
-                assert prev == "prox"
-            if name == "loss_grad":
-                assert not (prev in ("loss", "grad") and at is at_prev)
-            if prev == "loss_grad":
-                assert name == "prox"
-        starts = names.count("loss_grad")
-        assert names.count("loss") == names.count("prox")
+        assert events[:2] == ["loss_grad", "prox"] and "loss" not in events
+        for prev, name in zip(events, events[1:]):
+            assert (prev == "prox") == (name == "hvp")
+        checks = events.count("certificate")
+        assert events.count("loss_grad") == res.iterations + checks
         # the run both backtracked and restarted, so the count covers each
         # way a step can end
-        assert names.count("prox") > starts > res.iterations
+        assert events.count("prox") > res.iterations + 1
 
 
 def make_low_tucker_problem(n, sigma, seed, magnitude=10.0):
@@ -457,8 +459,8 @@ class TestAdmmSpectralSolve:
         "d, n, lam, seed, max_iters",
         [
             (8, 384, 0.2, 904, 2000),  # data space, n < d
-            (6, 300, 0.2, 905, 2000),  # compressed, n > d
-            (6, 300, 0.05, 906, 2000),  # compressed, rho changed twice
+            (6, 300, 0.2, 905, 2000),  # Gram, n > d
+            (6, 300, 0.05, 906, 2000),  # Gram, rho changed twice
             (4, 30, 0.1, 907, 12),  # data space, stops at MaxIters
         ],
     )
@@ -497,10 +499,8 @@ class TestShiftedSolve:
         op = _least_squares(x2, y, n)
         if case in ("data_space", "rank_deficient"):
             assert n < dim and op.design is x2
-        elif case == "compressed":
-            assert op.design.shape == (dim, dim) and dim < n
-        else:
-            assert op.design.shape == (91, 108)
+        else:  # the pairwise Gram is singular: rank 91 of 108
+            assert op.gram.shape == (dim, dim) and dim < n
         b = np.random.default_rng(44).standard_normal((dim, 3))
         want = np.linalg.solve(x2.T @ x2 / n + c * np.eye(dim), b)
         for got, ref in [
@@ -691,19 +691,26 @@ def pairwise_design(p):
     return phi, p.responses.reshape(p.n)
 
 
+def residual_gap(x2, y, lam, a, dual, penalty):
+    """The relative duality gap in its residual form, (P(a) - D(s rho)) / P(a),
+    on the design `x2` and responses `y`: rho = (y - x2 a) / n is the dual
+    point, scaled into the dual ball by s = min(1, lam / R*(x2^T rho)), and
+    D(theta) = <y, theta> - n ||theta||^2 / 2."""
+    n = len(y)
+    rho = (y - x2 @ a.reshape(x2.shape[1], -1).squeeze(-1)) / n
+    r_dual = dual((x2.T @ rho).reshape(a.shape))
+    s = 1.0 if r_dual <= lam else lam / r_dual
+    primal = 0.5 * n * float((rho * rho).sum()) + lam * penalty(a)
+    theta = s * rho
+    return (primal - float((y * theta).sum()) + 0.5 * n * float((theta * theta).sum())) / primal
+
+
 def pairwise_data_certificate(p, res):
-    # the block solver's certificate, on the data-space gradient
+    # the block solver's certificate, in residual form on the data
     phi, y = pairwise_design(p)
     vec = np.concatenate([c.ravel() for c in res.components])
-    gv = phi.T @ (phi @ vec - y) / p.n
-    blocks = np.split(gv, np.cumsum([c.size for c in res.components])[:-1])
-    dual = max(
-        np.linalg.norm(b.reshape(c.shape), 2) for b, c in zip(blocks, res.components)
-    )
-    r_val = sum(np.linalg.norm(c, "nuc") for c in res.components)
-    return max(0.0, dual - res.lam) + abs(float(gv @ vec) + res.lam * r_val) / (
-        1.0 + r_val
-    )
+    blocks = _PairwiseBlocks(p.truth_shape)
+    return residual_gap(phi, y, res.lam, vec, blocks.dual, blocks.value)
 
 
 class TestOneCertificate:
@@ -788,8 +795,8 @@ def pairwise_problem():
 
 
 class TestCompressedLoss:
-    """With n above the parameter dimension the loss is compressed to
-    parameter space; it must match the data-space loss."""
+    """With n above the parameter dimension the loss is read from the Gram
+    of the data; it must match the data-space loss."""
 
     @pytest.mark.parametrize("case", ["full_rank", "pairwise"])
     def test_loss_and_gradient_match_data_space(self, case):
@@ -801,17 +808,17 @@ class TestCompressedLoss:
             a = np.random.default_rng(38).standard_normal(x2.shape[1])
         n = x2.shape[0]
         comp = _least_squares(x2, y, n)
-        assert comp.design.shape[0] <= x2.shape[1] < n
+        assert comp.gram.shape == (x2.shape[1],) * 2 and x2.shape[1] < n
         resid = x2 @ a - y
         want = 0.5 * float((resid * resid).sum()) / n
         assert abs(comp.loss(a) + comp.offset - want) <= 1e-10 * want
-        g_data, g_comp = x2.T @ resid / n, comp.grad(a)
+        g_data, g_comp = x2.T @ resid / n, comp.loss_grad(a)[1]
         assert np.linalg.norm(g_comp - g_data) <= 1e-10 * np.linalg.norm(g_data)
 
     def test_pairwise_features_are_rank_deficient(self):
         phi, y = pairwise_design(pairwise_problem())
         # each component's row and column sums share the per-axis totals
-        assert _least_squares(phi, y, phi.shape[0]).design.shape[0] == 108 - 17
+        assert np.linalg.matrix_rank(_least_squares(phi, y, phi.shape[0]).gram) == 108 - 17
 
     def test_full_rank_solve(self):
         p = full_rank_problem()
@@ -859,7 +866,7 @@ class TestSufficientStats:
         )
         want = data.loss(a) + data.offset
         assert abs(stats.loss(a) + stats.offset - want) <= 1e-10 * want
-        g_data, g_stats = data.grad(a), stats.grad(a)
+        g_data, g_stats = data.loss_grad(a)[1], stats.loss_grad(a)[1]
         assert np.linalg.norm(g_stats - g_data) <= 1e-10 * np.linalg.norm(g_data)
 
     def test_pairwise_map_gives_the_feature_statistics(self):
@@ -884,7 +891,7 @@ class TestSufficientStats:
             )
 
     def test_solves_equal_the_data_solves(self):
-        # the compressed operator is built from the same statistics, so the
+        # the Gram operator is built from the same statistics, so the
         # solves agree bit for bit; the pairwise features' statistics round
         # differently, so that solve agrees to its tolerance
         p = full_rank_problem()
@@ -932,25 +939,26 @@ class TestSufficientStats:
 
 
 class TestOneEigendecomposition:
-    """A solve eigendecomposes once: statistics in :func:`_compressed`,
-    whose eigenpairs also serve ADMM's ridge solve, and data with n <= d in
-    the row Gram of ADMM's ridge solve."""
+    """An ADMM solve eigendecomposes once, for its ridge solve: the Gram of
+    statistics, or the row Gram of data with n <= d.  FISTA never does: on
+    statistics it reads the Gram through products alone."""
 
     @pytest.mark.parametrize(
-        "spec, n",
-        [(matricized_nuclear_sum(), 300), (matricized_nuclear_sum(), 40), (entry_l1(), 300)],
+        "spec, n, calls",
+        [(matricized_nuclear_sum(), 300, 1), (matricized_nuclear_sum(), 40, 1),
+         (entry_l1(), 300, 0)],
         ids=["admm-statistics", "admm-data-space", "fista-statistics"],
     )
-    def test_one_eigh_per_solve(self, monkeypatch, spec, n):
+    def test_one_eigh_per_solve(self, monkeypatch, spec, n, calls):
         p = theta5_problem(4, n, 48)
         p = stats_of(p) if n > 64 else p
-        calls = []
+        made = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(
-            np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k)
+            np.linalg, "eigh", lambda *a, **k: made.append(1) or eigh(*a, **k)
         )
         assert solve(p, spec, 0.2).status == "Converged"
-        assert len(calls) == 1
+        assert len(made) == calls
 
 
 def wishart_stats(n, seed):
@@ -960,9 +968,11 @@ def wishart_stats(n, seed):
 
 
 class TestObjectiveIsTheTrace:
-    """:func:`objective` and :func:`kkt_residual` at a solve's estimate are
-    its last trace entry and its certificate, bit for bit, on data with
-    n <= d and on statistics: one penalized objective, offset added last."""
+    """:func:`kkt_residual` at a solve's estimate is its certificate, bit for
+    bit, on data with n <= d and on statistics, and :func:`objective` there
+    is its last trace entry up to the rounding of FISTA's carried objective
+    (ADMM's trace evaluates the loss): one penalized objective, offset
+    added last."""
 
     @pytest.mark.parametrize(
         "spec, lam",
@@ -981,15 +991,129 @@ class TestObjectiveIsTheTrace:
             p = theta5_problem(4, 40, 49)  # n = 40 <= d = 64
             p = stats_of(p) if form == "data-statistics" else p
         res = solve(p, spec, lam)
-        assert objective(p, spec, lam, res.estimate) == res.objective_trace[-1]
+        got, trace = objective(p, spec, lam, res.estimate), res.objective_trace
+        assert abs(got - trace[-1]) <= 1e-12 * trace[0]
+        if spec.kind == "matricized_nuclear_sum":
+            assert got == trace[-1]
         assert kkt_residual(p, spec, lam, res.estimate) == res.kkt_residual
+
+
+PROX_KINDS = [(entry_l1(), 0.1), (fiber_group(1), 0.2), (slice_frob((0, 2)), 0.2),
+              (slice_nuclear((0, 1)), 0.2)]
+
+
+def criterion8_problem(seed):
+    """An instance of criterion 8's problems: n = 200 rows of 8 covariates,
+    as (2, 2, 2), a half-sparse truth and noise 0.1."""
+    r = np.random.default_rng(seed)
+    x = r.standard_normal((200, 8))
+    y = x @ (r.standard_normal(8) * (r.random(8) < 0.5)) + 0.1 * r.standard_normal(200)
+    return RegressionProblem(x.reshape(200, 2, 2, 2), y, split=3)
+
+
+def newton_optimum(p, groups, lam, start):
+    """The minimizer of (1/2n) ||y - X a||^2 + lam sum_g ||a_g|| on the groups
+    that are nonzero at `start`, by Newton's method on their optimality
+    conditions, with the zero groups' subgradient condition checked: an
+    optimum that neither FISTA's iterations nor the gap produce."""
+    x2, y = p.design_matrices()
+    h, b = x2.T @ x2 / p.n, x2.T @ y[:, 0] / p.n
+    a = start.ravel().copy()
+    active = [g for g in groups if np.abs(a[g]).max() > 0]
+    idx = np.concatenate(active)
+    for _ in range(30):
+        res, jac = (h @ a - b)[idx], h[np.ix_(idx, idx)].copy()
+        at = 0
+        for g in active:
+            norm = np.linalg.norm(a[g])
+            unit, k = a[g] / norm, len(g)
+            res[at : at + k] += lam * unit
+            jac[at : at + k, at : at + k] += lam * (np.eye(k) - np.outer(unit, unit)) / norm
+            at += k
+        a[idx] -= np.linalg.solve(jac, res)
+    grad = h @ a - b
+    assert all(np.linalg.norm(grad[g]) < lam for g in groups if g not in active)
+    return a.reshape(start.shape)
+
+
+class TestRelativeGap:
+    """The certificate is the relative duality gap of the residual scaled
+    into the dual ball: sound, exact at an optimum, and the same number on
+    the data and on their Gram."""
+
+    @pytest.mark.parametrize("form", ["data", "statistics"])
+    def test_positive_off_the_optimum(self, form):
+        # gap >= 0 in exact arithmetic; at random points it is well above zero,
+        # so no rounding clips it
+        p = scalar_problem(40, (4, 4, 4), 0.3, 60)
+        p = stats_of(p) if form == "statistics" else p
+        r = np.random.default_rng(61)
+        for spec, lam in PROX_KINDS:
+            for _ in range(5):
+                assert kkt_residual(p, spec, lam, r.standard_normal((4, 4, 4))) > 1e-6
+        blocks, op = _PairwiseBlocks((4, 4, 4)), _operator(p, pairwise=True)
+        for _ in range(5):
+            vec = r.standard_normal(blocks.size)
+            assert _certificate(op, 0.1, vec, blocks.dual, blocks.value) > 1e-6
+
+    @pytest.mark.parametrize("spec, lam", PROX_KINDS, ids=["entry", "fiber", "frob", "nuclear"])
+    def test_is_the_residual_form_on_data(self, spec, lam):
+        p = scalar_problem(40, (4, 4, 4), 0.3, 62)
+        x2, y = p.design_matrices()
+        dual, penalty = partial(reg_dual, spec), partial(reg_eval, spec)
+        r = np.random.default_rng(63)
+        points = [r.standard_normal((4, 4, 4)), fista_solve(p, spec, lam).estimate]
+        for a in points:
+            want = residual_gap(x2, y[:, 0], lam, a, dual, penalty)
+            assert abs(kkt_residual(p, spec, lam, a) - want) <= 1e-12
+
+    @pytest.mark.parametrize("spec, groups", [
+        (entry_l1(), [[i] for i in range(8)]),
+        (fiber_group(0), [[0, 4], [1, 5], [2, 6], [3, 7]]),
+    ], ids=["entry", "fiber"])
+    @pytest.mark.parametrize("seed", [801, 802])
+    def test_bounds_the_distance_to_an_independent_optimum(self, spec, groups, seed):
+        p, lam = criterion8_problem(seed), 0.05
+        res = fista_solve(p, spec, lam, max_iters=5000, kkt_tol=1e-10)
+        best = newton_optimum(p, groups, lam, res.estimate)
+        assert np.linalg.norm(best - res.estimate) <= 1e-6
+        assert kkt_residual(p, spec, lam, best) < 1e-9
+        floor = objective(p, spec, lam, best)
+        r = np.random.default_rng(seed)
+        for scale in (1e-4, 1e-2, 1.0):
+            a = best + scale * r.standard_normal(best.shape)
+            value = objective(p, spec, lam, a)
+            assert kkt_residual(p, spec, lam, a) >= (value - floor) / value
+
+    @pytest.mark.parametrize("case", ["theta1", "pairwise"])
+    def test_gram_and_data_operators_agree(self, case):
+        # the Gram form's losses cancel, so only their differences are compared
+        if case == "theta1":
+            spec = ModelClassSpec("theta1", (4, 4, 4), s=3)
+            p = gen_problem(gen_truth(spec, 64), 300, 3, 1.0, seed=65)
+            x2, y = p.design_matrices()
+            data, gram = _LeastSquares(x2, y, p.n), _operator(stats_of(p))
+            shape = p.truth_shape
+        else:
+            p = pairwise_problem()
+            x2, y = pairwise_design(p)
+            data, gram = _LeastSquares(x2, y, p.n), _operator(stats_of(p), pairwise=True)
+            shape = (108,)
+        assert isinstance(gram, _Gram)
+        r = np.random.default_rng(66)
+        a, b = r.standard_normal(shape), r.standard_normal(shape)
+        for fn in (lambda op, v: op.loss_grad(v)[1], lambda op, v: op.hvp(v)):
+            want = fn(data, a)
+            assert np.linalg.norm(fn(gram, a) - want) <= 1e-12 * np.linalg.norm(want)
+        want = data.loss(a) - data.loss(b)
+        assert abs(gram.loss(a) - gram.loss(b) - want) <= 1e-12 * abs(want)
 
 
 class TestOverflow:
     """Finite data whose squares overflow stop as Diverged, not in an
     endless backtracking loop."""
 
-    @pytest.mark.parametrize("n", [200, 10])  # compressed, data space
+    @pytest.mark.parametrize("n", [200, 10])  # Gram, data space
     def test_fista_diverges(self, n):
         r = np.random.default_rng(39)
         p = RegressionProblem(
@@ -1018,7 +1142,7 @@ class TestOverflow:
     @pytest.mark.parametrize(
         "n, scaled",
         [(60, "covariates"), (20, "covariates"), (20, "responses")],
-    )  # compressed, data space with overflowing factors, and first objective
+    )  # Gram, data space with overflowing factors, and first objective
     def test_admm_diverges(self, n, scaled):
         r = np.random.default_rng(41)
         x, y = r.standard_normal((n, 3, 3, 3)), r.standard_normal(n)
@@ -1061,6 +1185,13 @@ class TestFiniteButHuge:
                        admm_matricized(p, 0.1)]
         assert [r.status for r in results] == ["Diverged"] * 3
         assert [r.kkt_residual for r in results] == [float("inf")] * 3
+
+    def test_objective_at_zero_is_finite(self):
+        # no product at a = 0 overflows: the data read ||y||^2 / 2n = 0.5,
+        # and their statistics, huge in another way, yty / 2n = 0.125
+        with np.errstate(over="raise"):
+            assert [objective(p, entry_l1(), 0.1, np.zeros((2, 2, 2)))
+                    for p in huge_forms()] == [0.5, 0.125]
 
     @pytest.mark.parametrize("form", [0, 1], ids=["data", "statistics"])
     def test_objective_and_certificate_read_inf(self, form):
