@@ -297,9 +297,11 @@ def kkt_residual(problem, spec, lam, a):
     scaled into the dual ball by ``s = min(1, lam / R*(g))`` (Fercoq,
     Gramfort & Salmon 2015), ``lam R(a) + s <g, a> + (1 - s)^2 F(a)`` for
     the loss F and its gradient g, over ``P(a)``.  It vanishes exactly at a
-    minimizer; at lam = 0 only a zero gradient is dual feasible, so off an
-    exact fit it reads 1.  The matricized nuclear norm's R* over-covers, so
-    there it is sound but loose, and ADMM stops on its own residuals."""
+    minimizer.  At lam = 0 only a zero gradient is dual feasible, so there
+    it reads the gradient's norm against its norm at zero, which vanishes
+    exactly at a least-squares fit.  The matricized nuclear norm's R*
+    over-covers, so its gap is sound but loose, and ADMM stops on its own
+    residuals."""
     dual, penalty = partial(reg_dual, spec), partial(reg_eval, spec)
     return _on_exact_loss(problem, a, lambda op, a: _certificate(op, lam, a, dual, penalty))
 
@@ -309,8 +311,11 @@ def _certificate(op, lam, a, dual, penalty):
     norm `dual` and its value `penalty`: the one formula every solver
     certifies with.  A gap that rounds below zero reads 0, one that overflows inf."""
     loss, g = op.loss_grad(a)
+    if lam == 0.0:
+        g_norm, g0_norm = float(np.linalg.norm(g)), op.grad0_norm
+        return 0.0 if g_norm == 0 else g_norm / g0_norm if g0_norm else math.inf
     full = loss + op.offset
-    lam_r = _penalized(0.0, lam, penalty, a)
+    lam_r = lam * penalty(a)
     r_dual = dual(g)
     s = 1.0 if r_dual <= lam else lam / r_dual
     gap = lam_r + s * float(np.vdot(g, a)) + (1.0 - s) ** 2 * full
@@ -326,6 +331,11 @@ class _Quadratic:
     pairwise block vector) and give a gradient or solve back in it."""
 
     offset = 0.0
+
+    @cached_property
+    def grad0_norm(self):
+        """``||g(0)|| = ||X^T y|| / n``, the scale of the certificate at lam = 0."""
+        return float(np.linalg.norm(self.xty)) / self.n
 
     def hvp(self, a):
         """``H a``: one product with the Gram, or two with the design."""
@@ -371,6 +381,10 @@ class _LeastSquares(_Quadratic):
 
     def _residual(self, a):
         return self.design @ self._columns(a) - self.target
+
+    @cached_property
+    def xty(self):
+        return self.design.T @ self.target
 
     def _loss_of(self, r):
         return 0.5 * float(np.vdot(r, r)) / self.n
@@ -651,15 +665,13 @@ def admm_matricized(problem, lam, max_iters=MAX_ITERS, tol=1e-6):
     rho = _ADMM_RHO
     zs = [np.zeros(shape) for _ in range(3)]
     us = [np.zeros(shape) for _ in range(3)]
-    status = "MaxIters"
-    iters_done = 0
+    status, iters_done = "MaxIters", 0
 
     for it in range(1, max_iters + 1):
         iters_done = it
         rhs = rhs0 + rho * sum(z - u for z, u in zip(zs, us))
         a = op.shifted_solve(rhs, 3.0 * rho)
-        primal_sq = 0.0
-        dual_sq = 0.0
+        primal_sq = dual_sq = 0.0
         for k in range(3):
             target = a + us[k]
             znew = dematricize(
@@ -669,8 +681,7 @@ def admm_matricized(problem, lam, max_iters=MAX_ITERS, tol=1e-6):
             zs[k] = znew
             us[k] = us[k] + a - znew
             primal_sq += float(((a - znew) ** 2).sum())
-        r_norm = np.sqrt(primal_sq)
-        s_norm = rho * np.sqrt(dual_sq)
+        r_norm, s_norm = np.sqrt(primal_sq), rho * np.sqrt(dual_sq)
         trace.append(_penalized(op.loss(a), lam, penalty, a) + op.offset)
         if not np.isfinite(r_norm) or trace[-1] > 1e3 * max(trace[0], 1e-12):
             status = "Diverged"
@@ -698,11 +709,7 @@ def expand_pairwise(components, shape):
     """Assemble the order-3 tensor whose entries are the sums of the three
     pairwise component matrices."""
     a12, a13, a23 = components
-    out = np.zeros(shape)
-    out += a12[:, :, None]
-    out += a13[:, None, :]
-    out += a23[None, :, :]
-    return out
+    return np.zeros(shape) + a12[:, :, None] + a13[:, None, :] + a23[None, :, :]
 
 
 def marginal_features(covariates):
@@ -776,15 +783,9 @@ def save_problem(directory, problem):
     if problem.truth is not None:
         paths["truth"] = "truth.tns"
         write_tns(os.path.join(directory, paths["truth"]), problem.truth)
-    manifest = {
-        "n": problem.n,
-        "M": problem.split,
-        "cov_shape": list(problem.cov_shape),
-        "resp_shape": list(problem.resp_shape),
-        "sigma": problem.noise_sigma,
-        "paths": paths,
-        "meta": problem.meta,
-    }
+    manifest = {"n": problem.n, "M": problem.split, "cov_shape": list(problem.cov_shape),
+                "resp_shape": list(problem.resp_shape), "sigma": problem.noise_sigma,
+                "paths": paths, "meta": problem.meta}
     mpath = os.path.join(directory, "manifest.json")
     with open(mpath, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -794,11 +795,8 @@ def save_problem(directory, problem):
 def load_problem(directory):
     """Read a problem written by :func:`save_problem`.  Its manifest's `n`,
     `cov_shape` and `resp_shape` must agree with the tensors read."""
-    mpath = (
-        directory
-        if directory.endswith(".json")
-        else os.path.join(directory, "manifest.json")
-    )
+    json_path = directory.endswith(".json")
+    mpath = directory if json_path else os.path.join(directory, "manifest.json")
     base = os.path.dirname(mpath)
     with open(mpath) as fh:
         manifest = json.load(fh)
