@@ -92,6 +92,14 @@ def _default(func, name):
     return inspect.signature(func).parameters[name].default
 
 
+class _RemovedFlag(argparse.Action):
+    """A removed flag, refused by name (exit 2), not skipped with its value
+    read as the command."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        raise argparse.ArgumentError(self, "was removed; BLAS threads follow OPENBLAS_NUM_THREADS")
+
+
 @functools.cache
 def build_parser():
     """The parser, built once per process: parsing reads it and leaves it as
@@ -101,6 +109,7 @@ def build_parser():
     parser.add_argument("--out", type=str, default=None)
     parser.add_argument("--format", choices=harness.REPORT_FORMATS,
                         default=_default(harness.emit_report, "fmt"))
+    parser.add_argument("--threads", action=_RemovedFlag, help=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="draw a problem from a truth class")

@@ -363,14 +363,15 @@ def gen_samples(spec, n, split, noise_sigma, seeds):
     of `seeds`, as an iterator in that order, each equal to the
     :func:`gen_sample` sample of its pair.
 
-    The VAR class t3 draws every model first and simulates the series of
-    :func:`gen_var_panel` in lockstep, at any n; past the m p lag
-    coordinates a solver would reduce a series to, it yields each
-    series' statistics, all a solve reads of it, so the lag design is
-    copied once and dropped.  A class with i.i.d. rows draws each sample
-    only when it is asked for, unless n exceeds d + q, the covariate and
-    response dimensions: it then draws each truth by :func:`gen_truth` and
-    its sufficient statistics by :func:`gen_sufficient_stats`.
+    The VAR class t3 draws every model first and simulates the series in
+    lockstep, at any n: up to the m p lag coordinates a solver would reduce
+    a series to, it yields those of :func:`gen_var_panel`, and past them
+    each series' statistics, all a solve reads of it, reduced chunk by
+    chunk as one group steps (:func:`_var_statistics`).  A class with
+    i.i.d. rows draws each sample only when it is asked for, unless n
+    exceeds d + q, the covariate and response dimensions: it then draws
+    each truth by :func:`gen_truth` and its statistics by
+    :func:`gen_sufficient_stats`.
     """
     check_count("n", n, 1)
     check_real("noise_sigma", noise_sigma, 0)
@@ -379,30 +380,15 @@ def gen_samples(spec, n, split, noise_sigma, seeds):
     dims = math.prod(spec.shape[:split])
     if spec.kind == "t3":
         models = [_class_var_model(spec, tseed) for tseed, _ in seeds]
-        panel = gen_var_panel(models, n, [pseed for _, pseed in seeds])
-        # `map`, not a generator expression: its frame would hold the last
-        # series, and so its lockstep group, while the next group is simulated
-        return panel if n <= dims else map(_series_statistics, panel)
+        pseeds = [pseed for _, pseed in seeds]
+        # the panel checks its models and seeds, and simulates only when read
+        panel = gen_var_panel(models, n, pseeds)
+        return panel if n <= dims else _var_statistics(models, n, pseeds)
     if n <= dims + math.prod(spec.shape[split:]):
         return (gen_sample(spec, n, split, noise_sigma, pair) for pair in seeds)
     return (
         gen_sufficient_stats(gen_truth(spec, tseed), n, split, noise_sigma, seed=pseed)
         for tseed, pseed in seeds
-    )
-
-
-def _series_statistics(problem):
-    """The :class:`SufficientStats` of a sample, by the one reduction a
-    solver makes of data with n > d (``solver._statistics``), so a solve on
-    them returns the estimate of the sample bit for bit."""
-    gram, xty, yty = _statistics(problem.covariates, problem.responses)
-    return SufficientStats(
-        gram=gram,
-        xty=xty.reshape(problem.truth_shape),
-        yty=yty,
-        n=problem.n,
-        split=problem.split,
-        truth=problem.truth,
     )
 
 
@@ -533,13 +519,14 @@ def gen_var_panel(models, n, seeds):
 
     Problem i equals ``gen_var_series(models[i], n, seeds[i])`` exactly,
     whatever the other models are.  The models must share (p, m, burn_in).
-    The series run in lockstep, in groups of at most p + 2 split evenly,
-    the number of series-sized arrays that stepping one series alone holds
-    (innovations, series and p lag columns).  A group is simulated only
-    when its first problem is asked for, and the panel lets a group's
-    series go before it simulates the next group, so a caller that drops
-    each problem before asking for the next holds one group at a time.
-    Each covariate array is a read-only lag-window view of its series.
+    The series run in lockstep (:func:`_var_steps`, in one chunk), in
+    groups of at most p + 2 split evenly, the number of series-sized arrays
+    that stepping one series alone holds (innovations, series and p lag
+    columns).  A group is simulated only when its first problem is asked
+    for, and the panel lets a group's series go before it simulates the
+    next group, so a caller that drops each problem before asking for the
+    next holds one group at a time.  Each covariate array is a read-only
+    lag-window view of its series.
     """
     models, seeds = list(models), [check_seed(seed) for seed in seeds]
     check_count("n", n, 1)
@@ -572,39 +559,68 @@ def _check_var_layout(spec, split, noise_sigma):
         raise ValidationError(f"a t3 (VAR) sample needs {_VAR_LAYOUT}, got {layout}")
 
 
-def _var_group(models, n, seeds):
-    """Simulate one lockstep group of :func:`gen_var_panel` and return a
-    generator of its problems.
+# Steps per chunk of a VAR group reduced to statistics: at p = 2 a series
+# with n <= 1526 is one chunk and keeps its bytes, and a 12-series group at
+# m = 20 holds 3.9 MB of buffer and 1 MB of lag design.
+_VAR_CHUNK = 2048
 
-    Step t of every series at once: x_t = eps_t + [A_p ... A_1] x_{t-p:t},
-    the p lags flattened oldest first, by one batched matmul with each
-    model's stacked coefficients and one add of the innovations.  The lags
-    before t = 0 read p leading zero rows.
-    """
+
+def _var_steps(models, n, seeds, chunk):
+    """Step the series of `models` in lockstep, `chunk` steps at a time on
+    one buffer, and yield after each chunk that holds responses each
+    series' (lag windows, responses) there, read-only views that the next
+    chunk overwrites.  Step t of every series at once: x_t = eps_t +
+    [A_p ... A_1] x_{t-p:t}, the p lags flattened oldest first, by one
+    batched matmul and one add of the innovations, which each series' own
+    generator draws chunk by chunk (the values of one whole draw)."""
     p, m, burn_in = models[0].p, models[0].m, models[0].burn_in
     total = burn_in + p + n
-    # series b is x[b, p:]; its innovations are drawn there, then added to
-    x = np.zeros((len(models), p + total, m))
-    for row, seed in zip(x, seeds):
-        np.random.default_rng(seed).standard_normal((total, m), out=row[p:])
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     stacked = np.stack([np.concatenate(model.coeffs[::-1], axis=1) for model in models])
     lagged = np.empty((len(models), m, 1))
-    for t in range(p, p + total):
-        np.matmul(stacked, x[:, t - p : t].reshape(len(models), p * m, 1), out=lagged)
-        x[:, t] += lagged[..., 0]
-    first = p + burn_in + p  # the first response, as an index of x[b]
+    # row r of x[b] is step start + r - p of series b; p zero lags lead step 0
+    x = np.zeros((len(models), p + min(chunk, total), m))
+    for start in range(0, total, chunk):
+        c = min(chunk, total - start)
+        if start:  # the previous chunk's last p steps are this one's lags
+            x[:, :p] = x[:, chunk:]
+        # the chunk's innovations are drawn in place, then added to
+        for row, rng in zip(x, rngs):
+            rng.standard_normal((c, m), out=row[p : p + c])
+        for t in range(p, p + c):
+            np.matmul(stacked, x[:, t - p : t].reshape(len(models), p * m, 1), out=lagged)
+            x[:, t] += lagged[..., 0]
+        lo = max(p, burn_in + 2 * p - start)  # the chunk's first response
+        if lo < p + c:
+            # window i of a row is rows i .. i + p - 1, the p steps before row i + p
+            yield [(sliding_window_view(row, p, axis=0)[lo - p : -1, :, ::-1], row[lo:])
+                   for row in x[:, : p + c]]
+
+
+def _var_group(models, n, seeds):
+    """Simulate one lockstep group of :func:`gen_var_panel` in one chunk
+    and return a generator of its problems."""
+    (series,) = _var_steps(models, n, seeds, models[0].burn_in + models[0].p + n)
     return (
-        RegressionProblem(
-            # window i of x[b] is x[b, i : i + p], the p steps before x[b, i + p]
-            covariates=sliding_window_view(row, p, axis=0)[
-                first - p : first - p + n, :, ::-1
-            ],
-            responses=row[first : first + n],
-            **_VAR_LAYOUT,
-            truth=var_truth(model),
-            meta={"model": model.to_json(), "seed": seed},
-        )
-        for row, model, seed in zip(x, models, seeds)
+        RegressionProblem(*pair, **_VAR_LAYOUT, truth=var_truth(model),
+                          meta={"model": model.to_json(), "seed": seed})
+        for pair, model, seed in zip(series, models, seeds)
+    )
+
+
+def _var_statistics(models, n, seeds):
+    """The :class:`SufficientStats` of the :func:`gen_var_panel` series, as
+    an iterator: one lockstep group on `_VAR_CHUNK` steps, whose chunks are
+    reduced per series by ``solver._statistics`` (an exactly symmetric 2-D
+    ``X^T X``) as they are stepped and added up, so a series whose
+    responses lie in one chunk keeps the bytes of its series."""
+    sums = [None] * len(models)
+    for series in _var_steps(models, n, seeds, _VAR_CHUNK):
+        for i, part in enumerate(_statistics(*pair) for pair in series):
+            sums[i] = part if sums[i] is None else [a + b for a, b in zip(sums[i], part)]
+    return (
+        SufficientStats(gram, xty.reshape(truth.shape), yty, n, _VAR_LAYOUT["split"], truth)
+        for (gram, xty, yty), truth in zip(sums, map(var_truth, models))
     )
 
 

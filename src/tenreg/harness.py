@@ -207,9 +207,9 @@ def _cells(model, n, split, sigma, seq, reps, reg, lam, max_iters):
     delta = estimate - truth.  Yields (cell record, truth) in order.
 
     A sample with more rows than covariate coordinates comes as its
-    sufficient statistics, i.i.d. or VAR, so its `emp_sq` is
-    delta^T G delta / n; a VAR cell's is that of its series' own Gram, the
-    design's sum of squares up to rounding."""
+    sufficient statistics, i.i.d. or VAR (one lockstep group per point,
+    reduced before its first solve), so its `emp_sq` is delta^T G delta / n,
+    for VAR the design's sum of squares up to rounding."""
     problems = gen_samples(model, n, split, sigma, [r.spawn(2) for r in seq.spawn(reps)])
     for ri in range(reps):
         problem = next(problems)

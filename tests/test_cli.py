@@ -410,7 +410,8 @@ class TestAutoLambda:
             main(["--threads", "2", "--out", str(out), *args])
         assert exc.value.code == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and "tenreg: error:" in captured.err
+        assert captured.out == ""
+        assert "tenreg: error: argument --threads: was removed" in captured.err
         assert not out.exists()
 
     def test_width_of_the_pairwise_penalty(self, tmp_path, capsys):

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from tenreg import datagen
+from tenreg import datagen, solver
 from tenreg.datagen import (
     ModelClassSpec,
     _signs,
@@ -420,6 +420,71 @@ class TestVarPanel:
         ):
             with pytest.raises(ValidationError, match="p, m and burn_in"):
                 gen_var_panel([a, other], 10, [1, 2])
+
+
+class TestVarStatistics:
+    """Past m p = 6 a VAR cell is stepped on a buffer of `_VAR_CHUNK` steps
+    and each chunk reduced as soon as it is stepped: the statistics are
+    those of the cell's own `gen_var_series` series, bit for bit when its
+    responses lie in one chunk and within the rounding of two sums when
+    they span several."""
+
+    SPEC = ModelClassSpec("t3", (3, 2, 3), s=2)
+    SEEDS = [(10 + i, 20 + i) for i in range(5)]
+    BURN_IN = 520  # 500 + 10 p at p = 2: the series has 522 + n steps
+
+    def _pairs(self, n):
+        got = list(gen_samples(self.SPEC, n, 2, 1.0, self.SEEDS))
+        assert len(got) == len(self.SEEDS)
+        for sample, (tseed, pseed) in zip(got, self.SEEDS):
+            model = gen_var_model(3, 2, 2, seed=tseed)
+            assert model.burn_in == self.BURN_IN
+            yield sample, gen_var_series(model, n, seed=pseed)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 5, 64, 562])
+    def test_chunks_step_the_whole_series(self, chunk):
+        # 522 + 40 steps; the buffer is reused, so each chunk is copied out
+        models, seeds = TestVarPanel._panel(3, 2, 4)
+        chunks = [[(cov.copy(), y.copy()) for cov, y in series]
+                  for series in datagen._var_steps(models, 40, seeds, chunk)]
+        # the chunks that hold responses, steps 522 .. 561
+        assert len(chunks) == 561 // chunk - 522 // chunk + 1
+        for b, prob in enumerate(gen_var_panel(models, 40, seeds)):  # bit for bit
+            assert np.array_equal(np.concatenate([c[b][0] for c in chunks]), prob.covariates)
+            assert np.array_equal(np.concatenate([c[b][1] for c in chunks]), prob.responses)
+
+    # n = 5000 spans three chunks of 2048; chunks of 64 and 7 put many
+    # chunk boundaries inside the responses and the lag windows
+    @pytest.mark.parametrize("n, chunk", [(5000, None), (300, 64), (300, 7)])
+    def test_several_chunks_within_rounding(self, monkeypatch, n, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(datagen, "_VAR_CHUNK", chunk)
+        assert self.BURN_IN + 2 + n > 2 * datagen._VAR_CHUNK
+        # each entry is a sum of n products, rounded two ways; each way is
+        # within gamma_n <= 1.01 n u of the exact sum, relative to the sum
+        # of the products' absolute values (Higham 2002, section 3.1), so
+        # the two differ by at most 2 n eps = 4 n u of that sum
+        bound = 2 * n * np.finfo(float).eps
+        for sample, series in self._pairs(n):
+            gram, xty, yty = solver._statistics(series.covariates, series.responses)
+            x2, y = np.abs(series.covariates.reshape(n, 6)), np.abs(series.responses)
+            assert (np.abs(sample.gram - gram) <= bound * (x2.T @ x2)).all()
+            assert (np.abs(sample.xty.reshape(6, 3) - xty) <= bound * (x2.T @ y)).all()
+            assert abs(sample.yty - yty) <= bound * yty
+            assert np.array_equal(sample.gram, sample.gram.T)  # exactly symmetric
+            assert np.array_equal(sample.truth, series.truth)
+
+    # n = 1500: the 2022 steps are one chunk; a chunk of 522 steps holds
+    # the burn-in and the first lags alone, and the next one every response
+    @pytest.mark.parametrize("n, chunk", [(1500, None), (100, 522)])
+    def test_responses_in_one_chunk_are_bit_equal(self, monkeypatch, n, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(datagen, "_VAR_CHUNK", chunk)
+        for sample, series in self._pairs(n):
+            gram, xty, yty = solver._statistics(series.covariates, series.responses)
+            assert sample.gram.tobytes() == gram.tobytes()
+            assert sample.xty.tobytes() == xty.reshape(3, 2, 3).tobytes()
+            assert sample.yty == yty
 
 
 @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -0.1])

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -384,10 +385,11 @@ class TestRateDraw:
 
 
 class TestVarLockstep:
-    """The VAR cells of one n simulate their series in lockstep groups of at
-    most p + 2, each group only once the previous group's cells are solved
-    and its series freed, and every cell is the one that its own
-    `gen_var_series` sample gives."""
+    """The VAR cells of one n simulate their series in lockstep: past
+    m p = 6 as one group per point, reduced to statistics as it steps, and
+    up to m p in groups of at most p + 2.  Each group is simulated only once
+    the previous group's cells are solved and its buffer freed, and every
+    cell is the one that its own `gen_var_series` sample gives."""
 
     CONFIG = RateExperimentConfig(
         model=ModelClassSpec("t3", (3, 2, 3), s=2),
@@ -399,30 +401,36 @@ class TestVarLockstep:
         width_draws=200,
     )
 
-    def test_groups_of_at_most_p_plus_2(self, monkeypatch):
+    # n = 3 and 6 are series (m p = 6), 12 and 24 statistics
+    @pytest.mark.parametrize(
+        "grid, groups",
+        [((50, 100, 200, 400), [(10,)] * 4), ((3, 6, 12, 24), [(4, 3, 3)] * 2 + [(10,)] * 2)],
+        ids=["statistics", "series-then-statistics"],
+    )
+    def test_one_group_per_point_past_m_p(self, monkeypatch, grid, groups):
         events = []
-        simulated = []  # weak references to the series arrays of each group
-        real_group, real_solve = datagen._var_group, harness.solve
+        simulated = []  # weak references to the buffer of each group
+        real_steps, real_solve = datagen._var_steps, harness.solve
 
-        def group(models, n, seeds):
+        def steps(models, *args):
             assert all(ref() is None for ref in simulated), "an earlier group is held"
             events.append(("simulate", len(models)))
-            for problem in real_group(models, n, seeds):
-                simulated.append(weakref.ref(problem.responses.base))
-                yield problem
+            for series in real_steps(models, *args):
+                simulated.append(weakref.ref(series[0][1].base))
+                yield series
 
         def solve(problem, *args, **kw):
             events.append(("solve", 1))
             return real_solve(problem, *args, **kw)
 
-        monkeypatch.setattr(datagen, "_var_group", group)
+        monkeypatch.setattr(datagen, "_var_steps", steps)
         monkeypatch.setattr(harness, "solve", solve)
-        rep = rate_experiment(self.CONFIG)
-        # p = 2: ten series per n run as groups of 4, 3 and 3
-        one_n = []
-        for size in (4, 3, 3):
-            one_n += [("simulate", size)] + [("solve", 1)] * size
-        assert events == one_n * 4
+        rep = rate_experiment(dataclasses.replace(self.CONFIG, n_grid=grid))
+        want = []
+        for sizes in groups:
+            for size in sizes:
+                want += [("simulate", size)] + [("solve", 1)] * size
+        assert events == want
         assert len(rep["cells"]) == 40
 
     def test_cells_match_their_own_series(self, monkeypatch):
@@ -455,24 +463,26 @@ class TestVarLockstep:
                 cell["emp_sq"], solver.empirical_norm(problem, delta) ** 2, rel_tol=1e-12
             )
 
-    def test_a_point_holds_one_group_and_one_design_copy(self):
-        # (20, 3, 20) at n = 16000, eight series in two lockstep groups of 4:
-        # a group is 10.6 MB and the flattened lag design 7.7 MB.  Scoring on
-        # the series adds a second design copy, its prediction and the
-        # square of that (23.6 MB at the peak); statistics add neither, and
-        # holding the first group while simulating the second would add 10.6 MB
-        model, reg, n = ModelClassSpec("t3", (20, 3, 20), s=6), fiber_group(1), 16000
-        _, (lam,) = harness.auto_lambda(reg, model.shape, [n], 1.0, 200, 0)
-        tracemalloc.start()
-        try:
-            cells = list(harness._cells(
-                model, n, 2, 1.0, np.random.SeedSequence(302), 8, reg, lam, 2000,
-            ))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(cells) == 8
-        assert peak < 20 * 2**20
+    def test_a_point_holds_one_chunk_whatever_its_n(self):
+        # (20, 3, 20), eight series in one lockstep group: its buffer of
+        # 2048 + p steps is 2.6 MB and a chunk's lag design 1.0 MB, at any n.
+        # Whole series, stepped in groups of 4 in one chunk, would hold
+        # 10.6 MB at n = 16000 and their lag design 7.7 MB more
+        model, reg = ModelClassSpec("t3", (20, 3, 20), s=6), fiber_group(1)
+        peaks = []
+        for n in (4000, 16000):
+            _, (lam,) = harness.auto_lambda(reg, model.shape, [n], 1.0, 200, 0)
+            tracemalloc.start()
+            try:
+                cells = list(harness._cells(
+                    model, n, 2, 1.0, np.random.SeedSequence(302), 8, reg, lam, 2000,
+                ))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert len(cells) == 8
+        assert max(peaks) < 5 * 2**20
+        assert peaks[1] < peaks[0] + 2**19
 
 
 class TestRateReport:
