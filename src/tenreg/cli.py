@@ -35,23 +35,27 @@ _BARE_KINDS = {
 }
 
 
-def _parse_reg(text):
+def _parse_reg(text, flag="--regularizer"):
     """Penalty shorthand: ``entry_l1``, ``fiber_group:1``,
     ``slice_frob:0,1``, ``slice_nuclear:1,2``, ``matricized_nuclear_sum``,
     ``tensor_spectral``, ``pairwise``, or a JSON object / path to one.  An
     argument after a shorthand that takes none is refused."""
     text = text.strip()
     if os.path.exists(text) or text.startswith("{"):
-        return RegularizerSpec.from_json(_load_json_arg(text))
+        return RegularizerSpec.from_json(_load_json_arg(flag, text))
     name, colon, arg = text.partition(":")
     if name in _BARE_KINDS and not colon:
         return RegularizerSpec(_BARE_KINDS[name])
-    if name == "fiber_group":
-        return RegularizerSpec("fiber_group", mode=int(arg or 0))
-    if name in ("slice_frob", "slice_nuclear"):
-        axes = tuple(int(v) for v in (arg or "0,1").split(","))
-        return RegularizerSpec(name, axes=axes)
-    raise ValidationError(f"cannot parse regularizer {text!r}")
+    try:
+        if name == "fiber_group":
+            return RegularizerSpec("fiber_group", mode=int(arg or 0))
+        if name in ("slice_frob", "slice_nuclear"):
+            return RegularizerSpec(name, axes=tuple(int(v) for v in (arg or "0,1").split(",")))
+    except ValidationError:  # the penalty's own refusal
+        raise
+    except ValueError:  # a mode or axis that is not an integer
+        pass
+    raise ValidationError(f"{flag}: cannot parse regularizer {text!r}")
 
 
 def _parse_kinds(text):
@@ -64,19 +68,25 @@ def _parse_kinds(text):
             kinds[-1] += "," + token
         else:
             kinds.append(token)
-    return [_parse_reg(k) for k in kinds]
+    return [_parse_reg(k, "--kinds") for k in kinds]
 
 
 def _parse_shapes(text):
-    dims = (tuple(int(v) for v in part.split("x")) for part in text.split(","))
+    try:
+        dims = [tuple(int(v) for v in part.split("x")) for part in text.split(",")]
+    except ValueError:
+        raise ValidationError(f"--shapes: cannot parse shapes {text!r}") from None
     return [check_shape("shape", shape) for shape in dims]
 
 
-def _load_json_arg(text):
-    if os.path.exists(text):
+def _load_json_arg(flag, text):
+    try:
+        if not os.path.exists(text):
+            return json.loads(text)
         with open(text) as fh:
             return json.load(fh)
-    return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{flag}: {text!r} is neither a JSON file nor JSON ({exc})") from None
 
 
 def _write_output(text, out):
@@ -141,10 +151,8 @@ def build_parser():
     p_pack.add_argument("--delta", type=float, required=True)
     p_pack.add_argument("--budget", type=int,
                         default=_default(harness.hypercube_packing, "budget"))
-    p_pack.add_argument("--s", type=int, default=None)
-    p_pack.add_argument("--d1", type=int, default=None)
-    p_pack.add_argument("--d2", type=int, default=None)
-    p_pack.add_argument("--r", type=int, default=None)
+    for flag in ("--s", "--d1", "--d2", "--r"):  # the kinds' own sizes, None if unset
+        p_pack.add_argument(flag, type=int)
 
     p_var = sub.add_parser("var-extrema", help="VAR spectral extrema")
     p_var.add_argument("--model", required=True, help="VarModel JSON or path")
@@ -154,7 +162,7 @@ def build_parser():
 
 
 def _cmd_gen(args):
-    spec = datagen.ModelClassSpec.from_json(_load_json_arg(args.spec))
+    spec = datagen.ModelClassSpec.from_json(_load_json_arg("--spec", args.spec))
     problem = datagen.gen_sample(spec, args.n, args.split, args.sigma, (args.seed, args.seed))
     cert = datagen.class_certificate(spec, problem.truth)
     if not cert["ok"]:
@@ -196,27 +204,20 @@ def _cmd_width(args):
 
 
 def _cmd_rate(args):
-    config = harness.RateExperimentConfig.from_json(_load_json_arg(args.config))
+    config = harness.RateExperimentConfig.from_json(_load_json_arg("--config", args.config))
     return harness.rate_experiment(config), EXIT_OK
 
 
 def _cmd_packing(args):
     pack = harness.hypercube_packing(
-        args.d,
-        args.delta,
-        kind=args.kind,
-        budget=args.budget,
-        seed=args.seed,
-        s=args.s,
-        d1=args.d1,
-        d2=args.d2,
-        r=args.r,
+        args.d, args.delta, kind=args.kind, budget=args.budget, seed=args.seed,
+        s=args.s, d1=args.d1, d2=args.d2, r=args.r,
     )
     return pack.to_json(), EXIT_OK
 
 
 def _cmd_var_extrema(args):
-    model = datagen.VarModel.from_json(_load_json_arg(args.model))
+    model = datagen.VarModel.from_json(_load_json_arg("--model", args.model))
     return datagen.var_spectral_extrema(model, grid=args.grid), EXIT_OK
 
 

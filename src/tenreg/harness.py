@@ -410,6 +410,19 @@ def _greedy(draw, budget, lo_dot, hi_dot):
     return acc
 
 
+def _sparse_signs(rng, m, d, s):
+    """`m` s-sparse +-1 rows of length `d`, each from its own d + s uniforms,
+    so a chunk is the rows drawn one at a time: the s smallest of the first
+    d (stable order) mark the support, signed -1 where the last s are < 1/2."""
+    u = rng.random((m, d + s))
+    support = np.argsort(u[:, :d], axis=1, kind="stable")[:, :s].copy()
+    signs = np.where(u[:, d:] < 0.5, -1.0, 1.0)
+    del u  # the rows need not share the peak with the uniforms
+    rows = np.zeros((m, d))
+    np.put_along_axis(rows, support, signs, axis=1)
+    return rows
+
+
 def hypercube_packing(
     d, delta, kind="full", budget=100000, seed=0, *, s=None, d1=None, d2=None, r=None
 ):
@@ -424,8 +437,8 @@ def hypercube_packing(
     d - 2 ceil(d/3); `a` lands the squared distances inside
     [delta^2/4, delta^2].
 
-    ``sparse``: `s`-sparse +-1 vectors, drawn one at a time (a support,
-    then its signs), with `a` = delta / sqrt(2 s), so that disjoint supports
+    ``sparse``: `s`-sparse +-1 vectors, each from its own d + s uniforms
+    (`_sparse_signs`), with `a` = delta / sqrt(2 s), so that disjoint supports
     lie delta^2 apart.  The squared distance is a^2 (2s - 2<u, v>), so the
     window [delta^2/8, delta^2] is 0 <= <u, v> <= floor(7s/8), exactly.
 
@@ -434,8 +447,8 @@ def hypercube_packing(
     dropped) and whose other columns are zero, on the Hamming floor of
     ``full`` over the d1 r sign coordinates.
 
-    The +-1 kinds draw their candidates in chunks, which consume the same
-    random stream as one draw per candidate.
+    Every kind draws its candidates in chunks, which consume the same random
+    stream as one draw per candidate, so the chunk size changes no set.
 
     Raises ``ValidationError`` unless delta is a finite number > 0, budget
     an integer >= 1, kind one of the three, seed an integer >= 0, and the
@@ -464,17 +477,8 @@ def hypercube_packing(
     elif kind == "sparse":
         if not (is_int(s) and 1 <= s <= d):
             raise ValidationError(f"sparse packing needs an integer 1 <= s <= d, got {s!r}")
-
-        def draw(m):
-            rows = np.zeros((m, d))
-            for row in rows:
-                # the support is drawn before its signs
-                support = rng.choice(d, size=s, replace=False)
-                row[support] = _signs(rng, s)
-            return rows
-
         a = delta / np.sqrt(2.0 * s)
-        signs = _greedy(draw, budget, 0, 7 * s // 8)
+        signs = _greedy(lambda m: _sparse_signs(rng, m, d, s), budget, 0, 7 * s // 8)
         lo, hi = delta**2 / 8.0, delta**2
         meta = {"dimension": d, "sparsity": s}
     else:

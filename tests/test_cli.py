@@ -1020,6 +1020,30 @@ def test_csv_is_refused_before_a_command_without_a_csv_form(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["rate", "--config", "missing.json"],
+      "--config: 'missing.json' is neither a JSON file nor JSON (Expecting value"),
+     (["rate", "--config", "bad.json"], "--config: 'bad.json' is neither a JSON file nor JSON"),
+     (["gen", "--spec", "missing.json", "--n", "10"], "--spec: 'missing.json' is neither"),
+     (["var-extrema", "--model", '{"coeffs": '], "--model: '{\"coeffs\": ' is neither"),
+     (["width", "--kinds", "fiber_group:x", "--shapes", "4x4x4"],
+      "--kinds: cannot parse regularizer 'fiber_group:x'"),
+     (["width", "--kinds", "entry_l1,slice_frob:x,1", "--shapes", "4x4x4"],
+      "--kinds: cannot parse regularizer 'slice_frob:x,1'"),
+     (["width", "--kinds", "entry_l1", "--shapes", "4x4x4,4xx4"],
+      "--shapes: cannot parse shapes '4x4x4,4xx4'")],
+    ids=["config-missing", "config-not-json", "spec-missing", "model-not-json",
+         "kinds-mode", "kinds-axes", "shapes"],
+)
+def test_a_refusal_names_its_argument(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)  # where missing.json is missing
+    (tmp_path / "bad.json").write_text('{"model": ')
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}")
+
+
 def _library_default(func, name):
     return inspect.signature(func).parameters[name].default
 

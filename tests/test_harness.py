@@ -713,8 +713,9 @@ class TestPacking:
             assert np.array_equal(pattern, patterns[0])
 
     def test_sparse_size(self):
+        # the count of `_ref_packing(12, 1.0, "sparse", 5000, 3, s=3)`
         pack = hypercube_packing(12, 1.0, kind="sparse", budget=5000, seed=3, s=3)
-        assert len(pack.elements) == 100
+        assert len(pack.elements) == 109
 
     def test_lowrank_window_and_rank(self):
         delta = 1.5
@@ -768,6 +769,39 @@ class TestPacking:
             hypercube_packing(**call)
 
 
+class TestSparseDraw:
+    """`_sparse_signs`, the sparse packing's candidate draw, on 20,000
+    candidates at d = 20, s = 4: the bounds are 5 standard deviations."""
+
+    M, D, S = 20000, 20, 4
+
+    def _draw(self, chunk):
+        rng = np.random.default_rng(17)
+        return np.concatenate([
+            harness._sparse_signs(rng, min(chunk, self.M - start), self.D, self.S)
+            for start in range(0, self.M, chunk)
+        ])
+
+    def test_rows_are_s_sparse_signs(self):
+        rows = self._draw(self.M)
+        assert rows.shape == (self.M, self.D)
+        assert ((rows != 0).sum(axis=1) == self.S).all()
+        assert np.isin(rows[rows != 0], (-1.0, 1.0)).all()
+
+    def test_supports_and_signs_are_fair(self):
+        rows = self._draw(self.M)
+        p = self.S / self.D
+        freq = (rows != 0).mean(axis=0)  # each coordinate's support frequency
+        assert np.abs(freq - p).max() <= 5 * np.sqrt(p * (1 - p) / self.M)
+        signs = rows[rows != 0]
+        assert abs(signs.mean()) <= 5 / np.sqrt(signs.size)
+
+    def test_chunking_changes_no_row(self):
+        whole = self._draw(self.M)
+        for chunk in (harness._PACKING_CHUNK, 7):
+            assert np.array_equal(self._draw(chunk), whole)
+
+
 # Reference implementations: the per-pair greedy constructions and the
 # per-pair verifier. The library's whole-array versions must reproduce them
 # exactly: same accepted sets, same distances, same report bytes.
@@ -807,16 +841,20 @@ def _ref_packing(d, delta, kind, budget, seed, s=None, d1=None, d2=None, r=None)
         return accepted, (delta**2 / 4.0, delta**2)
     if kind == "sparse":
         a = delta / np.sqrt(2.0 * s)
-        lo, hi = delta**2 / 8.0, delta**2
+        signs_acc = []
         for _ in range(budget):
+            # the s smallest of d uniforms mark the support, s more its signs
+            u = rng.random(d + s)
             cand = np.zeros(d)
-            support = rng.choice(d, size=s, replace=False)
-            cand[support] = a * rng.choice([-1.0, 1.0], size=s)
-            if all(
-                lo <= float(((cand - prev) ** 2).sum()) <= hi for prev in accepted
-            ):
-                accepted.append(cand)
-        return accepted, (lo, hi)
+            cand[np.argsort(u[:d], kind="stable")[:s]] = np.where(u[d:] < 0.5, -1.0, 1.0)
+            # the window [delta^2/8, delta^2] in units of a^2 = delta^2/(2s),
+            # on the sign patterns' integer distances, as `full` on Hamming:
+            # disjoint supports lie exactly delta^2 apart, and a scaled
+            # distance there can round past it (at s = 3, a = delta/sqrt(6))
+            if all(s / 4.0 <= ((cand - prev) ** 2).sum() <= 2 * s for prev in signs_acc):
+                signs_acc.append(cand)
+        accepted = [a * sgn for sgn in signs_acc]
+        return accepted, (delta**2 / 8.0, delta**2)
     ncoord = d1 * r
     a = delta / (2.0 * np.sqrt(ncoord))
     signs_acc = []
@@ -891,7 +929,7 @@ class TestPackingMatchesReference:
     def test_chunk_and_block_sizes_change_nothing(self, monkeypatch):
         # a tile of one accepted row, and 7-candidate chunks tested in tiles
         # of 20 products: both far fewer rows than the accepted set
-        for case in (PACKING_CASES[0], PACKING_CASES[1], PACKING_CASES[5]):
+        for case in (PACKING_CASES[0], PACKING_CASES[1], PACKING_CASES[3], PACKING_CASES[5]):
             whole = hypercube_packing(seed=3, **case).to_json()
             assert len(whole["elements"]) > 20
             for chunk, entries in ((harness._PACKING_CHUNK, 1), (7, 20)):
@@ -902,8 +940,9 @@ class TestPackingMatchesReference:
                 assert small == whole
 
     def test_acceptance_tiles_keep_the_sparse_packing_small(self):
-        # 429 accepted rows against 4096-candidate chunks: one tile of every
-        # accepted row would hold 1.7 million products (13 MB)
+        # 465 accepted rows (as `_ref_packing` accepts) against 4096-candidate
+        # chunks: one tile of every accepted row would hold 1.9 million
+        # products (15 MB)
         case, seed = MC_TABLES_PACKINGS[1]
         tracemalloc.start()
         try:
@@ -911,7 +950,7 @@ class TestPackingMatchesReference:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(pack.elements) == 429
+        assert len(pack.elements) == 465
         assert peak < 4 * 2**20
 
     @pytest.mark.parametrize(
